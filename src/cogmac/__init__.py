@@ -4,8 +4,9 @@ Library layout:
 
 * :mod:`cogmac.analytic` - closed-form distributions, scaling laws, and the
   special functions behind them (Lambert W, modified Bessel I0).
-* :mod:`cogmac.channels` - seeded Rayleigh/Rician channel samplers.
-* :mod:`cogmac.rab` - random basis-pattern weights and equivalent channels.
+* :mod:`cogmac.channels` - the channel kernel: seeded draws of every user's
+  equivalent secondary and interference powers, baseline and RAB alike.
+* :mod:`cogmac.rab` - the arcsine law of the random-weight artificial LoS.
 * :mod:`cogmac.espar` - parasitic-array beamspace model (currents, basis
   patterns, pattern weights).
 * :mod:`cogmac.simulator` - max-SINR scheduling and Monte-Carlo capacity.
@@ -17,8 +18,6 @@ Library layout:
 
 from .analytic import (
     RatioDistParams,
-    RicianSpec,
-    ScalingLawEval,
     bessel_i0,
     bessel_i0e,
     effective_users_moderate_k,
@@ -32,17 +31,12 @@ from .analytic import (
     ratio_pdf,
     theorem1_law,
 )
-from .channels import ChannelRealization, ComplexGain, FadingSpec
-from .rab import RabWeights, arcsine_pdf, draw_weights, transmit_power
 from .simulator import (
     CapacityEstimate,
     NetworkConfig,
-    SlotOutcome,
     SweepResult,
-    ergodic_capacity,
     growth_flatness,
     run_experiment,
-    run_slot,
     sweep,
 )
 from .stats import EmpiricalDist, KsReport, empirical_cdf, ks_test, max_normalization_check

@@ -20,9 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "RicianSpec",
     "RatioDistParams",
-    "ScalingLawEval",
     "lambert_w0",
     "bessel_i0",
     "bessel_i0e",
@@ -35,34 +33,11 @@ __all__ = [
     "rab_m2_a_tilde_pdf",
     "rab_m2_cdf",
     "rab_m2_tail_cdf",
-    "scaling_law_point",
 ]
 
 _NEG_INV_E = -math.exp(-1.0)
 # Series/asymptotic crossover for I0; both branches agree to ~1e-12 here.
 _I0_SERIES_CUTOFF = 15.0
-
-
-@dataclass(frozen=True)
-class RicianSpec:
-    """Rician power fading description: K-factor plus mean channel power."""
-
-    k_factor: float      # K >= 0, LoS-to-scattered power ratio
-    mean_power: float    # average |h|^2, > 0
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.k_factor) or self.k_factor < 0.0:
-            raise ValueError(f"k_factor must be finite and >= 0, got {self.k_factor}")
-        if not math.isfinite(self.mean_power) or self.mean_power <= 0.0:
-            raise ValueError(f"mean_power must be finite and > 0, got {self.mean_power}")
-
-    @property
-    def los_power(self) -> float:
-        return self.k_factor * self.mean_power / (self.k_factor + 1.0)
-
-    @property
-    def scattered_power(self) -> float:
-        return self.mean_power / (self.k_factor + 1.0)
 
 
 @dataclass(frozen=True)
@@ -77,16 +52,6 @@ class RatioDistParams:
             raise ValueError(f"k_factor must be finite and >= 0, got {self.k_factor}")
         if not math.isfinite(self.power_ratio) or self.power_ratio <= 0.0:
             raise ValueError(f"power_ratio must be finite and > 0, got {self.power_ratio}")
-
-
-@dataclass(frozen=True)
-class ScalingLawEval:
-    """One evaluated point of the capacity scaling law."""
-
-    n_users: int
-    k_factor: float
-    value: float            # law evaluation, nats
-    effective_users: float  # equivalent Rayleigh-interference user count
 
 
 def lambert_w0(x: float) -> float:
@@ -143,6 +108,14 @@ def _lambert_w0_of_log(y: float) -> float:
         if abs(step) <= 2e-16 * (1.0 + abs(w)):
             break
     return w
+
+
+def _w_of_k_exp_k_over_n(k: float, n_users: int) -> float:
+    """W(K e^K / N) for K > 0, solved in log space where K e^K would overflow."""
+    y = math.log(k) + k - math.log(n_users)
+    if y > 700.0:
+        return _lambert_w0_of_log(y)
+    return lambert_w0(k * math.exp(k) / n_users)
 
 
 def bessel_i0e(x: float) -> float:
@@ -234,12 +207,11 @@ def ratio_pdf(z, params: RatioDistParams):
     return float(out) if np.isscalar(z) else out
 
 
-def normalizer_a_n(n_users: int, params: RatioDistParams, *, _w=None) -> float:
+def normalizer_a_n(n_users: int, params: RatioDistParams) -> float:
     """Extreme-value normalizing constant: the 1 - 1/N quantile of the ratio law.
 
     Closed form a_N = [K(K+1)/W(K e^K / N) - (K+1)] / rho, which satisfies
     ratio_cdf(a_N) = 1 - 1/N exactly.  K = 0 uses the limit (N-1)/rho.
-    The ``_w`` hook substitutes the Lambert W evaluator (validation use only).
     """
     if n_users < 2:
         raise ValueError(f"normalizer_a_n requires n_users >= 2, got {n_users}")
@@ -247,12 +219,7 @@ def normalizer_a_n(n_users: int, params: RatioDistParams, *, _w=None) -> float:
     rho = params.power_ratio
     if k == 0.0:
         return (n_users - 1.0) / rho
-    w_fn = lambert_w0 if _w is None else _w
-    y = math.log(k) + k - math.log(n_users)
-    if y > 700.0:
-        w = _lambert_w0_of_log(y)
-    else:
-        w = w_fn(k * math.exp(k) / n_users)
+    w = _w_of_k_exp_k_over_n(k, n_users)
     return (k * (k + 1.0) / w - (k + 1.0)) / rho
 
 
@@ -269,12 +236,7 @@ def theorem1_law(n_users: int, k_factor: float) -> float:
     if k_factor == 0.0:
         return math.log(n_users)
     k = k_factor
-    y = math.log(k) + k - math.log(n_users)
-    if y > 700.0:
-        w = _lambert_w0_of_log(y)
-    else:
-        w = lambert_w0(k * math.exp(k) / n_users)
-    return math.log(k * (k + 1.0)) - math.log(w)
+    return math.log(k * (k + 1.0)) - math.log(_w_of_k_exp_k_over_n(k, n_users))
 
 
 def effective_users_moderate_k(n_users: int, k_factor: float) -> float:
@@ -344,13 +306,3 @@ def rab_m2_tail_cdf(z, params: RatioDistParams):
     z_arr = np.asarray(z, dtype=float)
     out = 1.0 - _rab_m2_prefactor(z_arr, params) / math.sqrt(2.0 * math.pi * params.k_factor)
     return float(out) if np.isscalar(z) else out
-
-
-def scaling_law_point(n_users: int, k_factor: float) -> ScalingLawEval:
-    """Bundle the growth-law value with the moderate-K effective user count."""
-    return ScalingLawEval(
-        n_users=n_users,
-        k_factor=k_factor,
-        value=theorem1_law(n_users, k_factor),
-        effective_users=effective_users_moderate_k(n_users, k_factor),
-    )

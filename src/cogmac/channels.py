@@ -1,16 +1,28 @@
-"""Seeded fading-channel samplers: Rayleigh secondary links, Rician
-interference links with frozen LoS phases, and per-slot bundle drawing.
+"""The channel kernel: seeded draws of every user's equivalent link powers.
 
-All samplers take an explicit ``numpy.random.Generator``; nothing touches
-global RNG state, so trials can run concurrently on independent streams.
-A complex channel coefficient is represented as a plain Python/NumPy
-complex number (``ComplexGain``).
+Under max-SINR scheduling with interference-inverting power, a user enters
+the capacity only through its equivalent secondary power |h_s,eq|^2 and its
+equivalent interference power |h_sp,eq|^2.  :func:`draw_gains` samples
+exactly those two, through distributional identities of the full model
+(M basis patterns per user, CN secondary gains, Rician interference with
+frozen per-(user, pattern) LoS phases, weights e^{j theta_i} / sqrt(M) with
+fresh uniform phases every slot):
+
+* Unit-norm weights keep the secondary sum CN(0, gamma_s), so
+  gain_s = gamma_s * Exp(1).
+* The weighted scattering is CN(0, gamma_sp / (K+1)) whatever the weights,
+  and circular, so the frozen LoS phases and the absolute weight phase drop
+  out: only the artificial-LoS magnitude
+  a |1 + sum_{i=2..M} e^{j theta_i}| / sqrt(M), a = sqrt(K gamma_sp / (K+1)),
+  survives, with M-1 uniform relative phases.
+
+The kernel takes an explicit ``numpy.random.Generator``; nothing touches
+global RNG state, so chunks can run concurrently on independent streams.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -18,138 +30,29 @@ import numpy as np
 if TYPE_CHECKING:
     from .simulator import NetworkConfig
 
-__all__ = [
-    "ComplexGain",
-    "FadingSpec",
-    "ChannelRealization",
-    "sample_rayleigh",
-    "sample_rician",
-    "sample_fading",
-    "draw_los_phases",
-    "draw_slot",
-]
-
-ComplexGain = complex
-
-_KINDS = ("rayleigh", "rician", "deterministic")
+__all__ = ["draw_gains"]
 
 
-@dataclass(frozen=True)
-class FadingSpec:
-    """Marginal fading law of one link."""
+def draw_gains(
+    config: "NetworkConfig", rng: np.random.Generator, size: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Equivalent powers (gain_s, gain_sp) of ``size`` independent slots.
 
-    kind: str                # "rayleigh" | "rician" | "deterministic"
-    mean_power: float        # E|h|^2, > 0
-    k_factor: float = 0.0    # Rician only
-    los_phase: float = 0.0   # Rician/deterministic phase, radians
+    Each array has shape (size, n_users); all entries are independent.
+    ``config.mode`` does not matter: baseline is the M = 1 case, where the
+    single weight is a pure phase rotation.
 
-    def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown fading kind {self.kind!r}, expected one of {_KINDS}")
-        if not math.isfinite(self.mean_power) or self.mean_power <= 0.0:
-            raise ValueError(f"mean_power must be finite and > 0, got {self.mean_power}")
-        if not math.isfinite(self.k_factor) or self.k_factor < 0.0:
-            raise ValueError(f"k_factor must be finite and >= 0, got {self.k_factor}")
-        if self.kind == "rayleigh" and self.k_factor != 0.0:
-            raise ValueError("rayleigh spec must have k_factor == 0")
-
-
-@dataclass
-class ChannelRealization:
-    """One slot's channel draw: (n_users, m_patterns) arrays per link set."""
-
-    secondary: np.ndarray                 # complex, secondary-to-base gains
-    interference: np.ndarray              # complex, secondary-to-primary gains
-    primary_to_secondary_power: float     # instantaneous |h_ps|^2
-
-    def __post_init__(self) -> None:
-        if self.secondary.shape != self.interference.shape:
-            raise ValueError("secondary/interference shape mismatch")
-        if self.primary_to_secondary_power < 0.0:
-            raise ValueError("primary_to_secondary_power must be >= 0")
-
-
-def sample_rayleigh(mean_power: float, rng: np.random.Generator, size=None):
-    """Circularly symmetric complex Gaussian with E|h|^2 = mean_power.
-
-    Returns a complex scalar, or an ndarray when ``size`` is given.
+    Fixed draw order: secondary exponentials, relative weight phases
+    (M > 1), then (in-phase, quadrature) scattering normal pairs.
     """
-    if not math.isfinite(mean_power) or mean_power <= 0.0:
-        raise ValueError(f"mean_power must be finite and > 0, got {mean_power}")
-    scale = math.sqrt(mean_power / 2.0)
-    if size is None:
-        re, im = rng.standard_normal(2)
-        return complex(scale * re, scale * im)
-    parts = rng.standard_normal((*np.atleast_1d(size), 2))
-    return scale * (parts[..., 0] + 1j * parts[..., 1])
-
-
-def sample_rician(spec: FadingSpec, rng: np.random.Generator, size=None):
-    """Rician draw: fixed specular phasor plus CN(0,1)-scaled scattering.
-
-    LoS power is K*mean/(K+1) and scattered power mean/(K+1), so
-    E|h|^2 = mean_power exactly and E[h] = sqrt(K*mean/(K+1)) e^{j phase}.
-    """
-    if spec.kind != "rician":
-        raise ValueError(f"sample_rician requires a rician spec, got kind={spec.kind!r}")
-    k = spec.k_factor
-    los = math.sqrt(k * spec.mean_power / (k + 1.0)) * complex(
-        math.cos(spec.los_phase), math.sin(spec.los_phase)
-    )
-    scattered = sample_rayleigh(spec.mean_power / (k + 1.0), rng, size=size)
-    return los + scattered
-
-
-def sample_fading(spec: FadingSpec, rng: np.random.Generator, size=None):
-    """Dispatch on the spec kind; deterministic returns the constant phasor."""
-    if spec.kind == "rayleigh":
-        return sample_rayleigh(spec.mean_power, rng, size=size)
-    if spec.kind == "rician":
-        return sample_rician(spec, rng, size=size)
-    value = math.sqrt(spec.mean_power) * complex(
-        math.cos(spec.los_phase), math.sin(spec.los_phase)
-    )
-    if size is None:
-        return value
-    return np.full(np.atleast_1d(size), value, dtype=complex)
-
-
-def draw_los_phases(n_users: int, m_patterns: int, rng: np.random.Generator) -> np.ndarray:
-    """Per-(user, pattern) LoS phases, drawn once per experiment and then frozen."""
-    return rng.uniform(0.0, 2.0 * math.pi, size=(n_users, m_patterns))
-
-
-def draw_slot(
-    config: "NetworkConfig",
-    rng: np.random.Generator,
-    los_phases: np.ndarray | None = None,
-) -> ChannelRealization:
-    """Draw every channel of one time slot.
-
-    All n_users x m_patterns secondary and interference entries are fresh
-    and mutually independent.  ``los_phases`` should be the frozen
-    per-experiment matrix; if omitted, phases are drawn from ``rng`` (a
-    single-slot convenience, not the block-fading contract).
-
-    Draw order (fixed for reproducibility): secondary gains, interference
-    scattering, LoS phases if needed, then the primary-to-secondary link.
-    """
-    n, m = config.n_users, config.m_patterns
-    secondary = sample_rayleigh(config.mean_secondary_power, rng, size=(n, m))
-    k = config.k_factor
-    scattered = sample_rayleigh(config.mean_interference_power / (k + 1.0), rng, size=(n, m))
-    if los_phases is None:
-        los_phases = draw_los_phases(n, m, rng)
-    elif los_phases.shape != (n, m):
-        raise ValueError(f"los_phases shape {los_phases.shape} != {(n, m)}")
-    los_amp = math.sqrt(k * config.mean_interference_power / (k + 1.0))
-    interference = los_amp * np.exp(1j * los_phases) + scattered
-    if config.primary_power > 0.0 and config.mean_ps_power > 0.0:
-        gamma_ps = abs(sample_rayleigh(config.mean_ps_power, rng)) ** 2
-    else:
-        gamma_ps = 0.0
-    return ChannelRealization(
-        secondary=secondary,
-        interference=interference,
-        primary_to_secondary_power=gamma_ps,
-    )
+    n, m, k = config.n_users, config.m_patterns, config.k_factor
+    gain_s = config.mean_secondary_power * rng.standard_exponential((size, n))
+    los = math.sqrt(k * config.mean_interference_power / (k + 1.0))
+    if m > 1:
+        theta = rng.uniform(0.0, 2.0 * math.pi, size=(size, n, m - 1))
+        los = los / math.sqrt(m) * np.abs(1.0 + np.exp(1j * theta).sum(axis=2))
+    scale = math.sqrt(config.mean_interference_power / (2.0 * (k + 1.0)))
+    parts = rng.standard_normal((size, n, 2))
+    x = los + scale * parts[..., 0]
+    y = scale * parts[..., 1]
+    return gain_s, x * x + y * y

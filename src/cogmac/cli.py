@@ -449,12 +449,17 @@ def _effective_config(args) -> tuple[NetworkConfig, ExperimentPreset]:
         config, preset = NetworkConfig(), ExperimentPreset()
     if args.preset:
         preset = replace(preset, name=args.preset)
-    if preset.overrides:
-        config = replace(config, **preset.overrides)
+    if args.threads < 1:
+        raise ConfigError(f"--threads must be >= 1, got {args.threads}")
+    changes = dict(preset.overrides)
     if args.seed is not None:
-        config = replace(config, seed=args.seed)
+        changes["seed"] = args.seed
     if args.trials is not None:
-        config = replace(config, trials=args.trials)
+        changes["trials"] = args.trials
+    try:
+        config = replace(config, **changes)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     return config, preset
 
 

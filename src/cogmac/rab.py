@@ -1,141 +1,22 @@
-"""Random aerial beamforming: per-slot random basis-pattern weights and the
-equivalent channels they induce.
+"""Random aerial beamforming: the arcsine law behind the artificial LoS.
 
 A user assigns weight (1/sqrt(M)) e^{j theta_i} to each of its M basis
-patterns, with fresh uniform phases every slot.  The secondary link stays
-Rayleigh under this unitary-norm combination, while the interference link
-splits into a randomized ("artificial") LoS phasor plus a combined
-scattered term.
+patterns, with fresh uniform phases every slot.  The interference link then
+carries a randomized ("artificial") LoS phasor; for M = 2 its power is
+(K gamma_sp / (K+1)) (1 + cos(theta)) with theta uniform, so it follows the
+arcsine law of cos(theta).  The channel draws themselves live in
+:func:`cogmac.channels.draw_gains`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import FadingSpec
-
-__all__ = [
-    "RabWeights",
-    "EquivalentChannels",
-    "draw_weights",
-    "equivalent_secondary",
-    "equivalent_interference",
-    "transmit_power",
-    "arcsine_pdf",
-]
+__all__ = ["arcsine_cdf"]
 
 
-@dataclass(frozen=True)
-class RabWeights:
-    """Per-pattern random weights: uniform magnitudes 1/sqrt(M), iid phases."""
-
-    magnitudes: np.ndarray   # all equal 1/sqrt(M); total power 1
-    phases: np.ndarray       # radians in [0, 2 pi)
-
-    def __post_init__(self) -> None:
-        if self.magnitudes.shape != self.phases.shape or self.magnitudes.ndim != 1:
-            raise ValueError("magnitudes/phases must be 1-d arrays of equal length")
-        total = float(np.sum(self.magnitudes**2))
-        if abs(total - 1.0) > 64 * np.finfo(float).eps:
-            raise ValueError(f"weight magnitudes must have unit total power, got {total}")
-        if np.any(self.phases < 0.0) or np.any(self.phases >= 2.0 * math.pi):
-            raise ValueError("phases must lie in [0, 2 pi)")
-
-    @property
-    def m_patterns(self) -> int:
-        return self.magnitudes.size
-
-    def as_complex(self) -> np.ndarray:
-        return self.magnitudes * np.exp(1j * self.phases)
-
-
-@dataclass
-class EquivalentChannels:
-    """Equivalent single-coefficient channels after weight combination."""
-
-    interference_eq: complex        # artificial LoS + scaled scattered term
-    artificial_los: complex         # randomized specular phasor
-    scattered_eq: complex           # unit-variance combined scattering (CN(0,1) law)
-    secondary_eq: complex | None = None
-
-
-def draw_weights(m_patterns: int, rng: np.random.Generator) -> RabWeights:
-    """Fresh random weights for one slot: magnitudes 1/sqrt(M), phases Unif[0, 2pi)."""
-    if m_patterns < 1:
-        raise ValueError(f"m_patterns must be >= 1, got {m_patterns}")
-    mags = np.full(m_patterns, 1.0 / math.sqrt(m_patterns))
-    phases = rng.uniform(0.0, 2.0 * math.pi, size=m_patterns)
-    return RabWeights(magnitudes=mags, phases=phases)
-
-
-def equivalent_secondary(weights: RabWeights, per_pattern_gains) -> complex:
-    """Weighted sum of per-pattern secondary gains.
-
-    For iid CN(0, p) inputs the output is again CN(0, p): the combination
-    has unit norm, so Rayleigh statistics are preserved for every M.
-    """
-    gains = np.asarray(per_pattern_gains, dtype=complex)
-    if gains.shape != (weights.m_patterns,):
-        raise ValueError(f"expected {weights.m_patterns} gains, got shape {gains.shape}")
-    return complex(np.sum(weights.as_complex() * gains))
-
-
-def equivalent_interference(
-    weights: RabWeights,
-    spec: FadingSpec,
-    los_phases,
-    scattered,
-) -> EquivalentChannels:
-    """Combine a Rician interference link under the given weights.
-
-    ``scattered`` holds the unit-variance CN(0,1) scattering coefficients of
-    the M patterns; ``los_phases`` their fixed specular phases.  The result
-    carries the artificial LoS phasor sqrt(K p / (M (K+1))) sum_i
-    e^{j(theta_i + phi_i)} and the scattered combination separately, with
-
-        interference_eq = artificial_los + sqrt(p / (K+1)) * scattered_eq.
-    """
-    if spec.kind != "rician":
-        raise ValueError(f"equivalent_interference requires a rician spec, got {spec.kind!r}")
-    m = weights.m_patterns
-    phi = np.asarray(los_phases, dtype=float)
-    b = np.asarray(scattered, dtype=complex)
-    if phi.shape != (m,) or b.shape != (m,):
-        raise ValueError(f"los_phases/scattered must have length {m}")
-    k = spec.k_factor
-    w = weights.as_complex()
-    artificial = math.sqrt(k * spec.mean_power / (m * (k + 1.0))) * complex(
-        np.sum(np.exp(1j * (weights.phases + phi)))
-    )
-    scattered_eq = complex(np.sum(w * b))
-    interference_eq = artificial + math.sqrt(spec.mean_power / (k + 1.0)) * scattered_eq
-    return EquivalentChannels(
-        interference_eq=interference_eq,
-        artificial_los=artificial,
-        scattered_eq=scattered_eq,
-    )
-
-
-def transmit_power(q_p: float, interference_eq: complex) -> float:
-    """Power inverting the instantaneous interference channel: Q_p / |h_eq|^2.
-
-    Keeps the product P_s |h_eq|^2 pinned at the peak constraint.  Near-null
-    equivalent channels give arbitrarily large powers by design (no clipping
-    here; the simulator exposes an optional cap); an exact zero returns inf.
-    """
-    if not q_p > 0.0:
-        raise ValueError(f"q_p must be > 0, got {q_p}")
-    gain = abs(interference_eq) ** 2
-    if gain == 0.0:
-        return math.inf
-    return q_p / gain
-
-
-def arcsine_pdf(y: float) -> float:
-    """Density 1/(pi sqrt(1 - y^2)) of cos(U), U uniform; zero outside (-1, 1)."""
-    if y <= -1.0 or y >= 1.0:
-        return 0.0
-    return 1.0 / (math.pi * math.sqrt(1.0 - y * y))
+def arcsine_cdf(y):
+    """CDF 1/2 + arcsin(y)/pi of cos(U), U uniform; 0 below -1 and 1 above 1."""
+    return 0.5 + np.arcsin(np.clip(np.asarray(y, dtype=float), -1.0, 1.0)) / math.pi

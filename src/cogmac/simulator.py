@@ -20,20 +20,15 @@ from itertools import product
 
 import numpy as np
 
-from .channels import ChannelRealization, draw_los_phases, draw_slot
-from .rab import RabWeights, draw_weights, transmit_power
+from .channels import draw_gains
 
 __all__ = [
     "MODES",
     "GROWTH_LAWS",
     "NetworkConfig",
-    "SlotOutcome",
     "CapacityEstimate",
     "SweepPoint",
     "SweepResult",
-    "slot_sinr",
-    "run_slot",
-    "ergodic_capacity",
     "run_experiment",
     "sweep",
     "growth_flatness",
@@ -91,23 +86,12 @@ class NetworkConfig:
             v = getattr(self, name)
             if not math.isfinite(v) or v < 0.0:
                 raise ValueError(f"{name} must be finite and >= 0, got {v}")
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
+        if self.trials < 100:
+            raise ValueError(f"need trials >= 100, got {self.trials}")
         if not 0 <= int(self.seed) < 2**64:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
         if self.max_power_cap is not None and not self.max_power_cap > 0.0:
             raise ValueError(f"max_power_cap must be > 0 when set, got {self.max_power_cap}")
-
-
-@dataclass
-class SlotOutcome:
-    """Result of one scheduled slot."""
-
-    selected_user: int
-    sinr: float
-    capacity_nats: float
-    interference_power_at_pu: float   # P_s * |h_eq|^2; should equal Q_p
-    degenerate: bool = False          # all-zero / non-finite SINR slot
 
 
 @dataclass(frozen=True)
@@ -138,117 +122,28 @@ class SweepResult:
     partial: bool
 
 
-def slot_sinr(
-    realization: ChannelRealization,
-    config: NetworkConfig,
-    weights: list[RabWeights] | None = None,
-) -> np.ndarray:
-    """Per-user SINR of one slot.
-
-    Baseline uses the raw per-user gains; RAB mode combines the per-pattern
-    gains with each user's weights first.  The noise-plus-primary
-    denominator is common to all users within the slot.
-    """
-    n, m = realization.secondary.shape
-    if (config.n_users, config.m_patterns) != (n, m):
-        raise ValueError("realization dimensions do not match config")
-    if config.mode == "rab":
-        if weights is None or len(weights) != n:
-            raise ValueError("rab mode requires one RabWeights per user")
-        w = np.stack([wt.as_complex() for wt in weights])
-        gain_s = np.abs(np.sum(w * realization.secondary, axis=1)) ** 2
-        gain_sp = np.abs(np.sum(w * realization.interference, axis=1)) ** 2
-    else:
-        if weights is not None:
-            raise ValueError("baseline mode takes no weights")
-        gain_s = np.abs(realization.secondary[:, 0]) ** 2
-        gain_sp = np.abs(realization.interference[:, 0]) ** 2
-    power = config.peak_interference / gain_sp
-    if config.max_power_cap is not None:
-        power = np.minimum(power, config.max_power_cap)
-    denom = 1.0 + config.primary_power * realization.primary_to_secondary_power
-    return gain_s * power / denom
-
-
-def run_slot(
-    config: NetworkConfig,
-    rng: np.random.Generator,
-    los_phases: np.ndarray | None = None,
-) -> SlotOutcome:
-    """Draw one slot, schedule the max-SINR user, and report its capacity."""
-    if los_phases is None:
-        los_phases = draw_los_phases(config.n_users, config.m_patterns, rng)
-    realization = draw_slot(config, rng, los_phases)
-    weights = None
-    if config.mode == "rab":
-        weights = [draw_weights(config.m_patterns, rng) for _ in range(config.n_users)]
-    sinr = slot_sinr(realization, config, weights)
-    selected = int(np.argmax(sinr))
-    best = float(sinr[selected])
-    if config.mode == "rab":
-        h_eq = complex(np.sum(weights[selected].as_complex() * realization.interference[selected]))
-    else:
-        h_eq = complex(realization.interference[selected, 0])
-    p_s = transmit_power(config.peak_interference, h_eq)
-    if config.max_power_cap is not None:
-        p_s = min(p_s, config.max_power_cap)
-    at_pu = p_s * abs(h_eq) ** 2
-    degenerate = not (math.isfinite(best) and best > 0.0)
-    capacity = math.log1p(best) if math.isfinite(best) else math.inf
-    return SlotOutcome(
-        selected_user=selected,
-        sinr=best,
-        capacity_nats=capacity,
-        interference_power_at_pu=at_pu,
-        degenerate=degenerate,
-    )
-
-
 def _chunk_size(config: NetworkConfig) -> int:
     per_trial = max(1, config.n_users * config.m_patterns)
     return max(1, min(config.trials, _CHUNK_ELEMENTS // per_trial))
 
 
-def _experiment_phases(config: NetworkConfig) -> np.ndarray:
-    rng = np.random.Generator(np.random.Philox(key=config.seed))
-    return draw_los_phases(config.n_users, config.m_patterns, rng)
-
-
 def _chunk_rng(config: NetworkConfig, chunk_index: int) -> np.random.Generator:
-    # jumped(0) is reserved for the frozen LoS phases.
-    return np.random.Generator(np.random.Philox(key=config.seed).jumped(1 + chunk_index))
+    return np.random.Generator(np.random.Philox(key=config.seed).jumped(chunk_index))
 
 
-def _chunk_sums(config: NetworkConfig, size: int, rng, los_phases) -> tuple:
+def _chunk_sums(config: NetworkConfig, size: int, rng) -> tuple:
     """Simulate `size` independent slots; return per-chunk reduction sums.
 
-    Fixed draw order: secondary normals, interference scattering normals,
-    weight phases (rab), primary-to-secondary normals (if enabled).
+    Fixed draw order: the channel gains (:func:`draw_gains`), then the
+    primary-to-secondary powers (if enabled).
     """
-    n, m = config.n_users, config.m_patterns
-    k = config.k_factor
-    parts = rng.standard_normal((size, n, m, 2))
-    h_s = math.sqrt(config.mean_secondary_power / 2.0) * (parts[..., 0] + 1j * parts[..., 1])
-    parts = rng.standard_normal((size, n, m, 2))
-    scat_scale = math.sqrt(config.mean_interference_power / (2.0 * (k + 1.0)))
-    scattered = scat_scale * (parts[..., 0] + 1j * parts[..., 1])
-    los_amp = math.sqrt(k * config.mean_interference_power / (k + 1.0))
-    h_sp = los_amp * np.exp(1j * los_phases)[None, :, :] + scattered
-    if config.mode == "rab":
-        theta = rng.uniform(0.0, 2.0 * math.pi, size=(size, n, m))
-        w = np.exp(1j * theta) / math.sqrt(m)
-        gain_s = np.abs(np.sum(w * h_s, axis=2)) ** 2
-        gain_sp = np.abs(np.sum(w * h_sp, axis=2)) ** 2
-    else:
-        gain_s = np.abs(h_s[:, :, 0]) ** 2
-        gain_sp = np.abs(h_sp[:, :, 0]) ** 2
+    gain_s, gain_sp = draw_gains(config, rng, size)
     power = config.peak_interference / gain_sp
     if config.max_power_cap is not None:
         np.minimum(power, config.max_power_cap, out=power)
     numerator = gain_s * power
     if config.primary_power > 0.0 and config.mean_ps_power > 0.0:
-        parts = rng.standard_normal((size, 2))
-        gamma_ps = (config.mean_ps_power / 2.0) * (parts[:, 0] ** 2 + parts[:, 1] ** 2)
+        gamma_ps = config.mean_ps_power * rng.standard_exponential(size)
         inv_denom = 1.0 / (1.0 + config.primary_power * gamma_ps)
     else:
         inv_denom = np.ones(size)
@@ -267,17 +162,14 @@ def run_experiment(config: NetworkConfig, threads: int = 1) -> CapacityEstimate:
 
     Deterministic for a fixed seed regardless of ``threads``.
     """
-    if config.trials < 100:
-        raise ValueError(f"need trials >= 100, got {config.trials}")
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    phases = _experiment_phases(config)
     chunk = _chunk_size(config)
     n_chunks = (config.trials + chunk - 1) // chunk
 
     def work(c: int) -> tuple:
         size = min(chunk, config.trials - c * chunk)
-        return _chunk_sums(config, size, _chunk_rng(config, c), phases)
+        return _chunk_sums(config, size, _chunk_rng(config, c))
 
     if threads == 1 or n_chunks == 1:
         results = [work(c) for c in range(n_chunks)]
@@ -293,16 +185,10 @@ def run_experiment(config: NetworkConfig, threads: int = 1) -> CapacityEstimate:
         inv_sum += iv
     t = config.trials
     mean = cap_sum / t
-    var = max(0.0, (capsq_sum - t * mean * mean) / (t - 1)) if t > 1 else 0.0
+    var = max(0.0, (capsq_sum - t * mean * mean) / (t - 1))
     stderr = math.sqrt(var / t)
     jensen = math.log1p((inv_sum / t) * (num_sum / t))
     return CapacityEstimate(mean_nats=mean, stderr_nats=stderr, jensen_bound_nats=jensen, trials=t)
-
-
-def ergodic_capacity(config: NetworkConfig, threads: int = 1) -> tuple[float, float]:
-    """Mean per-slot capacity in nats and its standard error."""
-    est = run_experiment(config, threads=threads)
-    return est.mean_nats, est.stderr_nats
 
 
 def sweep(

@@ -28,6 +28,8 @@ from .analytic import (
     rab_m2_tail_cdf,
     ratio_cdf,
 )
+from .channels import draw_gains
+from .rab import arcsine_cdf
 from .simulator import (
     NetworkConfig,
     growth_flatness,
@@ -65,46 +67,12 @@ def _trials(level: str, full_trials: int = 100_000) -> int:
     return full_trials if level == "full" else 20_000
 
 
-def _rician_power(rng, n, k_factor, mean_power=1.0):
-    """Samples of |h|^2 for a Rician channel (phase-invariant, LoS phase 0)."""
-    scat = math.sqrt(mean_power / (2.0 * (k_factor + 1.0)))
-    parts = rng.standard_normal((n, 2))
-    h = math.sqrt(k_factor * mean_power / (k_factor + 1.0)) + scat * (
-        parts[:, 0] + 1j * parts[:, 1]
-    )
-    return np.abs(h) ** 2
-
-
-def _ratio_samples(rng, n, k_factor, rho=1.0):
-    """z = secondary power / interference power with the given K and rho."""
-    g_s = rng.exponential(1.0, size=n)
-    g_sp = _rician_power(rng, n, k_factor, mean_power=rho)
-    return g_s / g_sp
-
-
-def _rab_m2_ratio_samples(rng, n, k_factor, rho=1.0):
-    """Equivalent-ratio samples under two-pattern random weighting."""
-    theta = rng.uniform(0.0, 2.0 * math.pi, size=(n, 2))
-    phi = rng.uniform(0.0, 2.0 * math.pi, size=2)
-    b = (rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))) / math.sqrt(2.0)
-    los = math.sqrt(k_factor * rho / (2.0 * (k_factor + 1.0))) * np.exp(
-        1j * (theta + phi[None, :])
-    ).sum(axis=1)
-    scat = math.sqrt(rho / (2.0 * (k_factor + 1.0))) * (np.exp(1j * theta) * b).sum(axis=1)
-    g_sp = np.abs(los + scat) ** 2
-    return rng.exponential(1.0, size=n) / g_sp
-
-
-def _rab_interference_power(rng, n, m, k_factor, mean_power=1.0):
-    """Equivalent interference power samples for M weighted patterns."""
-    theta = rng.uniform(0.0, 2.0 * math.pi, size=(n, m))
-    phi = rng.uniform(0.0, 2.0 * math.pi, size=m)
-    b = (rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))) / math.sqrt(2.0)
-    los = math.sqrt(k_factor * mean_power / (m * (k_factor + 1.0))) * np.exp(
-        1j * (theta + phi[None, :])
-    ).sum(axis=1)
-    scat = math.sqrt(mean_power / (m * (k_factor + 1.0))) * (np.exp(1j * theta) * b).sum(axis=1)
-    return np.abs(los + scat) ** 2
+def _gains(rng, size, k_factor, m_patterns=1):
+    """``size`` draws of one user's (gain_s, gain_sp) from the simulator's
+    channel kernel, at unit mean powers."""
+    cfg = NetworkConfig(n_users=1, m_patterns=m_patterns, k_factor=k_factor)
+    g_s, g_sp = draw_gains(cfg, rng, size)
+    return g_s[:, 0], g_sp[:, 0]
 
 
 def _capacity(n_users, k_factor, mode, m_patterns, trials, threads=1, seed=_SEED):
@@ -119,21 +87,14 @@ def _capacity(n_users, k_factor, mode, m_patterns, trials, threads=1, seed=_SEED
     return run_experiment(cfg, threads=threads)
 
 
-def check_quantile_identity(level: str, w_perturb: float = 0.0) -> CheckResult:
-    """Exact quantile identity ratio_cdf(a_N) = 1 - 1/N over the full grid.
-
-    ``w_perturb`` scales the Lambert W evaluator by (1 + eps); the mutation
-    hook used to prove the check actually exercises the closed form.
-    """
-    w_fn = None
-    if w_perturb != 0.0:
-        w_fn = lambda x: lambert_w0(x) * (1.0 + w_perturb)  # noqa: E731
+def check_quantile_identity(level: str) -> CheckResult:
+    """Exact quantile identity ratio_cdf(a_N) = 1 - 1/N over the full grid."""
     worst = 0.0
     for n in (2, 10, 100, 10_000):
         for k in K_GRID:
             for rho in RHO_GRID:
                 p = RatioDistParams(k, rho)
-                a = normalizer_a_n(n, p, _w=w_fn)
+                a = normalizer_a_n(n, p)
                 worst = max(worst, abs(ratio_cdf(a, p) - (1.0 - 1.0 / n)))
     return CheckResult(
         check_id="quantile_identity",
@@ -149,7 +110,8 @@ def check_ratio_distribution_fit(level: str) -> CheckResult:
     rng = np.random.default_rng(_SEED + 2)
     worst = ""
     for k in (0.5, 2.0, 10.0):
-        z = _ratio_samples(rng, 10_000, k)
+        g_s, g_sp = _gains(rng, 10_000, k)
+        z = g_s / g_sp
         p = RatioDistParams(k, 1.0)
         report = ks_test(EmpiricalDist.from_samples(z), lambda x: ratio_cdf(x, p))
         ok = result.add_ks(f"K={k}", report)
@@ -172,8 +134,8 @@ def check_frechet_normalization(level: str) -> CheckResult:
         block = 2_000
         for start in range(0, n_maxima, block):
             rows = min(block, n_maxima - start)
-            z = _ratio_samples(rng, rows * n_users, k).reshape(rows, n_users)
-            maxima[start : start + rows] = z.max(axis=1)
+            g_s, g_sp = _gains(rng, rows * n_users, k)
+            maxima[start : start + rows] = (g_s / g_sp).reshape(rows, n_users).max(axis=1)
         report = max_normalization_check(maxima, a_n)
         ok = result.add_ks(f"K={k},N={n_users}", report)
         result.passed &= ok
@@ -281,7 +243,7 @@ def check_rab_distribution_facts(level: str) -> CheckResult:
     parts = []
 
     # (a) many patterns turn the Rician link Rayleigh.
-    power = _rab_interference_power(rng, 10_000, 16, 10.0)
+    _, power = _gains(rng, 10_000, 10.0, m_patterns=16)
     report = ks_test(EmpiricalDist.from_samples(power), lambda x: 1.0 - np.exp(-np.asarray(x)))
     result.passed &= result.add_ks("M=16,K=10 vs Exp", report)
     parts.append(f"(a) M=16 KS D={report.statistic:.4f}/{report.threshold_1pct:.4f}")
@@ -289,7 +251,7 @@ def check_rab_distribution_facts(level: str) -> CheckResult:
     # (b) two patterns null the strong-LoS link most often.
     freq = {}
     for m in (2, 4, 8):
-        power_m = _rab_interference_power(rng, 10**6, m, 1e6)
+        _, power_m = _gains(rng, 10**6, 1e6, m_patterns=m)
         freq[m] = float(np.mean(power_m < 0.05))
     ordering = freq[2] > freq[4] and freq[2] > freq[8]
     result.passed &= ordering
@@ -300,10 +262,6 @@ def check_rab_distribution_facts(level: str) -> CheckResult:
     # (c) the cosine sum follows the arcsine law with variance 1/2.
     y = np.cos(rng.uniform(0.0, 2.0 * math.pi, size=10**6))
     var = float(y.var())
-
-    def arcsine_cdf(v):
-        return 0.5 + np.arcsin(np.clip(np.asarray(v, dtype=float), -1.0, 1.0)) / math.pi
-
     report_c = ks_test(EmpiricalDist.from_samples(y[:10_000]), arcsine_cdf)
     result.passed &= result.add_ks("cos-sum vs arcsine", report_c)
     var_ok = abs(var - 0.5) <= 0.005
@@ -318,7 +276,8 @@ def check_rab_m2_closed_form(level: str) -> CheckResult:
     result = CheckResult("rab_m2_closed_form", "RAB M=2 equivalent-ratio CDF", True, "")
     rng = np.random.default_rng(_SEED + 9)
     p = RatioDistParams(10.0, 1.0)
-    z = _rab_m2_ratio_samples(rng, 10_000, 10.0)
+    g_s, g_sp = _gains(rng, 10_000, 10.0, m_patterns=2)
+    z = g_s / g_sp
     report = ks_test(EmpiricalDist.from_samples(z), lambda x: rab_m2_cdf(x, p))
     result.passed &= result.add_ks("z_eq M=2 K=10", report)
     exact = rab_m2_cdf(1e3, p)
@@ -433,12 +392,12 @@ _CHECKS = {
 CHECK_IDS = tuple(_CHECKS)
 
 
-def run_check(check_id: str, level: str = "full", **kwargs) -> CheckResult:
+def run_check(check_id: str, level: str = "full") -> CheckResult:
     if check_id not in _CHECKS:
         raise KeyError(f"unknown check {check_id!r}; known: {CHECK_IDS}")
     if level not in ("fast", "full"):
         raise ValueError(f"level must be 'fast' or 'full', got {level!r}")
-    return _CHECKS[check_id](level, **kwargs)
+    return _CHECKS[check_id](level)
 
 
 def run_all(level: str = "full", report=None) -> list[CheckResult]:

@@ -7,10 +7,8 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from cogmac import channels
 from cogmac.analytic import (
     RatioDistParams,
-    RicianSpec,
     bessel_i0,
     bessel_i0e,
     effective_users_moderate_k,
@@ -22,9 +20,10 @@ from cogmac.analytic import (
     rab_m2_tail_cdf,
     ratio_cdf,
     ratio_pdf,
-    scaling_law_point,
     theorem1_law,
 )
+from cogmac.channels import draw_gains
+from cogmac.simulator import NetworkConfig
 from cogmac.stats import EmpiricalDist, ks_test
 
 K_GRID = [0.0, 0.5, 2.0, 10.0]
@@ -163,14 +162,11 @@ class TestRatioDistribution:
         assert np.max(np.abs(deriv - ratio_pdf(zs, p))) <= 1e-6
 
     def test_cdf_against_monte_carlo(self):
-        # 1e6 ratio draws gamma_s/gamma_sp at K=2, unit powers.
-        rng = np.random.default_rng(2024)
-        spec = RicianSpec(k_factor=2.0, mean_power=1.0)
-        fad = channels.FadingSpec(kind="rician", mean_power=1.0, k_factor=2.0)
-        g_s = np.abs(channels.sample_rayleigh(1.0, rng, size=10**6)) ** 2
-        g_sp = np.abs(channels.sample_rician(fad, rng, size=10**6)) ** 2
-        z = g_s / g_sp
-        p = RatioDistParams(spec.k_factor, 1.0)
+        # 1e6 ratio draws gamma_s/gamma_sp of the channel kernel at K=2, unit powers.
+        cfg = NetworkConfig(n_users=1, m_patterns=1, mode="baseline", k_factor=2.0)
+        g_s, g_sp = draw_gains(cfg, np.random.default_rng(2024), 10**6)
+        z = (g_s / g_sp)[:, 0]
+        p = RatioDistParams(2.0, 1.0)
         emp = np.mean(z <= 5.0)
         assert abs(emp - ratio_cdf(5.0, p)) < 1.628 / math.sqrt(z.size)
         report = ks_test(EmpiricalDist.from_samples(z[:10**4]), lambda x: ratio_cdf(x, p))
@@ -255,12 +251,6 @@ class TestScalingLaws:
         for k in [0.5, 1.0, 5.0]:
             assert effective_users_moderate_k(100, k) <= 100.0
 
-    def test_scaling_law_point_bundle(self):
-        point = scaling_law_point(500, 2.0)
-        assert point.value == theorem1_law(500, 2.0)
-        assert point.effective_users == effective_users_moderate_k(500, 2.0)
-        assert point.effective_users > 0.0
-
     def test_effective_users_rab_m2(self):
         assert effective_users_rab_m2(200, 10.0) == pytest.approx(277.5, abs=0.1)
         assert effective_users_rab_m2(200, 10.0) == pytest.approx(280.0, rel=0.02)
@@ -322,19 +312,11 @@ class TestRabM2ClosedForms:
             rab_m2_cdf(-1.0, p)
 
     def test_cdf_monte_carlo_point(self):
-        # Empirical CDF of the equivalent ratio at z=10, M=2, K=10.
-        rng = np.random.default_rng(11)
-        n = 10**6
-        k = 10.0
-        theta = rng.uniform(0.0, 2.0 * math.pi, size=(n, 2))
-        phi = rng.uniform(0.0, 2.0 * math.pi, size=2)
-        b = (rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))) / math.sqrt(2.0)
-        los = math.sqrt(k / (2.0 * (k + 1.0))) * np.exp(1j * (theta + phi[None, :])).sum(axis=1)
-        scat = math.sqrt(1.0 / (2.0 * (k + 1.0))) * (np.exp(1j * theta) * b).sum(axis=1)
-        g_sp = np.abs(los + scat) ** 2
-        g_s = rng.exponential(1.0, size=n)
-        z = g_s / g_sp
-        emp = np.mean(z <= 10.0)
+        # Empirical CDF of the channel kernel's equivalent ratio at z=10, M=2, K=10.
+        n, k = 10**6, 10.0
+        cfg = NetworkConfig(n_users=1, m_patterns=2, k_factor=k)
+        g_s, g_sp = draw_gains(cfg, np.random.default_rng(11), n)
+        emp = np.mean(g_s / g_sp <= 10.0)
         assert abs(emp - rab_m2_cdf(10.0, RatioDistParams(k, 1.0))) < 1.628 / math.sqrt(n)
 
     def test_tail_form_consistency(self):
@@ -361,14 +343,6 @@ class TestRabM2ClosedForms:
 
 
 class TestParamValidation:
-    def test_rician_spec(self):
-        spec = RicianSpec(k_factor=3.0, mean_power=2.0)
-        assert spec.los_power + spec.scattered_power == pytest.approx(2.0)
-        with pytest.raises(ValueError):
-            RicianSpec(k_factor=-1.0, mean_power=1.0)
-        with pytest.raises(ValueError):
-            RicianSpec(k_factor=1.0, mean_power=0.0)
-
     def test_ratio_params(self):
         with pytest.raises(ValueError):
             RatioDistParams(k_factor=1.0, power_ratio=0.0)

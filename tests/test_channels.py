@@ -1,23 +1,41 @@
-"""Channel sampler tests: moment calibration, distribution fits,
-independence, and stream determinism."""
+"""Channel-kernel tests: draw_gains against the full-dimensional model
+(two-sample KS), moment calibration, distribution fits, independence, and
+stream determinism."""
 
 import math
 
 import numpy as np
 import pytest
 from scipy import special
+from scipy.stats import ks_2samp
 
-from cogmac.channels import (
-    ChannelRealization,
-    FadingSpec,
-    draw_los_phases,
-    draw_slot,
-    sample_fading,
-    sample_rayleigh,
-    sample_rician,
-)
+from cogmac.channels import draw_gains
 from cogmac.simulator import NetworkConfig
 from cogmac.stats import EmpiricalDist, ks_test
+
+
+def full_model_gains(config, rng, size, los_phases=None):
+    """Oracle: the full N x M channel model whose powers draw_gains samples.
+
+    Per-pattern CN(0, gamma_s) secondary gains; Rician interference with
+    per-(user, pattern) LoS phases frozen over all slots (drawn uniformly
+    unless ``los_phases`` gives them); M weights e^{j theta} / sqrt(M) with
+    fresh phases every slot.  Returns (gain_s, gain_sp), each of shape
+    (size, n_users).
+    """
+    n, m, k = config.n_users, config.m_patterns, config.k_factor
+
+    def cn(power):
+        parts = rng.standard_normal((2, size, n, m))
+        return math.sqrt(power / 2.0) * (parts[0] + 1j * parts[1])
+
+    if los_phases is None:
+        los_phases = rng.uniform(0.0, 2.0 * math.pi, size=(n, m))
+    h_s = cn(config.mean_secondary_power)
+    los = math.sqrt(k * config.mean_interference_power / (k + 1.0)) * np.exp(1j * los_phases)
+    h_sp = los + cn(config.mean_interference_power / (k + 1.0))
+    w = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, size=(size, n, m))) / math.sqrt(m)
+    return np.abs((w * h_s).sum(axis=2)) ** 2, np.abs((w * h_sp).sum(axis=2)) ** 2
 
 
 def rician_power_cdf_oracle(k, mean_power, grid_max, grid_size=20000):
@@ -35,140 +53,112 @@ def rician_power_cdf_oracle(k, mean_power, grid_max, grid_size=20000):
     return lambda x: np.interp(x, g, cdf)
 
 
+def gains(size, seed, **kw):
+    base = dict(n_users=1, m_patterns=1)
+    base.update(kw)
+    return draw_gains(NetworkConfig(**base), np.random.default_rng(seed), size)
+
+
+KS_K = (0.0, 2.0, 10.0, 100.0)
+KS_M = (1, 2, 4, 16)
+# Three comparisons per (K, M) case; 1% is the level of the whole family
+# (Bonferroni), since 48 comparisons each at 1% would fail by chance alone
+# about four times in ten.
+KS_ALPHA = 0.01 / (3 * len(KS_K) * len(KS_M))
+
+
+@pytest.mark.parametrize("m", KS_M)
+@pytest.mark.parametrize("k", KS_K)
+def test_two_sample_ks_against_full_model(k, m):
+    cfg = NetworkConfig(n_users=4, m_patterns=m, k_factor=k, mean_secondary_power=2.5,
+                        mean_interference_power=0.4)
+    seed = 1000 * m + int(k)
+    kernel = draw_gains(cfg, np.random.default_rng(seed), 20_000)
+    oracle = full_model_gains(cfg, np.random.default_rng(10**6 + seed), 20_000)
+    for name, stat in [
+        ("gain_s", lambda g: g[0].ravel()),
+        ("gain_sp", lambda g: g[1].ravel()),
+        ("per-slot max gain_s/gain_sp", lambda g: (g[0] / g[1]).max(axis=1)),
+    ]:
+        p = ks_2samp(stat(kernel), stat(oracle)).pvalue
+        assert p >= KS_ALPHA, f"{name}: two-sample KS p = {p:.2e}"
+
+
 class TestRayleigh:
     def test_mean_power_calibration(self):
-        rng = np.random.default_rng(101)
-        for mean_power in [0.25, 1.0, 4.0]:
-            h = sample_rayleigh(mean_power, rng, size=10**6)
-            power = np.abs(h) ** 2
-            se = power.std() / math.sqrt(power.size)
-            assert abs(power.mean() - mean_power) < 3.0 * se
-
-    def test_zero_mean(self):
-        rng = np.random.default_rng(102)
-        h = sample_rayleigh(1.0, rng, size=10**6)
-        bound = 3.0 / math.sqrt(2.0 * h.size)  # each component has variance 1/2
-        assert abs(h.real.mean()) < bound and abs(h.imag.mean()) < bound
+        for mean_power, m in [(0.25, 1), (1.0, 2), (4.0, 4)]:
+            g_s, _ = gains(10**6, 101, m_patterns=m, mean_secondary_power=mean_power)
+            se = g_s.std() / math.sqrt(g_s.size)
+            assert abs(g_s.mean() - mean_power) < 3.0 * se
 
     def test_power_is_exponential(self):
-        rng = np.random.default_rng(103)
-        power = np.abs(sample_rayleigh(2.0, rng, size=10**4)) ** 2
-        report = ks_test(
-            EmpiricalDist.from_samples(power), lambda x: 1.0 - np.exp(-np.asarray(x) / 2.0)
-        )
-        assert report.passed
-
-    def test_scalar_mode_and_errors(self):
-        rng = np.random.default_rng(0)
-        assert isinstance(sample_rayleigh(1.0, rng), complex)
-        with pytest.raises(ValueError):
-            sample_rayleigh(0.0, rng)
-        with pytest.raises(ValueError):
-            sample_rayleigh(-1.0, rng)
+        # Unit-norm weights keep the secondary sum CN(0, gamma_s) for every M.
+        for m in (1, 2, 3, 8):
+            g_s, _ = gains(10**4, 103 + m, m_patterns=m, k_factor=5.0, mean_secondary_power=2.0)
+            report = ks_test(
+                EmpiricalDist.from_samples(g_s[:, 0]),
+                lambda x: 1.0 - np.exp(-np.asarray(x) / 2.0),
+            )
+            assert report.passed, f"M={m}: D={report.statistic:.4f}"
 
 
 class TestRician:
     def test_k_zero_reduces_to_rayleigh(self):
-        rng = np.random.default_rng(104)
-        spec = FadingSpec(kind="rician", mean_power=1.0, k_factor=0.0)
-        power = np.abs(sample_rician(spec, rng, size=10**4)) ** 2
-        assert ks_test(EmpiricalDist.from_samples(power), lambda x: 1.0 - np.exp(-x)).passed
+        for m in (1, 4):
+            _, g_sp = gains(10**4, 104 + m, m_patterns=m, k_factor=0.0)
+            report = ks_test(EmpiricalDist.from_samples(g_sp[:, 0]), lambda x: 1.0 - np.exp(-x))
+            assert report.passed
 
     def test_pure_los_limit(self):
-        rng = np.random.default_rng(105)
-        spec = FadingSpec(kind="rician", mean_power=1.0, k_factor=1e9, los_phase=0.0)
-        h = sample_rician(spec, rng, size=100)
-        assert np.max(np.abs(h - 1.0)) < 1e-4
+        _, g_sp = gains(100, 105, k_factor=1e9, mean_interference_power=3.0)
+        assert np.max(np.abs(g_sp - 3.0)) < 1e-3
 
     def test_mean_and_power(self):
-        rng = np.random.default_rng(106)
-        for k, mean_power in [(0.5, 1.0), (2.0, 0.25), (10.0, 4.0)]:
-            phase = 0.7
-            spec = FadingSpec(kind="rician", mean_power=mean_power, k_factor=k, los_phase=phase)
-            h = sample_rician(spec, rng, size=10**6)
-            power = np.abs(h) ** 2
-            se = power.std() / math.sqrt(power.size)
-            assert abs(power.mean() - mean_power) < 3.0 * se
-            expected_mean = math.sqrt(k * mean_power / (k + 1.0)) * np.exp(1j * phase)
-            comp_se = 3.0 * math.sqrt(mean_power / (k + 1.0) / 2.0 / h.size)
-            assert abs(h.mean() - expected_mean) < 3.0 * comp_se
+        for k, mean_power, m in [(0.5, 1.0, 1), (2.0, 0.25, 2), (10.0, 4.0, 3), (100.0, 2.0, 16)]:
+            _, g_sp = gains(10**6, 106 + m, m_patterns=m, k_factor=k,
+                            mean_interference_power=mean_power)
+            se = g_sp.std() / math.sqrt(g_sp.size)
+            assert abs(g_sp.mean() - mean_power) < 3.0 * se
 
     @pytest.mark.parametrize("k", [0.5, 2.0, 10.0])
     def test_power_pdf_matches_noncentral_form(self, k):
-        rng = np.random.default_rng(int(107 + 10 * k))
-        spec = FadingSpec(kind="rician", mean_power=1.0, k_factor=k)
-        power = np.abs(sample_rician(spec, rng, size=10**5)) ** 2
+        _, g_sp = gains(10**5, int(107 + 10 * k), k_factor=k)
+        power = g_sp[:, 0]
         oracle = rician_power_cdf_oracle(k, 1.0, grid_max=float(power.max()) * 1.05)
         assert ks_test(EmpiricalDist.from_samples(power), oracle).passed
 
-    def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            FadingSpec(kind="rayleigh", mean_power=1.0, k_factor=2.0)
-        with pytest.raises(ValueError):
-            FadingSpec(kind="nakagami", mean_power=1.0)
-        with pytest.raises(ValueError):
-            sample_rician(FadingSpec(kind="rayleigh", mean_power=1.0), np.random.default_rng(0))
-
-    def test_deterministic_kind(self):
-        rng = np.random.default_rng(0)
-        spec = FadingSpec(kind="deterministic", mean_power=4.0, los_phase=math.pi / 2.0)
-        h = sample_fading(spec, rng)
-        assert h == pytest.approx(2.0j)
-
 
 class TestDrawSlot:
+    """draw_gains: one row of equivalent powers per slot."""
+
     def test_degenerate_dimensions(self):
-        cfg = NetworkConfig(n_users=1, m_patterns=1, mode="baseline", trials=100)
-        real = draw_slot(cfg, np.random.default_rng(1))
-        assert real.secondary.shape == (1, 1)
-        assert real.interference.shape == (1, 1)
+        cfg = NetworkConfig(n_users=1, m_patterns=1, mode="baseline")
+        g_s, g_sp = draw_gains(cfg, np.random.default_rng(1), 1)
+        assert g_s.shape == g_sp.shape == (1, 1)
+        g_s, g_sp = draw_gains(NetworkConfig(n_users=5, m_patterns=3), np.random.default_rng(1), 7)
+        assert g_s.shape == g_sp.shape == (7, 5)
 
     def test_seed_determinism(self):
-        cfg = NetworkConfig(n_users=4, m_patterns=2, k_factor=3.0, trials=100)
-        a = draw_slot(cfg, np.random.default_rng(cfg.seed))
-        b = draw_slot(cfg, np.random.default_rng(cfg.seed))
-        assert np.array_equal(a.secondary, b.secondary)
-        assert np.array_equal(a.interference, b.interference)
-        assert a.primary_to_secondary_power == b.primary_to_secondary_power
+        cfg = NetworkConfig(n_users=4, m_patterns=2, k_factor=3.0)
+        a = draw_gains(cfg, np.random.default_rng(cfg.seed), 50)
+        b = draw_gains(cfg, np.random.default_rng(cfg.seed), 50)
+        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
     def test_cross_user_independence(self):
-        cfg = NetworkConfig(n_users=2, m_patterns=2, k_factor=2.0, trials=100)
-        rng = np.random.default_rng(9)
-        phases = draw_los_phases(cfg.n_users, cfg.m_patterns, rng)
-        n_slots = 30000
-        sec = np.empty((n_slots, 2, 2), dtype=complex)
-        inter = np.empty((n_slots, 2, 2), dtype=complex)
-        for t in range(n_slots):
-            real = draw_slot(cfg, rng, phases)
-            sec[t] = real.secondary
-            inter[t] = real.interference
-        bound = 3.0 / math.sqrt(n_slots)
-        # Cross-user and cross-pattern correlations of the scattered parts.
-        for arr in (sec, inter - inter.mean(axis=0, keepdims=True)):
-            u0 = arr[:, 0, 0]
-            for other in (arr[:, 1, 0], arr[:, 0, 1], arr[:, 1, 1]):
-                corr = np.mean(u0 * np.conj(other)) / (u0.std() * other.std())
-                assert abs(corr) < bound
+        cfg = NetworkConfig(n_users=2, m_patterns=2, k_factor=2.0)
+        g_s, g_sp = draw_gains(cfg, np.random.default_rng(9), 30_000)
+        bound = 3.0 / math.sqrt(g_s.shape[0])
+        columns = [g_s[:, 0], g_s[:, 1], g_sp[:, 0], g_sp[:, 1]]
+        for i in range(4):
+            for j in range(i + 1, 4):
+                assert abs(np.corrcoef(columns[i], columns[j])[0, 1]) < bound
 
     def test_interference_uses_frozen_phases(self):
-        cfg = NetworkConfig(
-            n_users=2, m_patterns=2, k_factor=1e9, trials=100, mean_interference_power=1.0
-        )
-        rng = np.random.default_rng(3)
-        phases = draw_los_phases(cfg.n_users, cfg.m_patterns, rng)
-        real = draw_slot(cfg, rng, phases)
-        # At huge K the channel is essentially the pure LoS phasor.
-        assert np.max(np.abs(real.interference - np.exp(1j * phases))) < 1e-4
-
-    def test_phase_shape_mismatch_rejected(self):
-        cfg = NetworkConfig(n_users=2, m_patterns=2, trials=100)
-        with pytest.raises(ValueError):
-            draw_slot(cfg, np.random.default_rng(0), np.zeros((3, 2)))
-
-    def test_realization_validation(self):
-        with pytest.raises(ValueError):
-            ChannelRealization(
-                secondary=np.zeros((2, 1), dtype=complex),
-                interference=np.zeros((1, 1), dtype=complex),
-                primary_to_secondary_power=0.0,
-            )
+        # The frozen LoS phases add to the uniform weight phases, so they drop
+        # out of gain_sp: whatever they are, the full model matches draw_gains.
+        cfg = NetworkConfig(n_users=2, m_patterns=2, k_factor=10.0, mean_interference_power=0.4)
+        kernel = draw_gains(cfg, np.random.default_rng(31), 20_000)[1].ravel()
+        phase_sets = [(32, np.zeros((2, 2))), (34, np.array([[0.0, math.pi], [1.0, 2.5]]))]
+        for seed, phases in phase_sets:
+            oracle = full_model_gains(cfg, np.random.default_rng(seed), 20_000, phases)[1].ravel()
+            assert ks_2samp(kernel, oracle).pvalue >= 0.01

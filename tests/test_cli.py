@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from cogmac import validation
+from cogmac import analytic, validation
 from cogmac.cli import (
     ConfigError,
     EsparSection,
@@ -151,6 +151,23 @@ class TestSimulateCommand:
         cfg = write_cfg(tmp_path, {"network": {"trials": -3}})
         assert main(["simulate", "--config", cfg]) == 2
 
+    @pytest.mark.parametrize(
+        "bad", [["--trials", "50"], ["--threads", "0"], ["--trials", "0"]]
+    )
+    def test_bad_run_wide_input_fails_fast(self, tmp_path, capsys, bad):
+        out = tmp_path / "never.csv"
+        code = main(["simulate", "--preset", "fig5", "--out", str(out), *bad])
+        assert code == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "[simulate]" not in err
+
+    def test_bad_override_fails_fast(self, tmp_path):
+        cfg = write_cfg(tmp_path, {"preset": {"name": "fig5", "overrides": {"n_users": 0}}})
+        out = tmp_path / "never.csv"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("COGMAC_SEED", "123")
         payload = {"network": {"n_users": 2, "mode": "baseline", "trials": 150}}
@@ -170,9 +187,11 @@ class TestValidateMachinery:
         result = validation.run_check("quantile_identity", "fast")
         assert result.passed
 
-    def test_mutation_sensitivity(self):
+    def test_mutation_sensitivity(self, monkeypatch):
         # A 1% Lambert W corruption must break the quantile identity.
-        result = validation.run_check("quantile_identity", "full", w_perturb=0.01)
+        exact = analytic.lambert_w0
+        monkeypatch.setattr(analytic, "lambert_w0", lambda x: exact(x) * 1.01)
+        result = validation.run_check("quantile_identity", "full")
         assert not result.passed
 
     def test_unknown_check(self):

@@ -1,5 +1,6 @@
-"""Random-aerial-beamforming tests: weight laws, equivalent-channel
-identities, power inversion, and the induced distributions."""
+"""Random-aerial-beamforming tests: the arcsine law, the weights' footprint
+on the kernel's gains, and the distributions the random weights induce in the
+full per-pattern model."""
 
 import math
 
@@ -7,71 +8,36 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from cogmac.channels import FadingSpec
-from cogmac.rab import (
-    RabWeights,
-    arcsine_pdf,
-    draw_weights,
-    equivalent_interference,
-    equivalent_secondary,
-    transmit_power,
-)
+from cogmac.channels import draw_gains
+from cogmac.rab import arcsine_cdf
+from cogmac.simulator import NetworkConfig
 from cogmac.stats import EmpiricalDist, ks_test
 
 
-def arcsine_cdf(y):
-    arg = np.clip(np.asarray(y, dtype=float), -1.0, 1.0)
-    return 0.5 + np.arcsin(arg) / math.pi
+def artificial_los_power(m, size, seed, k=1e12, power=2.0):
+    """gain_sp at K = 1e12, where the scattering is negligible: the power of
+    the artificial LoS phasor, (K p / (K+1)) |1 + sum e^{j delta_i}|^2 / M."""
+    cfg = NetworkConfig(n_users=1, m_patterns=m, k_factor=k, mean_interference_power=power)
+    return draw_gains(cfg, np.random.default_rng(seed), size)[1][:, 0], k * power / (k + 1.0)
 
 
 class TestWeights:
     def test_degenerate_single_pattern(self):
-        w = draw_weights(1, np.random.default_rng(0))
-        assert w.m_patterns == 1
-        assert w.magnitudes[0] == 1.0
-
-    def test_unit_total_power(self):
-        for m in [1, 2, 3, 4, 8]:
-            w = draw_weights(m, np.random.default_rng(m))
-            # Exact up to a few ulps of float summation.
-            assert abs(np.sum(w.magnitudes**2) - 1.0) < 4e-16
-
-    def test_phases_uniform(self):
-        w_phases = np.concatenate(
-            [draw_weights(4, np.random.default_rng(s)).phases for s in range(2500)]
-        )
-        report = ks_test(
-            EmpiricalDist.from_samples(w_phases), lambda x: np.asarray(x) / (2.0 * math.pi)
-        )
-        assert report.passed
+        # With M = 1 the weight is a pure phase rotation: RAB draws exactly
+        # the baseline gains from the same stream.
+        rab = draw_gains(NetworkConfig(n_users=3, m_patterns=1, k_factor=2.0),
+                         np.random.default_rng(0), 100)
+        base = draw_gains(NetworkConfig(n_users=3, m_patterns=1, k_factor=2.0, mode="baseline"),
+                          np.random.default_rng(0), 100)
+        assert np.array_equal(rab[0], base[0]) and np.array_equal(rab[1], base[1])
 
     def test_rejects_zero_patterns(self):
-        with pytest.raises(ValueError):
-            draw_weights(0, np.random.default_rng(0))
-
-    def test_invariant_enforced(self):
-        with pytest.raises(ValueError):
-            RabWeights(magnitudes=np.array([1.0, 1.0]), phases=np.array([0.0, 0.0]))
-        with pytest.raises(ValueError):
-            RabWeights(magnitudes=np.array([1.0]), phases=np.array([7.0]))
+        for m in (0, -1):
+            with pytest.raises(ValueError):
+                NetworkConfig(m_patterns=m)
 
 
 class TestEquivalentSecondary:
-    def test_identity_for_single_pattern(self):
-        w = RabWeights(magnitudes=np.array([1.0]), phases=np.array([0.0]))
-        assert equivalent_secondary(w, [0.3 - 0.4j]) == pytest.approx(0.3 - 0.4j)
-
-    def test_coherent_sum(self):
-        m = 4
-        w = RabWeights(magnitudes=np.full(m, 1.0 / math.sqrt(m)), phases=np.zeros(m))
-        h = 0.5 + 0.2j
-        assert equivalent_secondary(w, [h] * m) == pytest.approx(math.sqrt(m) * h)
-
-    def test_length_mismatch(self):
-        w = draw_weights(3, np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            equivalent_secondary(w, [1.0 + 0j] * 2)
-
     def test_rayleigh_preserved(self):
         # Unitary combination of iid CN(0,1): output power stays Exp(1).
         rng = np.random.default_rng(42)
@@ -82,104 +48,68 @@ class TestEquivalentSecondary:
             out = np.abs((np.exp(1j * theta) / math.sqrt(m) * h).sum(axis=1)) ** 2
             assert ks_test(EmpiricalDist.from_samples(out), lambda x: 1.0 - np.exp(-x)).passed
 
-    def test_vectorized_matches_scalar_op(self):
-        rng = np.random.default_rng(5)
-        w = draw_weights(4, rng)
-        gains = (rng.standard_normal(4) + 1j * rng.standard_normal(4)) / math.sqrt(2.0)
-        direct = np.sum(w.as_complex() * gains)
-        assert equivalent_secondary(w, gains) == pytest.approx(direct, abs=1e-15)
-
-
-class TestEquivalentInterference:
-    def spec(self, k=2.0, power=1.0):
-        return FadingSpec(kind="rician", mean_power=power, k_factor=k)
-
-    def test_coherent_max(self):
-        k = 2.0
-        w = RabWeights(magnitudes=np.full(2, 1.0 / math.sqrt(2.0)), phases=np.array([0.3, 1.1]))
-        phi = np.array([0.5, -0.3])  # theta+phi equal across patterns
-        eq = equivalent_interference(w, self.spec(k), phi, np.zeros(2, dtype=complex))
-        assert abs(eq.artificial_los) ** 2 == pytest.approx(2.0 * k / (k + 1.0), rel=1e-12)
-
-    def test_perfect_null(self):
-        k = 5.0
-        w = RabWeights(magnitudes=np.full(2, 1.0 / math.sqrt(2.0)), phases=np.array([0.0, 0.0]))
-        phi = np.array([0.25, 0.25 + math.pi])
-        eq = equivalent_interference(w, self.spec(k), phi, np.zeros(2, dtype=complex))
-        assert abs(eq.artificial_los) < 1e-12
-
-    def test_phase_difference_identity(self):
-        # |artificial|^2 = (K p/(K+1)) (1 + cos(delta)), delta the phase gap.
-        rng = np.random.default_rng(31)
-        k, power = 3.0, 2.5
-        for _ in range(200):
-            w = draw_weights(2, rng)
-            phi = rng.uniform(0.0, 2.0 * math.pi, size=2)
-            eq = equivalent_interference(
-                w, self.spec(k, power), phi, np.zeros(2, dtype=complex)
-            )
-            delta = (w.phases[0] + phi[0]) - (w.phases[1] + phi[1])
-            expected = k * power / (k + 1.0) * (1.0 + math.cos(delta))
-            assert abs(abs(eq.artificial_los) ** 2 - expected) < 1e-12
-
-    def test_composition_identity(self):
-        rng = np.random.default_rng(8)
-        k, power = 4.0, 0.5
-        w = draw_weights(3, rng)
-        phi = rng.uniform(0.0, 2.0 * math.pi, size=3)
-        b = (rng.standard_normal(3) + 1j * rng.standard_normal(3)) / math.sqrt(2.0)
-        eq = equivalent_interference(w, self.spec(k, power), phi, b)
-        recomposed = eq.artificial_los + math.sqrt(power / (k + 1.0)) * eq.scattered_eq
-        assert eq.interference_eq == pytest.approx(recomposed, abs=1e-15)
-
-    def test_length_mismatch(self):
-        w = draw_weights(2, np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            equivalent_interference(w, self.spec(), np.zeros(3), np.zeros(3, dtype=complex))
-
-
-class TestTransmitPower:
-    def test_reciprocal_values(self):
-        assert transmit_power(1.0, 1.0 + 0j) == 1.0
-        assert transmit_power(1.0, 0.1 + 0j) == pytest.approx(100.0)
-
-    def test_zero_channel_sentinel(self):
-        assert transmit_power(1.0, 0.0 + 0j) == math.inf
-
-    def test_rejects_bad_qp(self):
-        with pytest.raises(ValueError):
-            transmit_power(0.0, 1.0 + 0j)
-
-    def test_peak_identity_over_slots(self):
-        rng = np.random.default_rng(77)
-        spec = FadingSpec(kind="rician", mean_power=1.0, k_factor=2.0)
-        q_p = 1.0
-        for _ in range(2000):
-            w = draw_weights(2, rng)
-            phi = rng.uniform(0.0, 2.0 * math.pi, size=2)
-            b = (rng.standard_normal(2) + 1j * rng.standard_normal(2)) / math.sqrt(2.0)
-            eq = equivalent_interference(w, spec, phi, b)
-            p_s = transmit_power(q_p, eq.interference_eq)
-            assert abs(p_s * abs(eq.interference_eq) ** 2 - q_p) <= 1e-12 * q_p
-
 
 class TestArcsinePdf:
+    """The arcsine law of cos(U), density 1 / (pi sqrt(1 - y^2)) on (-1, 1),
+    reached through its CDF arcsine_cdf."""
+
+    @staticmethod
+    def density(y):
+        return 1.0 / (math.pi * math.sqrt(1.0 - y * y))
+
     def test_center_value_and_support(self):
-        assert arcsine_pdf(0.0) == pytest.approx(1.0 / math.pi)
-        assert arcsine_pdf(1.0) == 0.0
-        assert arcsine_pdf(-1.2) == 0.0
+        h = 1e-6
+        assert (arcsine_cdf(h) - arcsine_cdf(-h)) / (2.0 * h) == pytest.approx(1.0 / math.pi)
+        assert arcsine_cdf(0.0) == 0.5
+        assert arcsine_cdf(-1.0) == 0.0 and arcsine_cdf(-1.2) == 0.0
+        assert arcsine_cdf(1.0) == 1.0 and arcsine_cdf(3.0) == 1.0
+        ys = np.linspace(-1.0, 1.0, 101)
+        assert np.all(np.diff(arcsine_cdf(ys)) > 0.0)
+        assert np.allclose(arcsine_cdf(-ys), 1.0 - arcsine_cdf(ys), atol=1e-15)
 
     def test_moments_by_quadrature(self):
-        mean, _ = integrate.quad(lambda y: y * arcsine_pdf(y), -1.0, 1.0)
-        var, _ = integrate.quad(lambda y: y * y * arcsine_pdf(y), -1.0, 1.0)
-        assert mean == pytest.approx(0.0, abs=1e-9)
-        assert var == pytest.approx(0.5, abs=1e-6)
+        for y in (-0.9, -0.3, 0.0, 0.5, 0.99):
+            mass, _ = integrate.quad(self.density, -1.0, y)
+            assert mass == pytest.approx(float(arcsine_cdf(y)), abs=1e-8)
+        mean, _ = integrate.quad(lambda y: y * self.density(y), -1.0, 1.0)
+        var, _ = integrate.quad(lambda y: y * y * self.density(y), -1.0, 1.0)
+        assert abs(mean) < 1e-9
+        assert abs(var - 0.5) < 1e-6
+        # The same moments from the CDF alone, for a law symmetric on [-1, 1]:
+        # E[Y] = 0 and E[Y^2] = int_0^1 4 y (1 - F(y)) dy.
+        mean, _ = integrate.quad(lambda y: arcsine_cdf(-y) - (1.0 - arcsine_cdf(y)), 0.0, 1.0)
+        var, _ = integrate.quad(lambda y: 4.0 * y * (1.0 - arcsine_cdf(y)), 0.0, 1.0)
+        assert abs(mean) < 1e-12
+        assert abs(var - 0.5) < 1e-6
 
     def test_cosine_of_uniform_matches(self):
         rng = np.random.default_rng(12)
         y = np.cos(rng.uniform(0.0, 2.0 * math.pi, size=10**6))
         assert ks_test(EmpiricalDist.from_samples(y[: 10**4]), arcsine_cdf).passed
         assert abs(y.var() - 0.5) < 0.005
+
+
+class TestEquivalentInterference:
+    """The artificial LoS in the kernel's gain_sp, in the strong-LoS limit."""
+
+    def test_coherent_max(self):
+        # |1 + sum e^{j delta_i}|^2 / M peaks at M when all phases align.
+        for m in (2, 4):
+            art, los_power = artificial_los_power(m, 10**5, 20 + m)
+            assert art.max() <= m * los_power * (1.0 + 1e-3)
+        art, los_power = artificial_los_power(2, 10**5, 22)
+        assert art.max() > (1.0 - 1e-3) * 2.0 * los_power
+
+    def test_perfect_null(self):
+        # Two patterns in antiphase cancel the LoS.
+        art, los_power = artificial_los_power(2, 10**5, 21)
+        assert art.min() < 1e-3 * 2.0 * los_power
+
+    def test_phase_difference_identity(self):
+        # M = 2: the power is (K p / (K+1)) (1 + cos(delta)), delta uniform.
+        art, los_power = artificial_los_power(2, 10**4, 23)
+        cosine = art / los_power - 1.0
+        assert ks_test(EmpiricalDist.from_samples(cosine), arcsine_cdf).passed
 
 
 class TestInducedDistributions:

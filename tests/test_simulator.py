@@ -1,21 +1,20 @@
 """Scheduler and Monte-Carlo engine tests."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy import integrate
 
+from cogmac import simulator
 from cogmac.analytic import RatioDistParams, ratio_pdf
-from cogmac.channels import draw_los_phases, draw_slot
-from cogmac.rab import draw_weights
+from cogmac.channels import draw_gains
 from cogmac.simulator import (
     NetworkConfig,
     growth_flatness,
     loglog_control_slope,
     run_experiment,
-    run_slot,
-    slot_sinr,
     sweep,
 )
 
@@ -24,6 +23,16 @@ def small_cfg(**kw):
     base = dict(n_users=2, m_patterns=1, mode="baseline", trials=200, seed=5)
     base.update(kw)
     return NetworkConfig(**base)
+
+
+def chunk_sums(cfg, size=500):
+    """(sum C, sum C^2, sum best numerator, sum 1/denominator) of chunk 0."""
+    return simulator._chunk_sums(cfg, size, simulator._chunk_rng(cfg, 0))
+
+
+def chunk_gains(cfg, size=500):
+    """Chunk 0's channel gains, drawn again from the chunk's own stream."""
+    return draw_gains(cfg, simulator._chunk_rng(cfg, 0), size)
 
 
 class TestConfigValidation:
@@ -51,90 +60,76 @@ class TestConfigValidation:
 
 
 class TestSlotSinr:
-    def test_unit_case(self):
-        cfg = small_cfg(n_users=1)
-        rng = np.random.default_rng(0)
-        real = draw_slot(cfg, rng)
-        real.secondary[0, 0] = 1.0 + 0.0j
-        real.interference[0, 0] = 1.0 + 0.0j
-        assert slot_sinr(real, cfg)[0] == pytest.approx(1.0)
+    """Each slot schedules the user with the best SINR gain_s Q_p / gain_sp."""
+
+    def test_unit_case(self, monkeypatch):
+        def unit_gains(config, rng, size):
+            return np.ones((size, config.n_users)), np.ones((size, config.n_users))
+
+        monkeypatch.setattr(simulator, "draw_gains", unit_gains)
+        cap, capsq, num, inv = chunk_sums(small_cfg(n_users=1), size=10)
+        assert num == 10.0 and inv == 10.0
+        assert cap == pytest.approx(10.0 * math.log(2.0))
+        assert capsq == pytest.approx(10.0 * math.log(2.0) ** 2)
 
     def test_qp_scaling_preserves_argmax(self):
-        rng = np.random.default_rng(1)
         cfg1 = small_cfg(n_users=8, peak_interference=1.0)
         cfg2 = small_cfg(n_users=8, peak_interference=7.5)
-        real = draw_slot(cfg1, rng)
-        s1 = slot_sinr(real, cfg1)
-        s2 = slot_sinr(real, cfg2)
-        assert np.allclose(s2, 7.5 * s1)
-        assert np.argmax(s1) == np.argmax(s2)
+        s1, s2 = chunk_sums(cfg1), chunk_sums(cfg2)
+        assert s2[2] == pytest.approx(7.5 * s1[2], rel=1e-12)
+        g_s, g_sp = chunk_gains(cfg1)
+        best = (g_s / g_sp).max(axis=1)
+        assert s2[0] == pytest.approx(np.sum(np.log1p(7.5 * best)), rel=1e-12)
 
     def test_argmax_matches_ratio_oracle(self):
         cfg = small_cfg(n_users=2)
-        rng = np.random.default_rng(2)
-        for _ in range(100):
-            real = draw_slot(cfg, rng)
-            sinr = slot_sinr(real, cfg)
-            ratios = np.abs(real.secondary[:, 0]) ** 2 / np.abs(real.interference[:, 0]) ** 2
-            assert np.argmax(sinr) == np.argmax(ratios)
+        g_s, g_sp = chunk_gains(cfg)
+        best = (g_s / g_sp).max(axis=1)
+        cap, capsq, num, inv = chunk_sums(cfg)
+        assert num == pytest.approx(np.sum(best), rel=1e-12)
+        assert cap == pytest.approx(np.sum(np.log1p(best)), rel=1e-12)
+        assert capsq == pytest.approx(np.sum(np.log1p(best) ** 2), rel=1e-12)
+        assert inv == 500.0
 
     def test_common_denominator(self):
-        cfg = small_cfg(n_users=4, primary_power=2.0)
-        rng = np.random.default_rng(3)
-        real = draw_slot(cfg, rng)
-        sinr = slot_sinr(real, cfg)
-        ratios = np.abs(real.secondary[:, 0]) ** 2 / np.abs(real.interference[:, 0]) ** 2
-        denom = ratios * cfg.peak_interference / sinr
-        assert np.allclose(denom, denom[0])
-
-    def test_weight_mode_coupling(self):
-        cfg = small_cfg(n_users=2)
-        rng = np.random.default_rng(4)
-        real = draw_slot(cfg, rng)
-        with pytest.raises(ValueError):
-            slot_sinr(real, cfg, weights=[draw_weights(1, rng) for _ in range(2)])
-        rab_cfg = small_cfg(n_users=2, m_patterns=2, mode="rab")
-        rab_real = draw_slot(rab_cfg, rng)
-        with pytest.raises(ValueError):
-            slot_sinr(rab_real, rab_cfg)  # missing weights
-
-    def test_rab_matches_manual_combination(self):
-        cfg = small_cfg(n_users=3, m_patterns=2, mode="rab")
-        rng = np.random.default_rng(5)
-        real = draw_slot(cfg, rng)
-        weights = [draw_weights(2, rng) for _ in range(3)]
-        sinr = slot_sinr(real, cfg, weights)
-        for u in range(3):
-            w = weights[u].as_complex()
-            gs = abs(np.sum(w * real.secondary[u])) ** 2
-            gsp = abs(np.sum(w * real.interference[u])) ** 2
-            expected = gs * cfg.peak_interference / gsp
-            assert sinr[u] == pytest.approx(expected, rel=1e-12)
+        # Primary interference 1 + P gamma_ps is common to all users of a
+        # slot; gamma_ps is drawn after the gains from the same stream.
+        cfg = small_cfg(n_users=4, primary_power=2.0, mean_ps_power=0.5)
+        rng = simulator._chunk_rng(cfg, 0)
+        g_s, g_sp = draw_gains(cfg, rng, 500)
+        inv_denom = 1.0 / (1.0 + 2.0 * 0.5 * rng.standard_exponential(500))
+        best = (g_s / g_sp).max(axis=1)
+        cap, _, num, inv = chunk_sums(cfg)
+        assert inv == pytest.approx(np.sum(inv_denom), rel=1e-12)
+        assert num == pytest.approx(np.sum(best), rel=1e-12)
+        assert cap == pytest.approx(np.sum(np.log1p(best * inv_denom)), rel=1e-12)
 
 
 class TestRunSlot:
     def test_single_user_always_selected(self):
-        cfg = small_cfg(n_users=1)
-        rng = np.random.default_rng(6)
-        for _ in range(20):
-            assert run_slot(cfg, rng).selected_user == 0
+        cfg = small_cfg(n_users=1, peak_interference=3.0)
+        g_s, g_sp = chunk_gains(cfg)
+        assert chunk_sums(cfg)[2] == pytest.approx(np.sum(3.0 * g_s[:, 0] / g_sp[:, 0]), rel=1e-12)
 
     def test_peak_interference_identity(self):
-        rng = np.random.default_rng(7)
+        # Power Q_p / gain_sp puts exactly Q_p at the primary receiver; a
+        # binding power cap can only lower it.
         for mode, m in [("baseline", 1), ("rab", 2), ("rab", 4)]:
             cfg = small_cfg(n_users=4, m_patterns=m, mode=mode, k_factor=3.0)
-            phases = draw_los_phases(cfg.n_users, cfg.m_patterns, rng)
-            for _ in range(200):
-                out = run_slot(cfg, rng, phases)
-                assert abs(out.interference_power_at_pu - cfg.peak_interference) <= 1e-12
-                assert out.capacity_nats == pytest.approx(math.log1p(out.sinr))
-                assert not out.degenerate
+            g_s, g_sp = chunk_gains(cfg)
+            qp = cfg.peak_interference
+            cap = float(np.median(qp / g_sp))
+            uncapped, capped = qp / g_sp, np.minimum(qp / g_sp, cap)
+            assert np.allclose(uncapped * g_sp, qp, rtol=1e-12, atol=0.0)
+            assert np.all(capped * g_sp <= qp * (1.0 + 1e-12))
+            for config, power in [(cfg, uncapped), (replace(cfg, max_power_cap=cap), capped)]:
+                best = (g_s * power).max(axis=1)
+                assert chunk_sums(config)[2] == pytest.approx(np.sum(best), rel=1e-12)
 
     def test_selection_symmetry(self):
-        cfg = small_cfg(n_users=2)
-        rng = np.random.default_rng(8)
-        phases = draw_los_phases(2, 1, rng)
-        wins = sum(run_slot(cfg, rng, phases).selected_user for _ in range(10**4))
+        # Two statistically identical users are each scheduled half the time.
+        g_s, g_sp = chunk_gains(small_cfg(n_users=2), size=10**4)
+        wins = np.argmax(g_s / g_sp, axis=1).sum()
         assert abs(wins / 10**4 - 0.5) < 0.015
 
 
@@ -147,6 +142,20 @@ class TestErgodicCapacity:
         assert oracle == pytest.approx(1.0, abs=1e-9)
         cfg = NetworkConfig(n_users=1, m_patterns=1, mode="baseline", trials=10**5, seed=11)
         est = run_experiment(cfg)
+        assert abs(est.mean_nats - oracle) < 3.0 * est.stderr_nats
+
+    def test_primary_interference_quadrature_oracle(self):
+        # One user, K = 0: E log(1 + c z) = c log(c) / (c - 1) for z a ratio of
+        # unit exponentials, with c = 1 / (1 + P gamma_ps) and gamma_ps ~ Exp(1).
+        def h(g):
+            c = 1.0 / (1.0 + 2.0 * g)
+            return c * math.log(c) / (c - 1.0) if g > 0.0 else 1.0
+
+        oracle, _ = integrate.quad(lambda g: h(g) * math.exp(-g), 0.0, np.inf, limit=200)
+        cfg = NetworkConfig(n_users=1, m_patterns=1, mode="baseline", trials=10**5, seed=21,
+                            primary_power=2.0, mean_ps_power=1.0)
+        est = run_experiment(cfg)
+        assert est.mean_nats < 0.9
         assert abs(est.mean_nats - oracle) < 3.0 * est.stderr_nats
 
     def test_monotone_in_users(self):
@@ -197,8 +206,10 @@ class TestErgodicCapacity:
         assert est.jensen_bound_nats >= est.mean_nats
 
     def test_trials_guard(self):
-        with pytest.raises(ValueError):
-            run_experiment(small_cfg(trials=50))
+        with pytest.raises(ValueError, match="trials >= 100"):
+            small_cfg(trials=99)
+        with pytest.raises(ValueError, match="threads"):
+            run_experiment(small_cfg(trials=100), threads=0)
 
     def test_power_cap_reduces_capacity(self):
         base = run_experiment(
