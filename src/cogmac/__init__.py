@@ -24,7 +24,6 @@ from .analytic import (
     effective_users_rab_m2,
     lambert_w0,
     normalizer_a_n,
-    rab_m2_a_tilde_pdf,
     rab_m2_cdf,
     rab_m2_tail_cdf,
     ratio_cdf,
@@ -34,11 +33,10 @@ from .analytic import (
 from .simulator import (
     CapacityEstimate,
     NetworkConfig,
-    SweepResult,
     growth_flatness,
     run_experiment,
     sweep,
 )
-from .stats import EmpiricalDist, KsReport, empirical_cdf, ks_test, max_normalization_check
+from .stats import EmpiricalDist, KsReport, ks_test, max_normalization_check
 
 __version__ = "0.1.0"

@@ -30,7 +30,6 @@ __all__ = [
     "theorem1_law",
     "effective_users_moderate_k",
     "effective_users_rab_m2",
-    "rab_m2_a_tilde_pdf",
     "rab_m2_cdf",
     "rab_m2_tail_cdf",
 ]
@@ -38,6 +37,9 @@ __all__ = [
 _NEG_INV_E = -math.exp(-1.0)
 # Series/asymptotic crossover for I0; both branches agree to ~1e-12 here.
 _I0_SERIES_CUTOFF = 15.0
+# Step ratio of term m to term m-1, without its x dependence, for m = 1, 2, ...
+_I0_SERIES_STEP = 1.0 / np.arange(1, 33) ** 2
+_I0E_ASYMPTOTIC_STEP = (2 * np.arange(1, 65) - 1) ** 2 / (8.0 * np.arange(1, 65))
 
 
 @dataclass(frozen=True)
@@ -118,15 +120,19 @@ def _w_of_k_exp_k_over_n(k: float, n_users: int) -> float:
     return lambert_w0(k * math.exp(k) / n_users)
 
 
-def bessel_i0e(x: float) -> float:
-    """Exponentially scaled modified Bessel function, exp(-|x|) * I0(x)."""
-    x = float(x)
-    if not math.isfinite(x):
+def bessel_i0e(x):
+    """Exponentially scaled modified Bessel function, exp(-|x|) * I0(x).
+
+    Accepts scalars or ndarrays; a scalar input returns a float.
+    """
+    ax = np.abs(np.asarray(x, dtype=float))
+    if not np.all(np.isfinite(ax)):
         raise ValueError(f"bessel_i0e requires finite input, got {x}")
-    ax = abs(x)
-    if ax <= _I0_SERIES_CUTOFF:
-        return math.exp(-ax) * _i0_series(ax)
-    return _i0e_asymptotic(ax)
+    small = ax <= _I0_SERIES_CUTOFF
+    out = np.empty_like(ax)
+    out[small] = np.exp(-ax[small]) * _i0_series(ax[small])
+    out[~small] = _i0e_asymptotic(ax[~small])
+    return float(out) if np.isscalar(x) else out
 
 
 def bessel_i0(x: float) -> float:
@@ -140,40 +146,25 @@ def bessel_i0(x: float) -> float:
         raise ValueError(f"bessel_i0 requires finite input, got {x}")
     ax = abs(x)
     if ax <= _I0_SERIES_CUTOFF:
-        return _i0_series(ax)
-    return math.exp(ax) * _i0e_asymptotic(ax)
+        return float(_i0_series(ax))
+    return math.exp(ax) * float(_i0e_asymptotic(ax))
 
 
-def _i0_series(ax: float) -> float:
-    # Sum of (x/2)^(2m) / (m!)^2; all terms positive, no cancellation.
-    q = 0.25 * ax * ax
-    term = 1.0
-    acc = 1.0
-    m = 0
-    while True:
-        m += 1
-        term *= q / (m * m)
-        acc += term
-        if term <= 1e-17 * acc:
-            return acc
+def _i0_series(ax):
+    # Sum of (x/2)^(2m) / (m!)^2 for m <= 32; all terms positive, no
+    # cancellation.  Up to the crossover, term 32 is below 1e-20 of the sum.
+    q = 0.25 * np.square(ax)
+    return 1.0 + np.cumprod(np.multiply.outer(q, _I0_SERIES_STEP), axis=-1).sum(axis=-1)
 
 
-def _i0e_asymptotic(ax: float) -> float:
-    # exp(-x) I0(x) ~ (2 pi x)^(-1/2) * sum_m prod_{k<=m}(2k-1)^2 / (m! (8x)^m).
-    # Truncated at the smallest term (asymptotic series).
-    term = 1.0
-    acc = 1.0
-    m = 0
-    while True:
-        m += 1
-        nxt = term * (2 * m - 1) ** 2 / (8.0 * m * ax)
-        if nxt >= term or nxt <= 1e-17 * acc:
-            if nxt < term:
-                acc += nxt
-            break
-        term = nxt
-        acc += term
-    return acc / math.sqrt(2.0 * math.pi * ax)
+def _i0e_asymptotic(ax):
+    # exp(-x) I0(x) ~ (2 pi x)^(-1/2) * sum_m prod_{k<=m} (2k-1)^2 / (8 k x).
+    # Asymptotic series: each element stops at its own smallest term, where
+    # the step ratio reaches 1 (it grows with k).  That happens by m = 64 for
+    # x < 31.5; above that, term 64 is below 1e-28.
+    ratio = np.multiply.outer(1.0 / np.asarray(ax, dtype=float), _I0E_ASYMPTOTIC_STEP)
+    terms = np.cumprod(np.where(ratio < 1.0, ratio, 0.0), axis=-1)
+    return (1.0 + terms.sum(axis=-1)) / np.sqrt(2.0 * math.pi * ax)
 
 
 def ratio_cdf(z, params: RatioDistParams):
@@ -256,29 +247,9 @@ def effective_users_rab_m2(n_users: int, k_factor: float) -> float:
     return n_users * (k_factor + 1.0) / math.sqrt(2.0 * math.pi * k_factor)
 
 
-def rab_m2_a_tilde_pdf(a_tilde: float, k_factor: float, mean_power: float = 1.0) -> float:
-    """Density of the randomized LoS power under two-pattern RAB.
-
-    Arcsine-shaped on (0, 2 K mean_power / (K+1)); integrable singularities
-    at both endpoints.  Out-of-support input returns 0.
-    """
-    if not math.isfinite(k_factor) or k_factor <= 0.0:
-        raise ValueError(f"rab_m2_a_tilde_pdf requires k_factor > 0, got {k_factor}")
-    if mean_power <= 0.0:
-        raise ValueError(f"mean_power must be > 0, got {mean_power}")
-    c = k_factor * mean_power / (k_factor + 1.0)  # support midpoint
-    if a_tilde <= 0.0 or a_tilde >= 2.0 * c:
-        return 0.0
-    t = 1.0 - (1.0 - a_tilde / c) ** 2
-    return 1.0 / (math.pi * c * math.sqrt(t))
-
-
 def _rab_m2_prefactor(z_arr: np.ndarray, params: RatioDistParams) -> np.ndarray:
     k = params.k_factor
     return (k + 1.0) / (params.power_ratio * z_arr + k + 1.0)
-
-
-_I0E_UFUNC = np.frompyfunc(bessel_i0e, 1, 1)
 
 
 def rab_m2_cdf(z, params: RatioDistParams):
@@ -294,8 +265,7 @@ def rab_m2_cdf(z, params: RatioDistParams):
     k = params.k_factor
     rho = params.power_ratio
     y = k * rho * z_arr / (rho * z_arr + k + 1.0)
-    i0e = np.asarray(_I0E_UFUNC(y), dtype=float)
-    out = 1.0 - _rab_m2_prefactor(z_arr, params) * i0e
+    out = 1.0 - _rab_m2_prefactor(z_arr, params) * bessel_i0e(y)
     return float(out) if np.isscalar(z) else out
 
 

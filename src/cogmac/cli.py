@@ -66,26 +66,6 @@ class ExperimentPreset:
             raise ValueError(f"preset.name must be one of {PRESET_NAMES}, got {self.name!r}")
 
 
-@dataclass(frozen=True)
-class EsparSection:
-    """Optional antenna description from the config file."""
-
-    m_elements: int = 4
-    radius_wavelengths: float = 1.0 / 16.0
-    feed_voltage: complex = 1.0 + 0.0j
-    admittance: np.ndarray | None = None
-    element_angles: tuple | None = None
-
-    def to_config(self) -> espar.EsparConfig:
-        return espar.EsparConfig(
-            m_elements=self.m_elements,
-            admittance=self.admittance,
-            feed_voltage=self.feed_voltage,
-            radius_wavelengths=self.radius_wavelengths,
-            element_angles=self.element_angles,
-        )
-
-
 class ConfigError(ValueError):
     """Config file problem; the message carries the offending key path."""
 
@@ -138,7 +118,7 @@ def _parse_complex(value, path: str) -> complex:
     raise ConfigError(f"{path}: expected number or [re, im] pair, got {value!r}")
 
 
-def _parse_espar(section: dict, path: str = "espar") -> EsparSection:
+def _parse_espar(section: dict, path: str = "espar") -> espar.EsparConfig:
     if not isinstance(section, dict):
         raise ConfigError(f"{path}: expected an object")
     known = {"m_elements", "radius_wavelengths", "feed_voltage", "admittance", "element_angles"}
@@ -169,14 +149,12 @@ def _parse_espar(section: dict, path: str = "espar") -> EsparSection:
         ]
         kwargs["admittance"] = np.asarray(matrix, dtype=complex)
     try:
-        section_obj = EsparSection(**kwargs)
-        section_obj.to_config()  # validate eagerly so errors carry the path
+        return espar.EsparConfig(**kwargs)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    return section_obj
 
 
-def parse_config(path: str) -> tuple[NetworkConfig, ExperimentPreset, EsparSection]:
+def parse_config(path: str) -> tuple[NetworkConfig, ExperimentPreset, espar.EsparConfig]:
     """Parse and validate the JSON config file (strict: unknown keys rejected)."""
     try:
         with open(path, encoding="utf-8") as fh:
@@ -252,22 +230,20 @@ def _preset_grid(name: str):
     raise ValueError(f"preset {name!r} has no predefined grid")
 
 
-def _preset_extras(result, config, wants):
+def _preset_extras(points, config, wants):
     """Extra CSV columns (in the output log base where capacity-like)."""
     if not wants:
         return None
     scale = 1.0 / LOG2 if config.log_base == "bits" else 1.0
     extras = {name: [] for name in wants}
     singles = {}
-    for p in result.points:
-        if p.n_users == 1 and p.estimate is not None:
+    for p in points:
+        if p.n_users == 1:
             singles[(p.mode, p.k_factor, p.m_patterns)] = p.estimate.mean_nats
-    for p in result.points:
-        mean = p.estimate.mean_nats if p.estimate is not None else None
+    for p in points:
+        mean = p.estimate.mean_nats
         for name in wants:
-            if mean is None:
-                extras[name].append(None)
-            elif name == "norm_logN":
+            if name == "norm_logN":
                 extras[name].append(mean * scale / math.log(p.n_users) if p.n_users > 1 else None)
             elif name == "norm_loglogN":
                 extras[name].append(
@@ -289,10 +265,9 @@ def cmd_simulate(args) -> int:
     def progress(point):
         took = time.time() - progress.last
         progress.last = time.time()
-        status = "ok" if point.error is None else f"ERROR {point.error}"
         print(
             f"[simulate] mode={point.mode} K={point.k_factor:g} M={point.m_patterns} "
-            f"N={point.n_users}: {status} ({took:.2f}s)",
+            f"N={point.n_users}: ok ({took:.2f}s)",
             file=sys.stderr,
         )
 
@@ -303,17 +278,17 @@ def cmd_simulate(args) -> int:
         wants = ()
     else:
         n_list, k_list, m_list, modes, wants = _preset_grid(preset.name)
-    result = sweep(config, n_list, k_list, m_list, modes, threads=args.threads,
+    points = sweep(config, n_list, k_list, m_list, modes, threads=args.threads,
                    progress=progress)
-    extras = _preset_extras(result, config, wants)
+    extras = _preset_extras(points, config, wants)
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        write_sweep_csv(result, config, fh, extra_columns=extras)
+        write_sweep_csv(points, config, fh, extra_columns=extras)
     print(
-        f"[simulate] wrote {out_path} ({len(result.points)} points, "
+        f"[simulate] wrote {out_path} ({len(points)} points, "
         f"{time.time() - t_start:.1f}s total)",
         file=sys.stderr,
     )
-    return 1 if result.partial else 0
+    return 0
 
 
 def cmd_validate(args) -> int:
@@ -346,11 +321,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_espar(args) -> int:
-    if args.config:
-        _, _, section = parse_config(args.config)
-    else:
-        section = EsparSection()
-    cfg = section.to_config()
+    cfg = parse_config(args.config)[2] if args.config else espar.EsparConfig()
     reactances = [float(v) for v in args.reactances.split(",")] if args.reactances else []
     if len(reactances) != cfg.m_elements - 1:
         print(
@@ -365,12 +336,7 @@ def cmd_espar(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     basis = espar.build_basis(cfg, args.grid)
-    gram_err = 0.0
-    m = cfg.m_elements
-    for i in range(m):
-        for j in range(m):
-            val = basis.inner(basis.basis_values[i], basis.basis_values[j])
-            gram_err = max(gram_err, abs(val - (1.0 if i == j else 0.0)))
+    gram_err = float(np.max(np.abs(basis.gram() - np.eye(cfg.m_elements))))
     pattern = espar.pattern_value(currents, cfg, basis.theta_grid)
     out_path = args.out or "pattern.csv"
     with open(out_path, "w", encoding="utf-8", newline="") as fh:

@@ -67,7 +67,7 @@ def synthetic_admittance(m_elements: int) -> np.ndarray:
 class EsparConfig:
     """Antenna description: element count, coupling matrix, feed, geometry."""
 
-    m_elements: int
+    m_elements: int = 4
     admittance: np.ndarray = None            # M x M complex, symmetric
     feed_voltage: complex = 1.0 + 0.0j
     radius_wavelengths: float = DEFAULT_RADIUS_WAVELENGTHS
@@ -114,6 +114,10 @@ class BasisSet:
     def inner(self, f: np.ndarray, g: np.ndarray) -> complex:
         """Trapezoidal inner product <f, g> on the periodic grid."""
         return complex(self.weight * np.sum(f * np.conj(g)))
+
+    def gram(self) -> np.ndarray:
+        """(M, M) matrix of <Phi_i, Phi_j>; the identity for an orthonormal basis."""
+        return self.weight * (self.basis_values @ self.basis_values.conj().T)
 
 
 def element_currents(cfg: EsparConfig, reactances) -> np.ndarray:

@@ -28,7 +28,6 @@ __all__ = [
     "NetworkConfig",
     "CapacityEstimate",
     "SweepPoint",
-    "SweepResult",
     "run_experiment",
     "sweep",
     "growth_flatness",
@@ -110,16 +109,7 @@ class SweepPoint:
     n_users: int
     m_patterns: int
     k_factor: float
-    estimate: CapacityEstimate | None
-    error: str | None = None
-
-
-@dataclass
-class SweepResult:
-    """Grid of capacity estimates; ``partial`` marks per-point failures."""
-
-    points: list
-    partial: bool
+    estimate: CapacityEstimate
 
 
 def _chunk_size(config: NetworkConfig) -> int:
@@ -199,39 +189,30 @@ def sweep(
     modes,
     threads: int = 1,
     progress=None,
-) -> SweepResult:
+) -> list[SweepPoint]:
     """Capacity estimates over the (mode, K, N[, M]) grid.
 
     Baseline points always use one pattern; ``m_list`` applies to RAB points
-    only.  Per-point failures are recorded on the point and flagged on the
-    result instead of aborting the sweep.
+    only.  Every point's config is built, and so checked, before the first
+    draw: a bad grid value raises ``ValueError`` before any point runs.
     """
     if not (list(n_list) and list(k_list) and list(modes)):
         raise ValueError("n_list, k_list, and modes must be nonempty")
     if "rab" in modes and not list(m_list):
         raise ValueError("m_list must be nonempty when sweeping rab mode")
+    configs = [
+        replace(config_template, mode=mode, k_factor=float(k), m_patterns=int(m), n_users=int(n))
+        for mode in modes
+        for k, m, n in product(k_list, list(m_list) if mode == "rab" else [1], n_list)
+    ]
     points: list[SweepPoint] = []
-    partial = False
-    for mode in modes:
-        if mode not in MODES:
-            raise ValueError(f"unknown mode {mode!r}")
-        ms = list(m_list) if mode == "rab" else [1]
-        for k, m, n in product(k_list, ms, n_list):
-            point = SweepPoint(mode=mode, n_users=int(n), m_patterns=int(m), k_factor=float(k),
-                               estimate=None)
-            try:
-                cfg = replace(
-                    config_template, mode=mode, k_factor=float(k), m_patterns=int(m),
-                    n_users=int(n)
-                )
-                point.estimate = run_experiment(cfg, threads=threads)
-            except Exception as exc:  # noqa: BLE001 - per-point isolation is the contract
-                point.error = f"{type(exc).__name__}: {exc}"
-                partial = True
-            points.append(point)
-            if progress is not None:
-                progress(point)
-    return SweepResult(points=points, partial=partial)
+    for cfg in configs:
+        point = SweepPoint(mode=cfg.mode, n_users=cfg.n_users, m_patterns=cfg.m_patterns,
+                           k_factor=cfg.k_factor, estimate=run_experiment(cfg, threads=threads))
+        points.append(point)
+        if progress is not None:
+            progress(point)
+    return points
 
 
 def format_number(x: float) -> str:
@@ -245,7 +226,7 @@ SWEEP_CSV_COLUMNS = (
 
 
 def write_sweep_csv(
-    result: SweepResult,
+    points: list[SweepPoint],
     config_template: NetworkConfig,
     stream,
     extra_columns: dict | None = None,
@@ -255,18 +236,13 @@ def write_sweep_csv(
     Capacity columns are converted to the template's ``log_base``.  Extra
     columns (same length as the point list; None entries become empty
     fields) are appended verbatim after the stable base schema, so callers
-    own their units.  Failed points get no data row; a trailing comment row
-    flags a partial sweep.
+    own their units.
     """
     extra = extra_columns or {}
     header = SWEEP_CSV_COLUMNS + ("," + ",".join(extra) if extra else "")
     stream.write(header + "\n")
     scale = 1.0 / LOG2 if config_template.log_base == "bits" else 1.0
-    failed = []
-    for idx, p in enumerate(result.points):
-        if p.error is not None or p.estimate is None:
-            failed.append(f"{p.mode}/N={p.n_users}/M={p.m_patterns}/K={p.k_factor}: {p.error}")
-            continue
+    for idx, p in enumerate(points):
         est = p.estimate
         fields = [
             p.mode,
@@ -286,8 +262,6 @@ def write_sweep_csv(
             value = extra[name][idx]
             fields.append("" if value is None else format_number(value))
         stream.write(",".join(fields) + "\n")
-    if failed:
-        stream.write(f"# partial: {len(failed)} point(s) failed: " + "; ".join(failed) + "\n")
 
 
 def _law_values(n_arr: np.ndarray, law: str) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Empirical-versus-analytic validation helpers: empirical CDFs,
+"""Empirical-versus-analytic validation helpers: sorted sample sets,
 one-sample Kolmogorov-Smirnov tests, and the extreme-value normalization
 check used throughout the acceptance suite.
 
@@ -17,7 +17,6 @@ __all__ = [
     "KS_COEFF_1PCT",
     "EmpiricalDist",
     "KsReport",
-    "empirical_cdf",
     "ks_test",
     "max_normalization_check",
     "frechet_cdf",
@@ -29,14 +28,14 @@ KS_COEFF_1PCT = 1.628
 
 @dataclass(frozen=True)
 class EmpiricalDist:
-    """Sorted sample set with its size."""
+    """Sorted sample set with its size; any input shape is flattened."""
 
     sorted_samples: np.ndarray
     n: int
 
     @classmethod
     def from_samples(cls, samples) -> "EmpiricalDist":
-        arr = np.sort(np.asarray(samples, dtype=float))
+        arr = np.sort(np.asarray(samples, dtype=float).ravel())
         if arr.size < 1:
             raise ValueError("need at least one sample")
         return cls(sorted_samples=arr, n=int(arr.size))
@@ -52,26 +51,19 @@ class KsReport:
     passed: bool
 
 
-def empirical_cdf(dist: EmpiricalDist, x: float) -> float:
-    """Right-continuous empirical CDF: fraction of samples <= x."""
-    return float(np.searchsorted(dist.sorted_samples, x, side="right")) / dist.n
-
-
 def ks_test(dist: EmpiricalDist, analytic_cdf) -> KsReport:
     """One-sample KS statistic against a callable CDF.
 
     Uses both one-sided step corrections: sup over sample points of
-    max(i/n - F(x_i), F(x_i) - (i-1)/n).  The analytic CDF must be
-    nondecreasing along the samples or a ValueError is raised.
+    max(i/n - F(x_i), F(x_i) - (i-1)/n).  The analytic CDF is called once
+    on the whole sorted sample array and must return an array of its shape,
+    nondecreasing along the samples, or a ValueError is raised.
     """
     x = dist.sorted_samples
     n = dist.n
-    try:
-        f = np.asarray(analytic_cdf(x), dtype=float)
-        if f.shape != x.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        f = np.asarray([analytic_cdf(v) for v in x], dtype=float)
+    f = np.asarray(analytic_cdf(x), dtype=float)
+    if f.shape != x.shape:
+        raise ValueError(f"analytic cdf returned shape {f.shape} for samples of shape {x.shape}")
     if np.any(np.diff(f) < -1e-12):
         raise ValueError("analytic cdf is not monotone over the sample range")
     upper = np.arange(1, n + 1) / n - f

@@ -299,11 +299,7 @@ def check_espar_identities(level: str) -> CheckResult:
     for m in (1, 2, 3, 4):
         cfg = espar.EsparConfig(m_elements=m)
         basis = espar.build_basis(cfg, 256)
-        gram = np.empty((m, m), dtype=complex)
-        for i in range(m):
-            for j in range(m):
-                gram[i, j] = basis.inner(basis.basis_values[i], basis.basis_values[j])
-        worst_ortho = max(worst_ortho, float(np.max(np.abs(gram - np.eye(m)))))
+        worst_ortho = max(worst_ortho, float(np.max(np.abs(basis.gram() - np.eye(m)))))
         a = espar.steering_vector(cfg, basis.theta_grid)
         recon = basis.projections @ basis.basis_values
         worst_recon = max(worst_recon, float(np.max(np.abs(a - recon))))
@@ -361,9 +357,9 @@ def check_determinism(level: str) -> CheckResult:
     )
     outputs = []
     for threads in (1, 4, 1):
-        result = sweep(cfg, [8, 16], [0.0, 2.0], [2], ["baseline", "rab"], threads=threads)
+        points = sweep(cfg, [8, 16], [0.0, 2.0], [2], ["baseline", "rab"], threads=threads)
         buf = io.StringIO()
-        write_sweep_csv(result, cfg, buf)
+        write_sweep_csv(points, cfg, buf)
         outputs.append(buf.getvalue())
     ok = outputs[0] == outputs[1] == outputs[2]
     return CheckResult(

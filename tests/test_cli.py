@@ -9,7 +9,6 @@ import pytest
 from cogmac import analytic, validation
 from cogmac.cli import (
     ConfigError,
-    EsparSection,
     ExperimentPreset,
     emit_config,
     main,
@@ -79,8 +78,7 @@ class TestParseConfig:
                 "admittance": [[[0.02, 0.0], [0.002, -0.001]], [[0.002, -0.001], [0.02, 0.0]]],
             }
         }
-        _, _, section = parse_config(write_cfg(tmp_path, payload))
-        cfg = section.to_config()
+        _, _, cfg = parse_config(write_cfg(tmp_path, payload))
         assert cfg.m_elements == 2
         assert cfg.feed_voltage == 1.0 + 0.5j
         assert cfg.admittance[0, 1] == 0.002 - 0.001j

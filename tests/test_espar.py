@@ -73,6 +73,11 @@ class TestBasis:
         g = gram_matrix(basis)
         assert np.max(np.abs(g - np.eye(m))) <= 1e-8
 
+    @pytest.mark.parametrize("m", [1, 2, 4])
+    def test_gram_method_matches_pairwise_inner(self, m):
+        basis = build_basis(EsparConfig(m_elements=m), 64)
+        assert np.allclose(basis.gram(), gram_matrix(basis), rtol=0.0, atol=1e-14)
+
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_steering_reconstruction(self, m):
         cfg = EsparConfig(m_elements=m)

@@ -225,28 +225,34 @@ class TestErgodicCapacity:
 class TestSweep:
     def test_singleton_matches_direct(self):
         cfg = small_cfg(trials=2000, n_users=4)
-        result = sweep(cfg, [4], [0.0], [1], ["baseline"])
-        assert len(result.points) == 1
-        assert not result.partial
+        points = sweep(cfg, [4], [0.0], [1], ["baseline"])
+        assert len(points) == 1
         direct = run_experiment(NetworkConfig(**{**cfg.__dict__, "n_users": 4}))
-        assert result.points[0].estimate == direct
+        assert points[0].estimate == direct
 
     def test_grid_shape_and_modes(self):
         cfg = small_cfg(trials=500)
-        result = sweep(cfg, [2, 4], [0.0, 2.0], [2, 3], ["baseline", "rab"])
-        base_points = [p for p in result.points if p.mode == "baseline"]
-        rab_points = [p for p in result.points if p.mode == "rab"]
+        points = sweep(cfg, [2, 4], [0.0, 2.0], [2, 3], ["baseline", "rab"])
+        base_points = [p for p in points if p.mode == "baseline"]
+        rab_points = [p for p in points if p.mode == "rab"]
         assert len(base_points) == 4  # m_list ignored for baseline
         assert len(rab_points) == 8
         assert all(p.m_patterns == 1 for p in base_points)
 
-    def test_partial_failure_flagged(self):
-        cfg = small_cfg(trials=500)
-        result = sweep(cfg, [2, 0], [0.0], [1], ["baseline"])  # N=0 invalid
-        assert result.partial
-        errs = [p for p in result.points if p.error is not None]
-        assert len(errs) == 1 and errs[0].n_users == 0
-        assert result.points[0].estimate is not None
+    def test_bad_grid_point_fails_before_any_draw(self, monkeypatch):
+        calls = []
+        real = simulator.run_experiment
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(simulator, "run_experiment", counted)
+        with pytest.raises(ValueError, match="n_users"):
+            sweep(small_cfg(trials=500), [2, 0], [0.0], [1], ["baseline"])  # N=0 invalid
+        with pytest.raises(ValueError, match="mode"):
+            sweep(small_cfg(trials=500), [2], [0.0], [1], ["baseline", "lte"])
+        assert calls == []
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):

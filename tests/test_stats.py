@@ -7,7 +7,6 @@ import pytest
 
 from cogmac.stats import (
     EmpiricalDist,
-    empirical_cdf,
     frechet_cdf,
     ks_test,
     max_normalization_check,
@@ -15,26 +14,6 @@ from cogmac.stats import (
 
 
 class TestEmpiricalCdf:
-    def test_outside_range(self):
-        d = EmpiricalDist.from_samples([1.0, 2.0, 3.0])
-        assert empirical_cdf(d, 0.5) == 0.0
-        assert empirical_cdf(d, 3.0) == 1.0
-        assert empirical_cdf(d, 99.0) == 1.0
-
-    def test_rank_at_median(self):
-        d = EmpiricalDist.from_samples([5.0, 1.0, 3.0, 9.0, 7.0])
-        assert empirical_cdf(d, 5.0) == pytest.approx(3.0 / 5.0)  # exact rank/n
-
-    def test_right_continuity(self):
-        d = EmpiricalDist.from_samples([0.0, 1.0, 1.0, 2.0])
-        assert empirical_cdf(d, 1.0) == pytest.approx(0.75)
-        assert empirical_cdf(d, 1.0 - 1e-12) == pytest.approx(0.25)
-
-    def test_uniform_midpoint(self):
-        rng = np.random.default_rng(55)
-        d = EmpiricalDist.from_samples(rng.uniform(0.0, 1.0, size=10**6))
-        assert abs(empirical_cdf(d, 0.5) - 0.5) < 0.002
-
     def test_requires_samples(self):
         with pytest.raises(ValueError):
             EmpiricalDist.from_samples([])
@@ -80,10 +59,19 @@ class TestKsTest:
             rejections += 0 if report.passed else 1
         assert rejections <= 2
 
-    def test_scalar_cdf_fallback(self):
-        d = EmpiricalDist.from_samples(np.linspace(0.01, 0.99, 500))
-        report = ks_test(d, lambda x: float(x))  # scalar-only callable
-        assert report.passed
+    def test_column_sample_matches_raveled(self):
+        column = np.random.default_rng(66).exponential(1.0, size=(2000, 1))
+        reports = [
+            ks_test(EmpiricalDist.from_samples(s), lambda x: 1.0 - np.exp(-x))
+            for s in (column, column.ravel())
+        ]
+        assert reports[0] == reports[1]
+        assert reports[0].n == 2000 and reports[0].passed
+
+    def test_cdf_of_wrong_shape_rejected(self):
+        d = EmpiricalDist.from_samples([0.1, 0.5, 0.9])
+        with pytest.raises(ValueError, match="shape"):
+            ks_test(d, lambda x: 0.5)
 
 
 class TestMaxNormalization:
