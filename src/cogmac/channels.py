@@ -50,7 +50,12 @@ def draw_gains(
     los = math.sqrt(k * config.mean_interference_power / (k + 1.0))
     if m > 1:
         theta = rng.uniform(0.0, 2.0 * math.pi, size=(size, n, m - 1))
-        los = los / math.sqrt(m) * np.abs(1.0 + np.exp(1j * theta).sum(axis=2))
+        re = 1.0 + np.cos(theta[..., 0])
+        im = np.sin(theta[..., 0])
+        for i in range(1, m - 1):
+            re += np.cos(theta[..., i])
+            im += np.sin(theta[..., i])
+        los = los / math.sqrt(m) * np.sqrt(re * re + im * im)
     scale = math.sqrt(config.mean_interference_power / (2.0 * (k + 1.0)))
     parts = rng.standard_normal((size, n, 2))
     x = los + scale * parts[..., 0]

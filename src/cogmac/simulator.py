@@ -7,8 +7,10 @@ antenna per user) and ``rab`` (per-slot random basis-pattern weights).
 
 Reproducibility: trials are processed in fixed-size chunks, each drawing
 from its own counter-derived Philox stream (``jumped`` from the master
-seed), and chunk results are combined in index order.  Results are
-therefore bit-identical for any worker count.
+seed), and chunk results are combined in index order.  Inside a chunk the
+slots are drawn and reduced in cache-sized blocks, in block order.  Chunk
+and block sizes depend on the config only, so results are bit-identical
+for any worker count.
 """
 
 from __future__ import annotations
@@ -44,6 +46,9 @@ LOG2 = math.log(2.0)
 # Elements per chunk array; a pure function of the config so chunk layout
 # (and hence every drawn number) never depends on worker count.
 _CHUNK_ELEMENTS = 1 << 21
+# Elements per block inside a chunk: bounds a worker's temporaries to a
+# few MB whatever the chunk size.
+_BLOCK_ELEMENTS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -121,8 +126,8 @@ def _chunk_rng(config: NetworkConfig, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=config.seed).jumped(chunk_index))
 
 
-def _chunk_sums(config: NetworkConfig, size: int, rng) -> tuple:
-    """Simulate `size` independent slots; return per-chunk reduction sums.
+def _block_sums(config: NetworkConfig, size: int, rng) -> tuple:
+    """Simulate `size` independent slots; return their reduction sums.
 
     Fixed draw order: the channel gains (:func:`draw_gains`), then the
     primary-to-secondary powers (if enabled).
@@ -145,6 +150,24 @@ def _chunk_sums(config: NetworkConfig, size: int, rng) -> tuple:
         float(np.sum(best_num)),
         float(np.sum(inv_denom)),
     )
+
+
+def _chunk_sums(config: NetworkConfig, size: int, rng) -> tuple:
+    """Simulate `size` independent slots; return per-chunk reduction sums.
+
+    The slots are drawn from ``rng`` in blocks of ``_BLOCK_ELEMENTS //
+    (n_users * m_patterns)`` rows (at least one), and the blocks' sums are
+    added in block order.
+    """
+    rows = max(1, _BLOCK_ELEMENTS // (config.n_users * config.m_patterns))
+    cap_sum = capsq_sum = num_sum = inv_sum = 0.0
+    for start in range(0, size, rows):
+        cs, cq, ns, iv = _block_sums(config, min(rows, size - start), rng)
+        cap_sum += cs
+        capsq_sum += cq
+        num_sum += ns
+        inv_sum += iv
+    return cap_sum, capsq_sum, num_sum, inv_sum
 
 
 def run_experiment(config: NetworkConfig, threads: int = 1) -> CapacityEstimate:
@@ -190,29 +213,39 @@ def sweep(
     threads: int = 1,
     progress=None,
 ) -> list[SweepPoint]:
-    """Capacity estimates over the (mode, K, N[, M]) grid.
+    """Capacity estimates over the (mode, K, N[, M]) grid, in grid order.
 
     Baseline points always use one pattern; ``m_list`` applies to RAB points
     only.  Every point's config is built, and so checked, before the first
     draw: a bad grid value raises ``ValueError`` before any point runs.
+    With ``threads > 1`` the grid points run concurrently, one thread each;
+    a single-point grid spreads its chunks over the threads instead.
     """
-    if not (list(n_list) and list(k_list) and list(modes)):
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+    n_list, k_list, m_list, modes = list(n_list), list(k_list), list(m_list), list(modes)
+    if not (n_list and k_list and modes):
         raise ValueError("n_list, k_list, and modes must be nonempty")
-    if "rab" in modes and not list(m_list):
+    if "rab" in modes and not m_list:
         raise ValueError("m_list must be nonempty when sweeping rab mode")
     configs = [
         replace(config_template, mode=mode, k_factor=float(k), m_patterns=int(m), n_users=int(n))
         for mode in modes
-        for k, m, n in product(k_list, list(m_list) if mode == "rab" else [1], n_list)
+        for k, m, n in product(k_list, m_list if mode == "rab" else [1], n_list)
     ]
-    points: list[SweepPoint] = []
-    for cfg in configs:
-        point = SweepPoint(mode=cfg.mode, n_users=cfg.n_users, m_patterns=cfg.m_patterns,
-                           k_factor=cfg.k_factor, estimate=run_experiment(cfg, threads=threads))
-        points.append(point)
+
+    def point(cfg: NetworkConfig, estimate: CapacityEstimate) -> SweepPoint:
+        p = SweepPoint(mode=cfg.mode, n_users=cfg.n_users, m_patterns=cfg.m_patterns,
+                       k_factor=cfg.k_factor, estimate=estimate)
         if progress is not None:
-            progress(point)
-    return points
+            progress(p)
+        return p
+
+    if threads == 1 or len(configs) == 1:
+        return [point(cfg, run_experiment(cfg, threads=threads)) for cfg in configs]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        estimates = pool.map(lambda cfg: run_experiment(cfg, threads=1), configs)
+        return [point(cfg, est) for cfg, est in zip(configs, estimates)]
 
 
 def format_number(x: float) -> str:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import io
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,7 +76,15 @@ def _gains(rng, size, k_factor, m_patterns=1):
     return g_s[:, 0], g_sp[:, 0]
 
 
-def _capacity(n_users, k_factor, mode, m_patterns, trials, threads=1, seed=_SEED):
+def _usable_cores() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _capacity(n_users, k_factor, mode, m_patterns, trials, seed=_SEED):
+    """Capacity estimate on every usable core; the result does not depend on
+    the thread count."""
     cfg = NetworkConfig(
         n_users=n_users,
         m_patterns=m_patterns,
@@ -84,7 +93,7 @@ def _capacity(n_users, k_factor, mode, m_patterns, trials, threads=1, seed=_SEED
         trials=trials,
         seed=seed,
     )
-    return run_experiment(cfg, threads=threads)
+    return run_experiment(cfg, threads=_usable_cores())
 
 
 def check_quantile_identity(level: str) -> CheckResult:

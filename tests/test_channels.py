@@ -162,3 +162,21 @@ class TestDrawSlot:
         for seed, phases in phase_sets:
             oracle = full_model_gains(cfg, np.random.default_rng(seed), 20_000, phases)[1].ravel()
             assert ks_2samp(kernel, oracle).pvalue >= 0.01
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 16])
+def test_rab_magnitude_matches_complex_combination(m):
+    # Replays draw_gains' stream: the real-valued |1 + sum e^{j theta}| must
+    # equal the complex formula at the same phases.
+    cfg = NetworkConfig(n_users=3, m_patterns=m, k_factor=5.0)
+    size = 400
+    _, gain_sp = draw_gains(cfg, np.random.default_rng(9), size)
+    rng = np.random.default_rng(9)
+    rng.standard_exponential((size, 3))
+    theta = rng.uniform(0.0, 2.0 * math.pi, size=(size, 3, m - 1))
+    parts = rng.standard_normal((size, 3, 2))
+    a = math.sqrt(5.0 / 6.0)
+    scale = math.sqrt(1.0 / 12.0)
+    x = a / math.sqrt(m) * np.abs(1.0 + np.exp(1j * theta).sum(axis=2)) + scale * parts[..., 0]
+    y = scale * parts[..., 1]
+    np.testing.assert_allclose(gain_sp, x * x + y * y, rtol=1e-12, atol=1e-12)

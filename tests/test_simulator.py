@@ -1,6 +1,7 @@
 """Scheduler and Monte-Carlo engine tests."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -33,6 +34,20 @@ def chunk_sums(cfg, size=500):
 def chunk_gains(cfg, size=500):
     """Chunk 0's channel gains, drawn again from the chunk's own stream."""
     return draw_gains(cfg, simulator._chunk_rng(cfg, 0), size)
+
+
+@pytest.fixture
+def run_calls(monkeypatch):
+    """The ``threads`` of every run_experiment call made through the module."""
+    calls = []
+    real = simulator.run_experiment
+
+    def counted(cfg, threads=1):
+        calls.append(threads)
+        return real(cfg, threads=threads)
+
+    monkeypatch.setattr(simulator, "run_experiment", counted)
+    return calls
 
 
 class TestConfigValidation:
@@ -103,6 +118,45 @@ class TestSlotSinr:
         assert inv == pytest.approx(np.sum(inv_denom), rel=1e-12)
         assert num == pytest.approx(np.sum(best), rel=1e-12)
         assert cap == pytest.approx(np.sum(np.log1p(best * inv_denom)), rel=1e-12)
+
+
+class TestBlocks:
+    """A chunk is drawn and reduced in blocks of whole slots, in block order."""
+
+    @pytest.mark.parametrize("primary", [{}, dict(primary_power=2.0, mean_ps_power=0.5)])
+    def test_chunk_replays_block_by_block(self, primary):
+        cfg = NetworkConfig(n_users=300, m_patterns=2, mode="rab", k_factor=3.0,
+                            trials=1000, seed=7, **primary)
+        rows = simulator._BLOCK_ELEMENTS // (300 * 2)
+        size = 3 * rows + rows // 2
+        rng = simulator._chunk_rng(cfg, 0)
+        expected = np.zeros(4)
+        for start in range(0, size, rows):
+            b = min(rows, size - start)
+            g_s, g_sp = draw_gains(cfg, rng, b)
+            if primary:
+                inv_denom = 1.0 / (1.0 + 2.0 * 0.5 * rng.standard_exponential(b))
+            else:
+                inv_denom = np.ones(b)
+            best = (g_s / g_sp).max(axis=1)
+            caps = np.log1p(best * inv_denom)
+            expected += [np.sum(caps), np.sum(caps**2), np.sum(best), np.sum(inv_denom)]
+        assert size // rows >= 3 and size % rows
+        assert chunk_sums(cfg, size) == pytest.approx(tuple(expected), rel=1e-12)
+
+    @pytest.mark.parametrize("m", [1, 4])
+    def test_full_chunk_working_set_is_bounded(self, m):
+        cfg = NetworkConfig(n_users=512, m_patterns=m, mode="rab" if m > 1 else "baseline",
+                            k_factor=10.0, trials=10**4, seed=3)
+        size = simulator._chunk_size(cfg)
+        assert size * 512 * m == simulator._CHUNK_ELEMENTS
+        tracemalloc.start()
+        try:
+            chunk_sums(cfg, size)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20
 
 
 class TestRunSlot:
@@ -253,6 +307,34 @@ class TestSweep:
         with pytest.raises(ValueError, match="mode"):
             sweep(small_cfg(trials=500), [2], [0.0], [1], ["baseline", "lte"])
         assert calls == []
+
+    def test_iterator_grid_matches_list_grid(self):
+        cfg = small_cfg(trials=500)
+        lists = sweep(cfg, [2, 4], [0.0, 2.0], [2], ["baseline", "rab"])
+        iters = sweep(cfg, iter([2, 4]), iter([0.0, 2.0]), iter([2]), iter(["baseline", "rab"]))
+        assert len(lists) == 8
+        assert iters == lists
+
+    def test_thread_count_invariance(self, run_calls):
+        cfg = small_cfg(trials=5000)
+        assert simulator._chunk_size(replace(cfg, n_users=512)) < cfg.trials  # multi-chunk
+        runs = {}
+        for threads in (1, 2, 4):
+            run_calls.clear()
+            seen = []
+            runs[threads] = sweep(cfg, [2, 512], [0.0], [2], ["baseline", "rab"],
+                                  threads=threads, progress=seen.append)
+            assert seen == runs[threads]
+            assert run_calls == [threads if threads == 1 else 1] * 4
+        assert len(runs[1]) == 4
+        assert runs[1] == runs[2] == runs[4]
+
+    def test_single_point_keeps_chunk_threads(self, run_calls):
+        cfg = small_cfg(n_users=512, trials=9000)
+        assert 2 * simulator._chunk_size(cfg) < cfg.trials  # three chunks
+        (pt,) = sweep(cfg, [512], [0.0], [1], ["baseline"], threads=3)
+        assert run_calls == [3]
+        assert pt.estimate == run_experiment(cfg, threads=1)
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
