@@ -28,6 +28,7 @@ from .analytic import (
     rab_m2_tail_cdf,
     ratio_cdf,
     ratio_pdf,
+    ratio_ppf,
     theorem1_law,
 )
 from .simulator import (

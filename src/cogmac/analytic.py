@@ -26,6 +26,7 @@ __all__ = [
     "bessel_i0e",
     "ratio_cdf",
     "ratio_pdf",
+    "ratio_ppf",
     "normalizer_a_n",
     "theorem1_law",
     "effective_users_moderate_k",
@@ -35,6 +36,9 @@ __all__ = [
 ]
 
 _NEG_INV_E = -math.exp(-1.0)
+# Below log(x) = -40, W(x) = x - x^2 + ... equals x to double precision.
+_W_TINY_LOG = -40.0
+_W_TINY_X = math.exp(_W_TINY_LOG)
 # Series/asymptotic crossover for I0; both branches agree to ~1e-12 here.
 _I0_SERIES_CUTOFF = 15.0
 # Step ratio of term m to term m-1, without its x dependence, for m = 1, 2, ...
@@ -56,68 +60,68 @@ class RatioDistParams:
             raise ValueError(f"power_ratio must be finite and > 0, got {self.power_ratio}")
 
 
-def lambert_w0(x: float) -> float:
-    """Principal branch of the Lambert W function, w * exp(w) = x.
+def lambert_w0(x, *, from_log: bool = False):
+    """Principal branch of the Lambert W function, w * exp(w) = x, elementwise.
 
-    Valid for x >= -1/e.  Halley iteration from a branch-aware initial
-    guess; converges to machine precision (residual well below 1e-12
-    relative) in a handful of steps.
+    Valid for x >= -1/e.  With ``from_log=True`` the input is log(x) instead
+    (any real, -inf meaning x = 0), so arguments such as K e^K / N that
+    overflow a float still work.  Accepts scalars or ndarrays; a scalar
+    input returns a float.
+
+    For x > 0 it solves w + log(w) = log(x) by three Newton steps from
+    Winitzki's guess, which is within 2% on the whole line; each step
+    squares the relative error and halves it at least.  Below x = e^-40,
+    W(x) = x to double precision.  For x < 0, Halley steps from a
+    branch-aware guess (Corless et al., 1996).
     """
-    x = float(x)
-    if not math.isfinite(x):
-        raise ValueError(f"lambert_w0 requires finite input, got {x}")
-    if x < _NEG_INV_E:
-        raise ValueError(f"lambert_w0 domain is [-1/e, inf), got {x}")
-    if x == 0.0:
-        return 0.0
-
-    d = x - _NEG_INV_E
-    if d <= 0.0:
-        return -1.0
-    if x < -0.25:
-        # Branch-point series in p = sqrt(2(e x + 1)).
-        p = math.sqrt(2.0 * math.e * d)
-        w = -1.0 + p * (1.0 + p * (-1.0 / 3.0 + p * (11.0 / 72.0 - p * 43.0 / 540.0)))
-        if d < 1e-10:
-            return w
-    elif x < 1.0:
-        w = x * (1.0 - x)
-    elif x < math.e:
-        w = math.log(x) * 0.5 + 0.2
+    arg = np.asarray(x, dtype=float)
+    # Arithmetic on a numpy scalar costs a fraction of that on a 0-d array.
+    a = arg[()] if arg.ndim == 0 else arg
+    if not ((a >= (-np.inf if from_log else _NEG_INV_E)) & (a < np.inf)).all():
+        form = "log(x) in [-inf, inf)" if from_log else "x in [-1/e, inf)"
+        raise ValueError(f"lambert_w0 requires {form}, got {x}")
+    # Below log(x) = -40 the answer is x itself; clamping there keeps the
+    # iteration finite for x = 0 and for the x < 0 entries replaced below.
+    if from_log:
+        small, tiny = a < _W_TINY_LOG, np.exp(np.minimum(a, _W_TINY_LOG))
+        y = np.maximum(a, _W_TINY_LOG)
     else:
-        lx = math.log(x)
-        w = lx - math.log(lx)
+        small, tiny = a < _W_TINY_X, a
+        y = np.log(np.maximum(a, _W_TINY_X))
+    # Winitzki's guess from L = log(1 + x), formed without x.
+    ell = np.logaddexp(0.0, y)
+    w = ell * (1.0 - np.log1p(ell) / (2.0 + ell))
+    for _ in range(3):  # Newton on w + log(w) = y; relative error 2e-2, 2e-4, 2e-8, 2e-16
+        w = w * (1.0 + y - np.log(w)) / (1.0 + w)
+    w = np.where(small, tiny, w)
+    if not from_log:
+        neg = a < 0.0
+        if neg.any():
+            w[neg] = _lambert_w0_negative(arg[neg])
+    return float(w) if w.ndim == 0 else w
 
+
+def _lambert_w0_negative(x: np.ndarray) -> np.ndarray:
+    """W(x) on [-1/e, 0): Halley iteration, with the branch-point series
+    in p = sqrt(2(e x + 1)) as the guess below x = -1/4."""
+    d = np.maximum(x - _NEG_INV_E, 0.0)
+    p = np.sqrt(2.0 * math.e * d)
+    series = -1.0 + p * (1.0 + p * (-1.0 / 3.0 + p * (11.0 / 72.0 - p * 43.0 / 540.0)))
+    w = np.where(x < -0.25, series, x * (1.0 - x))
+    # Within 1e-10 of the branch point the series is exact to rounding and
+    # Halley's denominator vanishes.
+    live = d >= 1e-10
     for _ in range(64):
-        ew = math.exp(w)
+        ew = np.exp(w)
         f = w * ew - x
         wp1 = w + 1.0
-        denom = ew * wp1 - (w + 2.0) * f / (2.0 * wp1)
-        step = f / denom
-        w -= step
-        if abs(step) <= 2e-16 * (1.0 + abs(w)):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = f / (ew * wp1 - (w + 2.0) * f / (2.0 * wp1))
+        step = np.where(live, step, 0.0)
+        w = w - step
+        if np.all(np.abs(step) <= 2e-16 * (1.0 + np.abs(w))):
             break
     return w
-
-
-def _lambert_w0_of_log(y: float) -> float:
-    """W(exp(y)) for large y, solving w + log(w) = y without forming exp(y)."""
-    w = y - math.log(y)
-    for _ in range(64):
-        f = w + math.log(w) - y
-        step = f * w / (w + 1.0)
-        w -= step
-        if abs(step) <= 2e-16 * (1.0 + abs(w)):
-            break
-    return w
-
-
-def _w_of_k_exp_k_over_n(k: float, n_users: int) -> float:
-    """W(K e^K / N) for K > 0, solved in log space where K e^K would overflow."""
-    y = math.log(k) + k - math.log(n_users)
-    if y > 700.0:
-        return _lambert_w0_of_log(y)
-    return lambert_w0(k * math.exp(k) / n_users)
 
 
 def bessel_i0e(x):
@@ -198,20 +202,36 @@ def ratio_pdf(z, params: RatioDistParams):
     return float(out) if np.isscalar(z) else out
 
 
+def ratio_ppf(q, params: RatioDistParams):
+    """Quantile of the ratio law at upper-tail probability q: ratio_cdf(z) = 1 - q.
+
+    z = (K+1)(K/W - 1)/rho with W = W(K e^K q), evaluated from
+    log(K e^K q) = log K + K + log q so that K e^K never overflows.  Where
+    that argument is below 1, K/W is formed as e^W e^-K / q (W e^W = K e^K q),
+    which stays finite where W underflows and is 1/q at K = 0.  Accepts
+    scalars or ndarrays with 0 < q <= 1; q = 1 gives z = 0.
+    """
+    q_arr = np.asarray(q, dtype=float)
+    if not np.all((q_arr > 0.0) & (q_arr <= 1.0)):
+        raise ValueError("ratio_ppf requires 0 < q <= 1")
+    k = params.k_factor
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        log_x = np.log(k) + k + np.log(q_arr)
+        w = np.asarray(lambert_w0(log_x, from_log=True))
+        k_over_w = np.where(log_x < 0.0, np.exp(w) * (math.exp(-k) / q_arr), k / w)
+    out = np.maximum((k + 1.0) * (k_over_w - 1.0) / params.power_ratio, 0.0)
+    return float(out) if out.ndim == 0 else out
+
+
 def normalizer_a_n(n_users: int, params: RatioDistParams) -> float:
     """Extreme-value normalizing constant: the 1 - 1/N quantile of the ratio law.
 
-    Closed form a_N = [K(K+1)/W(K e^K / N) - (K+1)] / rho, which satisfies
-    ratio_cdf(a_N) = 1 - 1/N exactly.  K = 0 uses the limit (N-1)/rho.
+    a_N = ratio_ppf(1/N) = [K(K+1)/W(K e^K / N) - (K+1)] / rho, so
+    ratio_cdf(a_N) = 1 - 1/N exactly; K = 0 gives (N-1)/rho.
     """
     if n_users < 2:
         raise ValueError(f"normalizer_a_n requires n_users >= 2, got {n_users}")
-    k = params.k_factor
-    rho = params.power_ratio
-    if k == 0.0:
-        return (n_users - 1.0) / rho
-    w = _w_of_k_exp_k_over_n(k, n_users)
-    return (k * (k + 1.0) / w - (k + 1.0)) / rho
+    return ratio_ppf(1.0 / n_users, params)
 
 
 def theorem1_law(n_users: int, k_factor: float) -> float:
@@ -227,7 +247,8 @@ def theorem1_law(n_users: int, k_factor: float) -> float:
     if k_factor == 0.0:
         return math.log(n_users)
     k = k_factor
-    return math.log(k * (k + 1.0)) - math.log(_w_of_k_exp_k_over_n(k, n_users))
+    w = lambert_w0(math.log(k) + k - math.log(n_users), from_log=True)
+    return math.log(k * (k + 1.0)) - math.log(w)
 
 
 def effective_users_moderate_k(n_users: int, k_factor: float) -> float:

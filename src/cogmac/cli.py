@@ -263,15 +263,12 @@ def cmd_simulate(args) -> int:
     t_start = time.time()
 
     def progress(point):
-        took = time.time() - progress.last
-        progress.last = time.time()
         print(
             f"[simulate] mode={point.mode} K={point.k_factor:g} M={point.m_patterns} "
-            f"N={point.n_users}: ok ({took:.2f}s)",
+            f"N={point.n_users}: ok ({point.wall_s:.3f}s)",
             file=sys.stderr,
         )
 
-    progress.last = t_start
     if preset.name == "custom":
         n_list, k_list, m_list = [config.n_users], [config.k_factor], [config.m_patterns]
         modes = [config.mode]
@@ -401,11 +398,39 @@ def cmd_analytic(args) -> int:
 
 # ------------------------------------------------------------------ wiring
 
-def _env_default(name: str, fallback=None, cast=str):
-    raw = os.environ.get(f"{ENV_PREFIX}_{name}")
-    if raw is None:
-        return fallback
-    return cast(raw)
+# Flag dest -> (environment name, cast, allowed values or None, built-in
+# default).  Only the flags of the subcommand in use are read.
+_ENV_FLAGS = {
+    "config": ("CONFIG", str, None, None),
+    "preset": ("PRESET", str, PRESET_NAMES, None),
+    "seed": ("SEED", int, None, None),
+    "trials": ("TRIALS", int, None, None),
+    "threads": ("THREADS", int, None, 1),
+    "level": ("LEVEL", str, ("fast", "full"), "fast"),
+    "out": ("OUT", str, None, None),
+}
+
+
+def _apply_env(args) -> None:
+    """Fill each flag the command line left unset from its ``COGMAC_*``
+    variable, else its built-in default; a value that does not cast or is
+    not allowed raises ``ConfigError``."""
+    for dest, (name, cast, allowed, default) in _ENV_FLAGS.items():
+        if not hasattr(args, dest) or getattr(args, dest) is not None:
+            continue  # not a flag of this command, or given on the command line
+        raw = os.environ.get(f"{ENV_PREFIX}_{name}")
+        if raw is None:
+            setattr(args, dest, default)
+            continue
+        try:
+            value = cast(raw)
+        except ValueError:
+            raise ConfigError(
+                f"{ENV_PREFIX}_{name}={raw!r}: expected {cast.__name__}"
+            ) from None
+        if allowed is not None and value not in allowed:
+            raise ConfigError(f"{ENV_PREFIX}_{name}={raw!r}: must be one of {allowed}")
+        setattr(args, dest, value)
 
 
 def _effective_config(args) -> tuple[NetworkConfig, ExperimentPreset]:
@@ -437,26 +462,24 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="run a capacity sweep and write CSV")
-    sim.add_argument("--config", default=_env_default("CONFIG"), help="JSON config path")
-    sim.add_argument("--preset", default=_env_default("PRESET"),
-                     choices=PRESET_NAMES, help="experiment preset")
-    sim.add_argument("--seed", type=int, default=_env_default("SEED", cast=int))
-    sim.add_argument("--trials", type=int, default=_env_default("TRIALS", cast=int))
-    sim.add_argument("--threads", type=int, default=_env_default("THREADS", 1, int))
-    sim.add_argument("--out", default=_env_default("OUT"), help="output CSV path")
+    sim.add_argument("--config", help="JSON config path")
+    sim.add_argument("--preset", choices=PRESET_NAMES, help="experiment preset")
+    sim.add_argument("--seed", type=int)
+    sim.add_argument("--trials", type=int)
+    sim.add_argument("--threads", type=int)
+    sim.add_argument("--out", help="output CSV path")
     sim.set_defaults(func=cmd_simulate)
 
     val = sub.add_parser("validate", help="run the cross-validation suite")
-    val.add_argument("--level", default=_env_default("LEVEL", "fast"),
-                     choices=("fast", "full"))
-    val.add_argument("--out", default=_env_default("OUT"), help="KS report CSV path")
+    val.add_argument("--level", choices=("fast", "full"))
+    val.add_argument("--out", help="KS report CSV path")
     val.set_defaults(func=cmd_validate)
 
     esp = sub.add_parser("espar", help="export a radiation pattern and basis report")
-    esp.add_argument("--config", default=_env_default("CONFIG"))
+    esp.add_argument("--config")
     esp.add_argument("--reactances", default="", help="comma-separated M-1 reactances (ohms)")
     esp.add_argument("--grid", type=int, default=256, help="angle grid size")
-    esp.add_argument("--out", default=_env_default("OUT"))
+    esp.add_argument("--out")
     esp.set_defaults(func=cmd_espar)
 
     ana = sub.add_parser("analytic", help="tabulate a closed form over a grid")
@@ -467,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
     ana.add_argument("--n", default="8,16,32,64,128,256,512", help="user-count grid")
     ana.add_argument("--z", default="0.5,1,2,5,10", help="ratio grid")
     ana.add_argument("--bits", action="store_true", help="emit laws in bits instead of nats")
-    ana.add_argument("--out", default=_env_default("OUT"))
+    ana.add_argument("--out")
     ana.set_defaults(func=cmd_analytic)
     return parser
 
@@ -475,6 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _apply_env(args)
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -5,6 +5,13 @@ power inverting the interference channel so the peak constraint at the
 primary receiver binds exactly.  Two modes: ``baseline`` (one conventional
 antenna per user) and ``rab`` (per-slot random basis-pattern weights).
 
+Two samplers.  Brute force draws every user of every slot through
+:func:`cogmac.channels.draw_gains` and takes the max.  With one pattern and
+no power cap the scheduled user's ratio z_max = max_n gain_s/gain_sp is
+instead drawn exactly from one uniform per slot, z_max = F^-1(U^(1/N))
+(the inverse-CDF identity for the maximum of N iid draws), with F^-1 the
+closed-form :func:`cogmac.analytic.ratio_ppf`.
+
 Reproducibility: trials are processed in fixed-size chunks, each drawing
 from its own counter-derived Philox stream (``jumped`` from the master
 seed), and chunk results are combined in index order.  Inside a chunk the
@@ -16,16 +23,19 @@ for any worker count.
 from __future__ import annotations
 
 import math
+import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import product
 
 import numpy as np
 
+from .analytic import RatioDistParams, ratio_ppf
 from .channels import draw_gains
 
 __all__ = [
     "MODES",
+    "METHODS",
     "GROWTH_LAWS",
     "NetworkConfig",
     "CapacityEstimate",
@@ -40,10 +50,12 @@ __all__ = [
 ]
 
 MODES = ("baseline", "rab")
+METHODS = ("auto", "brute")
 GROWTH_LAWS = ("logN", "loglogN", "none")
 LOG2 = math.log(2.0)
 
-# Elements per chunk array; a pure function of the config so chunk layout
+# Elements per chunk array (user-pattern draws by brute force, slots for
+# the quantile sampler); a pure function of the config so chunk layout
 # (and hence every drawn number) never depends on worker count.
 _CHUNK_ELEMENTS = 1 << 21
 # Elements per block inside a chunk: bounds a worker's temporaries to a
@@ -115,6 +127,9 @@ class SweepPoint:
     m_patterns: int
     k_factor: float
     estimate: CapacityEstimate
+    # Seconds the point's run_experiment call took, timed on the thread that
+    # ran it; not part of the result, so equality ignores it.
+    wall_s: float = field(compare=False)
 
 
 def _chunk_size(config: NetworkConfig) -> int:
@@ -126,8 +141,17 @@ def _chunk_rng(config: NetworkConfig, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=config.seed).jumped(chunk_index))
 
 
-def _block_sums(config: NetworkConfig, size: int, rng) -> tuple:
-    """Simulate `size` independent slots; return their reduction sums.
+def _inv_denom(config: NetworkConfig, size: int, rng) -> np.ndarray:
+    """1 / (1 + P gamma_ps) of ``size`` slots: one exponential per slot when
+    primary power is on, no draw otherwise."""
+    if config.primary_power > 0.0 and config.mean_ps_power > 0.0:
+        gamma_ps = config.mean_ps_power * rng.standard_exponential(size)
+        return 1.0 / (1.0 + config.primary_power * gamma_ps)
+    return np.ones(size)
+
+
+def _brute_block(config: NetworkConfig, size: int, rng) -> tuple:
+    """(best numerator, 1/denominator) of `size` slots, every user drawn.
 
     Fixed draw order: the channel gains (:func:`draw_gains`), then the
     primary-to-secondary powers (if enabled).
@@ -137,52 +161,79 @@ def _block_sums(config: NetworkConfig, size: int, rng) -> tuple:
     if config.max_power_cap is not None:
         np.minimum(power, config.max_power_cap, out=power)
     numerator = gain_s * power
-    if config.primary_power > 0.0 and config.mean_ps_power > 0.0:
-        gamma_ps = config.mean_ps_power * rng.standard_exponential(size)
-        inv_denom = 1.0 / (1.0 + config.primary_power * gamma_ps)
-    else:
-        inv_denom = np.ones(size)
-    best_num = numerator.max(axis=1)
-    caps = np.log1p(best_num * inv_denom)
-    return (
-        float(np.sum(caps)),
-        float(np.sum(caps * caps)),
-        float(np.sum(best_num)),
-        float(np.sum(inv_denom)),
-    )
+    return numerator.max(axis=1), _inv_denom(config, size, rng)
 
 
-def _chunk_sums(config: NetworkConfig, size: int, rng) -> tuple:
+def _max_ratio(config: NetworkConfig, u: np.ndarray) -> np.ndarray:
+    """The scheduled ratio max_n gain_s/gain_sp of N users from uniforms u
+    in [0, 1): F^-1(U^(1/N)), with the upper tail q = 1 - U^(1/N) formed as
+    -expm1(log(U)/N).  U = 0 gives 0.  K = 0 uses the Rayleigh form
+    1/(rho expm1(-log(U)/N)), rho = gamma_sp/gamma_s."""
+    rho = config.mean_interference_power / config.mean_secondary_power
+    with np.errstate(divide="ignore"):
+        log_root = np.log(u) / config.n_users
+    if config.k_factor == 0.0:
+        return 1.0 / (rho * np.expm1(-log_root))
+    return ratio_ppf(-np.expm1(log_root), RatioDistParams(config.k_factor, rho))
+
+
+def _quantile_block(config: NetworkConfig, size: int, rng) -> tuple:
+    """(best numerator, 1/denominator) of `size` slots from the scheduled
+    maximum alone; exact for one pattern and no power cap.
+
+    Fixed draw order: one uniform per slot, then the primary-to-secondary
+    powers (if enabled).
+    """
+    best_num = config.peak_interference * _max_ratio(config, rng.random(size))
+    return best_num, _inv_denom(config, size, rng)
+
+
+def _chunk_sums(config: NetworkConfig, size: int, rng, quantile: bool = False) -> tuple:
     """Simulate `size` independent slots; return per-chunk reduction sums.
 
-    The slots are drawn from ``rng`` in blocks of ``_BLOCK_ELEMENTS //
-    (n_users * m_patterns)`` rows (at least one), and the blocks' sums are
-    added in block order.
+    The slots are drawn from ``rng`` in blocks, by :func:`_quantile_block`
+    in blocks of ``_BLOCK_ELEMENTS`` rows if ``quantile``, else by
+    :func:`_brute_block` in blocks of ``_BLOCK_ELEMENTS // (n_users *
+    m_patterns)`` rows (at least one), and the blocks' sums are added in
+    block order.
     """
-    rows = max(1, _BLOCK_ELEMENTS // (config.n_users * config.m_patterns))
+    if quantile:
+        block, rows = _quantile_block, _BLOCK_ELEMENTS
+    else:
+        block, rows = _brute_block, max(1, _BLOCK_ELEMENTS // (config.n_users * config.m_patterns))
     cap_sum = capsq_sum = num_sum = inv_sum = 0.0
     for start in range(0, size, rows):
-        cs, cq, ns, iv = _block_sums(config, min(rows, size - start), rng)
-        cap_sum += cs
-        capsq_sum += cq
-        num_sum += ns
-        inv_sum += iv
+        best_num, inv_denom = block(config, min(rows, size - start), rng)
+        caps = np.log1p(best_num * inv_denom)
+        cap_sum += float(np.sum(caps))
+        capsq_sum += float(np.sum(caps * caps))
+        num_sum += float(np.sum(best_num))
+        inv_sum += float(np.sum(inv_denom))
     return cap_sum, capsq_sum, num_sum, inv_sum
 
 
-def run_experiment(config: NetworkConfig, threads: int = 1) -> CapacityEstimate:
+def run_experiment(
+    config: NetworkConfig, threads: int = 1, method: str = "auto"
+) -> CapacityEstimate:
     """Monte-Carlo ergodic capacity with a Jensen-bound diagnostic.
 
+    ``method="auto"`` draws each slot's scheduled maximum directly where
+    that is exact, for one pattern and no power cap: one uniform per slot
+    in chunks of ``_CHUNK_ELEMENTS`` slots.  Every other point, and every
+    point with ``method="brute"``, draws all N users of each slot.
     Deterministic for a fixed seed regardless of ``threads``.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    chunk = _chunk_size(config)
+    if method not in METHODS:
+        raise ValueError(f"method must be one of {METHODS}, got {method!r}")
+    quantile = method == "auto" and config.m_patterns == 1 and config.max_power_cap is None
+    chunk = min(config.trials, _CHUNK_ELEMENTS) if quantile else _chunk_size(config)
     n_chunks = (config.trials + chunk - 1) // chunk
 
     def work(c: int) -> tuple:
         size = min(chunk, config.trials - c * chunk)
-        return _chunk_sums(config, size, _chunk_rng(config, c))
+        return _chunk_sums(config, size, _chunk_rng(config, c), quantile)
 
     if threads == 1 or n_chunks == 1:
         results = [work(c) for c in range(n_chunks)]
@@ -219,7 +270,8 @@ def sweep(
     only.  Every point's config is built, and so checked, before the first
     draw: a bad grid value raises ``ValueError`` before any point runs.
     With ``threads > 1`` the grid points run concurrently, one thread each;
-    a single-point grid spreads its chunks over the threads instead.
+    a single-point grid spreads its chunks over the threads instead.  Each
+    point's ``wall_s`` is timed on the thread that ran it.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
@@ -234,18 +286,24 @@ def sweep(
         for k, m, n in product(k_list, m_list if mode == "rab" else [1], n_list)
     ]
 
-    def point(cfg: NetworkConfig, estimate: CapacityEstimate) -> SweepPoint:
+    def timed(cfg: NetworkConfig, inner_threads: int) -> tuple:
+        start = time.perf_counter()
+        estimate = run_experiment(cfg, threads=inner_threads)
+        return estimate, time.perf_counter() - start
+
+    def point(cfg: NetworkConfig, result: tuple) -> SweepPoint:
+        estimate, wall_s = result
         p = SweepPoint(mode=cfg.mode, n_users=cfg.n_users, m_patterns=cfg.m_patterns,
-                       k_factor=cfg.k_factor, estimate=estimate)
+                       k_factor=cfg.k_factor, estimate=estimate, wall_s=wall_s)
         if progress is not None:
             progress(p)
         return p
 
     if threads == 1 or len(configs) == 1:
-        return [point(cfg, run_experiment(cfg, threads=threads)) for cfg in configs]
+        return [point(cfg, timed(cfg, threads)) for cfg in configs]
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        estimates = pool.map(lambda cfg: run_experiment(cfg, threads=1), configs)
-        return [point(cfg, est) for cfg, est in zip(configs, estimates)]
+        results = pool.map(lambda cfg: timed(cfg, 1), configs)
+        return [point(cfg, result) for cfg, result in zip(configs, results)]
 
 
 def format_number(x: float) -> str:

@@ -83,8 +83,10 @@ def _usable_cores() -> int:
 
 
 def _capacity(n_users, k_factor, mode, m_patterns, trials, seed=_SEED):
-    """Capacity estimate on every usable core; the result does not depend on
-    the thread count."""
+    """Brute-force capacity estimate on every usable core; the result does
+    not depend on the thread count.  Brute force keeps the closed-form ratio
+    quantile out of the runs that the capacity checks compare with closed
+    forms."""
     cfg = NetworkConfig(
         n_users=n_users,
         m_patterns=m_patterns,
@@ -93,7 +95,7 @@ def _capacity(n_users, k_factor, mode, m_patterns, trials, seed=_SEED):
         trials=trials,
         seed=seed,
     )
-    return run_experiment(cfg, threads=_usable_cores())
+    return run_experiment(cfg, threads=_usable_cores(), method="brute")
 
 
 def check_quantile_identity(level: str) -> CheckResult:
@@ -332,10 +334,8 @@ def check_espar_identities(level: str) -> CheckResult:
 def check_special_functions(level: str) -> CheckResult:
     """Lambert W residual and Bessel I0 against an independent series oracle."""
     xs = np.concatenate([[-1.0 / math.e + 1e-6, -0.2, -1e-3], np.logspace(-8, 6, 200)])
-    worst_w = 0.0
-    for x in xs:
-        w = lambert_w0(float(x))
-        worst_w = max(worst_w, abs(w * math.exp(w) - x) / max(1.0, abs(x)))
+    w = lambert_w0(xs)
+    worst_w = float(np.max(np.abs(w * np.exp(w) - xs) / np.maximum(1.0, np.abs(xs))))
 
     def series(x):
         q, term, acc, m = 0.25 * x * x, 1.0, 1.0, 0

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, special
 
 from cogmac.analytic import (
@@ -19,6 +21,7 @@ from cogmac.analytic import (
     rab_m2_tail_cdf,
     ratio_cdf,
     ratio_pdf,
+    ratio_ppf,
     theorem1_law,
 )
 from cogmac.channels import draw_gains
@@ -85,6 +88,28 @@ class TestLambertW:
     def test_domain_errors(self, bad):
         with pytest.raises(ValueError):
             lambert_w0(bad)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_log_form_domain_errors(self, bad):
+        with pytest.raises(ValueError):
+            lambert_w0(bad, from_log=True)
+
+    def test_arrays_match_scalars_and_scipy(self):
+        xs = np.concatenate([[-0.36, -0.3, -1e-300, 0.0, 1e-300],
+                             np.logspace(-20, 300, 400)])
+        w = lambert_w0(xs)
+        assert isinstance(w, np.ndarray) and w.shape == xs.shape
+        np.testing.assert_allclose(w, [lambert_w0(float(x)) for x in xs], rtol=4e-16, atol=0.0)
+        np.testing.assert_allclose(w, special.lambertw(xs).real, rtol=1e-14, atol=1e-300)
+
+    def test_log_form_beyond_float_range(self):
+        # W(e^y) for y up to 1e4, where e^y overflows; scipy's Wright omega
+        # is the same function.
+        y = np.concatenate([[-np.inf, -800.0, -50.0, 0.0], np.linspace(1.0, 1e4, 500)])
+        w = lambert_w0(y, from_log=True)
+        assert w[0] == 0.0
+        np.testing.assert_allclose(w[1:], special.wrightomega(y[1:]), rtol=4e-15)
+        assert lambert_w0(1.0, from_log=True) == pytest.approx(1.0, abs=1e-15)
 
 
 class TestBesselI0:
@@ -223,6 +248,60 @@ class TestNormalizer:
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
             normalizer_a_n(1, RatioDistParams(1.0, 1.0))
+
+    def test_large_k(self):
+        # K e^K overflows a float from K = 710; the log form keeps a_N finite
+        # and exact.
+        p = RatioDistParams(1000.0, 1.0)
+        for n in (2, 512, 10**9):
+            a = normalizer_a_n(n, p)
+            assert math.isfinite(a) and a > 0.0
+            assert abs(ratio_cdf(a, p) - (1.0 - 1.0 / n)) <= 1e-12
+
+
+# Forward error of ratio_ppf: a relative error e of K/W moves z by about
+# e (rho z + K + 1) / rho, and so F(z) and the tail by about e (K + 1).
+_PPF_TOL_PER_K = 8 * np.finfo(float).eps
+
+
+class TestRatioPpf:
+    def test_edges_and_array_form(self):
+        p = RatioDistParams(2.0, 0.5)
+        assert ratio_ppf(1.0, p) == 0.0
+        assert ratio_ppf(0.5, RatioDistParams(0.0, 1.0)) == pytest.approx(1.0, abs=1e-15)
+        q = np.array([1e-12, 0.01, 0.5, 1.0])
+        z = ratio_ppf(q, p)
+        assert isinstance(z, np.ndarray)
+        np.testing.assert_allclose(z, [ratio_ppf(float(v), p) for v in q], rtol=4e-16, atol=0.0)
+        for bad in (0.0, -0.1, 1.5, float("nan")):
+            with pytest.raises(ValueError):
+                ratio_ppf(bad, p)
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(k=st.floats(0.0, 1000.0), rho=st.floats(1e-3, 1e3),
+           q=st.floats(1e-300, 1.0, exclude_max=True))
+    def test_inverts_cdf(self, k, rho, q):
+        p = RatioDistParams(k, rho)
+        z = ratio_ppf(q, p)
+        assert math.isfinite(z) and z >= 0.0
+        tol = _PPF_TOL_PER_K * (k + 1.0)
+        assert abs(ratio_cdf(z, p) - (1.0 - q)) <= tol
+        # The tail 1 - F(z), formed without cancellation, matches q relatively.
+        u = rho * z + k + 1.0
+        tail = (k + 1.0) / u * math.exp(-k + k * (k + 1.0) / u)
+        assert abs(tail / q - 1.0) <= tol
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(k=st.floats(0.0, 1000.0), q=st.floats(1e-300, 1.0, exclude_max=True))
+    def test_lambert_residual_of_the_ppf_argument(self, k, q):
+        # W(K e^K q) in log form: w + log(w) = log K + K + log q.
+        with np.errstate(divide="ignore"):
+            y = float(np.log(k)) + k + math.log(q)
+        w = lambert_w0(y, from_log=True)
+        if y < -40.0:  # W(x) = x - x^2 + ... is x to double precision
+            assert w == pytest.approx(math.exp(y), rel=4 * np.finfo(float).eps, abs=0.0)
+        else:
+            assert abs(w + math.log(w) - y) <= 4 * np.finfo(float).eps * max(1.0, abs(y))
 
 
 class TestScalingLaws:

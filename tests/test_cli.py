@@ -171,10 +171,35 @@ class TestSimulateCommand:
         payload = {"network": {"n_users": 2, "mode": "baseline", "trials": 150}}
         cfg = write_cfg(tmp_path, payload)
         out = tmp_path / "env.csv"
-        # Env default is baked at parser construction time.
+        # The environment is read when the command runs.
         code = main(["simulate", "--config", cfg, "--out", str(out)])
         assert code == 0
         assert ",123," in out.read_text().splitlines()[1]
+
+    def test_environment_is_read_for_the_command_in_use(self, monkeypatch, capsys):
+        # analytic has no --threads, so a bad COGMAC_THREADS is not its concern.
+        monkeypatch.setenv("COGMAC_THREADS", "abc")
+        assert main(["analytic", "--law", "ratio-cdf", "--z", "1"]) == 0
+        assert capsys.readouterr().out == "z,value\n1,0.5\n"
+
+    @pytest.mark.parametrize(
+        "name,value,argv",
+        [
+            ("THREADS", "abc", ["simulate", "--preset", "fig5"]),
+            ("SEED", "1.5", ["simulate", "--preset", "fig5"]),
+            ("PRESET", "fig9", ["simulate"]),
+            ("LEVEL", "medium", ["validate"]),
+        ],
+    )
+    def test_bad_environment_value_fails_fast(self, tmp_path, monkeypatch, capsys, name,
+                                              value, argv):
+        monkeypatch.setenv(f"COGMAC_{name}", value)
+        out = tmp_path / "never.csv"
+        assert main([*argv, "--out", str(out)]) == 2
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"config error: COGMAC_{name}=")
+        assert captured.out == ""
 
 
 class TestValidateMachinery:
@@ -188,7 +213,7 @@ class TestValidateMachinery:
     def test_mutation_sensitivity(self, monkeypatch):
         # A 1% Lambert W corruption must break the quantile identity.
         exact = analytic.lambert_w0
-        monkeypatch.setattr(analytic, "lambert_w0", lambda x: exact(x) * 1.01)
+        monkeypatch.setattr(analytic, "lambert_w0", lambda x, **kw: exact(x, **kw) * 1.01)
         result = validation.run_check("quantile_identity", "full")
         assert not result.passed
 

@@ -1,12 +1,15 @@
 """Scheduler and Monte-Carlo engine tests."""
 
 import math
+import time
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.stats import ks_2samp
 
 from cogmac import simulator
 from cogmac.analytic import RatioDistParams, ratio_pdf
@@ -330,15 +333,114 @@ class TestSweep:
         assert runs[1] == runs[2] == runs[4]
 
     def test_single_point_keeps_chunk_threads(self, run_calls):
-        cfg = small_cfg(n_users=512, trials=9000)
+        # A brute-force point: 256 users x 2 patterns per slot, three chunks.
+        cfg = small_cfg(n_users=256, m_patterns=2, mode="rab", trials=9000)
         assert 2 * simulator._chunk_size(cfg) < cfg.trials  # three chunks
-        (pt,) = sweep(cfg, [512], [0.0], [1], ["baseline"], threads=3)
+        (pt,) = sweep(cfg, [256], [0.0], [2], ["rab"], threads=3)
         assert run_calls == [3]
         assert pt.estimate == run_experiment(cfg, threads=1)
+
+    def test_wall_time_is_each_points_own(self, monkeypatch):
+        # With two threads the points finish out of grid order; each progress
+        # callback still reports the time its own point took.
+        sleeps = {2: 0.25, 3: 0.05, 4: 0.05, 5: 0.1}
+
+        def slow(cfg, threads=1):
+            time.sleep(sleeps[cfg.n_users])
+            return simulator.CapacityEstimate(1.0, 0.1, 2.0, cfg.trials)
+
+        monkeypatch.setattr(simulator, "run_experiment", slow)
+        seen = []
+        points = sweep(small_cfg(), list(sleeps), [0.0], [1], ["baseline"], threads=2,
+                       progress=lambda p: seen.append((p.n_users, p.wall_s)))
+        assert [n for n, _ in seen] == list(sleeps)
+        for n, wall_s in seen:
+            assert sleeps[n] <= wall_s < sleeps[n] + 1.0, (n, wall_s)
+        # The time is a measurement, not part of the result.
+        assert points[0] == replace(points[0], wall_s=0.0)
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             sweep(small_cfg(), [], [0.0], [1], ["baseline"])
+
+
+def slot_sinrs(block, cfg, size, seed):
+    """Per-slot scheduled SINR best_num / (1 + P gamma_ps) of ``size`` slots,
+    drawn by a simulator block sampler in blocks of 2^15 elements."""
+    rng = np.random.default_rng(seed)
+    rows = max(1, simulator._BLOCK_ELEMENTS // cfg.n_users)
+    out = []
+    for start in range(0, size, rows):
+        best_num, inv_denom = block(cfg, min(rows, size - start), rng)
+        out.append(best_num * inv_denom)
+    return np.concatenate(out)
+
+
+QUANTILE_N = (1, 8, 512)
+QUANTILE_K = (0.0, 2.0, 10.0, 100.0)
+PRIMARY = ({}, dict(primary_power=2.0, mean_ps_power=0.5))
+# One comparison per case; 1% is the level of the whole family (Bonferroni).
+QUANTILE_ALPHA = 0.01 / (len(QUANTILE_N) * len(QUANTILE_K) * len(PRIMARY))
+
+
+class TestQuantileSampler:
+    """One pattern, no power cap: the scheduled maximum drawn from one uniform."""
+
+    @pytest.mark.parametrize("primary", PRIMARY, ids=["no-primary", "primary"])
+    @pytest.mark.parametrize("k", QUANTILE_K)
+    @pytest.mark.parametrize("n", QUANTILE_N)
+    def test_two_sample_ks_against_brute_force(self, n, k, primary):
+        cfg = NetworkConfig(n_users=n, m_patterns=1, mode="baseline", k_factor=k,
+                            mean_secondary_power=2.5, mean_interference_power=0.4,
+                            peak_interference=1.7, **primary)
+        seed = 10_000 * n + 10 * int(k) + len(primary)
+        fast = slot_sinrs(simulator._quantile_block, cfg, 10_000, seed)
+        brute = slot_sinrs(simulator._brute_block, cfg, 10_000, 10**7 + seed)
+        p = ks_2samp(fast, brute).pvalue
+        assert p >= QUANTILE_ALPHA, f"two-sample KS p = {p:.2e}"
+
+    @pytest.mark.parametrize("k", [0.0, 10.0, 1000.0])
+    def test_extreme_uniforms_give_finite_ratio(self, k):
+        u = np.array([0.0, 1.0 - 2.0**-53])
+        for n in (1, 512):
+            cfg = NetworkConfig(n_users=n, m_patterns=1, mode="baseline", k_factor=k)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                z = simulator._max_ratio(cfg, u)
+            assert z[0] == 0.0
+            assert np.isfinite(z[1]) and z[1] > 0.0
+
+    def test_thread_invariance_across_chunks(self):
+        cfg = NetworkConfig(n_users=64, m_patterns=1, mode="baseline", k_factor=2.0,
+                            trials=simulator._CHUNK_ELEMENTS + 3000, seed=23,
+                            primary_power=1.0)
+        runs = [run_experiment(cfg, threads=t) for t in (1, 2, 3)]
+        assert runs[0] == runs[1] == runs[2]
+
+    def test_path_selection(self, monkeypatch):
+        used = []
+        for name in ("_quantile_block", "_brute_block"):
+            real = getattr(simulator, name)
+
+            def spy(cfg, size, rng, real=real, name=name):
+                used.append(name)
+                return real(cfg, size, rng)
+
+            monkeypatch.setattr(simulator, name, spy)
+
+        def path(method="auto", **kw):
+            used.clear()
+            run_experiment(small_cfg(n_users=4, **kw), method=method)
+            assert len(set(used)) == 1
+            return used[0]
+
+        assert path() == "_quantile_block"
+        assert path(mode="rab") == "_quantile_block"
+        assert path(mode="rab", m_patterns=2) == "_brute_block"
+        assert path(max_power_cap=1.0) == "_brute_block"
+        assert path(method="brute") == "_brute_block"
+        with pytest.raises(ValueError, match="method"):
+            path(method="quantile")
 
 
 class TestGrowthFlatness:
