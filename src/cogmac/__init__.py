@@ -18,7 +18,6 @@ Library layout:
 
 from .analytic import (
     RatioDistParams,
-    bessel_i0,
     bessel_i0e,
     effective_users_moderate_k,
     effective_users_rab_m2,

@@ -9,7 +9,8 @@ Conventions used throughout:
   scale 1/rho.
 * All laws and log quantities are in nats; callers convert to bits.
 
-Everything in this module is a pure scalar/ndarray function with no RNG.
+Everything in this module is a pure scalar/ndarray function with no RNG:
+a scalar in gives a float out, an array in gives an array of the same shape.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import numpy as np
 __all__ = [
     "RatioDistParams",
     "lambert_w0",
-    "bessel_i0",
     "bessel_i0e",
     "ratio_cdf",
     "ratio_pdf",
@@ -139,21 +139,6 @@ def bessel_i0e(x):
     return float(out) if np.isscalar(x) else out
 
 
-def bessel_i0(x: float) -> float:
-    """Modified Bessel function of the first kind, order zero.
-
-    Power series below the crossover, scaled asymptotic expansion above;
-    relative error below 1e-10 on the working range.
-    """
-    x = float(x)
-    if not math.isfinite(x):
-        raise ValueError(f"bessel_i0 requires finite input, got {x}")
-    ax = abs(x)
-    if ax <= _I0_SERIES_CUTOFF:
-        return float(_i0_series(ax))
-    return math.exp(ax) * float(_i0e_asymptotic(ax))
-
-
 def _i0_series(ax):
     # Sum of (x/2)^(2m) / (m!)^2 for m <= 32; all terms positive, no
     # cancellation.  Up to the crossover, term 32 is below 1e-20 of the sum.
@@ -223,49 +208,59 @@ def ratio_ppf(q, params: RatioDistParams):
     return float(out) if out.ndim == 0 else out
 
 
-def normalizer_a_n(n_users: int, params: RatioDistParams) -> float:
+def _user_counts(n_users, least: int, law: str) -> np.ndarray:
+    n = np.asarray(n_users, dtype=float)
+    if not np.all(n >= least):
+        raise ValueError(f"{law} requires n_users >= {least}, got {n_users}")
+    return n
+
+
+def _scalar_or_array(out: np.ndarray):
+    return float(out) if out.ndim == 0 else out
+
+
+def normalizer_a_n(n_users, params: RatioDistParams):
     """Extreme-value normalizing constant: the 1 - 1/N quantile of the ratio law.
 
     a_N = ratio_ppf(1/N) = [K(K+1)/W(K e^K / N) - (K+1)] / rho, so
     ratio_cdf(a_N) = 1 - 1/N exactly; K = 0 gives (N-1)/rho.
     """
-    if n_users < 2:
-        raise ValueError(f"normalizer_a_n requires n_users >= 2, got {n_users}")
-    return ratio_ppf(1.0 / n_users, params)
+    return ratio_ppf(1.0 / _user_counts(n_users, 2, "normalizer_a_n"), params)
 
 
-def theorem1_law(n_users: int, k_factor: float) -> float:
+def theorem1_law(n_users, k_factor: float):
     """Sum-capacity growth law under Rician interference, in nats.
 
     log(K(K+1) / W(K e^K / N)); tends to log(N) as K -> 0 and to a
     log(log N)-type growth for large K.  K = 0 returns log(N) exactly.
     """
-    if n_users < 2:
-        raise ValueError(f"theorem1_law requires n_users >= 2, got {n_users}")
+    n = _user_counts(n_users, 2, "theorem1_law")
     if not math.isfinite(k_factor) or k_factor < 0.0:
         raise ValueError(f"theorem1_law requires k_factor >= 0, got {k_factor}")
     if k_factor == 0.0:
-        return math.log(n_users)
+        return _scalar_or_array(np.log(n))
     k = k_factor
-    w = lambert_w0(math.log(k) + k - math.log(n_users), from_log=True)
-    return math.log(k * (k + 1.0)) - math.log(w)
+    w = lambert_w0(math.log(k) + k - np.log(n), from_log=True)
+    return _scalar_or_array(math.log(k * (k + 1.0)) - np.log(w))
 
 
-def effective_users_moderate_k(n_users: int, k_factor: float) -> float:
+def effective_users_moderate_k(n_users, k_factor: float):
     """Equivalent Rayleigh-interference user count N (K+1) exp(-K)."""
+    n = _user_counts(n_users, 1, "effective_users_moderate_k")
     if not math.isfinite(k_factor) or k_factor < 0.0:
         raise ValueError(f"k_factor must be >= 0, got {k_factor}")
-    return n_users * (k_factor + 1.0) * math.exp(-k_factor)
+    return _scalar_or_array(n * (k_factor + 1.0) * math.exp(-k_factor))
 
 
-def effective_users_rab_m2(n_users: int, k_factor: float) -> float:
+def effective_users_rab_m2(n_users, k_factor: float):
     """Effective user count N sqrt((K+1)^2 / (2 pi K)) under two-pattern RAB.
 
     Grows with K; undefined at K = 0 where the formula is singular.
     """
+    n = _user_counts(n_users, 1, "effective_users_rab_m2")
     if not math.isfinite(k_factor) or k_factor <= 0.0:
         raise ValueError(f"effective_users_rab_m2 requires k_factor > 0, got {k_factor}")
-    return n_users * (k_factor + 1.0) / math.sqrt(2.0 * math.pi * k_factor)
+    return _scalar_or_array(n * (k_factor + 1.0) / math.sqrt(2.0 * math.pi * k_factor))
 
 
 def _rab_m2_prefactor(z_arr: np.ndarray, params: RatioDistParams) -> np.ndarray:

@@ -10,7 +10,9 @@ Subcommands:
 * ``analytic`` - tabulate a closed form over a grid.
 
 Flags can also be supplied through ``COGMAC_*`` environment variables
-(flag > environment > config file > built-in default).
+(flag > environment > config file > built-in default).  Every bad input,
+the output path included, is a :class:`ConfigError`: it is found before
+any work starts and exits 2.
 """
 
 from __future__ import annotations
@@ -22,22 +24,12 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
+from typing import get_args, get_type_hints
 
 import numpy as np
 
-from . import espar, validation
-from .analytic import (
-    RatioDistParams,
-    effective_users_moderate_k,
-    effective_users_rab_m2,
-    normalizer_a_n,
-    rab_m2_cdf,
-    rab_m2_tail_cdf,
-    ratio_cdf,
-    ratio_pdf,
-    theorem1_law,
-)
+from . import analytic, espar, validation
 from .simulator import (
     LOG2,
     NetworkConfig,
@@ -58,7 +50,6 @@ class ExperimentPreset:
     """Named experiment: which grid to sweep and where to write it."""
 
     name: str = "custom"
-    overrides: dict = field(default_factory=dict)
     output_path: str = "sweep.csv"
 
     def __post_init__(self) -> None:
@@ -67,91 +58,61 @@ class ExperimentPreset:
 
 
 class ConfigError(ValueError):
-    """Config file problem; the message carries the offending key path."""
+    """Bad input (config file, flag, environment variable or output path);
+    the message carries the offending key path or flag."""
 
 
-_NETWORK_FIELDS = {f.name: f.type for f in fields(NetworkConfig)}
-_INT_FIELDS = {"n_users", "m_patterns", "trials", "seed"}
-_STR_FIELDS = {"mode", "log_base"}
+# Config section -> the dataclass whose fields are the section's keys and types.
+_SECTIONS = {"network": NetworkConfig, "preset": ExperimentPreset, "espar": espar.EsparConfig}
 
 
-def _network_value(path: str, key: str, value):
-    if key not in _NETWORK_FIELDS:
-        raise ConfigError(f"{path}.{key}: unknown key")
-    if key in _STR_FIELDS:
-        if not isinstance(value, str):
-            raise ConfigError(f"{path}.{key}: expected string, got {type(value).__name__}")
-        return value
-    if key in _INT_FIELDS:
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ConfigError(f"{path}.{key}: expected integer, got {value!r}")
-        return value
-    if key == "max_power_cap":
-        if value is not None and not isinstance(value, (int, float)):
-            raise ConfigError(f"{path}.{key}: expected number or null, got {value!r}")
-        return value
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ConfigError(f"{path}.{key}: expected number, got {value!r}")
-    return float(value)
+def _typed(value, types: tuple, path: str, what: str):
+    # type(), not isinstance(): JSON true and false must not pass as 1 and 0.
+    if type(value) not in types:
+        raise ConfigError(f"{path}: expected {what}, got {value!r}")
+    return value
 
 
-def _parse_network(section: dict, path: str = "network") -> NetworkConfig:
-    if not isinstance(section, dict):
-        raise ConfigError(f"{path}: expected an object")
-    kwargs = {k: _network_value(path, k, v) for k, v in section.items()}
-    # An explicit baseline without an explicit pattern count means one pattern.
-    if kwargs.get("mode") == "baseline" and "m_patterns" not in kwargs:
-        kwargs["m_patterns"] = 1
-    try:
-        return NetworkConfig(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+def _complex(value, path: str) -> complex:
+    if type(value) is list and len(value) == 2 and all(type(v) in (int, float) for v in value):
+        return complex(*value)
+    return complex(_typed(value, (int, float), path, "number or [re, im] pair"))
 
 
-def _parse_complex(value, path: str) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if isinstance(value, list) and len(value) == 2 and all(
-        isinstance(v, (int, float)) for v in value
-    ):
-        return complex(value[0], value[1])
-    raise ConfigError(f"{path}: expected number or [re, im] pair, got {value!r}")
+def _items(value, path: str, read) -> list:
+    return [read(v, f"{path}[{i}]") for i, v in enumerate(_typed(value, (list,), path, "list"))]
 
 
-def _parse_espar(section: dict, path: str = "espar") -> espar.EsparConfig:
-    if not isinstance(section, dict):
-        raise ConfigError(f"{path}: expected an object")
-    known = {"m_elements", "radius_wavelengths", "feed_voltage", "admittance", "element_angles"}
-    for key in section:
-        if key not in known:
-            raise ConfigError(f"{path}.{key}: unknown key")
-    kwargs: dict = {}
-    if "m_elements" in section:
-        if not isinstance(section["m_elements"], int):
-            raise ConfigError(f"{path}.m_elements: expected integer")
-        kwargs["m_elements"] = section["m_elements"]
-    if "radius_wavelengths" in section:
-        kwargs["radius_wavelengths"] = float(section["radius_wavelengths"])
-    if "feed_voltage" in section:
-        kwargs["feed_voltage"] = _parse_complex(section["feed_voltage"], f"{path}.feed_voltage")
-    if "element_angles" in section:
-        angles = section["element_angles"]
-        if not isinstance(angles, list):
-            raise ConfigError(f"{path}.element_angles: expected list of angles")
-        kwargs["element_angles"] = tuple(float(a) for a in angles)
-    if "admittance" in section:
-        rows = section["admittance"]
-        if not isinstance(rows, list):
-            raise ConfigError(f"{path}.admittance: expected matrix of [re, im] pairs")
-        matrix = [
-            [_parse_complex(v, f"{path}.admittance[{i}][{j}]") for j, v in enumerate(row)]
-            for i, row in enumerate(rows)
-        ]
-        kwargs["admittance"] = np.asarray(matrix, dtype=complex)
-    try:
-        return espar.EsparConfig(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+# Field type -> reader of its JSON value.
+_READERS = {
+    int: lambda value, path: _typed(value, (int,), path, "integer"),
+    float: lambda value, path: float(_typed(value, (int, float), path, "number")),
+    str: lambda value, path: _typed(value, (str,), path, "string"),
+    complex: _complex,
+    tuple: lambda value, path: tuple(_items(value, path, _READERS[float])),
+    np.ndarray: lambda value, path: _items(value, path, lambda row, p: _items(row, p, _complex)),
+}
+
+
+def _read_section(raw: dict, key: str) -> dict:
+    """Keyword arguments of section ``key``'s dataclass.  Its fields give the
+    keys and their types; null is allowed where the default is None."""
+    section = raw.get(key, {})
+    if type(section) is not dict:
+        raise ConfigError(f"{key}: expected an object")
+    cls = _SECTIONS[key]
+    hints = get_type_hints(cls)
+    defaults = {f.name: f.default for f in fields(cls)}
+    kwargs = {}
+    for name, value in section.items():
+        path = f"{key}.{name}"
+        if name not in defaults:
+            raise ConfigError(f"{path}: unknown key")
+        if value is not None or defaults[name] is not None:
+            kind = next((t for t in get_args(hints[name]) if t is not type(None)), hints[name])
+            value = _READERS[kind](value, path)
+        kwargs[name] = value
+    return kwargs
 
 
 def parse_config(path: str) -> tuple[NetworkConfig, ExperimentPreset, espar.EsparConfig]:
@@ -161,53 +122,29 @@ def parse_config(path: str) -> tuple[NetworkConfig, ExperimentPreset, espar.Espa
             raw = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
-    if not isinstance(raw, dict):
+    except (OSError, ValueError) as exc:  # unreadable, not UTF-8, or not JSON
+        raise ConfigError(f"{path}: not a readable JSON file ({exc})") from None
+    if type(raw) is not dict:
         raise ConfigError("config root: expected an object")
     for key in raw:
-        if key not in ("network", "preset", "espar"):
+        if key not in _SECTIONS:
             raise ConfigError(f"{key}: unknown top-level key")
-    network = _parse_network(raw.get("network", {}))
-    preset_raw = raw.get("preset", {})
-    if not isinstance(preset_raw, dict):
-        raise ConfigError("preset: expected an object")
-    for key in preset_raw:
-        if key not in ("name", "overrides", "output_path"):
-            raise ConfigError(f"preset.{key}: unknown key")
-    overrides = preset_raw.get("overrides", {})
-    if not isinstance(overrides, dict):
-        raise ConfigError("preset.overrides: expected an object")
-    checked = {k: _network_value("preset.overrides", k, v) for k, v in overrides.items()}
-    try:
-        preset = ExperimentPreset(
-            name=preset_raw.get("name", "custom"),
-            overrides=checked,
-            output_path=preset_raw.get("output_path", "sweep.csv"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"preset: {exc}") from exc
-    espar_section = _parse_espar(raw.get("espar", {}))
-    return network, preset, espar_section
+    kwargs = {key: _read_section(raw, key) for key in _SECTIONS}
+    # An explicit baseline without an explicit pattern count means one pattern.
+    if kwargs["network"].get("mode") == "baseline":
+        kwargs["network"].setdefault("m_patterns", 1)
+    sections = []
+    for key, cls in _SECTIONS.items():
+        try:
+            sections.append(cls(**kwargs[key]))
+        except ValueError as exc:
+            raise ConfigError(f"{key}: {exc}") from exc
+    return tuple(sections)
 
 
 def emit_config(config: NetworkConfig, preset: ExperimentPreset) -> dict:
     """Effective configuration as a JSON-serializable dict (round-trips)."""
-    network = {
-        f.name: getattr(config, f.name)
-        for f in fields(NetworkConfig)
-        if getattr(config, f.name) is not None or f.name == "max_power_cap"
-    }
-    if network.get("max_power_cap") is None:
-        network.pop("max_power_cap")
-    return {
-        "network": network,
-        "preset": {
-            "name": preset.name,
-            "overrides": preset.overrides,
-            "output_path": preset.output_path,
-        },
-    }
+    return {"network": asdict(config), "preset": asdict(preset)}
 
 
 # ------------------------------------------------------------------ presets
@@ -257,9 +194,32 @@ def _preset_extras(points, config, wants):
 
 # ------------------------------------------------------------- subcommands
 
+def _check_out(path: str) -> str:
+    """``path``, once a file can be written there.  Commands check their
+    output path before any work, so a bad one costs none and writes nothing."""
+    folder = os.path.dirname(path) or "."
+    if os.path.exists(path):
+        writable = not os.path.isdir(path) and os.access(path, os.W_OK)
+    else:
+        writable = os.path.isdir(folder) and os.access(folder, os.W_OK)
+    if not os.path.basename(path) or not writable:
+        raise ConfigError(f"output path {path!r}: cannot write a file there")
+    return path
+
+
+def _values(text: str, flag: str, cast) -> list:
+    """The comma-separated values of ``flag``, each passed through ``cast``."""
+    try:
+        return [cast(v) for v in text.split(",")]
+    except ValueError:
+        raise ConfigError(
+            f"{flag}: expected comma-separated {cast.__name__} values, got {text!r}"
+        ) from None
+
+
 def cmd_simulate(args) -> int:
     config, preset = _effective_config(args)
-    out_path = args.out or preset.output_path
+    out_path = _check_out(args.out or preset.output_path)
     t_start = time.time()
 
     def progress(point):
@@ -289,6 +249,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    if args.out:
+        _check_out(args.out)
     t_start = time.time()
 
     def report(res):
@@ -319,23 +281,21 @@ def cmd_validate(args) -> int:
 
 def cmd_espar(args) -> int:
     cfg = parse_config(args.config)[2] if args.config else espar.EsparConfig()
-    reactances = [float(v) for v in args.reactances.split(",")] if args.reactances else []
-    if len(reactances) != cfg.m_elements - 1:
-        print(
-            f"error: need {cfg.m_elements - 1} reactances for M={cfg.m_elements}, "
-            f"got {len(reactances)}",
-            file=sys.stderr,
-        )
-        return 2
+    out_path = _check_out(args.out or "pattern.csv")
+    reactances = _values(args.reactances, "--reactances", float) if args.reactances else []
+    try:
+        basis = espar.build_basis(cfg, args.grid)
+    except ValueError as exc:  # grid too coarse, or coincident elements
+        raise ConfigError(f"espar basis on --grid {args.grid}: {exc}") from exc
     try:
         currents = espar.element_currents(cfg, reactances)
     except espar.DegenerateLoadError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    basis = espar.build_basis(cfg, args.grid)
+    except ValueError as exc:  # not M - 1 reactances
+        raise ConfigError(f"--reactances: {exc}") from exc
     gram_err = float(np.max(np.abs(basis.gram() - np.eye(cfg.m_elements))))
     pattern = espar.pattern_value(currents, cfg, basis.theta_grid)
-    out_path = args.out or "pattern.csv"
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
         fh.write("theta,re,im\n")
         for theta, value in zip(basis.theta_grid, pattern):
@@ -348,51 +308,44 @@ def cmd_espar(args) -> int:
     return 0 if gram_err <= 1e-8 else 1
 
 
-_LAWS = (
-    "theorem1-law",
-    "effective-users",
-    "effective-users-rab2",
-    "ratio-cdf",
-    "ratio-pdf",
-    "rab2-cdf",
-    "rab2-tail",
-    "normalizer",
-)
+# Law -> (grid column, whether it is in nats, its closed form of (grid, K, params));
+# the grid comes from the flag named after the column.
+_LAWS = {
+    "theorem1-law": ("N", True, lambda n, k, p: analytic.theorem1_law(n, k)),
+    "effective-users": ("N", False, lambda n, k, p: analytic.effective_users_moderate_k(n, k)),
+    "effective-users-rab2": ("N", False, lambda n, k, p: analytic.effective_users_rab_m2(n, k)),
+    "ratio-cdf": ("z", False, lambda z, k, p: analytic.ratio_cdf(z, p)),
+    "ratio-pdf": ("z", False, lambda z, k, p: analytic.ratio_pdf(z, p)),
+    "rab2-cdf": ("z", False, lambda z, k, p: analytic.rab_m2_cdf(z, p)),
+    "rab2-tail": ("z", False, lambda z, k, p: analytic.rab_m2_tail_cdf(z, p)),
+    "normalizer": ("N", False, lambda n, k, p: analytic.normalizer_a_n(n, p)),
+}
 
 
 def cmd_analytic(args) -> int:
-    scale = 1.0 / LOG2 if args.bits else 1.0
-    params = RatioDistParams(k_factor=args.k, power_ratio=args.rho)
-    rows: list[tuple[str, float, float]] = []
-    if args.law in ("theorem1-law", "effective-users", "effective-users-rab2", "normalizer"):
-        grid = [int(v) for v in args.n.split(",")]
-        for n in grid:
-            if args.law == "theorem1-law":
-                rows.append(("N", n, theorem1_law(n, args.k) * scale))
-            elif args.law == "effective-users":
-                rows.append(("N", n, effective_users_moderate_k(n, args.k)))
-            elif args.law == "effective-users-rab2":
-                rows.append(("N", n, effective_users_rab_m2(n, args.k)))
-            else:
-                rows.append(("N", n, normalizer_a_n(n, params)))
-    else:
-        grid = [float(v) for v in args.z.split(",")]
-        fn = {
-            "ratio-cdf": ratio_cdf,
-            "ratio-pdf": ratio_pdf,
-            "rab2-cdf": rab_m2_cdf,
-            "rab2-tail": rab_m2_tail_cdf,
-        }[args.law]
-        for z in grid:
-            rows.append(("z", z, float(fn(z, params))))
-    stream = open(args.out, "w", encoding="utf-8", newline="") if args.out else sys.stdout
+    column, in_nats, law = _LAWS[args.law]
+    flag = column.lower()
+    text = getattr(args, flag)
+    grid = _values(text, f"--{flag}", int if flag == "n" else float)
+    if args.out:
+        _check_out(args.out)
     try:
-        stream.write(f"{rows[0][0]},value\n")
-        for _, x, value in rows:
-            stream.write(f"{format_number(x)},{format_number(value)}\n")
-    finally:
-        if args.out:
-            stream.close()
+        params = analytic.RatioDistParams(k_factor=args.k, power_ratio=args.rho)
+        values = law(np.array(grid), args.k, params)
+    except ValueError as exc:
+        raise ConfigError(
+            f"--law {args.law} --k {args.k:g} --rho {args.rho:g} --{flag} {text}: {exc}"
+        ) from exc
+    if in_nats and args.bits:
+        values = values * (1.0 / LOG2)
+    table = f"{column},value\n" + "".join(
+        f"{format_number(x)},{format_number(v)}\n" for x, v in zip(grid, values)
+    )
+    if args.out:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+            fh.write(table)
+    else:
+        sys.stdout.write(table)
     return 0
 
 
@@ -442,11 +395,8 @@ def _effective_config(args) -> tuple[NetworkConfig, ExperimentPreset]:
         preset = replace(preset, name=args.preset)
     if args.threads < 1:
         raise ConfigError(f"--threads must be >= 1, got {args.threads}")
-    changes = dict(preset.overrides)
-    if args.seed is not None:
-        changes["seed"] = args.seed
-    if args.trials is not None:
-        changes["trials"] = args.trials
+    changes = {key: getattr(args, key) for key in ("seed", "trials")
+               if getattr(args, key) is not None}
     try:
         config = replace(config, **changes)
     except ValueError as exc:

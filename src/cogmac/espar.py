@@ -96,6 +96,9 @@ class EsparConfig:
             raise ValueError(
                 f"need {self.m_elements - 1} parasitic angles, got {len(self.element_angles)}"
             )
+        if not np.all(np.isfinite([self.feed_voltage, self.radius_wavelengths,
+                                   *self.element_angles])):
+            raise ValueError("feed_voltage, radius_wavelengths and element_angles must be finite")
 
     def element_polar(self) -> list[tuple[float, float]]:
         """(radius, angle) per element; the active element sits at the origin."""

@@ -20,7 +20,7 @@ import numpy as np
 from . import espar
 from .analytic import (
     RatioDistParams,
-    bessel_i0,
+    bessel_i0e,
     effective_users_moderate_k,
     effective_users_rab_m2,
     lambert_w0,
@@ -332,7 +332,7 @@ def check_espar_identities(level: str) -> CheckResult:
 
 
 def check_special_functions(level: str) -> CheckResult:
-    """Lambert W residual and Bessel I0 against an independent series oracle."""
+    """Lambert W residual and the scaled Bessel I0 against an independent series oracle."""
     xs = np.concatenate([[-1.0 / math.e + 1e-6, -0.2, -1e-3], np.logspace(-8, 6, 200)])
     w = lambert_w0(xs)
     worst_w = float(np.max(np.abs(w * np.exp(w) - xs) / np.maximum(1.0, np.abs(xs))))
@@ -346,10 +346,9 @@ def check_special_functions(level: str) -> CheckResult:
             if term < 1e-18 * acc:
                 return acc
 
-    worst_i0 = max(
-        abs(bessel_i0(float(x)) - series(float(x))) / series(float(x))
-        for x in np.linspace(0.0, 30.0, 301)
-    )
+    xs_i0 = np.linspace(0.0, 30.0, 301)
+    oracle = np.array([series(x) * math.exp(-x) for x in xs_i0.tolist()])
+    worst_i0 = float(np.max(np.abs(bessel_i0e(xs_i0) - oracle) / oracle))
     ok = worst_w <= 1e-12 and worst_i0 <= 1e-10
     return CheckResult(
         check_id="special_functions",

@@ -11,7 +11,6 @@ from scipy import integrate, special
 
 from cogmac.analytic import (
     RatioDistParams,
-    bessel_i0,
     bessel_i0e,
     effective_users_moderate_k,
     effective_users_rab_m2,
@@ -114,18 +113,19 @@ class TestLambertW:
 
 class TestBesselI0:
     def test_known_values(self):
-        assert bessel_i0(0.0) == 1.0
-        assert bessel_i0(1.0) == pytest.approx(1.26606587775201, rel=1e-12)
-        assert bessel_i0(2.0) == pytest.approx(2.27958530233607, rel=1e-12)
+        assert bessel_i0e(0.0) == 1.0
+        assert bessel_i0e(1.0) == pytest.approx(1.26606587775201 * math.exp(-1.0), rel=1e-12)
+        assert bessel_i0e(2.0) == pytest.approx(2.27958530233607 * math.exp(-2.0), rel=1e-12)
 
     def test_series_oracle_on_range(self):
         for x in np.linspace(0.0, 30.0, 601):
-            assert bessel_i0(float(x)) == pytest.approx(i0_series_oracle(float(x)), rel=1e-10)
+            expected = i0_series_oracle(float(x)) * math.exp(-x)
+            assert bessel_i0e(float(x)) == pytest.approx(expected, rel=1e-10)
 
     def test_even_and_lower_bound(self):
         for x in [0.3, 1.7, 5.0, 14.9, 16.2, 25.0]:
-            assert bessel_i0(-x) == bessel_i0(x)
-            assert bessel_i0(x) >= 1.0
+            assert bessel_i0e(-x) == bessel_i0e(x)
+            assert bessel_i0e(x) * math.exp(x) >= 1.0
 
     def test_scaled_variant(self):
         for x in [0.0, 0.5, 3.0, 15.0, 20.0, 100.0]:
@@ -150,7 +150,7 @@ class TestBesselI0:
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_rejects_nonfinite(self, bad):
         with pytest.raises(ValueError):
-            bessel_i0(bad)
+            bessel_i0e(bad)
 
 
 class TestRatioDistribution:
@@ -353,6 +353,55 @@ class TestScalingLaws:
             effective_users_rab_m2(100, 0.0)
 
 
+class TestArrayLaws:
+    """The four user-count laws on an array equal their scalar calls, bit for bit."""
+
+    N = np.array([[2, 3, 8, 100], [512, 9170, 10**6, 10**9]])
+    LAWS = [
+        (normalizer_a_n, RatioDistParams(0.0, 1.0)),
+        (normalizer_a_n, RatioDistParams(2.0, 3.7)),
+        (normalizer_a_n, RatioDistParams(1000.0, 1.0)),
+        (theorem1_law, 0.0),
+        (theorem1_law, 0.5),
+        (theorem1_law, 10.0),
+        (theorem1_law, 1000.0),
+        (effective_users_moderate_k, 0.0),
+        (effective_users_moderate_k, 2.0),
+        (effective_users_rab_m2, 10.0),
+        (effective_users_rab_m2, 100.0),
+    ]
+
+    @pytest.mark.parametrize("law,arg", LAWS)
+    def test_array_matches_scalar_calls(self, law, arg):
+        out = law(self.N, arg)
+        scalars = [law(int(n), arg) for n in self.N.ravel()]
+        assert all(type(v) is float for v in scalars)
+        assert out.shape == self.N.shape
+        assert out.ravel().tolist() == scalars
+        assert law(self.N.ravel().tolist(), arg).tolist() == scalars
+
+    @pytest.mark.parametrize(
+        "law,arg",
+        [
+            (normalizer_a_n, RatioDistParams(1.0, 1.0)),
+            (theorem1_law, 0.0),
+            (theorem1_law, 2.0),
+        ],
+    )
+    def test_rejects_fewer_than_two_users(self, law, arg):
+        with pytest.raises(ValueError, match="n_users >= 2"):
+            law(np.array([8, 1, 16]), arg)
+
+    @pytest.mark.parametrize("law", [effective_users_moderate_k, effective_users_rab_m2])
+    def test_effective_users_reject_no_users(self, law):
+        with pytest.raises(ValueError, match="n_users >= 1"):
+            law(np.array([8, 0]), 2.0)
+
+    def test_rab_law_rejects_k0_on_arrays(self):
+        with pytest.raises(ValueError, match="k_factor > 0"):
+            effective_users_rab_m2(np.array([8, 16]), 0.0)
+
+
 class TestRabM2ClosedForms:
     def test_cdf_zero_and_k0_reduction(self):
         p = RatioDistParams(10.0, 1.0)
@@ -381,7 +430,7 @@ class TestRabM2ClosedForms:
             assert abs(exact - tail) / exact < 0.02
 
     def test_tail_constant_asymptotics(self):
-        val = math.exp(-10.0) * bessel_i0(10.0)
+        val = bessel_i0e(10.0)
         ref = 1.0 / math.sqrt(2.0 * math.pi * 10.0)
         assert val == pytest.approx(0.12783, abs=1e-5)
         assert abs(val - ref) / val < 0.02

@@ -2,12 +2,16 @@
 
 import json
 import math
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from cogmac import analytic, validation
+from cogmac import analytic, espar, validation
 from cogmac.cli import (
+    PRESET_NAMES,
     ConfigError,
     ExperimentPreset,
     emit_config,
@@ -21,6 +25,29 @@ def write_cfg(tmp_path, payload, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+@st.composite
+def network_configs(draw):
+    """Any valid NetworkConfig."""
+    positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+    nonnegative = st.floats(min_value=0.0, allow_infinity=False)
+    mode = draw(st.sampled_from(["baseline", "rab"]))
+    return NetworkConfig(
+        n_users=draw(st.integers(1, 10**6)),
+        m_patterns=1 if mode == "baseline" else draw(st.integers(1, 64)),
+        k_factor=draw(nonnegative),
+        mean_secondary_power=draw(positive),
+        mean_interference_power=draw(positive),
+        primary_power=draw(nonnegative),
+        mean_ps_power=draw(nonnegative),
+        peak_interference=draw(positive),
+        trials=draw(st.integers(100, 10**9)),
+        seed=draw(st.integers(0, 2**64 - 1)),
+        mode=mode,
+        log_base=draw(st.sampled_from(["nats", "bits"])),
+        max_power_cap=draw(st.none() | positive),
+    )
 
 
 class TestParseConfig:
@@ -63,12 +90,27 @@ class TestParseConfig:
     def test_round_trip(self, tmp_path):
         config = NetworkConfig(n_users=12, m_patterns=3, mode="rab", k_factor=1.5,
                                trials=500, seed=9, log_base="bits")
-        preset = ExperimentPreset(name="fig7", overrides={"trials": 250},
-                                  output_path="x.csv")
+        preset = ExperimentPreset(name="fig7", output_path="x.csv")
         path = write_cfg(tmp_path, emit_config(config, preset))
         config2, preset2, _ = parse_config(path)
         assert config2 == config
         assert preset2 == preset
+
+    @given(config=network_configs(), name=st.sampled_from(PRESET_NAMES), output=st.text())
+    def test_round_trip_property(self, config, name, output):
+        preset = ExperimentPreset(name=name, output_path=output)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = f"{tmp}/cfg.json"
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(emit_config(config, preset), fh)
+            assert parse_config(path)[:2] == (config, preset)
+
+    def test_null_means_default_where_the_default_is_none(self, tmp_path):
+        payload = {"network": {"max_power_cap": None},
+                   "espar": {"admittance": None, "element_angles": None}}
+        config, _, cfg = parse_config(write_cfg(tmp_path, payload))
+        assert config.max_power_cap is None
+        assert cfg.element_angles == espar.EsparConfig().element_angles
 
     def test_espar_section(self, tmp_path):
         payload = {
@@ -281,3 +323,71 @@ class TestAnalyticCommand:
         main(["analytic", "--law", "normalizer", "--k", "0", "--rho", "1",
               "--n", "100", "--out", str(out)])
         assert float(out.read_text().splitlines()[1].split(",")[1]) == pytest.approx(99.0)
+
+
+class TestInputBoundary:
+    """Every bad input exits 2 with ``config error:`` and the key path or flag,
+    before any work and without writing a file."""
+
+    @pytest.mark.parametrize(
+        "argv,payload,where",
+        [
+            (["simulate"], {"preset": {"output_path": 5}}, "preset.output_path"),
+            (["simulate"], {"preset": {"overrides": {}}}, "preset.overrides: unknown key"),
+            (["simulate"], {"network": {"max_power_cap": True}}, "network.max_power_cap"),
+            (["espar"], {"espar": {"radius_wavelengths": "abc"}}, "espar.radius_wavelengths"),
+            (["espar"], {"espar": {"radius_wavelengths": None}}, "espar.radius_wavelengths"),
+            (["espar"], {"espar": {"element_angles": ["a"]}}, "espar.element_angles[0]"),
+            (["espar"], {"espar": {"m_elements": True}}, "espar.m_elements"),
+            (["espar"], {"espar": {"element_angles": [math.nan, 1.0, 2.0]}}, "espar:"),
+            (["espar"], {"espar": {"feed_voltage": [1.0, math.inf]}}, "espar:"),
+            (["espar", "--reactances", "a,b,c"], None, "--reactances"),
+            (["espar", "--reactances", "1,2,3", "--grid", "3"], None, "--grid"),
+            (["analytic", "--law", "normalizer", "--n", "1"], None, "--n"),
+            (["analytic", "--law", "effective-users-rab2", "--k", "0"], None, "--k"),
+            (["analytic", "--law", "rab2-tail", "--k", "0"], None, "--k"),
+            (["analytic", "--law", "ratio-cdf", "--z", "-1"], None, "--z"),
+            (["analytic", "--law", "ratio-cdf", "--z", "abc"], None, "--z"),
+            (["analytic", "--law", "ratio-cdf", "--rho", "0"], None, "--rho"),
+            (["analytic", "--law", "theorem1-law", "--k", "-1"], None, "--k"),
+        ],
+    )
+    def test_bad_input_exits_2(self, tmp_path, monkeypatch, capsys, argv, payload, where):
+        monkeypatch.chdir(tmp_path)
+        if payload is not None:
+            argv = [*argv, "--config", write_cfg(tmp_path, payload)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: ") and where in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == (["cfg.json"] if payload else [])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--preset", "fig6", "--trials", "200"],
+            ["validate"],
+            ["espar", "--reactances", "5,-5,10"],
+            ["analytic", "--law", "theorem1-law"],
+        ],
+    )
+    @pytest.mark.parametrize("where", ["missing/x.csv", "."])
+    def test_unwritable_out_fails_before_any_work(self, tmp_path, monkeypatch, capsys, argv,
+                                                  where):
+        monkeypatch.chdir(tmp_path)
+        assert main([*argv, "--out", where]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"config error: output path {where!r}")
+        assert captured.out == "" and "[simulate]" not in captured.err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_out_from_environment_and_preset_are_checked(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_cfg(tmp_path, {"preset": {"name": "fig5", "output_path": "missing/a.csv"}})
+        assert main(["simulate", "--config", cfg, "--trials", "100"]) == 2
+        monkeypatch.setenv("COGMAC_OUT", "missing/b.csv")
+        assert main(["simulate", "--preset", "fig5", "--trials", "100"]) == 2
+        err = capsys.readouterr().err
+        assert "output path 'missing/a.csv'" in err and "output path 'missing/b.csv'" in err
+        assert "[simulate]" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
