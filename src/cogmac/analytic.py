@@ -32,6 +32,7 @@ __all__ = [
     "effective_users_moderate_k",
     "effective_users_rab_m2",
     "rab_m2_cdf",
+    "rab_m2_ppf",
     "rab_m2_tail_cdf",
 ]
 
@@ -39,11 +40,20 @@ _NEG_INV_E = -math.exp(-1.0)
 # Below log(x) = -40, W(x) = x - x^2 + ... equals x to double precision.
 _W_TINY_LOG = -40.0
 _W_TINY_X = math.exp(_W_TINY_LOG)
-# Series/asymptotic crossover for I0; both branches agree to ~1e-12 here.
-_I0_SERIES_CUTOFF = 15.0
+# Series/asymptotic crossover for I0 and I1; both branches agree to ~1e-12 here.
+_BESSEL_SERIES_CUTOFF = 15.0
 # Step ratio of term m to term m-1, without its x dependence, for m = 1, 2, ...
-_I0_SERIES_STEP = 1.0 / np.arange(1, 33) ** 2
-_I0E_ASYMPTOTIC_STEP = (2 * np.arange(1, 65) - 1) ** 2 / (8.0 * np.arange(1, 65))
+_SERIES_M = np.arange(1, 33)
+_I0_SERIES_STEP = 1.0 / _SERIES_M**2
+_I1_SERIES_STEP = 1.0 / (_SERIES_M * (_SERIES_M + 1))
+_ASYMPTOTIC_M = np.arange(1, 65)
+_I0E_ASYMPTOTIC_STEP = (2 * _ASYMPTOTIC_M - 1) ** 2 / (8.0 * _ASYMPTOTIC_M)
+_I1E_ASYMPTOTIC_STEP = (2 * _ASYMPTOTIC_M - 3) * (2 * _ASYMPTOTIC_M + 1) / (8.0 * _ASYMPTOTIC_M)
+# A term below 2^-56 of its sum rounds away, and so does every later (smaller) one.
+_ABSORBED = 2.0**-56
+# Newton on the RAB M=2 quantile stops an element once its step in t is
+# below this times max(1, |t|): a few ulps.
+_PPF_STEP_ULPS = 4.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -132,28 +142,59 @@ def bessel_i0e(x):
     ax = np.abs(np.asarray(x, dtype=float))
     if not np.all(np.isfinite(ax)):
         raise ValueError(f"bessel_i0e requires finite input, got {x}")
-    small = ax <= _I0_SERIES_CUTOFF
-    out = np.empty_like(ax)
-    out[small] = np.exp(-ax[small]) * _i0_series(ax[small])
-    out[~small] = _i0e_asymptotic(ax[~small])
+    out = _bessel_i0e_i1e(ax.reshape(-1))[0].reshape(ax.shape)
     return float(out) if np.isscalar(x) else out
 
 
-def _i0_series(ax):
-    # Sum of (x/2)^(2m) / (m!)^2 for m <= 32; all terms positive, no
-    # cancellation.  Up to the crossover, term 32 is below 1e-20 of the sum.
-    q = 0.25 * np.square(ax)
-    return 1.0 + np.cumprod(np.multiply.outer(q, _I0_SERIES_STEP), axis=-1).sum(axis=-1)
+def _bessel_i0e_i1e(ax: np.ndarray) -> tuple:
+    """(exp(-x) I0(x), exp(-x) I1(x)) of a 1-d array of finite x >= 0.
 
-
-def _i0e_asymptotic(ax):
-    # exp(-x) I0(x) ~ (2 pi x)^(-1/2) * sum_m prod_{k<=m} (2k-1)^2 / (8 k x).
-    # Asymptotic series: each element stops at its own smallest term, where
-    # the step ratio reaches 1 (it grows with k).  That happens by m = 64 for
-    # x < 31.5; above that, term 64 is below 1e-28.
-    ratio = np.multiply.outer(1.0 / np.asarray(ax, dtype=float), _I0E_ASYMPTOTIC_STEP)
-    terms = np.cumprod(np.where(ratio < 1.0, ratio, 0.0), axis=-1)
-    return (1.0 + terms.sum(axis=-1)) / np.sqrt(2.0 * math.pi * ax)
+    Power series up to the crossover, asymptotic series above it.  Terms are
+    added one at a time, so the temporaries are a few arrays the size of x,
+    and the loop stops once no element's term can change its sum; each
+    element's result is therefore the same whatever the other elements are.
+    """
+    i0e, i1e = np.empty_like(ax), np.empty_like(ax)
+    small = ax <= _BESSEL_SERIES_CUTOFF
+    xs = ax[small]
+    # I0 = sum (x/2)^(2m) / (m!)^2 and I1 = (x/2) sum (x/2)^(2m) / (m! (m+1)!):
+    # positive terms, no cancellation.  Up to the crossover, term 32 is below
+    # 1e-20 of the sum.  The I1 term is the I0 term over m+1 and its sum is at
+    # least the I0 sum over m+1, so I1 is absorbed when I0 is.
+    q = 0.25 * np.square(xs)
+    t0, t1 = np.ones_like(xs), np.ones_like(xs)
+    s0, s1 = t0.copy(), t1.copy()
+    for step0, step1 in zip(_I0_SERIES_STEP, _I1_SERIES_STEP):
+        t0 *= q * step0
+        t1 *= q * step1
+        s0 += t0
+        s1 += t1
+        if not np.any(t0 >= _ABSORBED * s0):
+            break
+    scale = np.exp(-xs)
+    i0e[small] = scale * s0
+    i1e[small] = scale * (0.5 * xs) * s1
+    # exp(-x) I_nu(x) ~ (2 pi x)^(-1/2) sum_k prod_{j<=k} step_j / x, with steps
+    # (2j-1)^2 / (8j) for nu = 0 and -(4 - (2j-1)^2) / (8j) for nu = 1.  Each
+    # series stops at its smallest term, where the step ratio reaches 1 (it
+    # grows with j).  That happens by k = 64 for x < 31.5; above that, term
+    # 64 is below 1e-28.
+    xl = ax[~small]
+    inv = 1.0 / xl
+    t0, t1 = np.ones_like(xl), np.ones_like(xl)
+    s0, s1 = t0.copy(), t1.copy()
+    for step0, step1 in zip(_I0E_ASYMPTOTIC_STEP, _I1E_ASYMPTOTIC_STEP):
+        r0, r1 = step0 * inv, step1 * inv
+        t0 *= np.where(r0 < 1.0, r0, 0.0)
+        t1 *= np.where(np.abs(r1) < 1.0, r1, 0.0)
+        s0 += t0
+        s1 += t1
+        if not np.any((t0 >= _ABSORBED * s0) | (np.abs(t1) >= _ABSORBED * s1)):
+            break
+    root = np.sqrt(2.0 * math.pi * xl)
+    i0e[~small] = s0 / root
+    i1e[~small] = s1 / root
+    return i0e, i1e
 
 
 def ratio_cdf(z, params: RatioDistParams):
@@ -283,6 +324,43 @@ def rab_m2_cdf(z, params: RatioDistParams):
     y = k * rho * z_arr / (rho * z_arr + k + 1.0)
     out = 1.0 - _rab_m2_prefactor(z_arr, params) * bessel_i0e(y)
     return float(out) if np.isscalar(z) else out
+
+
+def rab_m2_ppf(q, params: RatioDistParams):
+    """Quantile of the two-pattern RAB law at upper-tail probability q:
+    rab_m2_cdf(z) = 1 - q.
+
+    In v = (K+1)/(rho z + K + 1), in (0, 1], the upper tail is
+    S(v) = v exp(-y) I0(y) with y = K(1 - v).  Newton's method solves
+    log S = log q in t = log v.  The slope d log S / dt = 1 + K v (1 - I1/I0)
+    is at least 1 and grows with t, so from the tail guess
+    v0 = min(1, q / (exp(-K) I0(K))), which is never below the root, the
+    iterates fall monotonically onto it; each element stops once its step is
+    within a few ulps.  The answer is v = q / (exp(-y) I0(y)) at the last y,
+    which avoids the |t| ulps that exp(t) would lose, and
+    z = (K+1)(1/v - 1)/rho.  Accepts scalars or ndarrays with 0 < q <= 1;
+    q = 1 gives z = 0, and K = 0 gives the Rayleigh quantile (1/q - 1)/rho.
+    """
+    q_arr = np.asarray(q, dtype=float)
+    if not np.all((q_arr > 0.0) & (q_arr <= 1.0)):
+        raise ValueError("rab_m2_ppf requires 0 < q <= 1")
+    k = params.k_factor
+    q_flat = q_arr.reshape(-1)
+    log_q = np.log(q_flat)
+    t = np.minimum(log_q - math.log(bessel_i0e(k)), 0.0)
+    live = np.flatnonzero(log_q < 0.0)
+    for _ in range(64):
+        if live.size == 0:
+            break
+        t_live = t[live]
+        i0e, i1e = _bessel_i0e_i1e(-k * np.expm1(t_live))
+        slope = 1.0 + k * np.exp(t_live) * (1.0 - i1e / i0e)
+        step = (t_live + np.log(i0e) - log_q[live]) / slope
+        t[live] = t_live - step
+        live = live[np.abs(step) > _PPF_STEP_ULPS * np.maximum(1.0, np.abs(t_live))]
+    v = q_flat / _bessel_i0e_i1e(-k * np.expm1(t))[0]
+    out = ((k + 1.0) * (1.0 / v - 1.0) / params.power_ratio).reshape(q_arr.shape)
+    return float(out) if out.ndim == 0 else out
 
 
 def rab_m2_tail_cdf(z, params: RatioDistParams):

@@ -50,12 +50,16 @@ def draw_gains(
     los = math.sqrt(k * config.mean_interference_power / (k + 1.0))
     if m > 1:
         theta = rng.uniform(0.0, 2.0 * math.pi, size=(size, n, m - 1))
-        re = 1.0 + np.cos(theta[..., 0])
-        im = np.sin(theta[..., 0])
-        for i in range(1, m - 1):
-            re += np.cos(theta[..., i])
-            im += np.sin(theta[..., i])
-        los = los / math.sqrt(m) * np.sqrt(re * re + im * im)
+        if m == 2:  # |1 + e^{j theta}| = 2 |cos(theta / 2)|
+            mag = 2.0 * np.abs(np.cos(0.5 * theta[..., 0]))
+        else:
+            re = 1.0 + np.cos(theta[..., 0])
+            im = np.sin(theta[..., 0])
+            for i in range(1, m - 1):
+                re += np.cos(theta[..., i])
+                im += np.sin(theta[..., i])
+            mag = np.sqrt(re * re + im * im)
+        los = los / math.sqrt(m) * mag
     scale = math.sqrt(config.mean_interference_power / (2.0 * (k + 1.0)))
     parts = rng.standard_normal((size, n, 2))
     x = los + scale * parts[..., 0]

@@ -48,19 +48,17 @@ def synthetic_admittance(m_elements: int) -> np.ndarray:
     stand-in since measured coupling matrices are hardware-specific.
     """
     radius = DEFAULT_RADIUS_WAVELENGTHS
-    pos = [(0.0, 0.0)]
-    for i in range(m_elements - 1):
-        psi = 2.0 * math.pi * i / max(1, m_elements - 1)
-        pos.append((radius * math.cos(psi), radius * math.sin(psi)))
-    y = np.zeros((m_elements, m_elements), dtype=complex)
-    for i in range(m_elements):
-        for j in range(m_elements):
-            if i == j:
-                y[i, j] = 1.0 / _ACTIVE_LOAD_OHMS
-            else:
-                d = math.hypot(pos[i][0] - pos[j][0], pos[i][1] - pos[j][1])
-                y[i, j] = (0.002 - 0.001j) / (1.0 + 8.0 * d)
-    return y
+    psi = 2.0 * math.pi * np.arange(m_elements - 1) / max(1, m_elements - 1)
+    x = np.concatenate(([0.0], radius * np.cos(psi)))
+    y = np.concatenate(([0.0], radius * np.sin(psi)))
+    denom = 1.0 + 8.0 * np.hypot(x[:, None] - x, y[:, None] - y)
+    # Real and imaginary parts divided separately: a real divisor then gives
+    # the same bits as Python's complex division.
+    adm = np.empty((m_elements, m_elements), dtype=complex)
+    adm.real = 0.002 / denom
+    adm.imag = -0.001 / denom
+    np.fill_diagonal(adm, 1.0 / _ACTIVE_LOAD_OHMS)
+    return adm
 
 
 @dataclass(frozen=True)

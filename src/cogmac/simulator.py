@@ -6,11 +6,19 @@ primary receiver binds exactly.  Two modes: ``baseline`` (one conventional
 antenna per user) and ``rab`` (per-slot random basis-pattern weights).
 
 Two samplers.  Brute force draws every user of every slot through
-:func:`cogmac.channels.draw_gains` and takes the max.  With one pattern and
-no power cap the scheduled user's ratio z_max = max_n gain_s/gain_sp is
-instead drawn exactly from one uniform per slot, z_max = F^-1(U^(1/N))
-(the inverse-CDF identity for the maximum of N iid draws), with F^-1 the
-closed-form :func:`cogmac.analytic.ratio_ppf`.
+:func:`cogmac.channels.draw_gains` and takes the max.  Without a power cap,
+wherever the per-user ratio law has a closed-form quantile F^-1, the
+scheduled user's ratio z_max = max_n gain_s/gain_sp is instead drawn
+exactly from one uniform per slot, z_max = F^-1(U^(1/N)) (the inverse-CDF
+identity for the maximum of N iid draws), at a cost independent of N:
+
+* K = 0, any M: the weights do not matter and the law is the Rayleigh one,
+  so a RAB K = 0 point reproduces the baseline K = 0 point of the same
+  seed exactly;
+* M = 1: :func:`cogmac.analytic.ratio_ppf`;
+* M = 2: :func:`cogmac.analytic.rab_m2_ppf`.
+
+Points with M >= 3 and K > 0, and capped points, take brute force.
 
 Reproducibility: trials are processed in fixed-size chunks, each drawing
 from its own counter-derived Philox stream (``jumped`` from the master
@@ -30,7 +38,7 @@ from itertools import product
 
 import numpy as np
 
-from .analytic import RatioDistParams, ratio_ppf
+from .analytic import RatioDistParams, rab_m2_ppf, ratio_ppf
 from .channels import draw_gains
 
 __all__ = [
@@ -168,18 +176,20 @@ def _max_ratio(config: NetworkConfig, u: np.ndarray) -> np.ndarray:
     """The scheduled ratio max_n gain_s/gain_sp of N users from uniforms u
     in [0, 1): F^-1(U^(1/N)), with the upper tail q = 1 - U^(1/N) formed as
     -expm1(log(U)/N).  U = 0 gives 0.  K = 0 uses the Rayleigh form
-    1/(rho expm1(-log(U)/N)), rho = gamma_sp/gamma_s."""
+    1/(rho expm1(-log(U)/N)), rho = gamma_sp/gamma_s, for any M; otherwise
+    F^-1 is :func:`ratio_ppf` for M = 1 and :func:`rab_m2_ppf` for M = 2."""
     rho = config.mean_interference_power / config.mean_secondary_power
     with np.errstate(divide="ignore"):
         log_root = np.log(u) / config.n_users
     if config.k_factor == 0.0:
         return 1.0 / (rho * np.expm1(-log_root))
-    return ratio_ppf(-np.expm1(log_root), RatioDistParams(config.k_factor, rho))
+    ppf = ratio_ppf if config.m_patterns == 1 else rab_m2_ppf
+    return ppf(-np.expm1(log_root), RatioDistParams(config.k_factor, rho))
 
 
 def _quantile_block(config: NetworkConfig, size: int, rng) -> tuple:
     """(best numerator, 1/denominator) of `size` slots from the scheduled
-    maximum alone; exact for one pattern and no power cap.
+    maximum alone; exact without a power cap for M <= 2 or K = 0.
 
     Fixed draw order: one uniform per slot, then the primary-to-secondary
     powers (if enabled).
@@ -218,16 +228,18 @@ def run_experiment(
     """Monte-Carlo ergodic capacity with a Jensen-bound diagnostic.
 
     ``method="auto"`` draws each slot's scheduled maximum directly where
-    that is exact, for one pattern and no power cap: one uniform per slot
-    in chunks of ``_CHUNK_ELEMENTS`` slots.  Every other point, and every
-    point with ``method="brute"``, draws all N users of each slot.
-    Deterministic for a fixed seed regardless of ``threads``.
+    that is exact, for points without a power cap that have M <= 2 or
+    K = 0: one uniform per slot in chunks of ``_CHUNK_ELEMENTS`` slots.
+    Every other point (M >= 3 with K > 0, or a power cap), and every point
+    with ``method="brute"``, draws all N users of each slot.  Deterministic
+    for a fixed seed regardless of ``threads``.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
-    quantile = method == "auto" and config.m_patterns == 1 and config.max_power_cap is None
+    quantile = (method == "auto" and config.max_power_cap is None
+                and (config.m_patterns <= 2 or config.k_factor == 0.0))
     chunk = min(config.trials, _CHUNK_ELEMENTS) if quantile else _chunk_size(config)
     n_chunks = (config.trials + chunk - 1) // chunk
 
@@ -263,6 +275,7 @@ def sweep(
     modes,
     threads: int = 1,
     progress=None,
+    method: str = "auto",
 ) -> list[SweepPoint]:
     """Capacity estimates over the (mode, K, N[, M]) grid, in grid order.
 
@@ -271,7 +284,8 @@ def sweep(
     draw: a bad grid value raises ``ValueError`` before any point runs.
     With ``threads > 1`` the grid points run concurrently, one thread each;
     a single-point grid spreads its chunks over the threads instead.  Each
-    point's ``wall_s`` is timed on the thread that ran it.
+    point's ``wall_s`` is timed on the thread that ran it.  ``method`` is
+    passed to :func:`run_experiment` for every point.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
@@ -288,7 +302,7 @@ def sweep(
 
     def timed(cfg: NetworkConfig, inner_threads: int) -> tuple:
         start = time.perf_counter()
-        estimate = run_experiment(cfg, threads=inner_threads)
+        estimate = run_experiment(cfg, threads=inner_threads, method=method)
         return estimate, time.perf_counter() - start
 
     def point(cfg: NetworkConfig, result: tuple) -> SweepPoint:

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special
 
+from cogmac import analytic
 from cogmac.analytic import (
     RatioDistParams,
     bessel_i0e,
@@ -17,6 +18,7 @@ from cogmac.analytic import (
     lambert_w0,
     normalizer_a_n,
     rab_m2_cdf,
+    rab_m2_ppf,
     rab_m2_tail_cdf,
     ratio_cdf,
     ratio_pdf,
@@ -442,6 +444,60 @@ class TestRabM2ClosedForms:
         a = effective_users_rab_m2(n, k)
         survival = 1.0 - rab_m2_cdf(a, p)
         assert abs(survival - 1.0 / n) / (1.0 / n) < 0.05
+
+
+class TestBesselPair:
+    """The private (i0e, i1e) routine behind bessel_i0e and rab_m2_ppf."""
+
+    def test_against_scipy(self):
+        xs = np.concatenate([np.linspace(0.0, 100.0, 20_001), [1e3, 1e6]])
+        i0e, i1e = analytic._bessel_i0e_i1e(xs)
+        assert np.max(np.abs(i0e / special.i0e(xs) - 1.0)) < 1e-13
+        assert i1e[0] == 0.0
+        assert np.max(np.abs(i1e[1:] / special.i1e(xs[1:]) - 1.0)) < 1e-13
+
+    def test_elements_do_not_depend_on_neighbours(self):
+        # The series loops stop only when no term can change any sum.
+        xs = np.array([0.0, 0.3, 14.9, 15.1, 31.0, 400.0])
+        pair = analytic._bessel_i0e_i1e(xs)
+        for i, x in enumerate(xs):
+            one = analytic._bessel_i0e_i1e(np.array([x]))
+            assert (one[0][0], one[1][0]) == (pair[0][i], pair[1][i])
+
+
+def rab_m2_survival(z, k, rho):
+    """1 - rab_m2_cdf(z), formed without cancellation and with scipy's i0e."""
+    u = rho * z + k + 1.0
+    return (k + 1.0) / u * special.i0e(k * rho * z / u)
+
+
+class TestRabM2Ppf:
+    def test_edges_and_array_form(self):
+        p = RatioDistParams(10.0, 0.5)
+        assert rab_m2_ppf(1.0, p) == 0.0
+        # K = 0: the Rayleigh quantile (1/q - 1)/rho.
+        assert rab_m2_ppf(0.25, RatioDistParams(0.0, 2.0)) == pytest.approx(1.5, rel=1e-15)
+        q = np.array([[1e-12, 0.01], [0.5, 1.0]])
+        z = rab_m2_ppf(q, p)
+        assert isinstance(z, np.ndarray) and z.shape == q.shape
+        assert np.array_equal(z.ravel(), [rab_m2_ppf(float(v), p) for v in q.ravel()])
+        assert isinstance(rab_m2_ppf(0.5, p), float)
+        for bad in (0.0, -0.1, 1.5, float("nan")):
+            with pytest.raises(ValueError):
+                rab_m2_ppf(bad, p)
+
+    @pytest.mark.parametrize("k", [0.5, 2.0, 10.0, 100.0])
+    def test_inverts_cdf_on_grid(self, k):
+        p = RatioDistParams(k, 1.3)
+        z = np.array([0.0, 0.01, 0.5, 3.0, 40.0, 1e4])
+        assert rab_m2_ppf(1.0 - rab_m2_cdf(z[1:], p), p) == pytest.approx(z[1:], rel=1e-9)
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(k=st.floats(0.0, 1000.0), rho=st.floats(1e-3, 1e3), q=st.floats(1e-300, 1.0))
+    def test_survival_of_the_quantile_is_q(self, k, rho, q):
+        z = rab_m2_ppf(q, RatioDistParams(k, rho))
+        assert math.isfinite(z) and z >= 0.0
+        assert abs(rab_m2_survival(z, k, rho) / q - 1.0) <= _PPF_TOL_PER_K * (k + 1.0)
 
 
 class TestParamValidation:

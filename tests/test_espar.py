@@ -19,6 +19,24 @@ from cogmac.espar import (
 )
 
 
+def admittance_loop(m):
+    """Element-by-element build of the bundled admittance fixture: centre
+    element plus m-1 elements evenly spaced on a circle of radius lambda/16."""
+    pos = [(0.0, 0.0)]
+    for i in range(m - 1):
+        psi = 2.0 * math.pi * i / max(1, m - 1)
+        pos.append((math.cos(psi) / 16.0, math.sin(psi) / 16.0))
+    y = np.zeros((m, m), dtype=complex)
+    for i in range(m):
+        for j in range(m):
+            if i == j:
+                y[i, j] = 1.0 / 50.0
+            else:
+                d = math.hypot(pos[i][0] - pos[j][0], pos[i][1] - pos[j][1])
+                y[i, j] = (0.002 - 0.001j) / (1.0 + 8.0 * d)
+    return y
+
+
 def gram_matrix(basis):
     m = basis.basis_values.shape[0]
     g = np.empty((m, m), dtype=complex)
@@ -182,6 +200,15 @@ class TestConfigValidation:
             for i in range(m):
                 off = sum(abs(y[i, j]) for j in range(m) if j != i)
                 assert abs(y[i, i]) > off
+
+    def test_synthetic_admittance_matches_loop(self):
+        # Bit for bit up to 17 elements; beyond, numpy's hypot may differ from
+        # math.hypot in the last place.
+        for m in range(1, 18):
+            assert np.array_equal(synthetic_admittance(m), admittance_loop(m))
+        for m in (33, 64, 200):
+            np.testing.assert_allclose(synthetic_admittance(m), admittance_loop(m),
+                                       rtol=4e-16, atol=0.0)
 
     def test_asymmetric_admittance_rejected(self):
         y = np.array([[0.02, 0.001], [0.003, 0.02]])

@@ -5,6 +5,7 @@ import time
 import tracemalloc
 import warnings
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
@@ -45,9 +46,9 @@ def run_calls(monkeypatch):
     calls = []
     real = simulator.run_experiment
 
-    def counted(cfg, threads=1):
+    def counted(cfg, threads=1, method="auto"):
         calls.append(threads)
-        return real(cfg, threads=threads)
+        return real(cfg, threads=threads, method=method)
 
     monkeypatch.setattr(simulator, "run_experiment", counted)
     return calls
@@ -319,13 +320,15 @@ class TestSweep:
         assert iters == lists
 
     def test_thread_count_invariance(self, run_calls):
+        # The RAB M=3, K=2 points take brute force; N=512 spans four chunks.
         cfg = small_cfg(trials=5000)
-        assert simulator._chunk_size(replace(cfg, n_users=512)) < cfg.trials  # multi-chunk
+        rab512 = replace(cfg, mode="rab", n_users=512, m_patterns=3)
+        assert simulator._chunk_size(rab512) < cfg.trials
         runs = {}
         for threads in (1, 2, 4):
             run_calls.clear()
             seen = []
-            runs[threads] = sweep(cfg, [2, 512], [0.0], [2], ["baseline", "rab"],
+            runs[threads] = sweep(cfg, [2, 512], [2.0], [3], ["baseline", "rab"],
                                   threads=threads, progress=seen.append)
             assert seen == runs[threads]
             assert run_calls == [threads if threads == 1 else 1] * 4
@@ -333,10 +336,10 @@ class TestSweep:
         assert runs[1] == runs[2] == runs[4]
 
     def test_single_point_keeps_chunk_threads(self, run_calls):
-        # A brute-force point: 256 users x 2 patterns per slot, three chunks.
-        cfg = small_cfg(n_users=256, m_patterns=2, mode="rab", trials=9000)
+        # A brute-force point: 128 users x 4 patterns per slot, three chunks.
+        cfg = small_cfg(n_users=128, m_patterns=4, mode="rab", k_factor=2.0, trials=9000)
         assert 2 * simulator._chunk_size(cfg) < cfg.trials  # three chunks
-        (pt,) = sweep(cfg, [256], [0.0], [2], ["rab"], threads=3)
+        (pt,) = sweep(cfg, [128], [2.0], [4], ["rab"], threads=3)
         assert run_calls == [3]
         assert pt.estimate == run_experiment(cfg, threads=1)
 
@@ -345,7 +348,7 @@ class TestSweep:
         # callback still reports the time its own point took.
         sleeps = {2: 0.25, 3: 0.05, 4: 0.05, 5: 0.1}
 
-        def slow(cfg, threads=1):
+        def slow(cfg, threads=1, method="auto"):
             time.sleep(sleeps[cfg.n_users])
             return simulator.CapacityEstimate(1.0, 0.1, 2.0, cfg.trials)
 
@@ -358,6 +361,14 @@ class TestSweep:
             assert sleeps[n] <= wall_s < sleeps[n] + 1.0, (n, wall_s)
         # The time is a measurement, not part of the result.
         assert points[0] == replace(points[0], wall_s=0.0)
+
+    def test_rab_k0_rows_equal_baseline_rows(self):
+        # At K = 0 the weights do not matter: same law, same uniforms.
+        points = sweep(small_cfg(trials=3000), [8, 64], [0.0], [2, 4], ["baseline", "rab"])
+        base = {p.n_users: p.estimate for p in points if p.mode == "baseline"}
+        rab = [p for p in points if p.mode == "rab"]
+        assert len(rab) == 4
+        assert all(p.estimate == base[p.n_users] for p in rab)
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
@@ -378,32 +389,51 @@ def slot_sinrs(block, cfg, size, seed):
 
 QUANTILE_N = (1, 8, 512)
 QUANTILE_K = (0.0, 2.0, 10.0, 100.0)
+# RAB M = 2 at K > 0; at K = 0 its law is the Rayleigh one tested above.
+QUANTILE_RAB_K = (2.0, 10.0, 100.0)
 PRIMARY = ({}, dict(primary_power=2.0, mean_ps_power=0.5))
-# One comparison per case; 1% is the level of the whole family (Bonferroni).
-QUANTILE_ALPHA = 0.01 / (len(QUANTILE_N) * len(QUANTILE_K) * len(PRIMARY))
+# One comparison per case; 1% is the level of the whole family, one pattern
+# and two (Bonferroni).
+QUANTILE_CASES = len(QUANTILE_N) * (len(QUANTILE_K) + len(QUANTILE_RAB_K)) * len(PRIMARY)
+QUANTILE_ALPHA = 0.01 / QUANTILE_CASES
+
+
+def two_sample_ks_p(m, n, k, primary):
+    """KS p-value of 10k scheduled SINRs, order-statistic sampler against
+    brute force, at gamma_s = 2.5, gamma_sp = 0.4, Q_p = 1.7; seeds fixed
+    per case."""
+    cfg = NetworkConfig(n_users=n, m_patterns=m, mode="baseline" if m == 1 else "rab",
+                        k_factor=k, mean_secondary_power=2.5, mean_interference_power=0.4,
+                        peak_interference=1.7, **primary)
+    seed = 10_000 * n + 10 * int(k) + len(primary) + 2 * 10**7 * (m - 1)
+    fast = slot_sinrs(simulator._quantile_block, cfg, 10_000, seed)
+    brute = slot_sinrs(simulator._brute_block, cfg, 10_000, 10**7 + seed)
+    return ks_2samp(fast, brute).pvalue
 
 
 class TestQuantileSampler:
-    """One pattern, no power cap: the scheduled maximum drawn from one uniform."""
+    """No power cap, M <= 2 or K = 0: the scheduled maximum drawn from one uniform."""
 
     @pytest.mark.parametrize("primary", PRIMARY, ids=["no-primary", "primary"])
     @pytest.mark.parametrize("k", QUANTILE_K)
     @pytest.mark.parametrize("n", QUANTILE_N)
     def test_two_sample_ks_against_brute_force(self, n, k, primary):
-        cfg = NetworkConfig(n_users=n, m_patterns=1, mode="baseline", k_factor=k,
-                            mean_secondary_power=2.5, mean_interference_power=0.4,
-                            peak_interference=1.7, **primary)
-        seed = 10_000 * n + 10 * int(k) + len(primary)
-        fast = slot_sinrs(simulator._quantile_block, cfg, 10_000, seed)
-        brute = slot_sinrs(simulator._brute_block, cfg, 10_000, 10**7 + seed)
-        p = ks_2samp(fast, brute).pvalue
+        p = two_sample_ks_p(1, n, k, primary)
+        assert p >= QUANTILE_ALPHA, f"two-sample KS p = {p:.2e}"
+
+    @pytest.mark.parametrize("primary", PRIMARY, ids=["no-primary", "primary"])
+    @pytest.mark.parametrize("k", QUANTILE_RAB_K)
+    @pytest.mark.parametrize("n", QUANTILE_N)
+    def test_rab_m2_two_sample_ks_against_brute_force(self, n, k, primary):
+        p = two_sample_ks_p(2, n, k, primary)
         assert p >= QUANTILE_ALPHA, f"two-sample KS p = {p:.2e}"
 
     @pytest.mark.parametrize("k", [0.0, 10.0, 1000.0])
     def test_extreme_uniforms_give_finite_ratio(self, k):
         u = np.array([0.0, 1.0 - 2.0**-53])
-        for n in (1, 512):
-            cfg = NetworkConfig(n_users=n, m_patterns=1, mode="baseline", k_factor=k)
+        for n, m in product((1, 512), (1, 2)):
+            cfg = NetworkConfig(n_users=n, m_patterns=m, mode="baseline" if m == 1 else "rab",
+                                k_factor=k)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 z = simulator._max_ratio(cfg, u)
@@ -411,11 +441,25 @@ class TestQuantileSampler:
             assert np.isfinite(z[1]) and z[1] > 0.0
 
     def test_thread_invariance_across_chunks(self):
-        cfg = NetworkConfig(n_users=64, m_patterns=1, mode="baseline", k_factor=2.0,
-                            trials=simulator._CHUNK_ELEMENTS + 3000, seed=23,
-                            primary_power=1.0)
-        runs = [run_experiment(cfg, threads=t) for t in (1, 2, 3)]
-        assert runs[0] == runs[1] == runs[2]
+        for mode, m in (("baseline", 1), ("rab", 2)):
+            cfg = NetworkConfig(n_users=64, m_patterns=m, mode=mode, k_factor=2.0,
+                                trials=simulator._CHUNK_ELEMENTS + 3000, seed=23,
+                                primary_power=1.0)
+            runs = [run_experiment(cfg, threads=t) for t in (1, 2, 3)]
+            assert runs[0] == runs[1] == runs[2]
+
+    def test_rab_block_working_set_is_bounded(self):
+        # The Bessel sums behind rab_m2_ppf keep a few block-sized arrays,
+        # not a 64-term table per block (16 MiB).
+        cfg = NetworkConfig(n_users=8, m_patterns=2, mode="rab", k_factor=100.0, seed=3)
+        tracemalloc.start()
+        try:
+            simulator._chunk_sums(cfg, 2 * simulator._BLOCK_ELEMENTS,
+                                  simulator._chunk_rng(cfg, 0), quantile=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20
 
     def test_path_selection(self, monkeypatch):
         used = []
@@ -434,13 +478,23 @@ class TestQuantileSampler:
             assert len(set(used)) == 1
             return used[0]
 
+        rab = dict(mode="rab", k_factor=3.0)
         assert path() == "_quantile_block"
         assert path(mode="rab") == "_quantile_block"
-        assert path(mode="rab", m_patterns=2) == "_brute_block"
+        assert path(m_patterns=2, **rab) == "_quantile_block"
+        assert path(mode="rab", m_patterns=2) == "_quantile_block"
+        assert path(mode="rab", m_patterns=3) == "_quantile_block"  # K = 0
+        assert path(m_patterns=3, **rab) == "_brute_block"
         assert path(max_power_cap=1.0) == "_brute_block"
+        assert path(m_patterns=2, max_power_cap=1.0, **rab) == "_brute_block"
         assert path(method="brute") == "_brute_block"
+        assert path(m_patterns=2, method="brute", **rab) == "_brute_block"
         with pytest.raises(ValueError, match="method"):
             path(method="quantile")
+        # sweep hands its method to every point.
+        used.clear()
+        sweep(small_cfg(), [4], [3.0], [2], ["baseline", "rab"], method="brute")
+        assert set(used) == {"_brute_block"}
 
 
 class TestGrowthFlatness:
