@@ -197,15 +197,20 @@ def _bessel_i0e_i1e(ax: np.ndarray) -> tuple:
     return i0e, i1e
 
 
+def _ratios(z, law: str) -> np.ndarray:
+    z_arr = np.asarray(z, dtype=float)
+    if not np.all(np.isfinite(z_arr) & (z_arr >= 0.0)):
+        raise ValueError(f"{law} requires finite z >= 0, got {z}")
+    return z_arr
+
+
 def ratio_cdf(z, params: RatioDistParams):
     """CDF of z = secondary power / Rician interference power.
 
     F(z) = 1 - (K+1)/(rho z + K + 1) * exp(-K + K(K+1)/(rho z + K + 1)).
     Accepts scalars or ndarrays; K = 0 reduces to 1 - 1/(rho z + 1).
     """
-    z_arr = np.asarray(z, dtype=float)
-    if np.any(z_arr < 0.0):
-        raise ValueError("ratio_cdf requires z >= 0")
+    z_arr = _ratios(z, "ratio_cdf")
     k = params.k_factor
     u = params.power_ratio * z_arr + k + 1.0
     out = 1.0 - (k + 1.0) / u * np.exp(-k + k * (k + 1.0) / u)
@@ -218,9 +223,7 @@ def ratio_pdf(z, params: RatioDistParams):
     f(z) = (K+1) rho exp(-K + K(K+1)/u) ((K+1)^2 + rho z) / u^3 with
     u = rho z + K + 1; the exact derivative of :func:`ratio_cdf`.
     """
-    z_arr = np.asarray(z, dtype=float)
-    if np.any(z_arr < 0.0):
-        raise ValueError("ratio_pdf requires z >= 0")
+    z_arr = _ratios(z, "ratio_pdf")
     k = params.k_factor
     rho = params.power_ratio
     u = rho * z_arr + k + 1.0
@@ -316,9 +319,7 @@ def rab_m2_cdf(z, params: RatioDistParams):
     F(z) = 1 - (K+1)/(rho z + K+1) * exp(-y) I0(y) with
     y = K rho z / (rho z + K + 1).  Stable for any K (scaled Bessel).
     """
-    z_arr = np.asarray(z, dtype=float)
-    if np.any(z_arr < 0.0):
-        raise ValueError("rab_m2_cdf requires z >= 0")
+    z_arr = _ratios(z, "rab_m2_cdf")
     k = params.k_factor
     rho = params.power_ratio
     y = k * rho * z_arr / (rho * z_arr + k + 1.0)
@@ -367,6 +368,6 @@ def rab_m2_tail_cdf(z, params: RatioDistParams):
     """Large-z tail of :func:`rab_m2_cdf`: exp(-y) I0(y) replaced by 1/sqrt(2 pi K)."""
     if params.k_factor <= 0.0:
         raise ValueError("rab_m2_tail_cdf requires k_factor > 0")
-    z_arr = np.asarray(z, dtype=float)
+    z_arr = _ratios(z, "rab_m2_tail_cdf")
     out = 1.0 - _rab_m2_prefactor(z_arr, params) / math.sqrt(2.0 * math.pi * params.k_factor)
     return float(out) if np.isscalar(z) else out

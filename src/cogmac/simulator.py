@@ -20,12 +20,15 @@ identity for the maximum of N iid draws), at a cost independent of N:
 
 Points with M >= 3 and K > 0, and capped points, take brute force.
 
-Reproducibility: trials are processed in fixed-size chunks, each drawing
-from its own counter-derived Philox stream (``jumped`` from the master
-seed), and chunk results are combined in index order.  Inside a chunk the
-slots are drawn and reduced in cache-sized blocks, in block order.  Chunk
-and block sizes depend on the config only, so results are bit-identical
-for any worker count.
+Layout: trials are processed in chunks of at most 2^21 elements, each
+drawing from its own counter-derived Philox stream (``jumped`` from the
+master seed), and each chunk in blocks of at most 2^15 elements (at least
+one slot either way).  An element is one user-pattern draw under brute
+force, one slot under the sampler.  A chunk's sums form one 4-vector,
+added block by block and then chunk by chunk, in index order.  Sizes
+depend on the config only, so results are bit-identical for any worker
+count.  Threading: the chunks of one experiment are the only parallel
+work; a sweep runs its points one after another.
 """
 
 from __future__ import annotations
@@ -62,12 +65,9 @@ METHODS = ("auto", "brute")
 GROWTH_LAWS = ("logN", "loglogN", "none")
 LOG2 = math.log(2.0)
 
-# Elements per chunk array (user-pattern draws by brute force, slots for
-# the quantile sampler); a pure function of the config so chunk layout
-# (and hence every drawn number) never depends on worker count.
+# Elements per chunk and per block (see the module docstring): the block
+# bounds a worker's temporaries to a few MB whatever the chunk size.
 _CHUNK_ELEMENTS = 1 << 21
-# Elements per block inside a chunk: bounds a worker's temporaries to a
-# few MB whatever the chunk size.
 _BLOCK_ELEMENTS = 1 << 15
 
 
@@ -135,14 +135,32 @@ class SweepPoint:
     m_patterns: int
     k_factor: float
     estimate: CapacityEstimate
-    # Seconds the point's run_experiment call took, timed on the thread that
-    # ran it; not part of the result, so equality ignores it.
+    # Seconds the point's run_experiment call took, chunk threads included;
+    # not part of the result, so equality ignores it.
     wall_s: float = field(compare=False)
 
 
+def _layout(config: NetworkConfig, method: str) -> tuple:
+    """(block sampler, slots per chunk, slots per block) of a point.
+
+    ``method="auto"`` takes the order-statistic sampler, one element per
+    slot, iff there is no power cap and M <= 2 or K = 0; every other point
+    takes brute force, N*M elements per slot.
+    """
+    if method not in METHODS:
+        raise ValueError(f"method must be one of {METHODS}, got {method!r}")
+    if method == "auto" and config.max_power_cap is None and (
+            config.m_patterns <= 2 or config.k_factor == 0.0):
+        block, per_slot = _quantile_block, 1
+    else:
+        block, per_slot = _brute_block, config.n_users * config.m_patterns
+    return (block, max(1, min(config.trials, _CHUNK_ELEMENTS // per_slot)),
+            max(1, _BLOCK_ELEMENTS // per_slot))
+
+
 def _chunk_size(config: NetworkConfig) -> int:
-    per_trial = max(1, config.n_users * config.m_patterns)
-    return max(1, min(config.trials, _CHUNK_ELEMENTS // per_trial))
+    """Slots per chunk under brute force."""
+    return _layout(config, "brute")[1]
 
 
 def _chunk_rng(config: NetworkConfig, chunk_index: int) -> np.random.Generator:
@@ -198,28 +216,21 @@ def _quantile_block(config: NetworkConfig, size: int, rng) -> tuple:
     return best_num, _inv_denom(config, size, rng)
 
 
-def _chunk_sums(config: NetworkConfig, size: int, rng, quantile: bool = False) -> tuple:
-    """Simulate `size` independent slots; return per-chunk reduction sums.
+def _chunk_sums(config: NetworkConfig, size: int, rng, method: str) -> np.ndarray:
+    """Simulate `size` independent slots; return the chunk's reduction sums
+    (sum C, sum C^2, sum best numerator, sum 1/denominator).
 
-    The slots are drawn from ``rng`` in blocks, by :func:`_quantile_block`
-    in blocks of ``_BLOCK_ELEMENTS`` rows if ``quantile``, else by
-    :func:`_brute_block` in blocks of ``_BLOCK_ELEMENTS // (n_users *
-    m_patterns)`` rows (at least one), and the blocks' sums are added in
+    The slots are drawn from ``rng`` in blocks by the sampler
+    :func:`_layout` picks for ``method``, and the blocks' sums are added in
     block order.
     """
-    if quantile:
-        block, rows = _quantile_block, _BLOCK_ELEMENTS
-    else:
-        block, rows = _brute_block, max(1, _BLOCK_ELEMENTS // (config.n_users * config.m_patterns))
-    cap_sum = capsq_sum = num_sum = inv_sum = 0.0
+    block, _, rows = _layout(config, method)
+    sums = np.zeros(4)
     for start in range(0, size, rows):
         best_num, inv_denom = block(config, min(rows, size - start), rng)
         caps = np.log1p(best_num * inv_denom)
-        cap_sum += float(np.sum(caps))
-        capsq_sum += float(np.sum(caps * caps))
-        num_sum += float(np.sum(best_num))
-        inv_sum += float(np.sum(inv_denom))
-    return cap_sum, capsq_sum, num_sum, inv_sum
+        sums += [np.sum(caps), np.sum(caps * caps), np.sum(best_num), np.sum(inv_denom)]
+    return sums
 
 
 def run_experiment(
@@ -229,23 +240,19 @@ def run_experiment(
 
     ``method="auto"`` draws each slot's scheduled maximum directly where
     that is exact, for points without a power cap that have M <= 2 or
-    K = 0: one uniform per slot in chunks of ``_CHUNK_ELEMENTS`` slots.
-    Every other point (M >= 3 with K > 0, or a power cap), and every point
-    with ``method="brute"``, draws all N users of each slot.  Deterministic
-    for a fixed seed regardless of ``threads``.
+    K = 0: one uniform per slot.  Every other point (M >= 3 with K > 0, or
+    a power cap), and every point with ``method="brute"``, draws all N
+    users of each slot.  A point of several chunks spreads them over
+    ``threads`` workers; the result is the same for any ``threads``.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    if method not in METHODS:
-        raise ValueError(f"method must be one of {METHODS}, got {method!r}")
-    quantile = (method == "auto" and config.max_power_cap is None
-                and (config.m_patterns <= 2 or config.k_factor == 0.0))
-    chunk = min(config.trials, _CHUNK_ELEMENTS) if quantile else _chunk_size(config)
+    chunk = _layout(config, method)[1]
     n_chunks = (config.trials + chunk - 1) // chunk
 
-    def work(c: int) -> tuple:
+    def work(c: int) -> np.ndarray:
         size = min(chunk, config.trials - c * chunk)
-        return _chunk_sums(config, size, _chunk_rng(config, c), quantile)
+        return _chunk_sums(config, size, _chunk_rng(config, c), method)
 
     if threads == 1 or n_chunks == 1:
         results = [work(c) for c in range(n_chunks)]
@@ -253,12 +260,8 @@ def run_experiment(
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(work, range(n_chunks)))
 
-    cap_sum = capsq_sum = num_sum = inv_sum = 0.0
-    for cs, cq, ns, iv in results:  # fixed chunk order keeps sums bit-stable
-        cap_sum += cs
-        capsq_sum += cq
-        num_sum += ns
-        inv_sum += iv
+    # Chunk order keeps the sums bit-stable.
+    cap_sum, capsq_sum, num_sum, inv_sum = sum(results, np.zeros(4)).tolist()
     t = config.trials
     mean = cap_sum / t
     var = max(0.0, (capsq_sum - t * mean * mean) / (t - 1))
@@ -282,13 +285,11 @@ def sweep(
     Baseline points always use one pattern; ``m_list`` applies to RAB points
     only.  Every point's config is built, and so checked, before the first
     draw: a bad grid value raises ``ValueError`` before any point runs.
-    With ``threads > 1`` the grid points run concurrently, one thread each;
-    a single-point grid spreads its chunks over the threads instead.  Each
-    point's ``wall_s`` is timed on the thread that ran it.  ``method`` is
-    passed to :func:`run_experiment` for every point.
+    The points run one after another, each through :func:`run_experiment`
+    with ``threads`` and ``method``, so a point of several chunks spreads
+    them over the threads.  ``progress`` is called with each point as it
+    finishes.
     """
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
     n_list, k_list, m_list, modes = list(n_list), list(k_list), list(m_list), list(modes)
     if not (n_list and k_list and modes):
         raise ValueError("n_list, k_list, and modes must be nonempty")
@@ -299,25 +300,17 @@ def sweep(
         for mode in modes
         for k, m, n in product(k_list, m_list if mode == "rab" else [1], n_list)
     ]
-
-    def timed(cfg: NetworkConfig, inner_threads: int) -> tuple:
+    points = []
+    for cfg in configs:
         start = time.perf_counter()
-        estimate = run_experiment(cfg, threads=inner_threads, method=method)
-        return estimate, time.perf_counter() - start
-
-    def point(cfg: NetworkConfig, result: tuple) -> SweepPoint:
-        estimate, wall_s = result
+        estimate = run_experiment(cfg, threads=threads, method=method)
         p = SweepPoint(mode=cfg.mode, n_users=cfg.n_users, m_patterns=cfg.m_patterns,
-                       k_factor=cfg.k_factor, estimate=estimate, wall_s=wall_s)
+                       k_factor=cfg.k_factor, estimate=estimate,
+                       wall_s=time.perf_counter() - start)
         if progress is not None:
             progress(p)
-        return p
-
-    if threads == 1 or len(configs) == 1:
-        return [point(cfg, timed(cfg, threads)) for cfg in configs]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        results = pool.map(lambda cfg: timed(cfg, 1), configs)
-        return [point(cfg, result) for cfg, result in zip(configs, results)]
+        points.append(p)
+    return points
 
 
 def format_number(x: float) -> str:

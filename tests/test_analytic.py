@@ -501,6 +501,12 @@ class TestRabM2Ppf:
 
 
 class TestParamValidation:
+    @pytest.mark.parametrize("law", [ratio_cdf, ratio_pdf, rab_m2_cdf, rab_m2_tail_cdf])
+    @pytest.mark.parametrize("z", [-1.0, math.nan, math.inf, [0.5, -math.inf]])
+    def test_z_laws_require_finite_nonnegative_z(self, law, z):
+        with pytest.raises(ValueError, match="finite z >= 0"):
+            law(z, RatioDistParams(10.0, 1.0))
+
     def test_ratio_params(self):
         with pytest.raises(ValueError):
             RatioDistParams(k_factor=1.0, power_ratio=0.0)

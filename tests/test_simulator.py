@@ -31,8 +31,9 @@ def small_cfg(**kw):
 
 
 def chunk_sums(cfg, size=500):
-    """(sum C, sum C^2, sum best numerator, sum 1/denominator) of chunk 0."""
-    return simulator._chunk_sums(cfg, size, simulator._chunk_rng(cfg, 0))
+    """(sum C, sum C^2, sum best numerator, sum 1/denominator) of chunk 0,
+    drawn by brute force."""
+    return simulator._chunk_sums(cfg, size, simulator._chunk_rng(cfg, 0), "brute")
 
 
 def chunk_gains(cfg, size=500):
@@ -331,7 +332,7 @@ class TestSweep:
             runs[threads] = sweep(cfg, [2, 512], [2.0], [3], ["baseline", "rab"],
                                   threads=threads, progress=seen.append)
             assert seen == runs[threads]
-            assert run_calls == [threads if threads == 1 else 1] * 4
+            assert run_calls == [threads] * 4
         assert len(runs[1]) == 4
         assert runs[1] == runs[2] == runs[4]
 
@@ -343,9 +344,22 @@ class TestSweep:
         assert run_calls == [3]
         assert pt.estimate == run_experiment(cfg, threads=1)
 
+    def test_single_chunk_points_build_no_thread_pool(self, monkeypatch):
+        pools = []
+        real = simulator.ThreadPoolExecutor
+
+        def counted(*args, **kwargs):
+            pools.append(kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(simulator, "ThreadPoolExecutor", counted)
+        points = sweep(small_cfg(trials=500), [2, 8], [0.0, 2.0], [3], ["baseline", "rab"],
+                       threads=4)
+        assert len(points) == 8 and pools == []
+
     def test_wall_time_is_each_points_own(self, monkeypatch):
-        # With two threads the points finish out of grid order; each progress
-        # callback still reports the time its own point took.
+        # The points run one after another in grid order; each progress
+        # callback reports the time its own point took.
         sleeps = {2: 0.25, 3: 0.05, 4: 0.05, 5: 0.1}
 
         def slow(cfg, threads=1, method="auto"):
@@ -455,7 +469,7 @@ class TestQuantileSampler:
         tracemalloc.start()
         try:
             simulator._chunk_sums(cfg, 2 * simulator._BLOCK_ELEMENTS,
-                                  simulator._chunk_rng(cfg, 0), quantile=True)
+                                  simulator._chunk_rng(cfg, 0), "auto")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
