@@ -348,12 +348,12 @@ class TestInputBoundary:
             (["analytic", "--law", "rab2-tail", "--k", "0"], None, "--k"),
             (["analytic", "--law", "ratio-cdf", "--z", "-1"], None, "--z"),
             (["analytic", "--law", "ratio-cdf", "--z", "abc"], None, "--z"),
+            (["analytic", "--law", "ratio-cdf", "--rho", "0"], None, "--rho"),
+            (["analytic", "--law", "theorem1-law", "--k", "-1"], None, "--k"),
             (["analytic", "--law", "rab2-tail", "--k", "10", "--z=-1"], None, "--z"),
             (["analytic", "--law", "ratio-cdf", "--z=nan"], None, "--z"),
             (["analytic", "--law", "ratio-pdf", "--z=inf"], None, "--z"),
             (["analytic", "--law", "rab2-cdf", "--z=inf"], None, "--z"),
-            (["analytic", "--law", "ratio-cdf", "--rho", "0"], None, "--rho"),
-            (["analytic", "--law", "theorem1-law", "--k", "-1"], None, "--k"),
         ],
     )
     def test_bad_input_exits_2(self, tmp_path, monkeypatch, capsys, argv, payload, where):
