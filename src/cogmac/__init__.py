@@ -3,7 +3,8 @@
 Library layout:
 
 * :mod:`cogmac.analytic` - closed-form distributions, scaling laws, and the
-  special functions behind them (Lambert W, modified Bessel I0).
+  special functions behind them (Wright omega, that is Lambert W in log
+  form, and the modified Bessel I0).
 * :mod:`cogmac.channels` - the channel kernel: seeded draws of every user's
   equivalent secondary and interference powers, baseline and RAB alike.
 * :mod:`cogmac.rab` - the arcsine law of the random-weight artificial LoS.
@@ -21,7 +22,6 @@ from .analytic import (
     bessel_i0e,
     effective_users_moderate_k,
     effective_users_rab_m2,
-    lambert_w0,
     normalizer_a_n,
     rab_m2_cdf,
     rab_m2_tail_cdf,
@@ -29,6 +29,7 @@ from .analytic import (
     ratio_pdf,
     ratio_ppf,
     theorem1_law,
+    wright_omega,
 )
 from .simulator import (
     CapacityEstimate,

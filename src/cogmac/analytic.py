@@ -10,7 +10,8 @@ Conventions used throughout:
 * All laws and log quantities are in nats; callers convert to bits.
 
 Everything in this module is a pure scalar/ndarray function with no RNG:
-a scalar in gives a float out, an array in gives an array of the same shape.
+a 0-d input (a Python or numpy scalar, or a 0-d array) gives a float, any
+other input an array of its shape.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 __all__ = [
     "RatioDistParams",
-    "lambert_w0",
+    "wright_omega",
     "bessel_i0e",
     "ratio_cdf",
     "ratio_pdf",
@@ -36,10 +37,11 @@ __all__ = [
     "rab_m2_tail_cdf",
 ]
 
-_NEG_INV_E = -math.exp(-1.0)
-# Below log(x) = -40, W(x) = x - x^2 + ... equals x to double precision.
-_W_TINY_LOG = -40.0
-_W_TINY_X = math.exp(_W_TINY_LOG)
+# Below y = -40, omega(y) = e^y - e^2y + ... equals e^y to double precision.
+_OMEGA_TINY_Y = -40.0
+# Above y = 1e10, omega(y) = y - log(y) + log(y)/y + ... equals y - log(y) to
+# double precision (the third term is below 1e-18 of the sum).
+_OMEGA_HUGE_Y = 1e10
 # Series/asymptotic crossover for I0 and I1; both branches agree to ~1e-12 here.
 _BESSEL_SERIES_CUTOFF = 15.0
 # Step ratio of term m to term m-1, without its x dependence, for m = 1, 2, ...
@@ -64,74 +66,43 @@ class RatioDistParams:
     power_ratio: float   # rho = mean interference power / mean secondary power
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.k_factor) or self.k_factor < 0.0:
-            raise ValueError(f"k_factor must be finite and >= 0, got {self.k_factor}")
+        _k_factor(self.k_factor, "RatioDistParams")
         if not math.isfinite(self.power_ratio) or self.power_ratio <= 0.0:
             raise ValueError(f"power_ratio must be finite and > 0, got {self.power_ratio}")
 
 
-def lambert_w0(x, *, from_log: bool = False):
-    """Principal branch of the Lambert W function, w * exp(w) = x, elementwise.
+def wright_omega(y):
+    """Wright omega function omega(y) = W0(e^y): the w > 0 with w + log(w) = y.
 
-    Valid for x >= -1/e.  With ``from_log=True`` the input is log(x) instead
-    (any real, -inf meaning x = 0), so arguments such as K e^K / N that
-    overflow a float still work.  Accepts scalars or ndarrays; a scalar
-    input returns a float.
+    This is the principal Lambert W at x = e^y, taken through log(x) so
+    that arguments such as K e^K / N, whose x overflows a float, still work
+    (Corless & Jeffrey, "The Wright omega function", 2002).  Defined for
+    y in [-inf, inf); omega(-inf) = 0.  Accepts scalars or ndarrays.
 
-    For x > 0 it solves w + log(w) = log(x) by three Newton steps from
-    Winitzki's guess, which is within 2% on the whole line; each step
-    squares the relative error and halves it at least.  Below x = e^-40,
-    W(x) = x to double precision.  For x < 0, Halley steps from a
-    branch-aware guess (Corless et al., 1996).
+    Three Newton steps from Winitzki's guess, which is within 2% on the
+    whole line; each step squares the relative error and halves it at
+    least.  Below y = -40, omega(y) = e^y to double precision; above
+    y = 1e10, omega(y) = y - log(y).
     """
-    arg = np.asarray(x, dtype=float)
+    arg = np.asarray(y, dtype=float)
     # Arithmetic on a numpy scalar costs a fraction of that on a 0-d array.
     a = arg[()] if arg.ndim == 0 else arg
-    if not ((a >= (-np.inf if from_log else _NEG_INV_E)) & (a < np.inf)).all():
-        form = "log(x) in [-inf, inf)" if from_log else "x in [-1/e, inf)"
-        raise ValueError(f"lambert_w0 requires {form}, got {x}")
-    # Below log(x) = -40 the answer is x itself; clamping there keeps the
-    # iteration finite for x = 0 and for the x < 0 entries replaced below.
-    if from_log:
-        small, tiny = a < _W_TINY_LOG, np.exp(np.minimum(a, _W_TINY_LOG))
-        y = np.maximum(a, _W_TINY_LOG)
-    else:
-        small, tiny = a < _W_TINY_X, a
-        y = np.log(np.maximum(a, _W_TINY_X))
-    # Winitzki's guess from L = log(1 + x), formed without x.
-    ell = np.logaddexp(0.0, y)
+    if not (a < np.inf).all():
+        raise ValueError(f"wright_omega requires y in [-inf, inf), got {y}")
+    # Clamped to [-40, 1e10], y keeps the iteration finite (its step
+    # overflows from y = 3e154); the elements outside take their closed forms.
+    small, tiny = a < _OMEGA_TINY_Y, np.exp(np.minimum(a, _OMEGA_TINY_Y))
+    yc = np.clip(a, _OMEGA_TINY_Y, _OMEGA_HUGE_Y)
+    # Winitzki's guess from L = log(1 + e^y), formed without e^y.
+    ell = np.logaddexp(0.0, yc)
     w = ell * (1.0 - np.log1p(ell) / (2.0 + ell))
     for _ in range(3):  # Newton on w + log(w) = y; relative error 2e-2, 2e-4, 2e-8, 2e-16
-        w = w * (1.0 + y - np.log(w)) / (1.0 + w)
+        w = w * (1.0 + yc - np.log(w)) / (1.0 + w)
     w = np.where(small, tiny, w)
-    if not from_log:
-        neg = a < 0.0
-        if neg.any():
-            w[neg] = _lambert_w0_negative(arg[neg])
-    return float(w) if w.ndim == 0 else w
-
-
-def _lambert_w0_negative(x: np.ndarray) -> np.ndarray:
-    """W(x) on [-1/e, 0): Halley iteration, with the branch-point series
-    in p = sqrt(2(e x + 1)) as the guess below x = -1/4."""
-    d = np.maximum(x - _NEG_INV_E, 0.0)
-    p = np.sqrt(2.0 * math.e * d)
-    series = -1.0 + p * (1.0 + p * (-1.0 / 3.0 + p * (11.0 / 72.0 - p * 43.0 / 540.0)))
-    w = np.where(x < -0.25, series, x * (1.0 - x))
-    # Within 1e-10 of the branch point the series is exact to rounding and
-    # Halley's denominator vanishes.
-    live = d >= 1e-10
-    for _ in range(64):
-        ew = np.exp(w)
-        f = w * ew - x
-        wp1 = w + 1.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = f / (ew * wp1 - (w + 2.0) * f / (2.0 * wp1))
-        step = np.where(live, step, 0.0)
-        w = w - step
-        if np.all(np.abs(step) <= 2e-16 * (1.0 + np.abs(w))):
-            break
-    return w
+    big = a > _OMEGA_HUGE_Y
+    if big.any():  # skips a full-size log on the common input
+        w = np.where(big, a - np.log(np.maximum(a, _OMEGA_HUGE_Y)), w)
+    return _scalar_or_array(w)
 
 
 def bessel_i0e(x):
@@ -142,8 +113,7 @@ def bessel_i0e(x):
     ax = np.abs(np.asarray(x, dtype=float))
     if not np.all(np.isfinite(ax)):
         raise ValueError(f"bessel_i0e requires finite input, got {x}")
-    out = _bessel_i0e_i1e(ax.reshape(-1))[0].reshape(ax.shape)
-    return float(out) if np.isscalar(x) else out
+    return _scalar_or_array(_bessel_i0e_i1e(ax.reshape(-1))[0].reshape(ax.shape))
 
 
 def _bessel_i0e_i1e(ax: np.ndarray) -> tuple:
@@ -204,6 +174,33 @@ def _ratios(z, law: str) -> np.ndarray:
     return z_arr
 
 
+def _tail_probabilities(q, law: str) -> np.ndarray:
+    q_arr = np.asarray(q, dtype=float)
+    if not np.all((q_arr > 0.0) & (q_arr <= 1.0)):
+        raise ValueError(f"{law} requires 0 < q <= 1, got {q}")
+    return q_arr
+
+
+def _user_counts(n_users, least: int, law: str) -> np.ndarray:
+    n = np.asarray(n_users, dtype=float)
+    if not np.all(n >= least):
+        raise ValueError(f"{law} requires n_users >= {least}, got {n_users}")
+    return n
+
+
+def _k_factor(k_factor: float, law: str, positive: bool = False) -> float:
+    """K, once it is finite and >= 0, or > 0 for a law singular at K = 0."""
+    if not math.isfinite(k_factor) or k_factor < 0.0 or (positive and k_factor == 0.0):
+        raise ValueError(
+            f"{law} requires finite k_factor {'>' if positive else '>='} 0, got {k_factor}"
+        )
+    return k_factor
+
+
+def _scalar_or_array(out):
+    return float(out) if out.ndim == 0 else out
+
+
 def ratio_cdf(z, params: RatioDistParams):
     """CDF of z = secondary power / Rician interference power.
 
@@ -213,8 +210,7 @@ def ratio_cdf(z, params: RatioDistParams):
     z_arr = _ratios(z, "ratio_cdf")
     k = params.k_factor
     u = params.power_ratio * z_arr + k + 1.0
-    out = 1.0 - (k + 1.0) / u * np.exp(-k + k * (k + 1.0) / u)
-    return float(out) if np.isscalar(z) else out
+    return _scalar_or_array(1.0 - (k + 1.0) / u * np.exp(-k + k * (k + 1.0) / u))
 
 
 def ratio_pdf(z, params: RatioDistParams):
@@ -227,40 +223,29 @@ def ratio_pdf(z, params: RatioDistParams):
     k = params.k_factor
     rho = params.power_ratio
     u = rho * z_arr + k + 1.0
-    out = (k + 1.0) * rho * np.exp(-k + k * (k + 1.0) / u) * ((k + 1.0) ** 2 + rho * z_arr) / u**3
-    return float(out) if np.isscalar(z) else out
+    # (K+1)(K+1), not (K+1)**2: a float power raises OverflowError at large K.
+    out = (k + 1.0) * rho * np.exp(-k + k * (k + 1.0) / u) * ((k + 1.0) * (k + 1.0) + rho * z_arr)
+    return _scalar_or_array(out / u**3)
 
 
 def ratio_ppf(q, params: RatioDistParams):
     """Quantile of the ratio law at upper-tail probability q: ratio_cdf(z) = 1 - q.
 
-    z = (K+1)(K/W - 1)/rho with W = W(K e^K q), evaluated from
-    log(K e^K q) = log K + K + log q so that K e^K never overflows.  Where
-    that argument is below 1, K/W is formed as e^W e^-K / q (W e^W = K e^K q),
-    which stays finite where W underflows and is 1/q at K = 0.  Accepts
-    scalars or ndarrays with 0 < q <= 1; q = 1 gives z = 0.
+    z = (K+1)(K/W - 1)/rho with W = W0(K e^K q) = wright_omega(y) at
+    y = log K + K + log q, so that K e^K never overflows.  Where K e^K q is
+    below 1, K/W is formed as e^W e^-K / q (W e^W = K e^K q), which stays
+    finite where W underflows and is 1/q at K = 0.  Accepts scalars or
+    ndarrays with 0 < q <= 1; q = 1 gives z = 0.  Certified for K <= 1000
+    (the Hypothesis property in tests/test_analytic.py); above K = 1e10 the
+    difference K/W - 1 cancels and loses precision.
     """
-    q_arr = np.asarray(q, dtype=float)
-    if not np.all((q_arr > 0.0) & (q_arr <= 1.0)):
-        raise ValueError("ratio_ppf requires 0 < q <= 1")
+    q_arr = _tail_probabilities(q, "ratio_ppf")
     k = params.k_factor
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         log_x = np.log(k) + k + np.log(q_arr)
-        w = np.asarray(lambert_w0(log_x, from_log=True))
+        w = np.asarray(wright_omega(log_x))
         k_over_w = np.where(log_x < 0.0, np.exp(w) * (math.exp(-k) / q_arr), k / w)
-    out = np.maximum((k + 1.0) * (k_over_w - 1.0) / params.power_ratio, 0.0)
-    return float(out) if out.ndim == 0 else out
-
-
-def _user_counts(n_users, least: int, law: str) -> np.ndarray:
-    n = np.asarray(n_users, dtype=float)
-    if not np.all(n >= least):
-        raise ValueError(f"{law} requires n_users >= {least}, got {n_users}")
-    return n
-
-
-def _scalar_or_array(out: np.ndarray):
-    return float(out) if out.ndim == 0 else out
+    return _scalar_or_array(np.maximum((k + 1.0) * (k_over_w - 1.0) / params.power_ratio, 0.0))
 
 
 def normalizer_a_n(n_users, params: RatioDistParams):
@@ -279,21 +264,18 @@ def theorem1_law(n_users, k_factor: float):
     log(log N)-type growth for large K.  K = 0 returns log(N) exactly.
     """
     n = _user_counts(n_users, 2, "theorem1_law")
-    if not math.isfinite(k_factor) or k_factor < 0.0:
-        raise ValueError(f"theorem1_law requires k_factor >= 0, got {k_factor}")
-    if k_factor == 0.0:
+    k = _k_factor(k_factor, "theorem1_law")
+    if k == 0.0:
         return _scalar_or_array(np.log(n))
-    k = k_factor
-    w = lambert_w0(math.log(k) + k - np.log(n), from_log=True)
+    w = wright_omega(math.log(k) + k - np.log(n))
     return _scalar_or_array(math.log(k * (k + 1.0)) - np.log(w))
 
 
 def effective_users_moderate_k(n_users, k_factor: float):
     """Equivalent Rayleigh-interference user count N (K+1) exp(-K)."""
     n = _user_counts(n_users, 1, "effective_users_moderate_k")
-    if not math.isfinite(k_factor) or k_factor < 0.0:
-        raise ValueError(f"k_factor must be >= 0, got {k_factor}")
-    return _scalar_or_array(n * (k_factor + 1.0) * math.exp(-k_factor))
+    k = _k_factor(k_factor, "effective_users_moderate_k")
+    return _scalar_or_array(n * (k + 1.0) * math.exp(-k))
 
 
 def effective_users_rab_m2(n_users, k_factor: float):
@@ -302,9 +284,8 @@ def effective_users_rab_m2(n_users, k_factor: float):
     Grows with K; undefined at K = 0 where the formula is singular.
     """
     n = _user_counts(n_users, 1, "effective_users_rab_m2")
-    if not math.isfinite(k_factor) or k_factor <= 0.0:
-        raise ValueError(f"effective_users_rab_m2 requires k_factor > 0, got {k_factor}")
-    return _scalar_or_array(n * (k_factor + 1.0) / math.sqrt(2.0 * math.pi * k_factor))
+    k = _k_factor(k_factor, "effective_users_rab_m2", positive=True)
+    return _scalar_or_array(n * (k + 1.0) / math.sqrt(2.0 * math.pi * k))
 
 
 def _rab_m2_prefactor(z_arr: np.ndarray, params: RatioDistParams) -> np.ndarray:
@@ -323,8 +304,7 @@ def rab_m2_cdf(z, params: RatioDistParams):
     k = params.k_factor
     rho = params.power_ratio
     y = k * rho * z_arr / (rho * z_arr + k + 1.0)
-    out = 1.0 - _rab_m2_prefactor(z_arr, params) * bessel_i0e(y)
-    return float(out) if np.isscalar(z) else out
+    return _scalar_or_array(1.0 - _rab_m2_prefactor(z_arr, params) * bessel_i0e(y))
 
 
 def rab_m2_ppf(q, params: RatioDistParams):
@@ -341,10 +321,11 @@ def rab_m2_ppf(q, params: RatioDistParams):
     which avoids the |t| ulps that exp(t) would lose, and
     z = (K+1)(1/v - 1)/rho.  Accepts scalars or ndarrays with 0 < q <= 1;
     q = 1 gives z = 0, and K = 0 gives the Rayleigh quantile (1/q - 1)/rho.
+    Certified for K <= 1000 (the Hypothesis property in
+    tests/test_analytic.py); the survival error grows from about 1e-8 at
+    K = 1e8 to order 1 at K = 1e11.
     """
-    q_arr = np.asarray(q, dtype=float)
-    if not np.all((q_arr > 0.0) & (q_arr <= 1.0)):
-        raise ValueError("rab_m2_ppf requires 0 < q <= 1")
+    q_arr = _tail_probabilities(q, "rab_m2_ppf")
     k = params.k_factor
     q_flat = q_arr.reshape(-1)
     log_q = np.log(q_flat)
@@ -360,14 +341,12 @@ def rab_m2_ppf(q, params: RatioDistParams):
         t[live] = t_live - step
         live = live[np.abs(step) > _PPF_STEP_ULPS * np.maximum(1.0, np.abs(t_live))]
     v = q_flat / _bessel_i0e_i1e(-k * np.expm1(t))[0]
-    out = ((k + 1.0) * (1.0 / v - 1.0) / params.power_ratio).reshape(q_arr.shape)
-    return float(out) if out.ndim == 0 else out
+    z = (k + 1.0) * (1.0 / v - 1.0) / params.power_ratio
+    return _scalar_or_array(z.reshape(q_arr.shape))
 
 
 def rab_m2_tail_cdf(z, params: RatioDistParams):
     """Large-z tail of :func:`rab_m2_cdf`: exp(-y) I0(y) replaced by 1/sqrt(2 pi K)."""
-    if params.k_factor <= 0.0:
-        raise ValueError("rab_m2_tail_cdf requires k_factor > 0")
+    k = _k_factor(params.k_factor, "rab_m2_tail_cdf", positive=True)
     z_arr = _ratios(z, "rab_m2_tail_cdf")
-    out = 1.0 - _rab_m2_prefactor(z_arr, params) / math.sqrt(2.0 * math.pi * params.k_factor)
-    return float(out) if np.isscalar(z) else out
+    return _scalar_or_array(1.0 - _rab_m2_prefactor(z_arr, params) / math.sqrt(2.0 * math.pi * k))

@@ -331,7 +331,12 @@ def cmd_analytic(args) -> int:
         _check_out(args.out)
     try:
         params = analytic.RatioDistParams(k_factor=args.k, power_ratio=args.rho)
-        values = law(np.array(grid), args.k, params)
+        # A non-finite value is reported below, so its warnings are noise.
+        with np.errstate(all="ignore"):
+            values = law(np.array(grid), args.k, params)
+        finite = np.isfinite(values)
+        if not finite.all():
+            raise ValueError(f"not finite at {column} = {grid[np.argmin(finite)]}")
     except ValueError as exc:
         raise ConfigError(
             f"--law {args.law} --k {args.k:g} --rho {args.rho:g} --{flag} {text}: {exc}"

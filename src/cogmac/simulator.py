@@ -18,7 +18,8 @@ identity for the maximum of N iid draws), at a cost independent of N:
 * M = 1: :func:`cogmac.analytic.ratio_ppf`;
 * M = 2: :func:`cogmac.analytic.rab_m2_ppf`.
 
-Points with M >= 3 and K > 0, and capped points, take brute force.
+Points with M >= 3 and K > 0, capped points, and points with K above the
+range the quantiles are certified for (K <= 1000), take brute force.
 
 Layout: trials are processed in chunks of at most 2^21 elements, each
 drawing from its own counter-derived Philox stream (``jumped`` from the
@@ -69,6 +70,11 @@ LOG2 = math.log(2.0)
 # bounds a worker's temporaries to a few MB whatever the chunk size.
 _CHUNK_ELEMENTS = 1 << 21
 _BLOCK_ELEMENTS = 1 << 15
+# Largest K the order-statistic sampler runs at: the Hypothesis properties
+# TestRatioPpf::test_inverts_cdf and TestRabM2Ppf::test_survival_of_the_quantile_is_q
+# (tests/test_analytic.py) certify ratio_ppf and rab_m2_ppf up to it; from
+# about K = 1e8 on, both quantiles lose precision.
+_SAMPLER_MAX_K = 1e3
 
 
 @dataclass(frozen=True)
@@ -144,13 +150,14 @@ def _layout(config: NetworkConfig, method: str) -> tuple:
     """(block sampler, slots per chunk, slots per block) of a point.
 
     ``method="auto"`` takes the order-statistic sampler, one element per
-    slot, iff there is no power cap and M <= 2 or K = 0; every other point
-    takes brute force, N*M elements per slot.
+    slot, iff there is no power cap, K <= 1000, and M <= 2 or K = 0; every
+    other point takes brute force, N*M elements per slot.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
-    if method == "auto" and config.max_power_cap is None and (
-            config.m_patterns <= 2 or config.k_factor == 0.0):
+    k = config.k_factor
+    if method == "auto" and config.max_power_cap is None and k <= _SAMPLER_MAX_K and (
+            config.m_patterns <= 2 or k == 0.0):
         block, per_slot = _quantile_block, 1
     else:
         block, per_slot = _brute_block, config.n_users * config.m_patterns
@@ -239,11 +246,12 @@ def run_experiment(
     """Monte-Carlo ergodic capacity with a Jensen-bound diagnostic.
 
     ``method="auto"`` draws each slot's scheduled maximum directly where
-    that is exact, for points without a power cap that have M <= 2 or
-    K = 0: one uniform per slot.  Every other point (M >= 3 with K > 0, or
-    a power cap), and every point with ``method="brute"``, draws all N
-    users of each slot.  A point of several chunks spreads them over
-    ``threads`` workers; the result is the same for any ``threads``.
+    that is exact, for points without a power cap that have K <= 1000 and
+    M <= 2 or K = 0: one uniform per slot.  Every other point (M >= 3 with
+    K > 0, K > 1000, or a power cap), and every point with
+    ``method="brute"``, draws all N users of each slot.  A point of several
+    chunks spreads them over ``threads`` workers; the result is the same
+    for any ``threads``.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")

@@ -15,7 +15,6 @@ from cogmac.analytic import (
     bessel_i0e,
     effective_users_moderate_k,
     effective_users_rab_m2,
-    lambert_w0,
     normalizer_a_n,
     rab_m2_cdf,
     rab_m2_ppf,
@@ -24,6 +23,7 @@ from cogmac.analytic import (
     ratio_pdf,
     ratio_ppf,
     theorem1_law,
+    wright_omega,
 )
 from cogmac.channels import draw_gains
 from cogmac.simulator import NetworkConfig
@@ -57,60 +57,59 @@ def i0_series_oracle(x):
 
 
 class TestLambertW:
+    """wright_omega(y) = W0(e^y), the principal Lambert W in log form."""
+
     def test_fixed_points(self):
-        assert lambert_w0(0.0) == 0.0
-        assert lambert_w0(math.e) == pytest.approx(1.0, abs=1e-14)
+        assert wright_omega(-math.inf) == 0.0
+        assert wright_omega(1.0) == pytest.approx(1.0, abs=1e-15)  # W(e) = 1
+        assert wright_omega(-700.0) == math.exp(-700.0)  # W(x) = x to double precision
 
     def test_omega_constant_vs_bisection(self):
         oracle = lambert_bisect(1.0, 0.0, 1.0)
-        assert lambert_w0(1.0) == pytest.approx(oracle, abs=1e-12)
-        assert lambert_w0(1.0) == pytest.approx(0.567143290409784, abs=1e-12)
+        assert wright_omega(0.0) == pytest.approx(oracle, abs=1e-12)
+        assert wright_omega(0.0) == pytest.approx(0.567143290409784, abs=1e-12)
 
     def test_residual_on_log_grid(self):
-        xs = np.concatenate(
-            [
-                [-1.0 / math.e + 1e-6, -0.3, -0.1, -1e-4],
-                np.logspace(-8, 6, 120),
-            ]
-        )
-        for x in xs:
-            w = lambert_w0(float(x))
-            assert abs(w * math.exp(w) - x) <= 1e-12 * max(1.0, abs(x))
+        for x in np.logspace(-8, 6, 120):
+            w = wright_omega(math.log(x))
+            assert abs(w * math.exp(w) - x) <= 1e-12 * max(1.0, x)
 
     def test_monotone_nondecreasing(self):
-        xs = np.concatenate([[-1.0 / math.e + 1e-6, -0.2, -1e-3], np.logspace(-6, 6, 60)])
-        ws = [lambert_w0(float(x)) for x in xs]
+        # Across the upper clamp too, where y - log(y) takes over from Newton.
+        ys = np.concatenate([[-math.inf], np.linspace(-39.0, 50.0, 90),
+                             1e10 + np.arange(-20, 21) * np.spacing(1e10), [1e200, 1e308]])
+        ws = [wright_omega(float(y)) for y in ys]
         assert all(b >= a for a, b in zip(ws, ws[1:]))
 
-    def test_branch_point(self):
-        assert lambert_w0(-1.0 / math.e) == pytest.approx(-1.0, abs=1e-7)
-
-    @pytest.mark.parametrize("bad", [-1.0, -0.5, float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_domain_errors(self, bad):
-        with pytest.raises(ValueError):
-            lambert_w0(bad)
+        with pytest.raises(ValueError, match="wright_omega requires"):
+            wright_omega(bad)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_log_form_domain_errors(self, bad):
-        with pytest.raises(ValueError):
-            lambert_w0(bad, from_log=True)
+        # One bad element rejects the whole array.
+        with pytest.raises(ValueError, match="wright_omega requires"):
+            wright_omega(np.array([[0.0, 1.0], [bad, 2.0]]))
 
     def test_arrays_match_scalars_and_scipy(self):
-        xs = np.concatenate([[-0.36, -0.3, -1e-300, 0.0, 1e-300],
-                             np.logspace(-20, 300, 400)])
-        w = lambert_w0(xs)
-        assert isinstance(w, np.ndarray) and w.shape == xs.shape
-        np.testing.assert_allclose(w, [lambert_w0(float(x)) for x in xs], rtol=4e-16, atol=0.0)
-        np.testing.assert_allclose(w, special.lambertw(xs).real, rtol=1e-14, atol=1e-300)
+        ys = np.concatenate([[-math.inf, -800.0, -745.0, -40.5, -40.0, -39.5, 0.0],
+                             np.linspace(-30.0, 30.0, 121), np.logspace(2, 308, 400)])
+        w = wright_omega(ys.reshape(2, -1))
+        assert isinstance(w, np.ndarray) and w.shape == (2, ys.size // 2)
+        assert w.ravel().tolist() == [wright_omega(float(y)) for y in ys]
+        np.testing.assert_allclose(w.ravel()[1:], special.wrightomega(ys[1:]),
+                                   rtol=4e-15, atol=0.0)
 
     def test_log_form_beyond_float_range(self):
-        # W(e^y) for y up to 1e4, where e^y overflows; scipy's Wright omega
-        # is the same function.
-        y = np.concatenate([[-np.inf, -800.0, -50.0, 0.0], np.linspace(1.0, 1e4, 500)])
-        w = lambert_w0(y, from_log=True)
-        assert w[0] == 0.0
-        np.testing.assert_allclose(w[1:], special.wrightomega(y[1:]), rtol=4e-15)
-        assert lambert_w0(1.0, from_log=True) == pytest.approx(1.0, abs=1e-15)
+        # W(e^y) for y where e^y overflows, up to 1e308; above y = 1e10 the
+        # closed form y - log(y) replaces the Newton steps, which overflow
+        # from y = 3e154.
+        y = np.concatenate([np.linspace(1.0, 1e4, 500), np.logspace(4, 308, 500),
+                            1e10 + np.arange(-3, 4) * np.spacing(1e10), [3.2e154, 1.7e308]])
+        w = wright_omega(y)
+        assert np.all(np.isfinite(w))
+        np.testing.assert_allclose(w, special.wrightomega(y), rtol=4e-15)
 
 
 class TestBesselI0:
@@ -299,7 +298,7 @@ class TestRatioPpf:
         # W(K e^K q) in log form: w + log(w) = log K + K + log q.
         with np.errstate(divide="ignore"):
             y = float(np.log(k)) + k + math.log(q)
-        w = lambert_w0(y, from_log=True)
+        w = wright_omega(y)
         if y < -40.0:  # W(x) = x - x^2 + ... is x to double precision
             assert w == pytest.approx(math.exp(y), rel=4 * np.finfo(float).eps, abs=0.0)
         else:
@@ -356,7 +355,8 @@ class TestScalingLaws:
 
 
 class TestArrayLaws:
-    """The four user-count laws on an array equal their scalar calls, bit for bit."""
+    """The four user-count laws on an array equal their scalar calls, bit for
+    bit, and every law gives a float for a 0-d input."""
 
     N = np.array([[2, 3, 8, 100], [512, 9170, 10**6, 10**9]])
     LAWS = [
@@ -402,6 +402,28 @@ class TestArrayLaws:
     def test_rab_law_rejects_k0_on_arrays(self):
         with pytest.raises(ValueError, match="k_factor > 0"):
             effective_users_rab_m2(np.array([8, 16]), 0.0)
+
+    P = RatioDistParams(2.0, 1.0)
+    ZERO_D = [
+        (wright_omega, 0.5, ()),
+        (bessel_i0e, 20.0, ()),
+        (ratio_cdf, 2.0, (P,)),
+        (ratio_pdf, 2.0, (P,)),
+        (ratio_ppf, 0.01, (P,)),
+        (rab_m2_cdf, 2.0, (P,)),
+        (rab_m2_ppf, 0.01, (P,)),
+        (rab_m2_tail_cdf, 2.0, (P,)),
+        (normalizer_a_n, 100, (P,)),
+        (theorem1_law, 100, (2.0,)),
+        (effective_users_moderate_k, 100, (2.0,)),
+        (effective_users_rab_m2, 100, (2.0,)),
+    ]
+
+    @pytest.mark.parametrize("law,x,args", ZERO_D, ids=[law.__name__ for law, _, _ in ZERO_D])
+    def test_zero_d_input_gives_float(self, law, x, args):
+        outs = [law(v, *args) for v in (x, np.array(x), np.array([x]).sum())]
+        assert [type(out) for out in outs] == [float] * 3
+        assert outs[1:] == [outs[0]] * 2
 
 
 class TestRabM2ClosedForms:

@@ -254,8 +254,8 @@ class TestValidateMachinery:
 
     def test_mutation_sensitivity(self, monkeypatch):
         # A 1% Lambert W corruption must break the quantile identity.
-        exact = analytic.lambert_w0
-        monkeypatch.setattr(analytic, "lambert_w0", lambda x, **kw: exact(x, **kw) * 1.01)
+        exact = analytic.wright_omega
+        monkeypatch.setattr(analytic, "wright_omega", lambda y: exact(y) * 1.01)
         result = validation.run_check("quantile_identity", "full")
         assert not result.passed
 
@@ -354,6 +354,15 @@ class TestInputBoundary:
             (["analytic", "--law", "ratio-cdf", "--z=nan"], None, "--z"),
             (["analytic", "--law", "ratio-pdf", "--z=inf"], None, "--z"),
             (["analytic", "--law", "rab2-cdf", "--z=inf"], None, "--z"),
+            (["analytic", "--law", "ratio-pdf", "--k", "1e308"], None, "not finite at z = 0.5"),
+            (["analytic", "--law", "ratio-cdf", "--k", "1e308"], None, "not finite at z = 0.5"),
+            (["analytic", "--law", "theorem1-law", "--k", "1e308"], None, "not finite at N = 8"),
+            (["analytic", "--law", "effective-users", "--k", "1e308"], None,
+             "not finite at N = 8"),
+            (["analytic", "--law", "effective-users-rab2", "--k", "1e308", "--n", "4,8"], None,
+             "not finite at N = 4"),
+            (["analytic", "--law", "normalizer", "--rho", "1e-308", "--n", "2,8"], None,
+             "not finite at N = 8"),
         ],
     )
     def test_bad_input_exits_2(self, tmp_path, monkeypatch, capsys, argv, payload, where):

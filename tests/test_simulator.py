@@ -454,6 +454,16 @@ class TestQuantileSampler:
             assert z[0] == 0.0
             assert np.isfinite(z[1]) and z[1] > 0.0
 
+    @pytest.mark.parametrize("k", [1e4, 1e12, 1e200, 1e308])
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_large_k_takes_brute_force(self, m, k):
+        cfg = NetworkConfig(n_users=8, m_patterns=m, mode="baseline" if m == 1 else "rab",
+                            k_factor=k, trials=2000, seed=3)
+        auto = run_experiment(cfg)
+        assert auto == run_experiment(cfg, method="brute")
+        assert math.isfinite(auto.mean_nats) and math.isfinite(auto.stderr_nats)
+        assert math.isfinite(auto.jensen_bound_nats)
+
     def test_thread_invariance_across_chunks(self):
         for mode, m in (("baseline", 1), ("rab", 2)):
             cfg = NetworkConfig(n_users=64, m_patterns=m, mode=mode, k_factor=2.0,
@@ -503,6 +513,11 @@ class TestQuantileSampler:
         assert path(m_patterns=2, max_power_cap=1.0, **rab) == "_brute_block"
         assert path(method="brute") == "_brute_block"
         assert path(m_patterns=2, method="brute", **rab) == "_brute_block"
+        # The quantiles are certified up to K = 1000 only.
+        assert path(k_factor=1000.0) == "_quantile_block"
+        assert path(mode="rab", m_patterns=2, k_factor=1000.0) == "_quantile_block"
+        assert path(k_factor=1001.0) == "_brute_block"
+        assert path(mode="rab", m_patterns=2, k_factor=1001.0) == "_brute_block"
         with pytest.raises(ValueError, match="method"):
             path(method="quantile")
         # sweep hands its method to every point.
