@@ -24,7 +24,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 from typing import get_args, get_type_hints
 
 import numpy as np
@@ -41,8 +41,19 @@ from .simulator import (
 __all__ = ["ExperimentPreset", "parse_config", "main"]
 
 ENV_PREFIX = "COGMAC"
-PRESET_NAMES = ("fig5", "fig6", "fig7", "fig8", "custom")
 N_GRID = (8, 16, 32, 64, 128, 256, 512)
+# Preset -> (N grid, K grid, M grid, modes, extra columns); None means the
+# custom single point of the config.
+_PRESETS = {
+    "fig5": (N_GRID, (0.0, 2.0, 3.0, 10.0), (1,), ("baseline",), ()),
+    # Pattern-count comparison at strong LoS plus the single-antenna
+    # reference; N=1 anchors the multiuser-gain normalization.
+    "fig6": ((1, *N_GRID), (10.0,), (2, 3, 4), ("rab", "baseline"), ("multiuser_gain",)),
+    "fig7": (N_GRID, (0.0, 10.0, 100.0), (2,), ("baseline", "rab"), ()),
+    "fig8": (N_GRID, (0.0, 100.0), (2,), ("baseline", "rab"), ("norm_logN", "norm_loglogN")),
+    "custom": None,
+}
+PRESET_NAMES = tuple(_PRESETS)
 
 
 @dataclass
@@ -142,30 +153,7 @@ def parse_config(path: str) -> tuple[NetworkConfig, ExperimentPreset, espar.Espa
     return tuple(sections)
 
 
-def emit_config(config: NetworkConfig, preset: ExperimentPreset) -> dict:
-    """Effective configuration as a JSON-serializable dict (round-trips)."""
-    return {"network": asdict(config), "preset": asdict(preset)}
-
-
 # ------------------------------------------------------------------ presets
-
-def _preset_grid(name: str):
-    """(n_list, k_list, m_list, modes, wants) per figure preset."""
-    if name == "fig5":
-        return list(N_GRID), [0.0, 2.0, 3.0, 10.0], [1], ["baseline"], ()
-    if name == "fig6":
-        # Pattern-count comparison at strong LoS plus the single-antenna
-        # reference; N=1 anchors the multiuser-gain normalization.
-        return [1, *N_GRID], [10.0], [2, 3, 4], ["rab", "baseline"], ("multiuser_gain",)
-    if name == "fig7":
-        return list(N_GRID), [0.0, 10.0, 100.0], [2], ["baseline", "rab"], ()
-    if name == "fig8":
-        return list(N_GRID), [0.0, 100.0], [2], ["baseline", "rab"], (
-            "norm_logN",
-            "norm_loglogN",
-        )
-    raise ValueError(f"preset {name!r} has no predefined grid")
-
 
 def _preset_extras(points, config, wants):
     """Extra CSV columns (in the output log base where capacity-like)."""
@@ -229,12 +217,8 @@ def cmd_simulate(args) -> int:
             file=sys.stderr,
         )
 
-    if preset.name == "custom":
-        n_list, k_list, m_list = [config.n_users], [config.k_factor], [config.m_patterns]
-        modes = [config.mode]
-        wants = ()
-    else:
-        n_list, k_list, m_list, modes, wants = _preset_grid(preset.name)
+    n_list, k_list, m_list, modes, wants = _PRESETS[preset.name] or (
+        [config.n_users], [config.k_factor], [config.m_patterns], [config.mode], ())
     points = sweep(config, n_list, k_list, m_list, modes, threads=args.threads,
                    progress=progress)
     extras = _preset_extras(points, config, wants)

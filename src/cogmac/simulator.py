@@ -183,18 +183,14 @@ def _inv_denom(config: NetworkConfig, size: int, rng) -> np.ndarray:
     return np.ones(size)
 
 
-def _brute_block(config: NetworkConfig, size: int, rng) -> tuple:
-    """(best numerator, 1/denominator) of `size` slots, every user drawn.
-
-    Fixed draw order: the channel gains (:func:`draw_gains`), then the
-    primary-to-secondary powers (if enabled).
-    """
+def _brute_block(config: NetworkConfig, size: int, rng) -> np.ndarray:
+    """Best numerator of `size` slots, every user drawn by :func:`draw_gains`."""
     gain_s, gain_sp = draw_gains(config, rng, size)
     power = config.peak_interference / gain_sp
     if config.max_power_cap is not None:
         np.minimum(power, config.max_power_cap, out=power)
     numerator = gain_s * power
-    return numerator.max(axis=1), _inv_denom(config, size, rng)
+    return numerator.max(axis=1)
 
 
 def _max_ratio(config: NetworkConfig, u: np.ndarray) -> np.ndarray:
@@ -212,29 +208,26 @@ def _max_ratio(config: NetworkConfig, u: np.ndarray) -> np.ndarray:
     return ppf(-np.expm1(log_root), RatioDistParams(config.k_factor, rho))
 
 
-def _quantile_block(config: NetworkConfig, size: int, rng) -> tuple:
-    """(best numerator, 1/denominator) of `size` slots from the scheduled
-    maximum alone; exact without a power cap for M <= 2 or K = 0.
-
-    Fixed draw order: one uniform per slot, then the primary-to-secondary
-    powers (if enabled).
-    """
-    best_num = config.peak_interference * _max_ratio(config, rng.random(size))
-    return best_num, _inv_denom(config, size, rng)
+def _quantile_block(config: NetworkConfig, size: int, rng) -> np.ndarray:
+    """Best numerator of `size` slots from the scheduled maximum alone, one
+    uniform per slot; exact without a power cap for M <= 2 or K = 0."""
+    return config.peak_interference * _max_ratio(config, rng.random(size))
 
 
 def _chunk_sums(config: NetworkConfig, size: int, rng, method: str) -> np.ndarray:
     """Simulate `size` independent slots; return the chunk's reduction sums
     (sum C, sum C^2, sum best numerator, sum 1/denominator).
 
-    The slots are drawn from ``rng`` in blocks by the sampler
-    :func:`_layout` picks for ``method``, and the blocks' sums are added in
-    block order.
+    The slots are drawn from ``rng`` in blocks, and the blocks' sums are
+    added in block order.  Fixed draw order per block: the best numerators
+    from the sampler :func:`_layout` picks for ``method``, then the
+    primary-to-secondary powers (if enabled).
     """
     block, _, rows = _layout(config, method)
     sums = np.zeros(4)
     for start in range(0, size, rows):
-        best_num, inv_denom = block(config, min(rows, size - start), rng)
+        best_num = block(config, min(rows, size - start), rng)
+        inv_denom = _inv_denom(config, best_num.size, rng)
         caps = np.log1p(best_num * inv_denom)
         sums += [np.sum(caps), np.sum(caps * caps), np.sum(best_num), np.sum(inv_denom)]
     return sums

@@ -3,6 +3,7 @@
 import json
 import math
 import tempfile
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -14,11 +15,10 @@ from cogmac.cli import (
     PRESET_NAMES,
     ConfigError,
     ExperimentPreset,
-    emit_config,
     main,
     parse_config,
 )
-from cogmac.simulator import NetworkConfig
+from cogmac.simulator import CapacityEstimate, NetworkConfig
 
 
 def write_cfg(tmp_path, payload, name="cfg.json"):
@@ -91,7 +91,7 @@ class TestParseConfig:
         config = NetworkConfig(n_users=12, m_patterns=3, mode="rab", k_factor=1.5,
                                trials=500, seed=9, log_base="bits")
         preset = ExperimentPreset(name="fig7", output_path="x.csv")
-        path = write_cfg(tmp_path, emit_config(config, preset))
+        path = write_cfg(tmp_path, {"network": asdict(config), "preset": asdict(preset)})
         config2, preset2, _ = parse_config(path)
         assert config2 == config
         assert preset2 == preset
@@ -102,7 +102,7 @@ class TestParseConfig:
         with tempfile.TemporaryDirectory() as tmp:
             path = f"{tmp}/cfg.json"
             with open(path, "w", encoding="utf-8") as fh:
-                json.dump(emit_config(config, preset), fh)
+                json.dump({"network": asdict(config), "preset": asdict(preset)}, fh)
             assert parse_config(path)[:2] == (config, preset)
 
     def test_null_means_default_where_the_default_is_none(self, tmp_path):
@@ -270,6 +270,34 @@ class TestValidateMachinery:
         assert len(result.ks_rows) == 3
         for case, n, stat, threshold, passed in result.ks_rows:
             assert n == 10_000 and stat < threshold and passed
+
+    def test_failing_ks_row_fails_the_check(self, monkeypatch):
+        # A CDF shifted by 0.5 in z must fail every KS case and the check.
+        exact = validation.ratio_cdf
+        monkeypatch.setattr(validation, "ratio_cdf", lambda z, p: exact(np.asarray(z) + 0.5, p))
+        result = validation.run_check("ratio_distribution_fit", "fast")
+        assert not result.passed
+        assert [row[0] for row in result.ks_rows] == ["K=0.5", "K=2.0", "K=10.0"]
+        assert not any(passed for *_, passed in result.ks_rows)
+
+    @pytest.mark.parametrize("check_id, calls", [
+        ("effective_users_moderate", 2),
+        ("large_k_growth", 6),
+        ("rab_effective_users", 4),
+        ("rab_restores_log_growth", 6),
+    ])
+    def test_capacity_checks_use_brute_force(self, monkeypatch, check_id, calls):
+        # No capacity check may compare a closed form with itself: each of
+        # its runs draws every user, through validation's own binding.
+        methods = []
+
+        def fake(config, threads=1, method="auto"):
+            methods.append(method)
+            return CapacityEstimate(1.0 + math.log(config.n_users), 0.0, 0.0, config.trials)
+
+        monkeypatch.setattr(validation, "run_experiment", fake)
+        validation.run_check(check_id, "fast")
+        assert methods == ["brute"] * calls
 
 
 class TestEsparCommand:

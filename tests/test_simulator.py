@@ -391,13 +391,14 @@ class TestSweep:
 
 def slot_sinrs(block, cfg, size, seed):
     """Per-slot scheduled SINR best_num / (1 + P gamma_ps) of ``size`` slots,
-    drawn by a simulator block sampler in blocks of 2^15 elements."""
+    drawn by a simulator block sampler in blocks of 2^15 elements, each
+    block's primary-to-secondary powers after its numerators."""
     rng = np.random.default_rng(seed)
     rows = max(1, simulator._BLOCK_ELEMENTS // cfg.n_users)
     out = []
     for start in range(0, size, rows):
-        best_num, inv_denom = block(cfg, min(rows, size - start), rng)
-        out.append(best_num * inv_denom)
+        best_num = block(cfg, min(rows, size - start), rng)
+        out.append(best_num * simulator._inv_denom(cfg, best_num.size, rng))
     return np.concatenate(out)
 
 
