@@ -4,7 +4,7 @@ Library layout:
 
 * :mod:`cogmac.analytic` - closed-form distributions, scaling laws, and the
   special functions behind them (Wright omega, that is Lambert W in log
-  form, and the modified Bessel I0).
+  form, the modified Bessel I0, and J0 for Kluyver's M-pattern RAB law).
 * :mod:`cogmac.channels` - the channel kernel: seeded draws of every user's
   equivalent secondary and interference powers, baseline and RAB alike.
 * :mod:`cogmac.rab` - the arcsine law of the random-weight artificial LoS.

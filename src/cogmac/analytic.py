@@ -11,11 +11,14 @@ Conventions used throughout:
 
 Everything in this module is a pure scalar/ndarray function with no RNG:
 a 0-d input (a Python or numpy scalar, or a 0-d array) gives a float, any
-other input an array of its shape.
+other input an array of its shape.  The one state is a cache of the
+quadrature nodes and of the per-(K, M) tables behind :func:`rab_ppf`, each
+filled on first use and the same whichever thread fills it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -35,6 +38,8 @@ __all__ = [
     "rab_m2_cdf",
     "rab_m2_ppf",
     "rab_m2_tail_cdf",
+    "rab_cdf",
+    "rab_ppf",
 ]
 
 # Below y = -40, omega(y) = e^y - e^2y + ... equals e^y to double precision.
@@ -56,6 +61,17 @@ _ABSORBED = 2.0**-56
 # Newton on the RAB M=2 quantile stops an element once its step in t is
 # below this times max(1, |t|): a few ulps.
 _PPF_STEP_ULPS = 4.0 * np.finfo(float).eps
+# Kluyver's integral g_M(c) = 2 int_0^inf u exp(-u^2) J0(2 sqrt(c) u)^M du is
+# taken by 16-point Gauss-Legendre panels of width 1/4 on [0, 6.5]; beyond,
+# the weight is below exp(-42).  Certified for c <= K/M with K <= 100
+# (tests/test_analytic.py); from c of about 150 on, the panels no longer
+# resolve J0^M.
+_KLUYVER_PANELS = 26
+_KLUYVER_PANEL_WIDTH = 0.25
+_KLUYVER_ORDER = 16
+_RAB_LAW_MAX_K = 100.0
+# Newton on the M >= 3 table stops at 64 ulps, not 4 (see rab_ppf).
+_TABLE_STEP_ULPS = 64.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -327,21 +343,39 @@ def rab_m2_ppf(q, params: RatioDistParams):
     """
     q_arr = _tail_probabilities(q, "rab_m2_ppf")
     k = params.k_factor
+
+    def log_g_and_slope(t):
+        i0e, i1e = _bessel_i0e_i1e(-k * np.expm1(t))
+        return np.log(i0e), 1.0 + k * np.exp(t) * (1.0 - i1e / i0e)
+
+    return _tail_newton(q_arr, params, math.log(bessel_i0e(k)), log_g_and_slope,
+                        lambda t: _bessel_i0e_i1e(-k * np.expm1(t))[0], _PPF_STEP_ULPS)
+
+
+def _tail_newton(q_arr, params: RatioDistParams, log_g_end: float, log_g_and_slope, g,
+                 step_ulps: float):
+    """z with v g(c) = q, for S = v g(c) with g non-increasing in c = (K/M)(1 - v).
+
+    Newton on log S = log q in t = log v, from the tail guess
+    t = min(log q - log g(K/M), 0); ``log_g_and_slope(t)`` gives log g and
+    d log S / dt, ``g(t)`` gives g.  Each element stops once its step is
+    within ``step_ulps`` of max(1, |t|), and v = q / g at the last t; where
+    q is within a few ulps of 1, v can round above 1, and z is taken as 0.
+    """
     q_flat = q_arr.reshape(-1)
     log_q = np.log(q_flat)
-    t = np.minimum(log_q - math.log(bessel_i0e(k)), 0.0)
+    t = np.minimum(log_q - log_g_end, 0.0)
     live = np.flatnonzero(log_q < 0.0)
     for _ in range(64):
         if live.size == 0:
             break
         t_live = t[live]
-        i0e, i1e = _bessel_i0e_i1e(-k * np.expm1(t_live))
-        slope = 1.0 + k * np.exp(t_live) * (1.0 - i1e / i0e)
-        step = (t_live + np.log(i0e) - log_q[live]) / slope
+        log_g, slope = log_g_and_slope(t_live)
+        step = (t_live + log_g - log_q[live]) / slope
         t[live] = t_live - step
-        live = live[np.abs(step) > _PPF_STEP_ULPS * np.maximum(1.0, np.abs(t_live))]
-    v = q_flat / _bessel_i0e_i1e(-k * np.expm1(t))[0]
-    z = (k + 1.0) * (1.0 / v - 1.0) / params.power_ratio
+        live = live[np.abs(step) > step_ulps * np.maximum(1.0, np.abs(t_live))]
+    v = q_flat / g(t)
+    z = np.maximum((params.k_factor + 1.0) * (1.0 / v - 1.0) / params.power_ratio, 0.0)
     return _scalar_or_array(z.reshape(q_arr.shape))
 
 
@@ -350,3 +384,193 @@ def rab_m2_tail_cdf(z, params: RatioDistParams):
     k = _k_factor(params.k_factor, "rab_m2_tail_cdf", positive=True)
     z_arr = _ratios(z, "rab_m2_tail_cdf")
     return _scalar_or_array(1.0 - _rab_m2_prefactor(z_arr, params) / math.sqrt(2.0 * math.pi * k))
+
+
+def _pattern_count(m, law: str) -> int:
+    if isinstance(m, (bool, np.bool_)) or not isinstance(m, (int, np.integer)) or m < 1:
+        raise ValueError(f"{law} requires an integer m >= 1, got {m!r}")
+    return int(m)
+
+
+@functools.lru_cache(maxsize=1)
+def _kluyver_nodes() -> tuple:
+    """(u, w): the panel nodes on [0, 6.5] and their weights times 2 u exp(-u^2)."""
+    x, w = np.polynomial.legendre.leggauss(_KLUYVER_ORDER)
+    half = 0.5 * _KLUYVER_PANEL_WIDTH
+    left = _KLUYVER_PANEL_WIDTH * np.arange(_KLUYVER_PANELS)
+    u = (left[:, None] + half * (x + 1.0)).ravel()
+    weight = np.tile(half * w, _KLUYVER_PANELS) * 2.0 * u * np.exp(-u * u)
+    u.setflags(write=False)
+    weight.setflags(write=False)
+    return u, weight
+
+
+def _j0_complement(x: np.ndarray) -> np.ndarray:
+    """1 - J0(x) of a 1-d array of finite x >= 0.
+
+    J0(x) is the mean of cos(x sin theta) over n equally spaced theta, and
+    the rule is exact to rounding once n >= x + 10 x^(1/3) + 12 (certified
+    against scipy in tests/test_analytic.py); n is set by the largest x and
+    rounded up to a multiple of 4, so that the symmetry of sin folds the
+    mean onto a quarter period.  Each 1 - cos(a) is formed as 2 sin^2(a/2),
+    which keeps small x to full relative precision.
+    """
+    top = float(x.max(initial=0.0))
+    quarter = -(-(math.ceil(top + 10.0 * top ** (1.0 / 3.0)) + 12) // 4)
+    half_sines = 0.5 * np.sin((0.5 * math.pi / quarter) * np.arange(1, quarter))
+    inner = np.square(np.sin(np.multiply.outer(x, half_sines))).sum(axis=-1)
+    return (np.square(np.sin(0.5 * x)) + 2.0 * inner) / quarter
+
+
+def _kluyver_complement(c: float, m: int) -> float:
+    """1 - g_M(c), where g_M(c) = E exp(-c |sum_{i<=M} exp(j theta_i)|^2) over
+    iid uniform phases.
+
+    Kluyver's random-walk integral gives g_M(c) = 2 int_0^inf u exp(-u^2)
+    J0(2 sqrt(c) u)^M du for every M.  The complement is summed as the
+    positive terms w (1 - J0^M), with 1 - J0^M = (1 - J0)(1 + J0 + ... +
+    J0^(M-1)) and |J0| <= 1, so it keeps full relative precision as c -> 0,
+    and it is divided by the rule's own sum of w, so that g_M(0) = 1 exactly.
+    Temporaries are a few hundred KB.
+    """
+    u, w = _kluyver_nodes()
+    comp = _j0_complement(2.0 * math.sqrt(c) * u)
+    j0 = 1.0 - comp
+    powers = np.ones_like(comp)
+    for _ in range(m - 1):
+        powers *= j0
+        powers += 1.0
+    return float(np.dot(w, comp * powers) / w.sum())
+
+
+def _rab_law_k(params: RatioDistParams, law: str) -> float:
+    k = params.k_factor
+    if k > _RAB_LAW_MAX_K:
+        raise ValueError(f"{law} requires k_factor <= {_RAB_LAW_MAX_K:g}, got {k}")
+    return k
+
+
+def rab_cdf(z, params: RatioDistParams, m):
+    """CDF of the equivalent power ratio under M-pattern RAB, for any M >= 1.
+
+    With t = rho z/(K+1), v = 1/(1+t) and c = (K/M)(1 - v), the upper tail
+    is S(z) = v g_M(c), g_M as in Kluyver's integral; it is formed as
+    F = (1 - v) + v (1 - g_M(c)), without cancellation at small z.  M = 1
+    gives :func:`ratio_cdf` (g_1(c) = exp(-c)) and M = 2 gives
+    :func:`rab_m2_cdf` (g_2(c) = exp(-2c) I0(2c)).  Accepts scalars or
+    ndarrays; certified for K <= 100.  Each element costs one quadrature.
+    """
+    z_arr = _ratios(z, "rab_cdf")
+    m = _pattern_count(m, "rab_cdf")
+    k = _rab_law_k(params, "rab_cdf")
+    rt = params.power_ratio * z_arr
+    one_minus_v = rt / (rt + k + 1.0)
+    comp = [_kluyver_complement((k / m) * x, m) for x in one_minus_v.ravel().tolist()]
+    comp = np.reshape(comp, z_arr.shape)
+    return _scalar_or_array(one_minus_v + (k + 1.0) / (rt + k + 1.0) * comp)
+
+
+@functools.lru_cache(maxsize=32)
+def _log_g_series(k: float, m: int) -> tuple:
+    """(a, da, s0, s1): Chebyshev coefficients of log g_M(c) on c in
+    [0, K/M] and of its derivative, in the variable x = 2 c M/K - 1 = 1 - 2v,
+    and the series a at the ends c = 0 and c = K/M.
+
+    Degree ceil(16 + 12 sqrt(K)): log g_M is analytic, and this degree
+    brings the series to a few eps (K+1) of Kluyver's integral for M from 3
+    to 16 up to K = 100 (tests/test_analytic.py).  The coefficients are
+    direct cosine sums over the values at the n + 1 points x_i = cos(i pi/n),
+    taken one c at a time.  Both arrays are read-only, and the same
+    whichever thread builds them.
+    """
+    n = math.ceil(16.0 + 12.0 * math.sqrt(k))
+    j = np.arange(n + 1)
+    values = np.empty(n + 1)
+    for i in range(n + 1):
+        # c = (K/M)(1 + x_i)/2, with 1 + cos(a) = 2 cos^2(a/2).
+        c = (k / m) * math.cos(0.5 * math.pi * i / n) ** 2
+        values[i] = math.log1p(-_kluyver_complement(c, m))
+    values[[0, -1]] *= 0.5
+    # cos(pi r/n) at r = i j mod 2n, from angles in [0, pi/2] only: a raw
+    # angle up to 2 pi rounds to several ulps of cos, and the coefficients
+    # would sum those errors to tens of ulps of log g.
+    r = np.outer(j, j) % (2 * n)
+    r = np.minimum(r, 2 * n - r)
+    flip = 2 * r > n
+    cos = np.where(flip, -1.0, 1.0) * np.cos((math.pi / n) * np.where(flip, n - r, r))
+    coef = (2.0 / n) * (cos * values).sum(axis=1)
+    coef[[0, -1]] *= 0.5
+    slope = np.polynomial.chebyshev.chebder(coef)
+    coef.setflags(write=False)
+    slope.setflags(write=False)
+    ends = _series_at(coef, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+    return coef, slope, float(ends[0]), float(ends[1])
+
+
+def _series_at(coef: np.ndarray, v: np.ndarray, one_minus_v: np.ndarray) -> np.ndarray:
+    """Chebyshev series at x = 1 - 2v, given v and 1 - v to full precision.
+
+    Clenshaw's recurrence in Reinsch's form: it steps with the offset of x
+    from its nearer end, 1 - x = 2v or 1 + x = 2(1 - v), and not with x,
+    whose rounding near -1 would cost up to K/4 ulps of log g.
+    """
+    top = v < 0.5
+    sign = np.where(top, 1.0, -1.0)
+    offset2 = np.where(top, -4.0 * v, 4.0 * one_minus_v)  # 2 (x - sign)
+    b, d = np.zeros_like(v), np.zeros_like(v)
+    for a in coef[:0:-1]:
+        d *= sign
+        d += offset2 * b
+        d += a
+        b *= sign
+        b += d
+    return coef[0] + 0.5 * offset2 * b + sign * d
+
+
+def _clenshaw(coef: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Chebyshev series at x, by Clenshaw's recurrence.
+
+    Serves the slope series of :func:`rab_ppf`: the slope only sets Newton's
+    step, and this form costs about half of :func:`_series_at`.
+    """
+    x2 = 2.0 * x
+    b1, b2 = np.zeros_like(x), np.zeros_like(x)
+    for a in coef[:0:-1]:
+        b1, b2 = x2 * b1 - b2 + a, b1
+    return coef[0] + x * b1 - b2
+
+
+def rab_ppf(q, params: RatioDistParams, m):
+    """Quantile of the M-pattern RAB law at upper-tail probability q:
+    rab_cdf(z, params, m) = 1 - q.
+
+    M = 1 is :func:`ratio_ppf` and M = 2 :func:`rab_m2_ppf`; K = 0 gives the
+    Rayleigh quantile (1/q - 1)/rho for any M.  M >= 3 runs the Newton loop
+    of :func:`rab_m2_ppf` on S = v g_M(c), with log g_M and its slope from a
+    Chebyshev table built once per (K, M) from Kluyver's integral.  There
+    the loop stops once a step is within 64 ulps of max(1, |t|): the table
+    is good to a few ulps of |log g|, up to about 5, so a 4-ulp rule could
+    cycle between two neighbours of the root.  Accepts scalars or ndarrays
+    with 0 < q <= 1; certified for K <= 100 at M >= 3 (the Hypothesis
+    property in tests/test_analytic.py).
+    """
+    m = _pattern_count(m, "rab_ppf")
+    if m == 1:
+        return ratio_ppf(q, params)
+    if m == 2 or params.k_factor == 0.0:
+        return rab_m2_ppf(q, params)
+    q_arr = _tail_probabilities(q, "rab_ppf")
+    coef, slope, at_zero, at_end = _log_g_series(_rab_law_k(params, "rab_ppf"), m)
+
+    def log_g(t):
+        # Less the series at c = 0, which rounds to a few ulps of |a_0|, not
+        # to 0: log g(0) = 0 exactly, and so q = 1 gives z = 0.
+        return _series_at(coef, np.exp(t), -np.expm1(t)) - at_zero
+
+    def log_g_and_slope(t):
+        # d log S / dt = 1 + (d log g / dx)(dx / dt), with x = 1 - 2 e^t.
+        v = np.exp(t)
+        return log_g(t), 1.0 - 2.0 * v * _clenshaw(slope, 1.0 - 2.0 * v)
+
+    return _tail_newton(q_arr, params, at_end - at_zero, log_g_and_slope,
+                        lambda t: np.exp(log_g(t)), _TABLE_STEP_ULPS)

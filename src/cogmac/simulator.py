@@ -15,11 +15,15 @@ identity for the maximum of N iid draws), at a cost independent of N:
 * K = 0, any M: the weights do not matter and the law is the Rayleigh one,
   so a RAB K = 0 point reproduces the baseline K = 0 point of the same
   seed exactly;
-* M = 1: :func:`cogmac.analytic.ratio_ppf`;
-* M = 2: :func:`cogmac.analytic.rab_m2_ppf`.
+* M >= 1 and K > 0: :func:`cogmac.analytic.rab_ppf`, which is
+  :func:`~cogmac.analytic.ratio_ppf` for M = 1,
+  :func:`~cogmac.analytic.rab_m2_ppf` for M = 2, and a Newton loop on a
+  per-(K, M) table of Kluyver's random-walk law for M >= 3.
 
-Points with M >= 3 and K > 0, capped points, and points with K above the
-range the quantiles are certified for (K <= 1000), take brute force.
+Capped points, and points with K above the range the quantiles are
+certified for (K <= 1000 for M <= 2, K <= 100 for M >= 3), take brute
+force.  So do points with M >= 3 and N*M < 48 user-pattern draws per
+slot, where brute force is the cheaper of the two.
 
 Layout: trials are processed in chunks of at most 2^21 elements, each
 drawing from its own counter-derived Philox stream (``jumped`` from the
@@ -42,7 +46,7 @@ from itertools import product
 
 import numpy as np
 
-from .analytic import RatioDistParams, rab_m2_ppf, ratio_ppf
+from .analytic import _RAB_LAW_MAX_K, RatioDistParams, rab_ppf
 from .channels import draw_gains
 
 __all__ = [
@@ -75,6 +79,11 @@ _BLOCK_ELEMENTS = 1 << 15
 # (tests/test_analytic.py) certify ratio_ppf and rab_m2_ppf up to it; from
 # about K = 1e8 on, both quantiles lose precision.
 _SAMPLER_MAX_K = 1e3
+# M >= 3 with K > 0 takes the sampler up to the K its table is certified for
+# (K <= 100), and only from this many brute-force elements per slot (N*M)
+# on.  Measured on 2 cores at 1500 and 20000 trials, one slot of the sampler
+# costs about 20 brute-force elements at K = 10 and 50 at K = 100.
+_TABLE_MIN_ELEMENTS = 48
 
 
 @dataclass(frozen=True)
@@ -150,17 +159,21 @@ def _layout(config: NetworkConfig, method: str) -> tuple:
     """(block sampler, slots per chunk, slots per block) of a point.
 
     ``method="auto"`` takes the order-statistic sampler, one element per
-    slot, iff there is no power cap, K <= 1000, and M <= 2 or K = 0; every
-    other point takes brute force, N*M elements per slot.
+    slot, iff there is no power cap and either M <= 2 or K = 0 with
+    K <= 1000, or M >= 3 with K <= 100 and N*M >= ``_TABLE_MIN_ELEMENTS``;
+    every other point takes brute force, N*M elements per slot.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
-    k = config.k_factor
-    if method == "auto" and config.max_power_cap is None and k <= _SAMPLER_MAX_K and (
-            config.m_patterns <= 2 or k == 0.0):
+    k, elements = config.k_factor, config.n_users * config.m_patterns
+    if config.m_patterns <= 2 or k == 0.0:
+        sampler = k <= _SAMPLER_MAX_K
+    else:
+        sampler = k <= _RAB_LAW_MAX_K and elements >= _TABLE_MIN_ELEMENTS
+    if method == "auto" and config.max_power_cap is None and sampler:
         block, per_slot = _quantile_block, 1
     else:
-        block, per_slot = _brute_block, config.n_users * config.m_patterns
+        block, per_slot = _brute_block, elements
     return (block, max(1, min(config.trials, _CHUNK_ELEMENTS // per_slot)),
             max(1, _BLOCK_ELEMENTS // per_slot))
 
@@ -198,19 +211,18 @@ def _max_ratio(config: NetworkConfig, u: np.ndarray) -> np.ndarray:
     in [0, 1): F^-1(U^(1/N)), with the upper tail q = 1 - U^(1/N) formed as
     -expm1(log(U)/N).  U = 0 gives 0.  K = 0 uses the Rayleigh form
     1/(rho expm1(-log(U)/N)), rho = gamma_sp/gamma_s, for any M; otherwise
-    F^-1 is :func:`ratio_ppf` for M = 1 and :func:`rab_m2_ppf` for M = 2."""
+    F^-1 is :func:`rab_ppf` for M patterns."""
     rho = config.mean_interference_power / config.mean_secondary_power
     with np.errstate(divide="ignore"):
         log_root = np.log(u) / config.n_users
     if config.k_factor == 0.0:
         return 1.0 / (rho * np.expm1(-log_root))
-    ppf = ratio_ppf if config.m_patterns == 1 else rab_m2_ppf
-    return ppf(-np.expm1(log_root), RatioDistParams(config.k_factor, rho))
+    return rab_ppf(-np.expm1(log_root), RatioDistParams(config.k_factor, rho), config.m_patterns)
 
 
 def _quantile_block(config: NetworkConfig, size: int, rng) -> np.ndarray:
     """Best numerator of `size` slots from the scheduled maximum alone, one
-    uniform per slot; exact without a power cap for M <= 2 or K = 0."""
+    uniform per slot; exact without a power cap."""
     return config.peak_interference * _max_ratio(config, rng.random(size))
 
 
@@ -238,13 +250,13 @@ def run_experiment(
 ) -> CapacityEstimate:
     """Monte-Carlo ergodic capacity with a Jensen-bound diagnostic.
 
-    ``method="auto"`` draws each slot's scheduled maximum directly where
-    that is exact, for points without a power cap that have K <= 1000 and
-    M <= 2 or K = 0: one uniform per slot.  Every other point (M >= 3 with
-    K > 0, K > 1000, or a power cap), and every point with
-    ``method="brute"``, draws all N users of each slot.  A point of several
-    chunks spreads them over ``threads`` workers; the result is the same
-    for any ``threads``.
+    ``method="auto"`` draws each slot's scheduled maximum directly, one
+    uniform per slot, for points without a power cap that have M <= 2 or
+    K = 0 with K <= 1000, or M >= 3 with K <= 100 and N*M >= 48.  Every
+    other point (a power cap, K above those ranges, or M >= 3 at smaller
+    N*M), and every point with ``method="brute"``, draws all N users of
+    each slot.  A point of several chunks spreads them over ``threads``
+    workers; the result is the same for any ``threads``.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")

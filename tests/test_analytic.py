@@ -1,7 +1,13 @@
 """Closed-form layer tests: independent oracles (bisection, series,
 quadrature, finite differences, Monte Carlo) against the implementation."""
 
+import json
 import math
+import subprocess
+import sys
+import threading
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,9 +22,11 @@ from cogmac.analytic import (
     effective_users_moderate_k,
     effective_users_rab_m2,
     normalizer_a_n,
+    rab_cdf,
     rab_m2_cdf,
     rab_m2_ppf,
     rab_m2_tail_cdf,
+    rab_ppf,
     ratio_cdf,
     ratio_pdf,
     ratio_ppf,
@@ -413,6 +421,8 @@ class TestArrayLaws:
         (rab_m2_cdf, 2.0, (P,)),
         (rab_m2_ppf, 0.01, (P,)),
         (rab_m2_tail_cdf, 2.0, (P,)),
+        (rab_cdf, 2.0, (P, 3)),
+        (rab_ppf, 0.01, (P, 3)),
         (normalizer_a_n, 100, (P,)),
         (theorem1_law, 100, (2.0,)),
         (effective_users_moderate_k, 100, (2.0,)),
@@ -520,6 +530,178 @@ class TestRabM2Ppf:
         z = rab_m2_ppf(q, RatioDistParams(k, rho))
         assert math.isfinite(z) and z >= 0.0
         assert abs(rab_m2_survival(z, k, rho) / q - 1.0) <= _PPF_TOL_PER_K * (k + 1.0)
+
+
+EPS = np.finfo(float).eps
+REFERENCE_TABLE = Path(__file__).resolve().parents[1] / "perfbench" / "rab_reference.json"
+
+
+def kluyver_g(c, m):
+    """g_M(c) = (1/(2c)) int_0^inf s exp(-s^2/(4c)) J0(s)^M ds by scipy quad
+    with scipy's j0, one unit of s at a time up to exp(-45)."""
+    top = math.sqrt(180.0 * c)
+    edges = np.linspace(0.0, top, math.ceil(top) + 1)
+
+    def f(s):
+        return s * math.exp(-s * s / (4.0 * c)) * special.j0(s) ** m
+
+    with warnings.catch_warnings():
+        # quad flags roundoff near its tolerance floor; the bound in the test
+        # is what certifies the agreement.
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)
+        total = sum(integrate.quad(f, a, b, epsabs=0.0, epsrel=2e-14, limit=200)[0]
+                    for a, b in zip(edges[:-1], edges[1:]))
+    return total / (2.0 * c)
+
+
+def phase_g(c, m, grid=64):
+    """g_M(c) by the trapezoid rule over the phases of patterns 2..M-1, the
+    last phase integrated in closed form: E exp(-c |r + e^(j phi)|^2) =
+    exp(-c (r - 1)^2) i0e(2 c r) for r = |1 + sum of the other phasors|."""
+    phases = 2.0 * math.pi * np.arange(grid) / grid
+    mesh = np.meshgrid(*([phases] * (m - 2)), indexing="ij")
+    r = np.abs(1.0 + sum(np.exp(1j * p) for p in mesh)).ravel()
+    return float(np.mean(np.exp(-c * (r - 1.0) ** 2) * special.i0e(2.0 * c * r)))
+
+
+def rab_survival(z, k, m, rho):
+    """1 - rab_cdf(z): v g_M(c) with g_M by the package's panel rule."""
+    v = 1.0 / (1.0 + rho * z / (k + 1.0))
+    return v * (1.0 - analytic._kluyver_complement((k / m) * (1.0 - v), m))
+
+
+class TestRabLaw:
+    """rab_cdf: Kluyver's random-walk integral for the M-pattern RAB law."""
+
+    def test_j0_trapezoid_against_scipy(self):
+        xs = np.linspace(0.0, 400.0, 4001)
+        # One x at a time, and the whole grid at the rule size of its largest x.
+        one = np.array([analytic._j0_complement(xs[i : i + 1])[0] for i in range(xs.size)])
+        for comp in (one, analytic._j0_complement(xs)):
+            assert np.max(np.abs((1.0 - comp) - special.j0(xs))) <= 1e-14
+        assert one[0] == 0.0
+
+    @pytest.mark.parametrize("m", [3, 4, 8, 16])
+    def test_g_against_scipy_quad(self, m):
+        k = 100.0
+        for c in np.linspace(0.0, k / m, 7)[1:]:
+            g = 1.0 - analytic._kluyver_complement(float(c), m)
+            assert abs(g / kluyver_g(c, m) - 1.0) <= EPS * (k + 1.0), c
+
+    @pytest.mark.parametrize("k", [2.0, 10.0, 100.0])
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_g_against_phase_quadrature(self, m, k):
+        for c in np.linspace(0.0, k / m, 9):
+            g = 1.0 - analytic._kluyver_complement(float(c), m)
+            assert abs(g / phase_g(c, m) - 1.0) <= EPS * (k + 1.0), c
+
+    def test_g_at_zero_and_small_c(self):
+        for m in (1, 2, 3, 8):
+            assert analytic._kluyver_complement(0.0, m) == 0.0
+            # 1 - g_M(c) = M c - M (M-1) c^2 / 2 + ..., to full relative precision.
+            c = 1e-12
+            assert analytic._kluyver_complement(c, m) == pytest.approx(m * c, rel=1e-10)
+
+    @pytest.mark.parametrize("k", [0.0, 0.5, 2.0, 10.0, 100.0])
+    def test_reduces_to_closed_forms(self, k):
+        p = RatioDistParams(k, 1.3)
+        z = np.concatenate([[0.0], np.logspace(-3, 6, 40)])
+        assert np.max(np.abs(rab_cdf(z, p, 1) - ratio_cdf(z, p))) <= 1e-14
+        assert np.max(np.abs(rab_cdf(z, p, 2) - rab_m2_cdf(z, p))) <= 1e-14
+
+    def test_capacities_reproduce_reference_table(self):
+        # C(N) = int (1 - F(t)^N) / (1 + t) dt, trapezoid in log t on
+        # [-30, 45] (the benchmark's range for N <= 512); the table in
+        # perfbench/ comes from an independent phase quadrature.
+        raw = json.loads(REFERENCE_TABLE.read_text(encoding="utf-8"))
+        k = raw["k_factor"]
+        log_t = np.linspace(-30.0, 45.0, 1501)
+        t = np.exp(log_t)
+        h = log_t[1] - log_t[0]
+        for m, row in raw["mean_nats"].items():
+            log_f = np.log(rab_cdf(t, RatioDistParams(k, 1.0), int(m)))
+            for n, expected in row.items():
+                g = -np.expm1(int(n) * log_f) * t / (1.0 + t)
+                assert h * (g.sum() - 0.5 * (g[0] + g[-1])) == pytest.approx(expected, abs=1e-9)
+
+    def test_validation(self):
+        p = RatioDistParams(10.0, 1.0)
+        for bad in (0, -1, 2.5, True, "3"):
+            with pytest.raises(ValueError, match="integer m >= 1"):
+                rab_cdf(1.0, p, bad)
+        with pytest.raises(ValueError, match="k_factor <= 100"):
+            rab_cdf(1.0, RatioDistParams(100.5, 1.0), 3)
+        with pytest.raises(ValueError, match="finite z >= 0"):
+            rab_cdf([1.0, -1.0], p, 3)
+
+    def test_import_builds_nothing(self):
+        # Nodes and tables are built on first use; scipy stays a test dependency.
+        code = ("import sys, cogmac, cogmac.analytic as a; "
+                "print(a._kluyver_nodes.cache_info().currsize, "
+                "a._log_g_series.cache_info().currsize, 'scipy' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, timeout=60)
+        assert out.stdout.split() == ["0", "0", "False"]
+
+
+class TestRabPpf:
+    """rab_ppf: ratio_ppf, rab_m2_ppf, or Newton on the table of log g_M."""
+
+    def test_dispatch_and_edges(self):
+        p = RatioDistParams(10.0, 0.5)
+        q = np.array([[1e-12, 0.01], [0.5, 1.0]])
+        assert np.array_equal(rab_ppf(q, p, 1), ratio_ppf(q, p))
+        assert np.array_equal(rab_ppf(q, p, 2), rab_m2_ppf(q, p))
+        z = rab_ppf(q, p, 3)
+        assert isinstance(z, np.ndarray) and z.shape == q.shape
+        assert np.array_equal(z.ravel(), [rab_ppf(float(v), p, 3) for v in q.ravel()])
+        assert rab_ppf(1.0, p, 3) == 0.0 and rab_ppf(1.0, p, 16) == 0.0
+        # K = 0: the Rayleigh quantile (1/q - 1)/rho for any M.
+        assert rab_ppf(0.25, RatioDistParams(0.0, 2.0), 5) == pytest.approx(1.5, rel=1e-15)
+        for bad in (0.0, -0.1, 1.5, float("nan")):
+            with pytest.raises(ValueError):
+                rab_ppf(bad, p, 3)
+        with pytest.raises(ValueError, match="k_factor <= 100"):
+            rab_ppf(0.5, RatioDistParams(100.5, 1.0), 3)
+        with pytest.raises(ValueError, match="integer m >= 1"):
+            rab_ppf(0.5, p, 0)
+
+    @pytest.mark.parametrize("m", [3, 4, 8])
+    def test_inverts_cdf_on_grid(self, m):
+        p = RatioDistParams(10.0, 1.3)
+        z = np.array([0.01, 0.5, 3.0, 40.0, 1e4])
+        assert rab_ppf(1.0 - rab_cdf(z, p, m), p, m) == pytest.approx(z, rel=1e-9)
+
+    def test_table_is_the_same_from_two_threads(self):
+        # Two threads building one (K, M) table at once get the table that
+        # one thread builds alone.
+        key = (30.0, 5)
+        analytic._log_g_series.cache_clear()
+        alone = analytic._log_g_series(*key)
+        analytic._log_g_series.cache_clear()
+        start, results = threading.Barrier(2), [None, None]
+
+        def build(i):
+            start.wait()
+            results[i] = analytic._log_g_series(*key)
+
+        threads = [threading.Thread(target=build, args=(i,)) for i in range(2)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+            assert not th.is_alive()
+        for got in results:
+            assert np.array_equal(got[0], alone[0]) and np.array_equal(got[1], alone[1])
+            assert got[2:] == alone[2:]
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(m=st.integers(3, 16), k=st.floats(0.0, 100.0, exclude_min=True),
+           rho=st.floats(1e-3, 1e3), q=st.floats(1e-300, 1.0))
+    def test_survival_of_the_quantile_is_q(self, m, k, rho, q):
+        z = rab_ppf(q, RatioDistParams(k, rho), m)
+        assert math.isfinite(z) and z >= 0.0
+        assert abs(rab_survival(z, k, m, rho) / q - 1.0) <= _PPF_TOL_PER_K * (k + 1.0)
 
 
 class TestParamValidation:

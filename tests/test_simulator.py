@@ -12,7 +12,7 @@ import pytest
 from scipy import integrate
 from scipy.stats import ks_2samp
 
-from cogmac import simulator
+from cogmac import analytic, simulator
 from cogmac.analytic import RatioDistParams, ratio_pdf
 from cogmac.channels import draw_gains
 from cogmac.simulator import (
@@ -321,7 +321,7 @@ class TestSweep:
         assert iters == lists
 
     def test_thread_count_invariance(self, run_calls):
-        # The RAB M=3, K=2 points take brute force; N=512 spans four chunks.
+        # Brute force: the RAB M=3, K=2, N=512 point spans four chunks.
         cfg = small_cfg(trials=5000)
         rab512 = replace(cfg, mode="rab", n_users=512, m_patterns=3)
         assert simulator._chunk_size(rab512) < cfg.trials
@@ -330,19 +330,19 @@ class TestSweep:
             run_calls.clear()
             seen = []
             runs[threads] = sweep(cfg, [2, 512], [2.0], [3], ["baseline", "rab"],
-                                  threads=threads, progress=seen.append)
+                                  threads=threads, progress=seen.append, method="brute")
             assert seen == runs[threads]
             assert run_calls == [threads] * 4
         assert len(runs[1]) == 4
         assert runs[1] == runs[2] == runs[4]
 
     def test_single_point_keeps_chunk_threads(self, run_calls):
-        # A brute-force point: 128 users x 4 patterns per slot, three chunks.
+        # Brute force: 128 users x 4 patterns per slot, three chunks.
         cfg = small_cfg(n_users=128, m_patterns=4, mode="rab", k_factor=2.0, trials=9000)
         assert 2 * simulator._chunk_size(cfg) < cfg.trials  # three chunks
-        (pt,) = sweep(cfg, [128], [2.0], [4], ["rab"], threads=3)
+        (pt,) = sweep(cfg, [128], [2.0], [4], ["rab"], threads=3, method="brute")
         assert run_calls == [3]
-        assert pt.estimate == run_experiment(cfg, threads=1)
+        assert pt.estimate == run_experiment(cfg, threads=1, method="brute")
 
     def test_single_chunk_points_build_no_thread_pool(self, monkeypatch):
         pools = []
@@ -404,12 +404,15 @@ def slot_sinrs(block, cfg, size, seed):
 
 QUANTILE_N = (1, 8, 512)
 QUANTILE_K = (0.0, 2.0, 10.0, 100.0)
-# RAB M = 2 at K > 0; at K = 0 its law is the Rayleigh one tested above.
+# RAB M >= 2 at K > 0; at K = 0 the law is the Rayleigh one tested above.
 QUANTILE_RAB_K = (2.0, 10.0, 100.0)
 PRIMARY = ({}, dict(primary_power=2.0, mean_ps_power=0.5))
-# One comparison per case; 1% is the level of the whole family, one pattern
-# and two (Bonferroni).
-QUANTILE_CASES = len(QUANTILE_N) * (len(QUANTILE_K) + len(QUANTILE_RAB_K)) * len(PRIMARY)
+# RAB M >= 3 through the table: (M, N), each at every QUANTILE_RAB_K.
+QUANTILE_TABLE_MN = [(m, n) for m in (3, 4) for n in QUANTILE_N] + [(8, n) for n in (1, 8, 64)]
+# One comparison per case; 1% is the level of the whole family, every
+# pattern count (Bonferroni).
+QUANTILE_CASES = (len(QUANTILE_N) * (len(QUANTILE_K) + len(QUANTILE_RAB_K))
+                  + len(QUANTILE_TABLE_MN) * len(QUANTILE_RAB_K)) * len(PRIMARY)
 QUANTILE_ALPHA = 0.01 / QUANTILE_CASES
 
 
@@ -427,7 +430,9 @@ def two_sample_ks_p(m, n, k, primary):
 
 
 class TestQuantileSampler:
-    """No power cap, M <= 2 or K = 0: the scheduled maximum drawn from one uniform."""
+    """No power cap: the scheduled maximum drawn from one uniform, through
+    ratio_ppf (M = 1), rab_m2_ppf (M = 2), the Rayleigh form (K = 0), or the
+    table of Kluyver's law (M >= 3, K <= 100)."""
 
     @pytest.mark.parametrize("primary", PRIMARY, ids=["no-primary", "primary"])
     @pytest.mark.parametrize("k", QUANTILE_K)
@@ -443,10 +448,18 @@ class TestQuantileSampler:
         p = two_sample_ks_p(2, n, k, primary)
         assert p >= QUANTILE_ALPHA, f"two-sample KS p = {p:.2e}"
 
-    @pytest.mark.parametrize("k", [0.0, 10.0, 1000.0])
+    @pytest.mark.parametrize("primary", PRIMARY, ids=["no-primary", "primary"])
+    @pytest.mark.parametrize("k", QUANTILE_RAB_K)
+    @pytest.mark.parametrize("m,n", QUANTILE_TABLE_MN)
+    def test_rab_table_two_sample_ks_against_brute_force(self, m, n, k, primary):
+        p = two_sample_ks_p(m, n, k, primary)
+        assert p >= QUANTILE_ALPHA, f"two-sample KS p = {p:.2e}"
+
+    @pytest.mark.parametrize("k", [0.0, 10.0, 100.0, 1000.0])
     def test_extreme_uniforms_give_finite_ratio(self, k):
+        # M >= 3 draws from its table only up to K = 100.
         u = np.array([0.0, 1.0 - 2.0**-53])
-        for n, m in product((1, 512), (1, 2)):
+        for n, m in product((1, 512), (1, 2, 3, 4) if k <= 100.0 else (1, 2)):
             cfg = NetworkConfig(n_users=n, m_patterns=m, mode="baseline" if m == 1 else "rab",
                                 k_factor=k)
             with warnings.catch_warnings():
@@ -455,11 +468,15 @@ class TestQuantileSampler:
             assert z[0] == 0.0
             assert np.isfinite(z[1]) and z[1] > 0.0
 
-    @pytest.mark.parametrize("k", [1e4, 1e12, 1e200, 1e308])
-    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize(
+        "m,k",
+        [(m, k) for m in (1, 2) for k in (1e4, 1e12, 1e200, 1e308)]
+        + [(3, math.nextafter(100.0, math.inf)), (3, 1e4)],
+    )
     def test_large_k_takes_brute_force(self, m, k):
-        cfg = NetworkConfig(n_users=8, m_patterns=m, mode="baseline" if m == 1 else "rab",
-                            k_factor=k, trials=2000, seed=3)
+        # 16 users x 3 patterns reach the table's crossover in N*M.
+        cfg = NetworkConfig(n_users=8 if m <= 2 else 16, m_patterns=m,
+                            mode="baseline" if m == 1 else "rab", k_factor=k, trials=2000, seed=3)
         auto = run_experiment(cfg)
         assert auto == run_experiment(cfg, method="brute")
         assert math.isfinite(auto.mean_nats) and math.isfinite(auto.stderr_nats)
@@ -472,6 +489,34 @@ class TestQuantileSampler:
                                 primary_power=1.0)
             runs = [run_experiment(cfg, threads=t) for t in (1, 2, 3)]
             assert runs[0] == runs[1] == runs[2]
+
+    def test_table_point_thread_invariance_across_chunks(self, monkeypatch):
+        # Chunks of 4096 slots, so that 6000 trials span two of them; each
+        # run starts without a table, so two chunk threads may build it at once.
+        monkeypatch.setattr(simulator, "_CHUNK_ELEMENTS", 1 << 12)
+        cfg = NetworkConfig(n_users=64, m_patterns=3, k_factor=10.0, trials=6000, seed=29,
+                            primary_power=1.0)
+        assert simulator._layout(cfg, "auto")[:2] == (simulator._quantile_block, 4096)
+        runs = []
+        for threads in (1, 2):
+            analytic._log_g_series.cache_clear()
+            runs.append(run_experiment(cfg, threads=threads))
+        assert runs[0] == runs[1]
+
+    def test_table_block_working_set_is_bounded(self):
+        # Building the K = 100, M = 4 table (one c-node at a time) and
+        # drawing two full sampler blocks stays within a few MB.
+        cfg = NetworkConfig(n_users=512, m_patterns=4, mode="rab", k_factor=100.0, seed=3)
+        analytic._log_g_series.cache_clear()
+        tracemalloc.start()
+        try:
+            simulator._chunk_sums(cfg, 2 * simulator._BLOCK_ELEMENTS,
+                                  simulator._chunk_rng(cfg, 0), "auto")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert analytic._log_g_series.cache_info().currsize == 1
+        assert peak <= 8 * 2**20
 
     def test_rab_block_working_set_is_bounded(self):
         # The Bessel sums behind rab_m2_ppf keep a few block-sized arrays,
@@ -499,7 +544,7 @@ class TestQuantileSampler:
 
         def path(method="auto", **kw):
             used.clear()
-            run_experiment(small_cfg(n_users=4, **kw), method=method)
+            run_experiment(small_cfg(**{"n_users": 4, **kw}), method=method)
             assert len(set(used)) == 1
             return used[0]
 
@@ -510,6 +555,17 @@ class TestQuantileSampler:
         assert path(mode="rab", m_patterns=2) == "_quantile_block"
         assert path(mode="rab", m_patterns=3) == "_quantile_block"  # K = 0
         assert path(m_patterns=3, **rab) == "_brute_block"
+        # M >= 3 at K > 0 from N*M = 48 on, and up to K = 100.
+        assert simulator._TABLE_MIN_ELEMENTS == 48
+        assert path(n_users=16, m_patterns=3, **rab) == "_quantile_block"
+        assert path(n_users=15, m_patterns=3, **rab) == "_brute_block"
+        assert path(n_users=12, m_patterns=4, **rab) == "_quantile_block"
+        assert path(n_users=11, m_patterns=4, **rab) == "_brute_block"
+        assert path(n_users=16, mode="rab", m_patterns=3, k_factor=100.0) == "_quantile_block"
+        assert path(n_users=16, mode="rab", m_patterns=3,
+                    k_factor=math.nextafter(100.0, math.inf)) == "_brute_block"
+        assert path(n_users=16, m_patterns=3, max_power_cap=1.0, **rab) == "_brute_block"
+        assert path(n_users=16, m_patterns=3, method="brute", **rab) == "_brute_block"
         assert path(max_power_cap=1.0) == "_brute_block"
         assert path(m_patterns=2, max_power_cap=1.0, **rab) == "_brute_block"
         assert path(method="brute") == "_brute_block"
