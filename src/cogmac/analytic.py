@@ -12,8 +12,9 @@ Conventions used throughout:
 Everything in this module is a pure scalar/ndarray function with no RNG:
 a 0-d input (a Python or numpy scalar, or a 0-d array) gives a float, any
 other input an array of its shape.  The one state is a cache of the
-quadrature nodes and of the per-(K, M) tables behind :func:`rab_ppf`, each
-filled on first use and the same whichever thread fills it.
+quadrature nodes, of the per-(K, M) tables behind :func:`rab_ppf`, and of
+the per-(K, M) Newton starts of both RAB quantiles, each filled on first use
+and the same whichever thread fills it.
 """
 
 from __future__ import annotations
@@ -58,9 +59,14 @@ _I0E_ASYMPTOTIC_STEP = (2 * _ASYMPTOTIC_M - 1) ** 2 / (8.0 * _ASYMPTOTIC_M)
 _I1E_ASYMPTOTIC_STEP = (2 * _ASYMPTOTIC_M - 3) * (2 * _ASYMPTOTIC_M + 1) / (8.0 * _ASYMPTOTIC_M)
 # A term below 2^-56 of its sum rounds away, and so does every later (smaller) one.
 _ABSORBED = 2.0**-56
-# Newton on the RAB M=2 quantile stops an element once its step in t is
-# below this times max(1, |t|): a few ulps.
+# Newton on a RAB quantile stops an element once its step in t is below
+# this times max(1, |t|), a few ulps, or once its step no longer halves.
 _PPF_STEP_ULPS = 4.0 * np.finfo(float).eps
+# An element still moving after this many steps raises; from its tangent
+# start none takes more than 4 (tests/test_analytic.py).
+_NEWTON_STEPS = 16
+# Nodes of the tangent starts of a RAB quantile, in t = log v.
+_START_NODES = 1025
 # Kluyver's integral g_M(c) = 2 int_0^inf u exp(-u^2) J0(2 sqrt(c) u)^M du is
 # taken by 16-point Gauss-Legendre panels of width 1/4 on [0, 6.5]; beyond,
 # the weight is below exp(-42).  Certified for c <= K/M with K <= 100
@@ -70,8 +76,6 @@ _KLUYVER_PANELS = 26
 _KLUYVER_PANEL_WIDTH = 0.25
 _KLUYVER_ORDER = 16
 _RAB_LAW_MAX_K = 100.0
-# Newton on the M >= 3 table stops at 64 ulps, not 4 (see rab_ppf).
-_TABLE_STEP_ULPS = 64.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -155,7 +159,7 @@ def _bessel_i0e_i1e(ax: np.ndarray) -> tuple:
         t1 *= q * step1
         s0 += t0
         s1 += t1
-        if not np.any(t0 >= _ABSORBED * s0):
+        if not (t0 >= _ABSORBED * s0).any():
             break
     scale = np.exp(-xs)
     i0e[small] = scale * s0
@@ -175,7 +179,7 @@ def _bessel_i0e_i1e(ax: np.ndarray) -> tuple:
         t1 *= np.where(np.abs(r1) < 1.0, r1, 0.0)
         s0 += t0
         s1 += t1
-        if not np.any((t0 >= _ABSORBED * s0) | (np.abs(t1) >= _ABSORBED * s1)):
+        if not ((t0 >= _ABSORBED * s0) | (np.abs(t1) >= _ABSORBED * s1)).any():
             break
     root = np.sqrt(2.0 * math.pi * xl)
     i0e[~small] = s0 / root
@@ -329,51 +333,117 @@ def rab_m2_ppf(q, params: RatioDistParams):
 
     In v = (K+1)/(rho z + K + 1), in (0, 1], the upper tail is
     S(v) = v exp(-y) I0(y) with y = K(1 - v).  Newton's method solves
-    log S = log q in t = log v.  The slope d log S / dt = 1 + K v (1 - I1/I0)
-    is at least 1 and grows with t, so from the tail guess
-    v0 = min(1, q / (exp(-K) I0(K))), which is never below the root, the
-    iterates fall monotonically onto it; each element stops once its step is
-    within a few ulps.  The answer is v = q / (exp(-y) I0(y)) at the last y,
-    which avoids the |t| ulps that exp(t) would lose, and
-    z = (K+1)(1/v - 1)/rho.  Accepts scalars or ndarrays with 0 < q <= 1;
-    q = 1 gives z = 0, and K = 0 gives the Rayleigh quantile (1/q - 1)/rho.
-    Certified for K <= 1000 (the Hypothesis property in
-    tests/test_analytic.py); the survival error grows from about 1e-8 at
-    K = 1e8 to order 1 at K = 1e11.
+    log S = log q in t = log v (see :func:`_tail_newton`), with slope
+    d log S / dt = 1 + K v (1 - I1/I0), from a tangent of log S cached per
+    K; about three evaluations of the Bessel pair per element.  The answer
+    is v = q / (exp(-y) I0(y)) at the last y, which avoids the |t| ulps
+    that exp(t) would lose, and z = (K+1)(1/v - 1)/rho.  Accepts scalars or
+    ndarrays with 0 < q <= 1; q = 1 gives z = 0, and K = 0 gives the
+    Rayleigh quantile (1/q - 1)/rho.  Certified for K <= 1000 (the
+    Hypothesis property in tests/test_analytic.py); the survival error
+    grows from about 1e-8 at K = 1e8 to order 1 at K = 1e11.
     """
-    q_arr = _tail_probabilities(q, "rab_m2_ppf")
-    k = params.k_factor
+    return _rab_quantile(_tail_probabilities(q, "rab_m2_ppf"), params, 2)
+
+
+def _log_g_law(k: float, m: int) -> tuple:
+    """(log_g_and_slope, g) of the M-pattern law at K, as functions of
+    t = log v: log g_M(c) and d log S / dt, and g_M(c), at c = (K/M)(1 - e^t).
+
+    M = 2 from the Bessel pair, g_2(c) = exp(-2c) I0(2c); M >= 3 from the
+    Chebyshev table of :func:`_log_g_series`.
+    """
+    if m == 2:
+        def g(t):
+            return _bessel_i0e_i1e(-k * np.expm1(t))[0]
+
+        def log_g_and_slope(t):
+            i0e, i1e = _bessel_i0e_i1e(-k * np.expm1(t))
+            return np.log(i0e), 1.0 + k * np.exp(t) * (1.0 - i1e / i0e)
+
+        return log_g_and_slope, g
+    coef, slope, at_zero = _log_g_series(k, m)
+
+    def log_g(t):
+        # Less the series at c = 0, which rounds to a few ulps of |a_0|, not
+        # to 0: log g(0) = 0 exactly, and so q = 1 gives z = 0.
+        return _series_at(coef, np.exp(t), -np.expm1(t)) - at_zero
 
     def log_g_and_slope(t):
-        i0e, i1e = _bessel_i0e_i1e(-k * np.expm1(t))
-        return np.log(i0e), 1.0 + k * np.exp(t) * (1.0 - i1e / i0e)
+        # d log S / dt = 1 + (d log g / dx)(dx / dt), with x = 1 - 2 e^t.
+        v = np.exp(t)
+        return log_g(t), 1.0 - 2.0 * v * _clenshaw(slope, 1.0 - 2.0 * v)
 
-    return _tail_newton(q_arr, params, math.log(bessel_i0e(k)), log_g_and_slope,
-                        lambda t: _bessel_i0e_i1e(-k * np.expm1(t))[0], _PPF_STEP_ULPS)
+    return log_g_and_slope, lambda t: np.exp(log_g(t))
 
 
-def _tail_newton(q_arr, params: RatioDistParams, log_g_end: float, log_g_and_slope, g,
-                 step_ulps: float):
+@functools.lru_cache(maxsize=32)
+def _newton_start(k: float, m: int) -> tuple:
+    """(t, y, slope): nodes t_j in [-40, 0], log S at them and its slope
+    d log S / dt, for the tangent starts of :func:`_tail_newton`.
+
+    The nodes are -t = geomspace(40, 1e-7) and t = 0: geometric, so that
+    they are as dense at every scale of |t|, down to the root of a q near 1
+    at t of about log(q)/(K+1).  Left of -40, log S differs from
+    t + log g(K/M) by about K e^-40, so the tangent at -40 starts on the
+    root to within that.  All three arrays come from one vector call of the
+    law, are read-only, and are the same whichever thread builds them.
+    """
+    t = np.append(-np.geomspace(40.0, 1e-7, _START_NODES - 1), 0.0)
+    log_g, slope = _log_g_law(k, m)[0](t)
+    y = t + log_g
+    for a in (t, y, slope):
+        a.setflags(write=False)
+    return t, y, slope
+
+
+def _tangent_start(start: tuple, log_q: np.ndarray) -> np.ndarray:
+    """t where the tangent of log S at the first node of ``start`` with
+    log S >= log q reaches log q."""
+    nodes, y, slope = start
+    j = np.minimum(np.searchsorted(y, log_q), y.size - 1)
+    return nodes[j] - (y[j] - log_q) / slope[j]
+
+
+def _rab_quantile(q_arr: np.ndarray, params: RatioDistParams, m: int):
+    k = params.k_factor
+    return _tail_newton(q_arr, params, _newton_start(k, m), *_log_g_law(k, m))
+
+
+def _tail_newton(q_arr, params: RatioDistParams, start: tuple, log_g_and_slope, g):
     """z with v g(c) = q, for S = v g(c) with g non-increasing in c = (K/M)(1 - v).
 
-    Newton on log S = log q in t = log v, from the tail guess
-    t = min(log q - log g(K/M), 0); ``log_g_and_slope(t)`` gives log g and
+    Newton on log S = log q in t = log v.  log g is a convex, non-increasing
+    log-Laplace transform of c, and c is concave in t, so log S(t) is
+    convex, with slope at least 1.  Each element starts on the tangent of
+    log S at the first node of ``start`` (see :func:`_newton_start`) with
+    log S >= log q, which is never below the root, so the iterates fall
+    monotonically onto it.  ``log_g_and_slope(t)`` gives log g and
     d log S / dt, ``g(t)`` gives g.  Each element stops once its step is
-    within ``step_ulps`` of max(1, |t|), and v = q / g at the last t; where
-    q is within a few ulps of 1, v can round above 1, and z is taken as 0.
+    within 4 ulps of max(1, |t|), or once its step no longer halves: a
+    step that stops shrinking is rounding noise.  An element still moving
+    after the last iteration raises RuntimeError.  v = q / g at the last t;
+    where q is within a few ulps of 1, v can round above 1, and z is taken
+    as 0.
     """
     q_flat = q_arr.reshape(-1)
     log_q = np.log(q_flat)
-    t = np.minimum(log_q - log_g_end, 0.0)
+    t = _tangent_start(start, log_q)
     live = np.flatnonzero(log_q < 0.0)
-    for _ in range(64):
+    last = np.inf
+    for _ in range(_NEWTON_STEPS):
         if live.size == 0:
             break
         t_live = t[live]
         log_g, slope = log_g_and_slope(t_live)
         step = (t_live + log_g - log_q[live]) / slope
         t[live] = t_live - step
-        live = live[np.abs(step) > step_ulps * np.maximum(1.0, np.abs(t_live))]
+        size = np.abs(step)
+        going = (size > _PPF_STEP_ULPS * np.maximum(1.0, np.abs(t_live))) & (size <= 0.5 * last)
+        live, last = live[going], size[going]
+    if live.size:
+        raise RuntimeError(f"Newton on the RAB quantile at K = {params.k_factor}: {live.size} "
+                           f"of {q_flat.size} elements still moving after {_NEWTON_STEPS} steps")
     v = q_flat / g(t)
     z = np.maximum((params.k_factor + 1.0) * (1.0 / v - 1.0) / params.power_ratio, 0.0)
     return _scalar_or_array(z.reshape(q_arr.shape))
@@ -472,9 +542,9 @@ def rab_cdf(z, params: RatioDistParams, m):
 
 @functools.lru_cache(maxsize=32)
 def _log_g_series(k: float, m: int) -> tuple:
-    """(a, da, s0, s1): Chebyshev coefficients of log g_M(c) on c in
-    [0, K/M] and of its derivative, in the variable x = 2 c M/K - 1 = 1 - 2v,
-    and the series a at the ends c = 0 and c = K/M.
+    """(a, da, a0): Chebyshev coefficients of log g_M(c) on c in [0, K/M]
+    and of its derivative, in the variable x = 2 c M/K - 1 = 1 - 2v, and
+    the series a at c = 0.
 
     Degree ceil(16 + 12 sqrt(K)): log g_M is analytic, and this degree
     brings the series to a few eps (K+1) of Kluyver's integral for M from 3
@@ -503,8 +573,7 @@ def _log_g_series(k: float, m: int) -> tuple:
     slope = np.polynomial.chebyshev.chebder(coef)
     coef.setflags(write=False)
     slope.setflags(write=False)
-    ends = _series_at(coef, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-    return coef, slope, float(ends[0]), float(ends[1])
+    return coef, slope, float(_series_at(coef, np.ones(1), np.zeros(1))[0])
 
 
 def _series_at(coef: np.ndarray, v: np.ndarray, one_minus_v: np.ndarray) -> np.ndarray:
@@ -547,12 +616,13 @@ def rab_ppf(q, params: RatioDistParams, m):
     M = 1 is :func:`ratio_ppf` and M = 2 :func:`rab_m2_ppf`; K = 0 gives the
     Rayleigh quantile (1/q - 1)/rho for any M.  M >= 3 runs the Newton loop
     of :func:`rab_m2_ppf` on S = v g_M(c), with log g_M and its slope from a
-    Chebyshev table built once per (K, M) from Kluyver's integral.  There
-    the loop stops once a step is within 64 ulps of max(1, |t|): the table
-    is good to a few ulps of |log g|, up to about 5, so a 4-ulp rule could
-    cycle between two neighbours of the root.  Accepts scalars or ndarrays
-    with 0 < q <= 1; certified for K <= 100 at M >= 3 (the Hypothesis
-    property in tests/test_analytic.py).
+    Chebyshev table built once per (K, M) from Kluyver's integral, and its
+    tangent starts cached per (K, M) as well; about three evaluations of the
+    series per element.  The table is good to a few ulps of |log g|, so
+    near the root a step can stall at rounding noise; the loop's halving
+    rule stops it there.  Accepts scalars or ndarrays with 0 < q <= 1;
+    certified for K <= 100 at M >= 3 (the Hypothesis property in
+    tests/test_analytic.py).
     """
     m = _pattern_count(m, "rab_ppf")
     if m == 1:
@@ -560,17 +630,5 @@ def rab_ppf(q, params: RatioDistParams, m):
     if m == 2 or params.k_factor == 0.0:
         return rab_m2_ppf(q, params)
     q_arr = _tail_probabilities(q, "rab_ppf")
-    coef, slope, at_zero, at_end = _log_g_series(_rab_law_k(params, "rab_ppf"), m)
-
-    def log_g(t):
-        # Less the series at c = 0, which rounds to a few ulps of |a_0|, not
-        # to 0: log g(0) = 0 exactly, and so q = 1 gives z = 0.
-        return _series_at(coef, np.exp(t), -np.expm1(t)) - at_zero
-
-    def log_g_and_slope(t):
-        # d log S / dt = 1 + (d log g / dx)(dx / dt), with x = 1 - 2 e^t.
-        v = np.exp(t)
-        return log_g(t), 1.0 - 2.0 * v * _clenshaw(slope, 1.0 - 2.0 * v)
-
-    return _tail_newton(q_arr, params, at_end - at_zero, log_g_and_slope,
-                        lambda t: np.exp(log_g(t)), _TABLE_STEP_ULPS)
+    _rab_law_k(params, "rab_ppf")
+    return _rab_quantile(q_arr, params, m)

@@ -43,25 +43,33 @@ def draw_gains(
     single weight is a pure phase rotation.
 
     Fixed draw order: secondary exponentials, relative weight phases
-    (M > 1), then (in-phase, quadrature) scattering normal pairs.
+    (M > 1), then (in-phase, quadrature) scattering normal pairs.  The
+    draws are combined in place, in their own buffers.
     """
     n, m, k = config.n_users, config.m_patterns, config.k_factor
-    gain_s = config.mean_secondary_power * rng.standard_exponential((size, n))
+    gain_s = rng.standard_exponential((size, n))
+    gain_s *= config.mean_secondary_power
     los = math.sqrt(k * config.mean_interference_power / (k + 1.0))
     if m > 1:
         theta = rng.uniform(0.0, 2.0 * math.pi, size=(size, n, m - 1))
         if m == 2:  # |1 + e^{j theta}| = 2 |cos(theta / 2)|
-            mag = 2.0 * np.abs(np.cos(0.5 * theta[..., 0]))
+            theta *= 0.5
+            mag = np.abs(np.cos(theta, out=theta), out=theta)[..., 0]
+            mag *= 2.0
         else:
-            re = 1.0 + np.cos(theta[..., 0])
+            re = np.cos(theta[..., 0])
+            re += 1.0
             im = np.sin(theta[..., 0])
             for i in range(1, m - 1):
                 re += np.cos(theta[..., i])
                 im += np.sin(theta[..., i])
-            mag = np.sqrt(re * re + im * im)
-        los = los / math.sqrt(m) * mag
-    scale = math.sqrt(config.mean_interference_power / (2.0 * (k + 1.0)))
+            np.square(re, out=re)
+            re += np.square(im, out=im)
+            mag = np.sqrt(re, out=re)
+        mag *= los / math.sqrt(m)
+        los = mag
     parts = rng.standard_normal((size, n, 2))
-    x = los + scale * parts[..., 0]
-    y = scale * parts[..., 1]
-    return gain_s, x * x + y * y
+    parts *= math.sqrt(config.mean_interference_power / (2.0 * (k + 1.0)))
+    parts[..., 0] += los
+    np.square(parts, out=parts)
+    return gain_s, np.add(parts[..., 0], parts[..., 1])

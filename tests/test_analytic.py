@@ -3,6 +3,7 @@ quadrature, finite differences, Monte Carlo) against the implementation."""
 
 import json
 import math
+import os
 import subprocess
 import sys
 import threading
@@ -635,13 +636,18 @@ class TestRabLaw:
             rab_cdf([1.0, -1.0], p, 3)
 
     def test_import_builds_nothing(self):
-        # Nodes and tables are built on first use; scipy stays a test dependency.
+        # Nodes, tables and Newton starts are built on first use; scipy stays
+        # a test dependency.  The child imports the package this test imports.
         code = ("import sys, cogmac, cogmac.analytic as a; "
                 "print(a._kluyver_nodes.cache_info().currsize, "
-                "a._log_g_series.cache_info().currsize, 'scipy' in sys.modules)")
+                "a._log_g_series.cache_info().currsize, "
+                "a._newton_start.cache_info().currsize, 'scipy' in sys.modules)")
+        src = str(Path(analytic.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             check=True, timeout=60)
-        assert out.stdout.split() == ["0", "0", "False"]
+                             check=True, timeout=60, env=env)
+        assert out.stdout.split() == ["0", "0", "0", "False"]
 
 
 class TestRabPpf:
@@ -672,18 +678,21 @@ class TestRabPpf:
         z = np.array([0.01, 0.5, 3.0, 40.0, 1e4])
         assert rab_ppf(1.0 - rab_cdf(z, p, m), p, m) == pytest.approx(z, rel=1e-9)
 
-    def test_table_is_the_same_from_two_threads(self):
-        # Two threads building one (K, M) table at once get the table that
-        # one thread builds alone.
-        key = (30.0, 5)
-        analytic._log_g_series.cache_clear()
-        alone = analytic._log_g_series(*key)
-        analytic._log_g_series.cache_clear()
+    @pytest.mark.parametrize("table,key", [("_log_g_series", (30.0, 5)),
+                                           ("_newton_start", (30.0, 5)),
+                                           ("_newton_start", (1000.0, 2))])
+    def test_table_is_the_same_from_two_threads(self, table, key):
+        # Two threads building one (K, M) table (the Chebyshev series, or the
+        # Newton starts) at once get the table that one thread builds alone.
+        table = getattr(analytic, table)
+        table.cache_clear()
+        alone = table(*key)
+        table.cache_clear()
         start, results = threading.Barrier(2), [None, None]
 
         def build(i):
             start.wait()
-            results[i] = analytic._log_g_series(*key)
+            results[i] = table(*key)
 
         threads = [threading.Thread(target=build, args=(i,)) for i in range(2)]
         for th in threads:
@@ -692,8 +701,9 @@ class TestRabPpf:
             th.join(timeout=60)
             assert not th.is_alive()
         for got in results:
-            assert np.array_equal(got[0], alone[0]) and np.array_equal(got[1], alone[1])
-            assert got[2:] == alone[2:]
+            assert len(got) == len(alone)
+            assert all(np.array_equal(a, b) for a, b in zip(got, alone))
+            assert not any(isinstance(a, np.ndarray) and a.flags.writeable for a in got)
 
     @settings(max_examples=400, deadline=None, derandomize=True, database=None)
     @given(m=st.integers(3, 16), k=st.floats(0.0, 100.0, exclude_min=True),
@@ -702,6 +712,82 @@ class TestRabPpf:
         z = rab_ppf(q, RatioDistParams(k, rho), m)
         assert math.isfinite(z) and z >= 0.0
         assert abs(rab_survival(z, k, m, rho) / q - 1.0) <= _PPF_TOL_PER_K * (k + 1.0)
+
+
+def _k_max(m):
+    """Largest K the sampler's quantile is certified for at M patterns."""
+    return 1000.0 if m == 2 else 100.0
+
+
+class TestNewtonStart:
+    """The tangent starts and the stop rule of the RAB quantiles' Newton loop."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(m=st.integers(2, 16), data=st.data(),
+           q=st.floats(1e-300, 1.0, exclude_max=True))
+    def test_start_is_never_below_the_root(self, m, data, q):
+        # log S is increasing in t, so a start at or above the root has
+        # log S >= log q there, to the rounding of log S (a few ulps).
+        k = data.draw(st.floats(0.0, _k_max(m), exclude_min=True), label="k")
+        log_q = np.array([math.log(q)])
+        t = analytic._tangent_start(analytic._newton_start(k, m), log_q)
+        log_g = analytic._log_g_law(k, m)[0](t)[0]
+        assert t[0] <= 0.0
+        assert t[0] + log_g[0] - log_q[0] >= -8.0 * EPS * max(1.0, abs(log_q[0]))
+
+    @pytest.mark.parametrize("m,k", [(m, k) for m in (2, 3, 4, 8) for k in (2.0, 10.0, 100.0)]
+                             + [(2, 1000.0)])
+    def test_at_most_four_newton_evaluations(self, m, k, monkeypatch):
+        # The scheduled maximum of N users: q = 1 - U^(1/N).  Start tables are
+        # built outside the loop and are not counted.
+        real, counts = analytic._tail_newton, []
+
+        def counting(q_arr, params, start, log_g_and_slope, g):
+            calls = [0, 0]
+
+            def counted(i, f):
+                def call(t):
+                    calls[i] += 1
+                    return f(t)
+                return call
+
+            z = real(q_arr, params, start, counted(0, log_g_and_slope), counted(1, g))
+            counts.append(tuple(calls))
+            return z
+
+        monkeypatch.setattr(analytic, "_tail_newton", counting)
+        rng = np.random.default_rng(int(10 * k) + m)
+        for n in (1, 8, 64, 512):
+            rab_ppf(-np.expm1(np.log(rng.random(4096)) / n), RatioDistParams(k, 1.0), m)
+        assert len(counts) == 4
+        assert all(newton <= 4 and final == 1 for newton, final in counts), counts
+
+    def test_linear_convergence_raises(self):
+        # Steps that shrink by 0.49 each keep halving, so only the cap stops
+        # them: the root is t = log q, and the start sits at t = log q / 2.
+        log_q = -2.0
+
+        def linear(t):
+            return np.zeros_like(t), np.full_like(t, 1.0 / 0.51)
+
+        start = (np.zeros(1), np.zeros(1), np.full(1, 2.0))
+        with pytest.raises(RuntimeError, match=r"K = 10\.0: 1 of 2 elements"):
+            analytic._tail_newton(np.array([math.exp(log_q), 1.0]), RatioDistParams(10.0, 1.0),
+                                  start, linear, np.ones_like)
+
+    def test_rounding_cycle_stops(self):
+        # A law whose residual flips between +-1e-13 at the root: the steps
+        # stop halving at once, and the loop ends after two evaluations.
+        log_q, calls = -1.0, [0]
+
+        def cycling(t):
+            calls[0] += 1
+            return log_q - t + (-1.0) ** calls[0] * 1e-13, np.ones_like(t)
+
+        start = (np.zeros(1), np.zeros(1), np.ones(1))
+        z = analytic._tail_newton(np.array(math.exp(log_q)), RatioDistParams(10.0, 1.0),
+                                  start, cycling, np.ones_like)
+        assert calls[0] == 2 and math.isfinite(z)
 
 
 class TestParamValidation:

@@ -500,6 +500,7 @@ class TestQuantileSampler:
         runs = []
         for threads in (1, 2):
             analytic._log_g_series.cache_clear()
+            analytic._newton_start.cache_clear()
             runs.append(run_experiment(cfg, threads=threads))
         assert runs[0] == runs[1]
 
@@ -508,6 +509,7 @@ class TestQuantileSampler:
         # drawing two full sampler blocks stays within a few MB.
         cfg = NetworkConfig(n_users=512, m_patterns=4, mode="rab", k_factor=100.0, seed=3)
         analytic._log_g_series.cache_clear()
+        analytic._newton_start.cache_clear()
         tracemalloc.start()
         try:
             simulator._chunk_sums(cfg, 2 * simulator._BLOCK_ELEMENTS,
@@ -516,6 +518,7 @@ class TestQuantileSampler:
         finally:
             tracemalloc.stop()
         assert analytic._log_g_series.cache_info().currsize == 1
+        assert analytic._newton_start.cache_info().currsize == 1
         assert peak <= 8 * 2**20
 
     def test_rab_block_working_set_is_bounded(self):
