@@ -12,9 +12,8 @@ Conventions used throughout:
 Everything in this module is a pure scalar/ndarray function with no RNG:
 a 0-d input (a Python or numpy scalar, or a 0-d array) gives a float, any
 other input an array of its shape.  The one state is a cache of the
-quadrature nodes, of the per-(K, M) tables behind :func:`rab_ppf`, and of
-the per-(K, M) Newton starts of both RAB quantiles, each filled on first use
-and the same whichever thread fills it.
+quadrature nodes and one of the per-(K, M) laws behind :func:`rab_ppf`, each
+filled on first use and the same whichever thread fills it.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ __all__ = [
     "effective_users_moderate_k",
     "effective_users_rab_m2",
     "rab_m2_cdf",
-    "rab_m2_ppf",
     "rab_m2_tail_cdf",
     "rab_cdf",
     "rab_ppf",
@@ -288,7 +286,8 @@ def theorem1_law(n_users, k_factor: float):
     if k == 0.0:
         return _scalar_or_array(np.log(n))
     w = wright_omega(math.log(k) + k - np.log(n))
-    return _scalar_or_array(math.log(k * (k + 1.0)) - np.log(w))
+    # log K + log(K+1), not log(K(K+1)): the product overflows from K = 1.3e154.
+    return _scalar_or_array(math.log(k) + math.log1p(k) - np.log(w))
 
 
 def effective_users_moderate_k(n_users, k_factor: float):
@@ -305,7 +304,8 @@ def effective_users_rab_m2(n_users, k_factor: float):
     """
     n = _user_counts(n_users, 1, "effective_users_rab_m2")
     k = _k_factor(k_factor, "effective_users_rab_m2", positive=True)
-    return _scalar_or_array(n * (k + 1.0) / math.sqrt(2.0 * math.pi * k))
+    # (K+1)/sqrt(K) first: K+1 times N, or 2 pi K, overflows at K = 1e308.
+    return _scalar_or_array(n * ((k + 1.0) / math.sqrt(k)) / math.sqrt(2.0 * math.pi))
 
 
 def _rab_m2_prefactor(z_arr: np.ndarray, params: RatioDistParams) -> np.ndarray:
@@ -327,108 +327,86 @@ def rab_m2_cdf(z, params: RatioDistParams):
     return _scalar_or_array(1.0 - _rab_m2_prefactor(z_arr, params) * bessel_i0e(y))
 
 
-def rab_m2_ppf(q, params: RatioDistParams):
-    """Quantile of the two-pattern RAB law at upper-tail probability q:
-    rab_m2_cdf(z) = 1 - q.
+def _rab_ppf_max_k(m: int) -> float:
+    """Largest K that :func:`rab_ppf` is certified for at M patterns: 1000
+    for M <= 2, where the ratio and Bessel laws are closed forms, and the
+    K <= 100 of Kluyver's law for M >= 3 (the Hypothesis properties in
+    tests/test_analytic.py).  The simulator's order-statistic sampler runs
+    up to it."""
+    return 1e3 if m <= 2 else _RAB_LAW_MAX_K
 
-    In v = (K+1)/(rho z + K + 1), in (0, 1], the upper tail is
-    S(v) = v exp(-y) I0(y) with y = K(1 - v).  Newton's method solves
-    log S = log q in t = log v (see :func:`_tail_newton`), with slope
-    d log S / dt = 1 + K v (1 - I1/I0), from a tangent of log S cached per
-    K; about three evaluations of the Bessel pair per element.  The answer
-    is v = q / (exp(-y) I0(y)) at the last y, which avoids the |t| ulps
-    that exp(t) would lose, and z = (K+1)(1/v - 1)/rho.  Accepts scalars or
-    ndarrays with 0 < q <= 1; q = 1 gives z = 0, and K = 0 gives the
-    Rayleigh quantile (1/q - 1)/rho.  Certified for K <= 1000 (the
-    Hypothesis property in tests/test_analytic.py); the survival error
-    grows from about 1e-8 at K = 1e8 to order 1 at K = 1e11.
+
+@functools.lru_cache(maxsize=32)
+def _rab_law(k: float, m: int) -> tuple:
+    """(log_g_and_slope, g, start) of the M-pattern law at K, for :func:`_tail_newton`.
+
+    As functions of t = log v, ``log_g_and_slope(t)`` gives log g_M(c) and
+    d log S / dt, and ``g(t)`` gives g_M(c), at c = (K/M)(1 - e^t).  M = 2,
+    and K = 0 at any M, from the Bessel pair, g_2(c) = exp(-2c) I0(2c);
+    M >= 3 from the Chebyshev series of :func:`_log_g_series`, built here
+    once.
+
+    ``start`` is (t, y, slope): nodes t_j in [-40, 0], log S at them and its
+    slope, for the tangent starts of :func:`_tail_newton`.  The nodes are
+    -t = geomspace(40, 1e-7) and t = 0: geometric, so that they are as dense
+    at every scale of |t|, down to the root of a q near 1 at t of about
+    log(q)/(K+1).  Left of -40, log S differs from t + log g(K/M) by about
+    K e^-40, so the tangent at -40 starts on the root to within that.  All
+    three arrays come from one vector call of the law, are read-only, and
+    are the same whichever thread builds them.
     """
-    return _rab_quantile(_tail_probabilities(q, "rab_m2_ppf"), params, 2)
-
-
-def _log_g_law(k: float, m: int) -> tuple:
-    """(log_g_and_slope, g) of the M-pattern law at K, as functions of
-    t = log v: log g_M(c) and d log S / dt, and g_M(c), at c = (K/M)(1 - e^t).
-
-    M = 2 from the Bessel pair, g_2(c) = exp(-2c) I0(2c); M >= 3 from the
-    Chebyshev table of :func:`_log_g_series`.
-    """
-    if m == 2:
+    if m == 2 or k == 0.0:
         def g(t):
             return _bessel_i0e_i1e(-k * np.expm1(t))[0]
 
         def log_g_and_slope(t):
             i0e, i1e = _bessel_i0e_i1e(-k * np.expm1(t))
             return np.log(i0e), 1.0 + k * np.exp(t) * (1.0 - i1e / i0e)
+    else:
+        coef, dcoef, at_zero = _log_g_series(k, m)
 
-        return log_g_and_slope, g
-    coef, slope, at_zero = _log_g_series(k, m)
+        def log_g(t):
+            # Less the series at c = 0, which rounds to a few ulps of |a_0|, not
+            # to 0: log g(0) = 0 exactly, and so q = 1 gives z = 0.
+            return _series_at(coef, np.exp(t), -np.expm1(t)) - at_zero
 
-    def log_g(t):
-        # Less the series at c = 0, which rounds to a few ulps of |a_0|, not
-        # to 0: log g(0) = 0 exactly, and so q = 1 gives z = 0.
-        return _series_at(coef, np.exp(t), -np.expm1(t)) - at_zero
+        def log_g_and_slope(t):
+            # d log S / dt = 1 + (d log g / dx)(dx / dt), with x = 1 - 2 e^t.
+            v = np.exp(t)
+            return log_g(t), 1.0 - 2.0 * v * _clenshaw(dcoef, 1.0 - 2.0 * v)
 
-    def log_g_and_slope(t):
-        # d log S / dt = 1 + (d log g / dx)(dx / dt), with x = 1 - 2 e^t.
-        v = np.exp(t)
-        return log_g(t), 1.0 - 2.0 * v * _clenshaw(slope, 1.0 - 2.0 * v)
+        def g(t):
+            return np.exp(log_g(t))
 
-    return log_g_and_slope, lambda t: np.exp(log_g(t))
-
-
-@functools.lru_cache(maxsize=32)
-def _newton_start(k: float, m: int) -> tuple:
-    """(t, y, slope): nodes t_j in [-40, 0], log S at them and its slope
-    d log S / dt, for the tangent starts of :func:`_tail_newton`.
-
-    The nodes are -t = geomspace(40, 1e-7) and t = 0: geometric, so that
-    they are as dense at every scale of |t|, down to the root of a q near 1
-    at t of about log(q)/(K+1).  Left of -40, log S differs from
-    t + log g(K/M) by about K e^-40, so the tangent at -40 starts on the
-    root to within that.  All three arrays come from one vector call of the
-    law, are read-only, and are the same whichever thread builds them.
-    """
-    t = np.append(-np.geomspace(40.0, 1e-7, _START_NODES - 1), 0.0)
-    log_g, slope = _log_g_law(k, m)[0](t)
-    y = t + log_g
-    for a in (t, y, slope):
+    nodes = np.append(-np.geomspace(40.0, 1e-7, _START_NODES - 1), 0.0)
+    log_g_nodes, slope_nodes = log_g_and_slope(nodes)
+    start = (nodes, nodes + log_g_nodes, slope_nodes)
+    for a in start:
         a.setflags(write=False)
-    return t, y, slope
+    return log_g_and_slope, g, start
 
 
-def _tangent_start(start: tuple, log_q: np.ndarray) -> np.ndarray:
-    """t where the tangent of log S at the first node of ``start`` with
-    log S >= log q reaches log q."""
-    nodes, y, slope = start
-    j = np.minimum(np.searchsorted(y, log_q), y.size - 1)
-    return nodes[j] - (y[j] - log_q) / slope[j]
-
-
-def _rab_quantile(q_arr: np.ndarray, params: RatioDistParams, m: int):
-    k = params.k_factor
-    return _tail_newton(q_arr, params, _newton_start(k, m), *_log_g_law(k, m))
-
-
-def _tail_newton(q_arr, params: RatioDistParams, start: tuple, log_g_and_slope, g):
+def _tail_newton(q_arr, params: RatioDistParams, log_g_and_slope, g, start: tuple):
     """z with v g(c) = q, for S = v g(c) with g non-increasing in c = (K/M)(1 - v).
 
-    Newton on log S = log q in t = log v.  log g is a convex, non-increasing
-    log-Laplace transform of c, and c is concave in t, so log S(t) is
-    convex, with slope at least 1.  Each element starts on the tangent of
-    log S at the first node of ``start`` (see :func:`_newton_start`) with
-    log S >= log q, which is never below the root, so the iterates fall
-    monotonically onto it.  ``log_g_and_slope(t)`` gives log g and
-    d log S / dt, ``g(t)`` gives g.  Each element stops once its step is
-    within 4 ulps of max(1, |t|), or once its step no longer halves: a
-    step that stops shrinking is rounding noise.  An element still moving
-    after the last iteration raises RuntimeError.  v = q / g at the last t;
-    where q is within a few ulps of 1, v can round above 1, and z is taken
-    as 0.
+    Newton on log S = log q in t = log v, on the three parts of a law of
+    :func:`_rab_law`.  log g is a convex, non-increasing log-Laplace
+    transform of c, and c is concave in t, so log S(t) is convex, with slope
+    at least 1.  Each element starts where the tangent of log S at the first
+    node of ``start`` with log S >= log q reaches log q, which is never below
+    the root, so the iterates fall monotonically onto it.
+    ``log_g_and_slope(t)`` gives log g and d log S / dt, ``g(t)`` gives g.
+    Each element stops once its step is within 4 ulps of max(1, |t|), or
+    once its step no longer halves: a step that stops shrinking is rounding
+    noise.  An element still moving after the last iteration raises
+    RuntimeError.  v = q / g at the last t; where q is within a few ulps of
+    1, v can round above 1, and z is taken as 0.
     """
     q_flat = q_arr.reshape(-1)
     log_q = np.log(q_flat)
-    t = _tangent_start(start, log_q)
+    nodes, log_s, ds = start
+    j = np.minimum(np.searchsorted(log_s, log_q), log_s.size - 1)
+    t = nodes[j] - (log_s[j] - log_q) / ds[j]
     live = np.flatnonzero(log_q < 0.0)
     last = np.inf
     for _ in range(_NEWTON_STEPS):
@@ -513,13 +491,6 @@ def _kluyver_complement(c: float, m: int) -> float:
     return float(np.dot(w, comp * powers) / w.sum())
 
 
-def _rab_law_k(params: RatioDistParams, law: str) -> float:
-    k = params.k_factor
-    if k > _RAB_LAW_MAX_K:
-        raise ValueError(f"{law} requires k_factor <= {_RAB_LAW_MAX_K:g}, got {k}")
-    return k
-
-
 def rab_cdf(z, params: RatioDistParams, m):
     """CDF of the equivalent power ratio under M-pattern RAB, for any M >= 1.
 
@@ -532,7 +503,9 @@ def rab_cdf(z, params: RatioDistParams, m):
     """
     z_arr = _ratios(z, "rab_cdf")
     m = _pattern_count(m, "rab_cdf")
-    k = _rab_law_k(params, "rab_cdf")
+    k = params.k_factor
+    if k > _RAB_LAW_MAX_K:
+        raise ValueError(f"rab_cdf requires k_factor <= {_RAB_LAW_MAX_K:g}, got {k}")
     rt = params.power_ratio * z_arr
     one_minus_v = rt / (rt + k + 1.0)
     comp = [_kluyver_complement((k / m) * x, m) for x in one_minus_v.ravel().tolist()]
@@ -540,7 +513,6 @@ def rab_cdf(z, params: RatioDistParams, m):
     return _scalar_or_array(one_minus_v + (k + 1.0) / (rt + k + 1.0) * comp)
 
 
-@functools.lru_cache(maxsize=32)
 def _log_g_series(k: float, m: int) -> tuple:
     """(a, da, a0): Chebyshev coefficients of log g_M(c) on c in [0, K/M]
     and of its derivative, in the variable x = 2 c M/K - 1 = 1 - 2v, and
@@ -548,32 +520,21 @@ def _log_g_series(k: float, m: int) -> tuple:
 
     Degree ceil(16 + 12 sqrt(K)): log g_M is analytic, and this degree
     brings the series to a few eps (K+1) of Kluyver's integral for M from 3
-    to 16 up to K = 100 (tests/test_analytic.py).  The coefficients are
-    direct cosine sums over the values at the n + 1 points x_i = cos(i pi/n),
-    taken one c at a time.  Both arrays are read-only, and the same
-    whichever thread builds them.
+    to 16 up to K = 100 (tests/test_analytic.py).  The values at the n + 1
+    points x_i = cos(i pi/n) are taken one c at a time; the coefficients
+    are their DCT-I: the FFT of their even extension, over n, with the end
+    terms halved.
     """
     n = math.ceil(16.0 + 12.0 * math.sqrt(k))
-    j = np.arange(n + 1)
     values = np.empty(n + 1)
     for i in range(n + 1):
         # c = (K/M)(1 + x_i)/2, with 1 + cos(a) = 2 cos^2(a/2).
         c = (k / m) * math.cos(0.5 * math.pi * i / n) ** 2
         values[i] = math.log1p(-_kluyver_complement(c, m))
-    values[[0, -1]] *= 0.5
-    # cos(pi r/n) at r = i j mod 2n, from angles in [0, pi/2] only: a raw
-    # angle up to 2 pi rounds to several ulps of cos, and the coefficients
-    # would sum those errors to tens of ulps of log g.
-    r = np.outer(j, j) % (2 * n)
-    r = np.minimum(r, 2 * n - r)
-    flip = 2 * r > n
-    cos = np.where(flip, -1.0, 1.0) * np.cos((math.pi / n) * np.where(flip, n - r, r))
-    coef = (2.0 / n) * (cos * values).sum(axis=1)
+    coef = np.fft.rfft(np.concatenate([values, values[-2:0:-1]])).real / n
     coef[[0, -1]] *= 0.5
-    slope = np.polynomial.chebyshev.chebder(coef)
-    coef.setflags(write=False)
-    slope.setflags(write=False)
-    return coef, slope, float(_series_at(coef, np.ones(1), np.zeros(1))[0])
+    at_zero = float(_series_at(coef, np.ones(1), np.zeros(1))[0])
+    return coef, np.polynomial.chebyshev.chebder(coef), at_zero
 
 
 def _series_at(coef: np.ndarray, v: np.ndarray, one_minus_v: np.ndarray) -> np.ndarray:
@@ -613,22 +574,29 @@ def rab_ppf(q, params: RatioDistParams, m):
     """Quantile of the M-pattern RAB law at upper-tail probability q:
     rab_cdf(z, params, m) = 1 - q.
 
-    M = 1 is :func:`ratio_ppf` and M = 2 :func:`rab_m2_ppf`; K = 0 gives the
-    Rayleigh quantile (1/q - 1)/rho for any M.  M >= 3 runs the Newton loop
-    of :func:`rab_m2_ppf` on S = v g_M(c), with log g_M and its slope from a
-    Chebyshev table built once per (K, M) from Kluyver's integral, and its
-    tangent starts cached per (K, M) as well; about three evaluations of the
-    series per element.  The table is good to a few ulps of |log g|, so
-    near the root a step can stall at rounding noise; the loop's halving
-    rule stops it there.  Accepts scalars or ndarrays with 0 < q <= 1;
-    certified for K <= 100 at M >= 3 (the Hypothesis property in
-    tests/test_analytic.py).
+    M = 1 is :func:`ratio_ppf`.  For M >= 2, in v = (K+1)/(rho z + K + 1),
+    in (0, 1], the upper tail is S(v) = v g_M(c) with c = (K/M)(1 - v), and
+    Newton's method solves log S = log q in t = log v (see
+    :func:`_tail_newton`) on the law of :func:`_rab_law`, built once per
+    (K, M): about three evaluations of the law per element, from a tangent
+    start.  For M = 2, g_2(c) = exp(-y) I0(y) with y = K(1 - v), and the
+    slope is d log S / dt = 1 + K v (1 - I1/I0).  For M >= 3, log g_M and
+    its slope come from a Chebyshev table of Kluyver's integral; it is good
+    to a few ulps of |log g|, so near the root a step can stall at rounding
+    noise, and the loop's halving rule stops it there.  The answer is
+    v = q / g at the last t, which avoids the |t| ulps that exp(t) would
+    lose, and z = (K+1)(1/v - 1)/rho.  K = 0 gives the Rayleigh quantile
+    (1/q - 1)/rho for any M.
+
+    Accepts scalars or ndarrays with 0 < q <= 1; q = 1 gives z = 0.
+    Certified for K <= 1000 at M <= 2 and K <= 100 at M >= 3 (the
+    Hypothesis properties in tests/test_analytic.py), and raises ValueError
+    above.
     """
     m = _pattern_count(m, "rab_ppf")
+    k, top = params.k_factor, _rab_ppf_max_k(m)
+    if k > top:
+        raise ValueError(f"rab_ppf requires k_factor <= {top:g} at m = {m}, got {k}")
     if m == 1:
         return ratio_ppf(q, params)
-    if m == 2 or params.k_factor == 0.0:
-        return rab_m2_ppf(q, params)
-    q_arr = _tail_probabilities(q, "rab_ppf")
-    _rab_law_k(params, "rab_ppf")
-    return _rab_quantile(q_arr, params, m)
+    return _tail_newton(_tail_probabilities(q, "rab_ppf"), params, *_rab_law(k, m))

@@ -16,14 +16,13 @@ identity for the maximum of N iid draws), at a cost independent of N:
   so a RAB K = 0 point reproduces the baseline K = 0 point of the same
   seed exactly;
 * M >= 1 and K > 0: :func:`cogmac.analytic.rab_ppf`, which is
-  :func:`~cogmac.analytic.ratio_ppf` for M = 1,
-  :func:`~cogmac.analytic.rab_m2_ppf` for M = 2, and a Newton loop on a
-  per-(K, M) table of Kluyver's random-walk law for M >= 3.
+  :func:`~cogmac.analytic.ratio_ppf` for M = 1 and a Newton loop on the
+  per-(K, M) RAB law for M >= 2.
 
-Capped points, and points with K above the range the quantiles are
-certified for (K <= 1000 for M <= 2, K <= 100 for M >= 3), take brute
-force.  So do points with M >= 3 and N*M < 48 user-pattern draws per
-slot, where brute force is the cheaper of the two.
+Capped points, and points with K above the range that ``rab_ppf`` is
+certified for at their M, take brute force.  So do points with M >= 3 and
+N*M < 48 user-pattern draws per slot, where brute force is the cheaper of
+the two.
 
 Layout: trials are processed in chunks of at most 2^21 elements, each
 drawing from its own counter-derived Philox stream (``jumped`` from the
@@ -46,7 +45,7 @@ from itertools import product
 
 import numpy as np
 
-from .analytic import _RAB_LAW_MAX_K, RatioDistParams, rab_ppf
+from .analytic import RatioDistParams, _rab_ppf_max_k, rab_ppf
 from .channels import draw_gains
 
 __all__ = [
@@ -74,15 +73,10 @@ LOG2 = math.log(2.0)
 # bounds a worker's temporaries to a few MB whatever the chunk size.
 _CHUNK_ELEMENTS = 1 << 21
 _BLOCK_ELEMENTS = 1 << 15
-# Largest K the order-statistic sampler runs at: the Hypothesis properties
-# TestRatioPpf::test_inverts_cdf and TestRabM2Ppf::test_survival_of_the_quantile_is_q
-# (tests/test_analytic.py) certify ratio_ppf and rab_m2_ppf up to it; from
-# about K = 1e8 on, both quantiles lose precision.
-_SAMPLER_MAX_K = 1e3
-# M >= 3 with K > 0 takes the sampler up to the K its table is certified for
-# (K <= 100), and only from this many brute-force elements per slot (N*M)
-# on.  Measured on 2 cores at 1500 and 20000 trials, one slot of the sampler
-# costs about 16 brute-force elements at K = 10 and 30 at K = 100.
+# M >= 3 with K > 0 takes the sampler only from this many brute-force
+# elements per slot (N*M) on.  Measured on 2 cores at 1500 and 20000 trials,
+# one slot of the sampler costs about 16 brute-force elements at K = 10 and
+# 30 at K = 100.
 _TABLE_MIN_ELEMENTS = 48
 
 
@@ -159,17 +153,14 @@ def _layout(config: NetworkConfig, method: str) -> tuple:
     """(block sampler, slots per chunk, slots per block) of a point.
 
     ``method="auto"`` takes the order-statistic sampler, one element per
-    slot, iff there is no power cap and either M <= 2 or K = 0 with
-    K <= 1000, or M >= 3 with K <= 100 and N*M >= ``_TABLE_MIN_ELEMENTS``;
+    slot, iff there is no power cap, :func:`rab_ppf` is certified for the
+    point's K at its M, and M <= 2, K = 0 or N*M >= ``_TABLE_MIN_ELEMENTS``;
     every other point takes brute force, N*M elements per slot.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
-    k, elements = config.k_factor, config.n_users * config.m_patterns
-    if config.m_patterns <= 2 or k == 0.0:
-        sampler = k <= _SAMPLER_MAX_K
-    else:
-        sampler = k <= _RAB_LAW_MAX_K and elements >= _TABLE_MIN_ELEMENTS
+    m, k, elements = config.m_patterns, config.k_factor, config.n_users * config.m_patterns
+    sampler = k <= _rab_ppf_max_k(m) and (m <= 2 or k == 0.0 or elements >= _TABLE_MIN_ELEMENTS)
     if method == "auto" and config.max_power_cap is None and sampler:
         block, per_slot = _quantile_block, 1
     else:
@@ -251,12 +242,13 @@ def run_experiment(
     """Monte-Carlo ergodic capacity with a Jensen-bound diagnostic.
 
     ``method="auto"`` draws each slot's scheduled maximum directly, one
-    uniform per slot, for points without a power cap that have M <= 2 or
-    K = 0 with K <= 1000, or M >= 3 with K <= 100 and N*M >= 48.  Every
-    other point (a power cap, K above those ranges, or M >= 3 at smaller
-    N*M), and every point with ``method="brute"``, draws all N users of
-    each slot.  A point of several chunks spreads them over ``threads``
-    workers; the result is the same for any ``threads``.
+    uniform per slot, for points without a power cap whose K is in the range
+    :func:`~cogmac.analytic.rab_ppf` is certified for at their M, and that
+    have M <= 2, K = 0 or N*M >= 48.  Every other point (a power cap, K above
+    that range, or M >= 3 at smaller N*M), and every point with
+    ``method="brute"``, draws all N users of each slot.  A point of several
+    chunks spreads them over ``threads`` workers; the result is the same for
+    any ``threads``.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")

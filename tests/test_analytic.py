@@ -25,7 +25,6 @@ from cogmac.analytic import (
     normalizer_a_n,
     rab_cdf,
     rab_m2_cdf,
-    rab_m2_ppf,
     rab_m2_tail_cdf,
     rab_ppf,
     ratio_cdf,
@@ -363,6 +362,16 @@ class TestScalingLaws:
             effective_users_rab_m2(100, 0.0)
 
 
+@pytest.mark.parametrize("k", [1e200, 1e308])
+def test_user_count_laws_at_huge_k(k):
+    # theorem1_law = log(K(K+1)/W(K e^K/N)) with W = K + O(log K), and
+    # N (K+1)/sqrt(2 pi K) = N sqrt(K/(2 pi)) to double precision here.
+    n = np.array([8, 512])
+    assert theorem1_law(n, k) == pytest.approx(np.full(2, math.log(k)), rel=4 * EPS, abs=0.0)
+    assert effective_users_rab_m2(n, k) == pytest.approx(n * math.sqrt(k / (2.0 * math.pi)),
+                                                          rel=4 * EPS, abs=0.0)
+
+
 class TestArrayLaws:
     """The four user-count laws on an array equal their scalar calls, bit for
     bit, and every law gives a float for a 0-d input."""
@@ -420,7 +429,7 @@ class TestArrayLaws:
         (ratio_pdf, 2.0, (P,)),
         (ratio_ppf, 0.01, (P,)),
         (rab_m2_cdf, 2.0, (P,)),
-        (rab_m2_ppf, 0.01, (P,)),
+        (rab_ppf, 0.01, (P, 2)),
         (rab_m2_tail_cdf, 2.0, (P,)),
         (rab_cdf, 2.0, (P, 3)),
         (rab_ppf, 0.01, (P, 3)),
@@ -430,7 +439,8 @@ class TestArrayLaws:
         (effective_users_rab_m2, 100, (2.0,)),
     ]
 
-    @pytest.mark.parametrize("law,x,args", ZERO_D, ids=[law.__name__ for law, _, _ in ZERO_D])
+    @pytest.mark.parametrize("law,x,args", ZERO_D, ids=[
+        law.__name__ + ("-m2" if args[1:] == (2,) else "") for law, _, args in ZERO_D])
     def test_zero_d_input_gives_float(self, law, x, args):
         outs = [law(v, *args) for v in (x, np.array(x), np.array([x]).sum())]
         assert [type(out) for out in outs] == [float] * 3
@@ -480,7 +490,7 @@ class TestRabM2ClosedForms:
 
 
 class TestBesselPair:
-    """The private (i0e, i1e) routine behind bessel_i0e and rab_m2_ppf."""
+    """The private (i0e, i1e) routine behind bessel_i0e and rab_ppf at M = 2."""
 
     def test_against_scipy(self):
         xs = np.concatenate([np.linspace(0.0, 100.0, 20_001), [1e3, 1e6]])
@@ -507,28 +517,28 @@ def rab_m2_survival(z, k, rho):
 class TestRabM2Ppf:
     def test_edges_and_array_form(self):
         p = RatioDistParams(10.0, 0.5)
-        assert rab_m2_ppf(1.0, p) == 0.0
+        assert rab_ppf(1.0, p, 2) == 0.0
         # K = 0: the Rayleigh quantile (1/q - 1)/rho.
-        assert rab_m2_ppf(0.25, RatioDistParams(0.0, 2.0)) == pytest.approx(1.5, rel=1e-15)
+        assert rab_ppf(0.25, RatioDistParams(0.0, 2.0), 2) == pytest.approx(1.5, rel=1e-15)
         q = np.array([[1e-12, 0.01], [0.5, 1.0]])
-        z = rab_m2_ppf(q, p)
+        z = rab_ppf(q, p, 2)
         assert isinstance(z, np.ndarray) and z.shape == q.shape
-        assert np.array_equal(z.ravel(), [rab_m2_ppf(float(v), p) for v in q.ravel()])
-        assert isinstance(rab_m2_ppf(0.5, p), float)
+        assert np.array_equal(z.ravel(), [rab_ppf(float(v), p, 2) for v in q.ravel()])
+        assert isinstance(rab_ppf(0.5, p, 2), float)
         for bad in (0.0, -0.1, 1.5, float("nan")):
             with pytest.raises(ValueError):
-                rab_m2_ppf(bad, p)
+                rab_ppf(bad, p, 2)
 
     @pytest.mark.parametrize("k", [0.5, 2.0, 10.0, 100.0])
     def test_inverts_cdf_on_grid(self, k):
         p = RatioDistParams(k, 1.3)
         z = np.array([0.0, 0.01, 0.5, 3.0, 40.0, 1e4])
-        assert rab_m2_ppf(1.0 - rab_m2_cdf(z[1:], p), p) == pytest.approx(z[1:], rel=1e-9)
+        assert rab_ppf(1.0 - rab_m2_cdf(z[1:], p), p, 2) == pytest.approx(z[1:], rel=1e-9)
 
     @settings(max_examples=400, deadline=None, derandomize=True, database=None)
     @given(k=st.floats(0.0, 1000.0), rho=st.floats(1e-3, 1e3), q=st.floats(1e-300, 1.0))
     def test_survival_of_the_quantile_is_q(self, k, rho, q):
-        z = rab_m2_ppf(q, RatioDistParams(k, rho))
+        z = rab_ppf(q, RatioDistParams(k, rho), 2)
         assert math.isfinite(z) and z >= 0.0
         assert abs(rab_m2_survival(z, k, rho) / q - 1.0) <= _PPF_TOL_PER_K * (k + 1.0)
 
@@ -636,28 +646,27 @@ class TestRabLaw:
             rab_cdf([1.0, -1.0], p, 3)
 
     def test_import_builds_nothing(self):
-        # Nodes, tables and Newton starts are built on first use; scipy stays
-        # a test dependency.  The child imports the package this test imports.
+        # Nodes and laws (tables and Newton starts) are built on first use;
+        # scipy stays a test dependency.  The child imports the package this
+        # test imports.
         code = ("import sys, cogmac, cogmac.analytic as a; "
                 "print(a._kluyver_nodes.cache_info().currsize, "
-                "a._log_g_series.cache_info().currsize, "
-                "a._newton_start.cache_info().currsize, 'scipy' in sys.modules)")
+                "a._rab_law.cache_info().currsize, 'scipy' in sys.modules)")
         src = str(Path(analytic.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True, timeout=60, env=env)
-        assert out.stdout.split() == ["0", "0", "0", "False"]
+        assert out.stdout.split() == ["0", "0", "False"]
 
 
 class TestRabPpf:
-    """rab_ppf: ratio_ppf, rab_m2_ppf, or Newton on the table of log g_M."""
+    """rab_ppf: ratio_ppf, or Newton on the Bessel law or the table of log g_M."""
 
     def test_dispatch_and_edges(self):
         p = RatioDistParams(10.0, 0.5)
         q = np.array([[1e-12, 0.01], [0.5, 1.0]])
         assert np.array_equal(rab_ppf(q, p, 1), ratio_ppf(q, p))
-        assert np.array_equal(rab_ppf(q, p, 2), rab_m2_ppf(q, p))
         z = rab_ppf(q, p, 3)
         assert isinstance(z, np.ndarray) and z.shape == q.shape
         assert np.array_equal(z.ravel(), [rab_ppf(float(v), p, 3) for v in q.ravel()])
@@ -678,21 +687,19 @@ class TestRabPpf:
         z = np.array([0.01, 0.5, 3.0, 40.0, 1e4])
         assert rab_ppf(1.0 - rab_cdf(z, p, m), p, m) == pytest.approx(z, rel=1e-9)
 
-    @pytest.mark.parametrize("table,key", [("_log_g_series", (30.0, 5)),
-                                           ("_newton_start", (30.0, 5)),
-                                           ("_newton_start", (1000.0, 2))])
-    def test_table_is_the_same_from_two_threads(self, table, key):
-        # Two threads building one (K, M) table (the Chebyshev series, or the
-        # Newton starts) at once get the table that one thread builds alone.
-        table = getattr(analytic, table)
-        table.cache_clear()
-        alone = table(*key)
-        table.cache_clear()
+    @pytest.mark.parametrize("key", [(30.0, 5), (1000.0, 2)])
+    def test_table_is_the_same_from_two_threads(self, key):
+        # Two threads building one (K, M) law (the Chebyshev series, and the
+        # Newton starts) at once get the law that one thread builds alone.
+        t = -np.geomspace(30.0, 1e-6, 97)
+        analytic._rab_law.cache_clear()
+        alone = analytic._rab_law(*key)
+        analytic._rab_law.cache_clear()
         start, results = threading.Barrier(2), [None, None]
 
         def build(i):
             start.wait()
-            results[i] = table(*key)
+            results[i] = analytic._rab_law(*key)
 
         threads = [threading.Thread(target=build, args=(i,)) for i in range(2)]
         for th in threads:
@@ -700,10 +707,28 @@ class TestRabPpf:
         for th in threads:
             th.join(timeout=60)
             assert not th.is_alive()
-        for got in results:
-            assert len(got) == len(alone)
-            assert all(np.array_equal(a, b) for a, b in zip(got, alone))
-            assert not any(isinstance(a, np.ndarray) and a.flags.writeable for a in got)
+        for log_g_and_slope, g, nodes in results:
+            assert all(np.array_equal(a, b) for a, b in zip(log_g_and_slope(t), alone[0](t)))
+            assert np.array_equal(g(t), alone[1](t))
+            assert len(nodes) == 3
+            assert all(np.array_equal(a, b) for a, b in zip(nodes, alone[2]))
+            assert not any(a.flags.writeable for a in nodes)
+
+    @pytest.mark.parametrize("k,m", [(10.0, 3), (100.0, 4)])
+    def test_series_is_the_direct_cosine_sum(self, k, m):
+        # The coefficients are a DCT-I taken by an FFT; the reference is the
+        # direct sum a_j = (2/n) sum'' f_i cos(pi i j/n), end terms halved,
+        # with i j reduced mod 2n: each term rounds to a few ulps of |f|, and
+        # (2/n) times the sum of n + 1 of them to a few ulps of max |f|.
+        coef = analytic._log_g_series(k, m)[0]
+        n = coef.size - 1
+        i = np.arange(n + 1)
+        c = (k / m) * np.cos(0.5 * np.pi * i / n) ** 2
+        f = np.log1p([-analytic._kluyver_complement(float(x), m) for x in c])
+        f[[0, -1]] *= 0.5
+        direct = (2.0 / n) * np.cos((np.pi / n) * (np.outer(i, i) % (2 * n))) @ f
+        direct[[0, -1]] *= 0.5
+        assert np.max(np.abs(coef - direct)) <= 16 * EPS * np.max(np.abs(f))
 
     @settings(max_examples=400, deadline=None, derandomize=True, database=None)
     @given(m=st.integers(3, 16), k=st.floats(0.0, 100.0, exclude_min=True),
@@ -728,12 +753,21 @@ class TestNewtonStart:
     def test_start_is_never_below_the_root(self, m, data, q):
         # log S is increasing in t, so a start at or above the root has
         # log S >= log q there, to the rounding of log S (a few ulps).
+        # The loop's first evaluation of the law is at the start.
         k = data.draw(st.floats(0.0, _k_max(m), exclude_min=True), label="k")
-        log_q = np.array([math.log(q)])
-        t = analytic._tangent_start(analytic._newton_start(k, m), log_q)
-        log_g = analytic._log_g_law(k, m)[0](t)[0]
-        assert t[0] <= 0.0
-        assert t[0] + log_g[0] - log_q[0] >= -8.0 * EPS * max(1.0, abs(log_q[0]))
+        log_g_and_slope, g, start = analytic._rab_law(k, m)
+        first = []
+
+        def recording(t):
+            out = log_g_and_slope(t)
+            if not first:
+                first.append((t[0], out[0][0]))
+            return out
+
+        analytic._tail_newton(np.array([q]), RatioDistParams(k, 1.0), recording, g, start)
+        (t, log_g), log_q = first[0], math.log(q)
+        assert t <= 0.0
+        assert t + log_g - log_q >= -8.0 * EPS * max(1.0, abs(log_q))
 
     @pytest.mark.parametrize("m,k", [(m, k) for m in (2, 3, 4, 8) for k in (2.0, 10.0, 100.0)]
                              + [(2, 1000.0)])
@@ -742,7 +776,7 @@ class TestNewtonStart:
         # built outside the loop and are not counted.
         real, counts = analytic._tail_newton, []
 
-        def counting(q_arr, params, start, log_g_and_slope, g):
+        def counting(q_arr, params, log_g_and_slope, g, start):
             calls = [0, 0]
 
             def counted(i, f):
@@ -751,7 +785,7 @@ class TestNewtonStart:
                     return f(t)
                 return call
 
-            z = real(q_arr, params, start, counted(0, log_g_and_slope), counted(1, g))
+            z = real(q_arr, params, counted(0, log_g_and_slope), counted(1, g), start)
             counts.append(tuple(calls))
             return z
 
@@ -773,7 +807,7 @@ class TestNewtonStart:
         start = (np.zeros(1), np.zeros(1), np.full(1, 2.0))
         with pytest.raises(RuntimeError, match=r"K = 10\.0: 1 of 2 elements"):
             analytic._tail_newton(np.array([math.exp(log_q), 1.0]), RatioDistParams(10.0, 1.0),
-                                  start, linear, np.ones_like)
+                                  linear, np.ones_like, start)
 
     def test_rounding_cycle_stops(self):
         # A law whose residual flips between +-1e-13 at the root: the steps
@@ -786,7 +820,7 @@ class TestNewtonStart:
 
         start = (np.zeros(1), np.zeros(1), np.ones(1))
         z = analytic._tail_newton(np.array(math.exp(log_q)), RatioDistParams(10.0, 1.0),
-                                  start, cycling, np.ones_like)
+                                  cycling, np.ones_like, start)
         assert calls[0] == 2 and math.isfinite(z)
 
 

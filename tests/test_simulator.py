@@ -13,7 +13,7 @@ from scipy import integrate
 from scipy.stats import ks_2samp
 
 from cogmac import analytic, simulator
-from cogmac.analytic import RatioDistParams, ratio_pdf
+from cogmac.analytic import RatioDistParams, rab_ppf, ratio_pdf
 from cogmac.channels import draw_gains
 from cogmac.simulator import (
     NetworkConfig,
@@ -431,8 +431,8 @@ def two_sample_ks_p(m, n, k, primary):
 
 class TestQuantileSampler:
     """No power cap: the scheduled maximum drawn from one uniform, through
-    ratio_ppf (M = 1), rab_m2_ppf (M = 2), the Rayleigh form (K = 0), or the
-    table of Kluyver's law (M >= 3, K <= 100)."""
+    the Rayleigh form (K = 0) or rab_ppf: ratio_ppf (M = 1), the Bessel law
+    (M = 2), or the table of Kluyver's law (M >= 3, K <= 100)."""
 
     @pytest.mark.parametrize("primary", PRIMARY, ids=["no-primary", "primary"])
     @pytest.mark.parametrize("k", QUANTILE_K)
@@ -499,8 +499,7 @@ class TestQuantileSampler:
         assert simulator._layout(cfg, "auto")[:2] == (simulator._quantile_block, 4096)
         runs = []
         for threads in (1, 2):
-            analytic._log_g_series.cache_clear()
-            analytic._newton_start.cache_clear()
+            analytic._rab_law.cache_clear()
             runs.append(run_experiment(cfg, threads=threads))
         assert runs[0] == runs[1]
 
@@ -508,8 +507,7 @@ class TestQuantileSampler:
         # Building the K = 100, M = 4 table (one c-node at a time) and
         # drawing two full sampler blocks stays within a few MB.
         cfg = NetworkConfig(n_users=512, m_patterns=4, mode="rab", k_factor=100.0, seed=3)
-        analytic._log_g_series.cache_clear()
-        analytic._newton_start.cache_clear()
+        analytic._rab_law.cache_clear()
         tracemalloc.start()
         try:
             simulator._chunk_sums(cfg, 2 * simulator._BLOCK_ELEMENTS,
@@ -517,12 +515,11 @@ class TestQuantileSampler:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert analytic._log_g_series.cache_info().currsize == 1
-        assert analytic._newton_start.cache_info().currsize == 1
+        assert analytic._rab_law.cache_info().currsize == 1
         assert peak <= 8 * 2**20
 
     def test_rab_block_working_set_is_bounded(self):
-        # The Bessel sums behind rab_m2_ppf keep a few block-sized arrays,
+        # The Bessel sums behind rab_ppf at M = 2 keep a few block-sized arrays,
         # not a 64-term table per block (16 MiB).
         cfg = NetworkConfig(n_users=8, m_patterns=2, mode="rab", k_factor=100.0, seed=3)
         tracemalloc.start()
@@ -533,6 +530,19 @@ class TestQuantileSampler:
         finally:
             tracemalloc.stop()
         assert peak <= 8 * 2**20
+
+    @pytest.mark.parametrize("m,n,top", [(1, 8, 1000.0), (2, 8, 1000.0), (3, 16, 100.0),
+                                         (4, 12, 100.0)])
+    def test_sampler_range_is_the_range_rab_ppf_accepts(self, m, n, top):
+        # analytic alone knows the K that rab_ppf is certified for at each M;
+        # the layout asks it.  N*M >= 48, so M >= 3 clears the table's crossover.
+        above = math.nextafter(top, math.inf)
+        assert math.isfinite(rab_ppf(0.5, RatioDistParams(top, 1.0), m))
+        with pytest.raises(ValueError, match=f"k_factor <= {top:g} at m = {m}"):
+            rab_ppf(0.5, RatioDistParams(above, 1.0), m)
+        cfg = NetworkConfig(n_users=n, m_patterns=m, mode="baseline" if m == 1 else "rab")
+        blocks = [simulator._layout(replace(cfg, k_factor=k), "auto")[0] for k in (top, above)]
+        assert blocks == [simulator._quantile_block, simulator._brute_block]
 
     def test_path_selection(self, monkeypatch):
         used = []
