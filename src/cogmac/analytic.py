@@ -294,7 +294,9 @@ def effective_users_moderate_k(n_users, k_factor: float):
     """Equivalent Rayleigh-interference user count N (K+1) exp(-K)."""
     n = _user_counts(n_users, 1, "effective_users_moderate_k")
     k = _k_factor(k_factor, "effective_users_moderate_k")
-    return _scalar_or_array(n * (k + 1.0) * math.exp(-k))
+    # (K+1) e^-K first: N (K+1) overflows at huge K (N = 8 from K = 2.2e307),
+    # and inf * 0 is nan.
+    return _scalar_or_array(n * ((k + 1.0) * math.exp(-k)))
 
 
 def effective_users_rab_m2(n_users, k_factor: float):

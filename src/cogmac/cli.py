@@ -155,27 +155,22 @@ def parse_config(path: str) -> tuple[NetworkConfig, ExperimentPreset, espar.Espa
 
 # ------------------------------------------------------------------ presets
 
-def _preset_extras(points, config, wants):
-    """Extra CSV columns (in the output log base where capacity-like)."""
+def _preset_extras(estimates, wants):
+    """Extra CSV columns (in each point's output log base where capacity-like)."""
     if not wants:
         return None
-    scale = 1.0 / LOG2 if config.log_base == "bits" else 1.0
     extras = {name: [] for name in wants}
-    singles = {}
-    for p in points:
-        if p.n_users == 1:
-            singles[(p.mode, p.k_factor, p.m_patterns)] = p.estimate.mean_nats
-    for p in points:
-        mean = p.estimate.mean_nats
+    singles = {e.config: e.mean_nats for e in estimates if e.config.n_users == 1}
+    for e in estimates:
+        n, mean = e.config.n_users, e.mean_nats
+        scale = 1.0 / LOG2 if e.config.log_base == "bits" else 1.0
         for name in wants:
             if name == "norm_logN":
-                extras[name].append(mean * scale / math.log(p.n_users) if p.n_users > 1 else None)
+                extras[name].append(mean * scale / math.log(n) if n > 1 else None)
             elif name == "norm_loglogN":
-                extras[name].append(
-                    mean * scale / math.log(math.log(p.n_users)) if p.n_users > 2 else None
-                )
+                extras[name].append(mean * scale / math.log(math.log(n)) if n > 2 else None)
             elif name == "multiuser_gain":
-                c1 = singles.get((p.mode, p.k_factor, p.m_patterns))
+                c1 = singles.get(replace(e.config, n_users=1))
                 extras[name].append(mean / c1 if c1 else None)
     return extras
 
@@ -210,22 +205,23 @@ def cmd_simulate(args) -> int:
     out_path = _check_out(args.out or preset.output_path)
     t_start = time.time()
 
-    def progress(point):
+    def progress(est):
+        cfg = est.config
         print(
-            f"[simulate] mode={point.mode} K={point.k_factor:g} M={point.m_patterns} "
-            f"N={point.n_users}: ok ({point.wall_s:.3f}s)",
+            f"[simulate] mode={cfg.mode} K={cfg.k_factor:g} M={cfg.m_patterns} "
+            f"N={cfg.n_users}: ok ({est.wall_s:.3f}s)",
             file=sys.stderr,
         )
 
     n_list, k_list, m_list, modes, wants = _PRESETS[preset.name] or (
         [config.n_users], [config.k_factor], [config.m_patterns], [config.mode], ())
-    points = sweep(config, n_list, k_list, m_list, modes, threads=args.threads,
-                   progress=progress)
-    extras = _preset_extras(points, config, wants)
+    estimates = sweep(config, n_list, k_list, m_list, modes, threads=args.threads,
+                      progress=progress)
+    extras = _preset_extras(estimates, wants)
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        write_sweep_csv(points, config, fh, extra_columns=extras)
+        write_sweep_csv(estimates, fh, extra_columns=extras)
     print(
-        f"[simulate] wrote {out_path} ({len(points)} points, "
+        f"[simulate] wrote {out_path} ({len(estimates)} points, "
         f"{time.time() - t_start:.1f}s total)",
         file=sys.stderr,
     )

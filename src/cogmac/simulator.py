@@ -54,7 +54,6 @@ __all__ = [
     "GROWTH_LAWS",
     "NetworkConfig",
     "CapacityEstimate",
-    "SweepPoint",
     "run_experiment",
     "sweep",
     "growth_flatness",
@@ -129,23 +128,14 @@ class NetworkConfig:
 
 @dataclass(frozen=True)
 class CapacityEstimate:
-    """Monte-Carlo ergodic capacity with diagnostics (all in nats)."""
+    """Monte-Carlo ergodic capacity of ``config`` with diagnostics (in nats)."""
 
+    config: NetworkConfig
     mean_nats: float
     stderr_nats: float
     jensen_bound_nats: float
-    trials: int
-
-
-@dataclass
-class SweepPoint:
-    mode: str
-    n_users: int
-    m_patterns: int
-    k_factor: float
-    estimate: CapacityEstimate
-    # Seconds the point's run_experiment call took, chunk threads included;
-    # not part of the result, so equality ignores it.
+    # Seconds the run_experiment call took, chunk threads included; not part
+    # of the result, so equality ignores it.
     wall_s: float = field(compare=False)
 
 
@@ -248,10 +238,12 @@ def run_experiment(
     that range, or M >= 3 at smaller N*M), and every point with
     ``method="brute"``, draws all N users of each slot.  A point of several
     chunks spreads them over ``threads`` workers; the result is the same for
-    any ``threads``.
+    any ``threads``.  The estimate carries ``config`` and the call's wall
+    seconds, chunk threads included.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
+    start = time.perf_counter()
     chunk = _layout(config, method)[1]
     n_chunks = (config.trials + chunk - 1) // chunk
 
@@ -264,6 +256,7 @@ def run_experiment(
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(work, range(n_chunks)))
+    wall_s = time.perf_counter() - start
 
     # Chunk order keeps the sums bit-stable.
     cap_sum, capsq_sum, num_sum, inv_sum = sum(results, np.zeros(4)).tolist()
@@ -272,7 +265,7 @@ def run_experiment(
     var = max(0.0, (capsq_sum - t * mean * mean) / (t - 1))
     stderr = math.sqrt(var / t)
     jensen = math.log1p((inv_sum / t) * (num_sum / t))
-    return CapacityEstimate(mean_nats=mean, stderr_nats=stderr, jensen_bound_nats=jensen, trials=t)
+    return CapacityEstimate(config, mean, stderr, jensen, wall_s)
 
 
 def sweep(
@@ -284,7 +277,7 @@ def sweep(
     threads: int = 1,
     progress=None,
     method: str = "auto",
-) -> list[SweepPoint]:
+) -> list[CapacityEstimate]:
     """Capacity estimates over the (mode, K, N[, M]) grid, in grid order.
 
     Baseline points always use one pattern; ``m_list`` applies to RAB points
@@ -292,8 +285,8 @@ def sweep(
     draw: a bad grid value raises ``ValueError`` before any point runs.
     The points run one after another, each through :func:`run_experiment`
     with ``threads`` and ``method``, so a point of several chunks spreads
-    them over the threads.  ``progress`` is called with each point as it
-    finishes.
+    them over the threads.  Each estimate carries its point's config and
+    wall seconds; ``progress`` is called with each estimate as it finishes.
     """
     n_list, k_list, m_list, modes = list(n_list), list(k_list), list(m_list), list(modes)
     if not (n_list and k_list and modes):
@@ -305,17 +298,13 @@ def sweep(
         for mode in modes
         for k, m, n in product(k_list, m_list if mode == "rab" else [1], n_list)
     ]
-    points = []
+    estimates = []
     for cfg in configs:
-        start = time.perf_counter()
-        estimate = run_experiment(cfg, threads=threads, method=method)
-        p = SweepPoint(mode=cfg.mode, n_users=cfg.n_users, m_patterns=cfg.m_patterns,
-                       k_factor=cfg.k_factor, estimate=estimate,
-                       wall_s=time.perf_counter() - start)
+        est = run_experiment(cfg, threads=threads, method=method)
         if progress is not None:
-            progress(p)
-        points.append(p)
-    return points
+            progress(est)
+        estimates.append(est)
+    return estimates
 
 
 def format_number(x: float) -> str:
@@ -329,36 +318,36 @@ SWEEP_CSV_COLUMNS = (
 
 
 def write_sweep_csv(
-    points: list[SweepPoint],
-    config_template: NetworkConfig,
+    estimates: list[CapacityEstimate],
     stream,
     extra_columns: dict | None = None,
 ) -> None:
-    """Emit sweep rows as CSV.
+    """Emit one CSV row per estimate, every column from that estimate and
+    its own config.
 
-    Capacity columns are converted to the template's ``log_base``.  Extra
-    columns (same length as the point list; None entries become empty
+    Capacity columns are converted to each config's ``log_base``.  Extra
+    columns (same length as the estimate list; None entries become empty
     fields) are appended verbatim after the stable base schema, so callers
     own their units.
     """
     extra = extra_columns or {}
     header = SWEEP_CSV_COLUMNS + ("," + ",".join(extra) if extra else "")
     stream.write(header + "\n")
-    scale = 1.0 / LOG2 if config_template.log_base == "bits" else 1.0
-    for idx, p in enumerate(points):
-        est = p.estimate
+    for idx, est in enumerate(estimates):
+        cfg = est.config
+        scale = 1.0 / LOG2 if cfg.log_base == "bits" else 1.0
         fields = [
-            p.mode,
-            str(p.n_users),
-            str(p.m_patterns),
-            format_number(p.k_factor),
-            format_number(config_template.mean_secondary_power),
-            format_number(config_template.mean_interference_power),
-            format_number(config_template.peak_interference),
+            cfg.mode,
+            str(cfg.n_users),
+            str(cfg.m_patterns),
+            format_number(cfg.k_factor),
+            format_number(cfg.mean_secondary_power),
+            format_number(cfg.mean_interference_power),
+            format_number(cfg.peak_interference),
             format_number(est.mean_nats * scale),
             format_number(est.stderr_nats * scale),
-            str(est.trials),
-            str(config_template.seed),
+            str(cfg.trials),
+            str(cfg.seed),
             format_number(est.jensen_bound_nats * scale),
         ]
         for name in extra:

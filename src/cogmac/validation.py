@@ -319,10 +319,10 @@ def check_determinism(level: str, ks) -> tuple[bool, str]:
     )
     outputs = []
     for threads in (1, 4, 1):
-        points = sweep(cfg, [8, 16], [0.0, 2.0], [2], ["baseline", "rab"], threads=threads,
-                       method="brute")
+        estimates = sweep(cfg, [8, 16], [0.0, 2.0], [2], ["baseline", "rab"],
+                          threads=threads, method="brute")
         buf = io.StringIO()
-        write_sweep_csv(points, cfg, buf)
+        write_sweep_csv(estimates, buf)
         outputs.append(buf.getvalue())
     ok = outputs[0] == outputs[1] == outputs[2]
     return ok, f"3 runs (threads 1, 4, 1): {'identical' if ok else 'MISMATCH'}"

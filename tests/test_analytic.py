@@ -370,6 +370,10 @@ def test_user_count_laws_at_huge_k(k):
     assert theorem1_law(n, k) == pytest.approx(np.full(2, math.log(k)), rel=4 * EPS, abs=0.0)
     assert effective_users_rab_m2(n, k) == pytest.approx(n * math.sqrt(k / (2.0 * math.pi)),
                                                           rel=4 * EPS, abs=0.0)
+    # N (K+1) e^-K underflows to 0 from K = 745 on; at K = 1e308, N (K+1)
+    # alone overflows, and inf * 0 would give nan.
+    for k_zero in (800.0, k):
+        assert effective_users_moderate_k(n, k_zero).tolist() == [0.0, 0.0]
 
 
 class TestArrayLaws:

@@ -1,16 +1,18 @@
 """CLI tests: config parsing, presets, CSV determinism, subcommand wiring."""
 
+import csv
+import io
 import json
 import math
 import tempfile
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cogmac import analytic, espar, validation
+from cogmac import analytic, cli, espar, validation
 from cogmac.cli import (
     PRESET_NAMES,
     ConfigError,
@@ -18,7 +20,7 @@ from cogmac.cli import (
     main,
     parse_config,
 )
-from cogmac.simulator import CapacityEstimate, NetworkConfig
+from cogmac.simulator import CapacityEstimate, NetworkConfig, sweep, write_sweep_csv
 
 
 def write_cfg(tmp_path, payload, name="cfg.json"):
@@ -187,6 +189,41 @@ class TestSimulateCommand:
         assert gain_by_n[1] == pytest.approx(1.0)
         assert gain_by_n[512] > gain_by_n[8] > 1.0
 
+    def test_rows_of_two_sweeps_keep_their_own_configs(self):
+        # Two templates that differ in every column a row copies from its
+        # config, written into one CSV: each row shows its own config's values
+        # in its own units, and each gain divides by its own N = 1 estimate.
+        nats = NetworkConfig(trials=300, seed=3)
+        bits = replace(nats, seed=11, mean_secondary_power=2.5, mean_interference_power=0.5,
+                       peak_interference=1.7, log_base="bits")
+        grid = ([1, 8], [2.0, 10.0], [2], ["rab", "baseline"])
+        estimates = [*sweep(nats, *grid), *sweep(bits, *grid)]
+        singles = {e.config: e.mean_nats for e in estimates if e.config.n_users == 1}
+        assert len(set(singles.values())) == len(singles) == 8
+        extras = cli._preset_extras(estimates, ("multiuser_gain", "norm_logN"))
+        buf = io.StringIO()
+        write_sweep_csv(estimates, buf, extra_columns=extras)
+        rows = list(csv.DictReader(io.StringIO(buf.getvalue())))
+        assert len(rows) == len(estimates) == 16
+        for row, est in zip(rows, estimates):
+            cfg = est.config
+            scale = 1.0 / math.log(2.0) if cfg.log_base == "bits" else 1.0
+            assert row["mode"] == cfg.mode and int(row["N"]) == cfg.n_users
+            assert int(row["M"]) == cfg.m_patterns and float(row["K"]) == cfg.k_factor
+            assert float(row["gamma_s"]) == cfg.mean_secondary_power
+            assert float(row["gamma_sp"]) == cfg.mean_interference_power
+            assert float(row["Qp"]) == cfg.peak_interference
+            assert int(row["trials"]) == cfg.trials and int(row["seed"]) == cfg.seed
+            assert float(row["mean_capacity"]) == est.mean_nats * scale
+            assert float(row["stderr"]) == est.stderr_nats * scale
+            assert float(row["jensen_bound"]) == est.jensen_bound_nats * scale
+            single = singles[replace(cfg, n_users=1)]
+            assert float(row["multiuser_gain"]) == est.mean_nats / single
+            if cfg.n_users > 1:
+                assert float(row["norm_logN"]) == est.mean_nats * scale / math.log(cfg.n_users)
+            else:
+                assert row["norm_logN"] == ""
+
     def test_config_error_exit_code(self, tmp_path):
         cfg = write_cfg(tmp_path, {"network": {"trials": -3}})
         assert main(["simulate", "--config", cfg]) == 2
@@ -293,7 +330,7 @@ class TestValidateMachinery:
 
         def fake(config, threads=1, method="auto"):
             methods.append(method)
-            return CapacityEstimate(1.0 + math.log(config.n_users), 0.0, 0.0, config.trials)
+            return CapacityEstimate(config, 1.0 + math.log(config.n_users), 0.0, 0.0, 0.0)
 
         monkeypatch.setattr(validation, "run_experiment", fake)
         validation.run_check(check_id, "fast")
@@ -346,10 +383,10 @@ class TestAnalyticCommand:
         out = capsys.readouterr().out.strip().splitlines()
         assert float(out[1].split(",")[1]) == pytest.approx(10.0)
 
-    @pytest.mark.parametrize("law", ["theorem1-law", "effective-users-rab2"])
+    @pytest.mark.parametrize("law", ["theorem1-law", "effective-users-rab2", "effective-users"])
     @pytest.mark.parametrize("k", ["1e200", "1e308"])
     def test_huge_k_laws_are_finite(self, capsys, law, k):
-        # Both laws stay finite, where K(K+1), N(K+1) or 2 pi K would overflow.
+        # Each law stays finite, where K(K+1), N(K+1) or 2 pi K would overflow.
         assert main(["analytic", "--law", law, "--k", k]) == 0
         rows = capsys.readouterr().out.strip().splitlines()[1:]
         assert len(rows) == 7 and all(math.isfinite(float(r.split(",")[1])) for r in rows)
@@ -392,8 +429,6 @@ class TestInputBoundary:
             (["analytic", "--law", "rab2-cdf", "--z=inf"], None, "--z"),
             (["analytic", "--law", "ratio-pdf", "--k", "1e308"], None, "not finite at z = 0.5"),
             (["analytic", "--law", "ratio-cdf", "--k", "1e308"], None, "not finite at z = 0.5"),
-            (["analytic", "--law", "effective-users", "--k", "1e308"], None,
-             "not finite at N = 8"),
             (["analytic", "--law", "normalizer", "--rho", "1e-308", "--n", "2,8"], None,
              "not finite at N = 8"),
         ],

@@ -284,19 +284,20 @@ class TestErgodicCapacity:
 class TestSweep:
     def test_singleton_matches_direct(self):
         cfg = small_cfg(trials=2000, n_users=4)
-        points = sweep(cfg, [4], [0.0], [1], ["baseline"])
-        assert len(points) == 1
+        estimates = sweep(cfg, [4], [0.0], [1], ["baseline"])
+        assert len(estimates) == 1
         direct = run_experiment(NetworkConfig(**{**cfg.__dict__, "n_users": 4}))
-        assert points[0].estimate == direct
+        assert estimates[0] == direct
+        assert estimates[0].config == replace(cfg, n_users=4) == direct.config
 
     def test_grid_shape_and_modes(self):
         cfg = small_cfg(trials=500)
-        points = sweep(cfg, [2, 4], [0.0, 2.0], [2, 3], ["baseline", "rab"])
-        base_points = [p for p in points if p.mode == "baseline"]
-        rab_points = [p for p in points if p.mode == "rab"]
+        estimates = sweep(cfg, [2, 4], [0.0, 2.0], [2, 3], ["baseline", "rab"])
+        base_points = [e.config for e in estimates if e.config.mode == "baseline"]
+        rab_points = [e.config for e in estimates if e.config.mode == "rab"]
         assert len(base_points) == 4  # m_list ignored for baseline
         assert len(rab_points) == 8
-        assert all(p.m_patterns == 1 for p in base_points)
+        assert all(c.m_patterns == 1 for c in base_points)
 
     def test_bad_grid_point_fails_before_any_draw(self, monkeypatch):
         calls = []
@@ -340,9 +341,10 @@ class TestSweep:
         # Brute force: 128 users x 4 patterns per slot, three chunks.
         cfg = small_cfg(n_users=128, m_patterns=4, mode="rab", k_factor=2.0, trials=9000)
         assert 2 * simulator._chunk_size(cfg) < cfg.trials  # three chunks
-        (pt,) = sweep(cfg, [128], [2.0], [4], ["rab"], threads=3, method="brute")
+        (est,) = sweep(cfg, [128], [2.0], [4], ["rab"], threads=3, method="brute")
         assert run_calls == [3]
-        assert pt.estimate == run_experiment(cfg, threads=1, method="brute")
+        assert est.config == cfg
+        assert est == run_experiment(cfg, threads=1, method="brute")
 
     def test_single_chunk_points_build_no_thread_pool(self, monkeypatch):
         pools = []
@@ -361,28 +363,33 @@ class TestSweep:
         # The points run one after another in grid order; each progress
         # callback reports the time its own point took.
         sleeps = {2: 0.25, 3: 0.05, 4: 0.05, 5: 0.1}
+        real = simulator._chunk_sums
 
-        def slow(cfg, threads=1, method="auto"):
+        def slow(cfg, size, rng, method):
             time.sleep(sleeps[cfg.n_users])
-            return simulator.CapacityEstimate(1.0, 0.1, 2.0, cfg.trials)
+            return real(cfg, size, rng, method)
 
-        monkeypatch.setattr(simulator, "run_experiment", slow)
+        monkeypatch.setattr(simulator, "_chunk_sums", slow)
         seen = []
-        points = sweep(small_cfg(), list(sleeps), [0.0], [1], ["baseline"], threads=2,
-                       progress=lambda p: seen.append((p.n_users, p.wall_s)))
+        estimates = sweep(small_cfg(), list(sleeps), [0.0], [1], ["baseline"], threads=2,
+                          progress=lambda e: seen.append((e.config.n_users, e.wall_s)))
         assert [n for n, _ in seen] == list(sleeps)
         for n, wall_s in seen:
             assert sleeps[n] <= wall_s < sleeps[n] + 1.0, (n, wall_s)
         # The time is a measurement, not part of the result.
-        assert points[0] == replace(points[0], wall_s=0.0)
+        assert estimates[0] == replace(estimates[0], wall_s=0.0)
 
     def test_rab_k0_rows_equal_baseline_rows(self):
         # At K = 0 the weights do not matter: same law, same uniforms.
-        points = sweep(small_cfg(trials=3000), [8, 64], [0.0], [2, 4], ["baseline", "rab"])
-        base = {p.n_users: p.estimate for p in points if p.mode == "baseline"}
-        rab = [p for p in points if p.mode == "rab"]
+        estimates = sweep(small_cfg(trials=3000), [8, 64], [0.0], [2, 4], ["baseline", "rab"])
+
+        def numbers(e):
+            return (e.mean_nats, e.stderr_nats, e.jensen_bound_nats)
+
+        base = {e.config.n_users: numbers(e) for e in estimates if e.config.mode == "baseline"}
+        rab = [e for e in estimates if e.config.mode == "rab"]
         assert len(rab) == 4
-        assert all(p.estimate == base[p.n_users] for p in rab)
+        assert all(numbers(e) == base[e.config.n_users] for e in rab)
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
