@@ -10,10 +10,11 @@ Library layout:
 * :mod:`cogmac.rab` - the arcsine law of the random-weight artificial LoS.
 * :mod:`cogmac.espar` - parasitic-array beamspace model (currents, basis
   patterns, pattern weights).
-* :mod:`cogmac.simulator` - max-SINR scheduling and Monte-Carlo capacity.
+* :mod:`cogmac.simulator` - max-SINR scheduling and the Monte-Carlo
+  capacity kernel, its sweep and its CSV writer.
 * :mod:`cogmac.stats` - empirical CDFs and Kolmogorov-Smirnov checks.
 * :mod:`cogmac.validation` - the named cross-validation checks run by the
-  CLI and the acceptance test suite.
+  CLI and the acceptance test suite, growth-law slopes included.
 * :mod:`cogmac.cli` - ``cogmac`` command-line front end.
 """
 
@@ -34,7 +35,6 @@ from .analytic import (
 from .simulator import (
     CapacityEstimate,
     NetworkConfig,
-    growth_flatness,
     run_experiment,
     sweep,
 )

@@ -124,12 +124,15 @@ class BasisSet:
 def element_currents(cfg: EsparConfig, reactances) -> np.ndarray:
     """Element currents v_s (Y^-1 + X)^-1 u for loads X = diag(50, j x_1, ...).
 
-    Raises :class:`DegenerateLoadError` when the load network's condition
-    estimate exceeds 1e12.
+    Raises ``ValueError`` on a wrong count or a non-finite reactance, and
+    :class:`DegenerateLoadError` when the load network's condition estimate
+    exceeds 1e12.
     """
     x = np.asarray(reactances, dtype=float)
     if x.shape != (cfg.m_elements - 1,):
         raise ValueError(f"expected {cfg.m_elements - 1} reactances, got shape {x.shape}")
+    if not np.isfinite(x).all():
+        raise ValueError(f"reactances must be finite, got {x.tolist()}")
     loads = np.concatenate(([complex(_ACTIVE_LOAD_OHMS)], 1j * x))
     system = np.linalg.inv(cfg.admittance) + np.diag(loads)
     cond = np.linalg.cond(system)

@@ -51,13 +51,10 @@ from .channels import draw_gains
 __all__ = [
     "MODES",
     "METHODS",
-    "GROWTH_LAWS",
     "NetworkConfig",
     "CapacityEstimate",
     "run_experiment",
     "sweep",
-    "growth_flatness",
-    "loglog_control_slope",
     "write_sweep_csv",
     "format_number",
     "SWEEP_CSV_COLUMNS",
@@ -65,7 +62,6 @@ __all__ = [
 
 MODES = ("baseline", "rab")
 METHODS = ("auto", "brute")
-GROWTH_LAWS = ("logN", "loglogN", "none")
 LOG2 = math.log(2.0)
 
 # Elements per chunk and per block (see the module docstring): the block
@@ -114,6 +110,12 @@ class NetworkConfig:
             v = getattr(self, name)
             if not math.isfinite(v) or v <= 0.0:
                 raise ValueError(f"{name} must be finite and > 0, got {v}")
+        # The sampler's ratio law needs rho = gamma_sp/gamma_s in float range.
+        rho = self.mean_interference_power / self.mean_secondary_power
+        if not math.isfinite(rho) or rho <= 0.0:
+            raise ValueError(
+                f"mean_interference_power / mean_secondary_power must be finite and > 0, got {rho}"
+            )
         for name in ("primary_power", "mean_ps_power"):
             v = getattr(self, name)
             if not math.isfinite(v) or v < 0.0:
@@ -268,6 +270,13 @@ def run_experiment(
     return CapacityEstimate(config, mean, stderr, jensen, wall_s)
 
 
+def _count(value, name: str) -> int:
+    """``value`` as an int; a value that is not integral raises ValueError."""
+    if int(value) != value:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def sweep(
     config_template: NetworkConfig,
     n_list,
@@ -282,7 +291,8 @@ def sweep(
 
     Baseline points always use one pattern; ``m_list`` applies to RAB points
     only.  Every point's config is built, and so checked, before the first
-    draw: a bad grid value raises ``ValueError`` before any point runs.
+    draw: a bad grid value, a non-integral N or M included, raises
+    ``ValueError`` before any point runs.
     The points run one after another, each through :func:`run_experiment`
     with ``threads`` and ``method``, so a point of several chunks spreads
     them over the threads.  Each estimate carries its point's config and
@@ -294,7 +304,8 @@ def sweep(
     if "rab" in modes and not m_list:
         raise ValueError("m_list must be nonempty when sweeping rab mode")
     configs = [
-        replace(config_template, mode=mode, k_factor=float(k), m_patterns=int(m), n_users=int(n))
+        replace(config_template, mode=mode, k_factor=float(k), n_users=_count(n, "n_users"),
+                m_patterns=_count(m, "m_patterns"))
         for mode in modes
         for k, m, n in product(k_list, m_list if mode == "rab" else [1], n_list)
     ]
@@ -355,48 +366,3 @@ def write_sweep_csv(
             fields.append("" if value is None else format_number(value))
         stream.write(",".join(fields) + "\n")
 
-
-def _law_values(n_arr: np.ndarray, law: str) -> np.ndarray:
-    if law == "logN":
-        return np.log(n_arr)
-    if law == "loglogN":
-        return np.log(np.log(n_arr))
-    if law == "none":
-        return np.ones_like(n_arr)
-    raise ValueError(f"law must be one of {GROWTH_LAWS}, got {law!r}")
-
-
-def growth_flatness(n_list, values, law: str) -> float:
-    """Slope of law-normalized capacity versus log N over the upper half grid.
-
-    A near-zero slope certifies the claimed growth law.  Requires at least
-    4 points spanning at least one decade in N.
-    """
-    n_arr = np.asarray(n_list, dtype=float)
-    v_arr = np.asarray(values, dtype=float)
-    if n_arr.shape != v_arr.shape or n_arr.ndim != 1:
-        raise ValueError("n_list and values must be 1-d and the same length")
-    if n_arr.size < 4:
-        raise ValueError(f"need at least 4 points, got {n_arr.size}")
-    if np.any(np.diff(n_arr) <= 0.0):
-        raise ValueError("n_list must be strictly increasing")
-    if n_arr[-1] / n_arr[0] < 10.0:
-        raise ValueError("n_list must span at least one decade")
-    y = v_arr / _law_values(n_arr, law)
-    half = n_arr.size // 2
-    x = np.log(n_arr[half:])
-    return float(np.polyfit(x, y[half:], 1)[0])
-
-
-def loglog_control_slope(n_list, values) -> float:
-    """Flatness slope a log(log N)-growing curve of matched scale would show.
-
-    Least-squares fits c so c*log(log N) tracks ``values``, then measures
-    that synthetic curve's slope under logN normalization.  Used as the
-    comparison magnitude when certifying restored log-N growth.
-    """
-    n_arr = np.asarray(n_list, dtype=float)
-    v_arr = np.asarray(values, dtype=float)
-    ll = np.log(np.log(n_arr))
-    c = float(np.dot(v_arr, ll) / np.dot(ll, ll))
-    return growth_flatness(n_arr, c * ll, "logN")

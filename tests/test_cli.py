@@ -9,7 +9,7 @@ from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from cogmac import analytic, cli, espar, validation
@@ -20,7 +20,13 @@ from cogmac.cli import (
     main,
     parse_config,
 )
-from cogmac.simulator import CapacityEstimate, NetworkConfig, sweep, write_sweep_csv
+from cogmac.simulator import (
+    CapacityEstimate,
+    NetworkConfig,
+    run_experiment,
+    sweep,
+    write_sweep_csv,
+)
 
 
 def write_cfg(tmp_path, payload, name="cfg.json"):
@@ -35,12 +41,14 @@ def network_configs(draw):
     positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
     nonnegative = st.floats(min_value=0.0, allow_infinity=False)
     mode = draw(st.sampled_from(["baseline", "rab"]))
+    gamma_s, gamma_sp = draw(positive), draw(positive)
+    assume(0.0 < gamma_sp / gamma_s < math.inf)  # rho in float range
     return NetworkConfig(
         n_users=draw(st.integers(1, 10**6)),
         m_patterns=1 if mode == "baseline" else draw(st.integers(1, 64)),
         k_factor=draw(nonnegative),
-        mean_secondary_power=draw(positive),
-        mean_interference_power=draw(positive),
+        mean_secondary_power=gamma_s,
+        mean_interference_power=gamma_sp,
         primary_power=draw(nonnegative),
         mean_ps_power=draw(nonnegative),
         peak_interference=draw(positive),
@@ -239,11 +247,15 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and "[simulate]" not in err
 
-    def test_bad_override_fails_fast(self, tmp_path):
-        cfg = write_cfg(tmp_path, {"preset": {"name": "fig5", "overrides": {"n_users": 0}}})
+    def test_bad_override_fails_fast(self, tmp_path, capsys):
+        # A preset keeps every network field but mode, K, M and N, so a bad
+        # trials count in network fails the preset run before any point.
+        cfg = write_cfg(tmp_path, {"network": {"trials": 50}})
         out = tmp_path / "never.csv"
-        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+        assert main(["simulate", "--preset", "fig5", "--config", cfg, "--out", str(out)]) == 2
         assert not out.exists()
+        err = capsys.readouterr().err
+        assert "network" in err and "[simulate]" not in err
 
     def test_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("COGMAC_SEED", "123")
@@ -337,6 +349,36 @@ class TestValidateMachinery:
         assert methods == ["brute"] * calls
 
 
+class TestLogNSlope:
+    """validation's growth statistic: the slope against log N over the
+    upper half of the N grid."""
+
+    def test_exact_log_growth(self):
+        ns = [8, 16, 32, 64, 128, 256]
+        vals = np.array([3.7 * math.log(n) for n in ns])
+        assert abs(validation._log_n_slope(ns, vals / np.log(ns))) < 1e-12
+
+    def test_undernormalized_loglog_decays(self):
+        ns = [8, 16, 32, 64, 128, 256]
+        vals = np.array([2.0 * math.log(math.log(n)) for n in ns])
+        assert validation._log_n_slope(ns, vals / np.log(ns)) < -1e-3
+
+    def test_rayleigh_capacities_flat_vs_control(self):
+        ns = [8, 16, 32, 64, 128, 256, 512]
+        caps = np.array([
+            run_experiment(
+                NetworkConfig(n_users=n, m_patterns=1, mode="baseline", trials=2 * 10**4,
+                              seed=19)
+            ).mean_nats
+            for n in ns
+        ])
+        log_n = np.log(ns)
+        ll = np.log(log_n)
+        control = float(np.dot(caps, ll) / np.dot(ll, ll)) * ll  # c log(log N), fitted
+        assert (abs(validation._log_n_slope(ns, caps / log_n))
+                < abs(validation._log_n_slope(ns, control / log_n)))
+
+
 class TestEsparCommand:
     def test_single_element_constant_pattern(self, tmp_path):
         cfg = write_cfg(tmp_path, {"espar": {"m_elements": 1}})
@@ -408,6 +450,10 @@ class TestInputBoundary:
             (["simulate"], {"preset": {"output_path": 5}}, "preset.output_path"),
             (["simulate"], {"preset": {"overrides": {}}}, "preset.overrides: unknown key"),
             (["simulate"], {"network": {"max_power_cap": True}}, "network.max_power_cap"),
+            (["simulate"], {"network": {"mean_interference_power": 1e-200,
+                                        "mean_secondary_power": 1e200}}, "network:"),
+            (["simulate"], {"network": {"mean_interference_power": 1e200,
+                                        "mean_secondary_power": 1e-200}}, "network:"),
             (["espar"], {"espar": {"radius_wavelengths": "abc"}}, "espar.radius_wavelengths"),
             (["espar"], {"espar": {"radius_wavelengths": None}}, "espar.radius_wavelengths"),
             (["espar"], {"espar": {"element_angles": ["a"]}}, "espar.element_angles[0]"),
@@ -416,6 +462,12 @@ class TestInputBoundary:
             (["espar"], {"espar": {"feed_voltage": [1.0, math.inf]}}, "espar:"),
             (["espar", "--reactances", "a,b,c"], None, "--reactances"),
             (["espar", "--reactances", "1,2,3", "--grid", "3"], None, "--grid"),
+            (["espar", "--reactances", "inf,1,2"], None,
+             "--reactances: reactances must be finite"),
+            (["espar", "--reactances", "1e400,0,0"], None,
+             "--reactances: reactances must be finite"),
+            (["espar", "--reactances", "nan,1,2"], None,
+             "--reactances: reactances must be finite"),
             (["analytic", "--law", "normalizer", "--n", "1"], None, "--n"),
             (["analytic", "--law", "effective-users-rab2", "--k", "0"], None, "--k"),
             (["analytic", "--law", "rab2-tail", "--k", "0"], None, "--k"),

@@ -15,13 +15,7 @@ from scipy.stats import ks_2samp
 from cogmac import analytic, simulator
 from cogmac.analytic import RatioDistParams, rab_ppf, ratio_pdf
 from cogmac.channels import draw_gains
-from cogmac.simulator import (
-    NetworkConfig,
-    growth_flatness,
-    loglog_control_slope,
-    run_experiment,
-    sweep,
-)
+from cogmac.simulator import NetworkConfig, run_experiment, sweep
 
 
 def small_cfg(**kw):
@@ -312,6 +306,10 @@ class TestSweep:
             sweep(small_cfg(trials=500), [2, 0], [0.0], [1], ["baseline"])  # N=0 invalid
         with pytest.raises(ValueError, match="mode"):
             sweep(small_cfg(trials=500), [2], [0.0], [1], ["baseline", "lte"])
+        with pytest.raises(ValueError, match="n_users"):
+            sweep(small_cfg(trials=500), [8.9], [10], [2.5], ["rab"])  # not N = 8
+        with pytest.raises(ValueError, match="m_patterns"):
+            sweep(small_cfg(trials=500), [8], [10], [2.5], ["rab"])  # not M = 2
         assert calls == []
 
     def test_iterator_grid_matches_list_grid(self):
@@ -602,33 +600,3 @@ class TestQuantileSampler:
         sweep(small_cfg(), [4], [3.0], [2], ["baseline", "rab"], method="brute")
         assert set(used) == {"_brute_block"}
 
-
-class TestGrowthFlatness:
-    def test_exact_log_growth(self):
-        ns = [8, 16, 32, 64, 128, 256]
-        vals = [3.7 * math.log(n) for n in ns]
-        assert abs(growth_flatness(ns, vals, "logN")) < 1e-12
-
-    def test_undernormalized_loglog_decays(self):
-        ns = [8, 16, 32, 64, 128, 256]
-        vals = [2.0 * math.log(math.log(n)) for n in ns]
-        assert growth_flatness(ns, vals, "logN") < -1e-3
-
-    def test_rayleigh_capacities_flat_vs_control(self):
-        ns = [8, 16, 32, 64, 128, 256, 512]
-        caps = [
-            run_experiment(
-                NetworkConfig(n_users=n, m_patterns=1, mode="baseline", trials=2 * 10**4,
-                              seed=19)
-            ).mean_nats
-            for n in ns
-        ]
-        assert abs(growth_flatness(ns, caps, "logN")) < abs(loglog_control_slope(ns, caps))
-
-    def test_guards(self):
-        with pytest.raises(ValueError):
-            growth_flatness([8, 16, 32], [1.0, 2.0, 3.0], "logN")  # too few
-        with pytest.raises(ValueError):
-            growth_flatness([8, 16, 32, 64], [1.0, 2.0, 3.0, 4.0], "cube")
-        with pytest.raises(ValueError):
-            growth_flatness([8, 16, 32, 40], [1.0, 2.0, 3.0, 4.0], "logN")  # < decade
