@@ -272,7 +272,7 @@ def run_experiment(
 
 def _count(value, name: str) -> int:
     """``value`` as an int; a value that is not integral raises ValueError."""
-    if int(value) != value:
+    if not float(value).is_integer():
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
 
@@ -365,4 +365,3 @@ def write_sweep_csv(
             value = extra[name][idx]
             fields.append("" if value is None else format_number(value))
         stream.write(",".join(fields) + "\n")
-

@@ -308,6 +308,8 @@ class TestSweep:
             sweep(small_cfg(trials=500), [2], [0.0], [1], ["baseline", "lte"])
         with pytest.raises(ValueError, match="n_users"):
             sweep(small_cfg(trials=500), [8.9], [10], [2.5], ["rab"])  # not N = 8
+        with pytest.raises(ValueError, match="n_users"):
+            sweep(small_cfg(trials=500), [math.inf], [10], [2], ["rab"])
         with pytest.raises(ValueError, match="m_patterns"):
             sweep(small_cfg(trials=500), [8], [10], [2.5], ["rab"])  # not M = 2
         assert calls == []
