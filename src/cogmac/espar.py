@@ -1,6 +1,7 @@
 """Beamspace model of a parasitic-array antenna: reactance-controlled element
-currents, steering vectors on a circular layout, Gram-Schmidt orthonormal
-basis patterns, and weight extraction.
+currents, steering vectors on a circular layout, orthonormal basis patterns
+(QR with a positive diagonal, which is the Gram-Schmidt basis), and weight
+extraction.
 
 This module exists to show that random basis-pattern weights are physically
 realizable; the capacity simulator works on weights directly and never
@@ -81,6 +82,8 @@ class EsparConfig:
             raise ValueError(
                 f"admittance must be {self.m_elements}x{self.m_elements}, got {y.shape}"
             )
+        if not np.isfinite(y).all():
+            raise ValueError("admittance must be finite")
         if not np.allclose(y, y.T, rtol=1e-10, atol=1e-14):
             raise ValueError("admittance must be symmetric (reciprocity)")
         object.__setattr__(self, "admittance", y)
@@ -97,10 +100,6 @@ class EsparConfig:
         if not np.all(np.isfinite([self.feed_voltage, self.radius_wavelengths,
                                    *self.element_angles])):
             raise ValueError("feed_voltage, radius_wavelengths and element_angles must be finite")
-
-    def element_polar(self) -> list[tuple[float, float]]:
-        """(radius, angle) per element; the active element sits at the origin."""
-        return [(0.0, 0.0)] + [(self.radius_wavelengths, a) for a in self.element_angles]
 
 
 @dataclass
@@ -152,47 +151,34 @@ def steering_vector(cfg: EsparConfig, theta) -> np.ndarray:
     scalar or an array; the result has shape (M, ...) matching theta.
     """
     th = np.asarray(theta, dtype=float)
-    rows = []
-    for r, psi in cfg.element_polar():
-        rows.append(np.exp(2j * math.pi * r * np.cos(th - psi)))
-    return np.stack(rows)
+    column = (-1,) + (1,) * th.ndim  # element axis first, theta's axes after
+    r = np.array((0.0,) + (cfg.radius_wavelengths,) * len(cfg.element_angles)).reshape(column)
+    psi = np.array((0.0, *cfg.element_angles)).reshape(column)
+    return np.exp(2j * math.pi * r * np.cos(th - psi))
 
 
 def build_basis(cfg: EsparConfig, grid_size: int) -> BasisSet:
-    """Gram-Schmidt orthonormalization of the steering components on a grid.
-
-    The trapezoidal rule on a uniform periodic grid is spectrally accurate
-    for these trigonometric integrands, so grid_size >= 4 M suffices.
+    """Orthonormal basis of the steering components a on a grid of weight w:
+    sqrt(w) a^T = Q R by QR with a positive diagonal, which is the
+    Gram-Schmidt basis.  |R_ll| is component l's residual norm; below 1e-10
+    of its own norm, l depends linearly on the earlier components.  The
+    trapezoidal rule on a uniform periodic grid is spectrally accurate for
+    these trigonometric integrands, so grid_size >= 4 M suffices.
     """
     if grid_size < 4 * cfg.m_elements:
         raise ValueError(f"grid_size must be >= 4*M = {4 * cfg.m_elements}, got {grid_size}")
     theta = np.arange(grid_size) * (2.0 * math.pi / grid_size)
     weight = 2.0 * math.pi / grid_size
-    a = steering_vector(cfg, theta)  # (M, grid)
-
-    def ip(f, g):
-        return weight * np.sum(f * np.conj(g))
-
-    m = cfg.m_elements
-    basis = np.zeros_like(a)
-    proj = np.zeros((m, m), dtype=complex)
-    for l in range(m):
-        v = a[l].copy()
-        # Two MGS passes keep orthogonality at roundoff level.
-        for _ in range(2):
-            for k in range(l):
-                v -= ip(v, basis[k]) * basis[k]
-        norm = math.sqrt(abs(ip(v, v)))
-        if norm < 1e-10 * math.sqrt(abs(ip(a[l], a[l]).real)):
-            raise RankDeficientGeometryError(
-                f"steering component {l} is linearly dependent on earlier ones "
-                "(coincident element positions?)"
-            )
-        basis[l] = v / norm
-    for row in range(m):
-        for col in range(m):
-            proj[row, col] = ip(a[row], basis[col])
-    return BasisSet(theta_grid=theta, basis_values=basis, projections=proj, weight=weight)
+    scaled = math.sqrt(weight) * steering_vector(cfg, theta).T  # (grid, M)
+    q, r = np.linalg.qr(scaled)
+    diag = np.diag(r)
+    dependent = np.flatnonzero(np.abs(diag) < 1e-10 * np.linalg.norm(scaled, axis=0))
+    if dependent.size:
+        raise RankDeficientGeometryError(f"steering component {dependent[0]} depends linearly "
+                                         "on earlier ones (coincident element positions?)")
+    phase = diag / np.abs(diag)
+    return BasisSet(theta_grid=theta, basis_values=(q * phase).T / math.sqrt(weight),
+                    projections=(np.conj(phase)[:, None] * r).T, weight=weight)
 
 
 def pattern_weights(currents, basis: BasisSet) -> np.ndarray:

@@ -94,6 +94,11 @@ class NetworkConfig:
     max_power_cap: float | None = None      # optional transmit power clip
 
     def __post_init__(self) -> None:
+        for name in ("n_users", "m_patterns", "trials", "seed"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {v!r}")
+            object.__setattr__(self, name, int(v))
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.log_base not in ("nats", "bits"):
@@ -122,10 +127,11 @@ class NetworkConfig:
                 raise ValueError(f"{name} must be finite and >= 0, got {v}")
         if self.trials < 100:
             raise ValueError(f"need trials >= 100, got {self.trials}")
-        if not 0 <= int(self.seed) < 2**64:
+        if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
-        if self.max_power_cap is not None and not self.max_power_cap > 0.0:
-            raise ValueError(f"max_power_cap must be > 0 when set, got {self.max_power_cap}")
+        cap = self.max_power_cap
+        if cap is not None and not (math.isfinite(cap) and cap > 0.0):
+            raise ValueError(f"max_power_cap must be finite and > 0 when set, got {cap}")
 
 
 @dataclass(frozen=True)
@@ -270,13 +276,6 @@ def run_experiment(
     return CapacityEstimate(config, mean, stderr, jensen, wall_s)
 
 
-def _count(value, name: str) -> int:
-    """``value`` as an int; a value that is not integral raises ValueError."""
-    if not float(value).is_integer():
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
 def sweep(
     config_template: NetworkConfig,
     n_list,
@@ -291,8 +290,8 @@ def sweep(
 
     Baseline points always use one pattern; ``m_list`` applies to RAB points
     only.  Every point's config is built, and so checked, before the first
-    draw: a bad grid value, a non-integral N or M included, raises
-    ``ValueError`` before any point runs.
+    draw: a bad grid value, an N or M that is not an integer included,
+    raises ``ValueError`` before any point runs.
     The points run one after another, each through :func:`run_experiment`
     with ``threads`` and ``method``, so a point of several chunks spreads
     them over the threads.  Each estimate carries its point's config and
@@ -304,8 +303,7 @@ def sweep(
     if "rab" in modes and not m_list:
         raise ValueError("m_list must be nonempty when sweeping rab mode")
     configs = [
-        replace(config_template, mode=mode, k_factor=float(k), n_users=_count(n, "n_users"),
-                m_patterns=_count(m, "m_patterns"))
+        replace(config_template, mode=mode, k_factor=float(k), n_users=n, m_patterns=m)
         for mode in modes
         for k, m, n in product(k_list, m_list if mode == "rab" else [1], n_list)
     ]

@@ -454,6 +454,14 @@ class TestInputBoundary:
                                         "mean_secondary_power": 1e200}}, "network:"),
             (["simulate"], {"network": {"mean_interference_power": 1e200,
                                         "mean_secondary_power": 1e-200}}, "network:"),
+            (["simulate", "--trials", "100"], {"network": {"max_power_cap": math.inf}},
+             "network: max_power_cap must be finite"),
+            (["espar", "--reactances", "10"],
+             {"espar": {"m_elements": 2, "admittance": [[0.02, math.inf], [math.inf, 0.02]]}},
+             "espar: admittance must be finite"),
+            (["espar", "--reactances", "10"],
+             {"espar": {"m_elements": 2, "admittance": [[0.02, math.nan], [math.nan, 0.02]]}},
+             "espar: admittance must be finite"),
             (["espar"], {"espar": {"radius_wavelengths": "abc"}}, "espar.radius_wavelengths"),
             (["espar"], {"espar": {"radius_wavelengths": None}}, "espar.radius_wavelengths"),
             (["espar"], {"espar": {"element_angles": ["a"]}}, "espar.element_angles[0]"),

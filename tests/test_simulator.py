@@ -72,6 +72,31 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             NetworkConfig(**kw)
 
+    @pytest.mark.parametrize(
+        "name,value",
+        [
+            ("n_users", 8.5),
+            ("n_users", 8.0),
+            ("n_users", True),
+            ("m_patterns", 2.5),
+            ("m_patterns", np.True_),
+            ("trials", 150.7),
+            ("trials", "200"),
+            ("seed", 3.9),
+            ("seed", True),
+        ],
+    )
+    def test_counts_must_be_integers(self, name, value):
+        kw = dict(n_users=8, m_patterns=2, mode="rab", trials=200, seed=1)
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            NetworkConfig(**{**kw, name: value})
+
+    def test_numpy_integer_counts_become_int(self):
+        cfg = NetworkConfig(n_users=np.int64(8), m_patterns=np.uint8(2), trials=np.int32(200),
+                            seed=np.uint64(2**64 - 1))
+        assert (cfg.n_users, cfg.m_patterns, cfg.trials, cfg.seed) == (8, 2, 200, 2**64 - 1)
+        assert all(type(v) is int for v in (cfg.n_users, cfg.m_patterns, cfg.trials, cfg.seed))
+
 
 class TestSlotSinr:
     """Each slot schedules the user with the best SINR gain_s Q_p / gain_sp."""
