@@ -46,17 +46,21 @@ _OMEGA_TINY_Y = -40.0
 # Above y = 1e10, omega(y) = y - log(y) + log(y)/y + ... equals y - log(y) to
 # double precision (the third term is below 1e-18 of the sum).
 _OMEGA_HUGE_Y = 1e10
-# Series/asymptotic crossover for I0 and I1; both branches agree to ~1e-12 here.
+# Series/asymptotic crossover for I0 and I1; both branches agree to ~5e-15 here.
 _BESSEL_SERIES_CUTOFF = 15.0
-# Step ratio of term m to term m-1, without its x dependence, for m = 1, 2, ...
+# Power-series coefficients of I0 and I1/(x/2) in q = x^2/4, m = 0..32: the
+# cumprod of the step ratio of term m to term m-1.  Up to the crossover, term
+# 32 is below 1e-20 of the sum.
 _SERIES_M = np.arange(1, 33)
-_I0_SERIES_STEP = 1.0 / _SERIES_M**2
-_I1_SERIES_STEP = 1.0 / (_SERIES_M * (_SERIES_M + 1))
-_ASYMPTOTIC_M = np.arange(1, 65)
-_I0E_ASYMPTOTIC_STEP = (2 * _ASYMPTOTIC_M - 1) ** 2 / (8.0 * _ASYMPTOTIC_M)
-_I1E_ASYMPTOTIC_STEP = (2 * _ASYMPTOTIC_M - 3) * (2 * _ASYMPTOTIC_M + 1) / (8.0 * _ASYMPTOTIC_M)
-# A term below 2^-56 of its sum rounds away, and so does every later (smaller) one.
-_ABSORBED = 2.0**-56
+_I0_SERIES = np.cumprod(np.r_[1.0, 1.0 / _SERIES_M**2])
+_I1_SERIES = np.cumprod(np.r_[1.0, 1.0 / (_SERIES_M * (_SERIES_M + 1))])
+# Asymptotic coefficients of sqrt(2 pi x) exp(-x) I_nu(x) in 1/x, k = 0..30,
+# with steps (2k-1)^2 / (8k) for nu = 0 and ((2k-1)^2 - 4) / (8k) for nu = 1.
+# For x >= 15 every term through k = 30 is smaller than the one before it; at
+# x = 15, term 30 is I0's smallest.
+_ODD = np.arange(1, 61, 2)  # 2k - 1
+_I0E_ASYMPTOTIC = np.cumprod(np.r_[1.0, _ODD**2 / (4.0 * (_ODD + 1))])
+_I1E_ASYMPTOTIC = np.cumprod(np.r_[1.0, (_ODD**2 - 4) / (4.0 * (_ODD + 1))])
 # Newton on a RAB quantile stops an element once its step in t is below
 # this times max(1, |t|), a few ulps, or once its step no longer halves.
 _PPF_STEP_ULPS = 4.0 * np.finfo(float).eps
@@ -137,52 +141,34 @@ def bessel_i0e(x):
 def _bessel_i0e_i1e(ax: np.ndarray) -> tuple:
     """(exp(-x) I0(x), exp(-x) I1(x)) of a 1-d array of finite x >= 0.
 
-    Power series up to the crossover, asymptotic series above it.  Terms are
-    added one at a time, so the temporaries are a few arrays the size of x,
-    and the loop stops once no element's term can change its sum; each
-    element's result is therefore the same whatever the other elements are.
+    Power series up to the crossover, asymptotic series above it, each one
+    fixed polynomial (Abramowitz & Stegun 9.6.10 and 9.7.1) evaluated by
+    Horner's rule; each element's result depends only on that element.
     """
     i0e, i1e = np.empty_like(ax), np.empty_like(ax)
     small = ax <= _BESSEL_SERIES_CUTOFF
+    # I0 = sum q^m / (m!)^2 and I1 = (x/2) sum q^m / (m! (m+1)!): positive
+    # terms, no cancellation.
     xs = ax[small]
-    # I0 = sum (x/2)^(2m) / (m!)^2 and I1 = (x/2) sum (x/2)^(2m) / (m! (m+1)!):
-    # positive terms, no cancellation.  Up to the crossover, term 32 is below
-    # 1e-20 of the sum.  The I1 term is the I0 term over m+1 and its sum is at
-    # least the I0 sum over m+1, so I1 is absorbed when I0 is.
     q = 0.25 * np.square(xs)
-    t0, t1 = np.ones_like(xs), np.ones_like(xs)
-    s0, s1 = t0.copy(), t1.copy()
-    for step0, step1 in zip(_I0_SERIES_STEP, _I1_SERIES_STEP):
-        t0 *= q * step0
-        t1 *= q * step1
-        s0 += t0
-        s1 += t1
-        if not (t0 >= _ABSORBED * s0).any():
-            break
     scale = np.exp(-xs)
-    i0e[small] = scale * s0
-    i1e[small] = scale * (0.5 * xs) * s1
-    # exp(-x) I_nu(x) ~ (2 pi x)^(-1/2) sum_k prod_{j<=k} step_j / x, with steps
-    # (2j-1)^2 / (8j) for nu = 0 and -(4 - (2j-1)^2) / (8j) for nu = 1.  Each
-    # series stops at its smallest term, where the step ratio reaches 1 (it
-    # grows with j).  That happens by k = 64 for x < 31.5; above that, term
-    # 64 is below 1e-28.
+    i0e[small] = scale * _horner(_I0_SERIES, q)
+    i1e[small] = scale * (0.5 * xs) * _horner(_I1_SERIES, q)
     xl = ax[~small]
     inv = 1.0 / xl
-    t0, t1 = np.ones_like(xl), np.ones_like(xl)
-    s0, s1 = t0.copy(), t1.copy()
-    for step0, step1 in zip(_I0E_ASYMPTOTIC_STEP, _I1E_ASYMPTOTIC_STEP):
-        r0, r1 = step0 * inv, step1 * inv
-        t0 *= np.where(r0 < 1.0, r0, 0.0)
-        t1 *= np.where(np.abs(r1) < 1.0, r1, 0.0)
-        s0 += t0
-        s1 += t1
-        if not ((t0 >= _ABSORBED * s0) | (np.abs(t1) >= _ABSORBED * s1)).any():
-            break
     root = np.sqrt(2.0 * math.pi * xl)
-    i0e[~small] = s0 / root
-    i1e[~small] = s1 / root
+    i0e[~small] = _horner(_I0E_ASYMPTOTIC, inv) / root
+    i1e[~small] = _horner(_I1E_ASYMPTOTIC, inv) / root
     return i0e, i1e
+
+
+def _horner(coef: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Polynomial sum_k coef[k] x^k at x, by Horner's rule."""
+    out = np.full_like(x, coef[-1])
+    for a in coef[-2::-1]:
+        out *= x
+        out += a
+    return out
 
 
 def _ratios(z, law: str) -> np.ndarray:
@@ -320,12 +306,12 @@ def rab_m2_cdf(z, params: RatioDistParams):
 
     Mixture of conditional Rician-ratio laws over the arcsine LoS power:
     F(z) = 1 - (K+1)/(rho z + K+1) * exp(-y) I0(y) with
-    y = K rho z / (rho z + K + 1).  Stable for any K (scaled Bessel).
+    y = K rho z / (rho z + K + 1).  Stable for any K (scaled Bessel); y is
+    formed as rho z (K / (rho z + K + 1)), as K rho z overflows at huge K.
     """
     z_arr = _ratios(z, "rab_m2_cdf")
-    k = params.k_factor
-    rho = params.power_ratio
-    y = k * rho * z_arr / (rho * z_arr + k + 1.0)
+    rz, k = params.power_ratio * z_arr, params.k_factor
+    y = rz * (k / (rz + k + 1.0))
     return _scalar_or_array(1.0 - _rab_m2_prefactor(z_arr, params) * bessel_i0e(y))
 
 

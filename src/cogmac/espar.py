@@ -73,6 +73,9 @@ class EsparConfig:
     element_angles: tuple = None             # M-1 parasitic angles, radians
 
     def __post_init__(self) -> None:
+        if isinstance(self.m_elements, bool) or not isinstance(self.m_elements, (int, np.integer)):
+            raise ValueError(f"m_elements must be an integer, got {self.m_elements!r}")
+        object.__setattr__(self, "m_elements", int(self.m_elements))
         if self.m_elements < 1:
             raise ValueError(f"m_elements must be >= 1, got {self.m_elements}")
         if self.admittance is None:

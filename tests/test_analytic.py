@@ -470,6 +470,12 @@ class TestRabM2ClosedForms:
         emp = np.mean(g_s / g_sp <= 10.0)
         assert abs(emp - rab_m2_cdf(10.0, RatioDistParams(k, 1.0))) < 1.628 / math.sqrt(n)
 
+    def test_cdf_at_huge_k(self):
+        # y -> rho z as K grows, so F -> 1 - i0e(rho z); K rho z itself overflows.
+        z = np.array([2.0, 10.0])
+        cdf = rab_m2_cdf(z, RatioDistParams(1e308, 1.0))
+        assert cdf == pytest.approx(1.0 - bessel_i0e(z), rel=1e-14, abs=0.0)
+
     def test_tail_form_consistency(self):
         for k in [1.0, 10.0]:
             p = RatioDistParams(k, 1.0)
@@ -497,19 +503,38 @@ class TestBesselPair:
     """The private (i0e, i1e) routine behind bessel_i0e and rab_ppf at M = 2."""
 
     def test_against_scipy(self):
-        xs = np.concatenate([np.linspace(0.0, 100.0, 20_001), [1e3, 1e6]])
+        # x = K(1 - v) reaches K = 1000 at M = 2; [14.5, 16] spans the crossover.
+        xs = np.concatenate([np.linspace(0.0, 100.0, 20_001), np.linspace(0.0, 1000.0, 100_001),
+                             np.linspace(14.5, 16.0, 3001), [1e3, 1e6]])
         i0e, i1e = analytic._bessel_i0e_i1e(xs)
-        assert np.max(np.abs(i0e / special.i0e(xs) - 1.0)) < 1e-13
-        assert i1e[0] == 0.0
-        assert np.max(np.abs(i1e[1:] / special.i1e(xs[1:]) - 1.0)) < 1e-13
+        assert np.max(np.abs(i0e / special.i0e(xs) - 1.0)) < 1e-14
+        nonzero = xs > 0.0
+        assert np.all(i1e[~nonzero] == 0.0)
+        assert np.max(np.abs(i1e[nonzero] / special.i1e(xs[nonzero]) - 1.0)) < 1e-14
 
     def test_elements_do_not_depend_on_neighbours(self):
-        # The series loops stop only when no term can change any sum.
+        # Each branch is one fixed polynomial, with no stopping rule shared
+        # across elements.
         xs = np.array([0.0, 0.3, 14.9, 15.1, 31.0, 400.0])
         pair = analytic._bessel_i0e_i1e(xs)
         for i, x in enumerate(xs):
             one = analytic._bessel_i0e_i1e(np.array([x]))
             assert (one[0][0], one[1][0]) == (pair[0][i], pair[1][i])
+
+    def test_truncation_degrees(self):
+        x = analytic._BESSEL_SERIES_CUTOFF
+        # Above the crossover, every asymptotic term through k = 30 shrinks ...
+        for table in (analytic._I0E_ASYMPTOTIC, analytic._I1E_ASYMPTOTIC):
+            assert table.size == 31
+            assert np.all(np.diff(np.abs(table) / x ** np.arange(31)) < 0.0)
+        # ... and at x = 15 the I0 term 31 would not: its step exceeds 1.
+        assert 61.0**2 / (8.0 * 31.0 * x) > 1.0
+        # Up to the crossover, power-series term 32 is below 1e-20 of the sum.
+        q = 0.25 * x * x
+        for table in (analytic._I0_SERIES, analytic._I1_SERIES):
+            assert table.size == 33
+            terms = table * q ** np.arange(33)
+            assert terms[-1] < 1e-20 * terms.sum()
 
 
 def rab_m2_survival(z, k, rho):

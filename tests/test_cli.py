@@ -433,6 +433,13 @@ class TestAnalyticCommand:
         rows = capsys.readouterr().out.strip().splitlines()[1:]
         assert len(rows) == 7 and all(math.isfinite(float(r.split(",")[1])) for r in rows)
 
+    @pytest.mark.parametrize("k", ["1e200", "1e308"])
+    def test_huge_k_rab2_cdf_is_finite(self, capsys, k):
+        # y -> rho z as K grows; K rho z itself would overflow.
+        assert main(["analytic", "--law", "rab2-cdf", "--k", k]) == 0
+        rows = capsys.readouterr().out.strip().splitlines()[1:]
+        assert len(rows) == 5 and all(math.isfinite(float(r.split(",")[1])) for r in rows)
+
     def test_normalizer_file_output(self, tmp_path):
         out = tmp_path / "an.csv"
         main(["analytic", "--law", "normalizer", "--k", "0", "--rho", "1",

@@ -247,6 +247,14 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             EsparConfig(m_elements=2, admittance=y)
 
+    @pytest.mark.parametrize("m", [3.0, 2.5, True, "3"])
+    def test_m_elements_must_be_an_integer(self, m):
+        with pytest.raises(ValueError, match="m_elements"):
+            EsparConfig(m_elements=m)
+
+    def test_numpy_integer_m_elements_is_stored_as_int(self):
+        assert type(EsparConfig(m_elements=np.int64(3)).m_elements) is int
+
     def test_angle_count_check(self):
         with pytest.raises(ValueError):
             EsparConfig(m_elements=3, element_angles=(0.1,))
