@@ -156,7 +156,8 @@ def _bessel_i0e_i1e(ax: np.ndarray) -> tuple:
     i1e[small] = scale * (0.5 * xs) * _horner(_I1_SERIES, q)
     xl = ax[~small]
     inv = 1.0 / xl
-    root = np.sqrt(2.0 * math.pi * xl)
+    # sqrt(2 pi) sqrt(x), as 2 pi x overflows from x ~ 2.9e307.
+    root = math.sqrt(2.0 * math.pi) * np.sqrt(xl)
     i0e[~small] = _horner(_I0E_ASYMPTOTIC, inv) / root
     i1e[~small] = _horner(_I1E_ASYMPTOTIC, inv) / root
     return i0e, i1e
@@ -208,28 +209,30 @@ def _scalar_or_array(out):
 def ratio_cdf(z, params: RatioDistParams):
     """CDF of z = secondary power / Rician interference power.
 
-    F(z) = 1 - (K+1)/(rho z + K + 1) * exp(-K + K(K+1)/(rho z + K + 1)).
+    F(z) = 1 - (K+1)/u * exp(-K rho z/u) with u = rho z + K + 1.
     Accepts scalars or ndarrays; K = 0 reduces to 1 - 1/(rho z + 1).
     """
     z_arr = _ratios(z, "ratio_cdf")
     k = params.k_factor
-    u = params.power_ratio * z_arr + k + 1.0
-    return _scalar_or_array(1.0 - (k + 1.0) / u * np.exp(-k + k * (k + 1.0) / u))
+    rho = params.power_ratio
+    u = rho * z_arr + k + 1.0
+    # The exponent as -(K/u) rho z: K/u < 1, so K(K+1) is never formed.
+    return _scalar_or_array(1.0 - (k + 1.0) / u * np.exp(-(k / u * rho) * z_arr))
 
 
 def ratio_pdf(z, params: RatioDistParams):
     """Density of the secondary-to-interference power ratio.
 
-    f(z) = (K+1) rho exp(-K + K(K+1)/u) ((K+1)^2 + rho z) / u^3 with
-    u = rho z + K + 1; the exact derivative of :func:`ratio_cdf`.
+    f(z) = rho r exp(-K rho z/u) (r^2 + rho z/u^2) with u = rho z + K + 1
+    and r = (K+1)/u; the exact derivative of :func:`ratio_cdf`.
     """
     z_arr = _ratios(z, "ratio_pdf")
     k = params.k_factor
     rho = params.power_ratio
     u = rho * z_arr + k + 1.0
-    # (K+1)(K+1), not (K+1)**2: a float power raises OverflowError at large K.
-    out = (k + 1.0) * rho * np.exp(-k + k * (k + 1.0) / u) * ((k + 1.0) * (k + 1.0) + rho * z_arr)
-    return _scalar_or_array(out / u**3)
+    r = (k + 1.0) / u
+    out = rho * r * np.exp(-(k / u * rho) * z_arr) * (r * r + rho / u * z_arr / u)
+    return _scalar_or_array(out)
 
 
 def ratio_ppf(q, params: RatioDistParams):

@@ -15,6 +15,9 @@ fresh uniform phases every slot):
   out: only the artificial-LoS magnitude
   a |1 + sum_{i=2..M} e^{j theta_i}| / sqrt(M), a = sqrt(K gamma_sp / (K+1)),
   survives, with M-1 uniform relative phases.
+* At K = 0 that magnitude is zero and the weighted scattering is
+  CN(0, gamma_sp), so gain_sp = gamma_sp * Exp(1) for every M, the same
+  identity as gain_s: two exponentials per user, no phases, no normals.
 
 The kernel takes an explicit ``numpy.random.Generator``; nothing touches
 global RNG state, so chunks can run concurrently on independent streams.
@@ -42,13 +45,18 @@ def draw_gains(
     ``config.mode`` does not matter: baseline is the M = 1 case, where the
     single weight is a pure phase rotation.
 
-    Fixed draw order: secondary exponentials, relative weight phases
+    Fixed draw order: secondary exponentials, then at K = 0 interference
+    exponentials and nothing else; at K > 0 relative weight phases
     (M > 1), then (in-phase, quadrature) scattering normal pairs.  The
     draws are combined in place, in their own buffers.
     """
     n, m, k = config.n_users, config.m_patterns, config.k_factor
     gain_s = rng.standard_exponential((size, n))
     gain_s *= config.mean_secondary_power
+    if k == 0.0:
+        gain_sp = rng.standard_exponential((size, n))
+        gain_sp *= config.mean_interference_power
+        return gain_s, gain_sp
     los = math.sqrt(k * config.mean_interference_power / (k + 1.0))
     if m > 1:
         theta = rng.uniform(0.0, 2.0 * math.pi, size=(size, n, m - 1))

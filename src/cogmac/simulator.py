@@ -6,7 +6,9 @@ primary receiver binds exactly.  Two modes: ``baseline`` (one conventional
 antenna per user) and ``rab`` (per-slot random basis-pattern weights).
 
 Two samplers.  Brute force draws every user of every slot through
-:func:`cogmac.channels.draw_gains` and takes the max.  Without a power cap,
+:func:`cogmac.channels.draw_gains` and takes the max; at K = 0 that is two
+exponentials per user for any M (secondary, then interference), at K > 0
+an exponential, M-1 weight phases and a normal pair.  Without a power cap,
 wherever the per-user ratio law has a closed-form quantile F^-1, the
 scheduled user's ratio z_max = max_n gain_s/gain_sp is instead drawn
 exactly from one uniform per slot, z_max = F^-1(U^(1/N)) (the inverse-CDF
@@ -24,15 +26,16 @@ certified for at their M, take brute force.  So do points with M >= 3 and
 N*M < 48 user-pattern draws per slot, where brute force is the cheaper of
 the two.
 
-Layout: trials are processed in chunks of at most 2^21 elements, each
-drawing from its own counter-derived Philox stream (``jumped`` from the
-master seed), and each chunk in blocks of at most 2^15 elements (at least
-one slot either way).  An element is one user-pattern draw under brute
-force, one slot under the sampler.  A chunk's sums form one 4-vector,
-added block by block and then chunk by chunk, in index order.  Sizes
-depend on the config only, so results are bit-identical for any worker
-count.  Threading: the chunks of one experiment are the only parallel
-work; a sweep runs its points one after another.
+Layout: trials are processed in chunks of at most 2^21 elements, chunk c
+drawing from its own SFC64 stream, seeded by
+``SeedSequence(seed, spawn_key=(c,))``, and each chunk in blocks of at most
+2^15 elements (at least one slot either way).  An element is one
+user-pattern draw under brute force, one slot under the sampler.  A
+chunk's sums form one 4-vector, added block by block and then chunk by
+chunk, in index order.  Sizes depend on the config only, so results are
+bit-identical for any worker count.  Threading: the chunks of one
+experiment are the only parallel work; a sweep runs its points one after
+another.
 """
 
 from __future__ import annotations
@@ -173,7 +176,8 @@ def _chunk_size(config: NetworkConfig) -> int:
 
 
 def _chunk_rng(config: NetworkConfig, chunk_index: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=config.seed).jumped(chunk_index))
+    seq = np.random.SeedSequence(config.seed, spawn_key=(chunk_index,))
+    return np.random.Generator(np.random.SFC64(seq))
 
 
 def _inv_denom(config: NetworkConfig, size: int, rng) -> np.ndarray:

@@ -6,8 +6,8 @@ N <= 512 grid (see notes in the validation module); the test states the
 criterion faithfully and is expected red, with the supplementary
 restoration diagnostic printed alongside.
 
-Runtime is dominated by the four 100k-trial capacity checks: about 19 s
-of the file's 22 s on a 2-core Xeon.
+Runtime is dominated by the four 100k-trial capacity checks: about 11 s
+of the file's 13 s on a 2-core Xeon.
 """
 
 import pytest

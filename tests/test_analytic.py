@@ -216,6 +216,14 @@ class TestRatioDistribution:
         report = ks_test(EmpiricalDist.from_samples(z[:10**4]), lambda x: ratio_cdf(x, p))
         assert report.passed
 
+    @pytest.mark.parametrize("rho", [0.5, 1.0, 4.0])
+    def test_huge_k_limit(self, rho):
+        # As K grows, 1 - F -> e^{-rho z}; K(K+1) would overflow from K ~ 1e154.
+        zs = np.array([0.0, 0.01, 0.5, 1.0, 3.0, 20.0])
+        p = RatioDistParams(1e200, rho)
+        np.testing.assert_allclose(ratio_cdf(zs, p), -np.expm1(-rho * zs), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(ratio_pdf(zs, p), rho * np.exp(-rho * zs), rtol=1e-12)
+
     def test_hazard_ratio_limit(self):
         # z f(z) / (1 - F(z)) -> 1 for every K and rho (unit tail index,
         # consistent with the exp(-1/x) Frechet limit used downstream).
@@ -511,6 +519,15 @@ class TestBesselPair:
         nonzero = xs > 0.0
         assert np.all(i1e[~nonzero] == 0.0)
         assert np.max(np.abs(i1e[nonzero] / special.i1e(xs[nonzero]) - 1.0)) < 1e-14
+
+    def test_huge_argument(self):
+        # sqrt(2 pi x) would overflow from x ~ 2.9e307.
+        xs = np.array([1e300, 1e307, 1e308, np.finfo(float).max])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            i0e, i1e = analytic._bessel_i0e_i1e(xs)
+        np.testing.assert_allclose(i0e, special.i0e(xs), rtol=1e-14, atol=0)
+        np.testing.assert_allclose(i1e, special.i1e(xs), rtol=1e-14, atol=0)
 
     def test_elements_do_not_depend_on_neighbours(self):
         # Each branch is one fixed polynomial, with no stopping rule shared

@@ -9,6 +9,7 @@ import pytest
 from scipy import special
 from scipy.stats import ks_2samp
 
+from cogmac import simulator
 from cogmac.channels import draw_gains
 from cogmac.simulator import NetworkConfig
 from cogmac.stats import EmpiricalDist, ks_test
@@ -82,6 +83,35 @@ def test_two_sample_ks_against_full_model(k, m):
     ]:
         p = ks_2samp(stat(kernel), stat(oracle)).pvalue
         assert p >= KS_ALPHA, f"{name}: two-sample KS p = {p:.2e}"
+
+
+@pytest.mark.parametrize("m", [1, 4])
+def test_k_zero_brute_force_maxima_against_full_model(m):
+    # K = 0 draws two exponentials per user and no phases: the per-slot
+    # maximum over N = 64 users must still follow the full model's.
+    cfg = NetworkConfig(n_users=64, m_patterns=m, k_factor=0.0, mean_secondary_power=2.5,
+                        mean_interference_power=0.4, mode="baseline" if m == 1 else "rab")
+    kernel = simulator._brute_block(cfg, 4000, np.random.default_rng(500 + m))
+    rng = np.random.default_rng(600 + m)
+    oracle = []
+    for _ in range(4):  # 1000 slots at a time keeps the N x M arrays small
+        g_s, g_sp = full_model_gains(cfg, rng, 1000)
+        oracle.append((g_s / g_sp).max(axis=1))
+    # 0.5% per case: 1% for the pair.
+    p = ks_2samp(kernel, np.concatenate(oracle)).pvalue
+    assert p >= 0.005, f"two-sample KS p = {p:.2e}"
+
+
+@pytest.mark.parametrize("m", [1, 2, 4])
+def test_k_zero_draws_two_exponentials(m):
+    cfg = NetworkConfig(n_users=3, m_patterns=m, k_factor=0.0, mean_secondary_power=2.5,
+                        mean_interference_power=0.4)
+    rng = np.random.default_rng(77)
+    g_s, g_sp = draw_gains(cfg, rng, 50)
+    replay = np.random.default_rng(77)
+    assert np.array_equal(g_s, 2.5 * replay.standard_exponential((50, 3)))
+    assert np.array_equal(g_sp, 0.4 * replay.standard_exponential((50, 3)))
+    assert rng.bit_generator.state == replay.bit_generator.state
 
 
 class TestRayleigh:

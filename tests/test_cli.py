@@ -440,6 +440,17 @@ class TestAnalyticCommand:
         rows = capsys.readouterr().out.strip().splitlines()[1:]
         assert len(rows) == 5 and all(math.isfinite(float(r.split(",")[1])) for r in rows)
 
+    @pytest.mark.parametrize("law", ["ratio-cdf", "ratio-pdf"])
+    @pytest.mark.parametrize("k", ["1e200", "1e308"])
+    def test_huge_k_ratio_laws_are_finite(self, capsys, law, k):
+        # The Rayleigh limit of one user: 1 - F = f = e^{-z} at rho = 1.
+        assert main(["analytic", "--law", law, "--k", k]) == 0
+        rows = [r.split(",") for r in capsys.readouterr().out.strip().splitlines()[1:]]
+        assert len(rows) == 5
+        for z, value in rows:
+            expected = -math.expm1(-float(z)) if law == "ratio-cdf" else math.exp(-float(z))
+            assert float(value) == pytest.approx(expected, rel=1e-12)
+
     def test_normalizer_file_output(self, tmp_path):
         out = tmp_path / "an.csv"
         main(["analytic", "--law", "normalizer", "--k", "0", "--rho", "1",
@@ -494,8 +505,8 @@ class TestInputBoundary:
             (["analytic", "--law", "ratio-cdf", "--z=nan"], None, "--z"),
             (["analytic", "--law", "ratio-pdf", "--z=inf"], None, "--z"),
             (["analytic", "--law", "rab2-cdf", "--z=inf"], None, "--z"),
-            (["analytic", "--law", "ratio-pdf", "--k", "1e308"], None, "not finite at z = 0.5"),
-            (["analytic", "--law", "ratio-cdf", "--k", "1e308"], None, "not finite at z = 0.5"),
+            (["analytic", "--law", "ratio-pdf", "--k", "inf"], None, "finite k_factor"),
+            (["analytic", "--law", "ratio-cdf", "--rho", "inf"], None, "power_ratio must be"),
             (["analytic", "--law", "normalizer", "--rho", "1e-308", "--n", "2,8"], None,
              "not finite at N = 8"),
         ],

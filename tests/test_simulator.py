@@ -144,6 +144,21 @@ class TestSlotSinr:
         assert cap == pytest.approx(np.sum(np.log1p(best * inv_denom)), rel=1e-12)
 
 
+class TestChunkStreams:
+    def test_chunk_rng_is_sfc64_from_a_spawned_seed_sequence(self):
+        cfg = small_cfg(seed=2**64 - 1)
+        for c in (0, 1, 7):
+            seq = np.random.SeedSequence(cfg.seed, spawn_key=(c,))
+            expected = np.random.Generator(np.random.SFC64(seq)).random(100)
+            assert np.array_equal(simulator._chunk_rng(cfg, c).random(100), expected)
+
+    def test_distinct_chunks_draw_distinct_streams(self):
+        cfg = small_cfg(seed=3)
+        draws = [simulator._chunk_rng(cfg, c).random(100) for c in range(4)]
+        draws.append(simulator._chunk_rng(replace(cfg, seed=4), 0).random(100))
+        assert len({d.tobytes() for d in draws}) == len(draws)
+
+
 class TestBlocks:
     """A chunk is drawn and reduced in blocks of whole slots, in block order."""
 
