@@ -215,7 +215,8 @@ def ratio_cdf(z, params: RatioDistParams):
     z_arr = _ratios(z, "ratio_cdf")
     k = params.k_factor
     rho = params.power_ratio
-    u = rho * z_arr + k + 1.0
+    with np.errstate(over="ignore"):  # rho z past the float range: u = inf, F = 1
+        u = rho * z_arr + k + 1.0
     # The exponent as -(K/u) rho z: K/u < 1, so K(K+1) is never formed.
     return _scalar_or_array(1.0 - (k + 1.0) / u * np.exp(-(k / u * rho) * z_arr))
 
@@ -229,7 +230,8 @@ def ratio_pdf(z, params: RatioDistParams):
     z_arr = _ratios(z, "ratio_pdf")
     k = params.k_factor
     rho = params.power_ratio
-    u = rho * z_arr + k + 1.0
+    with np.errstate(over="ignore"):  # rho z past the float range: u = inf, f = 0
+        u = rho * z_arr + k + 1.0
     r = (k + 1.0) / u
     out = rho * r * np.exp(-(k / u * rho) * z_arr) * (r * r + rho / u * z_arr / u)
     return _scalar_or_array(out)

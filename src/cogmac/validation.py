@@ -6,6 +6,12 @@ Each check is registered under a stable identifier with its name, and
 runs every check at its stated sample count and tolerance; ``fast`` trims
 the Monte-Carlo trial counts (with correspondingly widened capacity
 tolerances) so the whole suite stays interactive.  Seeds are pinned so results are deterministic.
+
+Threading: a check is the unit of parallel work.  :func:`run_all` runs
+the checks concurrently on every usable core, and a check's capacity
+points run on that check's own thread.  Every check seeds its own
+generators and shares no mutable state with another, so each result is
+the same on one core as on many.
 """
 
 from __future__ import annotations
@@ -13,6 +19,8 @@ from __future__ import annotations
 import io
 import math
 import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,10 +78,10 @@ def _usable_cores() -> int:
 
 
 def _capacity(n_users, k_factor, mode, m_patterns, level) -> float:
-    """Mean brute-force capacity (nats) at the level's trial count, on every
-    usable core; the result does not depend on the thread count.  Brute
-    force keeps the closed-form ratio quantile out of the runs that the
-    capacity checks compare with closed forms."""
+    """Mean brute-force capacity (nats) at the level's trial count, on the
+    calling check's thread (:func:`run_all` spreads the checks over the
+    cores).  Brute force keeps the closed-form ratio quantile out of the
+    runs that the capacity checks compare with closed forms."""
     cfg = NetworkConfig(
         n_users=n_users,
         m_patterns=m_patterns,
@@ -82,7 +90,7 @@ def _capacity(n_users, k_factor, mode, m_patterns, level) -> float:
         trials=_trials(level),
         seed=_SEED,
     )
-    return run_experiment(cfg, threads=_usable_cores(), method="brute").mean_nats
+    return run_experiment(cfg, threads=1, method="brute").mean_nats
 
 
 def _log_n_slope(n_grid, values) -> float:
@@ -135,7 +143,9 @@ def check_frechet_normalization(level: str, ks) -> tuple[bool, str]:
         for start in range(0, n_maxima, block):
             rows = min(block, n_maxima - start)
             g_s, g_sp = _gains(rng, rows * n_users, k)
-            maxima[start : start + rows] = (g_s / g_sp).reshape(rows, n_users).max(axis=1)
+            z = np.divide(g_s, g_sp, out=g_s)
+            maxima[start : start + rows] = z.reshape(rows, n_users).max(axis=1)
+            del g_s, g_sp, z  # free this block before drawing the next
         report = max_normalization_check(maxima, a_n)
         details.append(f"K={k}: " + ks(f"K={k},N={n_users}", report))
     return True, "KS at 1%: " + "; ".join(details)
@@ -242,10 +252,12 @@ def check_rab_distribution_facts(level: str, ks) -> tuple[bool, str]:
     )
 
     # (c) the cosine sum follows the arcsine law with variance 1/2.
-    y = np.cos(rng.uniform(0.0, 2.0 * math.pi, size=10**6))
-    var = float(y.var())
+    y = rng.uniform(0.0, 2.0 * math.pi, size=10**6)
+    np.cos(y, out=y)
     report_c = ks_test(EmpiricalDist.from_samples(y[:10_000]), arcsine_cdf)
     ks("cos-sum vs arcsine", report_c)
+    y -= y.mean()  # y.var(), in y's own buffer
+    var = float(np.square(y, out=y).mean())
     var_ok = abs(var - 0.5) <= 0.005
     parts.append(f"(c) arcsine KS D={report_c.statistic:.4f}, var={var:.4f} (0.5 +- 0.005)")
     return ordering and var_ok, "; ".join(parts)
@@ -356,6 +368,21 @@ _CHECKS = {
 
 CHECK_IDS = tuple(_CHECKS)
 
+# The checks run_all starts before the others, in this order: the slow
+# ones longest first (at both levels, on a 2-core Xeon), so the longest
+# does not run alone on one core at the end.  The two largest draws,
+# frechet_normalization (about 16 MB) and rab_distribution_facts (about
+# 11 MB), are short and go second and third, one after the other on the
+# thread that runs them, not side by side with each other.
+_START_ORDER = (
+    "rab_restores_log_growth",
+    "frechet_normalization",
+    "rab_distribution_facts",
+    "rab_effective_users",
+    "large_k_growth",
+    "effective_users_moderate",
+)
+
 
 def run_check(check_id: str, level: str = "full") -> CheckResult:
     """Run one check; it passes iff its own verdict and every KS row it
@@ -376,11 +403,41 @@ def run_check(check_id: str, level: str = "full") -> CheckResult:
 
 
 def run_all(level: str = "full", report=None) -> list[CheckResult]:
-    """Run every check; ``report`` is called with each result as it lands."""
+    """Run every check, concurrently on every usable core, starting those
+    of ``_START_ORDER`` first; return the results in ``CHECK_IDS`` order.
+
+    ``report`` is called with each result in ``CHECK_IDS`` order, as soon
+    as it and every earlier check have finished, so its calls are the same
+    for any core count.  If a check raises, every check that has not
+    started yet is skipped and the exception propagates.
+    """
+    stop = threading.Event()
+
+    def run(check_id: str) -> CheckResult | None:
+        if stop.is_set():
+            return None
+        try:
+            return run_check(check_id, level)
+        except BaseException:
+            stop.set()
+            raise
+
+    rank = {check_id: i for i, check_id in enumerate(_START_ORDER)}
+    start_order = sorted(CHECK_IDS, key=lambda check_id: rank.get(check_id, len(rank)))
     results = []
-    for check_id in CHECK_IDS:
-        result = run_check(check_id, level)
-        results.append(result)
-        if report is not None:
-            report(result)
+    with ThreadPoolExecutor(max_workers=_usable_cores()) as pool:
+        futures = {check_id: pool.submit(run, check_id) for check_id in start_order}
+        try:
+            for check_id in CHECK_IDS:
+                result = futures[check_id].result()
+                if result is None:  # skipped after another check raised
+                    break
+                results.append(result)
+                if report is not None:
+                    report(result)
+        finally:
+            stop.set()
+    if len(results) < len(CHECK_IDS):  # raise the error that stopped the pool
+        errors = (future.exception() for future in futures.values())
+        raise next(error for error in errors if error is not None)
     return results

@@ -224,6 +224,15 @@ class TestRatioDistribution:
         np.testing.assert_allclose(ratio_cdf(zs, p), -np.expm1(-rho * zs), rtol=0, atol=1e-12)
         np.testing.assert_allclose(ratio_pdf(zs, p), rho * np.exp(-rho * zs), rtol=1e-12)
 
+    @pytest.mark.parametrize("z", [1e307, 1e308])
+    def test_ratio_past_the_float_range(self, z):
+        # rho z overflows at z = 1e308; the values are still exactly 1 and 0.
+        p = RatioDistParams(2.0, 10.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert ratio_cdf(z, p) == 1.0
+            assert ratio_pdf(z, p) == 0.0
+
     def test_hazard_ratio_limit(self):
         # z f(z) / (1 - F(z)) -> 1 for every K and rho (unit tail index,
         # consistent with the exp(-1/x) Frechet limit used downstream).

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import tempfile
+import time
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -341,12 +342,98 @@ class TestValidateMachinery:
         methods = []
 
         def fake(config, threads=1, method="auto"):
-            methods.append(method)
+            methods.append((threads, method))
             return CapacityEstimate(config, 1.0 + math.log(config.n_users), 0.0, 0.0, 0.0)
 
         monkeypatch.setattr(validation, "run_experiment", fake)
         validation.run_check(check_id, "fast")
-        assert methods == ["brute"] * calls
+        # One thread per run: run_all spreads the checks over the cores.
+        assert methods == [(1, "brute")] * calls
+
+
+class TestRunAll:
+    """run_all runs the checks concurrently and reports them in order."""
+
+    @staticmethod
+    def use_checks(monkeypatch, checks, cores, start_order=()):
+        monkeypatch.setattr(validation, "_CHECKS", checks)
+        monkeypatch.setattr(validation, "CHECK_IDS", tuple(checks))
+        monkeypatch.setattr(validation, "_START_ORDER", start_order)
+        monkeypatch.setattr(validation, "_usable_cores", lambda: cores)
+
+    @staticmethod
+    def recording(started, check_id, verdict=True):
+        def run(level, ks):
+            started.append(check_id)
+            if verdict is None:
+                raise RuntimeError(f"{check_id} blew up")
+            return verdict, check_id
+        return run
+
+    def test_reports_in_check_order_whatever_finishes_first(self, monkeypatch):
+        finished = []
+
+        def finishing(check_id, check):
+            def run(level, ks):
+                out = check(level, ks)
+                finished.append(check_id)
+                return out
+            return run
+
+        def slow(level, ks):
+            time.sleep(1.0)
+            return True, "slept"
+
+        cheap = ("quantile_identity", "ratio_distribution_fit", "rab_m2_closed_form",
+                 "espar_identities", "special_functions")
+        checks = {"slow": ("sleeps first", slow), **{c: validation._CHECKS[c] for c in cheap}}
+        checks = {c: (name, finishing(c, check)) for c, (name, check) in checks.items()}
+        self.use_checks(monkeypatch, checks, cores=len(checks))
+        reported = []
+        results = validation.run_all("fast", report=reported.append)
+        assert finished[-1] == "slow" and sorted(finished) == sorted(checks)
+        assert [r.check_id for r in reported] == list(checks)
+        assert results == reported
+        assert results == [validation.run_check(c, "fast") for c in checks]
+
+    def test_a_raising_check_propagates_and_skips_queued_checks(self, monkeypatch):
+        started = []
+
+        def boom(level, ks):
+            started.append("boom")
+            raise RuntimeError("check blew up")
+
+        def later(level, ks):
+            started.append("later")
+            return True, ""
+
+        self.use_checks(monkeypatch, {"boom": ("raises", boom), "later": ("queued", later)},
+                        cores=1)
+        reported = []
+        with pytest.raises(RuntimeError, match="check blew up"):
+            validation.run_all("fast", report=reported.append)
+        assert started == ["boom"] and reported == []
+
+    def test_start_order_checks_start_first_and_report_in_check_order(self, monkeypatch):
+        started = []
+        checks = {c: (c, self.recording(started, c)) for c in ("a", "b", "c", "d")}
+        self.use_checks(monkeypatch, checks, cores=1, start_order=("d", "b"))
+        reported = []
+        validation.run_all("fast", report=reported.append)
+        assert started == ["d", "b", "a", "c"]
+        assert [r.check_id for r in reported] == ["a", "b", "c", "d"]
+
+    def test_a_raising_check_started_early_propagates_its_own_error(self, monkeypatch):
+        # "late" starts first and raises; "early", listed first, is skipped,
+        # and run_all raises late's error, not a skip marker.
+        started = []
+        checks = {"early": ("listed first", self.recording(started, "early")),
+                  "late": ("raises", self.recording(started, "late", verdict=None))}
+        self.use_checks(monkeypatch, checks, cores=1, start_order=("late",))
+        reported = []
+        with pytest.raises(RuntimeError, match="late blew up"):
+            validation.run_all("fast", report=reported.append)
+        assert started == ["late"] and reported == []
 
 
 class TestLogNSlope:
