@@ -1,6 +1,7 @@
 """CLI tests: config parsing, presets, CSV determinism, subcommand wiring."""
 
 import csv
+import ctypes
 import io
 import json
 import math
@@ -434,6 +435,37 @@ class TestRunAll:
         with pytest.raises(RuntimeError, match="late blew up"):
             validation.run_all("fast", report=reported.append)
         assert started == ["late"] and reported == []
+
+
+class TestMallocThresholds:
+    """validate fixes glibc's malloc thresholds before its checks start."""
+
+    def test_validate_pins_both_thresholds_before_the_checks(self, monkeypatch, capsys):
+        calls = []
+
+        class Libc:
+            def mallopt(self, param, value):
+                calls.append((param, value))
+                return 1
+
+        monkeypatch.setattr(cli.os, "confstr", lambda name: "glibc 2.36")
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: Libc())
+        monkeypatch.setattr(validation, "run_all",
+                            lambda level, report=None: calls.append("run_all") or [])
+        assert main(["validate"]) == 0
+        # M_MMAP_THRESHOLD = 32 MiB, then M_TRIM_THRESHOLD = 64 MiB.
+        assert calls == [(-3, 32 << 20), (-1, 64 << 20), "run_all"]
+
+    @pytest.mark.parametrize("confstr", ["raises", None])
+    def test_other_c_libraries_are_left_alone(self, monkeypatch, confstr):
+        def fake(name):
+            if confstr == "raises":
+                raise ValueError("unrecognized configuration name")
+            return confstr
+
+        monkeypatch.setattr(cli.os, "confstr", fake)
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: pytest.fail("CDLL loaded"))
+        cli._pin_malloc_thresholds()
 
 
 class TestLogNSlope:
