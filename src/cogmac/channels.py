@@ -14,7 +14,11 @@ fresh uniform phases every slot):
   and circular, so the frozen LoS phases and the absolute weight phase drop
   out: only the artificial-LoS magnitude
   a |1 + sum_{i=2..M} e^{j theta_i}| / sqrt(M), a = sqrt(K gamma_sp / (K+1)),
-  survives, with M-1 uniform relative phases.
+  survives, with M-1 uniform relative phases.  It is formed in real
+  arithmetic from the half-angle tangents t = tan(theta/2): 2/sqrt(1+t^2)
+  for M = 2, else re = 1 + sum (1-t^2)/(1+t^2) and im = sum 2t/(1+t^2)
+  (Weierstrass identities, exact; numpy's float64 tan is vectorized where
+  its cos and sin are scalar).
 * At K = 0 that magnitude is zero and the weighted scattering is
   CN(0, gamma_sp), so gain_sp = gamma_sp * Exp(1) for every M, the same
   identity as gain_s: two exponentials per user, no phases, no normals.
@@ -60,17 +64,24 @@ def draw_gains(
     los = math.sqrt(k * config.mean_interference_power / (k + 1.0))
     if m > 1:
         theta = rng.uniform(0.0, 2.0 * math.pi, size=(size, n, m - 1))
-        if m == 2:  # |1 + e^{j theta}| = 2 |cos(theta / 2)|
-            theta *= 0.5
-            mag = np.abs(np.cos(theta, out=theta), out=theta)[..., 0]
-            mag *= 2.0
-        else:
-            re = np.cos(theta[..., 0])
-            re += 1.0
-            im = np.sin(theta[..., 0])
-            for i in range(1, m - 1):
-                re += np.cos(theta[..., i])
-                im += np.sin(theta[..., i])
+        theta *= 0.5
+        t = np.tan(theta, out=theta)  # half-angle tangents, t = tan(theta / 2)
+        if m == 2:  # |1 + e^{j theta}| = 2 |cos(theta / 2)| = 2 / sqrt(1 + t^2)
+            mag = np.square(t, out=t)[..., 0]
+            mag += 1.0
+            np.divide(2.0, np.sqrt(mag, out=mag), out=mag)
+        else:  # cos theta = 2 w - 1 and sin theta = 2 t w, w = 1 / (1 + t^2)
+            re, im, w = np.zeros((size, n)), np.zeros((size, n)), np.empty((size, n))
+            for i in range(m - 1):
+                np.square(t[..., i], out=w)
+                w += 1.0
+                np.divide(1.0, w, out=w)
+                re += w
+                w *= t[..., i]
+                im += w
+            re *= 2.0  # 1 + sum cos theta_i
+            re += 2.0 - m
+            im *= 2.0  # sum sin theta_i
             np.square(re, out=re)
             re += np.square(im, out=im)
             mag = np.sqrt(re, out=re)

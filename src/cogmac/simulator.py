@@ -26,13 +26,20 @@ certified for at their M, take brute force.  So do points with M >= 3 and
 N*M < 48 user-pattern draws per slot, where brute force is the cheaper of
 the two.
 
+Nested growth draws: :func:`run_nested_n` estimates a whole increasing N
+grid by brute force from one draw of its largest N per slot, reading each
+N from the best of the slot's first N users (prefix maxima, one row per
+N).  :func:`run_experiment` is its one-N case: same layout, same streams,
+same sums, so the largest N of a nested run equals a brute-force run of
+that N exactly.
+
 Layout: trials are processed in chunks of at most 2^21 elements, chunk c
 drawing from its own SFC64 stream, seeded by
 ``SeedSequence(seed, spawn_key=(c,))``, and each chunk in blocks of at most
 2^15 elements (at least one slot either way).  An element is one
 user-pattern draw under brute force, one slot under the sampler.  A
-chunk's sums form one 4-vector, added block by block and then chunk by
-chunk, in index order.  Sizes depend on the config only, so results are
+chunk's sums form one 4-vector per N, added block by block and then chunk
+by chunk, in index order.  Sizes depend on the config only, so results are
 bit-identical for any worker count.  Threading: the chunks of one
 experiment are the only parallel work; a sweep runs its points one after
 another.
@@ -57,6 +64,7 @@ __all__ = [
     "NetworkConfig",
     "CapacityEstimate",
     "run_experiment",
+    "run_nested_n",
     "sweep",
     "write_sweep_csv",
     "format_number",
@@ -189,14 +197,17 @@ def _inv_denom(config: NetworkConfig, size: int, rng) -> np.ndarray:
     return np.ones(size)
 
 
-def _brute_block(config: NetworkConfig, size: int, rng) -> np.ndarray:
-    """Best numerator of `size` slots, every user drawn by :func:`draw_gains`."""
+def _brute_block(config: NetworkConfig, size: int, rng, n_grid) -> np.ndarray:
+    """Best numerators of `size` slots, every user drawn by :func:`draw_gains`:
+    row i is the best of the first ``n_grid[i]`` users of each slot."""
     gain_s, power = draw_gains(config, rng, size)
     np.divide(config.peak_interference, power, out=power)
     if config.max_power_cap is not None:
         np.minimum(power, config.max_power_cap, out=power)
     gain_s *= power
-    return gain_s.max(axis=1)
+    best = np.maximum.reduceat(gain_s, (0, *n_grid[:-1]), axis=1)
+    np.maximum.accumulate(best, axis=1, out=best)
+    return np.ascontiguousarray(best.T)
 
 
 def _max_ratio(config: NetworkConfig, u: np.ndarray) -> np.ndarray:
@@ -213,29 +224,72 @@ def _max_ratio(config: NetworkConfig, u: np.ndarray) -> np.ndarray:
     return rab_ppf(-np.expm1(log_root), RatioDistParams(config.k_factor, rho), config.m_patterns)
 
 
-def _quantile_block(config: NetworkConfig, size: int, rng) -> np.ndarray:
-    """Best numerator of `size` slots from the scheduled maximum alone, one
-    uniform per slot; exact without a power cap."""
-    return config.peak_interference * _max_ratio(config, rng.random(size))
+def _quantile_block(config: NetworkConfig, size: int, rng, n_grid) -> np.ndarray:
+    """Best numerators of `size` slots from the scheduled maximum alone, one
+    uniform per slot; exact without a power cap.  One row: the maximum of
+    all N users, the only ``n_grid`` that reaches this sampler."""
+    return config.peak_interference * _max_ratio(config, rng.random(size))[np.newaxis]
 
 
-def _chunk_sums(config: NetworkConfig, size: int, rng, method: str) -> np.ndarray:
-    """Simulate `size` independent slots; return the chunk's reduction sums
-    (sum C, sum C^2, sum best numerator, sum 1/denominator).
+def _chunk_sums(config: NetworkConfig, size: int, rng, method: str, n_grid) -> np.ndarray:
+    """Simulate `size` independent slots; return the chunk's reduction sums,
+    one column per prefix of ``n_grid``: (sum C, sum C^2, sum best numerator,
+    sum 1/denominator).
 
     The slots are drawn from ``rng`` in blocks, and the blocks' sums are
     added in block order.  Fixed draw order per block: the best numerators
     from the sampler :func:`_layout` picks for ``method``, then the
-    primary-to-secondary powers (if enabled).
+    primary-to-secondary powers (if enabled).  Each column is summed along
+    its own contiguous row, so every column's sums are those a one-prefix
+    run at that N would form from the same best numerators.
     """
     block, _, rows = _layout(config, method)
-    sums = np.zeros(4)
+    sums = np.zeros((4, len(n_grid)))
     for start in range(0, size, rows):
-        best_num = block(config, min(rows, size - start), rng)
-        inv_denom = _inv_denom(config, best_num.size, rng)
+        best_num = block(config, min(rows, size - start), rng, n_grid)
+        inv_denom = _inv_denom(config, best_num.shape[1], rng)
         caps = np.log1p(best_num * inv_denom)
-        sums += [np.sum(caps), np.sum(caps * caps), np.sum(best_num), np.sum(inv_denom)]
+        sums[:3] += (np.sum(caps, axis=1), np.sum(caps * caps, axis=1), np.sum(best_num, axis=1))
+        sums[3] += np.sum(inv_denom)
     return sums
+
+
+def _estimates(
+    config: NetworkConfig, n_grid: tuple, threads: int, method: str
+) -> list[CapacityEstimate]:
+    """One estimate per prefix size of ``n_grid``, from one run of
+    ``config``'s chunks: the engine behind :func:`run_experiment` and
+    :func:`run_nested_n`."""
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+    start = time.perf_counter()
+    chunk = _layout(config, method)[1]
+    n_chunks = (config.trials + chunk - 1) // chunk
+
+    def work(c: int) -> np.ndarray:
+        size = min(chunk, config.trials - c * chunk)
+        return _chunk_sums(config, size, _chunk_rng(config, c), method, n_grid)
+
+    if threads == 1 or n_chunks == 1:
+        results = [work(c) for c in range(n_chunks)]
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            results = list(pool.map(work, range(n_chunks)))
+    wall_s = time.perf_counter() - start
+
+    # Chunk order keeps the sums bit-stable.
+    totals = sum(results, np.zeros((4, len(n_grid))))
+    t = config.trials
+    estimates = []
+    for n, (cap_sum, capsq_sum, num_sum, inv_sum) in zip(n_grid, totals.T.tolist()):
+        mean = cap_sum / t
+        var = max(0.0, (capsq_sum - t * mean * mean) / (t - 1))
+        stderr = math.sqrt(var / t)
+        jensen = math.log1p((inv_sum / t) * (num_sum / t))
+        estimates.append(
+            CapacityEstimate(replace(config, n_users=n), mean, stderr, jensen, wall_s)
+        )
+    return estimates
 
 
 def run_experiment(
@@ -253,31 +307,30 @@ def run_experiment(
     any ``threads``.  The estimate carries ``config`` and the call's wall
     seconds, chunk threads included.
     """
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
-    start = time.perf_counter()
-    chunk = _layout(config, method)[1]
-    n_chunks = (config.trials + chunk - 1) // chunk
+    return _estimates(config, (config.n_users,), threads, method)[0]
 
-    def work(c: int) -> np.ndarray:
-        size = min(chunk, config.trials - c * chunk)
-        return _chunk_sums(config, size, _chunk_rng(config, c), method)
 
-    if threads == 1 or n_chunks == 1:
-        results = [work(c) for c in range(n_chunks)]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, range(n_chunks)))
-    wall_s = time.perf_counter() - start
+def run_nested_n(
+    config: NetworkConfig, n_grid, threads: int = 1
+) -> list[CapacityEstimate]:
+    """Brute-force estimates at every N of ``n_grid``, which increases
+    strictly up to ``config.n_users``, from one draw of N users per slot.
 
-    # Chunk order keeps the sums bit-stable.
-    cap_sum, capsq_sum, num_sum, inv_sum = sum(results, np.zeros(4)).tolist()
-    t = config.trials
-    mean = cap_sum / t
-    var = max(0.0, (capsq_sum - t * mean * mean) / (t - 1))
-    stderr = math.sqrt(var / t)
-    jensen = math.log1p((inv_sum / t) * (num_sum / t))
-    return CapacityEstimate(config, mean, stderr, jensen, wall_s)
+    Each slot's best numerator at N = n is the best of its first n users,
+    so the points share their draws and are not independent of each other.
+    The draw has ``config``'s chunk and block layout under brute force, so
+    the estimate at n = ``config.n_users`` equals
+    ``run_experiment(config, method="brute")``.  The result is the same for
+    any ``threads``; every estimate carries its own N's config and the
+    call's wall seconds.
+    """
+    n_grid = tuple(replace(config, n_users=n).n_users for n in n_grid)
+    increasing = all(a < b for a, b in zip(n_grid, n_grid[1:]))
+    if not (n_grid and increasing and n_grid[-1] == config.n_users):
+        raise ValueError(
+            f"n_grid must increase strictly to n_users = {config.n_users}, got {n_grid}"
+        )
+    return _estimates(config, n_grid, threads, "brute")
 
 
 def sweep(

@@ -39,7 +39,7 @@ from .analytic import (
 )
 from .channels import draw_gains
 from .rab import arcsine_cdf
-from .simulator import NetworkConfig, run_experiment, sweep, write_sweep_csv
+from .simulator import NetworkConfig, run_experiment, run_nested_n, sweep, write_sweep_csv
 from .stats import EmpiricalDist, KsReport, ks_test, max_normalization_check
 
 __all__ = ["CheckResult", "CHECK_IDS", "run_check", "run_all"]
@@ -77,12 +77,9 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-def _capacity(n_users, k_factor, mode, m_patterns, level) -> float:
-    """Mean brute-force capacity (nats) at the level's trial count, on the
-    calling check's thread (:func:`run_all` spreads the checks over the
-    cores).  Brute force keeps the closed-form ratio quantile out of the
-    runs that the capacity checks compare with closed forms."""
-    cfg = NetworkConfig(
+def _point(n_users, k_factor, mode, m_patterns, level) -> NetworkConfig:
+    """A capacity check's point, at the level's trial count and ``_SEED``."""
+    return NetworkConfig(
         n_users=n_users,
         m_patterns=m_patterns,
         k_factor=k_factor,
@@ -90,7 +87,28 @@ def _capacity(n_users, k_factor, mode, m_patterns, level) -> float:
         trials=_trials(level),
         seed=_SEED,
     )
+
+
+def _capacity(n_users, k_factor, mode, m_patterns, level) -> float:
+    """Mean brute-force capacity (nats) at the level's trial count, on the
+    calling check's thread (:func:`run_all` spreads the checks over the
+    cores).  Brute force keeps the closed-form ratio quantile out of the
+    runs that the capacity checks compare with closed forms.  The growth
+    checks take their N grid from one nested draw instead
+    (:func:`_growth_capacities`)."""
+    cfg = _point(n_users, k_factor, mode, m_patterns, level)
     return run_experiment(cfg, threads=1, method="brute").mean_nats
+
+
+def _growth_capacities(k_factor, mode, m_patterns, level) -> np.ndarray:
+    """Mean brute-force capacities (nats) over ``N_GROWTH_GRID``, from one
+    :func:`run_nested_n` draw on the calling check's thread: each slot
+    draws the grid's largest N users once, and the capacity at N reads the
+    best of its first N, so a slot costs 512 users, not the grid's 1008.
+    The six points share their users; nesting them left the spread of
+    criterion 7's statistic unchanged."""
+    cfg = _point(N_GROWTH_GRID[-1], k_factor, mode, m_patterns, level)
+    return np.array([e.mean_nats for e in run_nested_n(cfg, N_GROWTH_GRID, threads=1)])
 
 
 def _log_n_slope(n_grid, values) -> float:
@@ -171,7 +189,7 @@ def check_effective_users_moderate(level: str, ks) -> tuple[bool, str]:
 def check_large_k_growth(level: str, ks) -> tuple[bool, str]:
     """Strong-LoS baseline grows loglog-like: normalizing by loglogN flattens
     the curve at least 5x compared with the unnormalized slope."""
-    caps = np.array([_capacity(n, 10.0, "baseline", 1, level) for n in N_GROWTH_GRID])
+    caps = _growth_capacities(10.0, "baseline", 1, level)
     flat = abs(_log_n_slope(N_GROWTH_GRID, caps / np.log(np.log(N_GROWTH_GRID))))
     raw = abs(_log_n_slope(N_GROWTH_GRID, caps))
     return 5.0 * flat <= raw, (
@@ -212,7 +230,7 @@ def check_rab_restores_log_growth(level: str, ks) -> tuple[bool, str]:
     the same data normalized by loglogN demonstrates the restoration and
     is reported alongside for diagnosis.
     """
-    caps = np.array([_capacity(n, 10.0, "rab", 2, level) for n in N_GROWTH_GRID])
+    caps = _growth_capacities(10.0, "rab", 2, level)
     log_n = np.log(N_GROWTH_GRID)
     ll = np.log(log_n)
     data_slope = abs(_log_n_slope(N_GROWTH_GRID, caps / log_n))
@@ -368,19 +386,22 @@ _CHECKS = {
 
 CHECK_IDS = tuple(_CHECKS)
 
-# The checks run_all starts before the others, in this order: the slow
-# ones longest first (at both levels, on a 2-core Xeon), so the longest
-# does not run alone on one core at the end.  The two largest draws,
-# frechet_normalization (about 16 MB) and rab_distribution_facts (about
-# 11 MB), are short and go second and third, one after the other on the
-# thread that runs them, not side by side with each other.
+# The checks run_all starts before the others, in this order (per-check
+# seconds alone on a 2-core Xeon, fast / full level).  The longest,
+# rab_effective_users (0.8 / 4.7), goes first.  The two largest draws,
+# frechet_normalization (about 16 MB, 0.2 s) and rab_distribution_facts
+# (about 11 MB, 0.4 s), are short and go second and third, one after the
+# other on the other thread, not side by side with each other.  That
+# thread then takes effective_users_moderate (0.5 / 2.6) while the first
+# still runs, and rab_restores_log_growth (0.6 / 3.3) and large_k_growth
+# (0.5 / 2.4) follow, so neither core idles long at the end.
 _START_ORDER = (
-    "rab_restores_log_growth",
+    "rab_effective_users",
     "frechet_normalization",
     "rab_distribution_facts",
-    "rab_effective_users",
-    "large_k_growth",
     "effective_users_moderate",
+    "rab_restores_log_growth",
+    "large_k_growth",
 )
 
 

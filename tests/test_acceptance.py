@@ -11,7 +11,7 @@ call, which runs the twelve checks concurrently on every usable core;
 each test then asserts its own criterion (if a check raises, each test
 reruns its own check, so only that criterion's test errors).  Runtime is
 dominated by the four 100k-trial capacity checks: the file takes about
-6.5 s on a 2-core Xeon.
+9 s on a 2-core Xeon (a shared host whose speed drifts by up to 2x).
 """
 
 import pytest

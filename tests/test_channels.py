@@ -91,7 +91,7 @@ def test_k_zero_brute_force_maxima_against_full_model(m):
     # maximum over N = 64 users must still follow the full model's.
     cfg = NetworkConfig(n_users=64, m_patterns=m, k_factor=0.0, mean_secondary_power=2.5,
                         mean_interference_power=0.4, mode="baseline" if m == 1 else "rab")
-    kernel = simulator._brute_block(cfg, 4000, np.random.default_rng(500 + m))
+    kernel = simulator._brute_block(cfg, 4000, np.random.default_rng(500 + m), (64,))[0]
     rng = np.random.default_rng(600 + m)
     oracle = []
     for _ in range(4):  # 1000 slots at a time keeps the N x M arrays small
@@ -194,19 +194,21 @@ class TestDrawSlot:
             assert ks_2samp(kernel, oracle).pvalue >= 0.01
 
 
-@pytest.mark.parametrize("m", [2, 3, 4, 16])
-def test_rab_magnitude_matches_complex_combination(m):
+@pytest.mark.parametrize("m,k", [(m, 5.0) for m in (2, 3, 4, 8, 16)]
+                         + [(m, 1e6) for m in (2, 4, 8)])
+def test_rab_magnitude_matches_complex_combination(m, k):
     # Replays draw_gains' stream: the real-valued |1 + sum e^{j theta}| must
-    # equal the complex formula at the same phases.
-    cfg = NetworkConfig(n_users=3, m_patterns=m, k_factor=5.0)
+    # equal the complex formula at the same phases.  K = 1e6 with M in
+    # {2, 4, 8} are the strong-LoS cases of the null-frequency check.
+    cfg = NetworkConfig(n_users=3, m_patterns=m, k_factor=k)
     size = 400
     _, gain_sp = draw_gains(cfg, np.random.default_rng(9), size)
     rng = np.random.default_rng(9)
     rng.standard_exponential((size, 3))
     theta = rng.uniform(0.0, 2.0 * math.pi, size=(size, 3, m - 1))
     parts = rng.standard_normal((size, 3, 2))
-    a = math.sqrt(5.0 / 6.0)
-    scale = math.sqrt(1.0 / 12.0)
+    a = math.sqrt(k / (k + 1.0))
+    scale = math.sqrt(1.0 / (2.0 * (k + 1.0)))
     x = a / math.sqrt(m) * np.abs(1.0 + np.exp(1j * theta).sum(axis=2)) + scale * parts[..., 0]
     y = scale * parts[..., 1]
     np.testing.assert_allclose(gain_sp, x * x + y * y, rtol=1e-12, atol=1e-12)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from cogmac import analytic, cli, espar, validation
+from cogmac import analytic, cli, espar, simulator, validation
 from cogmac.cli import (
     PRESET_NAMES,
     ConfigError,
@@ -331,25 +331,45 @@ class TestValidateMachinery:
         assert [row[0] for row in result.ks_rows] == ["K=0.5", "K=2.0", "K=10.0"]
         assert not any(passed for *_, passed in result.ks_rows)
 
-    @pytest.mark.parametrize("check_id, calls", [
+    @pytest.mark.parametrize("check_id, points", [
         ("effective_users_moderate", 2),
         ("large_k_growth", 6),
         ("rab_effective_users", 4),
         ("rab_restores_log_growth", 6),
     ])
-    def test_capacity_checks_use_brute_force(self, monkeypatch, check_id, calls):
+    def test_capacity_checks_use_brute_force(self, monkeypatch, check_id, points):
         # No capacity check may compare a closed form with itself: each of
-        # its runs draws every user, through validation's own binding.
-        methods = []
+        # its points draws every user.  Every capacity estimate, whichever
+        # entry a check calls, comes from the simulator's engine.
+        runs = []
 
-        def fake(config, threads=1, method="auto"):
-            methods.append((threads, method))
-            return CapacityEstimate(config, 1.0 + math.log(config.n_users), 0.0, 0.0, 0.0)
+        def engine(config, n_grid, threads, method):
+            runs.append((threads, method, n_grid))
+            return [CapacityEstimate(replace(config, n_users=n), 1.0 + math.log(n), 0.0, 0.0, 0.0)
+                    for n in n_grid]
 
-        monkeypatch.setattr(validation, "run_experiment", fake)
+        monkeypatch.setattr(simulator, "_estimates", engine)
         validation.run_check(check_id, "fast")
         # One thread per run: run_all spreads the checks over the cores.
-        assert methods == [(1, "brute")] * calls
+        assert [run[:2] for run in runs] == [(1, "brute")] * len(runs)
+        assert sum(len(n_grid) for *_, n_grid in runs) == points
+        if check_id in ("large_k_growth", "rab_restores_log_growth"):
+            # The whole N grid from one nested draw.
+            assert [n_grid for *_, n_grid in runs] == [validation.N_GROWTH_GRID]
+
+    def test_growth_check_draws_the_largest_n_once_per_slot(self, monkeypatch):
+        # Fast level: 20000 slots of N = 512 users serve all six N of the grid.
+        drawn = []
+        real = simulator.draw_gains
+
+        def counted(config, rng, size):
+            drawn.append(config.n_users * size)
+            return real(config, rng, size)
+
+        monkeypatch.setattr(simulator, "draw_gains", counted)
+        result = validation.run_check("large_k_growth", "fast")
+        assert sum(drawn) == 20_000 * 512
+        assert result.passed
 
 
 class TestRunAll:

@@ -15,7 +15,7 @@ from scipy.stats import ks_2samp
 from cogmac import analytic, simulator
 from cogmac.analytic import RatioDistParams, rab_ppf, ratio_pdf
 from cogmac.channels import draw_gains
-from cogmac.simulator import NetworkConfig, run_experiment, sweep
+from cogmac.simulator import NetworkConfig, run_experiment, run_nested_n, sweep
 
 
 def small_cfg(**kw):
@@ -27,7 +27,8 @@ def small_cfg(**kw):
 def chunk_sums(cfg, size=500):
     """(sum C, sum C^2, sum best numerator, sum 1/denominator) of chunk 0,
     drawn by brute force."""
-    return simulator._chunk_sums(cfg, size, simulator._chunk_rng(cfg, 0), "brute")
+    rng = simulator._chunk_rng(cfg, 0)
+    return simulator._chunk_sums(cfg, size, rng, "brute", (cfg.n_users,))[:, 0]
 
 
 def chunk_gains(cfg, size=500):
@@ -315,6 +316,63 @@ class TestErgodicCapacity:
         assert capped.mean_nats < base.mean_nats
 
 
+class TestNestedN:
+    """run_nested_n: brute-force estimates at every N of a nested grid from
+    one draw of the largest N per slot."""
+
+    @pytest.mark.parametrize("kw", [
+        dict(n_users=64, k_factor=10.0, trials=3000),
+        dict(n_users=40, m_patterns=2, mode="rab", k_factor=10.0, trials=2000,
+             primary_power=2.0, mean_ps_power=0.5),
+        dict(n_users=24, m_patterns=3, mode="rab", k_factor=2.0, trials=700,
+             max_power_cap=1.5),
+        dict(n_users=8, m_patterns=2, mode="rab", k_factor=0.0, trials=500),
+    ])
+    def test_top_n_is_run_experiment_brute(self, kw):
+        # Same layout, same streams, each column summed on its own: the
+        # largest N reproduces a one-prefix brute-force run exactly.
+        cfg = small_cfg(**kw)
+        n = cfg.n_users
+        grid = (1, n // 4, n // 2, n)
+        estimates = run_nested_n(cfg, grid)
+        assert estimates[-1] == run_experiment(cfg, method="brute")
+        assert [e.config for e in estimates] == [replace(cfg, n_users=m) for m in grid]
+
+    def test_top_n_is_run_experiment_brute_across_chunks(self, monkeypatch):
+        monkeypatch.setattr(simulator, "_CHUNK_ELEMENTS", 1 << 12)
+        cfg = small_cfg(n_users=64, m_patterns=2, mode="rab", k_factor=10.0, trials=300)
+        assert simulator._chunk_size(cfg) * 3 < cfg.trials
+        assert run_nested_n(cfg, (8, 64), threads=2)[-1] == run_experiment(cfg, method="brute")
+
+    def test_thread_invariance_across_chunks(self, monkeypatch):
+        # 128 slots per chunk, so 1000 trials span eight of them.
+        monkeypatch.setattr(simulator, "_CHUNK_ELEMENTS", 1 << 14)
+        cfg = small_cfg(n_users=64, m_patterns=2, mode="rab", k_factor=10.0, trials=1000,
+                        primary_power=1.0)
+        assert simulator._chunk_size(cfg) == 128
+        runs = [run_nested_n(cfg, (4, 16, 64), threads=t) for t in (1, 2, 4)]
+        assert runs[0] == runs[1] == runs[2]
+        assert len(runs[0]) == 3
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_each_prefix_matches_its_own_run(self, m):
+        # Against independent brute-force runs (another seed) at each N:
+        # z = 4 per comparison, eight comparisons.
+        grid = (2, 8, 32, 128)
+        cfg = NetworkConfig(n_users=128, m_patterns=m, mode="baseline" if m == 1 else "rab",
+                            k_factor=10.0, trials=4000, seed=11)
+        for nested in run_nested_n(cfg, grid):
+            alone = run_experiment(replace(nested.config, seed=12), method="brute")
+            spread = math.hypot(nested.stderr_nats, alone.stderr_nats)
+            assert abs(nested.mean_nats - alone.mean_nats) <= 4.0 * spread, nested.config
+
+    @pytest.mark.parametrize("grid", [(), (8, 4, 16), (4, 4, 16), (4, 8), (4, 32), (0, 16),
+                                      (4.0, 16)])
+    def test_bad_grid_rejected(self, grid):
+        with pytest.raises(ValueError):
+            run_nested_n(small_cfg(n_users=16), grid)
+
+
 class TestSweep:
     def test_singleton_matches_direct(self):
         cfg = small_cfg(trials=2000, n_users=4)
@@ -405,9 +463,9 @@ class TestSweep:
         sleeps = {2: 0.25, 3: 0.05, 4: 0.05, 5: 0.1}
         real = simulator._chunk_sums
 
-        def slow(cfg, size, rng, method):
+        def slow(cfg, size, rng, method, n_grid):
             time.sleep(sleeps[cfg.n_users])
-            return real(cfg, size, rng, method)
+            return real(cfg, size, rng, method, n_grid)
 
         monkeypatch.setattr(simulator, "_chunk_sums", slow)
         seen = []
@@ -444,7 +502,7 @@ def slot_sinrs(block, cfg, size, seed):
     rows = max(1, simulator._BLOCK_ELEMENTS // cfg.n_users)
     out = []
     for start in range(0, size, rows):
-        best_num = block(cfg, min(rows, size - start), rng)
+        best_num = block(cfg, min(rows, size - start), rng, (cfg.n_users,))[0]
         out.append(best_num * simulator._inv_denom(cfg, best_num.size, rng))
     return np.concatenate(out)
 
@@ -558,7 +616,7 @@ class TestQuantileSampler:
         tracemalloc.start()
         try:
             simulator._chunk_sums(cfg, 2 * simulator._BLOCK_ELEMENTS,
-                                  simulator._chunk_rng(cfg, 0), "auto")
+                                  simulator._chunk_rng(cfg, 0), "auto", (cfg.n_users,))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -572,7 +630,7 @@ class TestQuantileSampler:
         tracemalloc.start()
         try:
             simulator._chunk_sums(cfg, 2 * simulator._BLOCK_ELEMENTS,
-                                  simulator._chunk_rng(cfg, 0), "auto")
+                                  simulator._chunk_rng(cfg, 0), "auto", (cfg.n_users,))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -596,9 +654,9 @@ class TestQuantileSampler:
         for name in ("_quantile_block", "_brute_block"):
             real = getattr(simulator, name)
 
-            def spy(cfg, size, rng, real=real, name=name):
+            def spy(cfg, size, rng, n_grid, real=real, name=name):
                 used.append(name)
-                return real(cfg, size, rng)
+                return real(cfg, size, rng, n_grid)
 
             monkeypatch.setattr(simulator, name, spy)
 
