@@ -310,9 +310,7 @@ def run_experiment(
     return _estimates(config, (config.n_users,), threads, method)[0]
 
 
-def run_nested_n(
-    config: NetworkConfig, n_grid, threads: int = 1
-) -> list[CapacityEstimate]:
+def run_nested_n(config: NetworkConfig, n_grid) -> list[CapacityEstimate]:
     """Brute-force estimates at every N of ``n_grid``, which increases
     strictly up to ``config.n_users``, from one draw of N users per slot.
 
@@ -320,9 +318,9 @@ def run_nested_n(
     so the points share their draws and are not independent of each other.
     The draw has ``config``'s chunk and block layout under brute force, so
     the estimate at n = ``config.n_users`` equals
-    ``run_experiment(config, method="brute")``.  The result is the same for
-    any ``threads``; every estimate carries its own N's config and the
-    call's wall seconds.
+    ``run_experiment(config, method="brute")``.  The chunks run one after
+    another on the calling thread; every estimate carries its own N's
+    config and the call's wall seconds.
     """
     n_grid = tuple(replace(config, n_users=n).n_users for n in n_grid)
     increasing = all(a < b for a, b in zip(n_grid, n_grid[1:]))
@@ -330,7 +328,7 @@ def run_nested_n(
         raise ValueError(
             f"n_grid must increase strictly to n_users = {config.n_users}, got {n_grid}"
         )
-    return _estimates(config, n_grid, threads, "brute")
+    return _estimates(config, n_grid, 1, "brute")
 
 
 def sweep(

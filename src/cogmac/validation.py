@@ -108,7 +108,7 @@ def _growth_capacities(k_factor, mode, m_patterns, level) -> np.ndarray:
     The six points share their users; nesting them left the spread of
     criterion 7's statistic unchanged."""
     cfg = _point(N_GROWTH_GRID[-1], k_factor, mode, m_patterns, level)
-    return np.array([e.mean_nats for e in run_nested_n(cfg, N_GROWTH_GRID, threads=1)])
+    return np.array([e.mean_nats for e in run_nested_n(cfg, N_GROWTH_GRID)])
 
 
 def _log_n_slope(n_grid, values) -> float:
@@ -386,22 +386,23 @@ _CHECKS = {
 
 CHECK_IDS = tuple(_CHECKS)
 
-# The checks run_all starts before the others, in this order (per-check
-# seconds alone on a 2-core Xeon, fast / full level).  The longest,
+# The pool tasks run_all submits before the others, in this order; a task
+# runs its checks one after another on one pool thread (per-check seconds
+# alone on a 2-core Xeon, fast / full level).  The longest,
 # rab_effective_users (0.8 / 4.7), goes first.  The two largest draws,
 # frechet_normalization (about 16 MB, 0.2 s) and rab_distribution_facts
-# (about 11 MB, 0.4 s), are short and go second and third, one after the
-# other on the other thread, not side by side with each other.  That
-# thread then takes effective_users_moderate (0.5 / 2.6) while the first
-# still runs, and rab_restores_log_growth (0.6 / 3.3) and large_k_growth
-# (0.5 / 2.4) follow, so neither core idles long at the end.
+# (about 11 MB, 0.4 s), share the second task: each pool thread keeps its
+# own malloc arena, so on one thread they reuse one high-water mark
+# whatever the timing.  The other capacity checks follow,
+# effective_users_moderate (0.5 / 2.6), rab_restores_log_growth
+# (0.6 / 3.3) and large_k_growth (0.5 / 2.5), so neither core idles long
+# at the end.
 _START_ORDER = (
-    "rab_effective_users",
-    "frechet_normalization",
-    "rab_distribution_facts",
-    "effective_users_moderate",
-    "rab_restores_log_growth",
-    "large_k_growth",
+    ("rab_effective_users",),
+    ("frechet_normalization", "rab_distribution_facts"),
+    ("effective_users_moderate",),
+    ("rab_restores_log_growth",),
+    ("large_k_growth",),
 )
 
 
@@ -424,41 +425,48 @@ def run_check(check_id: str, level: str = "full") -> CheckResult:
 
 
 def run_all(level: str = "full", report=None) -> list[CheckResult]:
-    """Run every check, concurrently on every usable core, starting those
-    of ``_START_ORDER`` first; return the results in ``CHECK_IDS`` order.
+    """Run every check, concurrently on every usable core, starting the
+    tasks of ``_START_ORDER`` first and then every other check alone, in
+    ``CHECK_IDS`` order; return the results in ``CHECK_IDS`` order.
 
     ``report`` is called with each result in ``CHECK_IDS`` order, as soon
-    as it and every earlier check have finished, so its calls are the same
-    for any core count.  If a check raises, every check that has not
+    as its task and every earlier check have finished, so its calls are the
+    same for any core count.  If a check raises, every check that has not
     started yet is skipped and the exception propagates.
     """
     stop = threading.Event()
 
-    def run(check_id: str) -> CheckResult | None:
-        if stop.is_set():
-            return None
-        try:
-            return run_check(check_id, level)
-        except BaseException:
-            stop.set()
-            raise
+    def run(task: tuple) -> list[CheckResult]:
+        results = []
+        for check_id in task:
+            if stop.is_set():
+                break
+            try:
+                results.append(run_check(check_id, level))
+            except BaseException:
+                stop.set()
+                raise
+        return results
 
-    rank = {check_id: i for i, check_id in enumerate(_START_ORDER)}
-    start_order = sorted(CHECK_IDS, key=lambda check_id: rank.get(check_id, len(rank)))
+    queued = {check_id for task in _START_ORDER for check_id in task}
+    tasks = list(_START_ORDER) + [(c,) for c in CHECK_IDS if c not in queued]
     results = []
     with ThreadPoolExecutor(max_workers=_usable_cores()) as pool:
-        futures = {check_id: pool.submit(run, check_id) for check_id in start_order}
+        futures = [pool.submit(run, task) for task in tasks]
+        place = {c: (future, i) for future, task in zip(futures, tasks)
+                 for i, c in enumerate(task)}
         try:
             for check_id in CHECK_IDS:
-                result = futures[check_id].result()
-                if result is None:  # skipped after another check raised
+                future, i = place[check_id]
+                done = future.result()
+                if i >= len(done):  # skipped after another check raised
                     break
-                results.append(result)
+                results.append(done[i])
                 if report is not None:
-                    report(result)
+                    report(done[i])
         finally:
             stop.set()
     if len(results) < len(CHECK_IDS):  # raise the error that stopped the pool
-        errors = (future.exception() for future in futures.values())
+        errors = (future.exception() for future in futures)
         raise next(error for error in errors if error is not None)
     return results

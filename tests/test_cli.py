@@ -6,6 +6,7 @@ import io
 import json
 import math
 import tempfile
+import threading
 import time
 from dataclasses import asdict, replace
 
@@ -438,11 +439,42 @@ class TestRunAll:
     def test_start_order_checks_start_first_and_report_in_check_order(self, monkeypatch):
         started = []
         checks = {c: (c, self.recording(started, c)) for c in ("a", "b", "c", "d")}
-        self.use_checks(monkeypatch, checks, cores=1, start_order=("d", "b"))
+        self.use_checks(monkeypatch, checks, cores=1, start_order=(("d",), ("b",)))
         reported = []
         validation.run_all("fast", report=reported.append)
         assert started == ["d", "b", "a", "c"]
         assert [r.check_id for r in reported] == ["a", "b", "c", "d"]
+
+    def test_a_task_runs_its_checks_in_turn_on_one_thread(self, monkeypatch):
+        # "c" and "a" share a task; "b" and "d" run alone on the other
+        # core in between, and the report still follows CHECK_IDS.
+        threads = {}
+
+        def on_thread(check_id):
+            def run(level, ks):
+                threads[check_id] = threading.get_ident()
+                time.sleep(0.05)
+                return True, check_id
+            return run
+
+        checks = {c: (c, on_thread(c)) for c in ("a", "b", "c", "d")}
+        self.use_checks(monkeypatch, checks, cores=2, start_order=(("c", "a"),))
+        reported = []
+        validation.run_all("fast", report=reported.append)
+        assert threads["c"] == threads["a"] != threads["b"]
+        assert [r.check_id for r in reported] == ["a", "b", "c", "d"]
+
+    def test_a_skipped_task_stops_the_report_at_its_first_listed_check(self, monkeypatch):
+        # "late" raises first; the task ("d", "b") is skipped whole, and
+        # "b", listed before "d", ends the report without an index error.
+        started = []
+        checks = {c: (c, self.recording(started, c)) for c in ("b", "d")}
+        checks["late"] = ("raises", self.recording(started, "late", verdict=None))
+        self.use_checks(monkeypatch, checks, cores=1, start_order=(("late",), ("d", "b")))
+        reported = []
+        with pytest.raises(RuntimeError, match="late blew up"):
+            validation.run_all("fast", report=reported.append)
+        assert started == ["late"] and reported == []
 
     def test_a_raising_check_started_early_propagates_its_own_error(self, monkeypatch):
         # "late" starts first and raises; "early", listed first, is skipped,
@@ -450,7 +482,7 @@ class TestRunAll:
         started = []
         checks = {"early": ("listed first", self.recording(started, "early")),
                   "late": ("raises", self.recording(started, "late", verdict=None))}
-        self.use_checks(monkeypatch, checks, cores=1, start_order=("late",))
+        self.use_checks(monkeypatch, checks, cores=1, start_order=(("late",),))
         reported = []
         with pytest.raises(RuntimeError, match="late blew up"):
             validation.run_all("fast", report=reported.append)
