@@ -21,6 +21,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,13 +62,14 @@ _I1_SERIES = np.cumprod(np.r_[1.0, 1.0 / (_SERIES_M * (_SERIES_M + 1))])
 _ODD = np.arange(1, 61, 2)  # 2k - 1
 _I0E_ASYMPTOTIC = np.cumprod(np.r_[1.0, _ODD**2 / (4.0 * (_ODD + 1))])
 _I1E_ASYMPTOTIC = np.cumprod(np.r_[1.0, (_ODD**2 - 4) / (4.0 * (_ODD + 1))])
-# Newton on a RAB quantile stops an element once its step in t is below
-# this times max(1, |t|), a few ulps, or once its step no longer halves.
+# Newton on a RAB quantile stops an element once its step in t, or the
+# quadratic error term of that step, is below this times max(1, |t|), a few
+# ulps, or once its step no longer halves.
 _PPF_STEP_ULPS = 4.0 * np.finfo(float).eps
-# An element still moving after this many steps raises; from its tangent
-# start none takes more than 4 (tests/test_analytic.py).
+# An element still moving after this many steps raises; from its Hermite
+# start nearly every element stops after one (tests/test_analytic.py).
 _NEWTON_STEPS = 16
-# Nodes of the tangent starts of a RAB quantile, in t = log v.
+# Nodes of the Hermite starts of a RAB quantile, in t = log v.
 _START_NODES = 1025
 # Kluyver's integral g_M(c) = 2 int_0^inf u exp(-u^2) J0(2 sqrt(c) u)^M du is
 # taken by 16-point Gauss-Legendre panels of width 1/4 on [0, 6.5]; beyond,
@@ -329,94 +331,124 @@ def _rab_ppf_max_k(m: int) -> float:
     return 1e3 if m <= 2 else _RAB_LAW_MAX_K
 
 
+class _NewtonStart(NamedTuple):
+    """The cached start of :func:`_tail_newton` on one law of :func:`_rab_law`.
+
+    Node j is t_j = log v, with y_j = log S at it, increasing in j.  Row j of
+    (t, dt, d2t, d3t) holds the Taylor coefficients about y_j of the start
+    t(log q) for log q in (y_(j-1), y_j], row 0 for log q <= y_0.
+    ``curvature`` bounds f''/(2 f') of f(t) = log S(t), the factor of
+    Newton's quadratic error term.
+    """
+
+    y: np.ndarray
+    t: np.ndarray
+    dt: np.ndarray
+    d2t: np.ndarray
+    d3t: np.ndarray
+    curvature: float
+
+
 @functools.lru_cache(maxsize=32)
 def _rab_law(k: float, m: int) -> tuple:
-    """(log_g_and_slope, g, start) of the M-pattern law at K, for :func:`_tail_newton`.
+    """(log_g_and_slope, start) of the M-pattern law at K, for :func:`_tail_newton`.
 
-    As functions of t = log v, ``log_g_and_slope(t)`` gives log g_M(c) and
-    d log S / dt, and ``g(t)`` gives g_M(c), at c = (K/M)(1 - e^t).  M = 2,
-    and K = 0 at any M, from the Bessel pair, g_2(c) = exp(-2c) I0(2c);
-    M >= 3 from the Chebyshev series of :func:`_log_g_series`, built here
-    once.
+    As a function of t = log v, ``log_g_and_slope(t)`` gives log g_M(c) and
+    d log S / dt at c = (K/M)(1 - e^t).  M = 2, and K = 0 at any M, from the
+    Bessel pair, g_2(c) = exp(-2c) I0(2c); M >= 3 from the Chebyshev series
+    of :func:`_log_g_series`, built here once.
 
-    ``start`` is (t, y, slope): nodes t_j in [-40, 0], log S at them and its
-    slope, for the tangent starts of :func:`_tail_newton`.  The nodes are
-    -t = geomspace(40, 1e-7) and t = 0: geometric, so that they are as dense
-    at every scale of |t|, down to the root of a q near 1 at t of about
-    log(q)/(K+1).  Left of -40, log S differs from t + log g(K/M) by about
-    K e^-40, so the tangent at -40 starts on the root to within that.  All
-    three arrays come from one vector call of the law, are read-only, and
-    are the same whichever thread builds them.
+    ``start`` is the :class:`_NewtonStart` of the law.  Its nodes are
+    -t = geomspace(40, 1e-7) and t = 0: geometric, so that they are as
+    dense at every scale of |t|, down to the root of a q near 1 at t of
+    about log(q)/(K+1).  Between two nodes the start is the cubic Hermite
+    interpolant of the inverse t(log S), from t and its slope 1/(d log S/dt)
+    at both; left of the first node it is the tangent there, as left of
+    -40 log S differs from t + log g(K/M) by about K e^-40.  The curvature
+    bound is twice the largest f''/(2 f') between nodes, with f'' taken as
+    the difference quotient of the slopes and f' as the left slope.  All of
+    it comes from one vector call of the law, the arrays are read-only, and
+    it is the same whichever thread builds it.
     """
     if m == 2 or k == 0.0:
-        def g(t):
-            return _bessel_i0e_i1e(-k * np.expm1(t))[0]
-
         def log_g_and_slope(t):
             i0e, i1e = _bessel_i0e_i1e(-k * np.expm1(t))
             return np.log(i0e), 1.0 + k * np.exp(t) * (1.0 - i1e / i0e)
     else:
         coef, dcoef, at_zero = _log_g_series(k, m)
 
-        def log_g(t):
-            # Less the series at c = 0, which rounds to a few ulps of |a_0|, not
-            # to 0: log g(0) = 0 exactly, and so q = 1 gives z = 0.
-            return _series_at(coef, np.exp(t), -np.expm1(t)) - at_zero
-
         def log_g_and_slope(t):
-            # d log S / dt = 1 + (d log g / dx)(dx / dt), with x = 1 - 2 e^t.
+            # Less the series at c = 0, which rounds to a few ulps of |a_0|, not
+            # to 0: log g(0) = 0 exactly, and so q = 1 gives z = 0.  The slope
+            # is d log S / dt = 1 + (d log g / dx)(dx / dt), with x = 1 - 2 e^t.
             v = np.exp(t)
-            return log_g(t), 1.0 - 2.0 * v * _clenshaw(dcoef, 1.0 - 2.0 * v)
+            log_g = _series_at(coef, v, -np.expm1(t)) - at_zero
+            return log_g, 1.0 - 2.0 * v * _clenshaw(dcoef, 1.0 - 2.0 * v)
 
-        def g(t):
-            return np.exp(log_g(t))
-
-    nodes = np.append(-np.geomspace(40.0, 1e-7, _START_NODES - 1), 0.0)
-    log_g_nodes, slope_nodes = log_g_and_slope(nodes)
-    start = (nodes, nodes + log_g_nodes, slope_nodes)
-    for a in start:
+    t = np.append(-np.geomspace(40.0, 1e-7, _START_NODES - 1), 0.0)
+    log_g, slope = log_g_and_slope(t)
+    y, dt = t + log_g, 1.0 / slope
+    # The cubic p(d) = t_j + dt_j d + d2t_j d^2 + d3t_j d^3 in d = log q - y_j
+    # with p(-h) = t_(j-1) and p'(-h) = dt_(j-1), h = y_j - y_(j-1).
+    h = np.diff(y)
+    secant = np.diff(t) / h
+    d2t = np.r_[0.0, (dt[:-1] + 2.0 * dt[1:] - 3.0 * secant) / h]
+    d3t = np.r_[0.0, (dt[:-1] + dt[1:] - 2.0 * secant) / (h * h)]
+    curvature = float(np.max(np.diff(slope) / np.diff(t) / slope[:-1]))
+    start = _NewtonStart(y, t, dt, d2t, d3t, curvature)
+    for a in start[:5]:
         a.setflags(write=False)
-    return log_g_and_slope, g, start
+    return log_g_and_slope, start
 
 
-def _tail_newton(q_arr, params: RatioDistParams, log_g_and_slope, g, start: tuple):
+def _tail_newton(q_arr, params: RatioDistParams, log_g_and_slope, start: _NewtonStart):
     """z with v g(c) = q, for S = v g(c) with g non-increasing in c = (K/M)(1 - v).
 
-    Newton on log S = log q in t = log v, on the three parts of a law of
-    :func:`_rab_law`.  log g is a convex, non-increasing log-Laplace
-    transform of c, and c is concave in t, so log S(t) is convex, with slope
-    at least 1.  Each element starts where the tangent of log S at the first
-    node of ``start`` with log S >= log q reaches log q, which is never below
-    the root, so the iterates fall monotonically onto it.
-    ``log_g_and_slope(t)`` gives log g and d log S / dt, ``g(t)`` gives g.
-    Each element stops once its step is within 4 ulps of max(1, |t|), or
-    once its step no longer halves: a step that stops shrinking is rounding
-    noise.  An element still moving after the last iteration raises
-    RuntimeError.  v = q / g at the last t; where q is within a few ulps of
-    1, v can round above 1, and z is taken as 0.
+    Newton on f(t) = log S(t) - log q in t = log v, on a law of
+    :func:`_rab_law`: ``log_g_and_slope(t)`` gives log g and f'(t).  Each
+    element starts on the cubic Hermite interpolant of the inverse t(log S)
+    between the two nodes of ``start`` that bracket log q, within 5e-10
+    max(1, |t|) of the root, so one evaluation of the law is typically all
+    it takes.  An element stops once the step s just taken, or its
+    quadratic error term curvature * s^2, is within 4 ulps of max(1, |t|),
+    or once its step no longer halves: a step that stops shrinking is
+    rounding noise.  An element still moving after the last iteration
+    raises RuntimeError.  v = q / g at t - s, with log g there taken to
+    first order from the last evaluation, log g - (slope - 1) s, so that
+    no further law evaluation is needed; where q is within a few ulps of 1,
+    v can round above 1, and z is taken as 0.  Each element's z depends on
+    its own q alone.
     """
     q_flat = q_arr.reshape(-1)
+    inv_v = np.ones_like(q_flat)  # q = 1: v = 1
     log_q = np.log(q_flat)
-    nodes, log_s, ds = start
-    j = np.minimum(np.searchsorted(log_s, log_q), log_s.size - 1)
-    t = nodes[j] - (log_s[j] - log_q) / ds[j]
     live = np.flatnonzero(log_q < 0.0)
+    q, log_q = q_flat[live], log_q[live]
+    # The start's cubic in d = log q - y_j at its node j, by Horner's rule.
+    j = np.searchsorted(start.y, log_q)
+    d = log_q - start.y[j]
+    t = start.d3t[j]
+    for c in (start.d2t, start.dt, start.t):
+        t *= d
+        t += c[j]
+    del j, d
     last = np.inf
     for _ in range(_NEWTON_STEPS):
         if live.size == 0:
             break
-        t_live = t[live]
-        log_g, slope = log_g_and_slope(t_live)
-        step = (t_live + log_g - log_q[live]) / slope
-        t[live] = t_live - step
+        log_g, slope = log_g_and_slope(t)
+        step = (t + log_g - log_q) / slope
         size = np.abs(step)
-        going = (size > _PPF_STEP_ULPS * np.maximum(1.0, np.abs(t_live))) & (size <= 0.5 * last)
-        live, last = live[going], size[going]
+        tol = _PPF_STEP_ULPS * np.maximum(1.0, np.abs(t))
+        going = (size > tol) & (start.curvature * size * size > tol) & (size <= 0.5 * last)
+        # 1/v = g / q at t - s; an element still going overwrites it later.
+        inv_v[live] = np.exp(log_g - (slope - 1.0) * step) / q
+        t -= step
+        live, q, log_q, t, last = live[going], q[going], log_q[going], t[going], size[going]
     if live.size:
         raise RuntimeError(f"Newton on the RAB quantile at K = {params.k_factor}: {live.size} "
                            f"of {q_flat.size} elements still moving after {_NEWTON_STEPS} steps")
-    v = q_flat / g(t)
-    z = np.maximum((params.k_factor + 1.0) * (1.0 / v - 1.0) / params.power_ratio, 0.0)
+    z = np.maximum((params.k_factor + 1.0) * (inv_v - 1.0) / params.power_ratio, 0.0)
     return _scalar_or_array(z.reshape(q_arr.shape))
 
 
@@ -571,14 +603,16 @@ def rab_ppf(q, params: RatioDistParams, m):
     in (0, 1], the upper tail is S(v) = v g_M(c) with c = (K/M)(1 - v), and
     Newton's method solves log S = log q in t = log v (see
     :func:`_tail_newton`) on the law of :func:`_rab_law`, built once per
-    (K, M): about three evaluations of the law per element, from a tangent
-    start.  For M = 2, g_2(c) = exp(-y) I0(y) with y = K(1 - v), and the
-    slope is d log S / dt = 1 + K v (1 - I1/I0).  For M >= 3, log g_M and
-    its slope come from a Chebyshev table of Kluyver's integral; it is good
-    to a few ulps of |log g|, so near the root a step can stall at rounding
-    noise, and the loop's halving rule stops it there.  The answer is
-    v = q / g at the last t, which avoids the |t| ulps that exp(t) would
-    lose, and z = (K+1)(1/v - 1)/rho.  K = 0 gives the Rayleigh quantile
+    (K, M): one evaluation of the law per element on nearly every call,
+    from a cubic Hermite start on the law's cached nodes.  For M = 2,
+    g_2(c) = exp(-y) I0(y) with y = K(1 - v), and the slope is
+    d log S / dt = 1 + K v (1 - I1/I0).  For M >= 3, log g_M and its slope
+    come from a Chebyshev table of Kluyver's integral; it is good to a few
+    ulps of |log g|, so near the root a step can stall at rounding noise,
+    and the loop's halving rule stops it there.  The answer is v = q / g
+    at the root, with log g there taken to first order from the last
+    evaluation, which avoids the |t| ulps that exp(t) would lose, and
+    z = (K+1)(1/v - 1)/rho.  K = 0 gives the Rayleigh quantile
     (1/q - 1)/rho for any M.
 
     Accepts scalars or ndarrays with 0 < q <= 1; q = 1 gives z = 0.

@@ -33,6 +33,7 @@ from . import analytic, espar, validation
 from .simulator import (
     LOG2,
     NetworkConfig,
+    _grid_configs,
     format_number,
     sweep,
     write_sweep_csv,
@@ -215,6 +216,10 @@ def cmd_simulate(args) -> int:
 
     n_list, k_list, m_list, modes, wants = _PRESETS[preset.name] or (
         [config.n_users], [config.k_factor], [config.m_patterns], [config.mode], ())
+    try:  # a preset's grid point can fail where the network's own point did not
+        _grid_configs(config, n_list, k_list, m_list, modes)
+    except ValueError as exc:
+        raise ConfigError(f"network: a {preset.name} point: {exc}") from exc
     estimates = sweep(config, n_list, k_list, m_list, modes, threads=args.threads,
                       progress=progress)
     extras = _preset_extras(estimates, wants)

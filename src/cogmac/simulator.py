@@ -48,6 +48,7 @@ another.
 from __future__ import annotations
 
 import math
+import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -80,9 +81,9 @@ LOG2 = math.log(2.0)
 _CHUNK_ELEMENTS = 1 << 21
 _BLOCK_ELEMENTS = 1 << 15
 # M >= 3 with K > 0 takes the sampler only from this many brute-force
-# elements per slot (N*M) on.  Measured on 2 cores at 1500 and 20000 trials,
-# one slot of the sampler costs about 16 brute-force elements at K = 10 and
-# 30 at K = 100.
+# elements per slot (N*M) on.  Measured on 2 cores at 20000 trials, one slot
+# of the sampler costs about 13 to 20 brute-force elements at K = 10 and 22
+# to 31 at K = 100 (M = 3 and 4).
 _TABLE_MIN_ELEMENTS = 48
 
 
@@ -126,11 +127,22 @@ class NetworkConfig:
             v = getattr(self, name)
             if not math.isfinite(v) or v <= 0.0:
                 raise ValueError(f"{name} must be finite and > 0, got {v}")
-        # The sampler's ratio law needs rho = gamma_sp/gamma_s in float range.
+        # The sampler's ratio law needs rho = gamma_sp/gamma_s in float range,
+        # and its largest scheduled ratio, (K+1)(1/v - 1)/rho with v of about
+        # the least tail q = 1 - U^(1/N), 2^-53/N, finite too.  Above the K
+        # range of rab_ppf the point takes brute force, which has no K+1.  N
+        # is compared as an integer, as it may exceed the float range.
         rho = self.mean_interference_power / self.mean_secondary_power
         if not math.isfinite(rho) or rho <= 0.0:
             raise ValueError(
                 f"mean_interference_power / mean_secondary_power must be finite and > 0, got {rho}"
+            )
+        k = self.k_factor if self.k_factor <= _rab_ppf_max_k(self.m_patterns) else 0.0
+        if self.n_users > sys.float_info.max / ((k + 1.0) * 2.0**53 / rho):
+            raise ValueError(
+                f"the largest scheduled ratio, about (K+1) N 2^53 / rho, overflows at "
+                f"N = {self.n_users}, K = {self.k_factor}, and rho = mean_interference_power "
+                f"/ mean_secondary_power = {rho}"
             )
         for name in ("primary_power", "mean_ps_power"):
             v = getattr(self, name)
@@ -331,6 +343,26 @@ def run_nested_n(config: NetworkConfig, n_grid) -> list[CapacityEstimate]:
     return _estimates(config, n_grid, 1, "brute")
 
 
+def _grid_configs(config_template: NetworkConfig, n_list, k_list, m_list,
+                  modes) -> list[NetworkConfig]:
+    """The config of every point of the (mode, K, N[, M]) grid, in grid order.
+
+    Baseline points always use one pattern; ``m_list`` applies to RAB points
+    only.  A bad grid value, an N or M that is not an integer included, or a
+    power ratio that overflows at a point's N and K, raises ``ValueError``.
+    """
+    n_list, k_list, m_list, modes = list(n_list), list(k_list), list(m_list), list(modes)
+    if not (n_list and k_list and modes):
+        raise ValueError("n_list, k_list, and modes must be nonempty")
+    if "rab" in modes and not m_list:
+        raise ValueError("m_list must be nonempty when sweeping rab mode")
+    return [
+        replace(config_template, mode=mode, k_factor=float(k), n_users=n, m_patterns=m)
+        for mode in modes
+        for k, m, n in product(k_list, m_list if mode == "rab" else [1], n_list)
+    ]
+
+
 def sweep(
     config_template: NetworkConfig,
     n_list,
@@ -343,27 +375,15 @@ def sweep(
 ) -> list[CapacityEstimate]:
     """Capacity estimates over the (mode, K, N[, M]) grid, in grid order.
 
-    Baseline points always use one pattern; ``m_list`` applies to RAB points
-    only.  Every point's config is built, and so checked, before the first
-    draw: a bad grid value, an N or M that is not an integer included,
-    raises ``ValueError`` before any point runs.
-    The points run one after another, each through :func:`run_experiment`
-    with ``threads`` and ``method``, so a point of several chunks spreads
-    them over the threads.  Each estimate carries its point's config and
-    wall seconds; ``progress`` is called with each estimate as it finishes.
+    The points are those of :func:`_grid_configs`, all built, and so checked,
+    before the first draw.  They run one after another, each through
+    :func:`run_experiment` with ``threads`` and ``method``, so a point of
+    several chunks spreads them over the threads.  Each estimate carries its
+    point's config and wall seconds; ``progress`` is called with each
+    estimate as it finishes.
     """
-    n_list, k_list, m_list, modes = list(n_list), list(k_list), list(m_list), list(modes)
-    if not (n_list and k_list and modes):
-        raise ValueError("n_list, k_list, and modes must be nonempty")
-    if "rab" in modes and not m_list:
-        raise ValueError("m_list must be nonempty when sweeping rab mode")
-    configs = [
-        replace(config_template, mode=mode, k_factor=float(k), n_users=n, m_patterns=m)
-        for mode in modes
-        for k, m, n in product(k_list, m_list if mode == "rab" else [1], n_list)
-    ]
     estimates = []
-    for cfg in configs:
+    for cfg in _grid_configs(config_template, n_list, k_list, m_list, modes):
         est = run_experiment(cfg, threads=threads, method=method)
         if progress is not None:
             progress(est)

@@ -45,11 +45,19 @@ def network_configs(draw):
     nonnegative = st.floats(min_value=0.0, allow_infinity=False)
     mode = draw(st.sampled_from(["baseline", "rab"]))
     gamma_s, gamma_sp = draw(positive), draw(positive)
-    assume(0.0 < gamma_sp / gamma_s < math.inf)  # rho in float range
+    rho = gamma_sp / gamma_s
+    assume(0.0 < rho < math.inf)  # rho in float range
+    n = draw(st.integers(1, 10**6))
+    m = 1 if mode == "baseline" else draw(st.integers(1, 64))
+    k = draw(nonnegative)
+    # The sampler's largest scheduled ratio, about (K+1) N 2^53 / rho, is
+    # finite; above the sampler's K range there is no K+1.
+    k_sampled = k if k <= analytic._rab_ppf_max_k(m) else 0.0
+    assume(math.isfinite((k_sampled + 1.0) * n * 2.0**53 / rho))
     return NetworkConfig(
-        n_users=draw(st.integers(1, 10**6)),
-        m_patterns=1 if mode == "baseline" else draw(st.integers(1, 64)),
-        k_factor=draw(nonnegative),
+        n_users=n,
+        m_patterns=m,
+        k_factor=k,
         mean_secondary_power=gamma_s,
         mean_interference_power=gamma_sp,
         primary_power=draw(nonnegative),
@@ -680,6 +688,17 @@ class TestInputBoundary:
             (["analytic", "--law", "ratio-cdf", "--rho", "inf"], None, "power_ratio must be"),
             (["analytic", "--law", "normalizer", "--rho", "1e-308", "--n", "2,8"], None,
              "not finite at N = 8"),
+            (["simulate"], {"network": {"mean_interference_power": 1e-310, "k_factor": 0.0,
+                                        "m_patterns": 2, "n_users": 16}},
+             "network: the largest scheduled ratio, about (K+1) N 2^53 / rho, overflows"),
+            (["simulate"], {"network": {"mean_interference_power": 1e-310, "k_factor": 2.0,
+                                        "m_patterns": 2, "n_users": 16}},
+             "network: the largest scheduled ratio, about (K+1) N 2^53 / rho, overflows"),
+            (["simulate"], {"network": {"n_users": 10**400}}, "network: the largest scheduled"),
+            # The network's own point (N = 100, K = 0) is fine; fig7's N = 512,
+            # K = 100 points are not.
+            (["simulate", "--preset", "fig7"], {"network": {"mean_interference_power": 1e-289}},
+             "network: a fig7 point: the largest scheduled ratio"),
         ],
     )
     def test_bad_input_exits_2(self, tmp_path, monkeypatch, capsys, argv, payload, where):

@@ -15,7 +15,7 @@ from scipy.stats import ks_2samp
 from cogmac import analytic, simulator
 from cogmac.analytic import RatioDistParams, rab_ppf, ratio_pdf
 from cogmac.channels import draw_gains
-from cogmac.simulator import NetworkConfig, run_experiment, run_nested_n, sweep
+from cogmac.simulator import METHODS, NetworkConfig, run_experiment, run_nested_n, sweep
 
 
 def small_cfg(**kw):
@@ -91,6 +91,23 @@ class TestConfigValidation:
         kw = dict(n_users=8, m_patterns=2, mode="rab", trials=200, seed=1)
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             NetworkConfig(**{**kw, name: value})
+
+    @pytest.mark.parametrize("k", [0.0, 2.0])
+    def test_power_ratio_that_overflows_the_quantile_fails_fast(self, k):
+        # rho = 1e-310 is finite and > 0, but (K+1) N 2^53 / rho is not: the
+        # sampler's largest scheduled ratio would be inf.
+        with pytest.raises(ValueError, match="largest scheduled ratio"):
+            NetworkConfig(n_users=16, m_patterns=2, k_factor=k, mean_interference_power=1e-310)
+
+    @pytest.mark.parametrize("k", [0.0, 2.0])
+    @pytest.mark.parametrize("rho", [1e-12, 1e12])
+    def test_extreme_finite_power_ratios_run(self, rho, k):
+        cfg = NetworkConfig(n_users=16, m_patterns=2, k_factor=k, mean_interference_power=rho,
+                            trials=2000, seed=3)
+        for method in METHODS:
+            est = run_experiment(cfg, method=method)
+            assert all(math.isfinite(x) and x > 0.0
+                       for x in (est.mean_nats, est.stderr_nats, est.jensen_bound_nats))
 
     def test_numpy_integer_counts_become_int(self):
         cfg = NetworkConfig(n_users=np.int64(8), m_patterns=np.uint8(2), trials=np.int32(200),
