@@ -233,32 +233,9 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _pin_malloc_thresholds() -> None:
-    """Fix glibc's mmap and trim thresholds at the ceilings of its own
-    dynamic rule, 32 MiB and 64 MiB.
-
-    glibc raises both thresholds as large mapped blocks are freed, so how
-    far they have risen when a check allocates depends on which of
-    ``validate``'s threads freed what first: one run's peak RSS differed
-    from the next by up to 7 MB.  Fixed thresholds make it the same every
-    run.  Does nothing on other C libraries.
-    """
-    try:
-        if not os.confstr("CS_GNU_LIBC_VERSION"):
-            return
-    except (AttributeError, ValueError, OSError):  # no confstr, or not glibc
-        return
-    import ctypes
-
-    mallopt = ctypes.CDLL(None).mallopt
-    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
-    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
-
-
 def cmd_validate(args) -> int:
     if args.out:
         _check_out(args.out)
-    _pin_malloc_thresholds()
     t_start = time.time()
 
     def report(res):

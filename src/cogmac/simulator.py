@@ -138,11 +138,22 @@ class NetworkConfig:
                 f"mean_interference_power / mean_secondary_power must be finite and > 0, got {rho}"
             )
         k = self.k_factor if self.k_factor <= _rab_ppf_max_k(self.m_patterns) else 0.0
-        if self.n_users > sys.float_info.max / ((k + 1.0) * 2.0**53 / rho):
+        ratio = (k + 1.0) * 2.0**53 / rho
+        if self.n_users > sys.float_info.max / ratio:
             raise ValueError(
                 f"the largest scheduled ratio, about (K+1) N 2^53 / rho, overflows at "
                 f"N = {self.n_users}, K = {self.k_factor}, and rho = mean_interference_power "
                 f"/ mean_secondary_power = {rho}"
+            )
+        # Without a power cap the scheduled numerator is Q_p times that ratio;
+        # a cap bounds it.
+        if self.max_power_cap is None and (
+            self.n_users > sys.float_info.max / ratio / self.peak_interference
+        ):
+            raise ValueError(
+                f"the largest scheduled numerator, about (K+1) N 2^53 Q_p / rho, overflows at "
+                f"peak_interference = {self.peak_interference} with no max_power_cap, "
+                f"N = {self.n_users}, K = {self.k_factor}, and rho = {rho}"
             )
         for name in ("primary_power", "mean_ps_power"):
             v = getattr(self, name)

@@ -8,10 +8,10 @@ the Monte-Carlo trial counts (with correspondingly widened capacity
 tolerances) so the whole suite stays interactive.  Seeds are pinned so results are deterministic.
 
 Threading: a check is the unit of parallel work.  :func:`run_all` runs
-the checks concurrently on every usable core, and a check's capacity
-points run on that check's own thread.  Every check seeds its own
-generators and shares no mutable state with another, so each result is
-the same on one core as on many.
+the checks concurrently on every usable core, each alone on a pool
+thread, and a check's capacity points run on that check's own thread.
+Every check seeds its own generators and shares no mutable state with
+another, so each result is the same on one core as on many.
 """
 
 from __future__ import annotations
@@ -386,23 +386,21 @@ _CHECKS = {
 
 CHECK_IDS = tuple(_CHECKS)
 
-# The pool tasks run_all submits before the others, in this order; a task
-# runs its checks one after another on one pool thread (per-check seconds
-# alone on a 2-core Xeon, fast / full level).  The longest,
+# The checks run_all starts before the others, in this order (per-check
+# seconds alone on a 2-core Xeon, fast / full level).  The longest,
 # rab_effective_users (0.8 / 4.7), goes first.  The two largest draws,
 # frechet_normalization (about 16 MB, 0.2 s) and rab_distribution_facts
-# (about 11 MB, 0.4 s), share the second task: each pool thread keeps its
-# own malloc arena, so on one thread they reuse one high-water mark
-# whatever the timing.  The other capacity checks follow,
-# effective_users_moderate (0.5 / 2.6), rab_restores_log_growth
-# (0.6 / 3.3) and large_k_growth (0.5 / 2.5), so neither core idles long
-# at the end.
+# (about 11 MB, 0.4 s), are short and go next, while the first still
+# runs.  The other capacity checks follow, effective_users_moderate
+# (0.5 / 2.6), rab_restores_log_growth (0.6 / 3.3) and large_k_growth
+# (0.5 / 2.5), so neither core idles long at the end.
 _START_ORDER = (
-    ("rab_effective_users",),
-    ("frechet_normalization", "rab_distribution_facts"),
-    ("effective_users_moderate",),
-    ("rab_restores_log_growth",),
-    ("large_k_growth",),
+    "rab_effective_users",
+    "frechet_normalization",
+    "rab_distribution_facts",
+    "effective_users_moderate",
+    "rab_restores_log_growth",
+    "large_k_growth",
 )
 
 
@@ -425,48 +423,41 @@ def run_check(check_id: str, level: str = "full") -> CheckResult:
 
 
 def run_all(level: str = "full", report=None) -> list[CheckResult]:
-    """Run every check, concurrently on every usable core, starting the
-    tasks of ``_START_ORDER`` first and then every other check alone, in
-    ``CHECK_IDS`` order; return the results in ``CHECK_IDS`` order.
+    """Run every check, concurrently on every usable core, each alone on a
+    pool thread, starting those of ``_START_ORDER`` first; return the
+    results in ``CHECK_IDS`` order.
 
     ``report`` is called with each result in ``CHECK_IDS`` order, as soon
-    as its task and every earlier check have finished, so its calls are the
-    same for any core count.  If a check raises, every check that has not
+    as it and every earlier check have finished, so its calls are the same
+    for any core count.  If a check raises, every check that has not
     started yet is skipped and the exception propagates.
     """
     stop = threading.Event()
 
-    def run(task: tuple) -> list[CheckResult]:
-        results = []
-        for check_id in task:
-            if stop.is_set():
-                break
-            try:
-                results.append(run_check(check_id, level))
-            except BaseException:
-                stop.set()
-                raise
-        return results
+    def run(check_id: str) -> CheckResult | None:
+        if stop.is_set():
+            return None
+        try:
+            return run_check(check_id, level)
+        except BaseException:
+            stop.set()
+            raise
 
-    queued = {check_id for task in _START_ORDER for check_id in task}
-    tasks = list(_START_ORDER) + [(c,) for c in CHECK_IDS if c not in queued]
+    start_order = [*_START_ORDER, *(c for c in CHECK_IDS if c not in _START_ORDER)]
     results = []
     with ThreadPoolExecutor(max_workers=_usable_cores()) as pool:
-        futures = [pool.submit(run, task) for task in tasks]
-        place = {c: (future, i) for future, task in zip(futures, tasks)
-                 for i, c in enumerate(task)}
+        futures = {check_id: pool.submit(run, check_id) for check_id in start_order}
         try:
             for check_id in CHECK_IDS:
-                future, i = place[check_id]
-                done = future.result()
-                if i >= len(done):  # skipped after another check raised
+                result = futures[check_id].result()
+                if result is None:  # skipped after another check raised
                     break
-                results.append(done[i])
+                results.append(result)
                 if report is not None:
-                    report(done[i])
+                    report(result)
         finally:
             stop.set()
     if len(results) < len(CHECK_IDS):  # raise the error that stopped the pool
-        errors = (future.exception() for future in futures)
+        errors = (future.exception() for future in futures.values())
         raise next(error for error in errors if error is not None)
     return results

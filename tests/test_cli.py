@@ -1,12 +1,10 @@
 """CLI tests: config parsing, presets, CSV determinism, subcommand wiring."""
 
 import csv
-import ctypes
 import io
 import json
 import math
 import tempfile
-import threading
 import time
 from dataclasses import asdict, replace
 
@@ -51,9 +49,12 @@ def network_configs(draw):
     m = 1 if mode == "baseline" else draw(st.integers(1, 64))
     k = draw(nonnegative)
     # The sampler's largest scheduled ratio, about (K+1) N 2^53 / rho, is
-    # finite; above the sampler's K range there is no K+1.
+    # finite, and so is Q_p times it unless a power cap bounds the
+    # numerator; above the sampler's K range there is no K+1.
     k_sampled = k if k <= analytic._rab_ppf_max_k(m) else 0.0
-    assume(math.isfinite((k_sampled + 1.0) * n * 2.0**53 / rho))
+    ratio = (k_sampled + 1.0) * n * 2.0**53 / rho
+    peak, cap = draw(positive), draw(st.none() | positive)
+    assume(math.isfinite(ratio) and (cap is not None or math.isfinite(ratio * peak)))
     return NetworkConfig(
         n_users=n,
         m_patterns=m,
@@ -62,12 +63,12 @@ def network_configs(draw):
         mean_interference_power=gamma_sp,
         primary_power=draw(nonnegative),
         mean_ps_power=draw(nonnegative),
-        peak_interference=draw(positive),
+        peak_interference=peak,
         trials=draw(st.integers(100, 10**9)),
         seed=draw(st.integers(0, 2**64 - 1)),
         mode=mode,
         log_base=draw(st.sampled_from(["nats", "bits"])),
-        max_power_cap=draw(st.none() | positive),
+        max_power_cap=cap,
     )
 
 
@@ -414,8 +415,9 @@ class TestRunAll:
             time.sleep(1.0)
             return True, "slept"
 
-        cheap = ("quantile_identity", "ratio_distribution_fit", "rab_m2_closed_form",
-                 "espar_identities", "special_functions")
+        cheap = ("quantile_identity", "ratio_distribution_fit", "frechet_normalization",
+                 "rab_distribution_facts", "rab_m2_closed_form", "espar_identities",
+                 "special_functions")
         checks = {"slow": ("sleeps first", slow), **{c: validation._CHECKS[c] for c in cheap}}
         checks = {c: (name, finishing(c, check)) for c, (name, check) in checks.items()}
         self.use_checks(monkeypatch, checks, cores=len(checks))
@@ -447,38 +449,19 @@ class TestRunAll:
     def test_start_order_checks_start_first_and_report_in_check_order(self, monkeypatch):
         started = []
         checks = {c: (c, self.recording(started, c)) for c in ("a", "b", "c", "d")}
-        self.use_checks(monkeypatch, checks, cores=1, start_order=(("d",), ("b",)))
+        self.use_checks(monkeypatch, checks, cores=1, start_order=("d", "b"))
         reported = []
         validation.run_all("fast", report=reported.append)
         assert started == ["d", "b", "a", "c"]
         assert [r.check_id for r in reported] == ["a", "b", "c", "d"]
 
-    def test_a_task_runs_its_checks_in_turn_on_one_thread(self, monkeypatch):
-        # "c" and "a" share a task; "b" and "d" run alone on the other
-        # core in between, and the report still follows CHECK_IDS.
-        threads = {}
-
-        def on_thread(check_id):
-            def run(level, ks):
-                threads[check_id] = threading.get_ident()
-                time.sleep(0.05)
-                return True, check_id
-            return run
-
-        checks = {c: (c, on_thread(c)) for c in ("a", "b", "c", "d")}
-        self.use_checks(monkeypatch, checks, cores=2, start_order=(("c", "a"),))
-        reported = []
-        validation.run_all("fast", report=reported.append)
-        assert threads["c"] == threads["a"] != threads["b"]
-        assert [r.check_id for r in reported] == ["a", "b", "c", "d"]
-
     def test_a_skipped_task_stops_the_report_at_its_first_listed_check(self, monkeypatch):
-        # "late" raises first; the task ("d", "b") is skipped whole, and
-        # "b", listed before "d", ends the report without an index error.
+        # "late" raises first; "d" and "b", started after it, are skipped,
+        # and "b", listed first, ends the report.
         started = []
         checks = {c: (c, self.recording(started, c)) for c in ("b", "d")}
         checks["late"] = ("raises", self.recording(started, "late", verdict=None))
-        self.use_checks(monkeypatch, checks, cores=1, start_order=(("late",), ("d", "b")))
+        self.use_checks(monkeypatch, checks, cores=1, start_order=("late", "d", "b"))
         reported = []
         with pytest.raises(RuntimeError, match="late blew up"):
             validation.run_all("fast", report=reported.append)
@@ -490,42 +473,11 @@ class TestRunAll:
         started = []
         checks = {"early": ("listed first", self.recording(started, "early")),
                   "late": ("raises", self.recording(started, "late", verdict=None))}
-        self.use_checks(monkeypatch, checks, cores=1, start_order=(("late",),))
+        self.use_checks(monkeypatch, checks, cores=1, start_order=("late",))
         reported = []
         with pytest.raises(RuntimeError, match="late blew up"):
             validation.run_all("fast", report=reported.append)
         assert started == ["late"] and reported == []
-
-
-class TestMallocThresholds:
-    """validate fixes glibc's malloc thresholds before its checks start."""
-
-    def test_validate_pins_both_thresholds_before_the_checks(self, monkeypatch, capsys):
-        calls = []
-
-        class Libc:
-            def mallopt(self, param, value):
-                calls.append((param, value))
-                return 1
-
-        monkeypatch.setattr(cli.os, "confstr", lambda name: "glibc 2.36")
-        monkeypatch.setattr(ctypes, "CDLL", lambda name: Libc())
-        monkeypatch.setattr(validation, "run_all",
-                            lambda level, report=None: calls.append("run_all") or [])
-        assert main(["validate"]) == 0
-        # M_MMAP_THRESHOLD = 32 MiB, then M_TRIM_THRESHOLD = 64 MiB.
-        assert calls == [(-3, 32 << 20), (-1, 64 << 20), "run_all"]
-
-    @pytest.mark.parametrize("confstr", ["raises", None])
-    def test_other_c_libraries_are_left_alone(self, monkeypatch, confstr):
-        def fake(name):
-            if confstr == "raises":
-                raise ValueError("unrecognized configuration name")
-            return confstr
-
-        monkeypatch.setattr(cli.os, "confstr", fake)
-        monkeypatch.setattr(ctypes, "CDLL", lambda name: pytest.fail("CDLL loaded"))
-        cli._pin_malloc_thresholds()
 
 
 class TestLogNSlope:
@@ -699,6 +651,12 @@ class TestInputBoundary:
             # K = 100 points are not.
             (["simulate", "--preset", "fig7"], {"network": {"mean_interference_power": 1e-289}},
              "network: a fig7 point: the largest scheduled ratio"),
+            (["simulate"], {"network": {"peak_interference": 1e300, "k_factor": 2.0,
+                                        "mean_interference_power": 1e-10, "n_users": 16}},
+             "network: the largest scheduled numerator, about (K+1) N 2^53 Q_p / rho, "
+             "overflows at peak_interference = 1e+300"),
+            (["simulate", "--preset", "fig7"], {"network": {"peak_interference": 1e289}},
+             "network: a fig7 point: the largest scheduled numerator"),
         ],
     )
     def test_bad_input_exits_2(self, tmp_path, monkeypatch, capsys, argv, payload, where):

@@ -99,6 +99,26 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="largest scheduled ratio"):
             NetworkConfig(n_users=16, m_patterns=2, k_factor=k, mean_interference_power=1e-310)
 
+    def test_peak_interference_that_overflows_the_numerator_fails_fast(self):
+        # rho = 1e-10 keeps the scheduled ratio finite, but Q_p = 1e300
+        # times it is not: the sampler's best numerator would be inf.
+        with pytest.raises(ValueError, match="peak_interference = 1e\\+300"):
+            NetworkConfig(n_users=16, m_patterns=2, k_factor=2.0, peak_interference=1e300,
+                          mean_interference_power=1e-10)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_a_power_cap_bounds_a_huge_peak_interference(self, m):
+        # The cap, not Q_p / gain_sp, sets every transmit power, so a
+        # smaller Q_p that the cap still binds gives the same run.
+        cfg = NetworkConfig(n_users=16, m_patterns=m, mode="rab" if m > 1 else "baseline",
+                            k_factor=2.0, peak_interference=1e300, max_power_cap=1e9,
+                            trials=2000, seed=3)
+        est = run_experiment(cfg)
+        assert all(math.isfinite(x) and x > 0.0
+                   for x in (est.mean_nats, est.stderr_nats, est.jensen_bound_nats))
+        same = run_experiment(replace(cfg, peak_interference=1e100))
+        assert (est.mean_nats, est.stderr_nats) == (same.mean_nats, same.stderr_nats)
+
     @pytest.mark.parametrize("k", [0.0, 2.0])
     @pytest.mark.parametrize("rho", [1e-12, 1e12])
     def test_extreme_finite_power_ratios_run(self, rho, k):
