@@ -8,11 +8,14 @@ antenna per user) and ``rab`` (per-slot random basis-pattern weights).
 Two samplers.  Brute force draws every user of every slot through
 :func:`cogmac.channels.draw_gains` and takes the max; at K = 0 that is two
 exponentials per user for any M (secondary, then interference), at K > 0
-an exponential, M-1 weight phases and a normal pair.  Without a power cap,
-wherever the per-user ratio law has a closed-form quantile F^-1, the
-scheduled user's ratio z_max = max_n gain_s/gain_sp is instead drawn
-exactly from one uniform per slot, z_max = F^-1(U^(1/N)) (the inverse-CDF
-identity for the maximum of N iid draws), at a cost independent of N:
+an exponential, M-1 weight phases, and the scattering's exponential radius
+and uniform angle.  Without a power cap it takes the max of gain_s/gain_sp
+and scales it by Q_p; with one, the max of min(Q_p/gain_sp, cap) gain_s.
+Without a power cap, wherever the per-user ratio law has a closed-form
+quantile F^-1, the scheduled user's ratio z_max = max_n gain_s/gain_sp is
+instead drawn exactly from one uniform per slot, z_max = F^-1(U^(1/N))
+(the inverse-CDF identity for the maximum of N iid draws), at a cost
+independent of N:
 
 * K = 0, any M: the weights do not matter and the law is the Rayleigh one,
   so a RAB K = 0 point reproduces the baseline K = 0 point of the same
@@ -82,8 +85,8 @@ _CHUNK_ELEMENTS = 1 << 21
 _BLOCK_ELEMENTS = 1 << 15
 # M >= 3 with K > 0 takes the sampler only from this many brute-force
 # elements per slot (N*M) on.  Measured on 2 cores at 20000 trials, one slot
-# of the sampler costs about 13 to 20 brute-force elements at K = 10 and 22
-# to 31 at K = 100 (M = 3 and 4).
+# of the sampler costs about 25 to 33 brute-force elements at K = 10 and 45
+# to 56 at K = 100 (M = 3 and 4, N = 64, medians of 9 runs).
 _TABLE_MIN_ELEMENTS = 48
 
 
@@ -155,6 +158,13 @@ class NetworkConfig:
                 f"peak_interference = {self.peak_interference} with no max_power_cap, "
                 f"N = {self.n_users}, K = {self.k_factor}, and rho = {rho}"
             )
+        # A large enough rho lets both rules through at any N; the sampler
+        # still divides by N as a float.
+        if self.n_users > sys.float_info.max:
+            raise ValueError(
+                f"n_users must be at most {sys.float_info.max:.6g}, the float range, "
+                f"got an integer of {self.n_users.bit_length()} bits"
+            )
         for name in ("primary_power", "mean_ps_power"):
             v = getattr(self, name)
             if not math.isfinite(v) or v < 0.0:
@@ -223,13 +233,18 @@ def _inv_denom(config: NetworkConfig, size: int, rng) -> np.ndarray:
 def _brute_block(config: NetworkConfig, size: int, rng, n_grid) -> np.ndarray:
     """Best numerators of `size` slots, every user drawn by :func:`draw_gains`:
     row i is the best of the first ``n_grid[i]`` users of each slot."""
-    gain_s, power = draw_gains(config, rng, size)
-    np.divide(config.peak_interference, power, out=power)
-    if config.max_power_cap is not None:
-        np.minimum(power, config.max_power_cap, out=power)
-    gain_s *= power
+    gain_s, gain_sp = draw_gains(config, rng, size)
+    if config.max_power_cap is None:  # Q_p scales every user alike: scale the maxima
+        gain_s /= gain_sp
+        scale = config.peak_interference
+    else:
+        np.divide(config.peak_interference, gain_sp, out=gain_sp)
+        np.minimum(gain_sp, config.max_power_cap, out=gain_sp)
+        gain_s *= gain_sp
+        scale = 1.0
     best = np.maximum.reduceat(gain_s, (0, *n_grid[:-1]), axis=1)
     np.maximum.accumulate(best, axis=1, out=best)
+    best *= scale
     return np.ascontiguousarray(best.T)
 
 

@@ -388,12 +388,12 @@ CHECK_IDS = tuple(_CHECKS)
 
 # The checks run_all starts before the others, in this order (per-check
 # seconds alone on a 2-core Xeon, fast / full level).  The longest,
-# rab_effective_users (0.8 / 4.7), goes first.  The two largest draws,
-# frechet_normalization (about 16 MB, 0.2 s) and rab_distribution_facts
-# (about 11 MB, 0.4 s), are short and go next, while the first still
+# rab_effective_users (0.5 / 2.8), goes first.  The two largest draws,
+# frechet_normalization (about 13 MB, 0.13 s) and rab_distribution_facts
+# (about 11 MB, 0.2 s), are short and go next, while the first still
 # runs.  The other capacity checks follow, effective_users_moderate
-# (0.5 / 2.6), rab_restores_log_growth (0.6 / 3.3) and large_k_growth
-# (0.5 / 2.5), so neither core idles long at the end.
+# (0.3 / 1.4), rab_restores_log_growth (0.3 / 1.6) and large_k_growth
+# (0.24 / 1.1), so neither core idles long at the end.
 _START_ORDER = (
     "rab_effective_users",
     "frechet_normalization",

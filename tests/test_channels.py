@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special
 from scipy.stats import ks_2samp
 
@@ -100,6 +102,60 @@ def test_k_zero_brute_force_maxima_against_full_model(m):
     # 0.5% per case: 1% for the pair.
     p = ks_2samp(kernel, np.concatenate(oracle)).pvalue
     assert p >= 0.005, f"two-sample KS p = {p:.2e}"
+
+
+K_MAXIMA_CASES = [(k, m) for k in (2.0, 10.0) for m in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("k,m", K_MAXIMA_CASES)
+def test_k_positive_brute_force_maxima_against_full_model(k, m):
+    # The per-slot maximum over N = 64 users of gain_s/gain_sp probes the
+    # small-gain_sp tail of the polar scattering, where a slip shows first.
+    cfg = NetworkConfig(n_users=64, m_patterns=m, k_factor=k, mean_secondary_power=2.5,
+                        mean_interference_power=0.4, mode="baseline" if m == 1 else "rab")
+    seed = 700 + 10 * m + int(k)
+    kernel = simulator._brute_block(cfg, 4000, np.random.default_rng(seed), (64,))[0]
+    rng = np.random.default_rng(10**6 + seed)
+    oracle = []
+    for _ in range(4):  # 1000 slots at a time keeps the N x M arrays small
+        g_s, g_sp = full_model_gains(cfg, rng, 1000)
+        oracle.append((g_s / g_sp).max(axis=1))
+    # 1% for the family of six cases (Bonferroni).
+    p = ks_2samp(kernel, np.concatenate(oracle)).pvalue
+    assert p >= 0.01 / len(K_MAXIMA_CASES), f"two-sample KS p = {p:.2e}"
+
+
+class ScriptedDraws:
+    """Stands in for a Generator: each exponential or uniform draw gives
+    the next of its scripted values, shaped as asked."""
+
+    def __init__(self, exponentials, uniforms):
+        self._exponentials, self._uniforms = iter(exponentials), iter(uniforms)
+
+    def standard_exponential(self, shape):
+        return np.array(next(self._exponentials), dtype=float).reshape(shape)
+
+    def random(self, *, out):
+        out[...] = np.reshape(next(self._uniforms), out.shape)
+        return out
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(k=st.floats(0.0, 1e6), m=st.integers(1, 16), data=st.data())
+def test_interference_power_is_finite_and_nonnegative(k, m, data):
+    # Two users with the same weight phases.  The first has its scattering
+    # radius and angle as drawn; the second has the radius on the LoS
+    # magnitude and the angle against it, the null where an expanded
+    # L^2 + r^2 + 2 L r cos(phi) rounds below zero.
+    cfg = NetworkConfig(n_users=2, m_patterns=m, k_factor=k,
+                        mode="baseline" if m == 1 else "rab")
+    unit = st.floats(0.0, 1.0, exclude_max=True)
+    phases = np.array(data.draw(st.lists(unit, min_size=m - 1, max_size=m - 1)))
+    null = k * abs(1.0 + np.exp(2j * math.pi * phases).sum()) ** 2 / m
+    exponentials = [[1.0, 1.0], [data.draw(st.floats(0.0, 50.0)), null]]
+    uniforms = [[u, u] for u in phases] + [[data.draw(unit), 0.5]]
+    _, gain_sp = draw_gains(cfg, ScriptedDraws(exponentials, uniforms), 1)
+    assert np.isfinite(gain_sp).all() and (gain_sp >= 0.0).all(), gain_sp
 
 
 @pytest.mark.parametrize("m", [1, 2, 4])
@@ -197,18 +253,19 @@ class TestDrawSlot:
 @pytest.mark.parametrize("m,k", [(m, 5.0) for m in (2, 3, 4, 8, 16)]
                          + [(m, 1e6) for m in (2, 4, 8)])
 def test_rab_magnitude_matches_complex_combination(m, k):
-    # Replays draw_gains' stream: the real-valued |1 + sum e^{j theta}| must
-    # equal the complex formula at the same phases.  K = 1e6 with M in
-    # {2, 4, 8} are the strong-LoS cases of the null-frequency check.
+    # Replays draw_gains' stream: the real-valued polar form must equal the
+    # complex formula |a |1 + sum e^{j theta}| / sqrt(M) + r e^{j 2 pi U}|^2
+    # at the same phases, radius and angle.  K = 1e6 with M in {2, 4, 8} are
+    # the strong-LoS cases of the null-frequency check.
     cfg = NetworkConfig(n_users=3, m_patterns=m, k_factor=k)
     size = 400
     _, gain_sp = draw_gains(cfg, np.random.default_rng(9), size)
     rng = np.random.default_rng(9)
     rng.standard_exponential((size, 3))
-    theta = rng.uniform(0.0, 2.0 * math.pi, size=(size, 3, m - 1))
-    parts = rng.standard_normal((size, 3, 2))
+    theta = 2.0 * math.pi * rng.random((m - 1, size, 3))
+    r = np.sqrt(rng.standard_exponential((size, 3)) / (k + 1.0))
+    phi = 2.0 * math.pi * rng.random((size, 3))
     a = math.sqrt(k / (k + 1.0))
-    scale = math.sqrt(1.0 / (2.0 * (k + 1.0)))
-    x = a / math.sqrt(m) * np.abs(1.0 + np.exp(1j * theta).sum(axis=2)) + scale * parts[..., 0]
-    y = scale * parts[..., 1]
-    np.testing.assert_allclose(gain_sp, x * x + y * y, rtol=1e-12, atol=1e-12)
+    los = a / math.sqrt(m) * np.abs(1.0 + np.exp(1j * theta).sum(axis=0))
+    np.testing.assert_allclose(gain_sp, np.abs(los + r * np.exp(1j * phi)) ** 2,
+                               rtol=1e-12, atol=1e-12)

@@ -657,6 +657,9 @@ class TestInputBoundary:
              "overflows at peak_interference = 1e+300"),
             (["simulate", "--preset", "fig7"], {"network": {"peak_interference": 1e289}},
              "network: a fig7 point: the largest scheduled numerator"),
+            (["simulate"], {"network": {"n_users": 10**400, "mean_interference_power": 1e300,
+                                        "mode": "baseline", "m_patterns": 1}},
+             "network: n_users must be at most"),
         ],
     )
     def test_bad_input_exits_2(self, tmp_path, monkeypatch, capsys, argv, payload, where):

@@ -106,6 +106,13 @@ class TestConfigValidation:
             NetworkConfig(n_users=16, m_patterns=2, k_factor=2.0, peak_interference=1e300,
                           mean_interference_power=1e-10)
 
+    def test_n_users_past_the_float_range_fails_fast(self):
+        # rho = 1e300 puts both overflow bounds on N past the float range,
+        # where the sampler's log(U) / N would raise OverflowError.
+        with pytest.raises(ValueError, match="n_users must be at most"):
+            NetworkConfig(mean_interference_power=1e300, n_users=10**400, trials=100,
+                          mode="baseline", m_patterns=1)
+
     @pytest.mark.parametrize("m", [1, 2])
     def test_a_power_cap_bounds_a_huge_peak_interference(self, m):
         # The cap, not Q_p / gain_sp, sets every transmit power, so a
