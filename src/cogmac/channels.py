@@ -64,20 +64,24 @@ def draw_gains(
     Fixed draw order: secondary exponentials, then at K > 0 the M-1
     relative weight phases (one (size, n_users) plane after another), then
     the scattering's exponentials E, then at K > 0 its angles U.  The draws
-    are combined in place, in their own buffers.
+    are combined in place, in 2 to 5 (size, n_users) planes of one buffer
+    per call: as one allocation a block's working set stays on glibc's
+    heap, where separate planes were unmapped and faulted in again.
     """
     n, m, k = config.n_users, config.m_patterns, config.k_factor
-    gain_s = rng.standard_exponential((size, n))
+    buf = np.empty((2 if k == 0.0 else 3 if m == 1 else 4 if m == 2 else 5, size, n))
+    gain_s = rng.standard_exponential(out=buf[0])
     gain_s *= config.mean_secondary_power
     los = math.sqrt(k * config.mean_interference_power / (k + 1.0))
     if k > 0.0 and m > 1:
-        t = np.empty((size, n))  # one plane of half-angle tangents tan(theta / 2)
+        t = buf[1]  # one plane of half-angle tangents tan(theta / 2)
         if m == 2:  # |1 + e^{j theta}| = 2 |cos(theta / 2)| = 2 / sqrt(1 + t^2)
             mag = np.square(_half_tan(rng, t), out=t)
             mag += 1.0
             np.divide(2.0, np.sqrt(mag, out=mag), out=mag)
         else:  # cos theta = 2 w - 1 and sin theta = 2 t w, w = 1 / (1 + t^2)
-            re, im, w = np.zeros((size, n)), np.zeros((size, n)), np.empty((size, n))
+            re, im, w = buf[2], buf[3], buf[4]
+            buf[2:4] = 0.0
             for _ in range(m - 1):
                 np.square(_half_tan(rng, t), out=w)
                 w += 1.0
@@ -91,15 +95,14 @@ def draw_gains(
             np.square(re, out=re)
             re += np.square(im, out=im)
             mag = np.sqrt(re, out=re)
-            del t, im, w  # freed before the scattering draws
         mag *= los / math.sqrt(m)
         los = mag
-    r = rng.standard_exponential((size, n))  # r^2 = gamma_sp E / (K+1)
+    r = rng.standard_exponential(out=buf[-2 if k > 0.0 else -1])  # r^2 = gamma_sp E / (K+1)
     r *= config.mean_interference_power / (k + 1.0)
     if k == 0.0:  # L = 0: gain_sp = r^2, and no angle is drawn
         return gain_s, r
     np.sqrt(r, out=r)
-    c = _half_tan(rng, np.empty((size, n)))  # tan(phi / 2), phi = 2 pi U
+    c = _half_tan(rng, buf[-1])  # tan(phi / 2), phi = 2 pi U
     np.square(c, out=c)
     c += 1.0
     np.divide(4.0, c, out=c)  # 4 cos^2(phi / 2) = 4 / (1 + tan^2(phi / 2))

@@ -130,40 +130,26 @@ class NetworkConfig:
             v = getattr(self, name)
             if not math.isfinite(v) or v <= 0.0:
                 raise ValueError(f"{name} must be finite and > 0, got {v}")
-        # The sampler's ratio law needs rho = gamma_sp/gamma_s in float range,
-        # and its largest scheduled ratio, (K+1)(1/v - 1)/rho with v of about
-        # the least tail q = 1 - U^(1/N), 2^-53/N, finite too.  Above the K
-        # range of rab_ppf the point takes brute force, which has no K+1.  N
-        # is compared as an integer, as it may exceed the float range.
+        # The sampler needs N, rho = gamma_sp/gamma_s, its largest scheduled
+        # ratio (K+1)(1/v - 1)/rho (v of about the least tail 2^-53/N) and, with
+        # no power cap, Q_p times it in float range.  Above rab_ppf's K range
+        # the point takes brute force, with no K+1.  N is compared as an integer.
         rho = self.mean_interference_power / self.mean_secondary_power
         if not math.isfinite(rho) or rho <= 0.0:
             raise ValueError(
                 f"mean_interference_power / mean_secondary_power must be finite and > 0, got {rho}"
             )
         k = self.k_factor if self.k_factor <= _rab_ppf_max_k(self.m_patterns) else 0.0
-        ratio = (k + 1.0) * 2.0**53 / rho
-        if self.n_users > sys.float_info.max / ratio:
+        q_p = self.peak_interference if self.max_power_cap is None else 1.0
+        largest = (k + 1.0) * 2.0**53 / rho * max(1.0, q_p)
+        if self.n_users > sys.float_info.max / max(1.0, largest):
+            n = self.n_users if self.n_users < 1e18 else f"about 1e{int(math.log10(self.n_users))}"
             raise ValueError(
-                f"the largest scheduled ratio, about (K+1) N 2^53 / rho, overflows at "
-                f"N = {self.n_users}, K = {self.k_factor}, and rho = mean_interference_power "
-                f"/ mean_secondary_power = {rho}"
-            )
-        # Without a power cap the scheduled numerator is Q_p times that ratio;
-        # a cap bounds it.
-        if self.max_power_cap is None and (
-            self.n_users > sys.float_info.max / ratio / self.peak_interference
-        ):
-            raise ValueError(
-                f"the largest scheduled numerator, about (K+1) N 2^53 Q_p / rho, overflows at "
-                f"peak_interference = {self.peak_interference} with no max_power_cap, "
-                f"N = {self.n_users}, K = {self.k_factor}, and rho = {rho}"
-            )
-        # A large enough rho lets both rules through at any N; the sampler
-        # still divides by N as a float.
-        if self.n_users > sys.float_info.max:
-            raise ValueError(
-                f"n_users must be at most {sys.float_info.max:.6g}, the float range, "
-                f"got an integer of {self.n_users.bit_length()} bits"
+                "N, or the largest scheduled ratio or numerator, (K+1) N 2^53 max(1, Q_p) / rho "
+                f"(Q_p = 1 under a power cap), leaves the float range at n_users = {n}, "
+                f"m_patterns = {self.m_patterns}, k_factor = {self.k_factor}, peak_interference "
+                f"= {self.peak_interference}, max_power_cap = {self.max_power_cap}, and rho = "
+                f"mean_interference_power / mean_secondary_power = {rho}"
             )
         for name in ("primary_power", "mean_ps_power"):
             v = getattr(self, name)
@@ -191,6 +177,12 @@ class CapacityEstimate:
     wall_s: float = field(compare=False)
 
 
+def _block_slots(elements_per_slot: int) -> int:
+    """Slots per block, for the simulator and validation's own draws alike: as
+    many of ``elements_per_slot`` elements as ``_BLOCK_ELEMENTS`` holds, >= 1."""
+    return max(1, _BLOCK_ELEMENTS // elements_per_slot)
+
+
 def _layout(config: NetworkConfig, method: str) -> tuple:
     """(block sampler, slots per chunk, slots per block) of a point.
 
@@ -208,7 +200,7 @@ def _layout(config: NetworkConfig, method: str) -> tuple:
     else:
         block, per_slot = _brute_block, elements
     return (block, max(1, min(config.trials, _CHUNK_ELEMENTS // per_slot)),
-            max(1, _BLOCK_ELEMENTS // per_slot))
+            _block_slots(per_slot))
 
 
 def _chunk_size(config: NetworkConfig) -> int:

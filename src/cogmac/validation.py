@@ -39,7 +39,8 @@ from .analytic import (
 )
 from .channels import draw_gains
 from .rab import arcsine_cdf
-from .simulator import NetworkConfig, run_experiment, run_nested_n, sweep, write_sweep_csv
+from .simulator import (NetworkConfig, _block_slots, run_experiment, run_nested_n, sweep,
+                        write_sweep_csv)
 from .stats import EmpiricalDist, KsReport, ks_test, max_normalization_check
 
 __all__ = ["CheckResult", "CHECK_IDS", "run_check", "run_all"]
@@ -65,10 +66,18 @@ def _trials(level: str) -> int:
 
 def _gains(rng, size, k_factor, m_patterns=1):
     """``size`` draws of one user's (gain_s, gain_sp) from the simulator's
-    channel kernel, at unit mean powers."""
+    channel kernel, at unit mean powers, in one draw (a KS sample)."""
     cfg = NetworkConfig(n_users=1, m_patterns=m_patterns, k_factor=k_factor)
     g_s, g_sp = draw_gains(cfg, rng, size)
     return g_s[:, 0], g_sp[:, 0]
+
+
+def _gain_blocks(rng, slots, k_factor, m_patterns=1, n_users=1):
+    """(gain_s, gain_sp) pairs of shape (rows, n_users) from the channel kernel
+    at unit mean powers: ``slots`` slots in blocks of ``_block_slots(N M)``."""
+    cfg = NetworkConfig(n_users=n_users, m_patterns=m_patterns, k_factor=k_factor)
+    rows = _block_slots(n_users * m_patterns)
+    return (draw_gains(cfg, rng, min(rows, slots - s)) for s in range(0, slots, rows))
 
 
 def _usable_cores() -> int:
@@ -156,14 +165,8 @@ def check_frechet_normalization(level: str, ks) -> tuple[bool, str]:
     for k in (0.0, 2.0):
         p = RatioDistParams(k, 1.0)
         a_n = normalizer_a_n(n_users, p)
-        maxima = np.empty(n_maxima)
-        block = 2_000
-        for start in range(0, n_maxima, block):
-            rows = min(block, n_maxima - start)
-            g_s, g_sp = _gains(rng, rows * n_users, k)
-            z = np.divide(g_s, g_sp, out=g_s)
-            maxima[start : start + rows] = z.reshape(rows, n_users).max(axis=1)
-            del g_s, g_sp, z  # free this block before drawing the next
+        maxima = np.concatenate([np.divide(g_s, g_sp, out=g_s).max(axis=1)
+                                 for g_s, g_sp in _gain_blocks(rng, n_maxima, k, n_users=n_users)])
         report = max_normalization_check(maxima, a_n)
         details.append(f"K={k}: " + ks(f"K={k},N={n_users}", report))
     return True, "KS at 1%: " + "; ".join(details)
@@ -257,25 +260,28 @@ def check_rab_distribution_facts(level: str, ks) -> tuple[bool, str]:
     report = ks_test(EmpiricalDist.from_samples(power), lambda x: 1.0 - np.exp(-np.asarray(x)))
     parts.append("(a) M=16 KS " + ks("M=16,K=10 vs Exp", report))
 
-    # (b) two patterns null the strong-LoS link most often: 10^6 slots per M,
-    # drawn in blocks of 10^5 to bound the working set.
+    # (b) two patterns null the strong-LoS link most often: 10^6 slots per M.
     freq = {}
     for m in (2, 4, 8):
-        nulls = sum(int(np.count_nonzero(_gains(rng, 10**5, 1e6, m_patterns=m)[1] < 0.05))
-                    for _ in range(10))
+        nulls = sum(int(np.count_nonzero(g_sp < 0.05))
+                    for _, g_sp in _gain_blocks(rng, 10**6, 1e6, m_patterns=m))
         freq[m] = nulls / 10**6
     ordering = freq[2] > freq[4] and freq[2] > freq[8]
-    parts.append(
-        f"(b) null freq M=2 {freq[2]:.4f} > M=4 {freq[4]:.4f}, M=8 {freq[8]:.4f}"
-    )
+    parts.append(f"(b) null freq M=2 {freq[2]:.4f} > M=4 {freq[4]:.4f}, M=8 {freq[8]:.4f}")
 
-    # (c) the cosine sum follows the arcsine law with variance 1/2.
-    y = rng.uniform(0.0, 2.0 * math.pi, size=10**6)
-    np.cos(y, out=y)
-    report_c = ks_test(EmpiricalDist.from_samples(y[:10_000]), arcsine_cdf)
+    # (c) the cosine sum follows the arcsine law with variance 1/2.  One raw
+    # draw per uniform: the blocks equal one draw of 10^6; KS on the first 10^4.
+    # As |cos| <= 1, the variance from running sums loses no digit that counts.
+    n_cos, rows = 10**6, _block_slots(1)
+    total = total_sq = 0.0
+    for start in range(0, n_cos, rows):
+        y = np.cos(rng.uniform(0.0, 2.0 * math.pi, size=min(rows, n_cos - start)))
+        if start == 0:
+            report_c = ks_test(EmpiricalDist.from_samples(y[:10_000]), arcsine_cdf)
+        total += float(y.sum())
+        total_sq += float(np.square(y, out=y).sum())  # not y @ y: BLAS threads
     ks("cos-sum vs arcsine", report_c)
-    y -= y.mean()  # y.var(), in y's own buffer
-    var = float(np.square(y, out=y).mean())
+    var = total_sq / n_cos - (total / n_cos) ** 2
     var_ok = abs(var - 0.5) <= 0.005
     parts.append(f"(c) arcsine KS D={report_c.statistic:.4f}, var={var:.4f} (0.5 +- 0.005)")
     return ordering and var_ok, "; ".join(parts)
@@ -388,12 +394,11 @@ CHECK_IDS = tuple(_CHECKS)
 
 # The checks run_all starts before the others, in this order (per-check
 # seconds alone on a 2-core Xeon, fast / full level).  The longest,
-# rab_effective_users (0.5 / 2.8), goes first.  The two largest draws,
-# frechet_normalization (about 13 MB, 0.13 s) and rab_distribution_facts
-# (about 11 MB, 0.2 s), are short and go next, while the first still
-# runs.  The other capacity checks follow, effective_users_moderate
-# (0.3 / 1.4), rab_restores_log_growth (0.3 / 1.6) and large_k_growth
-# (0.24 / 1.1), so neither core idles long at the end.
+# rab_effective_users (0.5 / 2.8), goes first.  frechet_normalization (0.13)
+# and rab_distribution_facts (0.2) go next, while it runs: started after the
+# capacity checks, they raised validate-fast's peak RSS by about 0.5 MB.  The
+# others follow, effective_users_moderate (0.3 / 1.4), rab_restores_log_growth
+# (0.3 / 1.6) and large_k_growth (0.24 / 1.1): no core idles long at the end.
 _START_ORDER = (
     "rab_effective_users",
     "frechet_normalization",

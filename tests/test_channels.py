@@ -132,8 +132,9 @@ class ScriptedDraws:
     def __init__(self, exponentials, uniforms):
         self._exponentials, self._uniforms = iter(exponentials), iter(uniforms)
 
-    def standard_exponential(self, shape):
-        return np.array(next(self._exponentials), dtype=float).reshape(shape)
+    def standard_exponential(self, *, out):
+        out[...] = np.reshape(next(self._exponentials), out.shape)
+        return out
 
     def random(self, *, out):
         out[...] = np.reshape(next(self._uniforms), out.shape)

@@ -30,6 +30,11 @@ from cogmac.simulator import (
 )
 
 
+# The head of NetworkConfig's float-range error; each case adds its inputs.
+FLOAT_RANGE = ("N, or the largest scheduled ratio or numerator, (K+1) N 2^53 max(1, Q_p) / rho "
+               "(Q_p = 1 under a power cap), leaves the float range at ")
+
+
 def write_cfg(tmp_path, payload, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
@@ -642,24 +647,38 @@ class TestInputBoundary:
              "not finite at N = 8"),
             (["simulate"], {"network": {"mean_interference_power": 1e-310, "k_factor": 0.0,
                                         "m_patterns": 2, "n_users": 16}},
-             "network: the largest scheduled ratio, about (K+1) N 2^53 / rho, overflows"),
+             "network: " + FLOAT_RANGE + "n_users = 16, m_patterns = 2, k_factor = 0.0, "
+             "peak_interference = 1.0, max_power_cap = None, and rho = mean_interference_power "
+             "/ mean_secondary_power = 1e-310"),
             (["simulate"], {"network": {"mean_interference_power": 1e-310, "k_factor": 2.0,
                                         "m_patterns": 2, "n_users": 16}},
-             "network: the largest scheduled ratio, about (K+1) N 2^53 / rho, overflows"),
-            (["simulate"], {"network": {"n_users": 10**400}}, "network: the largest scheduled"),
-            # The network's own point (N = 100, K = 0) is fine; fig7's N = 512,
-            # K = 100 points are not.
+             "network: " + FLOAT_RANGE + "n_users = 16, m_patterns = 2, k_factor = 2.0, "
+             "peak_interference = 1.0, max_power_cap = None, and rho = mean_interference_power "
+             "/ mean_secondary_power = 1e-310"),
+            (["simulate"], {"network": {"n_users": 10**400}},
+             "network: " + FLOAT_RANGE + "n_users = about 1e400, m_patterns = 2, k_factor = 0.0, "
+             "peak_interference = 1.0, max_power_cap = None, and rho = mean_interference_power "
+             "/ mean_secondary_power = 1.0"),
+            # The network's own point (N = 100, K = 0) is fine; fig7's N = 256,
+            # K = 10 point is the first that is not.
             (["simulate", "--preset", "fig7"], {"network": {"mean_interference_power": 1e-289}},
-             "network: a fig7 point: the largest scheduled ratio"),
+             "network: a fig7 point: " + FLOAT_RANGE + "n_users = 256, m_patterns = 1, "
+             "k_factor = 10.0, peak_interference = 1.0, max_power_cap = None, and rho = "
+             "mean_interference_power / mean_secondary_power = 1e-289"),
             (["simulate"], {"network": {"peak_interference": 1e300, "k_factor": 2.0,
                                         "mean_interference_power": 1e-10, "n_users": 16}},
-             "network: the largest scheduled numerator, about (K+1) N 2^53 Q_p / rho, "
-             "overflows at peak_interference = 1e+300"),
+             "network: " + FLOAT_RANGE + "n_users = 16, m_patterns = 2, k_factor = 2.0, "
+             "peak_interference = 1e+300, max_power_cap = None, and rho = "
+             "mean_interference_power / mean_secondary_power = 1e-10"),
             (["simulate", "--preset", "fig7"], {"network": {"peak_interference": 1e289}},
-             "network: a fig7 point: the largest scheduled numerator"),
+             "network: a fig7 point: " + FLOAT_RANGE + "n_users = 256, m_patterns = 1, "
+             "k_factor = 10.0, peak_interference = 1e+289, max_power_cap = None, and rho = "
+             "mean_interference_power / mean_secondary_power = 1.0"),
             (["simulate"], {"network": {"n_users": 10**400, "mean_interference_power": 1e300,
                                         "mode": "baseline", "m_patterns": 1}},
-             "network: n_users must be at most"),
+             "network: " + FLOAT_RANGE + "n_users = about 1e400, m_patterns = 1, k_factor = 0.0, "
+             "peak_interference = 1.0, max_power_cap = None, and rho = mean_interference_power "
+             "/ mean_secondary_power = 1e+300"),
         ],
     )
     def test_bad_input_exits_2(self, tmp_path, monkeypatch, capsys, argv, payload, where):

@@ -96,20 +96,23 @@ class TestConfigValidation:
     def test_power_ratio_that_overflows_the_quantile_fails_fast(self, k):
         # rho = 1e-310 is finite and > 0, but (K+1) N 2^53 / rho is not: the
         # sampler's largest scheduled ratio would be inf.
-        with pytest.raises(ValueError, match="largest scheduled ratio"):
+        with pytest.raises(ValueError, match=f"largest scheduled ratio.* n_users = 16, "
+                           f"m_patterns = 2, k_factor = {k}, .*mean_secondary_power = 1e-310"):
             NetworkConfig(n_users=16, m_patterns=2, k_factor=k, mean_interference_power=1e-310)
 
     def test_peak_interference_that_overflows_the_numerator_fails_fast(self):
         # rho = 1e-10 keeps the scheduled ratio finite, but Q_p = 1e300
         # times it is not: the sampler's best numerator would be inf.
-        with pytest.raises(ValueError, match="peak_interference = 1e\\+300"):
+        with pytest.raises(ValueError, match="numerator.* peak_interference = 1e\\+300, "
+                           "max_power_cap = None"):
             NetworkConfig(n_users=16, m_patterns=2, k_factor=2.0, peak_interference=1e300,
                           mean_interference_power=1e-10)
 
     def test_n_users_past_the_float_range_fails_fast(self):
-        # rho = 1e300 puts both overflow bounds on N past the float range,
-        # where the sampler's log(U) / N would raise OverflowError.
-        with pytest.raises(ValueError, match="n_users must be at most"):
+        # rho = 1e300 keeps the scheduled ratio below 1, so the bound is N's
+        # own: past the float range the sampler's log(U) / N would raise
+        # OverflowError.
+        with pytest.raises(ValueError, match="N, or .* the float range at n_users = about 1e400,"):
             NetworkConfig(mean_interference_power=1e300, n_users=10**400, trials=100,
                           mode="baseline", m_patterns=1)
 
