@@ -78,8 +78,22 @@ _START_NODES = 1025
 # resolve J0^M.
 _KLUYVER_PANELS = 26
 _KLUYVER_PANEL_WIDTH = 0.25
-_KLUYVER_ORDER = 16
 _RAB_LAW_MAX_K = 100.0
+# The 16-point Gauss-Legendre rule on [-1, 1], nodes ascending, as
+# constants: numpy's leggauss(16) to the bit (tests/test_kluyver_constants.py),
+# without the numpy.polynomial import and the LAPACK eigen-solve behind it.
+_GAUSS16_NODES = np.array([
+    -0.9894009349916499, -0.9445750230732326, -0.8656312023878318, -0.755404408355003,
+    -0.6178762444026438, -0.45801677765722737, -0.2816035507792589, -0.09501250983763744,
+    0.09501250983763744, 0.2816035507792589, 0.45801677765722737, 0.6178762444026438,
+    0.755404408355003, 0.8656312023878318, 0.9445750230732326, 0.9894009349916499,
+])
+_GAUSS16_WEIGHTS = np.array([
+    0.027152459411754176, 0.062253523938647456, 0.0951585116824926, 0.12462897125553407,
+    0.1495959888165767, 0.16915651939500265, 0.18260341504492364, 0.18945061045506864,
+    0.18945061045506864, 0.18260341504492364, 0.16915651939500265, 0.1495959888165767,
+    0.12462897125553407, 0.0951585116824926, 0.062253523938647456, 0.027152459411754176,
+])
 
 
 @dataclass(frozen=True)
@@ -105,8 +119,11 @@ def wright_omega(y):
 
     Three Newton steps from Winitzki's guess, which is within 2% on the
     whole line; each step squares the relative error and halves it at
-    least.  Below y = -40, omega(y) = e^y to double precision; above
-    y = 1e10, omega(y) = y - log(y).
+    least.  What is left is the rounding of 1 + y - log(w), about
+    (1 + |y|) eps relative: against scipy's wrightomega on [-45, 50] the
+    error is within 2 (1 + |y|) eps and at most 7.2e-15, near y = -33.
+    Below y = -40, omega(y) = e^y to double precision; above y = 1e10,
+    omega(y) = y - log(y).
     """
     arg = np.asarray(y, dtype=float)
     # Arithmetic on a numpy scalar costs a fraction of that on a 0-d array.
@@ -120,7 +137,7 @@ def wright_omega(y):
     # Winitzki's guess from L = log(1 + e^y), formed without e^y.
     ell = np.logaddexp(0.0, yc)
     w = ell * (1.0 - np.log1p(ell) / (2.0 + ell))
-    for _ in range(3):  # Newton on w + log(w) = y; relative error 2e-2, 2e-4, 2e-8, 2e-16
+    for _ in range(3):  # Newton on w + log(w) = y; relative error 2e-2, 2e-4, 2e-8, rounding
         w = w * (1.0 + yc - np.log(w)) / (1.0 + w)
     w = np.where(small, tiny, w)
     big = a > _OMEGA_HUGE_Y
@@ -468,7 +485,7 @@ def _pattern_count(m, law: str) -> int:
 @functools.lru_cache(maxsize=1)
 def _kluyver_nodes() -> tuple:
     """(u, w): the panel nodes on [0, 6.5] and their weights times 2 u exp(-u^2)."""
-    x, w = np.polynomial.legendre.leggauss(_KLUYVER_ORDER)
+    x, w = _GAUSS16_NODES, _GAUSS16_WEIGHTS
     half = 0.5 * _KLUYVER_PANEL_WIDTH
     left = _KLUYVER_PANEL_WIDTH * np.arange(_KLUYVER_PANELS)
     u = (left[:, None] + half * (x + 1.0)).ravel()
@@ -559,7 +576,23 @@ def _log_g_series(k: float, m: int) -> tuple:
     coef = np.fft.rfft(np.concatenate([values, values[-2:0:-1]])).real / n
     coef[[0, -1]] *= 0.5
     at_zero = float(_series_at(coef, np.ones(1), np.zeros(1))[0])
-    return coef, np.polynomial.chebyshev.chebder(coef), at_zero
+    return coef, _chebder(coef), at_zero
+
+
+def _chebder(coef: np.ndarray) -> np.ndarray:
+    """Chebyshev coefficients of the derivative of the series ``coef``
+    (at least 3 terms), by the backward recurrence of numpy's chebder, in
+    its order of operations and so to the bit
+    (tests/test_kluyver_constants.py)."""
+    c = coef.tolist()
+    n = len(c) - 1
+    der = np.empty(n)
+    for j in range(n, 2, -1):
+        der[j - 1] = (2 * j) * c[j]
+        c[j - 2] += (j * c[j]) / (j - 2)
+    der[1] = 4 * c[2]
+    der[0] = c[1]
+    return der
 
 
 def _series_at(coef: np.ndarray, v: np.ndarray, one_minus_v: np.ndarray) -> np.ndarray:

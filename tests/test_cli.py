@@ -499,6 +499,16 @@ class TestLogNSlope:
         vals = np.array([2.0 * math.log(math.log(n)) for n in ns])
         assert validation._log_n_slope(ns, vals / np.log(ns)) < -1e-3
 
+    def test_matches_polyfit_on_random_curves(self):
+        rng = np.random.default_rng(27)
+        for size in (4, 6, 7, 12):
+            ns = np.cumsum(rng.integers(1, 64, size=size)) + 1
+            for _ in range(20):
+                vals = rng.normal(scale=rng.uniform(0.01, 10.0), size=size) + rng.uniform(-5, 5)
+                half = size // 2
+                expected = np.polyfit(np.log(ns[half:]), vals[half:], 1)[0]
+                assert validation._log_n_slope(ns, vals) == pytest.approx(expected, rel=1e-12)
+
     def test_rayleigh_capacities_flat_vs_control(self):
         ns = [8, 16, 32, 64, 128, 256, 512]
         caps = np.array([
