@@ -16,6 +16,11 @@ Library layout:
 * :mod:`cogmac.validation` - the named cross-validation checks run by the
   CLI and the acceptance test suite, growth-law slopes included.
 * :mod:`cogmac.cli` - ``cogmac`` command-line front end.
+
+The package re-exports names of ``analytic`` and ``simulator`` only, and
+loads no other layer but ``channels``: ``espar``, ``rab``, ``stats`` and
+``validation`` load when imported, so a ``simulate`` run never loads
+them, and the KS machinery is reached as ``cogmac.stats.*``.
 """
 
 from .analytic import (
@@ -38,6 +43,5 @@ from .simulator import (
     run_experiment,
     sweep,
 )
-from .stats import EmpiricalDist, KsReport, ks_test, max_normalization_check
 
 __version__ = "0.1.0"

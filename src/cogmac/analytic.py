@@ -162,24 +162,37 @@ def _bessel_i0e_i1e(ax: np.ndarray) -> tuple:
 
     Power series up to the crossover, asymptotic series above it, each one
     fixed polynomial (Abramowitz & Stegun 9.6.10 and 9.7.1) evaluated by
-    Horner's rule; each element's result depends only on that element.
+    Horner's rule; each element's result depends only on that element.  An
+    array on one side of the crossover takes its branch whole; a mixed one
+    is split and each part takes its own.
     """
-    i0e, i1e = np.empty_like(ax), np.empty_like(ax)
     small = ax <= _BESSEL_SERIES_CUTOFF
-    # I0 = sum q^m / (m!)^2 and I1 = (x/2) sum q^m / (m! (m+1)!): positive
-    # terms, no cancellation.
-    xs = ax[small]
-    q = 0.25 * np.square(xs)
-    scale = np.exp(-xs)
-    i0e[small] = scale * _horner(_I0_SERIES, q)
-    i1e[small] = scale * (0.5 * xs) * _horner(_I1_SERIES, q)
-    xl = ax[~small]
-    inv = 1.0 / xl
-    # sqrt(2 pi) sqrt(x), as 2 pi x overflows from x ~ 2.9e307.
-    root = math.sqrt(2.0 * math.pi) * np.sqrt(xl)
-    i0e[~small] = _horner(_I0E_ASYMPTOTIC, inv) / root
-    i1e[~small] = _horner(_I1E_ASYMPTOTIC, inv) / root
+    if small.all():
+        return _bessel_series(ax)
+    if not small.any():
+        return _bessel_asymptotic(ax)
+    i0e, i1e = np.empty_like(ax), np.empty_like(ax)
+    i0e[small], i1e[small] = _bessel_series(ax[small])
+    large = ~small
+    i0e[large], i1e[large] = _bessel_asymptotic(ax[large])
     return i0e, i1e
+
+
+def _bessel_series(x: np.ndarray) -> tuple:
+    """(i0e, i1e) by the power series: I0 = sum q^m / (m!)^2 and
+    I1 = (x/2) sum q^m / (m! (m+1)!), q = x^2/4; positive terms, no
+    cancellation."""
+    q = 0.25 * np.square(x)
+    scale = np.exp(-x)
+    return scale * _horner(_I0_SERIES, q), scale * (0.5 * x) * _horner(_I1_SERIES, q)
+
+
+def _bessel_asymptotic(x: np.ndarray) -> tuple:
+    """(i0e, i1e) by the asymptotic series in 1/x."""
+    inv = 1.0 / x
+    # sqrt(2 pi) sqrt(x), as 2 pi x overflows from x ~ 2.9e307.
+    root = math.sqrt(2.0 * math.pi) * np.sqrt(x)
+    return _horner(_I0E_ASYMPTOTIC, inv) / root, _horner(_I1E_ASYMPTOTIC, inv) / root
 
 
 def _horner(coef: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -272,7 +285,10 @@ def ratio_ppf(q, params: RatioDistParams):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         log_x = np.log(k) + k + np.log(q_arr)
         w = np.asarray(wright_omega(log_x))
-        k_over_w = np.where(log_x < 0.0, np.exp(w) * (math.exp(-k) / q_arr), k / w)
+        k_over_w = np.divide(k, w, out=np.empty_like(w))
+        below = np.asarray(log_x < 0.0)
+        if below.any():  # the exponential only where it is used
+            k_over_w[below] = np.exp(w[below]) * (math.exp(-k) / q_arr[below])
     return _scalar_or_array(np.maximum((k + 1.0) * (k_over_w - 1.0) / params.power_ratio, 0.0))
 
 

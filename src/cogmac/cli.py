@@ -13,23 +13,26 @@ Flags can also be supplied through ``COGMAC_*`` environment variables
 (flag > environment > config file > built-in default).  Every bad input,
 the output path included, is a :class:`ConfigError`: it is found before
 any work starts and exits 2.
+
+Each subcommand imports what it uses when it runs: ``simulate`` loads only
+``analytic``, ``channels`` and ``simulator``; ``validation`` and ``csv``
+load in ``validate``, and ``espar`` and ``json`` wherever a config file is
+read or a pattern built.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import math
 import os
 import sys
 import time
 from dataclasses import dataclass, fields, replace
-from typing import get_args, get_type_hints
+from typing import TYPE_CHECKING, get_args, get_type_hints
 
 import numpy as np
 
-from . import analytic, espar, validation
+from . import analytic
 from .simulator import (
     LOG2,
     NetworkConfig,
@@ -38,6 +41,9 @@ from .simulator import (
     sweep,
     write_sweep_csv,
 )
+
+if TYPE_CHECKING:
+    from .espar import EsparConfig
 
 __all__ = ["ExperimentPreset", "parse_config", "main"]
 
@@ -74,10 +80,6 @@ class ConfigError(ValueError):
     the message carries the offending key path or flag."""
 
 
-# Config section -> the dataclass whose fields are the section's keys and types.
-_SECTIONS = {"network": NetworkConfig, "preset": ExperimentPreset, "espar": espar.EsparConfig}
-
-
 def _typed(value, types: tuple, path: str, what: str):
     # type(), not isinstance(): JSON true and false must not pass as 1 and 0.
     if type(value) not in types:
@@ -106,13 +108,12 @@ _READERS = {
 }
 
 
-def _read_section(raw: dict, key: str) -> dict:
-    """Keyword arguments of section ``key``'s dataclass.  Its fields give the
-    keys and their types; null is allowed where the default is None."""
+def _read_section(raw: dict, key: str, cls) -> dict:
+    """Keyword arguments of section ``key``'s dataclass ``cls``.  Its fields
+    give the keys and their types; null is allowed where the default is None."""
     section = raw.get(key, {})
     if type(section) is not dict:
         raise ConfigError(f"{key}: expected an object")
-    cls = _SECTIONS[key]
     hints = get_type_hints(cls)
     defaults = {f.name: f.default for f in fields(cls)}
     kwargs = {}
@@ -127,8 +128,14 @@ def _read_section(raw: dict, key: str) -> dict:
     return kwargs
 
 
-def parse_config(path: str) -> tuple[NetworkConfig, ExperimentPreset, espar.EsparConfig]:
+def parse_config(path: str) -> tuple[NetworkConfig, ExperimentPreset, EsparConfig]:
     """Parse and validate the JSON config file (strict: unknown keys rejected)."""
+    import json
+
+    from .espar import EsparConfig
+
+    # Section -> the dataclass whose fields are the section's keys and types.
+    sections = {"network": NetworkConfig, "preset": ExperimentPreset, "espar": EsparConfig}
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -139,19 +146,19 @@ def parse_config(path: str) -> tuple[NetworkConfig, ExperimentPreset, espar.Espa
     if type(raw) is not dict:
         raise ConfigError("config root: expected an object")
     for key in raw:
-        if key not in _SECTIONS:
+        if key not in sections:
             raise ConfigError(f"{key}: unknown top-level key")
-    kwargs = {key: _read_section(raw, key) for key in _SECTIONS}
+    kwargs = {key: _read_section(raw, key, cls) for key, cls in sections.items()}
     # An explicit baseline without an explicit pattern count means one pattern.
     if kwargs["network"].get("mode") == "baseline":
         kwargs["network"].setdefault("m_patterns", 1)
-    sections = []
-    for key, cls in _SECTIONS.items():
+    built = []
+    for key, cls in sections.items():
         try:
-            sections.append(cls(**kwargs[key]))
+            built.append(cls(**kwargs[key]))
         except ValueError as exc:
             raise ConfigError(f"{key}: {exc}") from exc
-    return tuple(sections)
+    return tuple(built)
 
 
 # ------------------------------------------------------------------ presets
@@ -234,6 +241,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    import csv
+
+    from . import validation
+
     if args.out:
         _check_out(args.out)
     t_start = time.time()
@@ -265,6 +276,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_espar(args) -> int:
+    from . import espar
+
     cfg = parse_config(args.config)[2] if args.config else espar.EsparConfig()
     out_path = _check_out(args.out or "pattern.csv")
     reactances = _values(args.reactances, "--reactances", float) if args.reactances else []

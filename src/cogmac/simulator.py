@@ -53,7 +53,6 @@ from __future__ import annotations
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from itertools import product
 
@@ -213,13 +212,14 @@ def _chunk_rng(config: NetworkConfig, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.SFC64(seq))
 
 
-def _inv_denom(config: NetworkConfig, size: int, rng) -> np.ndarray:
+def _inv_denom(config: NetworkConfig, size: int, rng) -> np.ndarray | None:
     """1 / (1 + P gamma_ps) of ``size`` slots: one exponential per slot when
-    primary power is on, no draw otherwise."""
+    primary power is on; None, and no draw, when it is off (every
+    denominator is 1)."""
     if config.primary_power > 0.0 and config.mean_ps_power > 0.0:
         gamma_ps = config.mean_ps_power * rng.standard_exponential(size)
         return 1.0 / (1.0 + config.primary_power * gamma_ps)
-    return np.ones(size)
+    return None
 
 
 def _brute_block(config: NetworkConfig, size: int, rng, n_grid) -> np.ndarray:
@@ -278,9 +278,13 @@ def _chunk_sums(config: NetworkConfig, size: int, rng, method: str, n_grid) -> n
     for start in range(0, size, rows):
         best_num = block(config, min(rows, size - start), rng, n_grid)
         inv_denom = _inv_denom(config, best_num.shape[1], rng)
-        caps = np.log1p(best_num * inv_denom)
+        if inv_denom is None:  # x * 1 is x, and a sum of ones is exact
+            caps = np.log1p(best_num)
+            sums[3] += best_num.shape[1]
+        else:
+            caps = np.log1p(best_num * inv_denom)
+            sums[3] += np.sum(inv_denom)
         sums[:3] += (np.sum(caps, axis=1), np.sum(caps * caps, axis=1), np.sum(best_num, axis=1))
-        sums[3] += np.sum(inv_denom)
     return sums
 
 
@@ -302,7 +306,9 @@ def _estimates(
 
     if threads == 1 or n_chunks == 1:
         results = [work(c) for c in range(n_chunks)]
-    else:
+    else:  # imported here, so a one-thread run never loads concurrent.futures
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(work, range(n_chunks)))
     wall_s = time.perf_counter() - start

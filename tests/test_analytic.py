@@ -547,6 +547,21 @@ class TestBesselPair:
             one = analytic._bessel_i0e_i1e(np.array([x]))
             assert (one[0][0], one[1][0]) == (pair[0][i], pair[1][i])
 
+    def test_mixed_array_equals_its_one_branch_parts(self):
+        # An array on one side of the crossover takes that branch whole; a
+        # mixed one splits: the same bits either way.
+        rng = np.random.default_rng(11)
+        cut = analytic._BESSEL_SERIES_CUTOFF
+        small = np.r_[0.0, rng.uniform(0.0, cut, 999), cut]
+        large = np.r_[np.nextafter(cut, np.inf), rng.uniform(cut, 1e3, 999), 1e308]
+        xs = np.concatenate([small, large])
+        order = rng.permutation(xs.size)
+        mixed = analytic._bessel_i0e_i1e(xs[order])
+        parts = [np.concatenate(pair) for pair in zip(analytic._bessel_i0e_i1e(small),
+                                                      analytic._bessel_i0e_i1e(large))]
+        for got, want in zip(mixed, parts):
+            assert got.tobytes() == want[order].tobytes()
+
     def test_truncation_degrees(self):
         x = analytic._BESSEL_SERIES_CUTOFF
         # Above the crossover, every asymptotic term through k = 30 shrinks ...

@@ -1,5 +1,6 @@
 """Scheduler and Monte-Carlo engine tests."""
 
+import concurrent.futures
 import math
 import time
 import tracemalloc
@@ -230,6 +231,26 @@ class TestBlocks:
             expected += [np.sum(caps), np.sum(caps**2), np.sum(best), np.sum(inv_denom)]
         assert size // rows >= 3 and size % rows
         assert chunk_sums(cfg, size) == pytest.approx(tuple(expected), rel=1e-12)
+
+    @pytest.mark.parametrize("method,n_grid", [("brute", (3, 40, 300)), ("auto", (300,))])
+    def test_power_off_sums_equal_the_ones_formula(self, method, n_grid):
+        # Without primary power every denominator is 1: the chunk's sums are
+        # those of an all-ones 1/denominator array, bit for bit.
+        cfg = NetworkConfig(n_users=300, m_patterns=2, mode="rab", k_factor=3.0,
+                            trials=1000, seed=7)
+        block, _, rows = simulator._layout(cfg, method)
+        size = 3 * rows + rows // 2
+        rng = simulator._chunk_rng(cfg, 0)
+        expected = np.zeros((4, len(n_grid)))
+        for start in range(0, size, rows):
+            best = block(cfg, min(rows, size - start), rng, n_grid)
+            inv_denom = np.ones(best.shape[1])
+            caps = np.log1p(best * inv_denom)
+            expected[:3] += (np.sum(caps, axis=1), np.sum(caps * caps, axis=1),
+                             np.sum(best, axis=1))
+            expected[3] += np.sum(inv_denom)
+        got = simulator._chunk_sums(cfg, size, simulator._chunk_rng(cfg, 0), method, n_grid)
+        assert got.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("m", [1, 4])
     def test_full_chunk_working_set_is_bounded(self, m):
@@ -482,14 +503,15 @@ class TestSweep:
         assert est == run_experiment(cfg, threads=1, method="brute")
 
     def test_single_chunk_points_build_no_thread_pool(self, monkeypatch):
+        # The pool class is looked up in concurrent.futures when a pool is built.
         pools = []
-        real = simulator.ThreadPoolExecutor
+        real = concurrent.futures.ThreadPoolExecutor
 
         def counted(*args, **kwargs):
             pools.append(kwargs)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(simulator, "ThreadPoolExecutor", counted)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", counted)
         points = sweep(small_cfg(trials=500), [2, 8], [0.0, 2.0], [3], ["baseline", "rab"],
                        threads=4)
         assert len(points) == 8 and pools == []
@@ -540,7 +562,8 @@ def slot_sinrs(block, cfg, size, seed):
     out = []
     for start in range(0, size, rows):
         best_num = block(cfg, min(rows, size - start), rng, (cfg.n_users,))[0]
-        out.append(best_num * simulator._inv_denom(cfg, best_num.size, rng))
+        inv_denom = simulator._inv_denom(cfg, best_num.size, rng)  # None: primary power off
+        out.append(best_num if inv_denom is None else best_num * inv_denom)
     return np.concatenate(out)
 
 
