@@ -17,31 +17,13 @@ Library layout:
   CLI and the acceptance test suite, growth-law slopes included.
 * :mod:`cogmac.cli` - ``cogmac`` command-line front end.
 
-The package re-exports names of ``analytic`` and ``simulator`` only, and
-loads no other layer but ``channels``: ``espar``, ``rab``, ``stats`` and
-``validation`` load when imported, so a ``simulate`` run never loads
-them, and the KS machinery is reached as ``cogmac.stats.*``.
+The package exports the four simulator names of ``__all__``; the laws are
+reached as ``cogmac.analytic.*``.  It loads no other layer but
+``analytic`` and ``channels``: ``espar``, ``rab``, ``stats`` and
+``validation`` load when imported, so a ``simulate`` run never loads them.
 """
 
-from .analytic import (
-    RatioDistParams,
-    bessel_i0e,
-    effective_users_moderate_k,
-    effective_users_rab_m2,
-    normalizer_a_n,
-    rab_m2_cdf,
-    rab_m2_tail_cdf,
-    ratio_cdf,
-    ratio_pdf,
-    ratio_ppf,
-    theorem1_law,
-    wright_omega,
-)
-from .simulator import (
-    CapacityEstimate,
-    NetworkConfig,
-    run_experiment,
-    sweep,
-)
+from .simulator import CapacityEstimate, NetworkConfig, run_experiment, sweep
 
+__all__ = ["CapacityEstimate", "NetworkConfig", "run_experiment", "sweep"]
 __version__ = "0.1.0"

@@ -338,7 +338,8 @@ def effective_users_rab_m2(n_users, k_factor: float):
 
 def _rab_m2_prefactor(z_arr: np.ndarray, params: RatioDistParams) -> np.ndarray:
     k = params.k_factor
-    return (k + 1.0) / (params.power_ratio * z_arr + k + 1.0)
+    with np.errstate(over="ignore"):  # rho z past the float range: u = inf, F = 1
+        return (k + 1.0) / (params.power_ratio * z_arr + k + 1.0)
 
 
 def rab_m2_cdf(z, params: RatioDistParams):
@@ -350,8 +351,9 @@ def rab_m2_cdf(z, params: RatioDistParams):
     formed as rho z (K / (rho z + K + 1)), as K rho z overflows at huge K.
     """
     z_arr = _ratios(z, "rab_m2_cdf")
-    rz, k = params.power_ratio * z_arr, params.k_factor
-    y = rz * (k / (rz + k + 1.0))
+    with np.errstate(over="ignore", invalid="ignore"):  # rho z = inf: y = inf * 0, limit K
+        rz, k = params.power_ratio * z_arr, params.k_factor
+        y = np.nan_to_num(rz * (k / (rz + k + 1.0)), nan=k)
     return _scalar_or_array(1.0 - _rab_m2_prefactor(z_arr, params) * bessel_i0e(y))
 
 
@@ -387,9 +389,9 @@ def _rab_law(k: float, m: int) -> tuple:
     """(log_g_and_slope, start) of the M-pattern law at K, for :func:`_tail_newton`.
 
     As a function of t = log v, ``log_g_and_slope(t)`` gives log g_M(c) and
-    d log S / dt at c = (K/M)(1 - e^t).  M = 2, and K = 0 at any M, from the
-    Bessel pair, g_2(c) = exp(-2c) I0(2c); M >= 3 from the Chebyshev series
-    of :func:`_log_g_series`, built here once.
+    d log S / dt at c = (K/M)(1 - e^t), for K > 0.  M = 2 from the Bessel
+    pair, g_2(c) = exp(-2c) I0(2c); M >= 3 from the Chebyshev series of
+    :func:`_log_g_series`, built here once.
 
     ``start`` is the :class:`_NewtonStart` of the law.  Its nodes are
     -t = geomspace(40, 1e-7) and t = 0: geometric, so that they are as
@@ -403,7 +405,7 @@ def _rab_law(k: float, m: int) -> tuple:
     it comes from one vector call of the law, the arrays are read-only, and
     it is the same whichever thread builds it.
     """
-    if m == 2 or k == 0.0:
+    if m == 2:
         def log_g_and_slope(t):
             i0e, i1e = _bessel_i0e_i1e(-k * np.expm1(t))
             return np.log(i0e), 1.0 + k * np.exp(t) * (1.0 - i1e / i0e)
@@ -564,8 +566,9 @@ def rab_cdf(z, params: RatioDistParams, m):
     k = params.k_factor
     if k > _RAB_LAW_MAX_K:
         raise ValueError(f"rab_cdf requires k_factor <= {_RAB_LAW_MAX_K:g}, got {k}")
-    rt = params.power_ratio * z_arr
-    one_minus_v = rt / (rt + k + 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # rho z = inf: 1 - v = inf/inf, limit 1
+        rt = params.power_ratio * z_arr
+        one_minus_v = np.nan_to_num(rt / (rt + k + 1.0), nan=1.0)
     comp = [_kluyver_complement((k / m) * x, m) for x in one_minus_v.ravel().tolist()]
     comp = np.reshape(comp, z_arr.shape)
     return _scalar_or_array(one_minus_v + (k + 1.0) / (rt + k + 1.0) * comp)
@@ -648,7 +651,8 @@ def rab_ppf(q, params: RatioDistParams, m):
     """Quantile of the M-pattern RAB law at upper-tail probability q:
     rab_cdf(z, params, m) = 1 - q.
 
-    M = 1 is :func:`ratio_ppf`.  For M >= 2, in v = (K+1)/(rho z + K + 1),
+    M = 1, and K = 0 at any M (the Rayleigh law, as g_M(0) = 1), is
+    :func:`ratio_ppf`.  For M >= 2, in v = (K+1)/(rho z + K + 1),
     in (0, 1], the upper tail is S(v) = v g_M(c) with c = (K/M)(1 - v), and
     Newton's method solves log S = log q in t = log v (see
     :func:`_tail_newton`) on the law of :func:`_rab_law`, built once per
@@ -661,8 +665,7 @@ def rab_ppf(q, params: RatioDistParams, m):
     and the loop's halving rule stops it there.  The answer is v = q / g
     at the root, with log g there taken to first order from the last
     evaluation, which avoids the |t| ulps that exp(t) would lose, and
-    z = (K+1)(1/v - 1)/rho.  K = 0 gives the Rayleigh quantile
-    (1/q - 1)/rho for any M.
+    z = (K+1)(1/v - 1)/rho.
 
     Accepts scalars or ndarrays with 0 < q <= 1; q = 1 gives z = 0.
     Certified for K <= 1000 at M <= 2 and K <= 100 at M >= 3 (the
@@ -673,6 +676,6 @@ def rab_ppf(q, params: RatioDistParams, m):
     k, top = params.k_factor, _rab_ppf_max_k(m)
     if k > top:
         raise ValueError(f"rab_ppf requires k_factor <= {top:g} at m = {m}, got {k}")
-    if m == 1:
+    if m == 1 or k == 0.0:
         return ratio_ppf(q, params)
     return _tail_newton(_tail_probabilities(q, "rab_ppf"), params, *_rab_law(k, m))

@@ -11,7 +11,9 @@ Threading: a check is the unit of parallel work.  :func:`run_all` runs
 the checks concurrently on every usable core, each alone on a pool
 thread, and a check's capacity points run on that check's own thread.
 Every check seeds its own generators and shares no mutable state with
-another, so each result is the same on one core as on many.
+another, so each result is the same on one core as on many.  A check
+that raises ends the run: its error propagates once every check listed
+before it has reported, and the checks not started by then are cancelled.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from __future__ import annotations
 import io
 import math
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -440,35 +441,19 @@ def run_all(level: str = "full", report=None) -> list[CheckResult]:
 
     ``report`` is called with each result in ``CHECK_IDS`` order, as soon
     as it and every earlier check have finished, so its calls are the same
-    for any core count.  If a check raises, every check that has not
-    started yet is skipped and the exception propagates.
+    for any core count.  If a check raises, its error propagates once every
+    check listed before it has reported, as does an error of ``report``;
+    checks not started by then, or at Ctrl-C, are cancelled.
     """
-    stop = threading.Event()
-
-    def run(check_id: str) -> CheckResult | None:
-        if stop.is_set():
-            return None
-        try:
-            return run_check(check_id, level)
-        except BaseException:
-            stop.set()
-            raise
-
     start_order = [*_START_ORDER, *(c for c in CHECK_IDS if c not in _START_ORDER)]
     results = []
     with ThreadPoolExecutor(max_workers=_usable_cores()) as pool:
-        futures = {check_id: pool.submit(run, check_id) for check_id in start_order}
+        futures = {check_id: pool.submit(run_check, check_id, level) for check_id in start_order}
         try:
             for check_id in CHECK_IDS:
-                result = futures[check_id].result()
-                if result is None:  # skipped after another check raised
-                    break
-                results.append(result)
+                results.append(futures[check_id].result())
                 if report is not None:
-                    report(result)
+                    report(results[-1])
         finally:
-            stop.set()
-    if len(results) < len(CHECK_IDS):  # raise the error that stopped the pool
-        errors = (future.exception() for future in futures.values())
-        raise next(error for error in errors if error is not None)
+            pool.shutdown(cancel_futures=True)
     return results

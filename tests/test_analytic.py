@@ -493,6 +493,19 @@ class TestRabM2ClosedForms:
         cdf = rab_m2_cdf(z, RatioDistParams(1e308, 1.0))
         assert cdf == pytest.approx(1.0 - bessel_i0e(z), rel=1e-14, abs=0.0)
 
+    @pytest.mark.parametrize("k", [0.0, 10.0])
+    def test_ratio_past_the_float_range(self, k):
+        # rho z overflows at z = 1e308, where y = rho z K/u would be inf * 0;
+        # every law takes its z -> inf limit F = 1, without a warning.
+        p = RatioDistParams(k, 10.0)
+        z = np.array([1.0, 1e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert rab_m2_cdf(1e308, p) == 1.0 and rab_cdf(1e308, p, 3) == 1.0
+            assert rab_m2_cdf(z, p)[1] == 1.0 and rab_cdf(z, p, 3)[1] == 1.0
+            if k > 0.0:
+                assert rab_m2_tail_cdf(1e308, p) == 1.0
+
     def test_tail_form_consistency(self):
         for k in [1.0, 10.0]:
             p = RatioDistParams(k, 1.0)
@@ -750,6 +763,16 @@ class TestRabPpf:
             rab_ppf(0.5, RatioDistParams(100.5, 1.0), 3)
         with pytest.raises(ValueError, match="integer m >= 1"):
             rab_ppf(0.5, p, 0)
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 6])
+    def test_k0_is_the_ratio_ppf_and_builds_no_law(self, m):
+        # g_M(0) = 1: the Rayleigh law at every M, with no law built or cached.
+        q = np.geomspace(1e-300, 1.0, 4001)
+        for rho in (0.3, 1.0, 7.0):
+            p = RatioDistParams(0.0, rho)
+            cached = analytic._rab_law.cache_info().currsize
+            assert np.array_equal(rab_ppf(q, p, m), ratio_ppf(q, p))
+            assert analytic._rab_law.cache_info().currsize == cached
 
     @pytest.mark.parametrize("m", [3, 4, 8])
     def test_inverts_cdf_on_grid(self, m):

@@ -433,8 +433,8 @@ class TestRunAll:
         assert results == reported
         assert results == [validation.run_check(c, "fast") for c in checks]
 
-    def test_a_raising_check_propagates_and_skips_queued_checks(self, monkeypatch):
-        started = []
+    def test_a_raising_check_propagates_and_leaves_no_check_running(self, monkeypatch):
+        started, finished = [], []
 
         def boom(level, ks):
             started.append("boom")
@@ -442,6 +442,8 @@ class TestRunAll:
 
         def later(level, ks):
             started.append("later")
+            time.sleep(0.05)
+            finished.append("later")
             return True, ""
 
         self.use_checks(monkeypatch, {"boom": ("raises", boom), "later": ("queued", later)},
@@ -449,7 +451,8 @@ class TestRunAll:
         reported = []
         with pytest.raises(RuntimeError, match="check blew up"):
             validation.run_all("fast", report=reported.append)
-        assert started == ["boom"] and reported == []
+        # "later" is cancelled, or it started before the cancel and has ended.
+        assert reported == [] and started[0] == "boom" and finished == started[1:]
 
     def test_start_order_checks_start_first_and_report_in_check_order(self, monkeypatch):
         started = []
@@ -460,9 +463,9 @@ class TestRunAll:
         assert started == ["d", "b", "a", "c"]
         assert [r.check_id for r in reported] == ["a", "b", "c", "d"]
 
-    def test_a_skipped_task_stops_the_report_at_its_first_listed_check(self, monkeypatch):
-        # "late" raises first; "d" and "b", started after it, are skipped,
-        # and "b", listed first, ends the report.
+    def test_checks_listed_before_a_raising_one_report_before_its_error(self, monkeypatch):
+        # "late" raises first; "d" and "b", started after it, still run, and
+        # both report before late's error propagates.
         started = []
         checks = {c: (c, self.recording(started, c)) for c in ("b", "d")}
         checks["late"] = ("raises", self.recording(started, "late", verdict=None))
@@ -470,11 +473,12 @@ class TestRunAll:
         reported = []
         with pytest.raises(RuntimeError, match="late blew up"):
             validation.run_all("fast", report=reported.append)
-        assert started == ["late"] and reported == []
+        assert started == ["late", "d", "b"]
+        assert [r.check_id for r in reported] == ["b", "d"]
 
     def test_a_raising_check_started_early_propagates_its_own_error(self, monkeypatch):
-        # "late" starts first and raises; "early", listed first, is skipped,
-        # and run_all raises late's error, not a skip marker.
+        # "late" starts first and raises; "early", listed first, reports,
+        # then late's error propagates.
         started = []
         checks = {"early": ("listed first", self.recording(started, "early")),
                   "late": ("raises", self.recording(started, "late", verdict=None))}
@@ -482,7 +486,22 @@ class TestRunAll:
         reported = []
         with pytest.raises(RuntimeError, match="late blew up"):
             validation.run_all("fast", report=reported.append)
-        assert started == ["late"] and reported == []
+        assert started == ["late", "early"]
+        assert [r.check_id for r in reported] == ["early"]
+
+    def test_an_error_of_report_propagates_and_ends_the_report(self, monkeypatch):
+        started = []
+        checks = {c: (c, self.recording(started, c)) for c in ("a", "b", "c")}
+        self.use_checks(monkeypatch, checks, cores=1)
+        reported = []
+
+        def report(result):
+            reported.append(result.check_id)
+            raise OSError("report failed")
+
+        with pytest.raises(OSError, match="report failed"):
+            validation.run_all("fast", report=report)
+        assert reported == ["a"]
 
 
 class TestLogNSlope:
@@ -585,6 +604,14 @@ class TestAnalyticCommand:
         assert main(["analytic", "--law", "rab2-cdf", "--k", k]) == 0
         rows = capsys.readouterr().out.strip().splitlines()[1:]
         assert len(rows) == 5 and all(math.isfinite(float(r.split(",")[1])) for r in rows)
+
+    @pytest.mark.parametrize("law", ["rab2-cdf", "rab2-tail"])
+    def test_cdf_past_the_float_range_is_one(self, capsys, law):
+        # rho z = 1e309 overflows; each CDF takes its z -> inf limit, as ratio-cdf does.
+        assert main(["analytic", "--law", law, "--k", "10", "--rho", "10",
+                     "--z", "1,1e308"]) == 0
+        rows = capsys.readouterr().out.strip().splitlines()[1:]
+        assert rows[1] == "1e+308,1"
 
     @pytest.mark.parametrize("law", ["ratio-cdf", "ratio-pdf"])
     @pytest.mark.parametrize("k", ["1e200", "1e308"])

@@ -1,5 +1,6 @@
-"""Export contract: every name a layer module lists in ``__all__`` exists,
-and the README's library example runs.
+"""Export contract: the package exports the simulator names, every name a
+layer module lists in ``__all__`` exists, and the README's library example
+runs.
 
 The benchmark's tracer imports these eight modules and wraps what their
 ``__all__`` names, so a stale export breaks traced runs."""
@@ -9,9 +10,17 @@ from pathlib import Path
 
 import pytest
 
+import cogmac
+from cogmac import simulator
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 LAYERS = ("cli", "simulator", "validation", "stats", "analytic", "espar", "channels", "rab")
+
+
+def test_package_exports_the_simulator_names():
+    assert cogmac.__all__ == ["CapacityEstimate", "NetworkConfig", "run_experiment", "sweep"]
+    assert all(getattr(cogmac, name) is getattr(simulator, name) for name in cogmac.__all__)
 
 
 @pytest.mark.parametrize("layer", LAYERS)
