@@ -6,17 +6,14 @@ N <= 512 grid (see notes in the validation module); the test states the
 criterion faithfully and is expected red, with the supplementary
 restoration diagnostic printed alongside.
 
-The first test fills a module cache from one ``validation.run_all("full")``
-call, which runs the twelve checks concurrently on every usable core;
-each test then asserts its own criterion (if a check raises, each test
+Every test reads the session fixture ``full`` (``tests/conftest.py``):
+one ``validation.run_all("full")`` call, which runs the twelve checks
+concurrently on every usable core, and which the golden validation files
+read too; each test then asserts its own criterion (if a check raises, each test
 reruns its own check, so only that criterion's test errors).  Runtime is
 dominated by the four 100k-trial capacity checks: the file takes about
 9 s on a 2-core Xeon (a shared host whose speed drifts by up to 2x).
 """
-
-import pytest
-
-from cogmac import validation
 
 
 def announce_and_assert(capsys, number, result):
@@ -24,23 +21,6 @@ def announce_and_assert(capsys, number, result):
         mark = "PASS" if result.passed else "FAIL"
         print(f"\nACCEPTANCE {number:02d} [{mark}] {result.name}: {result.detail}")
     assert result.passed, f"criterion {number}: {result.detail}"
-
-
-@pytest.fixture(scope="module")
-def full():
-    try:
-        cache = {r.check_id: r for r in validation.run_all("full")}
-    except Exception:
-        # Some check raised: each test reruns its own check alone, so only
-        # the faulty criterion's test errors.
-        cache = {}
-
-    def run(check_id):
-        if check_id not in cache:
-            cache[check_id] = validation.run_check(check_id, "full")
-        return cache[check_id]
-
-    return run
 
 
 def test_c01_quantile_identity(full, capsys):
