@@ -12,8 +12,9 @@ Conventions used throughout:
 Everything in this module is a pure scalar/ndarray function with no RNG:
 a 0-d input (a Python or numpy scalar, or a 0-d array) gives a float, any
 other input an array of its shape.  The one state is a cache of the
-quadrature nodes and one of the per-(K, M) laws behind :func:`rab_ppf`, each
-filled on first use and the same whichever thread fills it.
+quadrature nodes and one of the per-(K, M) laws behind
+:meth:`RatioDistParams.isf`, each filled on first use and the same whichever
+thread fills it.
 """
 
 from __future__ import annotations
@@ -31,15 +32,12 @@ __all__ = [
     "bessel_i0e",
     "ratio_cdf",
     "ratio_pdf",
-    "ratio_ppf",
     "normalizer_a_n",
     "theorem1_law",
     "effective_users_moderate_k",
     "effective_users_rab_m2",
     "rab_m2_cdf",
     "rab_m2_tail_cdf",
-    "rab_cdf",
-    "rab_ppf",
 ]
 
 # Below y = -40, omega(y) = e^y - e^2y + ... equals e^y to double precision.
@@ -98,15 +96,85 @@ _GAUSS16_WEIGHTS = np.array([
 
 @dataclass(frozen=True)
 class RatioDistParams:
-    """Parameters of the secondary-to-interference power ratio distribution."""
+    """The law of one user's ratio z = secondary power / interference power
+    under M-pattern RAB (M = 1: one conventional antenna).
+
+    With t = rho z/(K+1), v = 1/(1+t) and c = (K/M)(1 - v), the upper tail
+    is S(z) = v g_M(c), where g_M(c) = E exp(-c |sum_{i<=M} exp(j theta_i)|^2)
+    over iid uniform phases is Kluyver's random-walk integral.  g_1(c) =
+    exp(-c) is the law of :func:`ratio_cdf`, g_2(c) = exp(-2c) I0(2c) that
+    of :func:`rab_m2_cdf`, and K = 0 is the Rayleigh law at every M, as
+    g_M(0) = 1.  Those named forms read K and rho only; :meth:`cdf` and
+    :meth:`isf` read M too.
+    """
 
     k_factor: float      # K of the interference channel
     power_ratio: float   # rho = mean interference power / mean secondary power
+    m_patterns: int = 1  # M, the RAB basis patterns
 
     def __post_init__(self) -> None:
         _k_factor(self.k_factor, "RatioDistParams")
         if not math.isfinite(self.power_ratio) or self.power_ratio <= 0.0:
             raise ValueError(f"power_ratio must be finite and > 0, got {self.power_ratio}")
+        m = self.m_patterns
+        if isinstance(m, (bool, np.bool_)) or not isinstance(m, (int, np.integer)) or m < 1:
+            raise ValueError(f"m_patterns must be an integer >= 1, got {m!r}")
+        object.__setattr__(self, "m_patterns", int(m))
+
+    def cdf(self, z):
+        """F(z) = (1 - v) + v (1 - g_M(c)), without cancellation at small z.
+
+        1 - g_M is summed from Kluyver's integral for every M, one
+        quadrature per element.  Accepts scalars or ndarrays; certified for
+        K <= 100 (tests/test_analytic.py), and raises ValueError above.
+        """
+        z_arr = _ratios(z, "RatioDistParams.cdf")
+        k, m = self.k_factor, self.m_patterns
+        if k > _RAB_LAW_MAX_K:
+            raise ValueError(
+                f"RatioDistParams.cdf requires k_factor <= {_RAB_LAW_MAX_K:g}, got {k}")
+        with np.errstate(over="ignore", invalid="ignore"):  # rho z = inf: 1 - v = inf/inf, limit 1
+            rt = self.power_ratio * z_arr
+            one_minus_v = np.nan_to_num(rt / (rt + k + 1.0), nan=1.0)
+        comp = [_kluyver_complement((k / m) * x, m) for x in one_minus_v.ravel().tolist()]
+        comp = np.reshape(comp, z_arr.shape)
+        return _scalar_or_array(one_minus_v + (k + 1.0) / (rt + k + 1.0) * comp)
+
+    def isf(self, q):
+        """The z whose upper tail S(z) is q: cdf(z) = 1 - q.
+
+        M = 1, and K = 0 at any M, in closed form: z = (K+1)(K/W - 1)/rho
+        with W = W0(K e^K q) = wright_omega(y) at y = log K + K + log q, so
+        that K e^K never overflows.  Where K e^K q is below 1, K/W is formed
+        as e^W e^-K / q (W e^W = K e^K q), which stays finite where W
+        underflows and is 1/q at K = 0.
+
+        M >= 2 with K > 0: Newton's method on log S = log q in t = log v
+        (:func:`_tail_newton`), on the law :func:`_rab_law` builds once per
+        (K, M) from the Bessel pair at M = 2 and from a Chebyshev table of
+        Kluyver's integral at M >= 3; nearly every element takes one
+        evaluation of the law.
+
+        Accepts scalars or ndarrays with 0 < q <= 1; q = 1 gives z = 0.
+        Certified for K <= :func:`_isf_max_k` (the Hypothesis properties in
+        tests/test_analytic.py), and raises ValueError above: past K = 1e10
+        the difference K/W - 1 of the closed form cancels.
+        """
+        k, m, top = self.k_factor, self.m_patterns, _isf_max_k(self.m_patterns)
+        if k > top:
+            raise ValueError(
+                f"RatioDistParams.isf requires k_factor <= {top:g} at m_patterns = {m}, got {k}")
+        q_arr = _tail_probabilities(q, "RatioDistParams.isf")
+        if m > 1 and k > 0.0:
+            return _tail_newton(q_arr, self, *_rab_law(k, m))
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            log_x = np.log(k) + k + np.log(q_arr)
+            w = np.asarray(wright_omega(log_x))
+            k_over_w = np.divide(k, w, out=np.empty_like(w))
+            below = np.asarray(log_x < 0.0)
+            if below.any():  # the exponential only where it is used
+                k_over_w[below] = np.exp(w[below]) * (math.exp(-k) / q_arr[below])
+        return _scalar_or_array(np.maximum((k + 1.0) * (k_over_w - 1.0) / self.power_ratio, 0.0))
 
 
 def wright_omega(y):
@@ -269,36 +337,14 @@ def ratio_pdf(z, params: RatioDistParams):
     return _scalar_or_array(out)
 
 
-def ratio_ppf(q, params: RatioDistParams):
-    """Quantile of the ratio law at upper-tail probability q: ratio_cdf(z) = 1 - q.
-
-    z = (K+1)(K/W - 1)/rho with W = W0(K e^K q) = wright_omega(y) at
-    y = log K + K + log q, so that K e^K never overflows.  Where K e^K q is
-    below 1, K/W is formed as e^W e^-K / q (W e^W = K e^K q), which stays
-    finite where W underflows and is 1/q at K = 0.  Accepts scalars or
-    ndarrays with 0 < q <= 1; q = 1 gives z = 0.  Certified for K <= 1000
-    (the Hypothesis property in tests/test_analytic.py); above K = 1e10 the
-    difference K/W - 1 cancels and loses precision.
-    """
-    q_arr = _tail_probabilities(q, "ratio_ppf")
-    k = params.k_factor
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        log_x = np.log(k) + k + np.log(q_arr)
-        w = np.asarray(wright_omega(log_x))
-        k_over_w = np.divide(k, w, out=np.empty_like(w))
-        below = np.asarray(log_x < 0.0)
-        if below.any():  # the exponential only where it is used
-            k_over_w[below] = np.exp(w[below]) * (math.exp(-k) / q_arr[below])
-    return _scalar_or_array(np.maximum((k + 1.0) * (k_over_w - 1.0) / params.power_ratio, 0.0))
-
-
 def normalizer_a_n(n_users, params: RatioDistParams):
-    """Extreme-value normalizing constant: the 1 - 1/N quantile of the ratio law.
+    """Extreme-value normalizing constant: the 1 - 1/N quantile of the law.
 
-    a_N = ratio_ppf(1/N) = [K(K+1)/W(K e^K / N) - (K+1)] / rho, so
-    ratio_cdf(a_N) = 1 - 1/N exactly; K = 0 gives (N-1)/rho.
+    a_N = params.isf(1/N), so params.cdf(a_N) = 1 - 1/N, for every M.  At
+    M = 1 it is [K(K+1)/W(K e^K / N) - (K+1)] / rho, and K = 0 gives
+    (N-1)/rho at every M.
     """
-    return ratio_ppf(1.0 / _user_counts(n_users, 2, "normalizer_a_n"), params)
+    return params.isf(1.0 / _user_counts(n_users, 2, "normalizer_a_n"))
 
 
 def theorem1_law(n_users, k_factor: float):
@@ -357,12 +403,12 @@ def rab_m2_cdf(z, params: RatioDistParams):
     return _scalar_or_array(1.0 - _rab_m2_prefactor(z_arr, params) * bessel_i0e(y))
 
 
-def _rab_ppf_max_k(m: int) -> float:
-    """Largest K that :func:`rab_ppf` is certified for at M patterns: 1000
-    for M <= 2, where the ratio and Bessel laws are closed forms, and the
-    K <= 100 of Kluyver's law for M >= 3 (the Hypothesis properties in
-    tests/test_analytic.py).  The simulator's order-statistic sampler runs
-    up to it."""
+def _isf_max_k(m: int) -> float:
+    """Largest K that :meth:`RatioDistParams.isf` is certified for at M
+    patterns: 1000 for M <= 2, where the ratio and Bessel laws are closed
+    forms, and the K <= 100 of Kluyver's law for M >= 3 (the Hypothesis
+    properties in tests/test_analytic.py).  The simulator's order-statistic
+    sampler runs up to it."""
     return 1e3 if m <= 2 else _RAB_LAW_MAX_K
 
 
@@ -494,12 +540,6 @@ def rab_m2_tail_cdf(z, params: RatioDistParams):
     return _scalar_or_array(1.0 - _rab_m2_prefactor(z_arr, params) / math.sqrt(2.0 * math.pi * k))
 
 
-def _pattern_count(m, law: str) -> int:
-    if isinstance(m, (bool, np.bool_)) or not isinstance(m, (int, np.integer)) or m < 1:
-        raise ValueError(f"{law} requires an integer m >= 1, got {m!r}")
-    return int(m)
-
-
 @functools.lru_cache(maxsize=1)
 def _kluyver_nodes() -> tuple:
     """(u, w): the panel nodes on [0, 6.5] and their weights times 2 u exp(-u^2)."""
@@ -549,29 +589,6 @@ def _kluyver_complement(c: float, m: int) -> float:
         powers *= j0
         powers += 1.0
     return float(np.dot(w, comp * powers) / w.sum())
-
-
-def rab_cdf(z, params: RatioDistParams, m):
-    """CDF of the equivalent power ratio under M-pattern RAB, for any M >= 1.
-
-    With t = rho z/(K+1), v = 1/(1+t) and c = (K/M)(1 - v), the upper tail
-    is S(z) = v g_M(c), g_M as in Kluyver's integral; it is formed as
-    F = (1 - v) + v (1 - g_M(c)), without cancellation at small z.  M = 1
-    gives :func:`ratio_cdf` (g_1(c) = exp(-c)) and M = 2 gives
-    :func:`rab_m2_cdf` (g_2(c) = exp(-2c) I0(2c)).  Accepts scalars or
-    ndarrays; certified for K <= 100.  Each element costs one quadrature.
-    """
-    z_arr = _ratios(z, "rab_cdf")
-    m = _pattern_count(m, "rab_cdf")
-    k = params.k_factor
-    if k > _RAB_LAW_MAX_K:
-        raise ValueError(f"rab_cdf requires k_factor <= {_RAB_LAW_MAX_K:g}, got {k}")
-    with np.errstate(over="ignore", invalid="ignore"):  # rho z = inf: 1 - v = inf/inf, limit 1
-        rt = params.power_ratio * z_arr
-        one_minus_v = np.nan_to_num(rt / (rt + k + 1.0), nan=1.0)
-    comp = [_kluyver_complement((k / m) * x, m) for x in one_minus_v.ravel().tolist()]
-    comp = np.reshape(comp, z_arr.shape)
-    return _scalar_or_array(one_minus_v + (k + 1.0) / (rt + k + 1.0) * comp)
 
 
 def _log_g_series(k: float, m: int) -> tuple:
@@ -637,7 +654,7 @@ def _series_at(coef: np.ndarray, v: np.ndarray, one_minus_v: np.ndarray) -> np.n
 def _clenshaw(coef: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Chebyshev series at x, by Clenshaw's recurrence.
 
-    Serves the slope series of :func:`rab_ppf`: the slope only sets Newton's
+    Serves the slope series of :meth:`RatioDistParams.isf`: the slope only sets Newton's
     step, and this form costs about half of :func:`_series_at`.
     """
     x2 = 2.0 * x
@@ -645,37 +662,3 @@ def _clenshaw(coef: np.ndarray, x: np.ndarray) -> np.ndarray:
     for a in coef[:0:-1]:
         b1, b2 = x2 * b1 - b2 + a, b1
     return coef[0] + x * b1 - b2
-
-
-def rab_ppf(q, params: RatioDistParams, m):
-    """Quantile of the M-pattern RAB law at upper-tail probability q:
-    rab_cdf(z, params, m) = 1 - q.
-
-    M = 1, and K = 0 at any M (the Rayleigh law, as g_M(0) = 1), is
-    :func:`ratio_ppf`.  For M >= 2, in v = (K+1)/(rho z + K + 1),
-    in (0, 1], the upper tail is S(v) = v g_M(c) with c = (K/M)(1 - v), and
-    Newton's method solves log S = log q in t = log v (see
-    :func:`_tail_newton`) on the law of :func:`_rab_law`, built once per
-    (K, M): one evaluation of the law per element on nearly every call,
-    from a cubic Hermite start on the law's cached nodes.  For M = 2,
-    g_2(c) = exp(-y) I0(y) with y = K(1 - v), and the slope is
-    d log S / dt = 1 + K v (1 - I1/I0).  For M >= 3, log g_M and its slope
-    come from a Chebyshev table of Kluyver's integral; it is good to a few
-    ulps of |log g|, so near the root a step can stall at rounding noise,
-    and the loop's halving rule stops it there.  The answer is v = q / g
-    at the root, with log g there taken to first order from the last
-    evaluation, which avoids the |t| ulps that exp(t) would lose, and
-    z = (K+1)(1/v - 1)/rho.
-
-    Accepts scalars or ndarrays with 0 < q <= 1; q = 1 gives z = 0.
-    Certified for K <= 1000 at M <= 2 and K <= 100 at M >= 3 (the
-    Hypothesis properties in tests/test_analytic.py), and raises ValueError
-    above.
-    """
-    m = _pattern_count(m, "rab_ppf")
-    k, top = params.k_factor, _rab_ppf_max_k(m)
-    if k > top:
-        raise ValueError(f"rab_ppf requires k_factor <= {top:g} at m = {m}, got {k}")
-    if m == 1 or k == 0.0:
-        return ratio_ppf(q, params)
-    return _tail_newton(_tail_probabilities(q, "rab_ppf"), params, *_rab_law(k, m))

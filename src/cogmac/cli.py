@@ -5,7 +5,8 @@ Subcommands:
 * ``simulate`` - run a capacity sweep (a named figure preset or a custom
   grid from the config file) and write the CSV.
 * ``validate`` - run the cross-validation suite, print one line per check,
-  optionally dump KS reports as CSV; exit 0 iff everything passed.
+  optionally dump KS reports as CSV; exit 0 iff everything passed, 1 if a
+  check failed, 3 if one raised.
 * ``espar``    - export a radiation pattern CSV plus an orthonormality report.
 * ``analytic`` - tabulate a closed form over a grid.
 
@@ -242,18 +243,27 @@ def cmd_simulate(args) -> int:
 
 def cmd_validate(args) -> int:
     import csv
+    import traceback
 
     from . import validation
 
     if args.out:
         _check_out(args.out)
     t_start = time.time()
+    results = []
 
     def report(res):
+        results.append(res)
         mark = "PASS" if res.passed else "FAIL"
         print(f"[{mark}] {res.check_id}: {res.detail}", flush=True)
 
-    results = validation.run_all(args.level, report=report)
+    raised = None
+    try:
+        validation.run_all(args.level, report=report)
+    except Exception as exc:  # a fault, not a verdict: every check listed before it reported
+        raised = validation.CHECK_IDS[len(results)]
+        traceback.print_exc()
+        print(f"[ERROR] {raised}: {type(exc).__name__}: {exc}", flush=True)
     failed = [r for r in results if not r.passed]
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
@@ -272,7 +282,7 @@ def cmd_validate(args) -> int:
     )
     if failed:
         print("failed: " + ", ".join(r.check_id for r in failed))
-    return 1 if failed else 0
+    return 3 if raised is not None else 1 if failed else 0
 
 
 def cmd_espar(args) -> int:

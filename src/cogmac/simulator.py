@@ -20,12 +20,11 @@ independent of N:
 * K = 0, any M: the weights do not matter and the law is the Rayleigh one,
   so a RAB K = 0 point reproduces the baseline K = 0 point of the same
   seed exactly;
-* M >= 1 and K > 0: :func:`cogmac.analytic.rab_ppf`, which is
-  :func:`~cogmac.analytic.ratio_ppf` for M = 1 and a Newton loop on the
-  per-(K, M) RAB law for M >= 2.
+* M >= 1 and K > 0: :meth:`cogmac.analytic.RatioDistParams.isf` of the
+  per-(K, rho, M) law, a closed form for M = 1 and a Newton loop for M >= 2.
 
-Capped points, and points with K above the range that ``rab_ppf`` is
-certified for at their M, take brute force.  So do points with M >= 3 and
+Capped points, and points with K above the range that ``isf`` is certified
+for at their M, take brute force.  So do points with M >= 3 and
 N*M < 48 user-pattern draws per slot, where brute force is the cheaper of
 the two.
 
@@ -58,7 +57,7 @@ from itertools import product
 
 import numpy as np
 
-from .analytic import RatioDistParams, _rab_ppf_max_k, rab_ppf
+from .analytic import RatioDistParams, _isf_max_k
 from .channels import draw_gains
 
 __all__ = [
@@ -131,14 +130,14 @@ class NetworkConfig:
                 raise ValueError(f"{name} must be finite and > 0, got {v}")
         # The sampler needs N, rho = gamma_sp/gamma_s, its largest scheduled
         # ratio (K+1)(1/v - 1)/rho (v of about the least tail 2^-53/N) and, with
-        # no power cap, Q_p times it in float range.  Above rab_ppf's K range
+        # no power cap, Q_p times it in float range.  Above isf's K range
         # the point takes brute force, with no K+1.  N is compared as an integer.
         rho = self.mean_interference_power / self.mean_secondary_power
         if not math.isfinite(rho) or rho <= 0.0:
             raise ValueError(
                 f"mean_interference_power / mean_secondary_power must be finite and > 0, got {rho}"
             )
-        k = self.k_factor if self.k_factor <= _rab_ppf_max_k(self.m_patterns) else 0.0
+        k = self.k_factor if self.k_factor <= _isf_max_k(self.m_patterns) else 0.0
         q_p = self.peak_interference if self.max_power_cap is None else 1.0
         largest = (k + 1.0) * 2.0**53 / rho * max(1.0, q_p)
         if self.n_users > sys.float_info.max / max(1.0, largest):
@@ -186,14 +185,15 @@ def _layout(config: NetworkConfig, method: str) -> tuple:
     """(block sampler, slots per chunk, slots per block) of a point.
 
     ``method="auto"`` takes the order-statistic sampler, one element per
-    slot, iff there is no power cap, :func:`rab_ppf` is certified for the
-    point's K at its M, and M <= 2, K = 0 or N*M >= ``_TABLE_MIN_ELEMENTS``;
-    every other point takes brute force, N*M elements per slot.
+    slot, iff there is no power cap, :meth:`RatioDistParams.isf` is certified
+    for the point's K at its M, and M <= 2, K = 0 or
+    N*M >= ``_TABLE_MIN_ELEMENTS``; every other point takes brute force,
+    N*M elements per slot.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     m, k, elements = config.m_patterns, config.k_factor, config.n_users * config.m_patterns
-    sampler = k <= _rab_ppf_max_k(m) and (m <= 2 or k == 0.0 or elements >= _TABLE_MIN_ELEMENTS)
+    sampler = k <= _isf_max_k(m) and (m <= 2 or k == 0.0 or elements >= _TABLE_MIN_ELEMENTS)
     if method == "auto" and config.max_power_cap is None and sampler:
         block, per_slot = _quantile_block, 1
     else:
@@ -245,13 +245,13 @@ def _max_ratio(config: NetworkConfig, u: np.ndarray) -> np.ndarray:
     in [0, 1): F^-1(U^(1/N)), with the upper tail q = 1 - U^(1/N) formed as
     -expm1(log(U)/N).  U = 0 gives 0.  K = 0 uses the Rayleigh form
     1/(rho expm1(-log(U)/N)), rho = gamma_sp/gamma_s, for any M; otherwise
-    F^-1 is :func:`rab_ppf` for M patterns."""
+    F^-1 is the :meth:`RatioDistParams.isf` of the point's law."""
     rho = config.mean_interference_power / config.mean_secondary_power
     with np.errstate(divide="ignore"):
         log_root = np.log(u) / config.n_users
     if config.k_factor == 0.0:
         return 1.0 / (rho * np.expm1(-log_root))
-    return rab_ppf(-np.expm1(log_root), RatioDistParams(config.k_factor, rho), config.m_patterns)
+    return RatioDistParams(config.k_factor, rho, config.m_patterns).isf(-np.expm1(log_root))
 
 
 def _quantile_block(config: NetworkConfig, size: int, rng, n_grid) -> np.ndarray:
@@ -335,8 +335,8 @@ def run_experiment(
 
     ``method="auto"`` draws each slot's scheduled maximum directly, one
     uniform per slot, for points without a power cap whose K is in the range
-    :func:`~cogmac.analytic.rab_ppf` is certified for at their M, and that
-    have M <= 2, K = 0 or N*M >= 48.  Every other point (a power cap, K above
+    :meth:`~cogmac.analytic.RatioDistParams.isf` is certified for at their
+    M, and that have M <= 2, K = 0 or N*M >= 48.  Every other point (a power cap, K above
     that range, or M >= 3 at smaller N*M), and every point with
     ``method="brute"``, draws all N users of each slot.  A point of several
     chunks spreads them over ``threads`` workers; the result is the same for

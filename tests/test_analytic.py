@@ -23,13 +23,10 @@ from cogmac.analytic import (
     effective_users_moderate_k,
     effective_users_rab_m2,
     normalizer_a_n,
-    rab_cdf,
     rab_m2_cdf,
     rab_m2_tail_cdf,
-    rab_ppf,
     ratio_cdf,
     ratio_pdf,
-    ratio_ppf,
     theorem1_law,
     wright_omega,
 )
@@ -284,31 +281,47 @@ class TestNormalizer:
             assert math.isfinite(a) and a > 0.0
             assert abs(ratio_cdf(a, p) - (1.0 - 1.0 / n)) <= 1e-12
 
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_every_m(self, m):
+        # a_N is the law's isf(1/N), so F(a_N) = 1 - 1/N at M >= 2 as well.
+        p = RatioDistParams(10.0, 1.0, m)
+        for n in (2, 8, 512, 10**6):
+            assert abs(p.cdf(normalizer_a_n(n, p)) - (1.0 - 1.0 / n)) <= 1e-12
 
-# Forward error of ratio_ppf: a relative error e of K/W moves z by about
+    @pytest.mark.parametrize("k", [1000.5, 1e17])
+    def test_k_above_the_certified_range_raises(self, k):
+        # From K of about 1e10 on, K/W - 1 cancels; at K = 1e17 it rounds to
+        # 0, and a_8 (about 2.08) would read 0.
+        with pytest.raises(ValueError, match="k_factor <= 1000 at m_patterns = 1"):
+            normalizer_a_n(8, RatioDistParams(k, 1.0))
+
+
+# Forward error of the M = 1 isf: a relative error e of K/W moves z by about
 # e (rho z + K + 1) / rho, and so F(z) and the tail by about e (K + 1).
 _PPF_TOL_PER_K = 8 * np.finfo(float).eps
 
 
-class TestRatioPpf:
+class TestRatioIsf:
+    """RatioDistParams.isf at M = 1: the closed form through wright_omega."""
+
     def test_edges_and_array_form(self):
         p = RatioDistParams(2.0, 0.5)
-        assert ratio_ppf(1.0, p) == 0.0
-        assert ratio_ppf(0.5, RatioDistParams(0.0, 1.0)) == pytest.approx(1.0, abs=1e-15)
+        assert p.isf(1.0) == 0.0
+        assert RatioDistParams(0.0, 1.0).isf(0.5) == pytest.approx(1.0, abs=1e-15)
         q = np.array([1e-12, 0.01, 0.5, 1.0])
-        z = ratio_ppf(q, p)
+        z = p.isf(q)
         assert isinstance(z, np.ndarray)
-        np.testing.assert_allclose(z, [ratio_ppf(float(v), p) for v in q], rtol=4e-16, atol=0.0)
+        np.testing.assert_allclose(z, [p.isf(float(v)) for v in q], rtol=4e-16, atol=0.0)
         for bad in (0.0, -0.1, 1.5, float("nan")):
             with pytest.raises(ValueError):
-                ratio_ppf(bad, p)
+                p.isf(bad)
 
     @settings(max_examples=400, deadline=None, derandomize=True, database=None)
     @given(k=st.floats(0.0, 1000.0), rho=st.floats(1e-3, 1e3),
            q=st.floats(1e-300, 1.0, exclude_max=True))
     def test_inverts_cdf(self, k, rho, q):
         p = RatioDistParams(k, rho)
-        z = ratio_ppf(q, p)
+        z = p.isf(q)
         assert math.isfinite(z) and z >= 0.0
         tol = _PPF_TOL_PER_K * (k + 1.0)
         assert abs(ratio_cdf(z, p) - (1.0 - q)) <= tol
@@ -319,7 +332,7 @@ class TestRatioPpf:
 
     @settings(max_examples=400, deadline=None, derandomize=True, database=None)
     @given(k=st.floats(0.0, 1000.0), q=st.floats(1e-300, 1.0, exclude_max=True))
-    def test_lambert_residual_of_the_ppf_argument(self, k, q):
+    def test_lambert_residual_of_the_isf_argument(self, k, q):
         # W(K e^K q) in log form: w + log(w) = log K + K + log q.
         with np.errstate(divide="ignore"):
             y = float(np.log(k)) + k + math.log(q)
@@ -448,12 +461,12 @@ class TestArrayLaws:
         (bessel_i0e, 20.0, ()),
         (ratio_cdf, 2.0, (P,)),
         (ratio_pdf, 2.0, (P,)),
-        (ratio_ppf, 0.01, (P,)),
+        (P.isf, 0.01, ()),
         (rab_m2_cdf, 2.0, (P,)),
-        (rab_ppf, 0.01, (P, 2)),
+        (RatioDistParams(2.0, 1.0, 2).isf, 0.01, ()),
         (rab_m2_tail_cdf, 2.0, (P,)),
-        (rab_cdf, 2.0, (P, 3)),
-        (rab_ppf, 0.01, (P, 3)),
+        (RatioDistParams(2.0, 1.0, 3).cdf, 2.0, ()),
+        (RatioDistParams(2.0, 1.0, 3).isf, 0.01, ()),
         (normalizer_a_n, 100, (P,)),
         (theorem1_law, 100, (2.0,)),
         (effective_users_moderate_k, 100, (2.0,)),
@@ -461,7 +474,8 @@ class TestArrayLaws:
     ]
 
     @pytest.mark.parametrize("law,x,args", ZERO_D, ids=[
-        law.__name__ + ("-m2" if args[1:] == (2,) else "") for law, _, args in ZERO_D])
+        law.__name__ + (f"-m{law.__self__.m_patterns}" if hasattr(law, "__self__") else "")
+        for law, _, args in ZERO_D])
     def test_zero_d_input_gives_float(self, law, x, args):
         outs = [law(v, *args) for v in (x, np.array(x), np.array([x]).sum())]
         assert [type(out) for out in outs] == [float] * 3
@@ -501,8 +515,9 @@ class TestRabM2ClosedForms:
         z = np.array([1.0, 1e308])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert rab_m2_cdf(1e308, p) == 1.0 and rab_cdf(1e308, p, 3) == 1.0
-            assert rab_m2_cdf(z, p)[1] == 1.0 and rab_cdf(z, p, 3)[1] == 1.0
+            law = RatioDistParams(k, 10.0, 3)
+            assert rab_m2_cdf(1e308, p) == 1.0 and law.cdf(1e308) == 1.0
+            assert rab_m2_cdf(z, p)[1] == 1.0 and law.cdf(z)[1] == 1.0
             if k > 0.0:
                 assert rab_m2_tail_cdf(1e308, p) == 1.0
 
@@ -530,7 +545,7 @@ class TestRabM2ClosedForms:
 
 
 class TestBesselPair:
-    """The private (i0e, i1e) routine behind bessel_i0e and rab_ppf at M = 2."""
+    """The private (i0e, i1e) routine behind bessel_i0e and the M = 2 isf."""
 
     def test_against_scipy(self):
         # x = K(1 - v) reaches K = 1000 at M = 2; [14.5, 16] spans the crossover.
@@ -597,31 +612,31 @@ def rab_m2_survival(z, k, rho):
     return (k + 1.0) / u * special.i0e(k * rho * z / u)
 
 
-class TestRabM2Ppf:
+class TestRabM2Isf:
     def test_edges_and_array_form(self):
-        p = RatioDistParams(10.0, 0.5)
-        assert rab_ppf(1.0, p, 2) == 0.0
+        p = RatioDistParams(10.0, 0.5, 2)
+        assert p.isf(1.0) == 0.0
         # K = 0: the Rayleigh quantile (1/q - 1)/rho.
-        assert rab_ppf(0.25, RatioDistParams(0.0, 2.0), 2) == pytest.approx(1.5, rel=1e-15)
+        assert RatioDistParams(0.0, 2.0, 2).isf(0.25) == pytest.approx(1.5, rel=1e-15)
         q = np.array([[1e-12, 0.01], [0.5, 1.0]])
-        z = rab_ppf(q, p, 2)
+        z = p.isf(q)
         assert isinstance(z, np.ndarray) and z.shape == q.shape
-        assert np.array_equal(z.ravel(), [rab_ppf(float(v), p, 2) for v in q.ravel()])
-        assert isinstance(rab_ppf(0.5, p, 2), float)
+        assert np.array_equal(z.ravel(), [p.isf(float(v)) for v in q.ravel()])
+        assert isinstance(p.isf(0.5), float)
         for bad in (0.0, -0.1, 1.5, float("nan")):
             with pytest.raises(ValueError):
-                rab_ppf(bad, p, 2)
+                p.isf(bad)
 
     @pytest.mark.parametrize("k", [0.5, 2.0, 10.0, 100.0])
     def test_inverts_cdf_on_grid(self, k):
-        p = RatioDistParams(k, 1.3)
+        p = RatioDistParams(k, 1.3, 2)
         z = np.array([0.0, 0.01, 0.5, 3.0, 40.0, 1e4])
-        assert rab_ppf(1.0 - rab_m2_cdf(z[1:], p), p, 2) == pytest.approx(z[1:], rel=1e-9)
+        assert p.isf(1.0 - rab_m2_cdf(z[1:], p)) == pytest.approx(z[1:], rel=1e-9)
 
     @settings(max_examples=400, deadline=None, derandomize=True, database=None)
     @given(k=st.floats(0.0, 1000.0), rho=st.floats(1e-3, 1e3), q=st.floats(1e-300, 1.0))
     def test_survival_of_the_quantile_is_q(self, k, rho, q):
-        z = rab_ppf(q, RatioDistParams(k, rho), 2)
+        z = RatioDistParams(k, rho, 2).isf(q)
         assert math.isfinite(z) and z >= 0.0
         assert abs(rab_m2_survival(z, k, rho) / q - 1.0) <= _PPF_TOL_PER_K * (k + 1.0)
 
@@ -659,13 +674,14 @@ def phase_g(c, m, grid=64):
 
 
 def rab_survival(z, k, m, rho):
-    """1 - rab_cdf(z): v g_M(c) with g_M by the package's panel rule."""
+    """1 - cdf(z) of the M-pattern law: v g_M(c) with g_M by the package's
+    panel rule."""
     v = 1.0 / (1.0 + rho * z / (k + 1.0))
     return v * (1.0 - analytic._kluyver_complement((k / m) * (1.0 - v), m))
 
 
 class TestRabLaw:
-    """rab_cdf: Kluyver's random-walk integral for the M-pattern RAB law."""
+    """RatioDistParams.cdf: Kluyver's random-walk integral for every M."""
 
     def test_j0_trapezoid_against_scipy(self):
         xs = np.linspace(0.0, 400.0, 4001)
@@ -700,8 +716,8 @@ class TestRabLaw:
     def test_reduces_to_closed_forms(self, k):
         p = RatioDistParams(k, 1.3)
         z = np.concatenate([[0.0], np.logspace(-3, 6, 40)])
-        assert np.max(np.abs(rab_cdf(z, p, 1) - ratio_cdf(z, p))) <= 1e-14
-        assert np.max(np.abs(rab_cdf(z, p, 2) - rab_m2_cdf(z, p))) <= 1e-14
+        assert np.max(np.abs(p.cdf(z) - ratio_cdf(z, p))) <= 1e-14
+        assert np.max(np.abs(RatioDistParams(k, 1.3, 2).cdf(z) - rab_m2_cdf(z, p))) <= 1e-14
 
     def test_capacities_reproduce_reference_table(self):
         # C(N) = int (1 - F(t)^N) / (1 + t) dt, trapezoid in log t on
@@ -713,20 +729,20 @@ class TestRabLaw:
         t = np.exp(log_t)
         h = log_t[1] - log_t[0]
         for m, row in raw["mean_nats"].items():
-            log_f = np.log(rab_cdf(t, RatioDistParams(k, 1.0), int(m)))
+            log_f = np.log(RatioDistParams(k, 1.0, int(m)).cdf(t))
             for n, expected in row.items():
                 g = -np.expm1(int(n) * log_f) * t / (1.0 + t)
                 assert h * (g.sum() - 0.5 * (g[0] + g[-1])) == pytest.approx(expected, abs=1e-9)
 
     def test_validation(self):
-        p = RatioDistParams(10.0, 1.0)
         for bad in (0, -1, 2.5, True, "3"):
-            with pytest.raises(ValueError, match="integer m >= 1"):
-                rab_cdf(1.0, p, bad)
+            with pytest.raises(ValueError, match="m_patterns must be an integer >= 1"):
+                RatioDistParams(10.0, 1.0, bad)
+        assert type(RatioDistParams(10.0, 1.0, np.int64(3)).m_patterns) is int
         with pytest.raises(ValueError, match="k_factor <= 100"):
-            rab_cdf(1.0, RatioDistParams(100.5, 1.0), 3)
+            RatioDistParams(100.5, 1.0, 3).cdf(1.0)
         with pytest.raises(ValueError, match="finite z >= 0"):
-            rab_cdf([1.0, -1.0], p, 3)
+            RatioDistParams(10.0, 1.0, 3).cdf([1.0, -1.0])
 
     def test_import_builds_nothing(self):
         # Nodes and laws (tables and Newton starts) are built on first use;
@@ -743,55 +759,55 @@ class TestRabLaw:
         assert out.stdout.split() == ["0", "0", "False"]
 
 
-class TestRabPpf:
-    """rab_ppf: ratio_ppf, or Newton on the Bessel law or the table of log g_M."""
+class TestRabIsf:
+    """RatioDistParams.isf at M >= 2: Newton on the Bessel law or the table
+    of log g_M; K = 0 at every M takes the closed form."""
 
     def test_dispatch_and_edges(self):
-        p = RatioDistParams(10.0, 0.5)
+        p = RatioDistParams(10.0, 0.5, 3)
         q = np.array([[1e-12, 0.01], [0.5, 1.0]])
-        assert np.array_equal(rab_ppf(q, p, 1), ratio_ppf(q, p))
-        z = rab_ppf(q, p, 3)
+        z = p.isf(q)
         assert isinstance(z, np.ndarray) and z.shape == q.shape
-        assert np.array_equal(z.ravel(), [rab_ppf(float(v), p, 3) for v in q.ravel()])
-        assert rab_ppf(1.0, p, 3) == 0.0 and rab_ppf(1.0, p, 16) == 0.0
+        assert np.array_equal(z.ravel(), [p.isf(float(v)) for v in q.ravel()])
+        assert p.isf(1.0) == 0.0 and RatioDistParams(10.0, 0.5, 16).isf(1.0) == 0.0
         # K = 0: the Rayleigh quantile (1/q - 1)/rho for any M.
-        assert rab_ppf(0.25, RatioDistParams(0.0, 2.0), 5) == pytest.approx(1.5, rel=1e-15)
+        assert RatioDistParams(0.0, 2.0, 5).isf(0.25) == pytest.approx(1.5, rel=1e-15)
         for bad in (0.0, -0.1, 1.5, float("nan")):
             with pytest.raises(ValueError):
-                rab_ppf(bad, p, 3)
-        with pytest.raises(ValueError, match="k_factor <= 100"):
-            rab_ppf(0.5, RatioDistParams(100.5, 1.0), 3)
-        with pytest.raises(ValueError, match="integer m >= 1"):
-            rab_ppf(0.5, p, 0)
+                p.isf(bad)
+        with pytest.raises(ValueError, match="k_factor <= 100 at m_patterns = 3"):
+            RatioDistParams(100.5, 1.0, 3).isf(0.5)
+        with pytest.raises(ValueError, match="k_factor <= 1000 at m_patterns = 2"):
+            RatioDistParams(1000.5, 1.0, 2).isf(0.5)
 
     @pytest.mark.parametrize("m", [2, 3, 4, 6])
-    def test_k0_is_the_ratio_ppf_and_builds_no_law(self, m):
+    def test_k0_is_the_closed_form_and_builds_no_law(self, m):
         # g_M(0) = 1: the Rayleigh law at every M, with no law built or cached.
         q = np.geomspace(1e-300, 1.0, 4001)
         for rho in (0.3, 1.0, 7.0):
-            p = RatioDistParams(0.0, rho)
             cached = analytic._rab_law.cache_info().currsize
-            assert np.array_equal(rab_ppf(q, p, m), ratio_ppf(q, p))
+            z = RatioDistParams(0.0, rho, m).isf(q)
+            assert np.array_equal(z, RatioDistParams(0.0, rho).isf(q))
             assert analytic._rab_law.cache_info().currsize == cached
 
     @pytest.mark.parametrize("m", [3, 4, 8])
     def test_inverts_cdf_on_grid(self, m):
-        p = RatioDistParams(10.0, 1.3)
+        p = RatioDistParams(10.0, 1.3, m)
         z = np.array([0.01, 0.5, 3.0, 40.0, 1e4])
-        assert rab_ppf(1.0 - rab_cdf(z, p, m), p, m) == pytest.approx(z, rel=1e-9)
+        assert p.isf(1.0 - p.cdf(z)) == pytest.approx(z, rel=1e-9)
 
     @pytest.mark.parametrize("m", [2, 3, 4, 8])
     def test_array_answer_is_each_elements_own(self, m):
         # Each element's start, steps and stop depend on its own q alone, so
         # that chunks of any size, and so any thread count, give the same
         # bits: a 4096-element array equals one-element calls bit for bit.
-        p = RatioDistParams(10.0, 0.5)
+        p = RatioDistParams(10.0, 0.5, m)
         rng = np.random.default_rng(m)
         q = rng.permutation(np.concatenate([-np.expm1(np.log(rng.random(2048)) / 64),
                                             10.0 ** rng.uniform(-300.0, 0.0, 2046),
                                             [1.0, 1.0 - EPS / 2]]))
-        z = rab_ppf(q, p, m)
-        assert np.array_equal(z, [rab_ppf(float(v), p, m) for v in q])
+        z = p.isf(q)
+        assert np.array_equal(z, [p.isf(float(v)) for v in q])
 
     @pytest.mark.parametrize("key", [(30.0, 5), (1000.0, 2)])
     def test_table_is_the_same_from_two_threads(self, key):
@@ -839,7 +855,7 @@ class TestRabPpf:
     @given(m=st.integers(3, 16), k=st.floats(0.0, 100.0, exclude_min=True),
            rho=st.floats(1e-3, 1e3), q=st.floats(1e-300, 1.0))
     def test_survival_of_the_quantile_is_q(self, m, k, rho, q):
-        z = rab_ppf(q, RatioDistParams(k, rho), m)
+        z = RatioDistParams(k, rho, m).isf(q)
         assert math.isfinite(z) and z >= 0.0
         assert abs(rab_survival(z, k, m, rho) / q - 1.0) <= _PPF_TOL_PER_K * (k + 1.0)
 
@@ -894,7 +910,7 @@ class TestNewtonStart:
         monkeypatch.setattr(analytic, "_tail_newton", counting)
         rng = np.random.default_rng(int(10 * k) + m)
         for n in (1, 8, 64, 512):
-            rab_ppf(-np.expm1(np.log(rng.random(4096)) / n), RatioDistParams(k, 1.0), m)
+            RatioDistParams(k, 1.0, m).isf(-np.expm1(np.log(rng.random(4096)) / n))
         assert len(counts) == 4
         assert all(calls <= 2 and per_element <= 1.01 for calls, per_element in counts), counts
 

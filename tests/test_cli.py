@@ -56,7 +56,7 @@ def network_configs(draw):
     # The sampler's largest scheduled ratio, about (K+1) N 2^53 / rho, is
     # finite, and so is Q_p times it unless a power cap bounds the
     # numerator; above the sampler's K range there is no K+1.
-    k_sampled = k if k <= analytic._rab_ppf_max_k(m) else 0.0
+    k_sampled = k if k <= analytic._isf_max_k(m) else 0.0
     ratio = (k_sampled + 1.0) * n * 2.0**53 / rho
     peak, cap = draw(positive), draw(st.none() | positive)
     assume(math.isfinite(ratio) and (cap is not None or math.isfinite(ratio * peak)))
@@ -489,6 +489,34 @@ class TestRunAll:
         assert started == ["late", "early"]
         assert [r.check_id for r in reported] == ["early"]
 
+    def test_validate_exits_3_naming_a_raising_check(self, monkeypatch, capsys, tmp_path):
+        # A check that raises is a fault, not a red verdict: exit 3, not 1,
+        # with the summary and KS rows of the checks that reported.
+        started = []
+        checks = {"a": ("passes", self.recording(started, "a")),
+                  "b": ("fails", self.recording(started, "b", verdict=False)),
+                  "boom": ("raises", self.recording(started, "boom", verdict=None)),
+                  "c": ("after", self.recording(started, "c"))}
+        self.use_checks(monkeypatch, checks, cores=1)
+        out = tmp_path / "ks.csv"
+        assert main(["validate", "--level", "fast", "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert lines[:3] == ["[PASS] a: a", "[FAIL] b: b",
+                             "[ERROR] boom: RuntimeError: boom blew up"]
+        assert lines[3].startswith("1/2 checks passed (fast level, ")
+        assert lines[4:] == ["failed: b"]
+        assert "Traceback" in captured.err
+        assert out.read_text().splitlines() == ["check,case,n,statistic,threshold_1pct,passed"]
+
+    def test_validate_exits_1_on_a_failed_check(self, monkeypatch, capsys):
+        started = []
+        checks = {c: (c, self.recording(started, c, verdict=c != "b")) for c in ("a", "b")}
+        self.use_checks(monkeypatch, checks, cores=1)
+        assert main(["validate", "--level", "fast"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:2] == ["[PASS] a: a", "[FAIL] b: b"] and lines[-1] == "failed: b"
+
     def test_an_error_of_report_propagates_and_ends_the_report(self, monkeypatch):
         started = []
         checks = {c: (c, self.recording(started, c)) for c in ("a", "b", "c")}
@@ -623,6 +651,16 @@ class TestAnalyticCommand:
         for z, value in rows:
             expected = -math.expm1(-float(z)) if law == "ratio-cdf" else math.exp(-float(z))
             assert float(value) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("k", ["1000.5", "1e17"])
+    def test_normalizer_past_its_certified_k_fails(self, capsys, k):
+        # From K of about 1e10 on, K/W - 1 cancels: at K = 1e17 a_8, about
+        # 2.08, would print as 0.
+        assert main(["analytic", "--law", "normalizer", "--k", k, "--n", "8"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: --law normalizer")
+        assert "k_factor <= 1000 at m_patterns = 1" in captured.err
 
     def test_normalizer_file_output(self, tmp_path):
         out = tmp_path / "an.csv"

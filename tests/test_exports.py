@@ -1,6 +1,6 @@
 """Export contract: the package exports the simulator names, every name a
-layer module lists in ``__all__`` exists, and the README's library example
-runs.
+layer module lists in ``__all__`` exists, every name the benchmark binds
+resolves, and the README's library example runs.
 
 The benchmark's tracer imports these eight modules and wraps what their
 ``__all__`` names, so a stale export breaks traced runs."""
@@ -16,6 +16,16 @@ from cogmac import simulator
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 LAYERS = ("cli", "simulator", "validation", "stats", "analytic", "espar", "channels", "rab")
+# Every name the benchmark under perfbench/ binds (reference.py, worker.py,
+# spans.py and its tests), so that a rename breaks tier-1 too.
+BENCHMARK_NAMES = (
+    "analytic.RatioDistParams", "analytic.ratio_cdf", "analytic.rab_m2_cdf",
+    "cli.build_parser", "cli.main",
+    "validation.run_experiment", "validation.run_check",
+    "simulator._chunk_size", "simulator.SWEEP_CSV_COLUMNS",
+    "stats.EmpiricalDist.from_samples",
+    *LAYERS,
+)
 
 
 def test_package_exports_the_simulator_names():
@@ -29,6 +39,16 @@ def test_all_names_resolve(layer):
     assert module.__all__
     missing = [name for name in module.__all__ if not hasattr(module, name)]
     assert not missing, f"cogmac.{layer}.__all__ names missing attributes: {missing}"
+
+
+@pytest.mark.parametrize("path", BENCHMARK_NAMES)
+def test_benchmark_names_resolve(path):
+    layer, *attrs = path.split(".")
+    obj = importlib.import_module(f"cogmac.{layer}")
+    for attr in attrs:
+        obj = getattr(obj, attr)
+    if path == "analytic.RatioDistParams":  # the benchmark passes (k, rho) positionally
+        assert obj(10.0, 1.0) == obj(k_factor=10.0, power_ratio=1.0, m_patterns=1)
 
 
 def test_readme_library_use_runs():

@@ -14,7 +14,7 @@ from scipy import integrate
 from scipy.stats import ks_2samp
 
 from cogmac import analytic, simulator
-from cogmac.analytic import RatioDistParams, rab_ppf, ratio_pdf
+from cogmac.analytic import RatioDistParams, ratio_pdf
 from cogmac.channels import draw_gains
 from cogmac.simulator import METHODS, NetworkConfig, run_experiment, run_nested_n, sweep
 
@@ -596,8 +596,9 @@ def two_sample_ks_p(m, n, k, primary):
 
 class TestQuantileSampler:
     """No power cap: the scheduled maximum drawn from one uniform, through
-    the Rayleigh form (K = 0) or rab_ppf: ratio_ppf (M = 1), the Bessel law
-    (M = 2), or the table of Kluyver's law (M >= 3, K <= 100)."""
+    the Rayleigh form (K = 0) or RatioDistParams.isf: the closed form
+    (M = 1), the Bessel law (M = 2), or the table of Kluyver's law (M >= 3,
+    K <= 100)."""
 
     @pytest.mark.parametrize("primary", PRIMARY, ids=["no-primary", "primary"])
     @pytest.mark.parametrize("k", QUANTILE_K)
@@ -684,7 +685,7 @@ class TestQuantileSampler:
         assert peak <= 8 * 2**20
 
     def test_rab_block_working_set_is_bounded(self):
-        # The Bessel sums behind rab_ppf at M = 2 keep a few block-sized arrays,
+        # The Bessel sums behind the M = 2 isf keep a few block-sized arrays,
         # not a 64-term table per block (16 MiB).
         cfg = NetworkConfig(n_users=8, m_patterns=2, mode="rab", k_factor=100.0, seed=3)
         tracemalloc.start()
@@ -698,13 +699,13 @@ class TestQuantileSampler:
 
     @pytest.mark.parametrize("m,n,top", [(1, 8, 1000.0), (2, 8, 1000.0), (3, 16, 100.0),
                                          (4, 12, 100.0)])
-    def test_sampler_range_is_the_range_rab_ppf_accepts(self, m, n, top):
-        # analytic alone knows the K that rab_ppf is certified for at each M;
-        # the layout asks it.  N*M >= 48, so M >= 3 clears the table's crossover.
+    def test_sampler_range_is_the_range_isf_accepts(self, m, n, top):
+        # analytic alone knows the K that isf is certified for at each M; the
+        # layout asks it.  N*M >= 48, so M >= 3 clears the table's crossover.
         above = math.nextafter(top, math.inf)
-        assert math.isfinite(rab_ppf(0.5, RatioDistParams(top, 1.0), m))
-        with pytest.raises(ValueError, match=f"k_factor <= {top:g} at m = {m}"):
-            rab_ppf(0.5, RatioDistParams(above, 1.0), m)
+        assert math.isfinite(RatioDistParams(top, 1.0, m).isf(0.5))
+        with pytest.raises(ValueError, match=f"k_factor <= {top:g} at m_patterns = {m}"):
+            RatioDistParams(above, 1.0, m).isf(0.5)
         cfg = NetworkConfig(n_users=n, m_patterns=m, mode="baseline" if m == 1 else "rab")
         blocks = [simulator._layout(replace(cfg, k_factor=k), "auto")[0] for k in (top, above)]
         assert blocks == [simulator._quantile_block, simulator._brute_block]
