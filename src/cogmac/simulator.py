@@ -336,9 +336,9 @@ def run_experiment(
     ``method="auto"`` draws each slot's scheduled maximum directly, one
     uniform per slot, for points without a power cap whose K is in the range
     :meth:`~cogmac.analytic.RatioDistParams.isf` is certified for at their
-    M, and that have M <= 2, K = 0 or N*M >= 48.  Every other point (a power cap, K above
-    that range, or M >= 3 at smaller N*M), and every point with
-    ``method="brute"``, draws all N users of each slot.  A point of several
+    M, and that have M <= 2, K = 0 or N*M >= 48.  Every other point (a
+    power cap, K above that range, or M >= 3 at smaller N*M), and every
+    point with ``method="brute"``, draws all N users of each slot.  A point of several
     chunks spreads them over ``threads`` workers; the result is the same for
     any ``threads``.  The estimate carries ``config`` and the call's wall
     seconds, chunk threads included.
