@@ -302,6 +302,12 @@ def _k_factor(k_factor: float, law: str, positive: bool = False) -> float:
     return k_factor
 
 
+def _one_pattern(params: RatioDistParams, law: str) -> None:
+    """Refuse a law of M > 1 patterns in a one-pattern closed form."""
+    if params.m_patterns != 1:
+        raise ValueError(f"{law} requires m_patterns = 1, got {params.m_patterns}")
+
+
 def _scalar_or_array(out):
     return float(out) if out.ndim == 0 else out
 
@@ -310,8 +316,10 @@ def ratio_cdf(z, params: RatioDistParams):
     """CDF of z = secondary power / Rician interference power.
 
     F(z) = 1 - (K+1)/u * exp(-K rho z/u) with u = rho z + K + 1.
-    Accepts scalars or ndarrays; K = 0 reduces to 1 - 1/(rho z + 1).
+    Accepts scalars or ndarrays; K = 0 reduces to 1 - 1/(rho z + 1).  The
+    law of one pattern: ``params.m_patterns`` must be 1.
     """
+    _one_pattern(params, "ratio_cdf")
     z_arr = _ratios(z, "ratio_cdf")
     k = params.k_factor
     rho = params.power_ratio
@@ -325,8 +333,10 @@ def ratio_pdf(z, params: RatioDistParams):
     """Density of the secondary-to-interference power ratio.
 
     f(z) = rho r exp(-K rho z/u) (r^2 + rho z/u^2) with u = rho z + K + 1
-    and r = (K+1)/u; the exact derivative of :func:`ratio_cdf`.
+    and r = (K+1)/u; the exact derivative of :func:`ratio_cdf`, so
+    ``params.m_patterns`` must be 1 too.
     """
+    _one_pattern(params, "ratio_pdf")
     z_arr = _ratios(z, "ratio_pdf")
     k = params.k_factor
     rho = params.power_ratio
@@ -395,6 +405,8 @@ def rab_m2_cdf(z, params: RatioDistParams):
     F(z) = 1 - (K+1)/(rho z + K+1) * exp(-y) I0(y) with
     y = K rho z / (rho z + K + 1).  Stable for any K (scaled Bessel); y is
     formed as rho z (K / (rho z + K + 1)), as K rho z overflows at huge K.
+    Reads K and rho of ``params`` and accepts any ``m_patterns``, since
+    perfbench/reference.py passes it one-pattern params.
     """
     z_arr = _ratios(z, "rab_m2_cdf")
     with np.errstate(over="ignore", invalid="ignore"):  # rho z = inf: y = inf * 0, limit K
@@ -534,7 +546,10 @@ def _tail_newton(q_arr, params: RatioDistParams, log_g_and_slope, start: _Newton
 
 
 def rab_m2_tail_cdf(z, params: RatioDistParams):
-    """Large-z tail of :func:`rab_m2_cdf`: exp(-y) I0(y) replaced by 1/sqrt(2 pi K)."""
+    """Large-z tail of :func:`rab_m2_cdf`: exp(-y) I0(y) replaced by 1/sqrt(2 pi K).
+
+    Like :func:`rab_m2_cdf` it reads K and rho and accepts any ``m_patterns``.
+    """
     k = _k_factor(params.k_factor, "rab_m2_tail_cdf", positive=True)
     z_arr = _ratios(z, "rab_m2_tail_cdf")
     return _scalar_or_array(1.0 - _rab_m2_prefactor(z_arr, params) / math.sqrt(2.0 * math.pi * k))

@@ -10,10 +10,10 @@ Subcommands:
 * ``espar``    - export a radiation pattern CSV plus an orthonormality report.
 * ``analytic`` - tabulate a closed form over a grid.
 
-Flags can also be supplied through ``COGMAC_*`` environment variables
-(flag > environment > config file > built-in default).  Every bad input,
-the output path included, is a :class:`ConfigError`: it is found before
-any work starts and exits 2.
+A setting comes from its flag, else from the config file (``network``,
+``espar``), else from its built-in default.  Every bad input, the output
+path included, is a :class:`ConfigError`: it is found before any work
+starts and exits 2.
 
 Each subcommand imports what it uses when it runs: ``simulate`` loads only
 ``analytic``, ``channels`` and ``simulator``; ``validation`` and ``csv``
@@ -28,7 +28,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import fields, replace
 from typing import TYPE_CHECKING, get_args, get_type_hints
 
 import numpy as np
@@ -46,9 +46,8 @@ from .simulator import (
 if TYPE_CHECKING:
     from .espar import EsparConfig
 
-__all__ = ["ExperimentPreset", "parse_config", "main"]
+__all__ = ["parse_config", "main"]
 
-ENV_PREFIX = "COGMAC"
 N_GRID = (8, 16, 32, 64, 128, 256, 512)
 # Preset -> (N grid, K grid, M grid, modes, extra columns); None means the
 # custom single point of the config.
@@ -64,21 +63,9 @@ _PRESETS = {
 PRESET_NAMES = tuple(_PRESETS)
 
 
-@dataclass
-class ExperimentPreset:
-    """Named experiment: which grid to sweep and where to write it."""
-
-    name: str = "custom"
-    output_path: str = "sweep.csv"
-
-    def __post_init__(self) -> None:
-        if self.name not in PRESET_NAMES:
-            raise ValueError(f"preset.name must be one of {PRESET_NAMES}, got {self.name!r}")
-
-
 class ConfigError(ValueError):
-    """Bad input (config file, flag, environment variable or output path);
-    the message carries the offending key path or flag."""
+    """Bad input (config file, flag or output path); the message carries
+    the offending key path or flag."""
 
 
 def _typed(value, types: tuple, path: str, what: str):
@@ -129,14 +116,14 @@ def _read_section(raw: dict, key: str, cls) -> dict:
     return kwargs
 
 
-def parse_config(path: str) -> tuple[NetworkConfig, ExperimentPreset, EsparConfig]:
+def parse_config(path: str) -> tuple[NetworkConfig, EsparConfig]:
     """Parse and validate the JSON config file (strict: unknown keys rejected)."""
     import json
 
     from .espar import EsparConfig
 
     # Section -> the dataclass whose fields are the section's keys and types.
-    sections = {"network": NetworkConfig, "preset": ExperimentPreset, "espar": EsparConfig}
+    sections = {"network": NetworkConfig, "espar": EsparConfig}
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -210,8 +197,9 @@ def _values(text: str, flag: str, cast) -> list:
 
 
 def cmd_simulate(args) -> int:
-    config, preset = _effective_config(args)
-    out_path = _check_out(args.out or preset.output_path)
+    config = _effective_config(args)
+    preset = args.preset or "custom"
+    out_path = _check_out(args.out or "sweep.csv")
     t_start = time.time()
 
     def progress(est):
@@ -222,12 +210,12 @@ def cmd_simulate(args) -> int:
             file=sys.stderr,
         )
 
-    n_list, k_list, m_list, modes, wants = _PRESETS[preset.name] or (
+    n_list, k_list, m_list, modes, wants = _PRESETS[preset] or (
         [config.n_users], [config.k_factor], [config.m_patterns], [config.mode], ())
     try:  # a preset's grid point can fail where the network's own point did not
         _grid_configs(config, n_list, k_list, m_list, modes)
     except ValueError as exc:
-        raise ConfigError(f"network: a {preset.name} point: {exc}") from exc
+        raise ConfigError(f"network: a {preset} point: {exc}") from exc
     estimates = sweep(config, n_list, k_list, m_list, modes, threads=args.threads,
                       progress=progress)
     extras = _preset_extras(estimates, wants)
@@ -288,7 +276,7 @@ def cmd_validate(args) -> int:
 def cmd_espar(args) -> int:
     from . import espar
 
-    cfg = parse_config(args.config)[2] if args.config else espar.EsparConfig()
+    cfg = parse_config(args.config)[1] if args.config else espar.EsparConfig()
     out_path = _check_out(args.out or "pattern.csv")
     reactances = _values(args.reactances, "--reactances", float) if args.reactances else []
     try:
@@ -332,6 +320,8 @@ _LAWS = {
 
 def cmd_analytic(args) -> int:
     column, in_nats, law = _LAWS[args.law]
+    if args.bits and not in_nats:
+        raise ConfigError(f"--bits: --law {args.law} is not in nats, so it has no bits form")
     flag = column.lower()
     text = getattr(args, flag)
     grid = _values(text, f"--{flag}", int if flag == "n" else float)
@@ -349,7 +339,7 @@ def cmd_analytic(args) -> int:
         raise ConfigError(
             f"--law {args.law} --k {args.k:g} --rho {args.rho:g} --{flag} {text}: {exc}"
         ) from exc
-    if in_nats and args.bits:
+    if args.bits:
         values = values * (1.0 / LOG2)
     table = f"{column},value\n" + "".join(
         f"{format_number(x)},{format_number(v)}\n" for x, v in zip(grid, values)
@@ -364,57 +354,16 @@ def cmd_analytic(args) -> int:
 
 # ------------------------------------------------------------------ wiring
 
-# Flag dest -> (environment name, cast, allowed values or None, built-in
-# default).  Only the flags of the subcommand in use are read.
-_ENV_FLAGS = {
-    "config": ("CONFIG", str, None, None),
-    "preset": ("PRESET", str, PRESET_NAMES, None),
-    "seed": ("SEED", int, None, None),
-    "trials": ("TRIALS", int, None, None),
-    "threads": ("THREADS", int, None, 1),
-    "level": ("LEVEL", str, ("fast", "full"), "fast"),
-    "out": ("OUT", str, None, None),
-}
-
-
-def _apply_env(args) -> None:
-    """Fill each flag the command line left unset from its ``COGMAC_*``
-    variable, else its built-in default; a value that does not cast or is
-    not allowed raises ``ConfigError``."""
-    for dest, (name, cast, allowed, default) in _ENV_FLAGS.items():
-        if not hasattr(args, dest) or getattr(args, dest) is not None:
-            continue  # not a flag of this command, or given on the command line
-        raw = os.environ.get(f"{ENV_PREFIX}_{name}")
-        if raw is None:
-            setattr(args, dest, default)
-            continue
-        try:
-            value = cast(raw)
-        except ValueError:
-            raise ConfigError(
-                f"{ENV_PREFIX}_{name}={raw!r}: expected {cast.__name__}"
-            ) from None
-        if allowed is not None and value not in allowed:
-            raise ConfigError(f"{ENV_PREFIX}_{name}={raw!r}: must be one of {allowed}")
-        setattr(args, dest, value)
-
-
-def _effective_config(args) -> tuple[NetworkConfig, ExperimentPreset]:
-    if args.config:
-        config, preset, _ = parse_config(args.config)
-    else:
-        config, preset = NetworkConfig(), ExperimentPreset()
-    if args.preset:
-        preset = replace(preset, name=args.preset)
+def _effective_config(args) -> NetworkConfig:
+    config = parse_config(args.config)[0] if args.config else NetworkConfig()
     if args.threads < 1:
         raise ConfigError(f"--threads must be >= 1, got {args.threads}")
     changes = {key: getattr(args, key) for key in ("seed", "trials")
                if getattr(args, key) is not None}
     try:
-        config = replace(config, **changes)
+        return replace(config, **changes)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return config, preset
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -429,12 +378,12 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--preset", choices=PRESET_NAMES, help="experiment preset")
     sim.add_argument("--seed", type=int)
     sim.add_argument("--trials", type=int)
-    sim.add_argument("--threads", type=int)
+    sim.add_argument("--threads", type=int, default=1)
     sim.add_argument("--out", help="output CSV path")
     sim.set_defaults(func=cmd_simulate)
 
     val = sub.add_parser("validate", help="run the cross-validation suite")
-    val.add_argument("--level", choices=("fast", "full"))
+    val.add_argument("--level", choices=("fast", "full"), default="fast")
     val.add_argument("--out", help="KS report CSV path")
     val.set_defaults(func=cmd_validate)
 
@@ -452,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="mean interference / secondary power ratio")
     ana.add_argument("--n", default="8,16,32,64,128,256,512", help="user-count grid")
     ana.add_argument("--z", default="0.5,1,2,5,10", help="ratio grid")
-    ana.add_argument("--bits", action="store_true", help="emit laws in bits instead of nats")
+    ana.add_argument("--bits", action="store_true", help="emit theorem1-law in bits instead of nats")
     ana.add_argument("--out")
     ana.set_defaults(func=cmd_analytic)
     return parser
@@ -461,7 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _apply_env(args)
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -952,6 +952,13 @@ class TestParamValidation:
         with pytest.raises(ValueError, match="finite z >= 0"):
             law(z, RatioDistParams(10.0, 1.0))
 
+    @pytest.mark.parametrize("law", [ratio_cdf, ratio_pdf])
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_one_pattern_laws_refuse_more_patterns(self, law, m):
+        # At M = 3, K = 10 the M = 1 form gives F(2) = 0.8183; the law's own cdf is 0.6893.
+        with pytest.raises(ValueError, match=f"{law.__name__} requires m_patterns = 1, got {m}"):
+            law(2.0, RatioDistParams(10.0, 1.0, m))
+
     def test_ratio_params(self):
         with pytest.raises(ValueError):
             RatioDistParams(k_factor=1.0, power_ratio=0.0)

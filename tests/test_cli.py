@@ -14,13 +14,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from cogmac import analytic, cli, espar, simulator, validation
-from cogmac.cli import (
-    PRESET_NAMES,
-    ConfigError,
-    ExperimentPreset,
-    main,
-    parse_config,
-)
+from cogmac.cli import ConfigError, main, parse_config
 from cogmac.simulator import (
     CapacityEstimate,
     NetworkConfig,
@@ -79,14 +73,14 @@ def network_configs(draw):
 
 class TestParseConfig:
     def test_minimal_defaults(self, tmp_path):
-        config, preset, _ = parse_config(write_cfg(tmp_path, {}))
+        config, cfg = parse_config(write_cfg(tmp_path, {}))
         assert config.n_users == 100
         assert config.m_patterns == 2
         assert config.k_factor == 0.0
         assert config.trials == 100_000
         assert config.seed == 42
         assert config.peak_interference == 1.0
-        assert preset.name == "custom"
+        assert cfg.m_elements == espar.EsparConfig().m_elements
 
     def test_unknown_key_named(self, tmp_path):
         path = write_cfg(tmp_path, {"network": {"n_user": 3}})
@@ -108,7 +102,7 @@ class TestParseConfig:
             parse_config(str(tmp_path / "absent.json"))
 
     def test_baseline_defaults_to_single_pattern(self, tmp_path):
-        config, _, _ = parse_config(write_cfg(tmp_path, {"network": {"mode": "baseline"}}))
+        config, _ = parse_config(write_cfg(tmp_path, {"network": {"mode": "baseline"}}))
         assert config.m_patterns == 1
         bad = write_cfg(tmp_path, {"network": {"mode": "baseline", "m_patterns": 2}}, "b.json")
         with pytest.raises(ConfigError):
@@ -117,25 +111,21 @@ class TestParseConfig:
     def test_round_trip(self, tmp_path):
         config = NetworkConfig(n_users=12, m_patterns=3, mode="rab", k_factor=1.5,
                                trials=500, seed=9, log_base="bits")
-        preset = ExperimentPreset(name="fig7", output_path="x.csv")
-        path = write_cfg(tmp_path, {"network": asdict(config), "preset": asdict(preset)})
-        config2, preset2, _ = parse_config(path)
+        config2, _ = parse_config(write_cfg(tmp_path, {"network": asdict(config)}))
         assert config2 == config
-        assert preset2 == preset
 
-    @given(config=network_configs(), name=st.sampled_from(PRESET_NAMES), output=st.text())
-    def test_round_trip_property(self, config, name, output):
-        preset = ExperimentPreset(name=name, output_path=output)
+    @given(config=network_configs())
+    def test_round_trip_property(self, config):
         with tempfile.TemporaryDirectory() as tmp:
             path = f"{tmp}/cfg.json"
             with open(path, "w", encoding="utf-8") as fh:
-                json.dump({"network": asdict(config), "preset": asdict(preset)}, fh)
-            assert parse_config(path)[:2] == (config, preset)
+                json.dump({"network": asdict(config)}, fh)
+            assert parse_config(path)[0] == config
 
     def test_null_means_default_where_the_default_is_none(self, tmp_path):
         payload = {"network": {"max_power_cap": None},
                    "espar": {"admittance": None, "element_angles": None}}
-        config, _, cfg = parse_config(write_cfg(tmp_path, payload))
+        config, cfg = parse_config(write_cfg(tmp_path, payload))
         assert config.max_power_cap is None
         assert cfg.element_angles == espar.EsparConfig().element_angles
 
@@ -147,7 +137,7 @@ class TestParseConfig:
                 "admittance": [[[0.02, 0.0], [0.002, -0.001]], [[0.002, -0.001], [0.02, 0.0]]],
             }
         }
-        _, _, cfg = parse_config(write_cfg(tmp_path, payload))
+        _, cfg = parse_config(write_cfg(tmp_path, payload))
         assert cfg.m_elements == 2
         assert cfg.feed_voltage == 1.0 + 0.5j
         assert cfg.admittance[0, 1] == 0.002 - 0.001j
@@ -160,6 +150,13 @@ class TestParseConfig:
     def test_unknown_top_level(self, tmp_path):
         with pytest.raises(ConfigError, match="misc"):
             parse_config(write_cfg(tmp_path, {"misc": {}}))
+
+
+def test_built_in_defaults():
+    # Flags left off the command line take these defaults, with no other source.
+    parser = cli.build_parser()
+    assert parser.parse_args(["simulate"]).threads == 1
+    assert parser.parse_args(["validate"]).level == "fast"
 
 
 class TestSimulateCommand:
@@ -274,40 +271,12 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert "network" in err and "[simulate]" not in err
 
-    def test_env_override(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("COGMAC_SEED", "123")
+    def test_default_output_path(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
         payload = {"network": {"n_users": 2, "mode": "baseline", "trials": 150}}
         cfg = write_cfg(tmp_path, payload)
-        out = tmp_path / "env.csv"
-        # The environment is read when the command runs.
-        code = main(["simulate", "--config", cfg, "--out", str(out)])
-        assert code == 0
-        assert ",123," in out.read_text().splitlines()[1]
-
-    def test_environment_is_read_for_the_command_in_use(self, monkeypatch, capsys):
-        # analytic has no --threads, so a bad COGMAC_THREADS is not its concern.
-        monkeypatch.setenv("COGMAC_THREADS", "abc")
-        assert main(["analytic", "--law", "ratio-cdf", "--z", "1"]) == 0
-        assert capsys.readouterr().out == "z,value\n1,0.5\n"
-
-    @pytest.mark.parametrize(
-        "name,value,argv",
-        [
-            ("THREADS", "abc", ["simulate", "--preset", "fig5"]),
-            ("SEED", "1.5", ["simulate", "--preset", "fig5"]),
-            ("PRESET", "fig9", ["simulate"]),
-            ("LEVEL", "medium", ["validate"]),
-        ],
-    )
-    def test_bad_environment_value_fails_fast(self, tmp_path, monkeypatch, capsys, name,
-                                              value, argv):
-        monkeypatch.setenv(f"COGMAC_{name}", value)
-        out = tmp_path / "never.csv"
-        assert main([*argv, "--out", str(out)]) == 2
-        assert not out.exists()
-        captured = capsys.readouterr()
-        assert captured.err.startswith(f"config error: COGMAC_{name}=")
-        assert captured.out == ""
+        assert main(["simulate", "--config", cfg]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "sweep.csv"]
 
 
 class TestValidateMachinery:
@@ -618,6 +587,17 @@ class TestAnalyticCommand:
         out = capsys.readouterr().out.strip().splitlines()
         assert float(out[1].split(",")[1]) == pytest.approx(10.0)
 
+    @pytest.mark.parametrize("law", sorted(set(cli._LAWS) - {"theorem1-law"}))
+    def test_bits_of_a_law_not_in_nats_fails(self, tmp_path, monkeypatch, capsys, law):
+        # Refused before the grid, the law or the output path is looked at.
+        monkeypatch.chdir(tmp_path)
+        argv = ["analytic", "--law", law, "--n", "1", "--z", "-1", "--bits", "--out", "x.csv"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"config error: --bits: --law {law} is not in nats, "
+                                "so it has no bits form\n")
+        assert captured.out == "" and list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("law", ["theorem1-law", "effective-users-rab2", "effective-users"])
     @pytest.mark.parametrize("k", ["1e200", "1e308"])
     def test_huge_k_laws_are_finite(self, capsys, law, k):
@@ -676,8 +656,7 @@ class TestInputBoundary:
     @pytest.mark.parametrize(
         "argv,payload,where",
         [
-            (["simulate"], {"preset": {"output_path": 5}}, "preset.output_path"),
-            (["simulate"], {"preset": {"overrides": {}}}, "preset.overrides: unknown key"),
+            (["simulate"], {"preset": {"name": "fig5"}}, "preset: unknown top-level key"),
             (["simulate"], {"network": {"max_power_cap": True}}, "network.max_power_cap"),
             (["simulate"], {"network": {"mean_interference_power": 1e-200,
                                         "mean_secondary_power": 1e200}}, "network:"),
@@ -784,14 +763,3 @@ class TestInputBoundary:
         assert captured.err.startswith(f"config error: output path {where!r}")
         assert captured.out == "" and "[simulate]" not in captured.err
         assert list(tmp_path.iterdir()) == []
-
-    def test_out_from_environment_and_preset_are_checked(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.chdir(tmp_path)
-        cfg = write_cfg(tmp_path, {"preset": {"name": "fig5", "output_path": "missing/a.csv"}})
-        assert main(["simulate", "--config", cfg, "--trials", "100"]) == 2
-        monkeypatch.setenv("COGMAC_OUT", "missing/b.csv")
-        assert main(["simulate", "--preset", "fig5", "--trials", "100"]) == 2
-        err = capsys.readouterr().err
-        assert "output path 'missing/a.csv'" in err and "output path 'missing/b.csv'" in err
-        assert "[simulate]" not in err
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
