@@ -13,8 +13,8 @@ Everything in this module is a pure scalar/ndarray function with no RNG:
 a 0-d input (a Python or numpy scalar, or a 0-d array) gives a float, any
 other input an array of its shape.  The one state is a cache of the
 quadrature nodes and one of the per-(K, M) laws behind
-:meth:`RatioDistParams.isf`, each filled on first use and the same whichever
-thread fills it.
+:meth:`RatioDistParams.sf` and :meth:`~RatioDistParams.isf`, each filled on
+first use and the same whichever thread fills it.
 """
 
 from __future__ import annotations
@@ -104,7 +104,7 @@ class RatioDistParams:
     over iid uniform phases is Kluyver's random-walk integral.  g_1(c) =
     exp(-c) is the law of :func:`ratio_cdf`, g_2(c) = exp(-2c) I0(2c) that
     of :func:`rab_m2_cdf`, and K = 0 is the Rayleigh law at every M, as
-    g_M(0) = 1.  Those named forms read K and rho only; :meth:`cdf` and
+    g_M(0) = 1.  Those named forms read K and rho only; :meth:`sf` and
     :meth:`isf` read M too.
     """
 
@@ -121,27 +121,22 @@ class RatioDistParams:
             raise ValueError(f"m_patterns must be an integer >= 1, got {m!r}")
         object.__setattr__(self, "m_patterns", int(m))
 
-    def cdf(self, z):
-        """F(z) = (1 - v) + v (1 - g_M(c)), without cancellation at small z.
+    def sf(self, z):
+        """The upper tail S(z) = v g_M(c), to full relative precision.
 
-        1 - g_M is summed from Kluyver's integral for every M, one
-        quadrature per element.  Accepts scalars or ndarrays; certified for
-        K <= 100 (tests/test_analytic.py), and raises ValueError above.
-        """
-        z_arr = _ratios(z, "RatioDistParams.cdf")
-        k, m = self.k_factor, self.m_patterns
-        if k > _RAB_LAW_MAX_K:
-            raise ValueError(
-                f"RatioDistParams.cdf requires k_factor <= {_RAB_LAW_MAX_K:g}, got {k}")
-        with np.errstate(over="ignore", invalid="ignore"):  # rho z = inf: 1 - v = inf/inf, limit 1
-            rt = self.power_ratio * z_arr
-            one_minus_v = np.nan_to_num(rt / (rt + k + 1.0), nan=1.0)
-        comp = [_kluyver_complement((k / m) * x, m) for x in one_minus_v.ravel().tolist()]
-        comp = np.reshape(comp, z_arr.shape)
-        return _scalar_or_array(one_minus_v + (k + 1.0) / (rt + k + 1.0) * comp)
+        v = (K+1)/(rho z + K + 1); log g = -K(1 - v) at M = 1 and K = 0, and
+        at M >= 2 the law of :func:`_rab_law`, the one :meth:`isf` inverts, so
+        F = 1 - S is exact only absolutely as z -> 0.  Certified for K <=
+        :func:`_isf_max_k` (tests/test_analytic.py), and raises ValueError above."""
+        k, m = self._certified_k("RatioDistParams.sf"), self.m_patterns
+        z_arr = _ratios(z, "RatioDistParams.sf")
+        with np.errstate(over="ignore", divide="ignore"):  # rho z = inf: v = 0, log v = -inf
+            v = (k + 1.0) / (self.power_ratio * z_arr + k + 1.0)
+            log_g = -k * (1.0 - v) if m == 1 or k == 0.0 else _rab_law(k, m)[0](np.log(v))[0]
+        return _scalar_or_array(v * np.exp(log_g))
 
     def isf(self, q):
-        """The z whose upper tail S(z) is q: cdf(z) = 1 - q.
+        """The z whose upper tail S(z) is q: sf(z) = q.
 
         M = 1, and K = 0 at any M, in closed form: z = (K+1)(K/W - 1)/rho
         with W = W0(K e^K q) = wright_omega(y) at y = log K + K + log q, so
@@ -160,10 +155,7 @@ class RatioDistParams:
         tests/test_analytic.py), and raises ValueError above: past K = 1e10
         the difference K/W - 1 of the closed form cancels.
         """
-        k, m, top = self.k_factor, self.m_patterns, _isf_max_k(self.m_patterns)
-        if k > top:
-            raise ValueError(
-                f"RatioDistParams.isf requires k_factor <= {top:g} at m_patterns = {m}, got {k}")
+        k, m = self._certified_k("RatioDistParams.isf"), self.m_patterns
         q_arr = _tail_probabilities(q, "RatioDistParams.isf")
         if m > 1 and k > 0.0:
             return _tail_newton(q_arr, self, *_rab_law(k, m))
@@ -175,6 +167,13 @@ class RatioDistParams:
             if below.any():  # the exponential only where it is used
                 k_over_w[below] = np.exp(w[below]) * (math.exp(-k) / q_arr[below])
         return _scalar_or_array(np.maximum((k + 1.0) * (k_over_w - 1.0) / self.power_ratio, 0.0))
+
+    def _certified_k(self, law: str) -> float:
+        """K, once it is within the :func:`_isf_max_k` of M."""
+        k, m, top = self.k_factor, self.m_patterns, _isf_max_k(self.m_patterns)
+        if k > top:
+            raise ValueError(f"{law} requires k_factor <= {top:g} at m_patterns = {m}, got {k}")
+        return k
 
 
 def wright_omega(y):
@@ -350,7 +349,7 @@ def ratio_pdf(z, params: RatioDistParams):
 def normalizer_a_n(n_users, params: RatioDistParams):
     """Extreme-value normalizing constant: the 1 - 1/N quantile of the law.
 
-    a_N = params.isf(1/N), so params.cdf(a_N) = 1 - 1/N, for every M.  At
+    a_N = params.isf(1/N), so params.sf(a_N) = 1/N, for every M.  At
     M = 1 it is [K(K+1)/W(K e^K / N) - (K+1)] / rho, and K = 0 gives
     (N-1)/rho at every M.
     """
@@ -416,11 +415,11 @@ def rab_m2_cdf(z, params: RatioDistParams):
 
 
 def _isf_max_k(m: int) -> float:
-    """Largest K that :meth:`RatioDistParams.isf` is certified for at M
-    patterns: 1000 for M <= 2, where the ratio and Bessel laws are closed
-    forms, and the K <= 100 of Kluyver's law for M >= 3 (the Hypothesis
-    properties in tests/test_analytic.py).  The simulator's order-statistic
-    sampler runs up to it."""
+    """Largest K that :meth:`RatioDistParams.sf` and its ``isf`` are
+    certified for at M patterns: 1000 for M <= 2, where the ratio and Bessel
+    laws are closed forms, and the K <= 100 of Kluyver's law for M >= 3 (the
+    Hypothesis properties in tests/test_analytic.py).  The simulator's
+    order-statistic sampler runs up to it."""
     return 1e3 if m <= 2 else _RAB_LAW_MAX_K
 
 
@@ -444,7 +443,7 @@ class _NewtonStart(NamedTuple):
 
 @functools.lru_cache(maxsize=32)
 def _rab_law(k: float, m: int) -> tuple:
-    """(log_g_and_slope, start) of the M-pattern law at K, for :func:`_tail_newton`.
+    """(log_g_and_slope, start) of the M-pattern law at K, for sf and :func:`_tail_newton`.
 
     As a function of t = log v, ``log_g_and_slope(t)`` gives log g_M(c) and
     d log S / dt at c = (K/M)(1 - e^t), for K > 0.  M = 2 from the Bessel

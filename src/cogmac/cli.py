@@ -341,8 +341,9 @@ def cmd_analytic(args) -> int:
         ) from exc
     if args.bits:
         values = values * (1.0 / LOG2)
-    table = f"{column},value\n" + "".join(
-        f"{format_number(x)},{format_number(v)}\n" for x, v in zip(grid, values)
+    table = f"{column},value\n" + "".join(  # N as given: %.17g rounds it past 2^53
+        f"{x if flag == 'n' else format_number(x)},{format_number(v)}\n"
+        for x, v in zip(grid, values)
     )
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:

@@ -283,10 +283,11 @@ class TestNormalizer:
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_every_m(self, m):
-        # a_N is the law's isf(1/N), so F(a_N) = 1 - 1/N at M >= 2 as well.
+        # a_N is the law's isf(1/N), so S(a_N) = 1/N at M >= 2 as well, to the
+        # relative error of the quantile properties at K = 10.
         p = RatioDistParams(10.0, 1.0, m)
         for n in (2, 8, 512, 10**6):
-            assert abs(p.cdf(normalizer_a_n(n, p)) - (1.0 - 1.0 / n)) <= 1e-12
+            assert abs(n * p.sf(normalizer_a_n(n, p)) - 1.0) <= _PPF_TOL_PER_K * 11.0
 
     @pytest.mark.parametrize("k", [1000.5, 1e17])
     def test_k_above_the_certified_range_raises(self, k):
@@ -465,7 +466,9 @@ class TestArrayLaws:
         (rab_m2_cdf, 2.0, (P,)),
         (RatioDistParams(2.0, 1.0, 2).isf, 0.01, ()),
         (rab_m2_tail_cdf, 2.0, (P,)),
-        (RatioDistParams(2.0, 1.0, 3).cdf, 2.0, ()),
+        (P.sf, 2.0, ()),
+        (RatioDistParams(2.0, 1.0, 2).sf, 2.0, ()),
+        (RatioDistParams(2.0, 1.0, 3).sf, 2.0, ()),
         (RatioDistParams(2.0, 1.0, 3).isf, 0.01, ()),
         (normalizer_a_n, 100, (P,)),
         (theorem1_law, 100, (2.0,)),
@@ -516,8 +519,8 @@ class TestRabM2ClosedForms:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             law = RatioDistParams(k, 10.0, 3)
-            assert rab_m2_cdf(1e308, p) == 1.0 and law.cdf(1e308) == 1.0
-            assert rab_m2_cdf(z, p)[1] == 1.0 and law.cdf(z)[1] == 1.0
+            assert rab_m2_cdf(1e308, p) == 1.0 and law.sf(1e308) == 0.0
+            assert rab_m2_cdf(z, p)[1] == 1.0 and law.sf(z)[1] == 0.0
             if k > 0.0:
                 assert rab_m2_tail_cdf(1e308, p) == 1.0
 
@@ -674,14 +677,15 @@ def phase_g(c, m, grid=64):
 
 
 def rab_survival(z, k, m, rho):
-    """1 - cdf(z) of the M-pattern law: v g_M(c) with g_M by the package's
-    panel rule."""
+    """S(z) of the M-pattern law: v g_M(c) with g_M by the package's panel
+    rule, one quadrature per element."""
     v = 1.0 / (1.0 + rho * z / (k + 1.0))
     return v * (1.0 - analytic._kluyver_complement((k / m) * (1.0 - v), m))
 
 
 class TestRabLaw:
-    """RatioDistParams.cdf: Kluyver's random-walk integral for every M."""
+    """Kluyver's random-walk integral for every M, and the law of
+    RatioDistParams.sf built on it: S = v g_M(c)."""
 
     def test_j0_trapezoid_against_scipy(self):
         xs = np.linspace(0.0, 400.0, 4001)
@@ -716,8 +720,10 @@ class TestRabLaw:
     def test_reduces_to_closed_forms(self, k):
         p = RatioDistParams(k, 1.3)
         z = np.concatenate([[0.0], np.logspace(-3, 6, 40)])
-        assert np.max(np.abs(p.cdf(z) - ratio_cdf(z, p))) <= 1e-14
-        assert np.max(np.abs(RatioDistParams(k, 1.3, 2).cdf(z) - rab_m2_cdf(z, p))) <= 1e-14
+        # F = 1 - S, to the absolute error the named forms' F has.
+        assert np.max(np.abs((1.0 - p.sf(z)) - ratio_cdf(z, p))) <= 1e-14
+        m2 = RatioDistParams(k, 1.3, 2)
+        assert np.max(np.abs((1.0 - m2.sf(z)) - rab_m2_cdf(z, p))) <= 1e-14
 
     def test_capacities_reproduce_reference_table(self):
         # C(N) = int (1 - F(t)^N) / (1 + t) dt, trapezoid in log t on
@@ -729,7 +735,7 @@ class TestRabLaw:
         t = np.exp(log_t)
         h = log_t[1] - log_t[0]
         for m, row in raw["mean_nats"].items():
-            log_f = np.log(RatioDistParams(k, 1.0, int(m)).cdf(t))
+            log_f = np.log1p(-RatioDistParams(k, 1.0, int(m)).sf(t))
             for n, expected in row.items():
                 g = -np.expm1(int(n) * log_f) * t / (1.0 + t)
                 assert h * (g.sum() - 0.5 * (g[0] + g[-1])) == pytest.approx(expected, abs=1e-9)
@@ -739,10 +745,10 @@ class TestRabLaw:
             with pytest.raises(ValueError, match="m_patterns must be an integer >= 1"):
                 RatioDistParams(10.0, 1.0, bad)
         assert type(RatioDistParams(10.0, 1.0, np.int64(3)).m_patterns) is int
-        with pytest.raises(ValueError, match="k_factor <= 100"):
-            RatioDistParams(100.5, 1.0, 3).cdf(1.0)
+        with pytest.raises(ValueError, match="k_factor <= 100 at m_patterns = 3"):
+            RatioDistParams(100.5, 1.0, 3).sf(1.0)
         with pytest.raises(ValueError, match="finite z >= 0"):
-            RatioDistParams(10.0, 1.0, 3).cdf([1.0, -1.0])
+            RatioDistParams(10.0, 1.0, 3).sf([1.0, -1.0])
 
     def test_import_builds_nothing(self):
         # Nodes and laws (tables and Newton starts) are built on first use;
@@ -794,7 +800,7 @@ class TestRabIsf:
     def test_inverts_cdf_on_grid(self, m):
         p = RatioDistParams(10.0, 1.3, m)
         z = np.array([0.01, 0.5, 3.0, 40.0, 1e4])
-        assert p.isf(1.0 - p.cdf(z)) == pytest.approx(z, rel=1e-9)
+        assert p.isf(p.sf(z)) == pytest.approx(z, rel=1e-9)
 
     @pytest.mark.parametrize("m", [2, 3, 4, 8])
     def test_array_answer_is_each_elements_own(self, m):
@@ -858,6 +864,53 @@ class TestRabIsf:
         z = RatioDistParams(k, rho, m).isf(q)
         assert math.isfinite(z) and z >= 0.0
         assert abs(rab_survival(z, k, m, rho) / q - 1.0) <= _PPF_TOL_PER_K * (k + 1.0)
+
+
+# z = 0, or 10^e over the law's whole range of scales.
+LOG_UNIFORM_Z = st.one_of(st.just(0.0), st.floats(-12.0, 250.0).map(lambda e: 10.0 ** e))
+
+
+class TestRatioSf:
+    """RatioDistParams.sf: S(z) = v g_M(c) on the law isf inverts, certified
+    to K = _isf_max_k(M) against isf, scipy's i0e and Kluyver's quadrature."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(m=st.integers(1, 16), data=st.data(), rho=st.floats(1e-3, 1e3),
+           q=st.floats(1e-300, 1.0))
+    def test_survival_of_the_quantile_is_q(self, m, data, rho, q):
+        k = data.draw(st.floats(0.0, analytic._isf_max_k(m)), label="k")
+        p = RatioDistParams(k, rho, m)
+        assert abs(p.sf(p.isf(q)) / q - 1.0) <= _PPF_TOL_PER_K * (k + 1.0)
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(k=st.floats(0.0, 1000.0), rho=st.floats(1e-3, 1e3), z=LOG_UNIFORM_Z)
+    def test_m2_is_the_bessel_law(self, k, rho, z):
+        # v i0e(2c) with scipy's i0e, 2c = K (1 - v).
+        s = RatioDistParams(k, rho, 2).sf(z)
+        assert abs(s / rab_m2_survival(z, k, rho) - 1.0) <= _PPF_TOL_PER_K * (k + 1.0)
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(m=st.integers(3, 16), k=st.floats(0.0, 100.0), rho=st.floats(1e-3, 1e3),
+           z=LOG_UNIFORM_Z)
+    def test_is_kluyvers_integral(self, m, k, rho, z):
+        s = RatioDistParams(k, rho, m).sf(z)
+        assert abs(s / rab_survival(z, k, m, rho) - 1.0) <= _PPF_TOL_PER_K * (k + 1.0)
+
+    @pytest.mark.parametrize("k,m", [(0.0, 2), (0.0, 5), (10.0, 1), (1000.0, 1)])
+    def test_closed_forms_build_no_law(self, k, m):
+        # M = 1 and K = 0 take log g = -K (1 - v), with no law looked up or built.
+        z = np.concatenate([[0.0], np.logspace(-6, 200, 401)])
+        calls = analytic._rab_law.cache_info()[:2]  # hits, misses
+        s = RatioDistParams(k, 0.7, m).sf(z)
+        assert analytic._rab_law.cache_info()[:2] == calls
+        if k == 0.0:
+            assert np.array_equal(s, 1.0 / (0.7 * z + 1.0))
+
+    def test_m2_is_certified_to_k_1000(self):
+        p = RatioDistParams(1000.0, 1.0, 2)
+        assert p.sf(p.isf(0.01)) == pytest.approx(0.01, rel=_PPF_TOL_PER_K * 1001.0)
+        with pytest.raises(ValueError, match="k_factor <= 1000 at m_patterns = 2"):
+            RatioDistParams(1000.5, 1.0, 2).sf(1.0)
 
 
 def _k_max(m):

@@ -587,6 +587,13 @@ class TestAnalyticCommand:
         out = capsys.readouterr().out.strip().splitlines()
         assert float(out[1].split(",")[1]) == pytest.approx(10.0)
 
+    def test_user_counts_print_exactly(self, capsys):
+        # 2^53 + 1 and 10^17 are echoed as given, not rounded to 17 digits.
+        assert main(["analytic", "--law", "theorem1-law",
+                     "--n", "9007199254740993,100000000000000000"]) == 0
+        rows = capsys.readouterr().out.strip().splitlines()[1:]
+        assert [r.split(",")[0] for r in rows] == ["9007199254740993", "100000000000000000"]
+
     @pytest.mark.parametrize("law", sorted(set(cli._LAWS) - {"theorem1-law"}))
     def test_bits_of_a_law_not_in_nats_fails(self, tmp_path, monkeypatch, capsys, law):
         # Refused before the grid, the law or the output path is looked at.
