@@ -47,6 +47,8 @@ CUSTOM = {
     # M >= 3 with N M = 96: the sampler on the Kluyver table.
     "rab_m3_sampler": {"n_users": 32, "m_patterns": 3, "k_factor": 10.0,
                        "mean_interference_power": 3.7},
+    # The sampler at the table's top K = 100, where its series has degree 136.
+    "rab_m4_k100_sampler": {"n_users": 64, "m_patterns": 4, "k_factor": 100.0},
     # K = 0: the Rayleigh form for any M.
     "rab_m4_k0": {"n_users": 16, "m_patterns": 4, "k_factor": 0.0},
     # The Bessel law at the top of its certified range.
