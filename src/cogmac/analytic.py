@@ -69,6 +69,8 @@ _PPF_STEP_ULPS = 4.0 * np.finfo(float).eps
 _NEWTON_STEPS = 16
 # Nodes of the Hermite starts of a RAB quantile, in t = log v.
 _START_NODES = 1025
+# Elements per pass of _series_at: its eight work arrays then fit a core's L2.
+_SERIES_CHUNK = 2**14
 # Kluyver's integral g_M(c) = 2 int_0^inf u exp(-u^2) J0(2 sqrt(c) u)^M du is
 # taken by 16-point Gauss-Legendre panels of width 1/4 on [0, 6.5]; beyond,
 # the weight is below exp(-42).  Certified for c <= K/M with K <= 100
@@ -448,7 +450,7 @@ def _rab_law(k: float, m: int) -> tuple:
     As a function of t = log v, ``log_g_and_slope(t)`` gives log g_M(c) and
     d log S / dt at c = (K/M)(1 - e^t), for K > 0.  M = 2 from the Bessel
     pair, g_2(c) = exp(-2c) I0(2c); M >= 3 from the Chebyshev series of
-    :func:`_log_g_series`, built here once.
+    :func:`_log_g_series`, built here once, and :func:`_series_at`'s one pass.
 
     ``start`` is the :class:`_NewtonStart` of the law.  Its nodes are
     -t = geomspace(40, 1e-7) and t = 0: geometric, so that they are as
@@ -467,15 +469,15 @@ def _rab_law(k: float, m: int) -> tuple:
             i0e, i1e = _bessel_i0e_i1e(-k * np.expm1(t))
             return np.log(i0e), 1.0 + k * np.exp(t) * (1.0 - i1e / i0e)
     else:
-        coef, dcoef, at_zero = _log_g_series(k, m)
+        coef, at_zero = _log_g_series(k, m)
 
         def log_g_and_slope(t):
             # Less the series at c = 0, which rounds to a few ulps of |a_0|, not
             # to 0: log g(0) = 0 exactly, and so q = 1 gives z = 0.  The slope
             # is d log S / dt = 1 + (d log g / dx)(dx / dt), with x = 1 - 2 e^t.
             v = np.exp(t)
-            log_g = _series_at(coef, v, -np.expm1(t)) - at_zero
-            return log_g, 1.0 - 2.0 * v * _clenshaw(dcoef, 1.0 - 2.0 * v)
+            log_g, d_dx = _series_at(coef, v, -np.expm1(t))
+            return log_g - at_zero, 1.0 - 2.0 * v * d_dx
 
     t = np.append(-np.geomspace(40.0, 1e-7, _START_NODES - 1), 0.0)
     log_g, slope = log_g_and_slope(t)
@@ -606,9 +608,8 @@ def _kluyver_complement(c: float, m: int) -> float:
 
 
 def _log_g_series(k: float, m: int) -> tuple:
-    """(a, da, a0): Chebyshev coefficients of log g_M(c) on c in [0, K/M]
-    and of its derivative, in the variable x = 2 c M/K - 1 = 1 - 2v, and
-    the series a at c = 0.
+    """(a, a0): Chebyshev coefficients of log g_M(c) on c in [0, K/M], in the
+    variable x = 2 c M/K - 1 = 1 - 2v, and the series at c = 0.
 
     Degree ceil(16 + 12 sqrt(K)): log g_M is analytic, and this degree
     brings the series to a few eps (K+1) of Kluyver's integral for M from 3
@@ -625,54 +626,38 @@ def _log_g_series(k: float, m: int) -> tuple:
         values[i] = math.log1p(-_kluyver_complement(c, m))
     coef = np.fft.rfft(np.concatenate([values, values[-2:0:-1]])).real / n
     coef[[0, -1]] *= 0.5
-    at_zero = float(_series_at(coef, np.ones(1), np.zeros(1))[0])
-    return coef, _chebder(coef), at_zero
+    return coef, float(_series_at(coef, np.ones(1), np.zeros(1))[0][0])
 
 
-def _chebder(coef: np.ndarray) -> np.ndarray:
-    """Chebyshev coefficients of the derivative of the series ``coef``
-    (at least 3 terms), by the backward recurrence of numpy's chebder, in
-    its order of operations and so to the bit
-    (tests/test_kluyver_constants.py)."""
-    c = coef.tolist()
-    n = len(c) - 1
-    der = np.empty(n)
-    for j in range(n, 2, -1):
-        der[j - 1] = (2 * j) * c[j]
-        c[j - 2] += (j * c[j]) / (j - 2)
-    der[1] = 4 * c[2]
-    der[0] = c[1]
-    return der
+def _series_at(coef: np.ndarray, v: np.ndarray, one_minus_v: np.ndarray) -> tuple:
+    """(series, d series / dx) of a Chebyshev series at x = 1 - 2v, given v
+    and 1 - v to full precision, from one pass over the coefficients; each
+    element's pair depends on that element alone.
 
-
-def _series_at(coef: np.ndarray, v: np.ndarray, one_minus_v: np.ndarray) -> np.ndarray:
-    """Chebyshev series at x = 1 - 2v, given v and 1 - v to full precision.
-
-    Clenshaw's recurrence in Reinsch's form: it steps with the offset of x
-    from its nearer end, 1 - x = 2v or 1 + x = 2(1 - v), and not with x,
-    whose rounding near -1 would cost up to K/4 ulps of log g.
+    The series by Clenshaw's recurrence in Reinsch's form: it steps with the
+    offset of x from its nearer end, 1 - x = 2v or 1 + x = 2(1 - v), and
+    not with x, whose rounding near -1 would cost up to K/4 ulps of log g.
+    The derivative, sum k a_k U_(k-1)(x), by the plain Clenshaw recurrence
+    of the second-kind polynomials U: it only sets Newton's step.
     """
+    if v.size > _SERIES_CHUNK:
+        parts = [_series_at(coef, *(a.ravel()[s:s + _SERIES_CHUNK] for a in (v, one_minus_v)))
+                 for s in range(0, v.size, _SERIES_CHUNK)]
+        return tuple(np.concatenate(p).reshape(v.shape) for p in zip(*parts))
     top = v < 0.5
     sign = np.where(top, 1.0, -1.0)
     offset2 = np.where(top, -4.0 * v, 4.0 * one_minus_v)  # 2 (x - sign)
-    b, d = np.zeros_like(v), np.zeros_like(v)
-    for a in coef[:0:-1]:
+    x2 = 2.0 - 4.0 * v
+    b, d, u, u_next, tmp = (np.zeros_like(v) for _ in range(5))
+    for k, a in zip(range(coef.size - 1, 0, -1), coef[:0:-1].tolist()):
         d *= sign
-        d += offset2 * b
+        d += np.multiply(offset2, b, out=tmp)
         d += a
         b *= sign
         b += d
-    return coef[0] + 0.5 * offset2 * b + sign * d
-
-
-def _clenshaw(coef: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Chebyshev series at x, by Clenshaw's recurrence.
-
-    Serves the slope series of :meth:`RatioDistParams.isf`: the slope only sets Newton's
-    step, and this form costs about half of :func:`_series_at`.
-    """
-    x2 = 2.0 * x
-    b1, b2 = np.zeros_like(x), np.zeros_like(x)
-    for a in coef[:0:-1]:
-        b1, b2 = x2 * b1 - b2 + a, b1
-    return coef[0] + x * b1 - b2
+        # u_(k-1) = 2x u_k - u_(k+1) + k a_k; the buffer of u_(k+1) is free next.
+        np.multiply(x2, u, out=tmp)
+        tmp -= u_next
+        tmp += k * a
+        u, u_next, tmp = tmp, u, u_next
+    return coef[0] + 0.5 * offset2 * b + sign * d, u

@@ -200,7 +200,7 @@ def cmd_simulate(args) -> int:
     config = _effective_config(args)
     preset = args.preset or "custom"
     out_path = _check_out(args.out or "sweep.csv")
-    t_start = time.time()
+    t_start = time.perf_counter()
 
     def progress(est):
         cfg = est.config
@@ -223,7 +223,7 @@ def cmd_simulate(args) -> int:
         write_sweep_csv(estimates, fh, extra_columns=extras)
     print(
         f"[simulate] wrote {out_path} ({len(estimates)} points, "
-        f"{time.time() - t_start:.1f}s total)",
+        f"{time.perf_counter() - t_start:.1f}s total)",
         file=sys.stderr,
     )
     return 0
@@ -237,7 +237,7 @@ def cmd_validate(args) -> int:
 
     if args.out:
         _check_out(args.out)
-    t_start = time.time()
+    t_start = time.perf_counter()
     results = []
 
     def report(res):
@@ -266,7 +266,7 @@ def cmd_validate(args) -> int:
     total = len(results)
     print(
         f"{total - len(failed)}/{total} checks passed ({args.level} level, "
-        f"{time.time() - t_start:.1f}s)"
+        f"{time.perf_counter() - t_start:.1f}s)"
     )
     if failed:
         print("failed: " + ", ".join(r.check_id for r in failed))

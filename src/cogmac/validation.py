@@ -73,12 +73,13 @@ def _gains(rng, size, k_factor, m_patterns=1):
     return g_s[:, 0], g_sp[:, 0]
 
 
-def _gain_blocks(rng, slots, k_factor, m_patterns=1, n_users=1):
-    """(gain_s, gain_sp) pairs of shape (rows, n_users) from the channel kernel
-    at unit mean powers: ``slots`` slots in blocks of ``_block_slots(N M)``."""
+def _gain_blocks(reduce, rng, slots, k_factor, m_patterns=1, n_users=1):
+    """``reduce(gain_s, gain_sp)`` of each block of (rows, n_users) draws from
+    the channel kernel at unit mean powers: ``slots`` slots in blocks of
+    ``_block_slots(N M)``, each reduced before the next is drawn."""
     cfg = NetworkConfig(n_users=n_users, m_patterns=m_patterns, k_factor=k_factor)
     rows = _block_slots(n_users * m_patterns)
-    return (draw_gains(cfg, rng, min(rows, slots - s)) for s in range(0, slots, rows))
+    return [reduce(*draw_gains(cfg, rng, min(rows, slots - s))) for s in range(0, slots, rows)]
 
 
 def _usable_cores() -> int:
@@ -169,8 +170,9 @@ def check_frechet_normalization(level: str, ks) -> tuple[bool, str]:
     for k in (0.0, 2.0):
         p = RatioDistParams(k, 1.0)
         a_n = normalizer_a_n(n_users, p)
-        maxima = np.concatenate([np.divide(g_s, g_sp, out=g_s).max(axis=1)
-                                 for g_s, g_sp in _gain_blocks(rng, n_maxima, k, n_users=n_users)])
+        maxima = np.concatenate(_gain_blocks(
+            lambda g_s, g_sp: np.divide(g_s, g_sp, out=g_s).max(axis=1),
+            rng, n_maxima, k, n_users=n_users))
         report = max_normalization_check(maxima, a_n)
         details.append(f"K={k}: " + ks(f"K={k},N={n_users}", report))
     return True, "KS at 1%: " + "; ".join(details)
@@ -267,8 +269,8 @@ def check_rab_distribution_facts(level: str, ks) -> tuple[bool, str]:
     # (b) two patterns null the strong-LoS link most often: 10^6 slots per M.
     freq = {}
     for m in (2, 4, 8):
-        nulls = sum(int(np.count_nonzero(g_sp < 0.05))
-                    for _, g_sp in _gain_blocks(rng, 10**6, 1e6, m_patterns=m))
+        nulls = sum(_gain_blocks(lambda _, g_sp: int(np.count_nonzero(g_sp < 0.05)),
+                                 rng, 10**6, 1e6, m_patterns=m))
         freq[m] = nulls / 10**6
     ordering = freq[2] > freq[4] and freq[2] > freq[8]
     parts.append(f"(b) null freq M=2 {freq[2]:.4f} > M=4 {freq[4]:.4f}, M=8 {freq[8]:.4f}")

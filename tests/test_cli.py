@@ -4,9 +4,11 @@ import csv
 import io
 import json
 import math
+import re
 import tempfile
 import time
 from dataclasses import asdict, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -159,6 +161,18 @@ def test_built_in_defaults():
     assert parser.parse_args(["validate"]).level == "fast"
 
 
+def step_wall_clock_back(monkeypatch):
+    """The CLI's time.time() steps back an hour on every call; its
+    perf_counter stays the real monotonic clock."""
+    hours = iter(range(0, -10**6, -3600))
+    monkeypatch.setattr(cli, "time", SimpleNamespace(time=lambda: float(next(hours)),
+                                                     perf_counter=time.perf_counter))
+
+
+def printed_seconds(line):
+    return float(re.search(r"(-?[0-9.]+)s(?: total)?\)$", line).group(1))
+
+
 class TestSimulateCommand:
     def run_simulate(self, tmp_path, extra_args=(), payload=None, name="out.csv"):
         payload = payload or {}
@@ -195,6 +209,13 @@ class TestSimulateCommand:
         code, text = self.run_simulate(tmp_path, payload=payload)
         assert code == 0
         assert len(text.strip().splitlines()) == 2
+
+    def test_total_time_ignores_a_wall_clock_step(self, tmp_path, monkeypatch, capsys):
+        step_wall_clock_back(monkeypatch)
+        payload = {"network": {"n_users": 4, "mode": "baseline", "trials": 200}}
+        assert self.run_simulate(tmp_path, payload=payload)[0] == 0
+        total = capsys.readouterr().err.splitlines()[-1]
+        assert total.startswith("[simulate] wrote ") and 0.0 <= printed_seconds(total) < 600.0
 
     def test_fig6_gain_column(self, tmp_path):
         code, text = self.run_simulate(
@@ -485,6 +506,14 @@ class TestRunAll:
         assert main(["validate", "--level", "fast"]) == 1
         lines = capsys.readouterr().out.splitlines()
         assert lines[:2] == ["[PASS] a: a", "[FAIL] b: b"] and lines[-1] == "failed: b"
+
+    def test_validate_total_time_ignores_a_wall_clock_step(self, monkeypatch, capsys):
+        step_wall_clock_back(monkeypatch)
+        checks = {c: (c, self.recording([], c)) for c in ("a", "b")}
+        self.use_checks(monkeypatch, checks, cores=1)
+        assert main(["validate", "--level", "fast"]) == 0
+        total = capsys.readouterr().out.splitlines()[-1]
+        assert total.startswith("2/2 checks passed") and 0.0 <= printed_seconds(total) < 600.0
 
     def test_an_error_of_report_propagates_and_ends_the_report(self, monkeypatch):
         started = []

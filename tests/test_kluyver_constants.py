@@ -1,7 +1,9 @@
-"""The M >= 3 RAB law's fixed constants: the 16-point Gauss-Legendre rule
-and the Chebyshev derivative, each equal to numpy.polynomial's to the bit,
-without the law loading numpy.polynomial or calling LAPACK; and the
-measured accuracy of wright_omega."""
+"""The M >= 3 RAB law against numpy.polynomial, which the law itself never
+loads: its 16-point Gauss-Legendre rule, a literal equal to leggauss's to
+the bit without LAPACK's eigen-solve, and its slope, which takes the
+series' derivative from the second-kind Clenshaw recurrence in the pass
+that sums log g, against chebder and chebval.  Also the measured accuracy
+of wright_omega."""
 
 import os
 import subprocess
@@ -46,9 +48,17 @@ def test_gauss_legendre_literals_match_leggauss():
 
 
 @pytest.mark.parametrize("k, m", [(1.0, 3), (10.0, 3), (10.0, 4), (100.0, 3), (100.0, 16)])
-def test_chebder_matches_numpy(k, m):
-    coef, dcoef, _ = analytic._log_g_series(k, m)
-    assert dcoef.tobytes() == np.polynomial.chebyshev.chebder(coef).tobytes()
+def test_slope_matches_numpy_chebder(k, m):
+    # The law's slope d log S / dt = 1 - 2v (d log g / dx) takes the
+    # derivative from the U recurrence in the same pass as log g; numpy's
+    # chebder and chebval on the same coefficients are the reference.
+    cheb = np.polynomial.chebyshev
+    coef = analytic._log_g_series(k, m)[0]
+    t = -np.geomspace(40.0, 1e-7, 200)
+    v = np.exp(t)
+    want = 1.0 - 2.0 * v * cheb.chebval(1.0 - 2.0 * v, cheb.chebder(coef))
+    _, slope = analytic._rab_law(k, m)[0](t)
+    assert np.max(np.abs(slope / want - 1.0)) <= 1e-13
 
 
 def test_wright_omega_rounding_bound():

@@ -10,6 +10,11 @@ from cogmac import validation
 # about 1.4 MiB when its draws take blocks of max(1, 2^15 // e) slots; a
 # draw of 2000 slots of 256 users held 11.8 MiB.
 MAX_TRACED_PEAK = 2 * 2**20
+# The two checks that read their draws block by block reduce each block
+# before the next is drawn, so one block is live at a time: 938 and 1162
+# KiB at fast level, against 1705 and 1419 KiB while the loop variables
+# still held the previous block during the next draw.
+ONE_BLOCK_PEAK = {"frechet_normalization": 1.2 * 2**20, "rab_distribution_facts": 1.25 * 2**20}
 
 
 @pytest.mark.parametrize("check_id", validation.CHECK_IDS)
@@ -22,4 +27,5 @@ def test_check_traced_peak_stays_within_the_block_rule(check_id):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= MAX_TRACED_PEAK, f"{check_id}: traced peak {peak / 2**20:.2f} MiB"
+    bound = ONE_BLOCK_PEAK.get(check_id, MAX_TRACED_PEAK)
+    assert peak <= bound, f"{check_id}: traced peak {peak / 2**20:.2f} MiB"
