@@ -69,8 +69,6 @@ _PPF_STEP_ULPS = 4.0 * np.finfo(float).eps
 _NEWTON_STEPS = 16
 # Nodes of the Hermite starts of a RAB quantile, in t = log v.
 _START_NODES = 1025
-# Elements per pass of _series_at: its eight work arrays then fit a core's L2.
-_SERIES_CHUNK = 2**14
 # Kluyver's integral g_M(c) = 2 int_0^inf u exp(-u^2) J0(2 sqrt(c) u)^M du is
 # taken by 16-point Gauss-Legendre panels of width 1/4 on [0, 6.5]; beyond,
 # the weight is below exp(-42).  Certified for c <= K/M with K <= 100
@@ -640,10 +638,6 @@ def _series_at(coef: np.ndarray, v: np.ndarray, one_minus_v: np.ndarray) -> tupl
     The derivative, sum k a_k U_(k-1)(x), by the plain Clenshaw recurrence
     of the second-kind polynomials U: it only sets Newton's step.
     """
-    if v.size > _SERIES_CHUNK:
-        parts = [_series_at(coef, *(a.ravel()[s:s + _SERIES_CHUNK] for a in (v, one_minus_v)))
-                 for s in range(0, v.size, _SERIES_CHUNK)]
-        return tuple(np.concatenate(p).reshape(v.shape) for p in zip(*parts))
     top = v < 0.5
     sign = np.where(top, 1.0, -1.0)
     offset2 = np.where(top, -4.0 * v, 4.0 * one_minus_v)  # 2 (x - sign)
