@@ -136,13 +136,14 @@ class RatioDistParams:
         return _scalar_or_array(v * np.exp(log_g))
 
     def isf(self, q):
-        """The z whose upper tail S(z) is q: sf(z) = q.
+        """The z whose upper tail S(z) is q: sf(z) = q.  Both branches below
+        find 1/v = 1 + rho z/(K+1), and z = max((K+1)(1/v - 1)/rho, 0).
 
-        M = 1, and K = 0 at any M, in closed form: z = (K+1)(K/W - 1)/rho
-        with W = W0(K e^K q) = wright_omega(y) at y = log K + K + log q, so
-        that K e^K never overflows.  Where K e^K q is below 1, K/W is formed
-        as e^W e^-K / q (W e^W = K e^K q), which stays finite where W
-        underflows and is 1/q at K = 0.
+        M = 1, and K = 0 at any M, in closed form: 1/v = K/W with W =
+        W0(K e^K q) = wright_omega(y) at y = log K + K + log q, so that K e^K
+        never overflows.  Where K e^K q is below 1, K/W is formed as e^W e^-K
+        / q (W e^W = K e^K q), which stays finite where W underflows and is
+        1/q at K = 0.
 
         M >= 2 with K > 0: Newton's method on log S = log q in t = log v
         (:func:`_tail_newton`), on the law :func:`_rab_law` builds once per
@@ -158,15 +159,16 @@ class RatioDistParams:
         k, m = self._certified_k("RatioDistParams.isf"), self.m_patterns
         q_arr = _tail_probabilities(q, "RatioDistParams.isf")
         if m > 1 and k > 0.0:
-            return _tail_newton(q_arr, self, *_rab_law(k, m))
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            log_x = np.log(k) + k + np.log(q_arr)
-            w = np.asarray(wright_omega(log_x))
-            k_over_w = np.divide(k, w, out=np.empty_like(w))
-            below = np.asarray(log_x < 0.0)
-            if below.any():  # the exponential only where it is used
-                k_over_w[below] = np.exp(w[below]) * (math.exp(-k) / q_arr[below])
-        return _scalar_or_array(np.maximum((k + 1.0) * (k_over_w - 1.0) / self.power_ratio, 0.0))
+            inv_v = _tail_newton(q_arr, k, *_rab_law(k, m))
+        else:
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                log_x = np.log(k) + k + np.log(q_arr)
+                w = np.asarray(wright_omega(log_x))
+                inv_v = np.divide(k, w, out=np.empty_like(w))  # K/W = 1/v
+                below = np.asarray(log_x < 0.0)
+                if below.any():  # the exponential only where it is used
+                    inv_v[below] = np.exp(w[below]) * (math.exp(-k) / q_arr[below])
+        return _scalar_or_array(np.maximum((k + 1.0) * (inv_v - 1.0) / self.power_ratio, 0.0))
 
     def _certified_k(self, law: str) -> float:
         """K, once it is within the :func:`_isf_max_k` of M."""
@@ -493,8 +495,9 @@ def _rab_law(k: float, m: int) -> tuple:
     return log_g_and_slope, start
 
 
-def _tail_newton(q_arr, params: RatioDistParams, log_g_and_slope, start: _NewtonStart):
-    """z with v g(c) = q, for S = v g(c) with g non-increasing in c = (K/M)(1 - v).
+def _tail_newton(q_arr, k: float, log_g_and_slope, start: _NewtonStart):
+    """1/v with v g(c) = q, in q's shape, for S = v g(c) with g non-increasing
+    in c = (K/M)(1 - v).
 
     Newton on f(t) = log S(t) - log q in t = log v, on a law of
     :func:`_rab_law`: ``log_g_and_slope(t)`` gives log g and f'(t).  Each
@@ -508,8 +511,7 @@ def _tail_newton(q_arr, params: RatioDistParams, log_g_and_slope, start: _Newton
     raises RuntimeError.  v = q / g at t - s, with log g there taken to
     first order from the last evaluation, log g - (slope - 1) s, so that
     no further law evaluation is needed; where q is within a few ulps of 1,
-    v can round above 1, and z is taken as 0.  Each element's z depends on
-    its own q alone.
+    v can round above 1.  Each element's 1/v depends on its own q alone.
     """
     q_flat = q_arr.reshape(-1)
     inv_v = np.ones_like(q_flat)  # q = 1: v = 1
@@ -538,10 +540,9 @@ def _tail_newton(q_arr, params: RatioDistParams, log_g_and_slope, start: _Newton
         t -= step
         live, q, log_q, t, last = live[going], q[going], log_q[going], t[going], size[going]
     if live.size:
-        raise RuntimeError(f"Newton on the RAB quantile at K = {params.k_factor}: {live.size} "
+        raise RuntimeError(f"Newton on the RAB quantile at K = {k}: {live.size} "
                            f"of {q_flat.size} elements still moving after {_NEWTON_STEPS} steps")
-    z = np.maximum((params.k_factor + 1.0) * (inv_v - 1.0) / params.power_ratio, 0.0)
-    return _scalar_or_array(z.reshape(q_arr.shape))
+    return inv_v.reshape(q_arr.shape)
 
 
 def rab_m2_tail_cdf(z, params: RatioDistParams):

@@ -65,14 +65,6 @@ def _trials(level: str) -> int:
     return 100_000 if level == "full" else 20_000
 
 
-def _gains(rng, size, k_factor, m_patterns=1):
-    """``size`` draws of one user's (gain_s, gain_sp) from the simulator's
-    channel kernel, at unit mean powers, in one draw (a KS sample)."""
-    cfg = NetworkConfig(n_users=1, m_patterns=m_patterns, k_factor=k_factor)
-    g_s, g_sp = draw_gains(cfg, rng, size)
-    return g_s[:, 0], g_sp[:, 0]
-
-
 def _gain_blocks(reduce, rng, slots, k_factor, m_patterns=1, n_users=1):
     """``reduce(gain_s, gain_sp)`` of each block of (rows, n_users) draws from
     the channel kernel at unit mean powers: ``slots`` slots in blocks of
@@ -154,8 +146,7 @@ def check_ratio_distribution_fit(level: str, ks) -> tuple[bool, str]:
     rng = np.random.default_rng(_SEED + 2)
     worst = ""
     for k in (0.5, 2.0, 10.0):
-        g_s, g_sp = _gains(rng, 10_000, k)
-        z = g_s / g_sp
+        [z] = _gain_blocks(np.divide, rng, 10_000, k)  # one block: 10^4 <= _block_slots(1)
         p = RatioDistParams(k, 1.0)
         report = ks_test(EmpiricalDist.from_samples(z), lambda x: ratio_cdf(x, p))
         worst += f" K={k}: " + ks(f"K={k}", report)
@@ -261,9 +252,12 @@ def check_rab_distribution_facts(level: str, ks) -> tuple[bool, str]:
     rng = np.random.default_rng(_SEED + 8)
     parts = []
 
-    # (a) many patterns turn the Rician link Rayleigh.
-    _, power = _gains(rng, 10_000, 10.0, m_patterns=16)
-    report = ks_test(EmpiricalDist.from_samples(power), lambda x: 1.0 - np.exp(-np.asarray(x)))
+    # (a) many patterns turn the Rician link Rayleigh.  One draw of 10^4
+    # slots, not blocks of _block_slots(16), keeps this row's stream; no name
+    # holds its buffer after the test.
+    cfg = NetworkConfig(n_users=1, m_patterns=16, k_factor=10.0)
+    report = ks_test(EmpiricalDist.from_samples(draw_gains(cfg, rng, 10_000)[1]),
+                     lambda x: 1.0 - np.exp(-np.asarray(x)))
     parts.append("(a) M=16 KS " + ks("M=16,K=10 vs Exp", report))
 
     # (b) two patterns null the strong-LoS link most often: 10^6 slots per M.
@@ -297,8 +291,7 @@ def check_rab_m2_closed_form(level: str, ks) -> tuple[bool, str]:
     """Mixed Bessel CDF of the two-pattern equivalent ratio + its tail form."""
     rng = np.random.default_rng(_SEED + 9)
     p = RatioDistParams(10.0, 1.0)
-    g_s, g_sp = _gains(rng, 10_000, 10.0, m_patterns=2)
-    z = g_s / g_sp
+    [z] = _gain_blocks(np.divide, rng, 10_000, 10.0, m_patterns=2)  # 10^4 <= _block_slots(2)
     report = ks_test(EmpiricalDist.from_samples(z), lambda x: rab_m2_cdf(x, p))
     fit = ks("z_eq M=2 K=10", report)
     exact = rab_m2_cdf(1e3, p)
@@ -401,23 +394,6 @@ _CHECKS = {
 
 CHECK_IDS = tuple(_CHECKS)
 
-# The checks run_all starts before the others, in this order (per-check
-# seconds alone on a 2-core Xeon, fast / full level).  The longest,
-# rab_effective_users (0.5 / 2.8), goes first.  frechet_normalization (0.13)
-# and rab_distribution_facts (0.2) go next, while it runs: started after the
-# capacity checks, they raised validate-fast's peak RSS by about 0.5 MB.  The
-# others follow, effective_users_moderate (0.3 / 1.4), rab_restores_log_growth
-# (0.3 / 1.6) and large_k_growth (0.24 / 1.1): no core idles long at the end.
-_START_ORDER = (
-    "rab_effective_users",
-    "frechet_normalization",
-    "rab_distribution_facts",
-    "effective_users_moderate",
-    "rab_restores_log_growth",
-    "large_k_growth",
-)
-
-
 def run_check(check_id: str, level: str = "full") -> CheckResult:
     """Run one check; it passes iff its own verdict and every KS row it
     recorded pass."""
@@ -438,8 +414,8 @@ def run_check(check_id: str, level: str = "full") -> CheckResult:
 
 def run_all(level: str = "full", report=None) -> list[CheckResult]:
     """Run every check, concurrently on every usable core, each alone on a
-    pool thread, starting those of ``_START_ORDER`` first; return the
-    results in ``CHECK_IDS`` order.
+    pool thread, started in ``CHECK_IDS`` order; return the results in that
+    order.
 
     ``report`` is called with each result in ``CHECK_IDS`` order, as soon
     as it and every earlier check have finished, so its calls are the same
@@ -447,13 +423,12 @@ def run_all(level: str = "full", report=None) -> list[CheckResult]:
     check listed before it has reported, as does an error of ``report``;
     checks not started by then, or at Ctrl-C, are cancelled.
     """
-    start_order = [*_START_ORDER, *(c for c in CHECK_IDS if c not in _START_ORDER)]
     results = []
     with ThreadPoolExecutor(max_workers=_usable_cores()) as pool:
-        futures = {check_id: pool.submit(run_check, check_id, level) for check_id in start_order}
+        futures = [pool.submit(run_check, check_id, level) for check_id in CHECK_IDS]
         try:
-            for check_id in CHECK_IDS:
-                results.append(futures[check_id].result())
+            for future in futures:
+                results.append(future.result())
                 if report is not None:
                     report(results[-1])
         finally:

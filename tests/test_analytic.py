@@ -926,7 +926,7 @@ class TestNewtonStart:
            q=st.floats(1e-300, 1.0, exclude_max=True))
     def test_start_is_within_1e9_of_the_root(self, m, data, q):
         # The loop's first evaluation of the law is at the start; the root is
-        # t = log v of the converged answer, v = (K+1)/(z + K + 1) at rho = 1.
+        # t = log v of the converged answer 1/v.
         k = data.draw(st.floats(0.0, _k_max(m), exclude_min=True), label="k")
         log_g_and_slope, start = analytic._rab_law(k, m)
         first = []
@@ -936,8 +936,8 @@ class TestNewtonStart:
                 first.append(float(t[0]))
             return log_g_and_slope(t)
 
-        z = analytic._tail_newton(np.array([q]), RatioDistParams(k, 1.0), recording, start)
-        root = -math.log1p(z[0] / (k + 1.0))
+        inv_v = analytic._tail_newton(np.array([q]), k, recording, start)
+        root = -math.log(inv_v[0])
         assert abs(first[0] - root) <= 1e-9 * max(1.0, abs(root))
 
     @pytest.mark.parametrize("m,k", [(m, k) for m in (2, 3, 4, 8) for k in (2.0, 10.0, 100.0)]
@@ -948,7 +948,7 @@ class TestNewtonStart:
         # evaluation besides the loop's.
         real, counts = analytic._tail_newton, []
 
-        def counting(q_arr, params, log_g_and_slope, start):
+        def counting(q_arr, k, log_g_and_slope, start):
             calls = [0, 0]
 
             def counted(t):
@@ -956,9 +956,9 @@ class TestNewtonStart:
                 calls[1] += t.size
                 return log_g_and_slope(t)
 
-            z = real(q_arr, params, counted, start)
+            inv_v = real(q_arr, k, counted, start)
             counts.append((calls[0], calls[1] / q_arr.size))
-            return z
+            return inv_v
 
         monkeypatch.setattr(analytic, "_tail_newton", counting)
         rng = np.random.default_rng(int(10 * k) + m)
@@ -978,8 +978,7 @@ class TestNewtonStart:
         start = analytic._NewtonStart(np.zeros(1), np.zeros(1), np.full(1, 0.5), np.zeros(1),
                                       np.zeros(1), 1.0)
         with pytest.raises(RuntimeError, match=r"K = 10\.0: 1 of 2 elements"):
-            analytic._tail_newton(np.array([math.exp(log_q), 1.0]), RatioDistParams(10.0, 1.0),
-                                  linear, start)
+            analytic._tail_newton(np.array([math.exp(log_q), 1.0]), 10.0, linear, start)
 
     def test_rounding_cycle_stops(self):
         # A law whose residual flips between +-1e-13 at the root: the steps
@@ -993,9 +992,8 @@ class TestNewtonStart:
 
         start = analytic._NewtonStart(np.zeros(1), np.zeros(1), np.ones(1), np.zeros(1),
                                       np.zeros(1), 1e20)
-        z = analytic._tail_newton(np.array(math.exp(log_q)), RatioDistParams(10.0, 1.0),
-                                  cycling, start)
-        assert calls[0] == 2 and math.isfinite(z)
+        inv_v = analytic._tail_newton(np.array(math.exp(log_q)), 10.0, cycling, start)
+        assert calls[0] == 2 and math.isfinite(inv_v)
 
 
 class TestParamValidation:

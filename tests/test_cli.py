@@ -6,6 +6,7 @@ import json
 import math
 import re
 import tempfile
+import threading
 import time
 from dataclasses import asdict, replace
 from types import SimpleNamespace
@@ -381,10 +382,9 @@ class TestRunAll:
     """run_all runs the checks concurrently and reports them in order."""
 
     @staticmethod
-    def use_checks(monkeypatch, checks, cores, start_order=()):
+    def use_checks(monkeypatch, checks, cores):
         monkeypatch.setattr(validation, "_CHECKS", checks)
         monkeypatch.setattr(validation, "CHECK_IDS", tuple(checks))
-        monkeypatch.setattr(validation, "_START_ORDER", start_order)
         monkeypatch.setattr(validation, "_usable_cores", lambda: cores)
 
     @staticmethod
@@ -444,39 +444,62 @@ class TestRunAll:
         # "later" is cancelled, or it started before the cancel and has ended.
         assert reported == [] and started[0] == "boom" and finished == started[1:]
 
-    def test_start_order_checks_start_first_and_report_in_check_order(self, monkeypatch):
+    @staticmethod
+    def raising_then(raised, started, check_id):
+        """A check that raises, and sets ``raised`` as its error leaves it."""
+        def run(level, ks):
+            started.append(check_id)
+            try:
+                raise RuntimeError(f"{check_id} blew up")
+            finally:
+                raised.set()
+        return run
+
+    @staticmethod
+    def held_until(raised, started, check_id):
+        """A passing check that ends only once ``raised`` is set."""
+        def run(level, ks):
+            started.append(check_id)
+            assert raised.wait(timeout=60.0), f"{check_id}: no check raised"
+            started.append(f"{check_id} done")
+            return True, check_id
+        return run
+
+    def test_checks_start_and_report_in_check_order(self, monkeypatch):
         started = []
-        checks = {c: (c, self.recording(started, c)) for c in ("a", "b", "c", "d")}
-        self.use_checks(monkeypatch, checks, cores=1, start_order=("d", "b"))
+        checks = {c: (c, self.recording(started, c)) for c in ("d", "b", "a", "c")}
+        self.use_checks(monkeypatch, checks, cores=1)
         reported = []
         validation.run_all("fast", report=reported.append)
         assert started == ["d", "b", "a", "c"]
-        assert [r.check_id for r in reported] == ["a", "b", "c", "d"]
+        assert [r.check_id for r in reported] == ["d", "b", "a", "c"]
 
     def test_checks_listed_before_a_raising_one_report_before_its_error(self, monkeypatch):
-        # "late" raises first; "d" and "b", started after it, still run, and
-        # both report before late's error propagates.
-        started = []
-        checks = {c: (c, self.recording(started, c)) for c in ("b", "d")}
-        checks["late"] = ("raises", self.recording(started, "late", verdict=None))
-        self.use_checks(monkeypatch, checks, cores=1, start_order=("late", "d", "b"))
+        # "late" raises while "b", listed before it, is held on the other
+        # core; "a" has ended.  Both report before late's error propagates.
+        started, raised = [], threading.Event()
+        checks = {"a": ("a", self.recording(started, "a")),
+                  "b": ("held", self.held_until(raised, started, "b")),
+                  "late": ("raises", self.raising_then(raised, started, "late")),
+                  "c": ("after", self.recording(started, "c"))}
+        self.use_checks(monkeypatch, checks, cores=2)
         reported = []
         with pytest.raises(RuntimeError, match="late blew up"):
             validation.run_all("fast", report=reported.append)
-        assert started == ["late", "d", "b"]
-        assert [r.check_id for r in reported] == ["b", "d"]
+        assert started.index("late") < started.index("b done")
+        assert [r.check_id for r in reported] == ["a", "b"]
 
-    def test_a_raising_check_started_early_propagates_its_own_error(self, monkeypatch):
-        # "late" starts first and raises; "early", listed first, reports,
-        # then late's error propagates.
-        started = []
-        checks = {"early": ("listed first", self.recording(started, "early")),
-                  "late": ("raises", self.recording(started, "late", verdict=None))}
-        self.use_checks(monkeypatch, checks, cores=1, start_order=("late",))
+    def test_a_raising_check_that_ends_first_propagates_its_own_error(self, monkeypatch):
+        # "early", listed first, is held until "late" has raised on the other
+        # core; early reports, then late's error propagates.
+        started, raised = [], threading.Event()
+        checks = {"early": ("listed first", self.held_until(raised, started, "early")),
+                  "late": ("raises", self.raising_then(raised, started, "late"))}
+        self.use_checks(monkeypatch, checks, cores=2)
         reported = []
         with pytest.raises(RuntimeError, match="late blew up"):
             validation.run_all("fast", report=reported.append)
-        assert started == ["late", "early"]
+        assert started.index("late") < started.index("early done")
         assert [r.check_id for r in reported] == ["early"]
 
     def test_validate_exits_3_naming_a_raising_check(self, monkeypatch, capsys, tmp_path):
