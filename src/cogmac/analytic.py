@@ -132,7 +132,10 @@ class RatioDistParams:
         z_arr = _ratios(z, "RatioDistParams.sf")
         with np.errstate(over="ignore", divide="ignore"):  # rho z = inf: v = 0, log v = -inf
             v = (k + 1.0) / (self.power_ratio * z_arr + k + 1.0)
-            log_g = -k * (1.0 - v) if m == 1 or k == 0.0 else _rab_law(k, m)[0](np.log(v))[0]
+            if m == 1 or k == 0.0:
+                log_g = -k * (1.0 - v)
+            else:  # the law works in place, on an array even for a 0-d z
+                log_g = _rab_law(k, m)[0](np.log(v).reshape(-1))[0].reshape(np.shape(v))
         return _scalar_or_array(v * np.exp(log_g))
 
     def isf(self, q):
@@ -251,9 +254,15 @@ def _bessel_series(x: np.ndarray) -> tuple:
     """(i0e, i1e) by the power series: I0 = sum q^m / (m!)^2 and
     I1 = (x/2) sum q^m / (m! (m+1)!), q = x^2/4; positive terms, no
     cancellation."""
-    q = 0.25 * np.square(x)
+    q = np.square(x)
+    q *= 0.25
     scale = np.exp(-x)
-    return scale * _horner(_I0_SERIES, q), scale * (0.5 * x) * _horner(_I1_SERIES, q)
+    i0e = _horner(_I0_SERIES, q)
+    i0e *= scale
+    # scale (x/2) in q's buffer, once the series has read q.
+    i1e = _horner(_I1_SERIES, q)
+    i1e *= np.multiply(scale, np.multiply(0.5, x, out=q), out=q)
+    return i0e, i1e
 
 
 def _bessel_asymptotic(x: np.ndarray) -> tuple:
@@ -466,8 +475,13 @@ def _rab_law(k: float, m: int) -> tuple:
     """
     if m == 2:
         def log_g_and_slope(t):
-            i0e, i1e = _bessel_i0e_i1e(-k * np.expm1(t))
-            return np.log(i0e), 1.0 + k * np.exp(t) * (1.0 - i1e / i0e)
+            # 1 + K e^t (1 - i1e/i0e) in i1e's buffer, and log g in i0e's.
+            i0e, slope = _bessel_i0e_i1e(-k * np.expm1(t))
+            slope /= i0e
+            np.subtract(1.0, slope, out=slope)
+            slope *= k * np.exp(t)
+            slope += 1.0
+            return np.log(i0e, out=i0e), slope
     else:
         coef, at_zero = _log_g_series(k, m)
 
@@ -532,11 +546,13 @@ def _tail_newton(q_arr, k: float, log_g_and_slope, start: _NewtonStart):
             break
         log_g, slope = log_g_and_slope(t)
         step = (t + log_g - log_q) / slope
+        # 1/v = g / q at t - s, before the stop test, so that the law's two
+        # arrays are gone by then; an element still going overwrites it later.
+        inv_v[live] = np.exp(log_g - (slope - 1.0) * step) / q
+        del log_g, slope
         size = np.abs(step)
         tol = _PPF_STEP_ULPS * np.maximum(1.0, np.abs(t))
         going = (size > tol) & (start.curvature * size * size > tol) & (size <= 0.5 * last)
-        # 1/v = g / q at t - s; an element still going overwrites it later.
-        inv_v[live] = np.exp(log_g - (slope - 1.0) * step) / q
         t -= step
         live, q, log_q, t, last = live[going], q[going], log_q[going], t[going], size[going]
     if live.size:

@@ -89,6 +89,11 @@ class EsparConfig:
             raise ValueError("admittance must be finite")
         if not np.allclose(y, y.T, rtol=1e-10, atol=1e-14):
             raise ValueError("admittance must be symmetric (reciprocity)")
+        cond = np.linalg.cond(y)  # inf for a singular matrix
+        if not cond <= _COND_LIMIT:
+            raise ValueError(
+                f"admittance must be invertible (condition estimate {cond:.3e} > 1e12)"
+            )
         object.__setattr__(self, "admittance", y)
         if self.m_elements > 1 and not self.radius_wavelengths > 0.0:
             raise ValueError("radius_wavelengths must be > 0 for multi-element arrays")

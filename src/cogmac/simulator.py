@@ -28,20 +28,18 @@ for at their M, take brute force.  So do points with M >= 3 and
 N*M < 48 user-pattern draws per slot, where brute force is the cheaper of
 the two.
 
-Nested growth draws: :func:`run_nested_n` estimates a whole increasing N
-grid by brute force from one draw of its largest N per slot, reading each
-N from the best of the slot's first N users (prefix maxima, one row per
-N).  :func:`run_experiment` is its one-N case: same layout, same streams,
-same sums, so the largest N of a nested run equals a brute-force run of
-that N exactly.
+Common random numbers: points of one seed read the same chunk streams.
+Under the sampler a slot's uniform does not depend on N, so the points of
+an N sweep at one K and M share their uniforms, and each slot's scheduled
+maximum grows with N.
 
 Layout: trials are processed in chunks of at most 2^21 elements, chunk c
 drawing from its own SFC64 stream, seeded by
 ``SeedSequence(seed, spawn_key=(c,))``, and each chunk in blocks of at most
 2^15 elements (at least one slot either way).  An element is one
 user-pattern draw under brute force, one slot under the sampler.  A
-chunk's sums form one 4-vector per N, added block by block and then chunk
-by chunk, in index order.  Sizes depend on the config only, so results are
+chunk's sums form one 4-vector, added block by block and then chunk by
+chunk, in index order.  Sizes depend on the config only, so results are
 bit-identical for any worker count.  Threading: the chunks of one
 experiment are the only parallel work; a sweep runs its points one after
 another.
@@ -66,7 +64,6 @@ __all__ = [
     "NetworkConfig",
     "CapacityEstimate",
     "run_experiment",
-    "run_nested_n",
     "sweep",
     "write_sweep_csv",
     "format_number",
@@ -222,9 +219,8 @@ def _inv_denom(config: NetworkConfig, size: int, rng) -> np.ndarray | None:
     return None
 
 
-def _brute_block(config: NetworkConfig, size: int, rng, n_grid) -> np.ndarray:
-    """Best numerators of `size` slots, every user drawn by :func:`draw_gains`:
-    row i is the best of the first ``n_grid[i]`` users of each slot."""
+def _brute_block(config: NetworkConfig, size: int, rng) -> np.ndarray:
+    """Best numerators of `size` slots, every user drawn by :func:`draw_gains`."""
     gain_s, gain_sp = draw_gains(config, rng, size)
     if config.max_power_cap is None:  # Q_p scales every user alike: scale the maxima
         gain_s /= gain_sp
@@ -234,10 +230,9 @@ def _brute_block(config: NetworkConfig, size: int, rng, n_grid) -> np.ndarray:
         np.minimum(gain_sp, config.max_power_cap, out=gain_sp)
         gain_s *= gain_sp
         scale = 1.0
-    best = np.maximum.reduceat(gain_s, (0, *n_grid[:-1]), axis=1)
-    np.maximum.accumulate(best, axis=1, out=best)
+    best = gain_s.max(axis=1)
     best *= scale
-    return np.ascontiguousarray(best.T)
+    return best
 
 
 def _max_ratio(config: NetworkConfig, u: np.ndarray) -> np.ndarray:
@@ -245,87 +240,46 @@ def _max_ratio(config: NetworkConfig, u: np.ndarray) -> np.ndarray:
     in [0, 1): F^-1(U^(1/N)), with the upper tail q = 1 - U^(1/N) formed as
     -expm1(log(U)/N).  U = 0 gives 0.  K = 0 uses the Rayleigh form
     1/(rho expm1(-log(U)/N)), rho = gamma_sp/gamma_s, for any M; otherwise
-    F^-1 is the :meth:`RatioDistParams.isf` of the point's law."""
+    F^-1 is the :meth:`RatioDistParams.isf` of the point's law.  The tail
+    is formed in ``u``'s own buffer, which the call overwrites."""
     rho = config.mean_interference_power / config.mean_secondary_power
     with np.errstate(divide="ignore"):
-        log_root = np.log(u) / config.n_users
+        log_root = np.log(u, out=u)
+    log_root /= config.n_users
     if config.k_factor == 0.0:
         return 1.0 / (rho * np.expm1(-log_root))
-    return RatioDistParams(config.k_factor, rho, config.m_patterns).isf(-np.expm1(log_root))
+    q = np.negative(np.expm1(log_root, out=log_root), out=log_root)
+    return RatioDistParams(config.k_factor, rho, config.m_patterns).isf(q)
 
 
-def _quantile_block(config: NetworkConfig, size: int, rng, n_grid) -> np.ndarray:
+def _quantile_block(config: NetworkConfig, size: int, rng) -> np.ndarray:
     """Best numerators of `size` slots from the scheduled maximum alone, one
-    uniform per slot; exact without a power cap.  One row: the maximum of
-    all N users, the only ``n_grid`` that reaches this sampler."""
-    return config.peak_interference * _max_ratio(config, rng.random(size))[np.newaxis]
+    uniform per slot; exact without a power cap."""
+    return config.peak_interference * _max_ratio(config, rng.random(size))
 
 
-def _chunk_sums(config: NetworkConfig, size: int, rng, method: str, n_grid) -> np.ndarray:
-    """Simulate `size` independent slots; return the chunk's reduction sums,
-    one column per prefix of ``n_grid``: (sum C, sum C^2, sum best numerator,
-    sum 1/denominator).
+def _chunk_sums(config: NetworkConfig, size: int, rng, method: str) -> np.ndarray:
+    """Simulate `size` independent slots; return the chunk's reduction sums
+    (sum C, sum C^2, sum best numerator, sum 1/denominator).
 
     The slots are drawn from ``rng`` in blocks, and the blocks' sums are
     added in block order.  Fixed draw order per block: the best numerators
     from the sampler :func:`_layout` picks for ``method``, then the
-    primary-to-secondary powers (if enabled).  Each column is summed along
-    its own contiguous row, so every column's sums are those a one-prefix
-    run at that N would form from the same best numerators.
+    primary-to-secondary powers (if enabled).
     """
     block, _, rows = _layout(config, method)
-    sums = np.zeros((4, len(n_grid)))
+    sums = np.zeros(4)
     for start in range(0, size, rows):
-        best_num = block(config, min(rows, size - start), rng, n_grid)
-        inv_denom = _inv_denom(config, best_num.shape[1], rng)
+        best_num = block(config, min(rows, size - start), rng)
+        inv_denom = _inv_denom(config, best_num.size, rng)
         if inv_denom is None:  # x * 1 is x, and a sum of ones is exact
             caps = np.log1p(best_num)
-            sums[3] += best_num.shape[1]
+            sums[3] += best_num.size
         else:
             caps = np.log1p(best_num * inv_denom)
             sums[3] += np.sum(inv_denom)
-        sums[:3] += (np.sum(caps, axis=1), np.sum(caps * caps, axis=1), np.sum(best_num, axis=1))
+        sums[:3] += (np.sum(caps), np.sum(caps * caps), np.sum(best_num))
     return sums
-
-
-def _estimates(
-    config: NetworkConfig, n_grid: tuple, threads: int, method: str
-) -> list[CapacityEstimate]:
-    """One estimate per prefix size of ``n_grid``, from one run of
-    ``config``'s chunks: the engine behind :func:`run_experiment` and
-    :func:`run_nested_n`."""
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
-    start = time.perf_counter()
-    chunk = _layout(config, method)[1]
-    n_chunks = (config.trials + chunk - 1) // chunk
-
-    def work(c: int) -> np.ndarray:
-        size = min(chunk, config.trials - c * chunk)
-        return _chunk_sums(config, size, _chunk_rng(config, c), method, n_grid)
-
-    if threads == 1 or n_chunks == 1:
-        results = [work(c) for c in range(n_chunks)]
-    else:  # imported here, so a one-thread run never loads concurrent.futures
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, range(n_chunks)))
-    wall_s = time.perf_counter() - start
-
-    # Chunk order keeps the sums bit-stable.
-    totals = sum(results, np.zeros((4, len(n_grid))))
-    t = config.trials
-    estimates = []
-    for n, (cap_sum, capsq_sum, num_sum, inv_sum) in zip(n_grid, totals.T.tolist()):
-        mean = cap_sum / t
-        var = max(0.0, (capsq_sum - t * mean * mean) / (t - 1))
-        stderr = math.sqrt(var / t)
-        jensen = math.log1p((inv_sum / t) * (num_sum / t))
-        estimates.append(
-            CapacityEstimate(replace(config, n_users=n), mean, stderr, jensen, wall_s)
-        )
-    return estimates
 
 
 def run_experiment(
@@ -343,28 +297,32 @@ def run_experiment(
     any ``threads``.  The estimate carries ``config`` and the call's wall
     seconds, chunk threads included.
     """
-    return _estimates(config, (config.n_users,), threads, method)[0]
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+    start = time.perf_counter()
+    chunk = _layout(config, method)[1]
+    n_chunks = (config.trials + chunk - 1) // chunk
 
+    def work(c: int) -> np.ndarray:
+        size = min(chunk, config.trials - c * chunk)
+        return _chunk_sums(config, size, _chunk_rng(config, c), method)
 
-def run_nested_n(config: NetworkConfig, n_grid) -> list[CapacityEstimate]:
-    """Brute-force estimates at every N of ``n_grid``, which increases
-    strictly up to ``config.n_users``, from one draw of N users per slot.
+    if threads == 1 or n_chunks == 1:
+        results = [work(c) for c in range(n_chunks)]
+    else:  # imported here, so a one-thread run never loads concurrent.futures
+        from concurrent.futures import ThreadPoolExecutor
 
-    Each slot's best numerator at N = n is the best of its first n users,
-    so the points share their draws and are not independent of each other.
-    The draw has ``config``'s chunk and block layout under brute force, so
-    the estimate at n = ``config.n_users`` equals
-    ``run_experiment(config, method="brute")``.  The chunks run one after
-    another on the calling thread; every estimate carries its own N's
-    config and the call's wall seconds.
-    """
-    n_grid = tuple(replace(config, n_users=n).n_users for n in n_grid)
-    increasing = all(a < b for a, b in zip(n_grid, n_grid[1:]))
-    if not (n_grid and increasing and n_grid[-1] == config.n_users):
-        raise ValueError(
-            f"n_grid must increase strictly to n_users = {config.n_users}, got {n_grid}"
-        )
-    return _estimates(config, n_grid, 1, "brute")
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            results = list(pool.map(work, range(n_chunks)))
+    wall_s = time.perf_counter() - start
+
+    # Chunk order keeps the sums bit-stable.
+    t = config.trials
+    cap_sum, capsq_sum, num_sum, inv_sum = sum(results, np.zeros(4)).tolist()
+    mean = cap_sum / t
+    var = max(0.0, (capsq_sum - t * mean * mean) / (t - 1))
+    jensen = math.log1p((inv_sum / t) * (num_sum / t))
+    return CapacityEstimate(config, mean, math.sqrt(var / t), jensen, wall_s)
 
 
 def _grid_configs(config_template: NetworkConfig, n_list, k_list, m_list,

@@ -40,8 +40,7 @@ from .analytic import (
 )
 from .channels import draw_gains
 from .rab import arcsine_cdf
-from .simulator import (NetworkConfig, _block_slots, run_experiment, run_nested_n, sweep,
-                        write_sweep_csv)
+from .simulator import NetworkConfig, _block_slots, run_experiment, sweep, write_sweep_csv
 from .stats import EmpiricalDist, KsReport, ks_test, max_normalization_check
 
 __all__ = ["CheckResult", "CHECK_IDS", "run_check", "run_all"]
@@ -96,22 +95,22 @@ def _capacity(n_users, k_factor, mode, m_patterns, level) -> float:
     """Mean brute-force capacity (nats) at the level's trial count, on the
     calling check's thread (:func:`run_all` spreads the checks over the
     cores).  Brute force keeps the closed-form ratio quantile out of the
-    runs that the capacity checks compare with closed forms.  The growth
-    checks take their N grid from one nested draw instead
-    (:func:`_growth_capacities`)."""
+    runs that the capacity checks compare with closed forms."""
     cfg = _point(n_users, k_factor, mode, m_patterns, level)
     return run_experiment(cfg, threads=1, method="brute").mean_nats
 
 
 def _growth_capacities(k_factor, mode, m_patterns, level) -> np.ndarray:
-    """Mean brute-force capacities (nats) over ``N_GROWTH_GRID``, from one
-    :func:`run_nested_n` draw on the calling check's thread: each slot
-    draws the grid's largest N users once, and the capacity at N reads the
-    best of its first N, so a slot costs 512 users, not the grid's 1008.
-    The six points share their users; nesting them left the spread of
-    criterion 7's statistic unchanged."""
+    """Mean capacities (nats) over ``N_GROWTH_GRID`` at the default method,
+    one :func:`sweep` point per N on the calling check's thread.  Each point
+    takes the order-statistic sampler, one uniform per slot, an exact
+    identity that tests/test_simulator.py::TestQuantileSampler certifies
+    against brute force; the growth checks compare no closed form with it.
+    Every point reads ``_SEED``'s stream, so the curve keeps common random
+    numbers."""
     cfg = _point(N_GROWTH_GRID[-1], k_factor, mode, m_patterns, level)
-    return np.array([e.mean_nats for e in run_nested_n(cfg, N_GROWTH_GRID)])
+    estimates = sweep(cfg, N_GROWTH_GRID, [k_factor], [m_patterns], [mode])
+    return np.array([e.mean_nats for e in estimates])
 
 
 def _log_n_slope(n_grid, values) -> float:
@@ -188,7 +187,10 @@ def check_effective_users_moderate(level: str, ks) -> tuple[bool, str]:
 
 def check_large_k_growth(level: str, ks) -> tuple[bool, str]:
     """Strong-LoS baseline grows loglog-like: normalizing by loglogN flattens
-    the curve at least 5x compared with the unnormalized slope."""
+    the curve at least 5x compared with the unnormalized slope.  The curve's
+    six points take the order-statistic sampler, certified against brute
+    force by tests/test_simulator.py::TestQuantileSampler
+    (:func:`_growth_capacities`)."""
     caps = _growth_capacities(10.0, "baseline", 1, level)
     flat = abs(_log_n_slope(N_GROWTH_GRID, caps / np.log(np.log(N_GROWTH_GRID))))
     raw = abs(_log_n_slope(N_GROWTH_GRID, caps))
@@ -228,7 +230,9 @@ def check_rab_restores_log_growth(level: str, ks) -> tuple[bool, str]:
     b ~ 0.9 nats (extreme-value mean plus the boost constant) that sits
     about 3x, not 5x, below the control.  The supplementary ratio against
     the same data normalized by loglogN demonstrates the restoration and
-    is reported alongside for diagnosis.
+    is reported alongside for diagnosis.  As in :func:`check_large_k_growth`,
+    the six points take the order-statistic sampler, certified against brute
+    force by tests/test_simulator.py::TestQuantileSampler.
     """
     caps = _growth_capacities(10.0, "rab", 2, level)
     log_n = np.log(N_GROWTH_GRID)

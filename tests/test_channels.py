@@ -93,7 +93,7 @@ def test_k_zero_brute_force_maxima_against_full_model(m):
     # maximum over N = 64 users must still follow the full model's.
     cfg = NetworkConfig(n_users=64, m_patterns=m, k_factor=0.0, mean_secondary_power=2.5,
                         mean_interference_power=0.4, mode="baseline" if m == 1 else "rab")
-    kernel = simulator._brute_block(cfg, 4000, np.random.default_rng(500 + m), (64,))[0]
+    kernel = simulator._brute_block(cfg, 4000, np.random.default_rng(500 + m))
     rng = np.random.default_rng(600 + m)
     oracle = []
     for _ in range(4):  # 1000 slots at a time keeps the N x M arrays small
@@ -114,7 +114,7 @@ def test_k_positive_brute_force_maxima_against_full_model(k, m):
     cfg = NetworkConfig(n_users=64, m_patterns=m, k_factor=k, mean_secondary_power=2.5,
                         mean_interference_power=0.4, mode="baseline" if m == 1 else "rab")
     seed = 700 + 10 * m + int(k)
-    kernel = simulator._brute_block(cfg, 4000, np.random.default_rng(seed), (64,))[0]
+    kernel = simulator._brute_block(cfg, 4000, np.random.default_rng(seed))
     rng = np.random.default_rng(10**6 + seed)
     oracle = []
     for _ in range(4):  # 1000 slots at a time keeps the N x M arrays small

@@ -339,43 +339,41 @@ class TestValidateMachinery:
 
     @pytest.mark.parametrize("check_id, points", [
         ("effective_users_moderate", 2),
-        ("large_k_growth", 6),
         ("rab_effective_users", 4),
-        ("rab_restores_log_growth", 6),
     ])
     def test_capacity_checks_use_brute_force(self, monkeypatch, check_id, points):
         # No capacity check may compare a closed form with itself: each of
         # its points draws every user.  Every capacity estimate, whichever
-        # entry a check calls, comes from the simulator's engine.
+        # entry a check calls, comes from run_experiment.
         runs = []
 
-        def engine(config, n_grid, threads, method):
-            runs.append((threads, method, n_grid))
-            return [CapacityEstimate(replace(config, n_users=n), 1.0 + math.log(n), 0.0, 0.0, 0.0)
-                    for n in n_grid]
+        def engine(config, threads=1, method="auto"):
+            runs.append((threads, method))
+            return CapacityEstimate(config, 1.0 + math.log(config.n_users), 0.0, 0.0, 0.0)
 
-        monkeypatch.setattr(simulator, "_estimates", engine)
+        for module in (simulator, validation):
+            monkeypatch.setattr(module, "run_experiment", engine)
         validation.run_check(check_id, "fast")
         # One thread per run: run_all spreads the checks over the cores.
-        assert [run[:2] for run in runs] == [(1, "brute")] * len(runs)
-        assert sum(len(n_grid) for *_, n_grid in runs) == points
-        if check_id in ("large_k_growth", "rab_restores_log_growth"):
-            # The whole N grid from one nested draw.
-            assert [n_grid for *_, n_grid in runs] == [validation.N_GROWTH_GRID]
+        assert runs == [(1, "brute")] * points
 
-    def test_growth_check_draws_the_largest_n_once_per_slot(self, monkeypatch):
-        # Fast level: 20000 slots of N = 512 users serve all six N of the grid.
-        drawn = []
-        real = simulator.draw_gains
+    @pytest.mark.parametrize("check_id", ["large_k_growth", "rab_restores_log_growth"])
+    def test_growth_checks_take_the_sampler(self, monkeypatch, check_id):
+        # The growth checks compare no closed form with a simulation: each N
+        # of the grid is one order-statistic point, drawn on the check's own
+        # thread, one block of 20000 slots at fast level.
+        blocks = []
+        for name in ("_quantile_block", "_brute_block"):
+            real = getattr(simulator, name)
 
-        def counted(config, rng, size):
-            drawn.append(config.n_users * size)
-            return real(config, rng, size)
+            def spy(cfg, size, rng, real=real, name=name):
+                blocks.append((name, cfg.n_users, size, threading.get_ident()))
+                return real(cfg, size, rng)
 
-        monkeypatch.setattr(simulator, "draw_gains", counted)
-        result = validation.run_check("large_k_growth", "fast")
-        assert sum(drawn) == 20_000 * 512
-        assert result.passed
+            monkeypatch.setattr(simulator, name, spy)
+        validation.run_check(check_id, "fast")
+        here = threading.get_ident()
+        assert blocks == [("_quantile_block", n, 20_000, here) for n in validation.N_GROWTH_GRID]
 
 
 class TestRunAll:
@@ -729,6 +727,12 @@ class TestInputBoundary:
             (["espar", "--reactances", "10"],
              {"espar": {"m_elements": 2, "admittance": [[0.02, math.nan], [math.nan, 0.02]]}},
              "espar: admittance must be finite"),
+            (["espar", "--reactances", "10"],
+             {"espar": {"m_elements": 2, "admittance": [[1, 1], [1, 1]]}},
+             "espar: admittance must be invertible"),
+            (["espar", "--reactances", "10"],
+             {"espar": {"m_elements": 2, "admittance": [[0, 0], [0, 0]]}},
+             "espar: admittance must be invertible"),
             (["espar"], {"espar": {"radius_wavelengths": "abc"}}, "espar.radius_wavelengths"),
             (["espar"], {"espar": {"radius_wavelengths": None}}, "espar.radius_wavelengths"),
             (["espar"], {"espar": {"element_angles": ["a"]}}, "espar.element_angles[0]"),

@@ -247,6 +247,14 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             EsparConfig(m_elements=2, admittance=y)
 
+    @pytest.mark.parametrize("y", [[[1.0, 1.0], [1.0, 1.0]], [[0.0, 0.0], [0.0, 0.0]],
+                                   [[1.0, 1.0], [1.0, 1.0 + 1e-13]]])
+    def test_non_invertible_admittance_rejected(self, y):
+        # element_currents inverts Y: a singular or near-singular one is a
+        # bad config, not a bad reactance.
+        with pytest.raises(ValueError, match="admittance must be invertible"):
+            EsparConfig(m_elements=2, admittance=np.array(y))
+
     @pytest.mark.parametrize("m", [3.0, 2.5, True, "3"])
     def test_m_elements_must_be_an_integer(self, m):
         with pytest.raises(ValueError, match="m_elements"):

@@ -16,7 +16,7 @@ from scipy.stats import ks_2samp
 from cogmac import analytic, simulator
 from cogmac.analytic import RatioDistParams, ratio_pdf
 from cogmac.channels import draw_gains
-from cogmac.simulator import METHODS, NetworkConfig, run_experiment, run_nested_n, sweep
+from cogmac.simulator import METHODS, NetworkConfig, run_experiment, sweep
 
 
 def small_cfg(**kw):
@@ -29,7 +29,7 @@ def chunk_sums(cfg, size=500):
     """(sum C, sum C^2, sum best numerator, sum 1/denominator) of chunk 0,
     drawn by brute force."""
     rng = simulator._chunk_rng(cfg, 0)
-    return simulator._chunk_sums(cfg, size, rng, "brute", (cfg.n_users,))[:, 0]
+    return simulator._chunk_sums(cfg, size, rng, "brute")
 
 
 def chunk_gains(cfg, size=500):
@@ -232,8 +232,8 @@ class TestBlocks:
         assert size // rows >= 3 and size % rows
         assert chunk_sums(cfg, size) == pytest.approx(tuple(expected), rel=1e-12)
 
-    @pytest.mark.parametrize("method,n_grid", [("brute", (3, 40, 300)), ("auto", (300,))])
-    def test_power_off_sums_equal_the_ones_formula(self, method, n_grid):
+    @pytest.mark.parametrize("method", ["brute", "auto"])
+    def test_power_off_sums_equal_the_ones_formula(self, method):
         # Without primary power every denominator is 1: the chunk's sums are
         # those of an all-ones 1/denominator array, bit for bit.
         cfg = NetworkConfig(n_users=300, m_patterns=2, mode="rab", k_factor=3.0,
@@ -241,15 +241,14 @@ class TestBlocks:
         block, _, rows = simulator._layout(cfg, method)
         size = 3 * rows + rows // 2
         rng = simulator._chunk_rng(cfg, 0)
-        expected = np.zeros((4, len(n_grid)))
+        expected = np.zeros(4)
         for start in range(0, size, rows):
-            best = block(cfg, min(rows, size - start), rng, n_grid)
-            inv_denom = np.ones(best.shape[1])
+            best = block(cfg, min(rows, size - start), rng)
+            inv_denom = np.ones(best.size)
             caps = np.log1p(best * inv_denom)
-            expected[:3] += (np.sum(caps, axis=1), np.sum(caps * caps, axis=1),
-                             np.sum(best, axis=1))
+            expected[:3] += (np.sum(caps), np.sum(caps * caps), np.sum(best))
             expected[3] += np.sum(inv_denom)
-        got = simulator._chunk_sums(cfg, size, simulator._chunk_rng(cfg, 0), method, n_grid)
+        got = simulator._chunk_sums(cfg, size, simulator._chunk_rng(cfg, 0), method)
         assert got.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("m", [1, 4])
@@ -384,53 +383,6 @@ class TestErgodicCapacity:
         assert capped.mean_nats < base.mean_nats
 
 
-class TestNestedN:
-    """run_nested_n: brute-force estimates at every N of a nested grid from
-    one draw of the largest N per slot."""
-
-    @pytest.mark.parametrize("kw", [
-        dict(n_users=64, k_factor=10.0, trials=3000),
-        dict(n_users=40, m_patterns=2, mode="rab", k_factor=10.0, trials=2000,
-             primary_power=2.0, mean_ps_power=0.5),
-        dict(n_users=24, m_patterns=3, mode="rab", k_factor=2.0, trials=700,
-             max_power_cap=1.5),
-        dict(n_users=8, m_patterns=2, mode="rab", k_factor=0.0, trials=500),
-    ])
-    def test_top_n_is_run_experiment_brute(self, kw):
-        # Same layout, same streams, each column summed on its own: the
-        # largest N reproduces a one-prefix brute-force run exactly.
-        cfg = small_cfg(**kw)
-        n = cfg.n_users
-        grid = (1, n // 4, n // 2, n)
-        estimates = run_nested_n(cfg, grid)
-        assert estimates[-1] == run_experiment(cfg, method="brute")
-        assert [e.config for e in estimates] == [replace(cfg, n_users=m) for m in grid]
-
-    def test_top_n_is_run_experiment_brute_across_chunks(self, monkeypatch):
-        monkeypatch.setattr(simulator, "_CHUNK_ELEMENTS", 1 << 12)
-        cfg = small_cfg(n_users=64, m_patterns=2, mode="rab", k_factor=10.0, trials=300)
-        assert simulator._chunk_size(cfg) * 3 < cfg.trials
-        assert run_nested_n(cfg, (8, 64))[-1] == run_experiment(cfg, method="brute")
-
-    @pytest.mark.parametrize("m", [1, 2])
-    def test_each_prefix_matches_its_own_run(self, m):
-        # Against independent brute-force runs (another seed) at each N:
-        # z = 4 per comparison, eight comparisons.
-        grid = (2, 8, 32, 128)
-        cfg = NetworkConfig(n_users=128, m_patterns=m, mode="baseline" if m == 1 else "rab",
-                            k_factor=10.0, trials=4000, seed=11)
-        for nested in run_nested_n(cfg, grid):
-            alone = run_experiment(replace(nested.config, seed=12), method="brute")
-            spread = math.hypot(nested.stderr_nats, alone.stderr_nats)
-            assert abs(nested.mean_nats - alone.mean_nats) <= 4.0 * spread, nested.config
-
-    @pytest.mark.parametrize("grid", [(), (8, 4, 16), (4, 4, 16), (4, 8), (4, 32), (0, 16),
-                                      (4.0, 16)])
-    def test_bad_grid_rejected(self, grid):
-        with pytest.raises(ValueError):
-            run_nested_n(small_cfg(n_users=16), grid)
-
-
 class TestSweep:
     def test_singleton_matches_direct(self):
         cfg = small_cfg(trials=2000, n_users=4)
@@ -522,9 +474,9 @@ class TestSweep:
         sleeps = {2: 0.25, 3: 0.05, 4: 0.05, 5: 0.1}
         real = simulator._chunk_sums
 
-        def slow(cfg, size, rng, method, n_grid):
+        def slow(cfg, size, rng, method):
             time.sleep(sleeps[cfg.n_users])
-            return real(cfg, size, rng, method, n_grid)
+            return real(cfg, size, rng, method)
 
         monkeypatch.setattr(simulator, "_chunk_sums", slow)
         seen = []
@@ -561,7 +513,7 @@ def slot_sinrs(block, cfg, size, seed):
     rows = max(1, simulator._BLOCK_ELEMENTS // cfg.n_users)
     out = []
     for start in range(0, size, rows):
-        best_num = block(cfg, min(rows, size - start), rng, (cfg.n_users,))[0]
+        best_num = block(cfg, min(rows, size - start), rng)
         inv_denom = simulator._inv_denom(cfg, best_num.size, rng)  # None: primary power off
         out.append(best_num if inv_denom is None else best_num * inv_denom)
     return np.concatenate(out)
@@ -624,10 +576,10 @@ class TestQuantileSampler:
     @pytest.mark.parametrize("k", [0.0, 10.0, 100.0, 1000.0])
     def test_extreme_uniforms_give_finite_ratio(self, k):
         # M >= 3 draws from its table only up to K = 100.
-        u = np.array([0.0, 1.0 - 2.0**-53])
         for n, m in product((1, 512), (1, 2, 3, 4) if k <= 100.0 else (1, 2)):
             cfg = NetworkConfig(n_users=n, m_patterns=m, mode="baseline" if m == 1 else "rab",
                                 k_factor=k)
+            u = np.array([0.0, 1.0 - 2.0**-53])  # _max_ratio overwrites its uniforms
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 z = simulator._max_ratio(cfg, u)
@@ -677,7 +629,7 @@ class TestQuantileSampler:
         tracemalloc.start()
         try:
             simulator._chunk_sums(cfg, 2 * simulator._BLOCK_ELEMENTS,
-                                  simulator._chunk_rng(cfg, 0), "auto", (cfg.n_users,))
+                                  simulator._chunk_rng(cfg, 0), "auto")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -691,7 +643,7 @@ class TestQuantileSampler:
         tracemalloc.start()
         try:
             simulator._chunk_sums(cfg, 2 * simulator._BLOCK_ELEMENTS,
-                                  simulator._chunk_rng(cfg, 0), "auto", (cfg.n_users,))
+                                  simulator._chunk_rng(cfg, 0), "auto")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -715,9 +667,9 @@ class TestQuantileSampler:
         for name in ("_quantile_block", "_brute_block"):
             real = getattr(simulator, name)
 
-            def spy(cfg, size, rng, n_grid, real=real, name=name):
+            def spy(cfg, size, rng, real=real, name=name):
                 used.append(name)
-                return real(cfg, size, rng, n_grid)
+                return real(cfg, size, rng)
 
             monkeypatch.setattr(simulator, name, spy)
 
