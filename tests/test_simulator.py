@@ -17,6 +17,7 @@ from cogmac import analytic, simulator
 from cogmac.analytic import RatioDistParams, ratio_pdf
 from cogmac.channels import draw_gains
 from cogmac.simulator import METHODS, NetworkConfig, run_experiment, sweep
+from cogmac.validation import N_GROWTH_GRID
 
 
 def small_cfg(**kw):
@@ -381,6 +382,74 @@ class TestErgodicCapacity:
                           max_power_cap=1.0)
         )
         assert capped.mean_nats < base.mean_nats
+
+
+class TestGrowthGrid:
+    """An N grid swept at the default method, as the growth checks draw
+    theirs: every point is its own run from the template's seed, so the
+    order-statistic points share their uniforms slot for slot."""
+
+    @pytest.mark.parametrize("kw", [
+        dict(n_users=64, k_factor=10.0, trials=3000),
+        dict(n_users=40, m_patterns=2, mode="rab", k_factor=10.0, trials=2000,
+             primary_power=2.0, mean_ps_power=0.5),
+        dict(n_users=24, m_patterns=3, mode="rab", k_factor=2.0, trials=700,
+             max_power_cap=1.5),
+        dict(n_users=8, m_patterns=2, mode="rab", k_factor=0.0, trials=500),
+    ])
+    def test_points_are_their_own_runs(self, kw):
+        cfg = small_cfg(**kw)
+        n = cfg.n_users
+        grid = (1, n // 4, n // 2, n)
+        estimates = sweep(cfg, grid, [cfg.k_factor], [cfg.m_patterns], [cfg.mode])
+        assert [e.config for e in estimates] == [replace(cfg, n_users=m) for m in grid]
+        assert estimates == [run_experiment(e.config) for e in estimates]
+
+    def test_points_are_their_own_runs_across_chunks(self, monkeypatch):
+        monkeypatch.setattr(simulator, "_CHUNK_ELEMENTS", 1 << 12)
+        cfg = small_cfg(n_users=64, m_patterns=2, mode="rab", k_factor=10.0, trials=9000)
+        assert simulator._layout(cfg, "auto")[1] * 2 < cfg.trials  # three chunks
+        estimates = sweep(cfg, (8, 64), [10.0], [2], ["rab"])
+        assert estimates == [run_experiment(e.config) for e in estimates]
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_each_point_matches_brute_force(self, m):
+        # Against independent brute-force runs (another seed) at each N:
+        # z = 4 per comparison, eight comparisons.
+        cfg = NetworkConfig(n_users=128, m_patterns=m, mode="baseline" if m == 1 else "rab",
+                            k_factor=10.0, trials=4000, seed=11)
+        for est in sweep(cfg, (2, 8, 32, 128), [10.0], [m], [cfg.mode]):
+            assert simulator._layout(est.config, "auto")[0] is simulator._quantile_block
+            alone = run_experiment(replace(est.config, seed=12), method="brute")
+            spread = math.hypot(est.stderr_nats, alone.stderr_nats)
+            assert abs(est.mean_nats - alone.mean_nats) <= 4.0 * spread, est.config
+
+    @pytest.mark.parametrize("m,k,primary", [
+        (1, 0.0, {}),
+        (1, 10.0, dict(primary_power=2.0, mean_ps_power=0.5)),
+        (2, 10.0, {}),
+        (3, 10.0, dict(primary_power=2.0, mean_ps_power=0.5)),
+    ], ids=["rayleigh", "m1-primary", "m2", "m3-primary"])
+    def test_sampler_slots_grow_with_n(self, m, k, primary):
+        # Common random numbers: at every N the sampler reads one uniform per
+        # slot in the same blocks, and the scheduled maximum's quantile rises
+        # with N, so each slot's SINR is nondecreasing along the growth grid.
+        prev = None
+        for n in N_GROWTH_GRID:
+            cfg = NetworkConfig(n_users=n, m_patterns=m, mode="baseline" if m == 1 else "rab",
+                                k_factor=k, **primary)
+            block, _, rows = simulator._layout(cfg, "auto")
+            assert block is simulator._quantile_block and rows == simulator._block_slots(1)
+            rng = simulator._chunk_rng(cfg, 0)
+            sinrs = []
+            for start in range(0, 2 * rows + rows // 3, rows):
+                best_num = block(cfg, min(rows, 2 * rows + rows // 3 - start), rng)
+                inv_denom = simulator._inv_denom(cfg, best_num.size, rng)
+                sinrs.append(best_num if inv_denom is None else best_num * inv_denom)
+            sinrs = np.concatenate(sinrs)
+            if prev is not None:
+                assert np.all(sinrs >= prev), n
+            prev = sinrs
 
 
 class TestSweep:
