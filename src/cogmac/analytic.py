@@ -70,12 +70,16 @@ _NEWTON_STEPS = 16
 # Nodes of the Hermite starts of a RAB quantile, in t = log v.
 _START_NODES = 1025
 # Kluyver's integral g_M(c) = 2 int_0^inf u exp(-u^2) J0(2 sqrt(c) u)^M du is
-# taken by 16-point Gauss-Legendre panels of width 1/4 on [0, 6.5]; beyond,
-# the weight is below exp(-42).  Certified for c <= K/M with K <= 100
-# (tests/test_analytic.py); from c of about 150 on, the panels no longer
-# resolve J0^M.
+# taken by P equal 16-point Gauss-Legendre panels on [0, 6.5]; beyond, the
+# weight is below exp(-42).  J0(2 sqrt(c) u)^M falls off over a width in u of
+# about 1/sqrt(M c), so P = max(6, ceil(2.5 sqrt(M c))): 6 to 8 panels at
+# K = 10, up to 25 at K = 100.  Certified for c <= K/M with K <= 100
+# (tests/test_analytic.py).  P is capped at 26 panels of width 1/4, which no
+# longer resolve J0^M from c of about 150 on.
+_KLUYVER_SPAN = 6.5
+_KLUYVER_MIN_PANELS = 6
+_KLUYVER_PANELS_PER_ROOT = 2.5
 _KLUYVER_PANELS = 26
-_KLUYVER_PANEL_WIDTH = 0.25
 _RAB_LAW_MAX_K = 100.0
 # The 16-point Gauss-Legendre rule on [-1, 1], nodes ascending, as
 # constants: numpy's leggauss(16) to the bit (tests/test_kluyver_constants.py),
@@ -459,7 +463,8 @@ def _rab_law(k: float, m: int) -> tuple:
     As a function of t = log v, ``log_g_and_slope(t)`` gives log g_M(c) and
     d log S / dt at c = (K/M)(1 - e^t), for K > 0.  M = 2 from the Bessel
     pair, g_2(c) = exp(-2c) I0(2c); M >= 3 from the Chebyshev series of
-    :func:`_log_g_series`, built here once, and :func:`_series_at`'s one pass.
+    :func:`_log_g_series`, built here once, and :func:`_series_at`'s one pass,
+    less the series at c = 0, which the start's node t = 0 gives.
 
     ``start`` is the :class:`_NewtonStart` of the law.  Its nodes are
     -t = geomspace(40, 1e-7) and t = 0: geometric, so that they are as
@@ -473,6 +478,7 @@ def _rab_law(k: float, m: int) -> tuple:
     it comes from one vector call of the law, the arrays are read-only, and
     it is the same whichever thread builds it.
     """
+    t = np.append(-np.geomspace(40.0, 1e-7, _START_NODES - 1), 0.0)
     if m == 2:
         def log_g_and_slope(t):
             # 1 + K e^t (1 - i1e/i0e) in i1e's buffer, and log g in i0e's.
@@ -482,19 +488,29 @@ def _rab_law(k: float, m: int) -> tuple:
             slope *= k * np.exp(t)
             slope += 1.0
             return np.log(i0e, out=i0e), slope
+
+        log_g, slope = log_g_and_slope(t)
     else:
-        coef, at_zero = _log_g_series(k, m)
+        coef = _log_g_series(k, m)
+
+        def series_and_slope(t):
+            # The slope is d log S / dt = 1 + (d log g / dx)(dx / dt), with
+            # x = 1 - 2 e^t.
+            v = np.exp(t)
+            series, d_dx = _series_at(coef, v, -np.expm1(t))
+            return series, 1.0 - 2.0 * v * d_dx
+
+        # Less the series at c = 0, the start's last node t = 0, which rounds
+        # to a few ulps of |a_0|, not to 0: log g(0) = 0 exactly, and so q = 1
+        # gives z = 0.
+        log_g, slope = series_and_slope(t)
+        at_zero = float(log_g[-1])
+        log_g -= at_zero
 
         def log_g_and_slope(t):
-            # Less the series at c = 0, which rounds to a few ulps of |a_0|, not
-            # to 0: log g(0) = 0 exactly, and so q = 1 gives z = 0.  The slope
-            # is d log S / dt = 1 + (d log g / dx)(dx / dt), with x = 1 - 2 e^t.
-            v = np.exp(t)
-            log_g, d_dx = _series_at(coef, v, -np.expm1(t))
-            return log_g - at_zero, 1.0 - 2.0 * v * d_dx
+            series, slope = series_and_slope(t)
+            return series - at_zero, slope
 
-    t = np.append(-np.geomspace(40.0, 1e-7, _START_NODES - 1), 0.0)
-    log_g, slope = log_g_and_slope(t)
     y, dt = t + log_g, 1.0 / slope
     # The cubic p(d) = t_j + dt_j d + d2t_j d^2 + d3t_j d^3 in d = log q - y_j
     # with p(-h) = t_(j-1) and p'(-h) = dt_(j-1), h = y_j - y_(j-1).
@@ -571,77 +587,118 @@ def rab_m2_tail_cdf(z, params: RatioDistParams):
     return _scalar_or_array(1.0 - _rab_m2_prefactor(z_arr, params) / math.sqrt(2.0 * math.pi * k))
 
 
-@functools.lru_cache(maxsize=1)
-def _kluyver_nodes() -> tuple:
-    """(u, w): the panel nodes on [0, 6.5] and their weights times 2 u exp(-u^2)."""
+@functools.lru_cache(maxsize=32)
+def _kluyver_nodes(panels: int) -> tuple:
+    """(u, w): the nodes of ``panels`` equal panels on [0, 6.5] and their
+    weights times 2 u exp(-u^2)."""
     x, w = _GAUSS16_NODES, _GAUSS16_WEIGHTS
-    half = 0.5 * _KLUYVER_PANEL_WIDTH
-    left = _KLUYVER_PANEL_WIDTH * np.arange(_KLUYVER_PANELS)
+    half = 0.5 * _KLUYVER_SPAN / panels
+    left = 2.0 * half * np.arange(panels)
     u = (left[:, None] + half * (x + 1.0)).ravel()
-    weight = np.tile(half * w, _KLUYVER_PANELS) * 2.0 * u * np.exp(-u * u)
+    weight = np.tile(half * w, panels) * 2.0 * u * np.exp(-u * u)
     u.setflags(write=False)
     weight.setflags(write=False)
     return u, weight
 
 
 def _j0_complement(x: np.ndarray) -> np.ndarray:
-    """1 - J0(x) of a 1-d array of finite x >= 0.
+    """1 - J0(x), elementwise, of an array of finite x >= 0.
 
     J0(x) is the mean of cos(x sin theta) over n equally spaced theta, and
     the rule is exact to rounding once n >= x + 10 x^(1/3) + 12 (certified
-    against scipy in tests/test_analytic.py); n is set by the largest x and
-    rounded up to a multiple of 4, so that the symmetry of sin folds the
-    mean onto a quarter period.  Each 1 - cos(a) is formed as 2 sin^2(a/2),
-    which keeps small x to full relative precision.
+    against scipy in tests/test_analytic.py); n is set by the array's largest
+    x and rounded up to a multiple of 4, so that the symmetry of sin folds
+    the mean onto a quarter period.  Each 1 - cos(a) is formed as 2 sin^2(a/2),
+    which keeps small x to full relative precision, and sin^2 as 1/(1 + 1/tan^2),
+    as numpy's tan is vectorized where its sin is not (about 3x faster on an
+    AVX-512 Xeon, numpy 2.4).  One theta at a time, so temporaries are the
+    size of x.
     """
     top = float(x.max(initial=0.0))
     quarter = -(-(math.ceil(top + 10.0 * top ** (1.0 / 3.0)) + 12) // 4)
     half_sines = 0.5 * np.sin((0.5 * math.pi / quarter) * np.arange(1, quarter))
-    inner = np.square(np.sin(np.multiply.outer(x, half_sines))).sum(axis=-1)
-    return (np.square(np.sin(0.5 * x)) + 2.0 * inner) / quarter
+    inner, term = np.zeros_like(x), np.empty_like(x)
+    # tan(a) = 0, or 1/tan^2 past the float range at tiny a: sin^2 = 0.
+    with np.errstate(divide="ignore", over="ignore"):
+        for s in half_sines.tolist():
+            inner += _sin_squared(np.multiply(x, s, out=term))
+        inner *= 2.0
+        inner += _sin_squared(np.multiply(0.5, x, out=term))
+    inner /= quarter
+    return inner
 
 
-def _kluyver_complement(c: float, m: int) -> float:
-    """1 - g_M(c), where g_M(c) = E exp(-c |sum_{i<=M} exp(j theta_i)|^2) over
-    iid uniform phases.
+def _sin_squared(a: np.ndarray) -> np.ndarray:
+    """sin^2(a) in a's buffer, as 1/(1 + 1/tan^2(a))."""
+    np.tan(a, out=a)
+    np.square(a, out=a)
+    np.divide(1.0, a, out=a)
+    a += 1.0
+    return np.divide(1.0, a, out=a)
+
+
+def _kluyver_complement(c, m: int):
+    """1 - g_M(c) at each c >= 0, where g_M(c) = E exp(-c |sum_{i<=M}
+    exp(j theta_i)|^2) over iid uniform phases.
 
     Kluyver's random-walk integral gives g_M(c) = 2 int_0^inf u exp(-u^2)
     J0(2 sqrt(c) u)^M du for every M.  The complement is summed as the
     positive terms w (1 - J0^M), with 1 - J0^M = (1 - J0)(1 + J0 + ... +
-    J0^(M-1)) and |J0| <= 1, so it keeps full relative precision as c -> 0,
-    and it is divided by the rule's own sum of w, so that g_M(0) = 1 exactly.
-    Temporaries are a few hundred KB.
+    J0^(M-1)) and |J0| <= 1, so it keeps full relative precision as c -> 0.
+    Where g < 1/2 it is 1 less the sum of w J0^M instead, which keeps g to
+    full relative precision as it falls (to 0.0056 at K = 100, M = 3): the positive
+    terms would leave g the rounding of a sum near 1.  Both sums are divided
+    by the rule's own sum of w, so that g_M(0) = 1 exactly.  The c that share
+    a panel count take one :func:`_j0_complement` pass, with temporaries of
+    a few hundred KB at K <= 100.  Accepts scalars or ndarrays.
     """
-    u, w = _kluyver_nodes()
-    comp = _j0_complement(2.0 * math.sqrt(c) * u)
-    j0 = 1.0 - comp
-    powers = np.ones_like(comp)
-    for _ in range(m - 1):
-        powers *= j0
-        powers += 1.0
-    return float(np.dot(w, comp * powers) / w.sum())
+    c_arr = np.asarray(c, dtype=float)
+    c_flat = c_arr.reshape(-1)
+    panels = np.clip(np.ceil(_KLUYVER_PANELS_PER_ROOT * np.sqrt(m * c_flat)),
+                     _KLUYVER_MIN_PANELS, _KLUYVER_PANELS).astype(int)
+    out = np.empty_like(c_flat)
+    for p in sorted(set(panels.tolist())):
+        rows = panels == p
+        u, w = _kluyver_nodes(p)
+        comp = _j0_complement(np.multiply.outer(2.0 * np.sqrt(c_flat[rows]), u))
+        j0 = 1.0 - comp
+        power, powers = np.ones_like(comp), np.ones_like(comp)
+        for _ in range(m - 1):  # J0^k and 1 + J0 + ... + J0^k
+            power *= j0
+            powers += power
+        power *= j0
+        power *= w
+        powers *= comp
+        powers *= w
+        total = w.sum()
+        g, complement = power.sum(axis=-1) / total, powers.sum(axis=-1) / total
+        out[rows] = np.where(g < 0.5, 1.0 - g, complement)
+    return _scalar_or_array(out.reshape(c_arr.shape))
 
 
-def _log_g_series(k: float, m: int) -> tuple:
-    """(a, a0): Chebyshev coefficients of log g_M(c) on c in [0, K/M], in the
-    variable x = 2 c M/K - 1 = 1 - 2v, and the series at c = 0.
+def _log_g_series(k: float, m: int) -> np.ndarray:
+    """Chebyshev coefficients of log g_M(c) on c in [0, K/M], in the variable
+    x = 2 c M/K - 1 = 1 - 2v.
 
-    Degree ceil(16 + 12 sqrt(K)): log g_M is analytic, and this degree
+    Degree n = ceil(16 + 12 sqrt(K)): log g_M is analytic, and this degree
     brings the series to a few eps (K+1) of Kluyver's integral for M from 3
     to 16 up to K = 100 (tests/test_analytic.py).  The values at the n + 1
-    points x_i = cos(i pi/n) are taken one c at a time; the coefficients
-    are their DCT-I: the FFT of their even extension, over n, with the end
-    terms halved.
+    points x_i = cos(i pi/n) come from one :func:`_kluyver_complement` call;
+    the coefficients are their DCT-I, a_j = (2/n) sum'' f_i cos(pi i j/n)
+    with the end terms of the sum and of a halved, by the direct cosine sum
+    with i j reduced mod 2n.
     """
     n = math.ceil(16.0 + 12.0 * math.sqrt(k))
-    values = np.empty(n + 1)
-    for i in range(n + 1):
-        # c = (K/M)(1 + x_i)/2, with 1 + cos(a) = 2 cos^2(a/2).
-        c = (k / m) * math.cos(0.5 * math.pi * i / n) ** 2
-        values[i] = math.log1p(-_kluyver_complement(c, m))
-    coef = np.fft.rfft(np.concatenate([values, values[-2:0:-1]])).real / n
+    i = np.arange(n + 1)
+    # c = (K/M)(1 + x_i)/2, with 1 + cos(a) = 2 cos^2(a/2).
+    f = np.log1p(-_kluyver_complement((k / m) * np.cos(0.5 * np.pi * i / n) ** 2, m))
+    f[[0, -1]] *= 0.5
+    cosines = np.cos((np.pi / n) * np.arange(2 * n))[np.multiply.outer(i, i) % (2 * n)]
+    cosines *= f
+    coef = cosines.sum(axis=-1)
+    coef *= 2.0 / n
     coef[[0, -1]] *= 0.5
-    return coef, float(_series_at(coef, np.ones(1), np.zeros(1))[0][0])
+    return coef
 
 
 def _series_at(coef: np.ndarray, v: np.ndarray, one_minus_v: np.ndarray) -> tuple:

@@ -713,12 +713,13 @@ class TestRabLaw:
 
     @pytest.mark.parametrize("m", [3, 4, 8, 16])
     def test_g_against_scipy_quad(self, m):
-        k = 100.0
-        for c in np.linspace(0.0, k / m, 7)[1:]:
-            g = 1.0 - analytic._kluyver_complement(float(c), m)
-            assert abs(g / kluyver_g(c, m) - 1.0) <= EPS * (k + 1.0), c
+        # K = 10, fig6's table, takes the fewest panels; K = 100 the most.
+        for k in (10.0, 100.0):
+            for c in np.linspace(0.0, k / m, 7)[1:]:
+                g = 1.0 - analytic._kluyver_complement(float(c), m)
+                assert abs(g / kluyver_g(c, m) - 1.0) <= EPS * (k + 1.0), (k, c)
 
-    @pytest.mark.parametrize("k", [2.0, 10.0, 100.0])
+    @pytest.mark.parametrize("k", [2.0, 10.0, 30.0, 100.0])
     @pytest.mark.parametrize("m", [3, 4])
     def test_g_against_phase_quadrature(self, m, k):
         for c in np.linspace(0.0, k / m, 9):
@@ -859,19 +860,18 @@ class TestRabIsf:
 
     @pytest.mark.parametrize("k,m", [(10.0, 3), (100.0, 4)])
     def test_series_is_the_direct_cosine_sum(self, k, m):
-        # The coefficients are a DCT-I taken by an FFT; the reference is the
-        # direct sum a_j = (2/n) sum'' f_i cos(pi i j/n), end terms halved,
-        # with i j reduced mod 2n: each term rounds to a few ulps of |f|, and
-        # (2/n) times the sum of n + 1 of them to a few ulps of max |f|.
-        coef = analytic._log_g_series(k, m)[0]
+        # The coefficients are a DCT-I taken by the direct sum a_j = (2/n)
+        # sum'' f_i cos(pi i j/n), end terms halved, with i j reduced mod 2n;
+        # the reference is numpy's FFT of the even extension, over n, with the
+        # end terms halved.  Each term rounds to a few ulps of |f|, and (2/n)
+        # times the sum of n + 1 of them to a few ulps of max |f|.
+        coef = analytic._log_g_series(k, m)
         n = coef.size - 1
-        i = np.arange(n + 1)
-        c = (k / m) * np.cos(0.5 * np.pi * i / n) ** 2
-        f = np.log1p([-analytic._kluyver_complement(float(x), m) for x in c])
-        f[[0, -1]] *= 0.5
-        direct = (2.0 / n) * np.cos((np.pi / n) * (np.outer(i, i) % (2 * n))) @ f
-        direct[[0, -1]] *= 0.5
-        assert np.max(np.abs(coef - direct)) <= 16 * EPS * np.max(np.abs(f))
+        c = (k / m) * np.cos(0.5 * np.pi * np.arange(n + 1) / n) ** 2
+        f = np.log1p(-analytic._kluyver_complement(c, m))
+        fft = np.fft.rfft(np.concatenate([f, f[-2:0:-1]])).real / n
+        fft[[0, -1]] *= 0.5
+        assert np.max(np.abs(coef - fft)) <= 16 * EPS * np.max(np.abs(f))
 
     @settings(max_examples=400, deadline=None, derandomize=True, database=None)
     @given(m=st.integers(3, 16), k=st.floats(0.0, 100.0, exclude_min=True),

@@ -1,9 +1,9 @@
 """The M >= 3 RAB law against numpy.polynomial, which the law itself never
-loads: its 16-point Gauss-Legendre rule, a literal equal to leggauss's to
-the bit without LAPACK's eigen-solve, and its slope, which takes the
-series' derivative from the second-kind Clenshaw recurrence in the pass
-that sums log g, against chebder and chebval.  Also the measured accuracy
-of wright_omega."""
+loads (nor numpy.fft): its 16-point Gauss-Legendre rule, a literal equal to
+leggauss's to the bit without LAPACK's eigen-solve, and its slope, which
+takes the series' derivative from the second-kind Clenshaw recurrence in
+the pass that sums log g, against chebder and chebval.  Also the measured
+accuracy of wright_omega."""
 
 import os
 import subprocess
@@ -18,18 +18,20 @@ from cogmac import analytic
 
 def test_rab_law_loads_no_numpy_polynomial():
     # A fresh interpreter builds the K = 10, M = 3 law and draws one
-    # quantile.  numpy.polynomial may be in sys.modules only if plain
-    # `import numpy` put it there (numpy 1.x does), and no eigen-solve runs.
+    # quantile.  numpy.polynomial and numpy.fft may be in sys.modules only if
+    # plain `import numpy` put them there (numpy 1.x does), and no
+    # eigen-solve runs.
     code = "\n".join([
         "import sys, numpy",
-        "eager = 'numpy.polynomial' in sys.modules",
+        "names = ('numpy.polynomial', 'numpy.fft')",
+        "eager = [name in sys.modules for name in names]",
         "def refuse(*args, **kwargs):",
         "    raise AssertionError('eigvalsh called')",
         "numpy.linalg.eigvalsh = refuse",
         "from cogmac import analytic as a",
         "a._rab_law(10.0, 3)",
         "a.RatioDistParams(10.0, 1.0, 3).isf(0.5)",
-        "print(eager, 'numpy.polynomial' in sys.modules)",
+        "print(*eager, *[name in sys.modules for name in names])",
     ])
     src = str(Path(analytic.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -37,8 +39,9 @@ def test_rab_law_loads_no_numpy_polynomial():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          timeout=60, env=env)
     assert out.returncode == 0, out.stderr
-    eager, loaded = out.stdout.split()
-    assert loaded == eager
+    eager_polynomial, eager_fft, polynomial, fft = out.stdout.split()
+    assert polynomial == eager_polynomial
+    assert fft == eager_fft
 
 
 def test_gauss_legendre_literals_match_leggauss():
@@ -53,7 +56,7 @@ def test_slope_matches_numpy_chebder(k, m):
     # derivative from the U recurrence in the same pass as log g; numpy's
     # chebder and chebval on the same coefficients are the reference.
     cheb = np.polynomial.chebyshev
-    coef = analytic._log_g_series(k, m)[0]
+    coef = analytic._log_g_series(k, m)
     t = -np.geomspace(40.0, 1e-7, 200)
     v = np.exp(t)
     want = 1.0 - 2.0 * v * cheb.chebval(1.0 - 2.0 * v, cheb.chebder(coef))
