@@ -73,14 +73,15 @@ _START_NODES = 1025
 # taken by P equal 16-point Gauss-Legendre panels on [0, 6.5]; beyond, the
 # weight is below exp(-42).  J0(2 sqrt(c) u)^M falls off over a width in u of
 # about 1/sqrt(M c), so P = max(6, ceil(2.5 sqrt(M c))): 6 to 8 panels at
-# K = 10, up to 25 at K = 100.  Certified for c <= K/M with K <= 100
-# (tests/test_analytic.py).  P is capped at 26 panels of width 1/4, which no
-# longer resolve J0^M from c of about 150 on.
+# K = 10, up to 25 at K = 100 and 80 at K = 1000.  Certified for c <= K/M
+# with K <= _ISF_MAX_K (tests/test_analytic.py).
 _KLUYVER_SPAN = 6.5
 _KLUYVER_MIN_PANELS = 6
 _KLUYVER_PANELS_PER_ROOT = 2.5
-_KLUYVER_PANELS = 26
-_RAB_LAW_MAX_K = 100.0
+# Largest K that RatioDistParams.sf and isf are certified for, at every M
+# (the Hypothesis properties in tests/test_analytic.py); the simulator's
+# order-statistic sampler runs up to it.
+_ISF_MAX_K = 1e3
 # The 16-point Gauss-Legendre rule on [-1, 1], nodes ascending, as
 # constants: numpy's leggauss(16) to the bit (tests/test_kluyver_constants.py),
 # without the numpy.polynomial import and the LAPACK eigen-solve behind it.
@@ -131,7 +132,7 @@ class RatioDistParams:
         v = (K+1)/(rho z + K + 1); log g = -K(1 - v) at M = 1 and K = 0, and
         at M >= 2 the law of :func:`_rab_law`, the one :meth:`isf` inverts, so
         F = 1 - S is exact only absolutely as z -> 0.  Certified for K <=
-        :func:`_isf_max_k` (tests/test_analytic.py), and raises ValueError above."""
+        ``_ISF_MAX_K`` = 1000 (tests/test_analytic.py), and raises ValueError above."""
         k, m = self._certified_k("RatioDistParams.sf"), self.m_patterns
         z_arr = _ratios(z, "RatioDistParams.sf")
         with np.errstate(over="ignore", divide="ignore"):  # rho z = inf: v = 0, log v = -inf
@@ -159,9 +160,11 @@ class RatioDistParams:
         evaluation of the law.
 
         Accepts scalars or ndarrays with 0 < q <= 1; q = 1 gives z = 0.
-        Certified for K <= :func:`_isf_max_k` (the Hypothesis properties in
-        tests/test_analytic.py), and raises ValueError above: past K = 1e10
-        the difference K/W - 1 of the closed form cancels.
+        Certified for K <= ``_ISF_MAX_K`` = 1000 at every M (the Hypothesis
+        properties in tests/test_analytic.py), and raises ValueError above:
+        past K = 1e10 the difference K/W - 1 of the closed form cancels.
+        Where z leaves the float range (q below about 1e-308 / (K+1)) it is
+        inf, without a warning, at every M.
         """
         k, m = self._certified_k("RatioDistParams.isf"), self.m_patterns
         q_arr = _tail_probabilities(q, "RatioDistParams.isf")
@@ -175,13 +178,15 @@ class RatioDistParams:
                 below = np.asarray(log_x < 0.0)
                 if below.any():  # the exponential only where it is used
                     inv_v[below] = np.exp(w[below]) * (math.exp(-k) / q_arr[below])
-        return _scalar_or_array(np.maximum((k + 1.0) * (inv_v - 1.0) / self.power_ratio, 0.0))
+        with np.errstate(over="ignore"):  # z past the float range: inf
+            return _scalar_or_array(np.maximum((k + 1.0) * (inv_v - 1.0) / self.power_ratio, 0.0))
 
     def _certified_k(self, law: str) -> float:
-        """K, once it is within the :func:`_isf_max_k` of M."""
-        k, m, top = self.k_factor, self.m_patterns, _isf_max_k(self.m_patterns)
-        if k > top:
-            raise ValueError(f"{law} requires k_factor <= {top:g} at m_patterns = {m}, got {k}")
+        """K, once it is within ``_ISF_MAX_K``."""
+        k = self.k_factor
+        if k > _ISF_MAX_K:
+            raise ValueError(f"{law} requires k_factor <= {_ISF_MAX_K:g} at m_patterns = "
+                             f"{self.m_patterns}, got {k}")
         return k
 
 
@@ -429,15 +434,6 @@ def rab_m2_cdf(z, params: RatioDistParams):
     return _scalar_or_array(1.0 - _rab_m2_prefactor(z_arr, params) * bessel_i0e(y))
 
 
-def _isf_max_k(m: int) -> float:
-    """Largest K that :meth:`RatioDistParams.sf` and its ``isf`` are
-    certified for at M patterns: 1000 for M <= 2, where the ratio and Bessel
-    laws are closed forms, and the K <= 100 of Kluyver's law for M >= 3 (the
-    Hypothesis properties in tests/test_analytic.py).  The simulator's
-    order-statistic sampler runs up to it."""
-    return 1e3 if m <= 2 else _RAB_LAW_MAX_K
-
-
 class _NewtonStart(NamedTuple):
     """The cached start of :func:`_tail_newton` on one law of :func:`_rab_law`.
 
@@ -564,7 +560,8 @@ def _tail_newton(q_arr, k: float, log_g_and_slope, start: _NewtonStart):
         step = (t + log_g - log_q) / slope
         # 1/v = g / q at t - s, before the stop test, so that the law's two
         # arrays are gone by then; an element still going overwrites it later.
-        inv_v[live] = np.exp(log_g - (slope - 1.0) * step) / q
+        with np.errstate(over="ignore"):  # g / q past the float range: 1/v = inf
+            inv_v[live] = np.exp(log_g - (slope - 1.0) * step) / q
         del log_g, slope
         size = np.abs(step)
         tol = _PPF_STEP_ULPS * np.maximum(1.0, np.abs(t))
@@ -646,16 +643,16 @@ def _kluyver_complement(c, m: int):
     positive terms w (1 - J0^M), with 1 - J0^M = (1 - J0)(1 + J0 + ... +
     J0^(M-1)) and |J0| <= 1, so it keeps full relative precision as c -> 0.
     Where g < 1/2 it is 1 less the sum of w J0^M instead, which keeps g to
-    full relative precision as it falls (to 0.0056 at K = 100, M = 3): the positive
+    full relative precision as it falls (to 0.00055 at K = 1000, M = 3): the positive
     terms would leave g the rounding of a sum near 1.  Both sums are divided
     by the rule's own sum of w, so that g_M(0) = 1 exactly.  The c that share
     a panel count take one :func:`_j0_complement` pass, with temporaries of
-    a few hundred KB at K <= 100.  Accepts scalars or ndarrays.
+    a few hundred KB at K <= 1000.  Accepts scalars or ndarrays.
     """
     c_arr = np.asarray(c, dtype=float)
     c_flat = c_arr.reshape(-1)
-    panels = np.clip(np.ceil(_KLUYVER_PANELS_PER_ROOT * np.sqrt(m * c_flat)),
-                     _KLUYVER_MIN_PANELS, _KLUYVER_PANELS).astype(int)
+    panels = np.maximum(np.ceil(_KLUYVER_PANELS_PER_ROOT * np.sqrt(m * c_flat)),
+                        _KLUYVER_MIN_PANELS).astype(int)
     out = np.empty_like(c_flat)
     for p in sorted(set(panels.tolist())):
         rows = panels == p
@@ -682,7 +679,7 @@ def _log_g_series(k: float, m: int) -> np.ndarray:
 
     Degree n = ceil(16 + 12 sqrt(K)): log g_M is analytic, and this degree
     brings the series to a few eps (K+1) of Kluyver's integral for M from 3
-    to 16 up to K = 100 (tests/test_analytic.py).  The values at the n + 1
+    to 16 up to K = 1000 (tests/test_analytic.py).  The values at the n + 1
     points x_i = cos(i pi/n) come from one :func:`_kluyver_complement` call;
     the coefficients are their DCT-I, a_j = (2/n) sum'' f_i cos(pi i j/n)
     with the end terms of the sum and of a halved, by the direct cosine sum

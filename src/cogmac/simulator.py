@@ -23,8 +23,8 @@ independent of N:
 * M >= 1 and K > 0: :meth:`cogmac.analytic.RatioDistParams.isf` of the
   per-(K, rho, M) law, a closed form for M = 1 and a Newton loop for M >= 2.
 
-Capped points, and points with K above the range that ``isf`` is certified
-for at their M, take brute force.  So do points with M >= 3 and
+Capped points, and points with K above the K <= 1000 that ``isf`` is
+certified for at every M, take brute force.  So do points with M >= 3 and
 N*M < 48 user-pattern draws per slot, where brute force is the cheaper of
 the two.
 
@@ -55,7 +55,7 @@ from itertools import product
 
 import numpy as np
 
-from .analytic import RatioDistParams, _isf_max_k
+from .analytic import _ISF_MAX_K, RatioDistParams
 from .channels import draw_gains
 
 __all__ = [
@@ -134,7 +134,7 @@ class NetworkConfig:
             raise ValueError(
                 f"mean_interference_power / mean_secondary_power must be finite and > 0, got {rho}"
             )
-        k = self.k_factor if self.k_factor <= _isf_max_k(self.m_patterns) else 0.0
+        k = self.k_factor if self.k_factor <= _ISF_MAX_K else 0.0
         q_p = self.peak_interference if self.max_power_cap is None else 1.0
         largest = (k + 1.0) * 2.0**53 / rho * max(1.0, q_p)
         if self.n_users > sys.float_info.max / max(1.0, largest):
@@ -182,15 +182,15 @@ def _layout(config: NetworkConfig, method: str) -> tuple:
     """(block sampler, slots per chunk, slots per block) of a point.
 
     ``method="auto"`` takes the order-statistic sampler, one element per
-    slot, iff there is no power cap, :meth:`RatioDistParams.isf` is certified
-    for the point's K at its M, and M <= 2, K = 0 or
+    slot, iff there is no power cap, K <= ``_ISF_MAX_K`` (the range
+    :meth:`RatioDistParams.isf` is certified for), and M <= 2, K = 0 or
     N*M >= ``_TABLE_MIN_ELEMENTS``; every other point takes brute force,
     N*M elements per slot.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     m, k, elements = config.m_patterns, config.k_factor, config.n_users * config.m_patterns
-    sampler = k <= _isf_max_k(m) and (m <= 2 or k == 0.0 or elements >= _TABLE_MIN_ELEMENTS)
+    sampler = k <= _ISF_MAX_K and (m <= 2 or k == 0.0 or elements >= _TABLE_MIN_ELEMENTS)
     if method == "auto" and config.max_power_cap is None and sampler:
         block, per_slot = _quantile_block, 1
     else:
@@ -288,9 +288,9 @@ def run_experiment(
     """Monte-Carlo ergodic capacity with a Jensen-bound diagnostic.
 
     ``method="auto"`` draws each slot's scheduled maximum directly, one
-    uniform per slot, for points without a power cap whose K is in the range
-    :meth:`~cogmac.analytic.RatioDistParams.isf` is certified for at their
-    M, and that have M <= 2, K = 0 or N*M >= 48.  Every other point (a
+    uniform per slot, for points without a power cap whose K is in the
+    K <= 1000 that :meth:`~cogmac.analytic.RatioDistParams.isf` is certified
+    for, and that have M <= 2, K = 0 or N*M >= 48.  Every other point (a
     power cap, K above that range, or M >= 3 at smaller N*M), and every
     point with ``method="brute"``, draws all N users of each slot.  A point of several
     chunks spreads them over ``threads`` workers; the result is the same for

@@ -47,15 +47,17 @@ CUSTOM = {
     # M >= 3 with N M = 96: the sampler on the Kluyver table.
     "rab_m3_sampler": {"n_users": 32, "m_patterns": 3, "k_factor": 10.0,
                        "mean_interference_power": 3.7},
-    # The sampler at the table's top K = 100, where its series has degree 136.
+    # The sampler at K = 100, where the table's series has degree 136.
     "rab_m4_k100_sampler": {"n_users": 64, "m_patterns": 4, "k_factor": 100.0},
     # K = 0: the Rayleigh form for any M.
     "rab_m4_k0": {"n_users": 16, "m_patterns": 4, "k_factor": 0.0},
     # The Bessel law at the top of its certified range.
     "rab_m2_k1000": {"n_users": 64, "m_patterns": 2, "k_factor": 1000.0,
                      "mean_interference_power": 3.7, "peak_interference": 2.0},
-    # M >= 3 above the table's certified K: brute force.
-    "rab_m5_k200_brute": {"n_users": 16, "m_patterns": 5, "k_factor": 200.0},
+    # M >= 3 past K = 100, where the table's panel count grows past 26.
+    "rab_m5_k200_sampler": {"n_users": 16, "m_patterns": 5, "k_factor": 200.0},
+    # Above the certified K = 1000: brute force at every M.
+    "rab_m5_k1500_brute": {"n_users": 16, "m_patterns": 5, "k_factor": 1500.0},
 }
 LAWS = ("theorem1-law", "effective-users", "effective-users-rab2", "ratio-cdf", "ratio-pdf",
         "rab2-cdf", "rab2-tail", "normalizer")

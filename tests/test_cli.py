@@ -53,7 +53,7 @@ def network_configs(draw):
     # The sampler's largest scheduled ratio, about (K+1) N 2^53 / rho, is
     # finite, and so is Q_p times it unless a power cap bounds the
     # numerator; above the sampler's K range there is no K+1.
-    k_sampled = k if k <= analytic._isf_max_k(m) else 0.0
+    k_sampled = k if k <= analytic._ISF_MAX_K else 0.0
     ratio = (k_sampled + 1.0) * n * 2.0**53 / rho
     peak, cap = draw(positive), draw(st.none() | positive)
     assume(math.isfinite(ratio) and (cap is not None or math.isfinite(ratio * peak)))

@@ -50,7 +50,8 @@ def test_gauss_legendre_literals_match_leggauss():
     assert analytic._GAUSS16_WEIGHTS.tobytes() == w.tobytes()
 
 
-@pytest.mark.parametrize("k, m", [(1.0, 3), (10.0, 3), (10.0, 4), (100.0, 3), (100.0, 16)])
+@pytest.mark.parametrize("k, m", [(1.0, 3), (10.0, 3), (10.0, 4), (100.0, 3), (100.0, 16),
+                                  (1000.0, 3), (1000.0, 16)])
 def test_slope_matches_numpy_chebder(k, m):
     # The law's slope d log S / dt = 1 - 2v (d log g / dx) takes the
     # derivative from the U recurrence in the same pass as log g; numpy's

@@ -595,10 +595,13 @@ QUANTILE_RAB_K = (2.0, 10.0, 100.0)
 PRIMARY = ({}, dict(primary_power=2.0, mean_ps_power=0.5))
 # RAB M >= 3 through the table: (M, N), each at every QUANTILE_RAB_K.
 QUANTILE_TABLE_MN = [(m, n) for m in (3, 4) for n in QUANTILE_N] + [(8, n) for n in (1, 8, 64)]
+# RAB M >= 3 through the table at the top of the certified range, K = 1000.
+QUANTILE_TOP_K_MN = [(3, 64), (8, 64)]
 # One comparison per case; 1% is the level of the whole family, every
 # pattern count (Bonferroni).
 QUANTILE_CASES = (len(QUANTILE_N) * (len(QUANTILE_K) + len(QUANTILE_RAB_K))
-                  + len(QUANTILE_TABLE_MN) * len(QUANTILE_RAB_K)) * len(PRIMARY)
+                  + len(QUANTILE_TABLE_MN) * len(QUANTILE_RAB_K)
+                  + len(QUANTILE_TOP_K_MN)) * len(PRIMARY)
 QUANTILE_ALPHA = 0.01 / QUANTILE_CASES
 
 
@@ -618,8 +621,8 @@ def two_sample_ks_p(m, n, k, primary):
 class TestQuantileSampler:
     """No power cap: the scheduled maximum drawn from one uniform, through
     the Rayleigh form (K = 0) or RatioDistParams.isf: the closed form
-    (M = 1), the Bessel law (M = 2), or the table of Kluyver's law (M >= 3,
-    K <= 100)."""
+    (M = 1), the Bessel law (M = 2), or the table of Kluyver's law (M >= 3),
+    each up to K = 1000."""
 
     @pytest.mark.parametrize("primary", PRIMARY, ids=["no-primary", "primary"])
     @pytest.mark.parametrize("k", QUANTILE_K)
@@ -642,10 +645,15 @@ class TestQuantileSampler:
         p = two_sample_ks_p(m, n, k, primary)
         assert p >= QUANTILE_ALPHA, f"two-sample KS p = {p:.2e}"
 
+    @pytest.mark.parametrize("primary", PRIMARY, ids=["no-primary", "primary"])
+    @pytest.mark.parametrize("m,n", QUANTILE_TOP_K_MN)
+    def test_rab_table_at_the_top_k_against_brute_force(self, m, n, primary):
+        p = two_sample_ks_p(m, n, 1000.0, primary)
+        assert p >= QUANTILE_ALPHA, f"two-sample KS p = {p:.2e}"
+
     @pytest.mark.parametrize("k", [0.0, 10.0, 100.0, 1000.0])
     def test_extreme_uniforms_give_finite_ratio(self, k):
-        # M >= 3 draws from its table only up to K = 100.
-        for n, m in product((1, 512), (1, 2, 3, 4) if k <= 100.0 else (1, 2)):
+        for n, m in product((1, 512), (1, 2, 3, 4)):
             cfg = NetworkConfig(n_users=n, m_patterns=m, mode="baseline" if m == 1 else "rab",
                                 k_factor=k)
             u = np.array([0.0, 1.0 - 2.0**-53])  # _max_ratio overwrites its uniforms
@@ -658,7 +666,7 @@ class TestQuantileSampler:
     @pytest.mark.parametrize(
         "m,k",
         [(m, k) for m in (1, 2) for k in (1e4, 1e12, 1e200, 1e308)]
-        + [(3, math.nextafter(100.0, math.inf)), (3, 1e4)],
+        + [(3, math.nextafter(1000.0, math.inf)), (3, 1e4)],
     )
     def test_large_k_takes_brute_force(self, m, k):
         # 16 users x 3 patterns reach the table's crossover in N*M.
@@ -718,11 +726,12 @@ class TestQuantileSampler:
             tracemalloc.stop()
         assert peak <= 8 * 2**20
 
-    @pytest.mark.parametrize("m,n,top", [(1, 8, 1000.0), (2, 8, 1000.0), (3, 16, 100.0),
-                                         (4, 12, 100.0)])
+    @pytest.mark.parametrize("m,n,top", [(1, 8, 1000.0), (2, 8, 1000.0), (3, 16, 1000.0),
+                                         (4, 12, 1000.0)])
     def test_sampler_range_is_the_range_isf_accepts(self, m, n, top):
-        # analytic alone knows the K that isf is certified for at each M; the
-        # layout asks it.  N*M >= 48, so M >= 3 clears the table's crossover.
+        # analytic alone knows the K that isf is certified for, one K for
+        # every M; the layout asks it.  N*M >= 48, so M >= 3 clears the
+        # table's crossover.
         above = math.nextafter(top, math.inf)
         assert math.isfinite(RatioDistParams(top, 1.0, m).isf(0.5))
         with pytest.raises(ValueError, match=f"k_factor <= {top:g} at m_patterns = {m}"):
@@ -755,15 +764,15 @@ class TestQuantileSampler:
         assert path(mode="rab", m_patterns=2) == "_quantile_block"
         assert path(mode="rab", m_patterns=3) == "_quantile_block"  # K = 0
         assert path(m_patterns=3, **rab) == "_brute_block"
-        # M >= 3 at K > 0 from N*M = 48 on, and up to K = 100.
+        # M >= 3 at K > 0 from N*M = 48 on, and up to K = 1000.
         assert simulator._TABLE_MIN_ELEMENTS == 48
         assert path(n_users=16, m_patterns=3, **rab) == "_quantile_block"
         assert path(n_users=15, m_patterns=3, **rab) == "_brute_block"
         assert path(n_users=12, m_patterns=4, **rab) == "_quantile_block"
         assert path(n_users=11, m_patterns=4, **rab) == "_brute_block"
-        assert path(n_users=16, mode="rab", m_patterns=3, k_factor=100.0) == "_quantile_block"
+        assert path(n_users=16, mode="rab", m_patterns=3, k_factor=1000.0) == "_quantile_block"
         assert path(n_users=16, mode="rab", m_patterns=3,
-                    k_factor=math.nextafter(100.0, math.inf)) == "_brute_block"
+                    k_factor=math.nextafter(1000.0, math.inf)) == "_brute_block"
         assert path(n_users=16, m_patterns=3, max_power_cap=1.0, **rab) == "_brute_block"
         assert path(n_users=16, m_patterns=3, method="brute", **rab) == "_brute_block"
         assert path(max_power_cap=1.0) == "_brute_block"
