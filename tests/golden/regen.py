@@ -54,7 +54,7 @@ CUSTOM = {
     # The Bessel law at the top of its certified range.
     "rab_m2_k1000": {"n_users": 64, "m_patterns": 2, "k_factor": 1000.0,
                      "mean_interference_power": 3.7, "peak_interference": 2.0},
-    # M >= 3 past K = 100, where the table's panel count grows past 26.
+    # M >= 3 past K = 100 with N M = 80: the sampler, its table on up to 36 panels.
     "rab_m5_k200_sampler": {"n_users": 16, "m_patterns": 5, "k_factor": 200.0},
     # Above the certified K = 1000: brute force at every M.
     "rab_m5_k1500_brute": {"n_users": 16, "m_patterns": 5, "k_factor": 1500.0},

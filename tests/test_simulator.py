@@ -593,15 +593,15 @@ QUANTILE_K = (0.0, 2.0, 10.0, 100.0)
 # RAB M >= 2 at K > 0; at K = 0 the law is the Rayleigh one tested above.
 QUANTILE_RAB_K = (2.0, 10.0, 100.0)
 PRIMARY = ({}, dict(primary_power=2.0, mean_ps_power=0.5))
-# RAB M >= 3 through the table: (M, N), each at every QUANTILE_RAB_K.
-QUANTILE_TABLE_MN = [(m, n) for m in (3, 4) for n in QUANTILE_N] + [(8, n) for n in (1, 8, 64)]
-# RAB M >= 3 through the table at the top of the certified range, K = 1000.
-QUANTILE_TOP_K_MN = [(3, 64), (8, 64)]
+# RAB M >= 3 through the table: (M, N, K), each (M, N) at every
+# QUANTILE_RAB_K, and two at the top of the certified range, K = 1000.
+QUANTILE_TABLE_MNK = ([(m, n, k) for m in (3, 4) for n in QUANTILE_N for k in QUANTILE_RAB_K]
+                      + [(8, n, k) for n in (1, 8, 64) for k in QUANTILE_RAB_K]
+                      + [(3, 64, 1000.0), (8, 64, 1000.0)])
 # One comparison per case; 1% is the level of the whole family, every
 # pattern count (Bonferroni).
 QUANTILE_CASES = (len(QUANTILE_N) * (len(QUANTILE_K) + len(QUANTILE_RAB_K))
-                  + len(QUANTILE_TABLE_MN) * len(QUANTILE_RAB_K)
-                  + len(QUANTILE_TOP_K_MN)) * len(PRIMARY)
+                  + len(QUANTILE_TABLE_MNK)) * len(PRIMARY)
 QUANTILE_ALPHA = 0.01 / QUANTILE_CASES
 
 
@@ -639,16 +639,9 @@ class TestQuantileSampler:
         assert p >= QUANTILE_ALPHA, f"two-sample KS p = {p:.2e}"
 
     @pytest.mark.parametrize("primary", PRIMARY, ids=["no-primary", "primary"])
-    @pytest.mark.parametrize("k", QUANTILE_RAB_K)
-    @pytest.mark.parametrize("m,n", QUANTILE_TABLE_MN)
+    @pytest.mark.parametrize("m,n,k", QUANTILE_TABLE_MNK)
     def test_rab_table_two_sample_ks_against_brute_force(self, m, n, k, primary):
         p = two_sample_ks_p(m, n, k, primary)
-        assert p >= QUANTILE_ALPHA, f"two-sample KS p = {p:.2e}"
-
-    @pytest.mark.parametrize("primary", PRIMARY, ids=["no-primary", "primary"])
-    @pytest.mark.parametrize("m,n", QUANTILE_TOP_K_MN)
-    def test_rab_table_at_the_top_k_against_brute_force(self, m, n, primary):
-        p = two_sample_ks_p(m, n, 1000.0, primary)
         assert p >= QUANTILE_ALPHA, f"two-sample KS p = {p:.2e}"
 
     @pytest.mark.parametrize("k", [0.0, 10.0, 100.0, 1000.0])
