@@ -74,7 +74,8 @@ _START_NODES = 1025
 # weight is below exp(-42).  J0(2 sqrt(c) u)^M falls off over a width in u of
 # about 1/sqrt(M c), so P = max(6, ceil(2.5 sqrt(M c))): 6 to 8 panels at
 # K = 10, up to 25 at K = 100 and 80 at K = 1000.  Certified for c <= K/M
-# with K <= _ISF_MAX_K (tests/test_analytic.py).
+# with K <= _ISF_MAX_K (tests/test_analytic.py), where the log of the rule's
+# sum is within 3 to 12 eps of a 30-digit quadrature (M = 3, 5 and 16).
 _KLUYVER_SPAN = 6.5
 _KLUYVER_MIN_PANELS = 6
 _KLUYVER_PANELS_PER_ROOT = 2.5
@@ -321,10 +322,10 @@ def _k_factor(k_factor: float, law: str, positive: bool = False) -> float:
     return k_factor
 
 
-def _one_pattern(params: RatioDistParams, law: str) -> None:
-    """Refuse a law of M > 1 patterns in a one-pattern closed form."""
-    if params.m_patterns != 1:
-        raise ValueError(f"{law} requires m_patterns = 1, got {params.m_patterns}")
+def _patterns(params: RatioDistParams, m: int, law: str) -> None:
+    """Refuse a law of other than M = ``m`` patterns in an M-pattern closed form."""
+    if params.m_patterns != m:
+        raise ValueError(f"{law} requires m_patterns = {m}, got {params.m_patterns}")
 
 
 def _scalar_or_array(out):
@@ -338,7 +339,7 @@ def ratio_cdf(z, params: RatioDistParams):
     Accepts scalars or ndarrays; K = 0 reduces to 1 - 1/(rho z + 1).  The
     law of one pattern: ``params.m_patterns`` must be 1.
     """
-    _one_pattern(params, "ratio_cdf")
+    _patterns(params, 1, "ratio_cdf")
     z_arr = _ratios(z, "ratio_cdf")
     k = params.k_factor
     rho = params.power_ratio
@@ -355,7 +356,7 @@ def ratio_pdf(z, params: RatioDistParams):
     and r = (K+1)/u; the exact derivative of :func:`ratio_cdf`, so
     ``params.m_patterns`` must be 1 too.
     """
-    _one_pattern(params, "ratio_pdf")
+    _patterns(params, 1, "ratio_pdf")
     z_arr = _ratios(z, "ratio_pdf")
     k = params.k_factor
     rho = params.power_ratio
@@ -425,7 +426,8 @@ def rab_m2_cdf(z, params: RatioDistParams):
     y = K rho z / (rho z + K + 1).  Stable for any K (scaled Bessel); y is
     formed as rho z (K / (rho z + K + 1)), as K rho z overflows at huge K.
     Reads K and rho of ``params`` and accepts any ``m_patterns``, since
-    perfbench/reference.py passes it one-pattern params.
+    perfbench/reference.py passes it one-pattern params; it refuses M != 2,
+    as :func:`rab_m2_tail_cdf` does, once that caller passes M = 2.
     """
     z_arr = _ratios(z, "rab_m2_cdf")
     with np.errstate(over="ignore", invalid="ignore"):  # rho z = inf: y = inf * 0, limit K
@@ -460,7 +462,10 @@ def _rab_law(k: float, m: int) -> tuple:
     d log S / dt at c = (K/M)(1 - e^t), for K > 0.  M = 2 from the Bessel
     pair, g_2(c) = exp(-2c) I0(2c); M >= 3 from the Chebyshev series of
     :func:`_log_g_series`, built here once, and :func:`_series_at`'s one pass,
-    less the series at c = 0, which the start's node t = 0 gives.
+    less the series at c = 0, which the start's node t = 0 gives.  There the
+    rounding of the series (its DCT and that pass), not of the values it is
+    built from, sets the error of log g: about 20 to 40 eps at K <= 100 and
+    up to 130 eps at K = 1000, against a 22-digit quadrature (M = 3, 4, 8).
 
     ``start`` is the :class:`_NewtonStart` of the law.  Its nodes are
     -t = geomspace(40, 1e-7) and t = 0: geometric, so that they are as
@@ -577,8 +582,9 @@ def _tail_newton(q_arr, k: float, log_g_and_slope, start: _NewtonStart):
 def rab_m2_tail_cdf(z, params: RatioDistParams):
     """Large-z tail of :func:`rab_m2_cdf`: exp(-y) I0(y) replaced by 1/sqrt(2 pi K).
 
-    Like :func:`rab_m2_cdf` it reads K and rho and accepts any ``m_patterns``.
+    The law of two patterns: ``params.m_patterns`` must be 2.
     """
+    _patterns(params, 2, "rab_m2_tail_cdf")
     k = _k_factor(params.k_factor, "rab_m2_tail_cdf", positive=True)
     z_arr = _ratios(z, "rab_m2_tail_cdf")
     return _scalar_or_array(1.0 - _rab_m2_prefactor(z_arr, params) / math.sqrt(2.0 * math.pi * k))
@@ -634,43 +640,29 @@ def _sin_squared(a: np.ndarray) -> np.ndarray:
     return np.divide(1.0, a, out=a)
 
 
-def _kluyver_complement(c, m: int):
-    """1 - g_M(c) at each c >= 0, where g_M(c) = E exp(-c |sum_{i<=M}
-    exp(j theta_i)|^2) over iid uniform phases.
+def _kluyver_log_g(c: np.ndarray, m: int) -> np.ndarray:
+    """log g_M(c) at each c >= 0 of a 1-d array, where g_M(c) = E exp(-c
+    |sum_{i<=M} exp(j theta_i)|^2) over iid uniform phases.
 
     Kluyver's random-walk integral gives g_M(c) = 2 int_0^inf u exp(-u^2)
-    J0(2 sqrt(c) u)^M du for every M.  The complement is summed as the
-    positive terms w (1 - J0^M), with 1 - J0^M = (1 - J0)(1 + J0 + ... +
-    J0^(M-1)) and |J0| <= 1, so it keeps full relative precision as c -> 0.
-    Where g < 1/2 it is 1 less the sum of w J0^M instead, which keeps g to
-    full relative precision as it falls (to 0.00055 at K = 1000, M = 3): the positive
-    terms would leave g the rounding of a sum near 1.  Both sums are divided
-    by the rule's own sum of w, so that g_M(0) = 1 exactly.  The c that share
-    a panel count take one :func:`_j0_complement` pass, with temporaries of
-    a few hundred KB at K <= 1000.  Accepts scalars or ndarrays.
+    J0(2 sqrt(c) u)^M du for every M.  The rule's sum of w J0^M is divided
+    by its own sum of w, so that log g_M(0) = 0 exactly.  The c that share a
+    panel count take one :func:`_j0_complement` pass, with temporaries of a
+    few hundred KB at K <= 1000.
     """
-    c_arr = np.asarray(c, dtype=float)
-    c_flat = c_arr.reshape(-1)
-    panels = np.maximum(np.ceil(_KLUYVER_PANELS_PER_ROOT * np.sqrt(m * c_flat)),
+    panels = np.maximum(np.ceil(_KLUYVER_PANELS_PER_ROOT * np.sqrt(m * c)),
                         _KLUYVER_MIN_PANELS).astype(int)
-    out = np.empty_like(c_flat)
+    g = np.empty_like(c)
     for p in sorted(set(panels.tolist())):
         rows = panels == p
         u, w = _kluyver_nodes(p)
-        comp = _j0_complement(np.multiply.outer(2.0 * np.sqrt(c_flat[rows]), u))
-        j0 = 1.0 - comp
-        power, powers = np.ones_like(comp), np.ones_like(comp)
-        for _ in range(m - 1):  # J0^k and 1 + J0 + ... + J0^k
+        j0 = 1.0 - _j0_complement(np.multiply.outer(2.0 * np.sqrt(c[rows]), u))
+        power = j0.copy()
+        for _ in range(m - 1):
             power *= j0
-            powers += power
-        power *= j0
         power *= w
-        powers *= comp
-        powers *= w
-        total = w.sum()
-        g, complement = power.sum(axis=-1) / total, powers.sum(axis=-1) / total
-        out[rows] = np.where(g < 0.5, 1.0 - g, complement)
-    return _scalar_or_array(out.reshape(c_arr.shape))
+        g[rows] = power.sum(axis=-1) / w.sum()
+    return np.log(g, out=g)
 
 
 def _log_g_series(k: float, m: int) -> np.ndarray:
@@ -680,15 +672,15 @@ def _log_g_series(k: float, m: int) -> np.ndarray:
     Degree n = ceil(16 + 12 sqrt(K)): log g_M is analytic, and this degree
     brings the series to a few eps (K+1) of Kluyver's integral for M from 3
     to 16 up to K = 1000 (tests/test_analytic.py).  The values at the n + 1
-    points x_i = cos(i pi/n) come from one :func:`_kluyver_complement` call;
-    the coefficients are their DCT-I, a_j = (2/n) sum'' f_i cos(pi i j/n)
-    with the end terms of the sum and of a halved, by the direct cosine sum
-    with i j reduced mod 2n.
+    points x_i = cos(i pi/n) are log g from one :func:`_kluyver_log_g` call,
+    as it returns them; the coefficients are their DCT-I, a_j = (2/n) sum''
+    f_i cos(pi i j/n) with the end terms of the sum and of a halved, by the
+    direct cosine sum with i j reduced mod 2n.
     """
     n = math.ceil(16.0 + 12.0 * math.sqrt(k))
     i = np.arange(n + 1)
     # c = (K/M)(1 + x_i)/2, with 1 + cos(a) = 2 cos^2(a/2).
-    f = np.log1p(-_kluyver_complement((k / m) * np.cos(0.5 * np.pi * i / n) ** 2, m))
+    f = _kluyver_log_g((k / m) * np.cos(0.5 * np.pi * i / n) ** 2, m)
     f[[0, -1]] *= 0.5
     cosines = np.cos((np.pi / n) * np.arange(2 * n))[np.multiply.outer(i, i) % (2 * n)]
     cosines *= f

@@ -304,22 +304,23 @@ def cmd_espar(args) -> int:
     return 0 if gram_err <= 1e-8 else 1
 
 
-# Law -> (grid column, whether it is in nats, its closed form of (grid, K, params));
-# the grid comes from the flag named after the column.
+# Law -> (grid column, whether it is in nats, the pattern count M of its
+# params, its closed form of (grid, K, params)); the grid comes from the flag
+# named after the column.
 _LAWS = {
-    "theorem1-law": ("N", True, lambda n, k, p: analytic.theorem1_law(n, k)),
-    "effective-users": ("N", False, lambda n, k, p: analytic.effective_users_moderate_k(n, k)),
-    "effective-users-rab2": ("N", False, lambda n, k, p: analytic.effective_users_rab_m2(n, k)),
-    "ratio-cdf": ("z", False, lambda z, k, p: analytic.ratio_cdf(z, p)),
-    "ratio-pdf": ("z", False, lambda z, k, p: analytic.ratio_pdf(z, p)),
-    "rab2-cdf": ("z", False, lambda z, k, p: analytic.rab_m2_cdf(z, p)),
-    "rab2-tail": ("z", False, lambda z, k, p: analytic.rab_m2_tail_cdf(z, p)),
-    "normalizer": ("N", False, lambda n, k, p: analytic.normalizer_a_n(n, p)),
+    "theorem1-law": ("N", True, 1, lambda n, k, p: analytic.theorem1_law(n, k)),
+    "effective-users": ("N", False, 1, lambda n, k, p: analytic.effective_users_moderate_k(n, k)),
+    "effective-users-rab2": ("N", False, 2, lambda n, k, p: analytic.effective_users_rab_m2(n, k)),
+    "ratio-cdf": ("z", False, 1, lambda z, k, p: analytic.ratio_cdf(z, p)),
+    "ratio-pdf": ("z", False, 1, lambda z, k, p: analytic.ratio_pdf(z, p)),
+    "rab2-cdf": ("z", False, 2, lambda z, k, p: analytic.rab_m2_cdf(z, p)),
+    "rab2-tail": ("z", False, 2, lambda z, k, p: analytic.rab_m2_tail_cdf(z, p)),
+    "normalizer": ("N", False, 1, lambda n, k, p: analytic.normalizer_a_n(n, p)),
 }
 
 
 def cmd_analytic(args) -> int:
-    column, in_nats, law = _LAWS[args.law]
+    column, in_nats, m, law = _LAWS[args.law]
     if args.bits and not in_nats:
         raise ConfigError(f"--bits: --law {args.law} is not in nats, so it has no bits form")
     flag = column.lower()
@@ -328,7 +329,7 @@ def cmd_analytic(args) -> int:
     if args.out:
         _check_out(args.out)
     try:
-        params = analytic.RatioDistParams(k_factor=args.k, power_ratio=args.rho)
+        params = analytic.RatioDistParams(k_factor=args.k, power_ratio=args.rho, m_patterns=m)
         # A non-finite value is reported below, so its warnings are noise.
         with np.errstate(all="ignore"):
             values = law(np.array(grid), args.k, params)

@@ -62,9 +62,14 @@ def synthetic_admittance(m_elements: int) -> np.ndarray:
     return adm
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EsparConfig:
-    """Antenna description: element count, coupling matrix, feed, geometry."""
+    """Antenna description: element count, coupling matrix, feed, geometry.
+
+    The admittance is kept as a read-only copy of the one given, so the
+    checks below hold for the config's lifetime; equality and hash are by
+    identity, as the generated ones would compare that array.
+    """
 
     m_elements: int = 4
     admittance: np.ndarray = None            # M x M complex, symmetric
@@ -80,7 +85,7 @@ class EsparConfig:
             raise ValueError(f"m_elements must be >= 1, got {self.m_elements}")
         if self.admittance is None:
             object.__setattr__(self, "admittance", synthetic_admittance(self.m_elements))
-        y = np.asarray(self.admittance, dtype=complex)
+        y = np.array(self.admittance, dtype=complex)  # a copy, made read-only below
         if y.shape != (self.m_elements, self.m_elements):
             raise ValueError(
                 f"admittance must be {self.m_elements}x{self.m_elements}, got {y.shape}"
@@ -94,6 +99,7 @@ class EsparConfig:
             raise ValueError(
                 f"admittance must be invertible (condition estimate {cond:.3e} > 1e12)"
             )
+        y.setflags(write=False)
         object.__setattr__(self, "admittance", y)
         if self.m_elements > 1 and not self.radius_wavelengths > 0.0:
             raise ValueError("radius_wavelengths must be > 0 for multi-element arrays")

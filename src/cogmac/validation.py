@@ -294,7 +294,7 @@ def check_rab_distribution_facts(level: str, ks) -> tuple[bool, str]:
 def check_rab_m2_closed_form(level: str, ks) -> tuple[bool, str]:
     """Mixed Bessel CDF of the two-pattern equivalent ratio + its tail form."""
     rng = np.random.default_rng(_SEED + 9)
-    p = RatioDistParams(10.0, 1.0)
+    p = RatioDistParams(10.0, 1.0, 2)
     [z] = _gain_blocks(np.divide, rng, 10_000, 10.0, m_patterns=2)  # 10^4 <= _block_slots(2)
     report = ks_test(EmpiricalDist.from_samples(z), lambda x: rab_m2_cdf(x, p))
     fit = ks("z_eq M=2 K=10", report)

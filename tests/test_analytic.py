@@ -458,6 +458,7 @@ class TestArrayLaws:
             effective_users_rab_m2(np.array([8, 16]), 0.0)
 
     P = RatioDistParams(2.0, 1.0)
+    P2 = RatioDistParams(2.0, 1.0, 2)
     ZERO_D = [
         (wright_omega, 0.5, ()),
         (bessel_i0e, 20.0, ()),
@@ -466,7 +467,7 @@ class TestArrayLaws:
         (P.isf, 0.01, ()),
         (rab_m2_cdf, 2.0, (P,)),
         (RatioDistParams(2.0, 1.0, 2).isf, 0.01, ()),
-        (rab_m2_tail_cdf, 2.0, (P,)),
+        (rab_m2_tail_cdf, 2.0, (P2,)),
         (P.sf, 2.0, ()),
         (RatioDistParams(2.0, 1.0, 2).sf, 2.0, ()),
         (RatioDistParams(2.0, 1.0, 3).sf, 2.0, ()),
@@ -523,11 +524,11 @@ class TestRabM2ClosedForms:
             assert rab_m2_cdf(1e308, p) == 1.0 and law.sf(1e308) == 0.0
             assert rab_m2_cdf(z, p)[1] == 1.0 and law.sf(z)[1] == 0.0
             if k > 0.0:
-                assert rab_m2_tail_cdf(1e308, p) == 1.0
+                assert rab_m2_tail_cdf(1e308, RatioDistParams(k, 10.0, 2)) == 1.0
 
     def test_tail_form_consistency(self):
         for k in [1.0, 10.0]:
-            p = RatioDistParams(k, 1.0)
+            p = RatioDistParams(k, 1.0, 2)
             z = 1e3
             exact = rab_m2_cdf(z, p)
             tail = rab_m2_tail_cdf(z, p)
@@ -692,11 +693,16 @@ def phase_g(c, m, grid=64):
     return float(np.mean(np.exp(-c * (r - 1.0) ** 2) * special.i0e(2.0 * c * r)))
 
 
+def kluyver_log_g(c, m):
+    """log g_M(c) at one c by the package's panel rule."""
+    return float(analytic._kluyver_log_g(np.array([c], dtype=float), m)[0])
+
+
 def rab_survival(z, k, m, rho):
     """S(z) of the M-pattern law: v g_M(c) with g_M by the package's panel
     rule, one quadrature per element."""
     v = 1.0 / (1.0 + rho * z / (k + 1.0))
-    return v * (1.0 - analytic._kluyver_complement((k / m) * (1.0 - v), m))
+    return v * math.exp(kluyver_log_g((k / m) * (1.0 - v), m))
 
 
 class TestRabLaw:
@@ -716,22 +722,22 @@ class TestRabLaw:
         # K = 10, fig6's table, takes the fewest panels; K = 1000 the most.
         for k in (10.0, 100.0, 300.0, 1000.0):
             for c in np.linspace(0.0, k / m, 7)[1:]:
-                g = 1.0 - analytic._kluyver_complement(float(c), m)
+                g = math.exp(kluyver_log_g(c, m))
                 assert abs(g / kluyver_g(c, m) - 1.0) <= EPS * (k + 1.0), (k, c)
 
     @pytest.mark.parametrize("k", [2.0, 10.0, 30.0, 100.0])
     @pytest.mark.parametrize("m", [3, 4])
     def test_g_against_phase_quadrature(self, m, k):
         for c in np.linspace(0.0, k / m, 9):
-            g = 1.0 - analytic._kluyver_complement(float(c), m)
+            g = math.exp(kluyver_log_g(c, m))
             assert abs(g / phase_g(c, m) - 1.0) <= EPS * (k + 1.0), c
 
     def test_g_at_zero_and_small_c(self):
         for m in (1, 2, 3, 8):
-            assert analytic._kluyver_complement(0.0, m) == 0.0
-            # 1 - g_M(c) = M c - M (M-1) c^2 / 2 + ..., to full relative precision.
-            c = 1e-12
-            assert analytic._kluyver_complement(c, m) == pytest.approx(m * c, rel=1e-10)
+            # log g_M(c) = -M c + O(c^2), to the few eps that rounding g near 1 leaves.
+            at_zero, small = analytic._kluyver_log_g(np.array([0.0, 1e-12]), m)
+            assert at_zero == 0.0
+            assert abs(small + m * 1e-12) <= 4 * EPS
 
     @pytest.mark.parametrize("k", [0.0, 0.5, 2.0, 10.0, 100.0])
     def test_reduces_to_closed_forms(self, k):
@@ -880,7 +886,7 @@ class TestRabIsf:
         coef = analytic._log_g_series(k, m)
         n = coef.size - 1
         c = (k / m) * np.cos(0.5 * np.pi * np.arange(n + 1) / n) ** 2
-        f = np.log1p(-analytic._kluyver_complement(c, m))
+        f = analytic._kluyver_log_g(c, m)
         fft = np.fft.rfft(np.concatenate([f, f[-2:0:-1]])).real / n
         fft[[0, -1]] *= 0.5
         assert np.max(np.abs(coef - fft)) <= 16 * EPS * np.max(np.abs(f))
@@ -1021,8 +1027,9 @@ class TestParamValidation:
     @pytest.mark.parametrize("law", [ratio_cdf, ratio_pdf, rab_m2_cdf, rab_m2_tail_cdf])
     @pytest.mark.parametrize("z", [-1.0, math.nan, math.inf, [0.5, -math.inf]])
     def test_z_laws_require_finite_nonnegative_z(self, law, z):
+        m = 2 if law is rab_m2_tail_cdf else 1
         with pytest.raises(ValueError, match="finite z >= 0"):
-            law(z, RatioDistParams(10.0, 1.0))
+            law(z, RatioDistParams(10.0, 1.0, m))
 
     @pytest.mark.parametrize("law", [ratio_cdf, ratio_pdf])
     @pytest.mark.parametrize("m", [2, 3])
@@ -1030,6 +1037,11 @@ class TestParamValidation:
         # At M = 3, K = 10 the M = 1 form gives F(2) = 0.8183; the law's own cdf is 0.6893.
         with pytest.raises(ValueError, match=f"{law.__name__} requires m_patterns = 1, got {m}"):
             law(2.0, RatioDistParams(10.0, 1.0, m))
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_two_pattern_tail_refuses_other_patterns(self, m):
+        with pytest.raises(ValueError, match=f"rab_m2_tail_cdf requires m_patterns = 2, got {m}"):
+            rab_m2_tail_cdf(1e3, RatioDistParams(10.0, 1.0, m))
 
     def test_ratio_params(self):
         with pytest.raises(ValueError):

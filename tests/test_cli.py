@@ -33,8 +33,9 @@ FLOAT_RANGE = ("N, or the largest scheduled ratio or numerator, (K+1) N 2^53 max
 
 
 def write_cfg(tmp_path, payload, name="cfg.json"):
+    """Write ``payload`` as JSON, or a str payload as it is."""
     path = tmp_path / name
-    path.write_text(json.dumps(payload))
+    path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
     return str(path)
 
 
@@ -796,6 +797,9 @@ class TestInputBoundary:
             (["espar", "--reactances", "10"],
              {"espar": {"m_elements": 2, "admittance": [[0, 0], [0, 0]]}},
              "espar: admittance must be invertible"),
+            (["simulate"], {"network": []}, "network: expected an object"),
+            (["simulate"], "{not json", "cfg.json: not a readable JSON file"),
+            (["simulate"], [], "config root: expected an object"),
         ],
     )
     def test_bad_input_exits_2(self, tmp_path, monkeypatch, capsys, argv, payload, where):
@@ -806,7 +810,8 @@ class TestInputBoundary:
         captured = capsys.readouterr()
         assert captured.err.startswith("config error: ") and where in captured.err
         assert "Traceback" not in captured.err and captured.out == ""
-        assert sorted(p.name for p in tmp_path.iterdir()) == (["cfg.json"] if payload else [])
+        assert sorted(p.name for p in tmp_path.iterdir()) == (
+            ["cfg.json"] if payload is not None else [])
 
     @pytest.mark.parametrize(
         "argv",

@@ -223,6 +223,10 @@ class TestPatternValue:
             pattern_value(i, cfg, 2.0 * math.pi), abs=1e-12
         )
 
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="expected 3 currents"):
+            pattern_value(np.ones(2, dtype=complex), EsparConfig(m_elements=3), 0.0)
+
 
 class TestConfigValidation:
     def test_synthetic_admittance_symmetric_dominant(self):
@@ -262,6 +266,27 @@ class TestConfigValidation:
 
     def test_numpy_integer_m_elements_is_stored_as_int(self):
         assert type(EsparConfig(m_elements=np.int64(3)).m_elements) is int
+
+    @pytest.mark.parametrize("kw,message", [
+        (dict(m_elements=0), "m_elements must be >= 1"),
+        (dict(m_elements=2, admittance=np.eye(3)), "admittance must be 2x2"),
+        (dict(m_elements=2, radius_wavelengths=0.0), "radius_wavelengths must be > 0"),
+    ])
+    def test_bad_config_rejected(self, kw, message):
+        with pytest.raises(ValueError, match=message):
+            EsparConfig(**kw)
+
+    def test_admittance_is_a_read_only_copy(self):
+        # The checks of __post_init__ hold for the config's lifetime, and the
+        # caller's own array stays writable.
+        y = synthetic_admittance(2)
+        cfg = EsparConfig(m_elements=2, admittance=y)
+        assert y.flags.writeable and not np.shares_memory(y, cfg.admittance)
+        with pytest.raises(ValueError, match="read-only"):
+            cfg.admittance[0, 1] = 5.0
+        # Equality and hash by identity: the generated ones compared the array.
+        assert cfg == cfg and cfg != EsparConfig(m_elements=2, admittance=y)
+        assert hash(cfg) == hash(cfg)
 
     def test_angle_count_check(self):
         with pytest.raises(ValueError):

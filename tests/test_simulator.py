@@ -489,6 +489,8 @@ class TestSweep:
             sweep(small_cfg(trials=500), [math.inf], [10], [2], ["rab"])
         with pytest.raises(ValueError, match="m_patterns"):
             sweep(small_cfg(trials=500), [8], [10], [2.5], ["rab"])  # not M = 2
+        with pytest.raises(ValueError, match="m_list must be nonempty"):
+            sweep(small_cfg(trials=500), [8], [10], [], ["baseline", "rab"])
         assert calls == []
 
     def test_iterator_grid_matches_list_grid(self):
