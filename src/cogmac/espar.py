@@ -65,11 +65,8 @@ def synthetic_admittance(m_elements: int) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class EsparConfig:
     """Antenna description: element count, coupling matrix, feed, geometry.
-
-    The admittance is kept as a read-only copy of the one given, so the
-    checks below hold for the config's lifetime; equality and hash are by
-    identity, as the generated ones would compare that array.
-    """
+    The admittance is a read-only copy of the one given, so its checks hold
+    for the config's lifetime; equality and hash are by identity."""
 
     m_elements: int = 4
     admittance: np.ndarray = None            # M x M complex, symmetric
