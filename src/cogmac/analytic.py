@@ -12,9 +12,9 @@ Conventions used throughout:
 Everything in this module is a pure scalar/ndarray function with no RNG:
 a 0-d input (a Python or numpy scalar, or a 0-d array) gives a float, any
 other input an array of its shape.  The one state is a cache of the
-quadrature nodes and one of the per-(K, M) laws behind
-:meth:`RatioDistParams.sf` and :meth:`~RatioDistParams.isf`, each filled on
-first use and the same whichever thread fills it.
+per-(K, M) laws behind :meth:`RatioDistParams.sf` and
+:meth:`~RatioDistParams.isf`, filled on first use and the same whichever
+thread fills it.
 """
 
 from __future__ import annotations
@@ -207,9 +207,7 @@ def wright_omega(y):
     Below y = -40, omega(y) = e^y to double precision; above y = 1e10,
     omega(y) = y - log(y).
     """
-    arg = np.asarray(y, dtype=float)
-    # Arithmetic on a numpy scalar costs a fraction of that on a 0-d array.
-    a = arg[()] if arg.ndim == 0 else arg
+    a = np.asarray(y, dtype=float)
     if not (a < np.inf).all():
         raise ValueError(f"wright_omega requires y in [-inf, inf), got {y}")
     # Clamped to [-40, 1e10], y keeps the iteration finite (its step
@@ -590,20 +588,6 @@ def rab_m2_tail_cdf(z, params: RatioDistParams):
     return _scalar_or_array(1.0 - _rab_m2_prefactor(z_arr, params) / math.sqrt(2.0 * math.pi * k))
 
 
-@functools.lru_cache(maxsize=32)
-def _kluyver_nodes(panels: int) -> tuple:
-    """(u, w): the nodes of ``panels`` equal panels on [0, 6.5] and their
-    weights times 2 u exp(-u^2)."""
-    x, w = _GAUSS16_NODES, _GAUSS16_WEIGHTS
-    half = 0.5 * _KLUYVER_SPAN / panels
-    left = 2.0 * half * np.arange(panels)
-    u = (left[:, None] + half * (x + 1.0)).ravel()
-    weight = np.tile(half * w, panels) * 2.0 * u * np.exp(-u * u)
-    u.setflags(write=False)
-    weight.setflags(write=False)
-    return u, weight
-
-
 def _j0_complement(x: np.ndarray) -> np.ndarray:
     """1 - J0(x), elementwise, of an array of finite x >= 0.
 
@@ -647,15 +631,18 @@ def _kluyver_log_g(c: np.ndarray, m: int) -> np.ndarray:
     Kluyver's random-walk integral gives g_M(c) = 2 int_0^inf u exp(-u^2)
     J0(2 sqrt(c) u)^M du for every M.  The rule's sum of w J0^M is divided
     by its own sum of w, so that log g_M(0) = 0 exactly.  The c that share a
-    panel count take one :func:`_j0_complement` pass, with temporaries of a
-    few hundred KB at K <= 1000.
+    panel count P take one :func:`_j0_complement` pass at the nodes u of P
+    equal panels on [0, 6.5], whose weights w include 2 u exp(-u^2), with
+    temporaries of a few hundred KB at K <= 1000.
     """
     panels = np.maximum(np.ceil(_KLUYVER_PANELS_PER_ROOT * np.sqrt(m * c)),
                         _KLUYVER_MIN_PANELS).astype(int)
     g = np.empty_like(c)
     for p in sorted(set(panels.tolist())):
         rows = panels == p
-        u, w = _kluyver_nodes(p)
+        half = 0.5 * _KLUYVER_SPAN / p
+        u = ((2.0 * half * np.arange(p))[:, None] + half * (_GAUSS16_NODES + 1.0)).ravel()
+        w = np.tile(half * _GAUSS16_WEIGHTS, p) * 2.0 * u * np.exp(-u * u)
         j0 = 1.0 - _j0_complement(np.multiply.outer(2.0 * np.sqrt(c[rows]), u))
         power = j0.copy()
         for _ in range(m - 1):

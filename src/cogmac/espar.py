@@ -12,6 +12,7 @@ array of radius lambda/16 with the active element at the center.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,8 +66,9 @@ def synthetic_admittance(m_elements: int) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class EsparConfig:
     """Antenna description: element count, coupling matrix, feed, geometry.
-    The admittance is a read-only copy of the one given, so its checks hold
-    for the config's lifetime; equality and hash are by identity."""
+    The admittance is a read-only copy of the one given and the angles a
+    tuple of floats, so their checks hold for the config's lifetime;
+    equality and hash are by identity."""
 
     m_elements: int = 4
     admittance: np.ndarray = None            # M x M complex, symmetric
@@ -98,16 +100,23 @@ class EsparConfig:
             )
         y.setflags(write=False)
         object.__setattr__(self, "admittance", y)
+        for name, kind in (("feed_voltage", numbers.Complex), ("radius_wavelengths", numbers.Real)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ValueError(f"{name} must be a number, got {value!r}")
         if self.m_elements > 1 and not self.radius_wavelengths > 0.0:
             raise ValueError("radius_wavelengths must be > 0 for multi-element arrays")
+        n_par = self.m_elements - 1
         if self.element_angles is None:
-            n_par = self.m_elements - 1
             angles = tuple(2.0 * math.pi * i / n_par for i in range(n_par)) if n_par else ()
-            object.__setattr__(self, "element_angles", angles)
-        elif len(self.element_angles) != self.m_elements - 1:
-            raise ValueError(
-                f"need {self.m_elements - 1} parasitic angles, got {len(self.element_angles)}"
-            )
+        else:  # a tuple of floats, which edits to the caller's object do not reach
+            given = np.asarray(self.element_angles)
+            if given.ndim != 1 or given.dtype.kind not in "iuf":
+                raise ValueError(f"element_angles must be real numbers, got {self.element_angles!r}")
+            if given.size != n_par:
+                raise ValueError(f"need {n_par} parasitic angles, got {given.size}")
+            angles = tuple(given.astype(float).tolist())
+        object.__setattr__(self, "element_angles", angles)
         if not np.all(np.isfinite([self.feed_voltage, self.radius_wavelengths,
                                    *self.element_angles])):
             raise ValueError("feed_voltage, radius_wavelengths and element_angles must be finite")

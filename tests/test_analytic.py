@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate, special
 
 from cogmac import analytic
 from cogmac.analytic import (
@@ -99,6 +98,7 @@ class TestLambertW:
             wright_omega(np.array([[0.0, 1.0], [bad, 2.0]]))
 
     def test_arrays_match_scalars_and_scipy(self):
+        special = pytest.importorskip("scipy.special")
         ys = np.concatenate([[-math.inf, -800.0, -745.0, -40.5, -40.0, -39.5, 0.0],
                              np.linspace(-30.0, 30.0, 121), np.logspace(2, 308, 400)])
         w = wright_omega(ys.reshape(2, -1))
@@ -111,6 +111,7 @@ class TestLambertW:
         # W(e^y) for y where e^y overflows, up to 1e308; above y = 1e10 the
         # closed form y - log(y) replaces the Newton steps, which overflow
         # from y = 3e154.
+        special = pytest.importorskip("scipy.special")
         y = np.concatenate([np.linspace(1.0, 1e4, 500), np.logspace(4, 308, 500),
                             1e10 + np.arange(-3, 4) * np.spacing(1e10), [3.2e154, 1.7e308]])
         w = wright_omega(y)
@@ -144,6 +145,7 @@ class TestBesselI0:
         assert abs(bessel_i0e(10.0) - 1.0 / math.sqrt(20.0 * math.pi)) / bessel_i0e(10.0) < 0.02
 
     def test_scaled_variant_on_arrays(self):
+        special = pytest.importorskip("scipy.special")
         xs = np.concatenate([np.linspace(0.0, 40.0, 4000), [1e3, 1e6]])
         out = bessel_i0e(xs)
         assert out.shape == xs.shape
@@ -190,6 +192,7 @@ class TestRatioDistribution:
     @pytest.mark.parametrize("k", K_GRID)
     @pytest.mark.parametrize("rho", RHO_GRID)
     def test_pdf_integrates_to_one(self, k, rho):
+        integrate = pytest.importorskip("scipy.integrate")
         p = RatioDistParams(k, rho)
         total, _ = integrate.quad(lambda z: ratio_pdf(z, p), 0.0, np.inf, limit=200)
         assert total == pytest.approx(1.0, abs=1e-6)
@@ -554,6 +557,7 @@ class TestBesselPair:
 
     def test_against_scipy(self):
         # x = K(1 - v) reaches K = 1000 at M = 2; [14.5, 16] spans the crossover.
+        special = pytest.importorskip("scipy.special")
         xs = np.concatenate([np.linspace(0.0, 100.0, 20_001), np.linspace(0.0, 1000.0, 100_001),
                              np.linspace(14.5, 16.0, 3001), [1e3, 1e6]])
         i0e, i1e = analytic._bessel_i0e_i1e(xs)
@@ -564,6 +568,7 @@ class TestBesselPair:
 
     def test_huge_argument(self):
         # sqrt(2 pi x) would overflow from x ~ 2.9e307.
+        special = pytest.importorskip("scipy.special")
         xs = np.array([1e300, 1e307, 1e308, np.finfo(float).max])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -613,6 +618,7 @@ class TestBesselPair:
 
 def rab_m2_survival(z, k, rho):
     """1 - rab_m2_cdf(z), formed without cancellation and with scipy's i0e."""
+    special = pytest.importorskip("scipy.special")
     u = rho * z + k + 1.0
     return (k + 1.0) / u * special.i0e(k * rho * z / u)
 
@@ -668,6 +674,8 @@ REFERENCE_TABLE = Path(__file__).resolve().parents[1] / "perfbench" / "rab_refer
 def kluyver_g(c, m):
     """g_M(c) = (1/(2c)) int_0^inf s exp(-s^2/(4c)) J0(s)^M ds by scipy quad
     with scipy's j0, one unit of s at a time up to exp(-45)."""
+    integrate = pytest.importorskip("scipy.integrate")
+    special = pytest.importorskip("scipy.special")
     top = math.sqrt(180.0 * c)
     edges = np.linspace(0.0, top, math.ceil(top) + 1)
 
@@ -687,6 +695,7 @@ def phase_g(c, m, grid=64):
     """g_M(c) by the trapezoid rule over the phases of patterns 2..M-1, the
     last phase integrated in closed form: E exp(-c |r + e^(j phi)|^2) =
     exp(-c (r - 1)^2) i0e(2 c r) for r = |1 + sum of the other phasors|."""
+    special = pytest.importorskip("scipy.special")
     phases = 2.0 * math.pi * np.arange(grid) / grid
     mesh = np.meshgrid(*([phases] * (m - 2)), indexing="ij")
     r = np.abs(1.0 + sum(np.exp(1j * p) for p in mesh)).ravel()
@@ -710,6 +719,7 @@ class TestRabLaw:
     RatioDistParams.sf built on it: S = v g_M(c)."""
 
     def test_j0_trapezoid_against_scipy(self):
+        special = pytest.importorskip("scipy.special")
         xs = np.linspace(0.0, 400.0, 4001)
         # One x at a time, and the whole grid at the rule size of its largest x.
         one = np.array([analytic._j0_complement(xs[i : i + 1])[0] for i in range(xs.size)])
@@ -774,18 +784,16 @@ class TestRabLaw:
             RatioDistParams(10.0, 1.0, 3).sf([1.0, -1.0])
 
     def test_import_builds_nothing(self):
-        # Nodes and laws (tables and Newton starts) are built on first use;
-        # scipy stays a test dependency.  The child imports the package this
-        # test imports.
+        # Laws (tables and Newton starts) are built on first use; scipy stays
+        # a test dependency.  The child imports the package this test imports.
         code = ("import sys, cogmac, cogmac.analytic as a; "
-                "print(a._kluyver_nodes.cache_info().currsize, "
-                "a._rab_law.cache_info().currsize, 'scipy' in sys.modules)")
+                "print(a._rab_law.cache_info().currsize, 'scipy' in sys.modules)")
         src = str(Path(analytic.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True, timeout=60, env=env)
-        assert out.stdout.split() == ["0", "0", "False"]
+        assert out.stdout.split() == ["0", "False"]
 
 
 class TestRabIsf:

@@ -8,8 +8,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import special
-from scipy.stats import ks_2samp
 
 from cogmac import simulator
 from cogmac.channels import draw_gains
@@ -43,6 +41,7 @@ def full_model_gains(config, rng, size, los_phases=None):
 
 def rician_power_cdf_oracle(k, mean_power, grid_max, grid_size=20000):
     """Quadrature oracle: cumulative trapezoid of the noncentral power pdf."""
+    special = pytest.importorskip("scipy.special")
     g = np.linspace(0.0, grid_max, grid_size)
     arg = 2.0 * np.sqrt(k * (1.0 + k) * g / mean_power)
     # Scaled Bessel keeps the product finite for large arguments.
@@ -73,6 +72,7 @@ KS_ALPHA = 0.01 / (3 * len(KS_K) * len(KS_M))
 @pytest.mark.parametrize("m", KS_M)
 @pytest.mark.parametrize("k", KS_K)
 def test_two_sample_ks_against_full_model(k, m):
+    ks_2samp = pytest.importorskip("scipy.stats").ks_2samp
     cfg = NetworkConfig(n_users=4, m_patterns=m, k_factor=k, mean_secondary_power=2.5,
                         mean_interference_power=0.4)
     seed = 1000 * m + int(k)
@@ -91,6 +91,7 @@ def test_two_sample_ks_against_full_model(k, m):
 def test_k_zero_brute_force_maxima_against_full_model(m):
     # K = 0 draws two exponentials per user and no phases: the per-slot
     # maximum over N = 64 users must still follow the full model's.
+    ks_2samp = pytest.importorskip("scipy.stats").ks_2samp
     cfg = NetworkConfig(n_users=64, m_patterns=m, k_factor=0.0, mean_secondary_power=2.5,
                         mean_interference_power=0.4, mode="baseline" if m == 1 else "rab")
     kernel = simulator._brute_block(cfg, 4000, np.random.default_rng(500 + m))
@@ -111,6 +112,7 @@ K_MAXIMA_CASES = [(k, m) for k in (2.0, 10.0) for m in (1, 2, 3)]
 def test_k_positive_brute_force_maxima_against_full_model(k, m):
     # The per-slot maximum over N = 64 users of gain_s/gain_sp probes the
     # small-gain_sp tail of the polar scattering, where a slip shows first.
+    ks_2samp = pytest.importorskip("scipy.stats").ks_2samp
     cfg = NetworkConfig(n_users=64, m_patterns=m, k_factor=k, mean_secondary_power=2.5,
                         mean_interference_power=0.4, mode="baseline" if m == 1 else "rab")
     seed = 700 + 10 * m + int(k)
@@ -243,6 +245,7 @@ class TestDrawSlot:
     def test_interference_uses_frozen_phases(self):
         # The frozen LoS phases add to the uniform weight phases, so they drop
         # out of gain_sp: whatever they are, the full model matches draw_gains.
+        ks_2samp = pytest.importorskip("scipy.stats").ks_2samp
         cfg = NetworkConfig(n_users=2, m_patterns=2, k_factor=10.0, mean_interference_power=0.4)
         kernel = draw_gains(cfg, np.random.default_rng(31), 20_000)[1].ravel()
         phase_sets = [(32, np.zeros((2, 2))), (34, np.array([[0.0, math.pi], [1.0, 2.5]]))]

@@ -271,6 +271,15 @@ class TestConfigValidation:
         (dict(m_elements=0), "m_elements must be >= 1"),
         (dict(m_elements=2, admittance=np.eye(3)), "admittance must be 2x2"),
         (dict(m_elements=2, radius_wavelengths=0.0), "radius_wavelengths must be > 0"),
+        (dict(feed_voltage="1"), "feed_voltage must be a number"),
+        (dict(feed_voltage=None), "feed_voltage must be a number"),
+        (dict(feed_voltage=True), "feed_voltage must be a number"),
+        (dict(radius_wavelengths="0.1"), "radius_wavelengths must be a number"),
+        (dict(radius_wavelengths=[0.1]), "radius_wavelengths must be a number"),
+        (dict(radius_wavelengths=1j), "radius_wavelengths must be a number"),
+        (dict(m_elements=3, element_angles=[0.0, 1j]), "element_angles must be real numbers"),
+        (dict(m_elements=3, element_angles=["0.5", 1.0]), "element_angles must be real numbers"),
+        (dict(m_elements=3, element_angles=[[0.0], [1.0]]), "element_angles must be real numbers"),
     ])
     def test_bad_config_rejected(self, kw, message):
         with pytest.raises(ValueError, match=message):
@@ -291,3 +300,14 @@ class TestConfigValidation:
     def test_angle_count_check(self):
         with pytest.raises(ValueError):
             EsparConfig(m_elements=3, element_angles=(0.1,))
+
+    @pytest.mark.parametrize("given", [[0.0, 1.0], np.array([0.0, 1.0])])
+    def test_angles_are_a_tuple_of_floats_copied_at_construction(self, given):
+        cfg = EsparConfig(m_elements=3, element_angles=given)
+        if isinstance(given, list):
+            given.append(2.0)
+        else:
+            given[1] = 2.0
+        assert cfg.element_angles == (0.0, 1.0)
+        assert all(type(a) is float for a in cfg.element_angles)
+        assert build_basis(cfg, 64).basis_values.shape == (3, 64)

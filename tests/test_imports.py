@@ -83,3 +83,18 @@ def test_validate_loads_validation_and_writes_its_report(tmp_path):
     assert (tmp_path / "ks.csv").read_text().startswith(
         "check,case,n,statistic,threshold_1pct,passed\n")
     assert {"cogmac.validation", "csv"} <= loaded
+
+
+def test_scipy_tests_collect_without_scipy():
+    # scipy is a test extra: these modules import it inside the tests and
+    # helpers that use it, so without it those skip and every test collects.
+    modules = ["tests/test_analytic.py", "tests/test_channels.py", "tests/test_rab.py",
+               "tests/test_simulator.py"]
+    code = ("import sys; sys.modules['scipy'] = None; import pytest; sys.exit(pytest.main("
+            f"['--collect-only', '-q', '-p', 'no:cacheprovider', *{modules!r}]))")
+    out = subprocess.run([sys.executable, "-c", code], cwd=Path(__file__).resolve().parents[1],
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stdout + out.stderr
+    ids = [line for line in out.stdout.splitlines() if "::" in line]
+    assert {i.split("::")[0] for i in ids} == set(modules)
+    assert "tests/test_rab.py::TestArcsinePdf::test_moments_by_quadrature" in ids

@@ -10,8 +10,6 @@ from itertools import product
 
 import numpy as np
 import pytest
-from scipy import integrate
-from scipy.stats import ks_2samp
 
 from cogmac import analytic, simulator
 from cogmac.analytic import RatioDistParams, ratio_pdf
@@ -298,6 +296,7 @@ class TestRunSlot:
 class TestErgodicCapacity:
     def test_single_user_quadrature_oracle(self):
         # E log(1 + z) for z a ratio of unit exponentials is exactly 1 nat.
+        integrate = pytest.importorskip("scipy.integrate")
         p = RatioDistParams(0.0, 1.0)
         oracle, _ = integrate.quad(lambda z: math.log1p(z) * ratio_pdf(z, p), 0.0, np.inf,
                                    limit=200)
@@ -309,6 +308,7 @@ class TestErgodicCapacity:
     def test_primary_interference_quadrature_oracle(self):
         # One user, K = 0: E log(1 + c z) = c log(c) / (c - 1) for z a ratio of
         # unit exponentials, with c = 1 / (1 + P gamma_ps) and gamma_ps ~ Exp(1).
+        integrate = pytest.importorskip("scipy.integrate")
         def h(g):
             c = 1.0 / (1.0 + 2.0 * g)
             return c * math.log(c) / (c - 1.0) if g > 0.0 else 1.0
@@ -611,6 +611,7 @@ def two_sample_ks_p(m, n, k, primary):
     """KS p-value of 10k scheduled SINRs, order-statistic sampler against
     brute force, at gamma_s = 2.5, gamma_sp = 0.4, Q_p = 1.7; seeds fixed
     per case."""
+    ks_2samp = pytest.importorskip("scipy.stats").ks_2samp
     cfg = NetworkConfig(n_users=n, m_patterns=m, mode="baseline" if m == 1 else "rab",
                         k_factor=k, mean_secondary_power=2.5, mean_interference_power=0.4,
                         peak_interference=1.7, **primary)
