@@ -7,6 +7,13 @@ runs every check at its stated sample count and tolerance; ``fast`` trims
 the Monte-Carlo trial counts (with correspondingly widened capacity
 tolerances) so the whole suite stays interactive.  Seeds are pinned so results are deterministic.
 
+Methods: no check compares a closed form with itself.  The capacity checks
+(c04, c06) draw every user at the K > 0 point that carries the law under
+test, and take the exact order-statistic sampler at the Rayleigh (K = 0)
+reference, a law neither check tests; c06's two references share
+``_SEED``'s uniforms.  The growth checks (c05, c07) take the sampler at
+every point, and the determinism check (c12) draws every user.
+
 Threading: a check is the unit of parallel work.  :func:`run_all` runs
 the checks concurrently on every usable core, each alone on a pool
 thread, and a check's capacity points run on that check's own thread.
@@ -92,12 +99,28 @@ def _point(n_users, k_factor, mode, m_patterns, level) -> NetworkConfig:
 
 
 def _capacity(n_users, k_factor, mode, m_patterns, level) -> float:
-    """Mean brute-force capacity (nats) at the level's trial count, on the
-    calling check's thread (:func:`run_all` spreads the checks over the
-    cores).  Brute force keeps the closed-form ratio quantile out of the
-    runs that the capacity checks compare with closed forms."""
+    """Mean capacity (nats) at the level's trial count, on the calling
+    check's thread (:func:`run_all` spreads the checks over the cores).
+
+    A K > 0 point carries the law under test (the K = 2 law in c04, the
+    M = 2 Bessel law in c06) and draws every user, so the closed-form ratio
+    quantile stays out of it.  A K = 0 point is a check's Rayleigh
+    reference, a law neither check tests, and takes the default method: the
+    exact K = 0 order statistic, one uniform per slot, at the same trials and
+    seed.  Every reference reads ``_SEED``'s uniforms, so c06's two share
+    them."""
     cfg = _point(n_users, k_factor, mode, m_patterns, level)
-    return run_experiment(cfg, threads=1, method="brute").mean_nats
+    method = "brute" if k_factor > 0.0 else "auto"
+    return run_experiment(cfg, threads=1, method=method).mean_nats
+
+
+def _rayleigh_capacity(n_users) -> float:
+    """Exact mean capacity (nats) of N Rayleigh (K = 0) users at unit mean
+    powers, Q_p = 1 and primary power off, as the capacity checks' Rayleigh
+    references are: the harmonic number H_N = sum_{k <= N} 1/k, from
+    int_0^inf (1 - (t/(1+t))^N)/(1+t) dt with u = t/(1+t).  Printed beside
+    each reference; no verdict reads it."""
+    return math.fsum(1.0 / k for k in range(1, n_users + 1))
 
 
 def _growth_capacities(k_factor, mode, m_patterns, level) -> np.ndarray:
@@ -180,7 +203,8 @@ def check_effective_users_moderate(level: str, ks) -> tuple[bool, str]:
     c_k0 = _capacity(_N_EFF_MODERATE, 0.0, "baseline", 1, level)
     rel = abs(c_k2 - c_k0) / c_k0
     return rel <= tol, (
-        f"C(K=2,N=500)={c_k2:.4f}, C(K=0,N={_N_EFF_MODERATE})={c_k0:.4f}, "
+        f"C(K=2,N=500)={c_k2:.4f}, C(K=0,N={_N_EFF_MODERATE})={c_k0:.4f} "
+        f"(H_N {_rayleigh_capacity(_N_EFF_MODERATE):.4f}), "
         f"rel diff {rel:.4f} (tol {tol}, trials {_trials(level)})"
     )
 
@@ -214,7 +238,8 @@ def check_rab_effective_users(level: str, ks) -> tuple[bool, str]:
         rel = abs(c_rab - c_ref) / c_ref
         rels.append(rel)
         details.append(
-            f"K={k:g}: C_rab(200)={c_rab:.4f} vs C_ray({n_eff})={c_ref:.4f}, rel {rel:.4f}"
+            f"K={k:g}: C_rab(200)={c_rab:.4f} vs C_ray({n_eff})={c_ref:.4f} "
+            f"(H_N {_rayleigh_capacity(n_eff):.4f}), rel {rel:.4f}"
         )
     return all(rel <= tol for rel in rels), (
         "; ".join(details) + f" (tol {tol}, trials {_trials(level)})"

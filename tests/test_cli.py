@@ -338,25 +338,38 @@ class TestValidateMachinery:
         assert [row[0] for row in result.ks_rows] == ["K=0.5", "K=2.0", "K=10.0"]
         assert not any(passed for *_, passed in result.ks_rows)
 
-    @pytest.mark.parametrize("check_id, points", [
-        ("effective_users_moderate", 2),
-        ("rab_effective_users", 4),
-    ])
-    def test_capacity_checks_use_brute_force(self, monkeypatch, check_id, points):
-        # No capacity check may compare a closed form with itself: each of
-        # its points draws every user.  Every capacity estimate, whichever
-        # entry a check calls, comes from run_experiment.
+    @staticmethod
+    def record_runs(monkeypatch, check_id):
+        """(K, N, threads, method) of every run_experiment call ``check_id``
+        makes at fast level, whichever entry it calls."""
         runs = []
 
         def engine(config, threads=1, method="auto"):
-            runs.append((threads, method))
+            runs.append((config.k_factor, config.n_users, threads, method))
             return CapacityEstimate(config, 1.0 + math.log(config.n_users), 0.0, 0.0, 0.0)
 
         for module in (simulator, validation):
             monkeypatch.setattr(module, "run_experiment", engine)
         validation.run_check(check_id, "fast")
-        # One thread per run: run_all spreads the checks over the cores.
-        assert runs == [(1, "brute")] * points
+        return runs
+
+    @pytest.mark.parametrize("check_id, points", [
+        ("effective_users_moderate", [(2.0, 500), (0.0, 203)]),
+        ("rab_effective_users", [(10.0, 200), (0.0, 278), (100.0, 200), (0.0, 806)]),
+    ])
+    def test_capacity_checks_draw_every_user_where_the_law_is_tested(
+            self, monkeypatch, check_id, points):
+        # No capacity check may compare a closed form with itself: the K > 0
+        # point that carries the law under test draws every user.  The K = 0
+        # Rayleigh reference, a law neither check tests, takes the default
+        # method, the exact order-statistic sampler.  One thread per run:
+        # run_all spreads the checks over the cores.
+        expected = [(k, n, 1, "brute" if k > 0.0 else "auto") for k, n in points]
+        assert self.record_runs(monkeypatch, check_id) == expected
+
+    def test_determinism_check_draws_every_user(self, monkeypatch):
+        runs = self.record_runs(monkeypatch, "determinism")
+        assert len(runs) == 24 and {method for *_, method in runs} == {"brute"}
 
     @pytest.mark.parametrize("check_id", ["large_k_growth", "rab_restores_log_growth"])
     def test_growth_checks_take_the_sampler(self, monkeypatch, check_id):

@@ -6,12 +6,14 @@ import time
 import tracemalloc
 import warnings
 from dataclasses import replace
+from fractions import Fraction
 from itertools import product
+from statistics import NormalDist
 
 import numpy as np
 import pytest
 
-from cogmac import analytic, simulator
+from cogmac import analytic, simulator, validation
 from cogmac.analytic import RatioDistParams, ratio_pdf
 from cogmac.channels import draw_gains
 from cogmac.simulator import METHODS, NetworkConfig, run_experiment, sweep
@@ -304,6 +306,29 @@ class TestErgodicCapacity:
         cfg = NetworkConfig(n_users=1, m_patterns=1, mode="baseline", trials=10**5, seed=11)
         est = run_experiment(cfg)
         assert abs(est.mean_nats - oracle) < 3.0 * est.stderr_nats
+
+    def test_rayleigh_capacity_is_the_harmonic_number(self):
+        # N Rayleigh users at unit mean powers, Q_p = 1 and primary power off:
+        # the capacity int_0^inf (1 - (t/(1+t))^N)/(1+t) dt is, with
+        # u = t/(1+t), int_0^1 (1 - u^N)/(1 - u) du = H_N = sum_{k <= N} 1/k.
+        # validate's Rayleigh references (c04, c06) are such points at N = 203,
+        # 278 and 806.  Both methods at each N and seed; |z| within a Bonferroni
+        # bound at a family level of 1e-3.  The sampler points of one seed
+        # share their uniforms (one per slot, whatever N), so their z's are
+        # correlated; Bonferroni needs no independence.
+        h = {n: float(sum(Fraction(1, k) for k in range(1, n + 1))) for n in (1, 8, 203, 278, 806)}
+        cases = list(product(h, (31, 32, 33), METHODS))
+        bound = NormalDist().inv_cdf(1.0 - 1e-3 / (2 * len(cases)))
+        z = {}
+        for n, seed, method in cases:
+            cfg = NetworkConfig(n_users=n, m_patterns=1, mode="baseline", trials=20_000,
+                                seed=seed)
+            est = run_experiment(cfg, method=method)
+            z[n, seed, method] = (est.mean_nats - h[n]) / est.stderr_nats
+        worst = max(z, key=lambda case: abs(z[case]))
+        assert abs(z[worst]) <= bound, f"(N, seed, method) = {worst}: z = {z[worst]:.2f}"
+        for n, h_n in h.items():  # the value validate prints beside each reference
+            assert validation._rayleigh_capacity(n) == pytest.approx(h_n, rel=1e-15, abs=0.0)
 
     def test_primary_interference_quadrature_oracle(self):
         # One user, K = 0: E log(1 + c z) = c log(c) / (c - 1) for z a ratio of

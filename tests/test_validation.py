@@ -11,6 +11,8 @@ from cogmac import channels, validation
 # about 0.95 MiB when its draws take blocks of max(1, 2^15 // e) slots, and
 # 1.4 and 1.7 MiB in the growth checks c05 and c07, whose sampler points are
 # one block of 20000 slots each; a draw of 2000 slots of 256 users held 11.8 MiB.
+# c04 and c06 read 0.75 and 0.50 MiB, set by their brute-force K > 0 points;
+# their Rayleigh references are one sampler block of 20000 slots each.
 MAX_TRACED_PEAK = 2 * 2**20
 # Tighter bounds where no block may outlive its reduction.  c03 reduces each
 # block before the next is drawn (the last test below): 938 KiB with one
