@@ -6,7 +6,8 @@ extraction.
 This module exists to show that random basis-pattern weights are physically
 realizable; the capacity simulator works on weights directly and never
 routes through reactance space.  Geometry defaults to a uniform circular
-array of radius lambda/16 with the active element at the center.
+array of radius lambda/16 with the active element at the center; the
+default coupling fixture is built from the configured geometry.
 """
 
 from __future__ import annotations
@@ -43,24 +44,32 @@ class RankDeficientGeometryError(ValueError):
     """Element layout yields linearly dependent steering components."""
 
 
-def synthetic_admittance(m_elements: int) -> np.ndarray:
-    """Bundled symmetric, diagonally dominant admittance fixture (siemens).
+def synthetic_admittance(radii, angles) -> np.ndarray:
+    """Bundled symmetric, diagonally dominant admittance fixture (siemens)
+    for elements at polar positions (radii in wavelengths, angles in
+    radians), the active element first.
 
     Mutual terms decay with inter-element spacing; purely a plausible
     stand-in since measured coupling matrices are hardware-specific.
     """
-    radius = DEFAULT_RADIUS_WAVELENGTHS
-    psi = 2.0 * math.pi * np.arange(m_elements - 1) / max(1, m_elements - 1)
-    x = np.concatenate(([0.0], radius * np.cos(psi)))
-    y = np.concatenate(([0.0], radius * np.sin(psi)))
+    x = radii * np.cos(angles)
+    y = radii * np.sin(angles)
     denom = 1.0 + 8.0 * np.hypot(x[:, None] - x, y[:, None] - y)
     # Real and imaginary parts divided separately: a real divisor then gives
     # the same bits as Python's complex division.
-    adm = np.empty((m_elements, m_elements), dtype=complex)
+    adm = np.empty(denom.shape, dtype=complex)
     adm.real = 0.002 / denom
     adm.imag = -0.001 / denom
     np.fill_diagonal(adm, 1.0 / _ACTIVE_LOAD_OHMS)
     return adm
+
+
+def _element_layout(cfg: EsparConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Element radii (wavelengths) and angles (radians), the centered active
+    element first."""
+    n_par = len(cfg.element_angles)
+    return (np.array((0.0,) + (cfg.radius_wavelengths,) * n_par),
+            np.array((0.0, *cfg.element_angles)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,24 +91,6 @@ class EsparConfig:
         object.__setattr__(self, "m_elements", int(self.m_elements))
         if self.m_elements < 1:
             raise ValueError(f"m_elements must be >= 1, got {self.m_elements}")
-        if self.admittance is None:
-            object.__setattr__(self, "admittance", synthetic_admittance(self.m_elements))
-        y = np.array(self.admittance, dtype=complex)  # a copy, made read-only below
-        if y.shape != (self.m_elements, self.m_elements):
-            raise ValueError(
-                f"admittance must be {self.m_elements}x{self.m_elements}, got {y.shape}"
-            )
-        if not np.isfinite(y).all():
-            raise ValueError("admittance must be finite")
-        if not np.allclose(y, y.T, rtol=1e-10, atol=1e-14):
-            raise ValueError("admittance must be symmetric (reciprocity)")
-        cond = np.linalg.cond(y)  # inf for a singular matrix
-        if not cond <= _COND_LIMIT:
-            raise ValueError(
-                f"admittance must be invertible (condition estimate {cond:.3e} > 1e12)"
-            )
-        y.setflags(write=False)
-        object.__setattr__(self, "admittance", y)
         for name, kind in (("feed_voltage", numbers.Complex), ("radius_wavelengths", numbers.Real)):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, kind):
@@ -120,6 +111,24 @@ class EsparConfig:
         if not np.all(np.isfinite([self.feed_voltage, self.radius_wavelengths,
                                    *self.element_angles])):
             raise ValueError("feed_voltage, radius_wavelengths and element_angles must be finite")
+        if self.admittance is None:
+            object.__setattr__(self, "admittance", synthetic_admittance(*_element_layout(self)))
+        y = np.array(self.admittance, dtype=complex)  # a copy, made read-only below
+        if y.shape != (self.m_elements, self.m_elements):
+            raise ValueError(
+                f"admittance must be {self.m_elements}x{self.m_elements}, got {y.shape}"
+            )
+        if not np.isfinite(y).all():
+            raise ValueError("admittance must be finite")
+        if not np.allclose(y, y.T, rtol=1e-10, atol=1e-14):
+            raise ValueError("admittance must be symmetric (reciprocity)")
+        cond = np.linalg.cond(y)  # inf for a singular matrix
+        if not cond <= _COND_LIMIT:
+            raise ValueError(
+                f"admittance must be invertible (condition estimate {cond:.3e} > 1e12)"
+            )
+        y.setflags(write=False)
+        object.__setattr__(self, "admittance", y)
 
 
 @dataclass
@@ -172,8 +181,7 @@ def steering_vector(cfg: EsparConfig, theta) -> np.ndarray:
     """
     th = np.asarray(theta, dtype=float)
     column = (-1,) + (1,) * th.ndim  # element axis first, theta's axes after
-    r = np.array((0.0,) + (cfg.radius_wavelengths,) * len(cfg.element_angles)).reshape(column)
-    psi = np.array((0.0, *cfg.element_angles)).reshape(column)
+    r, psi = (v.reshape(column) for v in _element_layout(cfg))
     return np.exp(2j * math.pi * r * np.cos(th - psi))
 
 

@@ -1,6 +1,5 @@
-"""Empirical-versus-analytic validation helpers: sorted sample sets,
-one-sample Kolmogorov-Smirnov tests, and the extreme-value normalization
-check used throughout the acceptance suite.
+"""Empirical-versus-analytic validation helpers: sorted sample sets and
+one-sample Kolmogorov-Smirnov tests against a callable CDF.
 
 Critical values are asymptotic (valid for n >= ~1000); the suite always
 uses n >= 1e4.  The goodness-of-fit level is fixed at 1%.
@@ -18,8 +17,6 @@ __all__ = [
     "EmpiricalDist",
     "KsReport",
     "ks_test",
-    "max_normalization_check",
-    "frechet_cdf",
 ]
 
 # Asymptotic 1% KS critical value: sqrt(-ln(0.005)/2) = 1.6276...
@@ -71,20 +68,3 @@ def ks_test(dist: EmpiricalDist, analytic_cdf) -> KsReport:
     stat = float(max(upper.max(), lower.max()))
     threshold = KS_COEFF_1PCT / math.sqrt(n)
     return KsReport(statistic=stat, n=n, threshold_1pct=threshold, passed=stat < threshold)
-
-
-def frechet_cdf(x):
-    """Unit Frechet CDF exp(-1/x) for x > 0, zero otherwise."""
-    arr = np.asarray(x, dtype=float)
-    out = np.zeros_like(arr)
-    pos = arr > 0.0
-    out[pos] = np.exp(-1.0 / arr[pos])
-    return float(out) if np.isscalar(x) else out
-
-
-def max_normalization_check(samples_of_max, a_n: float) -> KsReport:
-    """KS of normalized maxima against the unit Frechet law exp(-1/x)."""
-    if not a_n > 0.0:
-        raise ValueError(f"a_n must be > 0, got {a_n}")
-    scaled = np.asarray(samples_of_max, dtype=float) / a_n
-    return ks_test(EmpiricalDist.from_samples(scaled), frechet_cdf)

@@ -19,13 +19,13 @@ from cogmac.espar import (
 )
 
 
-def admittance_loop(m):
+def admittance_loop(m, radius=1.0 / 16.0, angles=None):
     """Element-by-element build of the bundled admittance fixture: centre
-    element plus m-1 elements evenly spaced on a circle of radius lambda/16."""
-    pos = [(0.0, 0.0)]
-    for i in range(m - 1):
-        psi = 2.0 * math.pi * i / max(1, m - 1)
-        pos.append((math.cos(psi) / 16.0, math.sin(psi) / 16.0))
+    element plus m-1 elements on a circle of the given radius (wavelengths),
+    evenly spaced unless angles are given."""
+    if angles is None:
+        angles = [2.0 * math.pi * i / max(1, m - 1) for i in range(m - 1)]
+    pos = [(0.0, 0.0)] + [(radius * math.cos(a), radius * math.sin(a)) for a in angles]
     y = np.zeros((m, m), dtype=complex)
     for i in range(m):
         for j in range(m):
@@ -231,7 +231,7 @@ class TestPatternValue:
 class TestConfigValidation:
     def test_synthetic_admittance_symmetric_dominant(self):
         for m in [1, 2, 4, 6]:
-            y = synthetic_admittance(m)
+            y = EsparConfig(m_elements=m).admittance
             assert np.allclose(y, y.T)
             for i in range(m):
                 off = sum(abs(y[i, j]) for j in range(m) if j != i)
@@ -241,10 +241,19 @@ class TestConfigValidation:
         # Bit for bit up to 17 elements; beyond, numpy's hypot may differ from
         # math.hypot in the last place.
         for m in range(1, 18):
-            assert np.array_equal(synthetic_admittance(m), admittance_loop(m))
+            assert np.array_equal(EsparConfig(m_elements=m).admittance, admittance_loop(m))
         for m in (33, 64, 200):
-            np.testing.assert_allclose(synthetic_admittance(m), admittance_loop(m),
-                                       rtol=4e-16, atol=0.0)
+            np.testing.assert_allclose(EsparConfig(m_elements=m).admittance,
+                                       admittance_loop(m), rtol=4e-16, atol=0.0)
+
+    def test_default_admittance_follows_the_configured_layout(self):
+        # The parasitic element at (1/4, 0) is 1/4 from the centre, so the
+        # mutual term divides by 1 + 8/4 = 3 (1.5 would be the lambda/16 circle).
+        y = EsparConfig(m_elements=2, radius_wavelengths=0.25).admittance
+        assert y[0, 1] == y[1, 0] == complex(0.002 / 3, -0.001 / 3)
+        angles = (0.3, 1.1, 4.0)
+        cfg = EsparConfig(m_elements=4, radius_wavelengths=0.2, element_angles=angles)
+        assert np.array_equal(cfg.admittance, admittance_loop(4, 0.2, angles))
 
     def test_asymmetric_admittance_rejected(self):
         y = np.array([[0.02, 0.001], [0.003, 0.02]])
@@ -288,7 +297,7 @@ class TestConfigValidation:
     def test_admittance_is_a_read_only_copy(self):
         # The checks of __post_init__ hold for the config's lifetime, and the
         # caller's own array stays writable.
-        y = synthetic_admittance(2)
+        y = synthetic_admittance(np.array([0.0, 0.0625]), np.zeros(2))
         cfg = EsparConfig(m_elements=2, admittance=y)
         assert y.flags.writeable and not np.shares_memory(y, cfg.admittance)
         with pytest.raises(ValueError, match="read-only"):
