@@ -255,6 +255,23 @@ class TestConfigValidation:
         cfg = EsparConfig(m_elements=4, radius_wavelengths=0.2, element_angles=angles)
         assert np.array_equal(cfg.admittance, admittance_loop(4, 0.2, angles))
 
+    @pytest.mark.parametrize("radius, angles", [
+        (1.0 / 16.0, None), (0.2, (0.3, 1.1, 4.0)),
+    ])
+    def test_steering_vector_follows_the_configured_layout(self, radius, angles):
+        # The layout the default admittance is built from: the active element
+        # at the centre, then the parasitic elements at (radius, angle).
+        cfg = EsparConfig(m_elements=4, radius_wavelengths=radius, element_angles=angles)
+        if angles is None:
+            angles = (0.0, 2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0)
+        thetas = np.linspace(0.0, 2.0 * math.pi, 7)
+        a = steering_vector(cfg, thetas)
+        assert a.shape == (4, 7) and steering_vector(cfg, 0.5).shape == (4,)
+        assert np.all(a[0] == 1.0)
+        for m, psi in enumerate(angles, start=1):
+            want = [np.exp(2j * math.pi * radius * math.cos(t - psi)) for t in thetas]
+            np.testing.assert_allclose(a[m], want, rtol=1e-15, atol=1e-15)
+
     def test_asymmetric_admittance_rejected(self):
         y = np.array([[0.02, 0.001], [0.003, 0.02]])
         with pytest.raises(ValueError):
