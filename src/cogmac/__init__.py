@@ -12,7 +12,8 @@ Library layout:
   patterns, pattern weights).
 * :mod:`cogmac.simulator` - max-SINR scheduling and the Monte-Carlo
   capacity kernel, its sweep and its CSV writer.
-* :mod:`cogmac.stats` - empirical CDFs and Kolmogorov-Smirnov checks.
+* :mod:`cogmac.stats` - the one-sample Kolmogorov-Smirnov test of sorted
+  samples against a closed-form CDF.
 * :mod:`cogmac.validation` - the named cross-validation checks run by the
   CLI and the acceptance test suite, growth-law slopes included.
 * :mod:`cogmac.cli` - ``cogmac`` command-line front end.

@@ -120,7 +120,7 @@ class RatioDistParams:
 
     def __post_init__(self) -> None:
         _k_factor(self.k_factor, "RatioDistParams")
-        if not math.isfinite(self.power_ratio) or self.power_ratio <= 0.0:
+        if not math.isfinite(_real(self.power_ratio, "power_ratio")) or self.power_ratio <= 0.0:
             raise ValueError(f"power_ratio must be finite and > 0, got {self.power_ratio}")
         m = self.m_patterns
         if isinstance(m, (bool, np.bool_)) or not isinstance(m, (int, np.integer)) or m < 1:
@@ -145,14 +145,15 @@ class RatioDistParams:
         return _scalar_or_array(v * np.exp(log_g))
 
     def isf(self, q):
-        """The z whose upper tail S(z) is q: sf(z) = q.  Both branches below
-        find 1/v = 1 + rho z/(K+1), and z = max((K+1)(1/v - 1)/rho, 0).
+        """The z whose upper tail S(z) is q: sf(z) = q.  Each branch below
+        finds 1/v = 1 + rho z/(K+1), and z = max((K+1)(1/v - 1)/rho, 0).
 
-        M = 1, and K = 0 at any M, in closed form: 1/v = K/W with W =
-        W0(K e^K q) = wright_omega(y) at y = log K + K + log q, so that K e^K
-        never overflows.  Where K e^K q is below 1, K/W is formed as e^W e^-K
-        / q (W e^W = K e^K q), which stays finite where W underflows and is
-        1/q at K = 0.
+        K = 0, at any M: the Rayleigh law, S = v, so 1/v = 1/q.
+
+        M = 1 with K > 0, in closed form: 1/v = K/W with W = W0(K e^K q) =
+        wright_omega(y) at y = log K + K + log q, so that K e^K never
+        overflows.  Where K e^K q is below 1, K/W is formed as e^W e^-K / q
+        (W e^W = K e^K q), which stays finite where W underflows.
 
         M >= 2 with K > 0: Newton's method on log S = log q in t = log v
         (:func:`_tail_newton`), on the law :func:`_rab_law` builds once per
@@ -169,10 +170,13 @@ class RatioDistParams:
         """
         k, m = self._certified_k("RatioDistParams.isf"), self.m_patterns
         q_arr = _tail_probabilities(q, "RatioDistParams.isf")
-        if m > 1 and k > 0.0:
+        if k == 0.0:  # the Rayleigh law at every M: 1/v = 1/q
+            with np.errstate(over="ignore"):
+                inv_v = 1.0 / q_arr
+        elif m > 1:
             inv_v = _tail_newton(q_arr, k, *_rab_law(k, m))
         else:
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            with np.errstate(divide="ignore", over="ignore"):
                 log_x = np.log(k) + k + np.log(q_arr)
                 w = np.asarray(wright_omega(log_x))
                 inv_v = np.divide(k, w, out=np.empty_like(w))  # K/W = 1/v
@@ -311,13 +315,21 @@ def _user_counts(n_users, least: int, law: str) -> np.ndarray:
     return n
 
 
+def _real(value, name: str) -> float:
+    """``value`` as a float, once it is a real number and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
 def _k_factor(k_factor: float, law: str, positive: bool = False) -> float:
-    """K, once it is finite and >= 0, or > 0 for a law singular at K = 0."""
-    if not math.isfinite(k_factor) or k_factor < 0.0 or (positive and k_factor == 0.0):
+    """K as a float, once it is finite and >= 0, or > 0 for a law singular at K = 0."""
+    k = _real(k_factor, "k_factor")
+    if not math.isfinite(k) or k < 0.0 or (positive and k == 0.0):
         raise ValueError(
             f"{law} requires finite k_factor {'>' if positive else '>='} 0, got {k_factor}"
         )
-    return k_factor
+    return k
 
 
 def _patterns(params: RatioDistParams, m: int, law: str) -> None:

@@ -2,8 +2,8 @@
 
 Subcommands:
 
-* ``simulate`` - run a capacity sweep (a named figure preset or a custom
-  grid from the config file) and write the CSV.
+* ``simulate`` - run a capacity sweep (a named figure preset, or the
+  config file's single point) and write the CSV.
 * ``validate`` - run the cross-validation suite, print one line per check,
   optionally dump KS reports as CSV; exit 0 iff everything passed, 1 if a
   check failed, 3 if one raised.
@@ -37,7 +37,6 @@ from . import analytic
 from .simulator import (
     LOG2,
     NetworkConfig,
-    _grid_configs,
     format_number,
     sweep,
     write_sweep_csv,
@@ -50,7 +49,8 @@ __all__ = ["parse_config", "main"]
 
 N_GRID = (8, 16, 32, 64, 128, 256, 512)
 # Preset -> (N grid, K grid, M grid, modes, extra columns); None means the
-# custom single point of the config.
+# custom single point of the config.  A preset's points run mode by mode,
+# then K, then M (baseline points at M = 1 only), then N.
 _PRESETS = {
     "fig5": (N_GRID, (0.0, 2.0, 3.0, 10.0), (1,), ("baseline",), ()),
     # Pattern-count comparison at strong LoS plus the single-antenna
@@ -213,11 +213,12 @@ def cmd_simulate(args) -> int:
     n_list, k_list, m_list, modes, wants = _PRESETS[preset] or (
         [config.n_users], [config.k_factor], [config.m_patterns], [config.mode], ())
     try:  # a preset's grid point can fail where the network's own point did not
-        _grid_configs(config, n_list, k_list, m_list, modes)
+        configs = [replace(config, mode=mode, k_factor=k, m_patterns=m, n_users=n)
+                   for mode in modes for k in k_list
+                   for m in (m_list if mode == "rab" else [1]) for n in n_list]
     except ValueError as exc:
         raise ConfigError(f"network: a {preset} point: {exc}") from exc
-    estimates = sweep(config, n_list, k_list, m_list, modes, threads=args.threads,
-                      progress=progress)
+    estimates = sweep(configs, threads=args.threads, progress=progress)
     extras = _preset_extras(estimates, wants)
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
         write_sweep_csv(estimates, fh, extra_columns=extras)

@@ -50,12 +50,11 @@ from __future__ import annotations
 import math
 import sys
 import time
-from dataclasses import dataclass, field, replace
-from itertools import product
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analytic import _ISF_MAX_K, RatioDistParams
+from .analytic import _ISF_MAX_K, RatioDistParams, _real
 from .channels import draw_gains
 
 __all__ = [
@@ -83,6 +82,11 @@ _BLOCK_ELEMENTS = 1 << 15
 # of the sampler costs about 25 to 33 brute-force elements at K = 10 and 45
 # to 56 at K = 100 (M = 3 and 4, N = 64, medians of 9 runs).
 _TABLE_MIN_ELEMENTS = 48
+# NetworkConfig's real-valued fields, in check order, with their bounds;
+# max_power_cap may also be None, for no cap.
+_REAL_FIELDS = (("k_factor", ">= 0"), ("mean_secondary_power", "> 0"),
+                ("mean_interference_power", "> 0"), ("peak_interference", "> 0"),
+                ("primary_power", ">= 0"), ("mean_ps_power", ">= 0"), ("max_power_cap", "> 0"))
 
 
 @dataclass(frozen=True)
@@ -119,12 +123,15 @@ class NetworkConfig:
             raise ValueError(f"m_patterns must be >= 1, got {self.m_patterns}")
         if self.mode == "baseline" and self.m_patterns != 1:
             raise ValueError("baseline mode forces m_patterns = 1")
-        if not math.isfinite(self.k_factor) or self.k_factor < 0.0:
-            raise ValueError(f"k_factor must be finite and >= 0, got {self.k_factor}")
-        for name in ("mean_secondary_power", "mean_interference_power", "peak_interference"):
+        for name, least in _REAL_FIELDS:
             v = getattr(self, name)
-            if not math.isfinite(v) or v <= 0.0:
-                raise ValueError(f"{name} must be finite and > 0, got {v}")
+            if v is None and name == "max_power_cap":
+                continue
+            x = _real(v, name)
+            if not math.isfinite(x) or x < 0.0 or (x == 0.0 and least == "> 0"):
+                when = " when set" if name == "max_power_cap" else ""
+                raise ValueError(f"{name} must be finite and {least}{when}, got {v}")
+            object.__setattr__(self, name, x)
         # The sampler needs N, rho = gamma_sp/gamma_s, its largest scheduled
         # ratio (K+1)(1/v - 1)/rho (v of about the least tail 2^-53/N) and, with
         # no power cap, Q_p times it in float range.  Above isf's K range
@@ -146,17 +153,10 @@ class NetworkConfig:
                 f"= {self.peak_interference}, max_power_cap = {self.max_power_cap}, and rho = "
                 f"mean_interference_power / mean_secondary_power = {rho}"
             )
-        for name in ("primary_power", "mean_ps_power"):
-            v = getattr(self, name)
-            if not math.isfinite(v) or v < 0.0:
-                raise ValueError(f"{name} must be finite and >= 0, got {v}")
         if self.trials < 100:
             raise ValueError(f"need trials >= 100, got {self.trials}")
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
-        cap = self.max_power_cap
-        if cap is not None and not (math.isfinite(cap) and cap > 0.0):
-            raise ValueError(f"max_power_cap must be finite and > 0 when set, got {cap}")
 
 
 @dataclass(frozen=True)
@@ -325,47 +325,17 @@ def run_experiment(
     return CapacityEstimate(config, mean, math.sqrt(var / t), jensen, wall_s)
 
 
-def _grid_configs(config_template: NetworkConfig, n_list, k_list, m_list,
-                  modes) -> list[NetworkConfig]:
-    """The config of every point of the (mode, K, N[, M]) grid, in grid order.
+def sweep(configs, threads: int = 1, progress=None,
+          method: str = "auto") -> list[CapacityEstimate]:
+    """Capacity estimates of ``configs``, in their order.
 
-    Baseline points always use one pattern; ``m_list`` applies to RAB points
-    only.  A bad grid value, an N or M that is not an integer included, or a
-    power ratio that overflows at a point's N and K, raises ``ValueError``.
-    """
-    n_list, k_list, m_list, modes = list(n_list), list(k_list), list(m_list), list(modes)
-    if not (n_list and k_list and modes):
-        raise ValueError("n_list, k_list, and modes must be nonempty")
-    if "rab" in modes and not m_list:
-        raise ValueError("m_list must be nonempty when sweeping rab mode")
-    return [
-        replace(config_template, mode=mode, k_factor=float(k), n_users=n, m_patterns=m)
-        for mode in modes
-        for k, m, n in product(k_list, m_list if mode == "rab" else [1], n_list)
-    ]
-
-
-def sweep(
-    config_template: NetworkConfig,
-    n_list,
-    k_list,
-    m_list,
-    modes,
-    threads: int = 1,
-    progress=None,
-    method: str = "auto",
-) -> list[CapacityEstimate]:
-    """Capacity estimates over the (mode, K, N[, M]) grid, in grid order.
-
-    The points are those of :func:`_grid_configs`, all built, and so checked,
-    before the first draw.  They run one after another, each through
-    :func:`run_experiment` with ``threads`` and ``method``, so a point of
-    several chunks spreads them over the threads.  Each estimate carries its
-    point's config and wall seconds; ``progress`` is called with each
-    estimate as it finishes.
+    The points run one after another, each through :func:`run_experiment`
+    with ``threads`` and ``method``, so a point of several chunks spreads
+    them over the threads.  Each estimate carries its point's config and
+    wall seconds; ``progress`` is called with each estimate as it finishes.
     """
     estimates = []
-    for cfg in _grid_configs(config_template, n_list, k_list, m_list, modes):
+    for cfg in configs:
         est = run_experiment(cfg, threads=threads, method=method)
         if progress is not None:
             progress(est)

@@ -131,8 +131,7 @@ def _growth_capacities(k_factor, mode, m_patterns, level) -> np.ndarray:
     against brute force; the growth checks compare no closed form with it.
     Every point reads ``_SEED``'s stream, so the curve keeps common random
     numbers."""
-    cfg = _point(N_GROWTH_GRID[-1], k_factor, mode, m_patterns, level)
-    estimates = sweep(cfg, N_GROWTH_GRID, [k_factor], [m_patterns], [mode])
+    estimates = sweep([_point(n, k_factor, mode, m_patterns, level) for n in N_GROWTH_GRID])
     return np.array([e.mean_nats for e in estimates])
 
 
@@ -384,13 +383,12 @@ def check_determinism(level: str, ks) -> tuple[bool, str]:
     ``tests/test_simulator.py`` covers thread invariance across chunks.
     The points take brute force, like the capacity checks, so that the
     all-user draw stays under this check."""
-    cfg = NetworkConfig(
-        n_users=16, m_patterns=2, mode="rab", k_factor=2.0, trials=4_000, seed=_SEED
-    )
+    configs = [NetworkConfig(n_users=n, m_patterns=m, mode=mode, k_factor=k, trials=4_000,
+                             seed=_SEED)
+               for mode, m in (("baseline", 1), ("rab", 2)) for k in (0.0, 2.0) for n in (8, 16)]
     outputs = []
     for threads in (1, 4, 1):
-        estimates = sweep(cfg, [8, 16], [0.0, 2.0], [2], ["baseline", "rab"],
-                          threads=threads, method="brute")
+        estimates = sweep(configs, threads=threads, method="brute")
         buf = io.StringIO()
         write_sweep_csv(estimates, buf)
         outputs.append(buf.getvalue())

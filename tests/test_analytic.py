@@ -321,6 +321,15 @@ class TestRatioIsf:
             with pytest.raises(ValueError):
                 p.isf(bad)
 
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_rayleigh_quantile_is_one_over_q(self, m):
+        # K = 0 at any M: S(z) = 1/(1 + rho z), so 1/v = 1/q, down to q
+        # whose z leaves the float range.
+        q = np.geomspace(5e-324, 1.0, 4001)
+        with np.errstate(over="ignore"):
+            want = np.maximum((1.0 / q - 1.0) / 0.5, 0.0)
+        np.testing.assert_array_equal(RatioDistParams(0.0, 0.5, m).isf(q), want)
+
     @settings(max_examples=400, deadline=None, derandomize=True, database=None)
     @given(k=st.floats(0.0, 1000.0), rho=st.floats(1e-3, 1e3),
            q=st.floats(1e-300, 1.0, exclude_max=True))
@@ -782,6 +791,16 @@ class TestRabLaw:
             RatioDistParams(1000.5, 1.0, 3).sf(1.0)
         with pytest.raises(ValueError, match="finite z >= 0"):
             RatioDistParams(10.0, 1.0, 3).sf([1.0, -1.0])
+
+    def test_k_and_rho_must_be_real_numbers(self):
+        for bad in (True, np.True_, "1", None):
+            with pytest.raises(ValueError, match="k_factor must be a real number"):
+                RatioDistParams(bad, 1.0)
+            with pytest.raises(ValueError, match="power_ratio must be a real number"):
+                RatioDistParams(1.0, bad)
+            with pytest.raises(ValueError, match="k_factor must be a real number"):
+                theorem1_law(8, bad)
+        assert RatioDistParams(np.int64(2), 1).isf(0.25) == RatioDistParams(2.0, 1.0).isf(0.25)
 
     def test_import_builds_nothing(self):
         # Laws (tables and Newton starts) are built on first use; scipy stays

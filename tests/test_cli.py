@@ -206,6 +206,25 @@ class TestSimulateCommand:
         _, third = self.run_simulate(tmp_path, args + ["--threads", "4"], name="c.csv")
         assert first == second == third
 
+    def test_preset_builds_each_point_once(self, tmp_path, monkeypatch):
+        # Every config built in the run, by the order it was built in: each
+        # fig7 point once, mode, then K, then M, then N, as the CSV rows are.
+        built, default_n = [], NetworkConfig().n_users  # the network's own point: N = 100
+        real = NetworkConfig.__post_init__
+
+        def counted(cfg):
+            real(cfg)
+            built.append((cfg.mode, cfg.n_users, cfg.m_patterns, cfg.k_factor))
+
+        monkeypatch.setattr(NetworkConfig, "__post_init__", counted)
+        code, text = self.run_simulate(tmp_path, ["--preset", "fig7", "--trials", "150"])
+        assert code == 0
+        points = [(mode, n, m, k) for mode, m in (("baseline", 1), ("rab", 2))
+                  for k in (0.0, 10.0, 100.0) for n in cli.N_GRID]
+        assert [p for p in built if p[1] != default_n] == points
+        rows = [line.split(",")[:4] for line in text.splitlines()[1:]]
+        assert [(r[0], int(r[1]), int(r[2]), float(r[3])) for r in rows] == points
+
     def test_custom_preset_single_point(self, tmp_path):
         payload = {"network": {"n_users": 4, "mode": "baseline", "trials": 200}}
         code, text = self.run_simulate(tmp_path, payload=payload)
@@ -241,8 +260,9 @@ class TestSimulateCommand:
         nats = NetworkConfig(trials=300, seed=3)
         bits = replace(nats, seed=11, mean_secondary_power=2.5, mean_interference_power=0.5,
                        peak_interference=1.7, log_base="bits")
-        grid = ([1, 8], [2.0, 10.0], [2], ["rab", "baseline"])
-        estimates = [*sweep(nats, *grid), *sweep(bits, *grid)]
+        estimates = sweep([replace(cfg, mode=mode, m_patterns=m, k_factor=k, n_users=n)
+                           for cfg in (nats, bits) for mode, m in (("rab", 2), ("baseline", 1))
+                           for k in (2.0, 10.0) for n in (1, 8)])
         singles = {e.config: e.mean_nats for e in estimates if e.config.n_users == 1}
         assert len(set(singles.values())) == len(singles) == 8
         extras = cli._preset_extras(estimates, ("multiuser_gain", "norm_logN"))

@@ -6,6 +6,7 @@ The benchmark's tracer imports these eight modules and wraps what their
 ``__all__`` names, so a stale export breaks traced runs."""
 
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -16,14 +17,15 @@ from cogmac import simulator
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 LAYERS = ("cli", "simulator", "validation", "stats", "analytic", "espar", "channels", "rab")
-# Every name the benchmark under perfbench/ binds (reference.py, worker.py
-# and its tests), so that a rename breaks tier-1 too; test_all_names_resolve
+# Every name the benchmark under perfbench/ binds (reference.py, worker.py,
+# spans.py and its tests), so that a rename breaks tier-1 too; test_all_names_resolve
 # imports the modules its tracer wraps, the LAYERS above.
 BENCHMARK_NAMES = (
     "analytic.RatioDistParams", "analytic.ratio_cdf", "analytic.rab_m2_cdf",
     "cli.build_parser", "cli.main",
     "validation.run_experiment", "validation.run_check",
     "simulator._chunk_size", "simulator.SWEEP_CSV_COLUMNS",
+    "simulator.sweep", "simulator.run_experiment",
     "stats.EmpiricalDist.from_samples",
 )
 
@@ -49,6 +51,8 @@ def test_benchmark_names_resolve(path):
         obj = getattr(obj, attr)
     if path == "analytic.RatioDistParams":  # the benchmark passes (k, rho) positionally
         assert obj(10.0, 1.0) == obj(k_factor=10.0, power_ratio=1.0, m_patterns=1)
+    if path == "simulator.run_experiment":  # the tracer reads these two by keyword or place
+        assert list(inspect.signature(obj).parameters)[:2] == ["config", "threads"]
 
 
 def test_readme_library_use_runs():

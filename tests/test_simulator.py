@@ -1,7 +1,9 @@
 """Scheduler and Monte-Carlo engine tests."""
 
 import concurrent.futures
+import io
 import math
+import re
 import time
 import tracemalloc
 import warnings
@@ -16,7 +18,7 @@ import pytest
 from cogmac import analytic, simulator, validation
 from cogmac.analytic import RatioDistParams, ratio_pdf
 from cogmac.channels import draw_gains
-from cogmac.simulator import METHODS, NetworkConfig, run_experiment, sweep
+from cogmac.simulator import METHODS, NetworkConfig, run_experiment, sweep, write_sweep_csv
 from cogmac.validation import N_GROWTH_GRID
 
 
@@ -81,6 +83,7 @@ class TestConfigValidation:
             ("n_users", 8.5),
             ("n_users", 8.0),
             ("n_users", True),
+            ("n_users", math.inf),
             ("m_patterns", 2.5),
             ("m_patterns", np.True_),
             ("trials", 150.7),
@@ -93,6 +96,43 @@ class TestConfigValidation:
         kw = dict(n_users=8, m_patterns=2, mode="rab", trials=200, seed=1)
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             NetworkConfig(**{**kw, name: value})
+
+    @pytest.mark.parametrize("name,value", [
+        (name, value) for name, _ in simulator._REAL_FIELDS
+        for value in (True, np.True_, "1", None, 1j) if (name, value) != ("max_power_cap", None)
+    ])
+    def test_real_fields_must_be_real_numbers(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be a real number, got "):
+            NetworkConfig(**{name: value})
+
+    @pytest.mark.parametrize("name,value,message", [
+        ("k_factor", -1, "k_factor must be finite and >= 0, got -1"),
+        ("mean_secondary_power", 0, "mean_secondary_power must be finite and > 0, got 0"),
+        ("mean_interference_power", math.inf,
+         "mean_interference_power must be finite and > 0, got inf"),
+        ("peak_interference", -2.5, "peak_interference must be finite and > 0, got -2.5"),
+        ("primary_power", math.nan, "primary_power must be finite and >= 0, got nan"),
+        ("mean_ps_power", -1e-300, "mean_ps_power must be finite and >= 0, got -1e-300"),
+        ("max_power_cap", 0, "max_power_cap must be finite and > 0 when set, got 0"),
+    ])
+    def test_real_field_bounds(self, name, value, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            NetworkConfig(**{name: value})
+
+    def test_real_fields_become_floats(self):
+        ints = dict(k_factor=2, mean_secondary_power=np.int64(3), mean_interference_power=1,
+                    peak_interference=np.float32(0.5), primary_power=0, mean_ps_power=2,
+                    max_power_cap=4)
+        cfg = small_cfg(trials=300, **ints)
+        assert all(type(getattr(cfg, name)) is float for name, _ in simulator._REAL_FIELDS)
+        floats = small_cfg(trials=300, **{k: float(v) for k, v in ints.items()})
+        assert cfg == floats
+        texts = []
+        for c in (cfg, floats):
+            buf = io.StringIO()
+            write_sweep_csv([run_experiment(c)], buf)
+            texts.append(buf.getvalue())
+        assert texts[0] == texts[1]
 
     @pytest.mark.parametrize("k", [0.0, 2.0])
     def test_power_ratio_that_overflows_the_quantile_fails_fast(self, k):
@@ -425,16 +465,16 @@ class TestGrowthGrid:
     def test_points_are_their_own_runs(self, kw):
         cfg = small_cfg(**kw)
         n = cfg.n_users
-        grid = (1, n // 4, n // 2, n)
-        estimates = sweep(cfg, grid, [cfg.k_factor], [cfg.m_patterns], [cfg.mode])
-        assert [e.config for e in estimates] == [replace(cfg, n_users=m) for m in grid]
+        configs = [replace(cfg, n_users=m) for m in (1, n // 4, n // 2, n)]
+        estimates = sweep(configs)
+        assert [e.config for e in estimates] == configs
         assert estimates == [run_experiment(e.config) for e in estimates]
 
     def test_points_are_their_own_runs_across_chunks(self, monkeypatch):
         monkeypatch.setattr(simulator, "_CHUNK_ELEMENTS", 1 << 12)
         cfg = small_cfg(n_users=64, m_patterns=2, mode="rab", k_factor=10.0, trials=9000)
         assert simulator._layout(cfg, "auto")[1] * 2 < cfg.trials  # three chunks
-        estimates = sweep(cfg, (8, 64), [10.0], [2], ["rab"])
+        estimates = sweep([replace(cfg, n_users=n) for n in (8, 64)])
         assert estimates == [run_experiment(e.config) for e in estimates]
 
     @pytest.mark.parametrize("m", [1, 2])
@@ -443,7 +483,7 @@ class TestGrowthGrid:
         # z = 4 per comparison, eight comparisons.
         cfg = NetworkConfig(n_users=128, m_patterns=m, mode="baseline" if m == 1 else "rab",
                             k_factor=10.0, trials=4000, seed=11)
-        for est in sweep(cfg, (2, 8, 32, 128), [10.0], [m], [cfg.mode]):
+        for est in sweep([replace(cfg, n_users=n) for n in (2, 8, 32, 128)]):
             assert simulator._layout(est.config, "auto")[0] is simulator._quantile_block
             alone = run_experiment(replace(est.config, seed=12), method="brute")
             spread = math.hypot(est.stderr_nats, alone.stderr_nats)
@@ -480,62 +520,36 @@ class TestGrowthGrid:
 class TestSweep:
     def test_singleton_matches_direct(self):
         cfg = small_cfg(trials=2000, n_users=4)
-        estimates = sweep(cfg, [4], [0.0], [1], ["baseline"])
+        estimates = sweep([cfg])
         assert len(estimates) == 1
-        direct = run_experiment(NetworkConfig(**{**cfg.__dict__, "n_users": 4}))
+        direct = run_experiment(cfg)
         assert estimates[0] == direct
-        assert estimates[0].config == replace(cfg, n_users=4) == direct.config
+        assert estimates[0].config == cfg == direct.config
 
-    def test_grid_shape_and_modes(self):
+    def test_points_run_in_the_given_order(self):
+        # Any list of configs, in no grid order: each estimate is its own
+        # config's run, in the list's order.
         cfg = small_cfg(trials=500)
-        estimates = sweep(cfg, [2, 4], [0.0, 2.0], [2, 3], ["baseline", "rab"])
-        base_points = [e.config for e in estimates if e.config.mode == "baseline"]
-        rab_points = [e.config for e in estimates if e.config.mode == "rab"]
-        assert len(base_points) == 4  # m_list ignored for baseline
-        assert len(rab_points) == 8
-        assert all(c.m_patterns == 1 for c in base_points)
-
-    def test_bad_grid_point_fails_before_any_draw(self, monkeypatch):
-        calls = []
-        real = simulator.run_experiment
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(simulator, "run_experiment", counted)
-        with pytest.raises(ValueError, match="n_users"):
-            sweep(small_cfg(trials=500), [2, 0], [0.0], [1], ["baseline"])  # N=0 invalid
-        with pytest.raises(ValueError, match="mode"):
-            sweep(small_cfg(trials=500), [2], [0.0], [1], ["baseline", "lte"])
-        with pytest.raises(ValueError, match="n_users"):
-            sweep(small_cfg(trials=500), [8.9], [10], [2.5], ["rab"])  # not N = 8
-        with pytest.raises(ValueError, match="n_users"):
-            sweep(small_cfg(trials=500), [math.inf], [10], [2], ["rab"])
-        with pytest.raises(ValueError, match="m_patterns"):
-            sweep(small_cfg(trials=500), [8], [10], [2.5], ["rab"])  # not M = 2
-        with pytest.raises(ValueError, match="m_list must be nonempty"):
-            sweep(small_cfg(trials=500), [8], [10], [], ["baseline", "rab"])
-        assert calls == []
-
-    def test_iterator_grid_matches_list_grid(self):
-        cfg = small_cfg(trials=500)
-        lists = sweep(cfg, [2, 4], [0.0, 2.0], [2], ["baseline", "rab"])
-        iters = sweep(cfg, iter([2, 4]), iter([0.0, 2.0]), iter([2]), iter(["baseline", "rab"]))
-        assert len(lists) == 8
-        assert iters == lists
+        configs = [replace(cfg, mode="rab", m_patterns=3, n_users=4, k_factor=2.0),
+                   replace(cfg, n_users=8), cfg,
+                   replace(cfg, mode="rab", m_patterns=2, n_users=2, seed=9)]
+        estimates = sweep(configs)
+        assert [e.config for e in estimates] == configs
+        assert estimates == [run_experiment(c) for c in configs]
+        assert sweep([]) == []
 
     def test_thread_count_invariance(self, run_calls):
         # Brute force: the RAB M=3, K=2, N=512 point spans four chunks.
         cfg = small_cfg(trials=5000)
-        rab512 = replace(cfg, mode="rab", n_users=512, m_patterns=3)
-        assert simulator._chunk_size(rab512) < cfg.trials
+        configs = [replace(cfg, mode=mode, m_patterns=m, k_factor=2.0, n_users=n)
+                   for mode, m in (("baseline", 1), ("rab", 3)) for n in (2, 512)]
+        assert simulator._chunk_size(configs[-1]) < cfg.trials
         runs = {}
         for threads in (1, 2, 4):
             run_calls.clear()
             seen = []
-            runs[threads] = sweep(cfg, [2, 512], [2.0], [3], ["baseline", "rab"],
-                                  threads=threads, progress=seen.append, method="brute")
+            runs[threads] = sweep(configs, threads=threads, progress=seen.append,
+                                  method="brute")
             assert seen == runs[threads]
             assert run_calls == [threads] * 4
         assert len(runs[1]) == 4
@@ -545,7 +559,7 @@ class TestSweep:
         # Brute force: 128 users x 4 patterns per slot, three chunks.
         cfg = small_cfg(n_users=128, m_patterns=4, mode="rab", k_factor=2.0, trials=9000)
         assert 2 * simulator._chunk_size(cfg) < cfg.trials  # three chunks
-        (est,) = sweep(cfg, [128], [2.0], [4], ["rab"], threads=3, method="brute")
+        (est,) = sweep([cfg], threads=3, method="brute")
         assert run_calls == [3]
         assert est.config == cfg
         assert est == run_experiment(cfg, threads=1, method="brute")
@@ -560,12 +574,15 @@ class TestSweep:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", counted)
-        points = sweep(small_cfg(trials=500), [2, 8], [0.0, 2.0], [3], ["baseline", "rab"],
-                       threads=4)
+        cfg = small_cfg(trials=500)
+        configs = [replace(cfg, mode=mode, m_patterns=m, k_factor=k, n_users=n)
+                   for mode, m in (("baseline", 1), ("rab", 3)) for k in (0.0, 2.0)
+                   for n in (2, 8)]
+        points = sweep(configs, threads=4)
         assert len(points) == 8 and pools == []
 
     def test_wall_time_is_each_points_own(self, monkeypatch):
-        # The points run one after another in grid order; each progress
+        # The points run one after another in list order; each progress
         # callback reports the time its own point took.
         sleeps = {2: 0.25, 3: 0.05, 4: 0.05, 5: 0.1}
         real = simulator._chunk_sums
@@ -576,7 +593,7 @@ class TestSweep:
 
         monkeypatch.setattr(simulator, "_chunk_sums", slow)
         seen = []
-        estimates = sweep(small_cfg(), list(sleeps), [0.0], [1], ["baseline"], threads=2,
+        estimates = sweep([small_cfg(n_users=n) for n in sleeps], threads=2,
                           progress=lambda e: seen.append((e.config.n_users, e.wall_s)))
         assert [n for n, _ in seen] == list(sleeps)
         for n, wall_s in seen:
@@ -586,7 +603,10 @@ class TestSweep:
 
     def test_rab_k0_rows_equal_baseline_rows(self):
         # At K = 0 the weights do not matter: same law, same uniforms.
-        estimates = sweep(small_cfg(trials=3000), [8, 64], [0.0], [2, 4], ["baseline", "rab"])
+        cfg = small_cfg(trials=3000)
+        estimates = sweep([replace(cfg, mode=mode, m_patterns=m, n_users=n)
+                           for mode, m in (("baseline", 1), ("rab", 2), ("rab", 4))
+                           for n in (8, 64)])
 
         def numbers(e):
             return (e.mean_nats, e.stderr_nats, e.jensen_bound_nats)
@@ -595,10 +615,6 @@ class TestSweep:
         rab = [e for e in estimates if e.config.mode == "rab"]
         assert len(rab) == 4
         assert all(numbers(e) == base[e.config.n_users] for e in rab)
-
-    def test_empty_grid_rejected(self):
-        with pytest.raises(ValueError):
-            sweep(small_cfg(), [], [0.0], [1], ["baseline"])
 
 
 def slot_sinrs(block, cfg, size, seed):
@@ -809,6 +825,7 @@ class TestQuantileSampler:
             path(method="quantile")
         # sweep hands its method to every point.
         used.clear()
-        sweep(small_cfg(), [4], [3.0], [2], ["baseline", "rab"], method="brute")
+        sweep([small_cfg(n_users=4, k_factor=3.0),
+               small_cfg(n_users=4, k_factor=3.0, mode="rab", m_patterns=2)], method="brute")
         assert set(used) == {"_brute_block"}
 
