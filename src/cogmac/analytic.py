@@ -7,7 +7,7 @@ Conventions used throughout:
 * ``power_ratio`` (rho) is mean interference power over mean secondary
   power, so the SINR-driving ratio variable z has a heavy 1/z tail with
   scale 1/rho.
-* All laws and log quantities are in nats; callers convert to bits.
+* All laws and log quantities are in nats.
 
 Everything in this module is a pure scalar/ndarray function with no RNG:
 a 0-d input (a Python or numpy scalar, or a 0-d array) gives a float, any
@@ -316,10 +316,13 @@ def _user_counts(n_users, least: int, law: str) -> np.ndarray:
 
 
 def _real(value, name: str) -> float:
-    """``value`` as a float, once it is a real number and not a bool."""
+    """``value`` as a float, once it is a real number in float range and not a bool."""
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise ValueError(f"{name} must be a real number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an int past the float range
+        raise ValueError(f"{name} must be finite, got a number past the float range") from None
 
 
 def _k_factor(k_factor: float, law: str, positive: bool = False) -> float:

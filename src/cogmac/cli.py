@@ -10,6 +10,8 @@ Subcommands:
 * ``espar``    - export a radiation pattern CSV plus an orthonormality report.
 * ``analytic`` - tabulate a closed form over a grid.
 
+Every capacity, in a sweep CSV or an ``analytic`` table, is in nats.
+
 A setting comes from its flag, else from the config file (``network``,
 ``espar``), else from its built-in default.  Every bad input, the output
 path included, is a :class:`ConfigError`: it is found before any work
@@ -34,13 +36,7 @@ from typing import TYPE_CHECKING, get_args, get_type_hints
 import numpy as np
 
 from . import analytic
-from .simulator import (
-    LOG2,
-    NetworkConfig,
-    format_number,
-    sweep,
-    write_sweep_csv,
-)
+from .simulator import NetworkConfig, format_number, sweep, write_sweep_csv
 
 if TYPE_CHECKING:
     from .espar import EsparConfig
@@ -75,10 +71,18 @@ def _typed(value, types: tuple, path: str, what: str):
     return value
 
 
+def _in_range(cast, path: str, *parts):
+    """``cast(*parts)``; a JSON integer past the float range is a ConfigError."""
+    try:
+        return cast(*parts)
+    except OverflowError:
+        raise ConfigError(f"{path}: number past the float range") from None
+
+
 def _complex(value, path: str) -> complex:
     if type(value) is list and len(value) == 2 and all(type(v) in (int, float) for v in value):
-        return complex(*value)
-    return complex(_typed(value, (int, float), path, "number or [re, im] pair"))
+        return _in_range(complex, path, *value)
+    return _in_range(complex, path, _typed(value, (int, float), path, "number or [re, im] pair"))
 
 
 def _items(value, path: str, read) -> list:
@@ -88,7 +92,7 @@ def _items(value, path: str, read) -> list:
 # Field type -> reader of its JSON value.
 _READERS = {
     int: lambda value, path: _typed(value, (int,), path, "integer"),
-    float: lambda value, path: float(_typed(value, (int, float), path, "number")),
+    float: lambda value, path: _in_range(float, path, _typed(value, (int, float), path, "number")),
     str: lambda value, path: _typed(value, (str,), path, "string"),
     complex: _complex,
     tuple: lambda value, path: tuple(_items(value, path, _READERS[float])),
@@ -152,19 +156,18 @@ def parse_config(path: str) -> tuple[NetworkConfig, EsparConfig]:
 # ------------------------------------------------------------------ presets
 
 def _preset_extras(estimates, wants):
-    """Extra CSV columns (in each point's output log base where capacity-like)."""
+    """Extra CSV columns (in nats where capacity-like)."""
     if not wants:
         return None
     extras = {name: [] for name in wants}
     singles = {e.config: e.mean_nats for e in estimates if e.config.n_users == 1}
     for e in estimates:
         n, mean = e.config.n_users, e.mean_nats
-        scale = 1.0 / LOG2 if e.config.log_base == "bits" else 1.0
         for name in wants:
             if name == "norm_logN":
-                extras[name].append(mean * scale / math.log(n) if n > 1 else None)
+                extras[name].append(mean / math.log(n) if n > 1 else None)
             elif name == "norm_loglogN":
-                extras[name].append(mean * scale / math.log(math.log(n)) if n > 2 else None)
+                extras[name].append(mean / math.log(math.log(n)) if n > 2 else None)
             elif name == "multiuser_gain":
                 c1 = singles.get(replace(e.config, n_users=1))
                 extras[name].append(mean / c1 if c1 else None)
@@ -305,25 +308,22 @@ def cmd_espar(args) -> int:
     return 0 if gram_err <= 1e-8 else 1
 
 
-# Law -> (grid column, whether it is in nats, the pattern count M of its
-# params, its closed form of (grid, K, params)); the grid comes from the flag
-# named after the column.
+# Law -> (grid column, the pattern count M of its params, its closed form of
+# (grid, K, params)); the grid comes from the flag named after the column.
 _LAWS = {
-    "theorem1-law": ("N", True, 1, lambda n, k, p: analytic.theorem1_law(n, k)),
-    "effective-users": ("N", False, 1, lambda n, k, p: analytic.effective_users_moderate_k(n, k)),
-    "effective-users-rab2": ("N", False, 2, lambda n, k, p: analytic.effective_users_rab_m2(n, k)),
-    "ratio-cdf": ("z", False, 1, lambda z, k, p: analytic.ratio_cdf(z, p)),
-    "ratio-pdf": ("z", False, 1, lambda z, k, p: analytic.ratio_pdf(z, p)),
-    "rab2-cdf": ("z", False, 2, lambda z, k, p: analytic.rab_m2_cdf(z, p)),
-    "rab2-tail": ("z", False, 2, lambda z, k, p: analytic.rab_m2_tail_cdf(z, p)),
-    "normalizer": ("N", False, 1, lambda n, k, p: analytic.normalizer_a_n(n, p)),
+    "theorem1-law": ("N", 1, lambda n, k, p: analytic.theorem1_law(n, k)),
+    "effective-users": ("N", 1, lambda n, k, p: analytic.effective_users_moderate_k(n, k)),
+    "effective-users-rab2": ("N", 2, lambda n, k, p: analytic.effective_users_rab_m2(n, k)),
+    "ratio-cdf": ("z", 1, lambda z, k, p: analytic.ratio_cdf(z, p)),
+    "ratio-pdf": ("z", 1, lambda z, k, p: analytic.ratio_pdf(z, p)),
+    "rab2-cdf": ("z", 2, lambda z, k, p: analytic.rab_m2_cdf(z, p)),
+    "rab2-tail": ("z", 2, lambda z, k, p: analytic.rab_m2_tail_cdf(z, p)),
+    "normalizer": ("N", 1, lambda n, k, p: analytic.normalizer_a_n(n, p)),
 }
 
 
 def cmd_analytic(args) -> int:
-    column, in_nats, m, law = _LAWS[args.law]
-    if args.bits and not in_nats:
-        raise ConfigError(f"--bits: --law {args.law} is not in nats, so it has no bits form")
+    column, m, law = _LAWS[args.law]
     flag = column.lower()
     text = getattr(args, flag)
     grid = _values(text, f"--{flag}", int if flag == "n" else float)
@@ -337,12 +337,10 @@ def cmd_analytic(args) -> int:
         finite = np.isfinite(values)
         if not finite.all():
             raise ValueError(f"not finite at {column} = {grid[np.argmin(finite)]}")
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # OverflowError: an N past the float range
         raise ConfigError(
             f"--law {args.law} --k {args.k:g} --rho {args.rho:g} --{flag} {text}: {exc}"
         ) from exc
-    if args.bits:
-        values = values * (1.0 / LOG2)
     table = f"{column},value\n" + "".join(  # N as given: %.17g rounds it past 2^53
         f"{x if flag == 'n' else format_number(x)},{format_number(v)}\n"
         for x, v in zip(grid, values)
@@ -404,7 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="mean interference / secondary power ratio")
     ana.add_argument("--n", default="8,16,32,64,128,256,512", help="user-count grid")
     ana.add_argument("--z", default="0.5,1,2,5,10", help="ratio grid")
-    ana.add_argument("--bits", action="store_true", help="emit theorem1-law in bits instead of nats")
     ana.add_argument("--out")
     ana.set_defaults(func=cmd_analytic)
     return parser

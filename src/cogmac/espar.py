@@ -101,6 +101,11 @@ class EsparConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, kind):
                 raise ValueError(f"{name} must be a number, got {value!r}")
+            try:
+                complex(value)
+            except OverflowError:  # an int past the float range
+                raise ValueError(
+                    f"{name} must be finite, got a number past the float range") from None
         if self.m_elements > 1 and not self.radius_wavelengths > 0.0:
             raise ValueError("radius_wavelengths must be > 0 for multi-element arrays")
         n_par = self.m_elements - 1

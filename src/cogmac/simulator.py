@@ -71,7 +71,6 @@ __all__ = [
 
 MODES = ("baseline", "rab")
 METHODS = ("auto", "brute")
-LOG2 = math.log(2.0)
 
 # Elements per chunk and per block (see the module docstring): the block
 # bounds a worker's temporaries to a few MB whatever the chunk size.
@@ -104,7 +103,6 @@ class NetworkConfig:
     trials: int = 100_000
     seed: int = 42
     mode: str = "rab"                       # "baseline" | "rab"
-    log_base: str = "nats"                  # "nats" | "bits" (output only)
     max_power_cap: float | None = None      # optional transmit power clip
 
     def __post_init__(self) -> None:
@@ -115,8 +113,6 @@ class NetworkConfig:
             object.__setattr__(self, name, int(v))
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.log_base not in ("nats", "bits"):
-            raise ValueError(f"log_base must be 'nats' or 'bits', got {self.log_base!r}")
         if self.n_users < 1:
             raise ValueError(f"n_users must be >= 1, got {self.n_users}")
         if self.m_patterns < 1:
@@ -361,17 +357,15 @@ def write_sweep_csv(
     """Emit one CSV row per estimate, every column from that estimate and
     its own config.
 
-    Capacity columns are converted to each config's ``log_base``.  Extra
-    columns (same length as the estimate list; None entries become empty
-    fields) are appended verbatim after the stable base schema, so callers
-    own their units.
+    Capacity columns are in nats.  Extra columns (same length as the
+    estimate list; None entries become empty fields) are appended verbatim
+    after the stable base schema, so callers own their units.
     """
     extra = extra_columns or {}
     header = SWEEP_CSV_COLUMNS + ("," + ",".join(extra) if extra else "")
     stream.write(header + "\n")
     for idx, est in enumerate(estimates):
         cfg = est.config
-        scale = 1.0 / LOG2 if cfg.log_base == "bits" else 1.0
         fields = [
             cfg.mode,
             str(cfg.n_users),
@@ -380,11 +374,11 @@ def write_sweep_csv(
             format_number(cfg.mean_secondary_power),
             format_number(cfg.mean_interference_power),
             format_number(cfg.peak_interference),
-            format_number(est.mean_nats * scale),
-            format_number(est.stderr_nats * scale),
+            format_number(est.mean_nats),
+            format_number(est.stderr_nats),
             str(cfg.trials),
             str(cfg.seed),
-            format_number(est.jensen_bound_nats * scale),
+            format_number(est.jensen_bound_nats),
         ]
         for name in extra:
             value = extra[name][idx]

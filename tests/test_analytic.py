@@ -802,6 +802,14 @@ class TestRabLaw:
                 theorem1_law(8, bad)
         assert RatioDistParams(np.int64(2), 1).isf(0.25) == RatioDistParams(2.0, 1.0).isf(0.25)
 
+    @pytest.mark.parametrize("args,name", [((10**400, 1.0), "k_factor"),
+                                           ((1.0, 10**400), "power_ratio")])
+    def test_ints_past_the_float_range_are_refused(self, args, name):
+        # float() of such an int raises OverflowError; the field is named instead.
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got a number past the "
+                                             "float range$"):
+            RatioDistParams(*args)
+
     def test_import_builds_nothing(self):
         # Laws (tables and Newton starts) are built on first use; scipy stays
         # a test dependency.  The child imports the package this test imports.

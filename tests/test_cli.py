@@ -70,7 +70,6 @@ def network_configs(draw):
         trials=draw(st.integers(100, 10**9)),
         seed=draw(st.integers(0, 2**64 - 1)),
         mode=mode,
-        log_base=draw(st.sampled_from(["nats", "bits"])),
         max_power_cap=cap,
     )
 
@@ -114,7 +113,7 @@ class TestParseConfig:
 
     def test_round_trip(self, tmp_path):
         config = NetworkConfig(n_users=12, m_patterns=3, mode="rab", k_factor=1.5,
-                               trials=500, seed=9, log_base="bits")
+                               trials=500, seed=9, peak_interference=1.7)
         config2, _ = parse_config(write_cfg(tmp_path, {"network": asdict(config)}))
         assert config2 == config
 
@@ -255,13 +254,13 @@ class TestSimulateCommand:
 
     def test_rows_of_two_sweeps_keep_their_own_configs(self):
         # Two templates that differ in every column a row copies from its
-        # config, written into one CSV: each row shows its own config's values
-        # in its own units, and each gain divides by its own N = 1 estimate.
-        nats = NetworkConfig(trials=300, seed=3)
-        bits = replace(nats, seed=11, mean_secondary_power=2.5, mean_interference_power=0.5,
-                       peak_interference=1.7, log_base="bits")
+        # config, written into one CSV: each row shows its own config's values,
+        # and each gain divides by its own N = 1 estimate.
+        first = NetworkConfig(trials=300, seed=3)
+        second = replace(first, seed=11, mean_secondary_power=2.5, mean_interference_power=0.5,
+                         peak_interference=1.7)
         estimates = sweep([replace(cfg, mode=mode, m_patterns=m, k_factor=k, n_users=n)
-                           for cfg in (nats, bits) for mode, m in (("rab", 2), ("baseline", 1))
+                           for cfg in (first, second) for mode, m in (("rab", 2), ("baseline", 1))
                            for k in (2.0, 10.0) for n in (1, 8)])
         singles = {e.config: e.mean_nats for e in estimates if e.config.n_users == 1}
         assert len(set(singles.values())) == len(singles) == 8
@@ -272,20 +271,19 @@ class TestSimulateCommand:
         assert len(rows) == len(estimates) == 16
         for row, est in zip(rows, estimates):
             cfg = est.config
-            scale = 1.0 / math.log(2.0) if cfg.log_base == "bits" else 1.0
             assert row["mode"] == cfg.mode and int(row["N"]) == cfg.n_users
             assert int(row["M"]) == cfg.m_patterns and float(row["K"]) == cfg.k_factor
             assert float(row["gamma_s"]) == cfg.mean_secondary_power
             assert float(row["gamma_sp"]) == cfg.mean_interference_power
             assert float(row["Qp"]) == cfg.peak_interference
             assert int(row["trials"]) == cfg.trials and int(row["seed"]) == cfg.seed
-            assert float(row["mean_capacity"]) == est.mean_nats * scale
-            assert float(row["stderr"]) == est.stderr_nats * scale
-            assert float(row["jensen_bound"]) == est.jensen_bound_nats * scale
+            assert float(row["mean_capacity"]) == est.mean_nats
+            assert float(row["stderr"]) == est.stderr_nats
+            assert float(row["jensen_bound"]) == est.jensen_bound_nats
             single = singles[replace(cfg, n_users=1)]
             assert float(row["multiuser_gain"]) == est.mean_nats / single
             if cfg.n_users > 1:
-                assert float(row["norm_logN"]) == est.mean_nats * scale / math.log(cfg.n_users)
+                assert float(row["norm_logN"]) == est.mean_nats / math.log(cfg.n_users)
             else:
                 assert row["norm_logN"] == ""
 
@@ -666,11 +664,6 @@ class TestAnalyticCommand:
         assert out[0] == "N,value"
         assert float(out[1].split(",")[1]) == pytest.approx(math.log(1000.0))
 
-    def test_bits_conversion(self, tmp_path, capsys):
-        main(["analytic", "--law", "theorem1-law", "--k", "0", "--n", "1024", "--bits"])
-        out = capsys.readouterr().out.strip().splitlines()
-        assert float(out[1].split(",")[1]) == pytest.approx(10.0)
-
     def test_user_counts_print_exactly(self, capsys):
         # 2^53 + 1 and 10^17 are echoed as given, not rounded to 17 digits.
         assert main(["analytic", "--law", "theorem1-law",
@@ -678,15 +671,14 @@ class TestAnalyticCommand:
         rows = capsys.readouterr().out.strip().splitlines()[1:]
         assert [r.split(",")[0] for r in rows] == ["9007199254740993", "100000000000000000"]
 
-    @pytest.mark.parametrize("law", sorted(set(cli._LAWS) - {"theorem1-law"}))
-    def test_bits_of_a_law_not_in_nats_fails(self, tmp_path, monkeypatch, capsys, law):
-        # Refused before the grid, the law or the output path is looked at.
+    def test_there_is_no_bits_flag(self, tmp_path, monkeypatch, capsys):
+        # Every table is in nats: the flag is an argparse usage error.
         monkeypatch.chdir(tmp_path)
-        argv = ["analytic", "--law", law, "--n", "1", "--z", "-1", "--bits", "--out", "x.csv"]
-        assert main(argv) == 2
+        with pytest.raises(SystemExit) as exit_info:
+            main(["analytic", "--law", "theorem1-law", "--bits", "--out", "x.csv"])
+        assert exit_info.value.code == 2
         captured = capsys.readouterr()
-        assert captured.err == (f"config error: --bits: --law {law} is not in nats, "
-                                "so it has no bits form\n")
+        assert "unrecognized arguments: --bits" in captured.err
         assert captured.out == "" and list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("law", ["theorem1-law", "effective-users-rab2", "effective-users"])
@@ -833,6 +825,25 @@ class TestInputBoundary:
             (["simulate"], {"network": []}, "network: expected an object"),
             (["simulate"], "{not json", "cfg.json: not a readable JSON file"),
             (["simulate"], [], "config root: expected an object"),
+            (["simulate"], {"network": {"log_base": "nats"}}, "network.log_base: unknown key"),
+            # Integers past the float range: under each real-valued config
+            # reader, and as a user count.
+            (["simulate"], {"network": {"k_factor": 10**400}},
+             "network.k_factor: number past the float range"),
+            (["simulate"], {"network": {"max_power_cap": -(10**400)}},
+             "network.max_power_cap: number past the float range"),
+            (["espar"], {"espar": {"radius_wavelengths": 10**400}},
+             "espar.radius_wavelengths: number past the float range"),
+            (["espar"], {"espar": {"feed_voltage": 10**400}},
+             "espar.feed_voltage: number past the float range"),
+            (["espar"], {"espar": {"feed_voltage": [1.0, 10**400]}},
+             "espar.feed_voltage: number past the float range"),
+            (["espar"], {"espar": {"element_angles": [0.0, 10**400, 1.0]}},
+             "espar.element_angles[1]: number past the float range"),
+            (["espar"], {"espar": {"m_elements": 2, "admittance": [[0.02, 10**400], [0, 0.02]]}},
+             "espar.admittance[0][1]: number past the float range"),
+            (["analytic", "--law", "effective-users", "--n", "8,1" + "0" * 400], None,
+             "--n 8,1" + "0" * 400 + ": "),
         ],
     )
     def test_bad_input_exits_2(self, tmp_path, monkeypatch, capsys, argv, payload, where):

@@ -306,6 +306,9 @@ class TestConfigValidation:
         (dict(m_elements=3, element_angles=[0.0, 1j]), "element_angles must be real numbers"),
         (dict(m_elements=3, element_angles=["0.5", 1.0]), "element_angles must be real numbers"),
         (dict(m_elements=3, element_angles=[[0.0], [1.0]]), "element_angles must be real numbers"),
+        (dict(radius_wavelengths=10**400), "radius_wavelengths must be finite, got a number past"),
+        (dict(feed_voltage=10**400), "feed_voltage must be finite, got a number past"),
+        (dict(feed_voltage=-(10**400)), "feed_voltage must be finite, got a number past"),
     ])
     def test_bad_config_rejected(self, kw, message):
         with pytest.raises(ValueError, match=message):

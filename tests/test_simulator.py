@@ -68,9 +68,11 @@ class TestConfigValidation:
             dict(mean_secondary_power=0.0),
             dict(peak_interference=0.0),
             dict(mode="duplex"),
-            dict(log_base="dB"),
             dict(seed=-1),
             dict(primary_power=-0.1),
+            dict(k_factor=10**400),
+            dict(mean_secondary_power=-(10**400)),
+            dict(max_power_cap=10**400),
         ],
     )
     def test_invalid_fields(self, kw):
