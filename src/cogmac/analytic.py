@@ -211,9 +211,7 @@ def wright_omega(y):
     Below y = -40, omega(y) = e^y to double precision; above y = 1e10,
     omega(y) = y - log(y).
     """
-    a = np.asarray(y, dtype=float)
-    if not (a < np.inf).all():
-        raise ValueError(f"wright_omega requires y in [-inf, inf), got {y}")
+    a = _grid(y, "wright_omega", "y", "y in [-inf, inf)", lambda v: v < np.inf)
     # Clamped to [-40, 1e10], y keeps the iteration finite (its step
     # overflows from y = 3e154); the elements outside take their closed forms.
     small, tiny = a < _OMEGA_TINY_Y, np.exp(np.minimum(a, _OMEGA_TINY_Y))
@@ -235,9 +233,7 @@ def bessel_i0e(x):
 
     Accepts scalars or ndarrays; a scalar input returns a float.
     """
-    ax = np.abs(np.asarray(x, dtype=float))
-    if not np.all(np.isfinite(ax)):
-        raise ValueError(f"bessel_i0e requires finite input, got {x}")
+    ax = np.abs(_grid(x, "bessel_i0e", "x", "finite input", np.isfinite))
     return _scalar_or_array(_bessel_i0e_i1e(ax.reshape(-1))[0].reshape(ax.shape))
 
 
@@ -294,25 +290,30 @@ def _horner(coef: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _grid(x, law: str, name: str, rule: str, holds) -> np.ndarray:
+    """``x`` as a float array, once ``holds`` is true at every element; else a
+    ValueError naming ``law`` and ``rule``, or ``name`` for an int past the
+    float range (not a bare OverflowError)."""
+    try:
+        arr = np.asarray(x, dtype=float)
+    except OverflowError:
+        raise ValueError(
+            f"{law} requires {name} in the float range, got a number past it") from None
+    if not np.all(holds(arr)):
+        raise ValueError(f"{law} requires {rule}, got {x}")
+    return arr
+
+
 def _ratios(z, law: str) -> np.ndarray:
-    z_arr = np.asarray(z, dtype=float)
-    if not np.all(np.isfinite(z_arr) & (z_arr >= 0.0)):
-        raise ValueError(f"{law} requires finite z >= 0, got {z}")
-    return z_arr
+    return _grid(z, law, "z", "finite z >= 0", lambda a: np.isfinite(a) & (a >= 0.0))
 
 
 def _tail_probabilities(q, law: str) -> np.ndarray:
-    q_arr = np.asarray(q, dtype=float)
-    if not np.all((q_arr > 0.0) & (q_arr <= 1.0)):
-        raise ValueError(f"{law} requires 0 < q <= 1, got {q}")
-    return q_arr
+    return _grid(q, law, "q", "0 < q <= 1", lambda a: (a > 0.0) & (a <= 1.0))
 
 
 def _user_counts(n_users, least: int, law: str) -> np.ndarray:
-    n = np.asarray(n_users, dtype=float)
-    if not np.all(n >= least):
-        raise ValueError(f"{law} requires n_users >= {least}, got {n_users}")
-    return n
+    return _grid(n_users, law, "n_users", f"n_users >= {least}", lambda a: a >= least)
 
 
 def _real(value, name: str) -> float:

@@ -13,9 +13,10 @@ Subcommands:
 Every capacity, in a sweep CSV or an ``analytic`` table, is in nats.
 
 A setting comes from its flag, else from the config file (``network``,
-``espar``), else from its built-in default.  Every bad input, the output
-path included, is a :class:`ConfigError`: it is found before any work
-starts and exits 2.
+``espar``), else from its built-in default.  The file's values go as read
+(an ``[re, im]`` pair made complex) to ``NetworkConfig`` and ``EsparConfig``,
+which check them.  Every bad input, the output path included, is a
+:class:`ConfigError`: it is found before any work starts and exits 2.
 
 Each subcommand imports what it uses when it runs: ``simulate`` loads only
 ``analytic``, ``channels`` and ``simulator``; ``validation`` and ``csv``
@@ -31,7 +32,7 @@ import os
 import sys
 import time
 from dataclasses import fields, replace
-from typing import TYPE_CHECKING, get_args, get_type_hints
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -64,60 +65,17 @@ class ConfigError(ValueError):
     the offending key path or flag."""
 
 
-def _typed(value, types: tuple, path: str, what: str):
-    # type(), not isinstance(): JSON true and false must not pass as 1 and 0.
-    if type(value) not in types:
-        raise ConfigError(f"{path}: expected {what}, got {value!r}")
-    return value
-
-
-def _in_range(cast, path: str, *parts):
-    """``cast(*parts)``; a JSON integer past the float range is a ConfigError."""
-    try:
-        return cast(*parts)
-    except OverflowError:
-        raise ConfigError(f"{path}: number past the float range") from None
-
-
-def _complex(value, path: str) -> complex:
+def _complex(value, path: str, depth: int = 0):
+    """``value`` with each JSON ``[re, im]`` pair ``depth`` lists deep made a
+    complex number; any other value as read."""
+    if depth and type(value) is list:
+        return [_complex(v, f"{path}[{i}]", depth - 1) for i, v in enumerate(value)]
     if type(value) is list and len(value) == 2 and all(type(v) in (int, float) for v in value):
-        return _in_range(complex, path, *value)
-    return _in_range(complex, path, _typed(value, (int, float), path, "number or [re, im] pair"))
-
-
-def _items(value, path: str, read) -> list:
-    return [read(v, f"{path}[{i}]") for i, v in enumerate(_typed(value, (list,), path, "list"))]
-
-
-# Field type -> reader of its JSON value.
-_READERS = {
-    int: lambda value, path: _typed(value, (int,), path, "integer"),
-    float: lambda value, path: _in_range(float, path, _typed(value, (int, float), path, "number")),
-    str: lambda value, path: _typed(value, (str,), path, "string"),
-    complex: _complex,
-    tuple: lambda value, path: tuple(_items(value, path, _READERS[float])),
-    np.ndarray: lambda value, path: _items(value, path, lambda row, p: _items(row, p, _complex)),
-}
-
-
-def _read_section(raw: dict, key: str, cls) -> dict:
-    """Keyword arguments of section ``key``'s dataclass ``cls``.  Its fields
-    give the keys and their types; null is allowed where the default is None."""
-    section = raw.get(key, {})
-    if type(section) is not dict:
-        raise ConfigError(f"{key}: expected an object")
-    hints = get_type_hints(cls)
-    defaults = {f.name: f.default for f in fields(cls)}
-    kwargs = {}
-    for name, value in section.items():
-        path = f"{key}.{name}"
-        if name not in defaults:
-            raise ConfigError(f"{path}: unknown key")
-        if value is not None or defaults[name] is not None:
-            kind = next((t for t in get_args(hints[name]) if t is not type(None)), hints[name])
-            value = _READERS[kind](value, path)
-        kwargs[name] = value
-    return kwargs
+        try:
+            return complex(*value)
+        except OverflowError:  # an int past the float range
+            raise ConfigError(f"{path}: number past the float range") from None
+    return value
 
 
 def parse_config(path: str) -> tuple[NetworkConfig, EsparConfig]:
@@ -126,7 +84,7 @@ def parse_config(path: str) -> tuple[NetworkConfig, EsparConfig]:
 
     from .espar import EsparConfig
 
-    # Section -> the dataclass whose fields are the section's keys and types.
+    # Section -> the dataclass whose fields are the section's keys.
     sections = {"network": NetworkConfig, "espar": EsparConfig}
     try:
         with open(path, encoding="utf-8") as fh:
@@ -140,7 +98,19 @@ def parse_config(path: str) -> tuple[NetworkConfig, EsparConfig]:
     for key in raw:
         if key not in sections:
             raise ConfigError(f"{key}: unknown top-level key")
-    kwargs = {key: _read_section(raw, key, cls) for key, cls in sections.items()}
+    kwargs = {}
+    for key, cls in sections.items():  # the values go as read: the dataclass checks them
+        kwargs[key] = section = raw.get(key, {})
+        if type(section) is not dict:
+            raise ConfigError(f"{key}: expected an object")
+        names = {f.name for f in fields(cls)}
+        for name in section:
+            if name not in names:
+                raise ConfigError(f"{key}.{name}: unknown key")
+    # JSON has no complex numbers: the feed and each admittance entry may be a pair.
+    for name, depth in (("feed_voltage", 0), ("admittance", 2)):
+        if name in kwargs["espar"]:
+            kwargs["espar"][name] = _complex(kwargs["espar"][name], f"espar.{name}", depth)
     # An explicit baseline without an explicit pattern count means one pattern.
     if kwargs["network"].get("mode") == "baseline":
         kwargs["network"].setdefault("m_patterns", 1)
@@ -242,17 +212,20 @@ def cmd_validate(args) -> int:
     if args.out:
         _check_out(args.out)
     t_start = time.perf_counter()
-    results = []
+    results, printed = [], []  # printed: the results whose line was written
 
     def report(res):
         results.append(res)
         mark = "PASS" if res.passed else "FAIL"
         print(f"[{mark}] {res.check_id}: {res.detail}", flush=True)
+        printed.append(res)
 
     raised = None
     try:
         validation.run_all(args.level, report=report)
     except Exception as exc:  # a fault, not a verdict: every check listed before it reported
+        if len(printed) < len(results):  # printing a line failed: no check did
+            raise
         raised = validation.CHECK_IDS[len(results)]
         traceback.print_exc()
         print(f"[ERROR] {raised}: {type(exc).__name__}: {exc}", flush=True)
@@ -337,7 +310,7 @@ def cmd_analytic(args) -> int:
         finite = np.isfinite(values)
         if not finite.all():
             raise ValueError(f"not finite at {column} = {grid[np.argmin(finite)]}")
-    except (ValueError, OverflowError) as exc:  # OverflowError: an N past the float range
+    except ValueError as exc:
         raise ConfigError(
             f"--law {args.law} --k {args.k:g} --rho {args.rho:g} --{flag} {text}: {exc}"
         ) from exc
@@ -414,6 +387,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:  # stdout closed (`| head -1`): drop the rest, exit as SIGPIPE would
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

@@ -70,6 +70,20 @@ def synthetic_admittance(radii, angles) -> np.ndarray:
     return adm
 
 
+def _numbers(value, name: str, kind, what: str) -> np.ndarray:
+    """``value`` as an array of floats (``kind`` numbers.Real) or complex
+    numbers (numbers.Complex), once each entry is a number of ``kind`` in the
+    float range and not a bool; else a ValueError naming ``name``."""
+    entries = np.array(value, dtype=object)
+    for v in entries.flat:
+        if isinstance(v, bool) or not isinstance(v, kind):
+            raise ValueError(f"{name} must be {what}, got {v!r}")
+    try:
+        return entries.astype(float if kind is numbers.Real else complex)
+    except OverflowError:  # an int past the float range
+        raise ValueError(f"{name} must be finite, got a number past the float range") from None
+
+
 def _element_layout(cfg: EsparConfig) -> tuple[np.ndarray, np.ndarray]:
     """Element radii (wavelengths) and angles (radians), the centered active
     element first."""
@@ -101,30 +115,27 @@ class EsparConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, kind):
                 raise ValueError(f"{name} must be a number, got {value!r}")
-            try:
-                complex(value)
-            except OverflowError:  # an int past the float range
-                raise ValueError(
-                    f"{name} must be finite, got a number past the float range") from None
+            _numbers(value, name, kind, "a number")  # in the float range
         if self.m_elements > 1 and not self.radius_wavelengths > 0.0:
             raise ValueError("radius_wavelengths must be > 0 for multi-element arrays")
         n_par = self.m_elements - 1
         if self.element_angles is None:
             angles = tuple(2.0 * math.pi * i / n_par for i in range(n_par)) if n_par else ()
         else:  # a tuple of floats, which edits to the caller's object do not reach
-            given = np.asarray(self.element_angles)
-            if given.ndim != 1 or given.dtype.kind not in "iuf":
+            given = _numbers(self.element_angles, "element_angles", numbers.Real, "real numbers")
+            if given.ndim != 1:
                 raise ValueError(f"element_angles must be real numbers, got {self.element_angles!r}")
             if given.size != n_par:
                 raise ValueError(f"need {n_par} parasitic angles, got {given.size}")
-            angles = tuple(given.astype(float).tolist())
+            angles = tuple(given.tolist())
         object.__setattr__(self, "element_angles", angles)
         if not np.all(np.isfinite([self.feed_voltage, self.radius_wavelengths,
                                    *self.element_angles])):
             raise ValueError("feed_voltage, radius_wavelengths and element_angles must be finite")
         if self.admittance is None:
             object.__setattr__(self, "admittance", synthetic_admittance(*_element_layout(self)))
-        y = np.array(self.admittance, dtype=complex)  # a copy, made read-only below
+        # A copy, made read-only below.
+        y = _numbers(self.admittance, "admittance", numbers.Complex, "a matrix of numbers")
         if y.shape != (self.m_elements, self.m_elements):
             raise ValueError(
                 f"admittance must be {self.m_elements}x{self.m_elements}, got {y.shape}"

@@ -85,7 +85,7 @@ _TABLE_MIN_ELEMENTS = 48
 # max_power_cap may also be None, for no cap.
 _REAL_FIELDS = (("k_factor", ">= 0"), ("mean_secondary_power", "> 0"),
                 ("mean_interference_power", "> 0"), ("peak_interference", "> 0"),
-                ("primary_power", ">= 0"), ("mean_ps_power", ">= 0"), ("max_power_cap", "> 0"))
+                ("primary_power", ">= 0"), ("max_power_cap", "> 0"))
 
 
 @dataclass(frozen=True)
@@ -97,8 +97,7 @@ class NetworkConfig:
     k_factor: float = 0.0
     mean_secondary_power: float = 1.0       # secondary-link average power
     mean_interference_power: float = 1.0    # interference-link average power
-    primary_power: float = 0.0              # primary transmit energy (0 disables)
-    mean_ps_power: float = 1.0              # primary-to-secondary link power
+    primary_power: float = 0.0              # P_p E[gamma_ps], mean primary interference
     peak_interference: float = 1.0          # Q_p cap at the primary receiver
     trials: int = 100_000
     seed: int = 42
@@ -206,12 +205,11 @@ def _chunk_rng(config: NetworkConfig, chunk_index: int) -> np.random.Generator:
 
 
 def _inv_denom(config: NetworkConfig, size: int, rng) -> np.ndarray | None:
-    """1 / (1 + P gamma_ps) of ``size`` slots: one exponential per slot when
-    primary power is on; None, and no draw, when it is off (every
-    denominator is 1)."""
-    if config.primary_power > 0.0 and config.mean_ps_power > 0.0:
-        gamma_ps = config.mean_ps_power * rng.standard_exponential(size)
-        return 1.0 / (1.0 + config.primary_power * gamma_ps)
+    """1 / (1 + P_p gamma_ps) of ``size`` slots, P_p gamma_ps being
+    ``primary_power`` times an Exp(1): one exponential per slot when primary
+    power is on; None, and no draw, when it is off (every denominator is 1)."""
+    if config.primary_power > 0.0:
+        return 1.0 / (1.0 + config.primary_power * rng.standard_exponential(size))
     return None
 
 

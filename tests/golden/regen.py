@@ -1,7 +1,8 @@
 """Golden outputs: the bytes that ``cogmac`` prints for a fixed set of runs.
 
 ``python tests/golden/regen.py`` rewrites every golden file in this folder
-and ``manifest.json``, the numpy, Python and platform that wrote them.
+and ``manifest.json``, the numpy, Python, platform and numpy SIMD dispatch
+that wrote them.
 ``tests/test_golden.py`` reruns each case and compares bytes.  A change
 that moves a golden byte regenerates the files in the same commit, so that
 the diff shows the moved rows.
@@ -65,10 +66,25 @@ ANALYTIC_K = (0.0, 0.5, 2.0, 10.0, 100.0, 1000.0)
 ANALYTIC_RHO = (1.0, 3.7)
 
 
+def simd_dispatch() -> list:
+    """numpy's SIMD dispatch targets that this process runs: the entries of
+    ``__cpu_dispatch__`` that ``__cpu_features__`` marks on, the facts that
+    ``np.show_runtime()`` prints.  On one numpy, turning targets off (say
+    with ``NPY_DISABLE_CPU_FEATURES``) moves the last bits of ``np.exp``
+    and ``np.log``."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    on = getattr(umath, "__cpu_features__", {})
+    return [target for target in getattr(umath, "__cpu_dispatch__", ()) if on.get(target)]
+
+
 def environment() -> dict:
     """What can move the last bits of a golden file."""
     return {"numpy": np.__version__, "python": platform.python_version(),
-            "platform": f"{platform.system()}-{platform.machine()}"}
+            "platform": f"{platform.system()}-{platform.machine()}",
+            "simd_dispatch": simd_dispatch()}
 
 
 def _cli(argv) -> tuple:

@@ -4,6 +4,7 @@ quadrature, finite differences, Monte Carlo) against the implementation."""
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -809,6 +810,25 @@ class TestRabLaw:
         with pytest.raises(ValueError, match=f"^{name} must be finite, got a number past the "
                                              "float range$"):
             RatioDistParams(*args)
+
+    @pytest.mark.parametrize("law,name,call", [
+        ("theorem1_law", "n_users", lambda big: analytic.theorem1_law([8, big], 2.0)),
+        ("effective_users_moderate_k", "n_users",
+         lambda big: analytic.effective_users_moderate_k(big, 2.0)),
+        ("normalizer_a_n", "n_users",
+         lambda big: analytic.normalizer_a_n(big, RatioDistParams(1.0, 1.0))),
+        ("ratio_cdf", "z", lambda big: analytic.ratio_cdf(big, RatioDistParams(1.0, 1.0))),
+        ("rab_m2_cdf", "z", lambda big: analytic.rab_m2_cdf([1.0, big],
+                                                            RatioDistParams(1.0, 1.0, 2))),
+        ("RatioDistParams.isf", "q", lambda big: RatioDistParams(1.0, 1.0).isf(big)),
+        ("wright_omega", "y", lambda big: analytic.wright_omega(-big)),
+        ("bessel_i0e", "x", lambda big: analytic.bessel_i0e(big)),
+    ])
+    def test_grid_ints_past_the_float_range_are_refused(self, law, name, call):
+        # A bare OverflowError from np.asarray becomes a ValueError naming the argument.
+        with pytest.raises(ValueError, match=f"^{re.escape(law)} requires {name} in the float "
+                                             "range, got a number past it$"):
+            call(10**400)
 
     def test_import_builds_nothing(self):
         # Laws (tables and Newton starts) are built on first use; scipy stays

@@ -1,14 +1,19 @@
 """CLI tests: config parsing, presets, CSV determinism, subcommand wiring."""
 
 import csv
+import errno
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import threading
 import time
 from dataclasses import asdict, replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -65,7 +70,6 @@ def network_configs(draw):
         mean_secondary_power=gamma_s,
         mean_interference_power=gamma_sp,
         primary_power=draw(nonnegative),
-        mean_ps_power=draw(nonnegative),
         peak_interference=peak,
         trials=draw(st.integers(100, 10**9)),
         seed=draw(st.integers(0, 2**64 - 1)),
@@ -97,7 +101,7 @@ class TestParseConfig:
 
     def test_type_check(self, tmp_path):
         path = write_cfg(tmp_path, {"network": {"trials": 10.5}})
-        with pytest.raises(ConfigError, match="network.trials"):
+        with pytest.raises(ConfigError, match="^network: trials must be an integer, got 10.5$"):
             parse_config(path)
 
     def test_missing_file(self, tmp_path):
@@ -147,7 +151,7 @@ class TestParseConfig:
 
     def test_espar_bad_matrix(self, tmp_path):
         payload = {"espar": {"admittance": [[[0.02, 0.0], "x"]]}}
-        with pytest.raises(ConfigError, match="espar.admittance"):
+        with pytest.raises(ConfigError, match="^espar: admittance must be a matrix of numbers"):
             parse_config(write_cfg(tmp_path, payload))
 
     def test_unknown_top_level(self, tmp_path):
@@ -582,6 +586,37 @@ class TestRunAll:
             validation.run_all("fast", report=report)
         assert reported == ["a"]
 
+    def test_an_error_writing_a_report_line_is_no_checks(self, monkeypatch, capsys):
+        # The output failed, not check "b": no [ERROR] line and no traceback
+        # of it, and the error itself ends the run.
+        checks = {c: (c, self.recording([], c)) for c in ("a", "b")}
+        self.use_checks(monkeypatch, checks, cores=1)
+
+        class FullDisk(io.StringIO):
+            def write(self, text):
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(sys, "stdout", FullDisk())
+        with pytest.raises(OSError, match="No space left on device"):
+            main(["validate", "--level", "fast"])
+        assert capsys.readouterr().err == ""
+
+
+def test_a_closed_stdout_ends_validate_quietly():
+    # `cogmac validate | head -1`: the first report line meets a closed pipe.
+    # The run ends with no traceback and with 141, a shell's status for a
+    # process that SIGPIPE ended, neither a pass (0) nor a raising check (3).
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.Popen([sys.executable, "-m", "cogmac.cli", "validate", "--level", "fast"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=300) == 141, err
+    assert err == ""
+
 
 class TestLogNSlope:
     """validation's growth statistic: the slope against log N over the
@@ -740,7 +775,8 @@ class TestInputBoundary:
         "argv,payload,where",
         [
             (["simulate"], {"preset": {"name": "fig5"}}, "preset: unknown top-level key"),
-            (["simulate"], {"network": {"max_power_cap": True}}, "network.max_power_cap"),
+            (["simulate"], {"network": {"max_power_cap": True}},
+             "network: max_power_cap must be a real number, got True"),
             (["simulate"], {"network": {"mean_interference_power": 1e-200,
                                         "mean_secondary_power": 1e200}}, "network:"),
             (["simulate"], {"network": {"mean_interference_power": 1e200,
@@ -753,10 +789,16 @@ class TestInputBoundary:
             (["espar", "--reactances", "10"],
              {"espar": {"m_elements": 2, "admittance": [[0.02, math.nan], [math.nan, 0.02]]}},
              "espar: admittance must be finite"),
-            (["espar"], {"espar": {"radius_wavelengths": "abc"}}, "espar.radius_wavelengths"),
-            (["espar"], {"espar": {"radius_wavelengths": None}}, "espar.radius_wavelengths"),
-            (["espar"], {"espar": {"element_angles": ["a"]}}, "espar.element_angles[0]"),
-            (["espar"], {"espar": {"m_elements": True}}, "espar.m_elements"),
+            (["espar"], {"espar": {"radius_wavelengths": "abc"}},
+             "espar: radius_wavelengths must be a number, got 'abc'"),
+            (["espar"], {"espar": {"radius_wavelengths": None}},
+             "espar: radius_wavelengths must be a number, got None"),
+            (["espar"], {"espar": {"element_angles": ["a"]}},
+             "espar: element_angles must be real numbers, got 'a'"),
+            (["espar"], {"espar": {"m_elements": True}},
+             "espar: m_elements must be an integer, got True"),
+            (["espar"], {"espar": {"m_elements": 2, "admittance": [[0.02, True], [True, 0.02]]}},
+             "espar: admittance must be a matrix of numbers, got True"),
             (["espar"], {"espar": {"element_angles": [math.nan, 1.0, 2.0]}}, "espar:"),
             (["espar"], {"espar": {"feed_voltage": [1.0, math.inf]}}, "espar:"),
             (["espar", "--reactances", "a,b,c"], None, "--reactances"),
@@ -826,22 +868,27 @@ class TestInputBoundary:
             (["simulate"], "{not json", "cfg.json: not a readable JSON file"),
             (["simulate"], [], "config root: expected an object"),
             (["simulate"], {"network": {"log_base": "nats"}}, "network.log_base: unknown key"),
+            (["simulate"], {"network": {"mean_ps_power": 1.0}},
+             "network.mean_ps_power: unknown key"),
             # Integers past the float range: under each real-valued config
-            # reader, and as a user count.
+            # field, in an [re, im] pair, and as a user count.
             (["simulate"], {"network": {"k_factor": 10**400}},
-             "network.k_factor: number past the float range"),
+             "network: k_factor must be finite, got a number past the float range"),
             (["simulate"], {"network": {"max_power_cap": -(10**400)}},
-             "network.max_power_cap: number past the float range"),
+             "network: max_power_cap must be finite, got a number past the float range"),
             (["espar"], {"espar": {"radius_wavelengths": 10**400}},
-             "espar.radius_wavelengths: number past the float range"),
+             "espar: radius_wavelengths must be finite, got a number past the float range"),
             (["espar"], {"espar": {"feed_voltage": 10**400}},
-             "espar.feed_voltage: number past the float range"),
+             "espar: feed_voltage must be finite, got a number past the float range"),
             (["espar"], {"espar": {"feed_voltage": [1.0, 10**400]}},
              "espar.feed_voltage: number past the float range"),
             (["espar"], {"espar": {"element_angles": [0.0, 10**400, 1.0]}},
-             "espar.element_angles[1]: number past the float range"),
+             "espar: element_angles must be finite, got a number past the float range"),
             (["espar"], {"espar": {"m_elements": 2, "admittance": [[0.02, 10**400], [0, 0.02]]}},
-             "espar.admittance[0][1]: number past the float range"),
+             "espar: admittance must be finite, got a number past the float range"),
+            (["espar"], {"espar": {"m_elements": 2,
+                                   "admittance": [[0.02, 0], [0, [0.02, -(10**400)]]]}},
+             "espar.admittance[1][1]: number past the float range"),
             (["analytic", "--law", "effective-users", "--n", "8,1" + "0" * 400], None,
              "--n 8,1" + "0" * 400 + ": "),
         ],

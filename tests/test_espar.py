@@ -309,6 +309,20 @@ class TestConfigValidation:
         (dict(radius_wavelengths=10**400), "radius_wavelengths must be finite, got a number past"),
         (dict(feed_voltage=10**400), "feed_voltage must be finite, got a number past"),
         (dict(feed_voltage=-(10**400)), "feed_voltage must be finite, got a number past"),
+        (dict(m_elements=3, element_angles=[True, 1.0]), "element_angles must be real numbers"),
+        (dict(m_elements=3, element_angles=[0.0, 10**400]),
+         "element_angles must be finite, got a number past"),
+        # Each entry of the admittance is a number in the float range, not a bool.
+        (dict(m_elements=2, admittance=[[0.02, 10**400], [0, 0.02]]),
+         "admittance must be finite, got a number past"),
+        (dict(m_elements=2, admittance=[[0.02, "x"], ["x", 0.02]]),
+         "admittance must be a matrix of numbers, got 'x'"),
+        (dict(m_elements=2, admittance=[[0.02, True], [True, 0.02]]),
+         "admittance must be a matrix of numbers, got True"),
+        (dict(m_elements=2, admittance=[[0.02, None], [None, 0.02]]),
+         "admittance must be a matrix of numbers, got None"),
+        (dict(m_elements=2, admittance=[[0.02], [0.0, 0.02]]),
+         "admittance must be a matrix of numbers, got \\[0.02\\]"),
     ])
     def test_bad_config_rejected(self, kw, message):
         with pytest.raises(ValueError, match=message):

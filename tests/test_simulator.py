@@ -114,7 +114,6 @@ class TestConfigValidation:
          "mean_interference_power must be finite and > 0, got inf"),
         ("peak_interference", -2.5, "peak_interference must be finite and > 0, got -2.5"),
         ("primary_power", math.nan, "primary_power must be finite and >= 0, got nan"),
-        ("mean_ps_power", -1e-300, "mean_ps_power must be finite and >= 0, got -1e-300"),
         ("max_power_cap", 0, "max_power_cap must be finite and > 0 when set, got 0"),
     ])
     def test_real_field_bounds(self, name, value, message):
@@ -123,8 +122,7 @@ class TestConfigValidation:
 
     def test_real_fields_become_floats(self):
         ints = dict(k_factor=2, mean_secondary_power=np.int64(3), mean_interference_power=1,
-                    peak_interference=np.float32(0.5), primary_power=0, mean_ps_power=2,
-                    max_power_cap=4)
+                    peak_interference=np.float32(0.5), primary_power=0, max_power_cap=4)
         cfg = small_cfg(trials=300, **ints)
         assert all(type(getattr(cfg, name)) is float for name, _ in simulator._REAL_FIELDS)
         floats = small_cfg(trials=300, **{k: float(v) for k, v in ints.items()})
@@ -225,10 +223,10 @@ class TestSlotSinr:
     def test_common_denominator(self):
         # Primary interference 1 + P gamma_ps is common to all users of a
         # slot; gamma_ps is drawn after the gains from the same stream.
-        cfg = small_cfg(n_users=4, primary_power=2.0, mean_ps_power=0.5)
+        cfg = small_cfg(n_users=4, primary_power=1.5)
         rng = simulator._chunk_rng(cfg, 0)
         g_s, g_sp = draw_gains(cfg, rng, 500)
-        inv_denom = 1.0 / (1.0 + 2.0 * 0.5 * rng.standard_exponential(500))
+        inv_denom = 1.0 / (1.0 + 1.5 * rng.standard_exponential(500))
         best = (g_s / g_sp).max(axis=1)
         cap, _, num, inv = chunk_sums(cfg)
         assert inv == pytest.approx(np.sum(inv_denom), rel=1e-12)
@@ -254,7 +252,7 @@ class TestChunkStreams:
 class TestBlocks:
     """A chunk is drawn and reduced in blocks of whole slots, in block order."""
 
-    @pytest.mark.parametrize("primary", [{}, dict(primary_power=2.0, mean_ps_power=0.5)])
+    @pytest.mark.parametrize("primary", [{}, dict(primary_power=1.0)])
     def test_chunk_replays_block_by_block(self, primary):
         cfg = NetworkConfig(n_users=300, m_patterns=2, mode="rab", k_factor=3.0,
                             trials=1000, seed=7, **primary)
@@ -266,7 +264,7 @@ class TestBlocks:
             b = min(rows, size - start)
             g_s, g_sp = draw_gains(cfg, rng, b)
             if primary:
-                inv_denom = 1.0 / (1.0 + 2.0 * 0.5 * rng.standard_exponential(b))
+                inv_denom = 1.0 / (1.0 + rng.standard_exponential(b))
             else:
                 inv_denom = np.ones(b)
             best = (g_s / g_sp).max(axis=1)
@@ -382,7 +380,7 @@ class TestErgodicCapacity:
 
         oracle, _ = integrate.quad(lambda g: h(g) * math.exp(-g), 0.0, np.inf, limit=200)
         cfg = NetworkConfig(n_users=1, m_patterns=1, mode="baseline", trials=10**5, seed=21,
-                            primary_power=2.0, mean_ps_power=1.0)
+                            primary_power=2.0)
         est = run_experiment(cfg)
         assert est.mean_nats < 0.9
         assert abs(est.mean_nats - oracle) < 3.0 * est.stderr_nats
@@ -459,7 +457,7 @@ class TestGrowthGrid:
     @pytest.mark.parametrize("kw", [
         dict(n_users=64, k_factor=10.0, trials=3000),
         dict(n_users=40, m_patterns=2, mode="rab", k_factor=10.0, trials=2000,
-             primary_power=2.0, mean_ps_power=0.5),
+             primary_power=1.0),
         dict(n_users=24, m_patterns=3, mode="rab", k_factor=2.0, trials=700,
              max_power_cap=1.5),
         dict(n_users=8, m_patterns=2, mode="rab", k_factor=0.0, trials=500),
@@ -493,9 +491,9 @@ class TestGrowthGrid:
 
     @pytest.mark.parametrize("m,k,primary", [
         (1, 0.0, {}),
-        (1, 10.0, dict(primary_power=2.0, mean_ps_power=0.5)),
+        (1, 10.0, dict(primary_power=1.0)),
         (2, 10.0, {}),
-        (3, 10.0, dict(primary_power=2.0, mean_ps_power=0.5)),
+        (3, 10.0, dict(primary_power=1.0)),
     ], ids=["rayleigh", "m1-primary", "m2", "m3-primary"])
     def test_sampler_slots_grow_with_n(self, m, k, primary):
         # Common random numbers: at every N the sampler reads one uniform per
@@ -637,7 +635,7 @@ QUANTILE_N = (1, 8, 512)
 QUANTILE_K = (0.0, 2.0, 10.0, 100.0)
 # RAB M >= 2 at K > 0; at K = 0 the law is the Rayleigh one tested above.
 QUANTILE_RAB_K = (2.0, 10.0, 100.0)
-PRIMARY = ({}, dict(primary_power=2.0, mean_ps_power=0.5))
+PRIMARY = ({}, dict(primary_power=1.0))
 # RAB M >= 3 through the table: (M, N, K), each (M, N) at every
 # QUANTILE_RAB_K, and two at the top of the certified range, K = 1000.
 QUANTILE_TABLE_MNK = ([(m, n, k) for m in (3, 4) for n in QUANTILE_N for k in QUANTILE_RAB_K]
