@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -111,7 +112,9 @@ class RatioDistParams:
     exp(-c) is the law of :func:`ratio_cdf`, g_2(c) = exp(-2c) I0(2c) that
     of :func:`rab_m2_cdf`, and K = 0 is the Rayleigh law at every M, as
     g_M(0) = 1.  Those named forms read K and rho only; :meth:`sf` and
-    :meth:`isf` read M too.
+    :meth:`isf` read M too.  K is a finite real >= 0 and rho one > 0, both
+    stored as floats, and M an integer >= 1, else ``ValueError`` names the
+    field.
     """
 
     k_factor: float      # K of the interference channel
@@ -119,13 +122,10 @@ class RatioDistParams:
     m_patterns: int = 1  # M, the RAB basis patterns
 
     def __post_init__(self) -> None:
-        _k_factor(self.k_factor, "RatioDistParams")
-        if not math.isfinite(_real(self.power_ratio, "power_ratio")) or self.power_ratio <= 0.0:
-            raise ValueError(f"power_ratio must be finite and > 0, got {self.power_ratio}")
-        m = self.m_patterns
-        if isinstance(m, (bool, np.bool_)) or not isinstance(m, (int, np.integer)) or m < 1:
-            raise ValueError(f"m_patterns must be an integer >= 1, got {m!r}")
-        object.__setattr__(self, "m_patterns", int(m))
+        object.__setattr__(self, "k_factor", _real(self.k_factor, "k_factor"))
+        object.__setattr__(self, "power_ratio",
+                           _real(self.power_ratio, "power_ratio", positive=True))
+        object.__setattr__(self, "m_patterns", _integer(self.m_patterns, "m_patterns", 1))
 
     def sf(self, z):
         """The upper tail S(z) = v g_M(c), to full relative precision.
@@ -316,24 +316,44 @@ def _user_counts(n_users, least: int, law: str) -> np.ndarray:
     return _grid(n_users, law, "n_users", f"n_users >= {least}", lambda a: a >= least)
 
 
-def _real(value, name: str) -> float:
-    """``value`` as a float, once it is a real number in float range and not a bool."""
+def _integer(value, name: str, least: int) -> int:
+    """``value`` as an int, once it is an integer >= ``least`` and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
+def _real(value, name: str, positive: bool = False) -> float:
+    """``value`` as a float, once it is a real number, not a bool, finite and
+    >= 0, or > 0 if ``positive``."""
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise ValueError(f"{name} must be a real number, got {value!r}")
     try:
-        return float(value)
+        x = float(value)
     except OverflowError:  # an int past the float range
         raise ValueError(f"{name} must be finite, got a number past the float range") from None
+    if not math.isfinite(x) or x < 0.0 or (positive and x == 0.0):
+        raise ValueError(f"{name} must be finite and {'>' if positive else '>='} 0, got {value}")
+    return x
 
 
-def _k_factor(k_factor: float, law: str, positive: bool = False) -> float:
-    """K as a float, once it is finite and >= 0, or > 0 for a law singular at K = 0."""
-    k = _real(k_factor, "k_factor")
-    if not math.isfinite(k) or k < 0.0 or (positive and k == 0.0):
-        raise ValueError(
-            f"{law} requires finite k_factor {'>' if positive else '>='} 0, got {k_factor}"
-        )
-    return k
+def _numbers(value, name: str, shape: tuple, what: str, kind=numbers.Real) -> np.ndarray:
+    """``value`` as an array of ``shape`` of floats (``kind`` numbers.Real) or
+    complex numbers (numbers.Complex), once each entry is a finite number of
+    ``kind`` and not a bool; else a ValueError naming ``name``."""
+    entries = np.array(value, dtype=object)
+    for v in entries.flat:
+        if isinstance(v, bool) or not isinstance(v, kind):
+            raise ValueError(f"{name} must be {what}, got {v!r}")
+    try:
+        arr = entries.astype(float if kind is numbers.Real else complex)
+    except OverflowError:  # an int past the float range
+        raise ValueError(f"{name} must be finite, got a number past the float range") from None
+    if arr.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} must be finite, got {arr.tolist()}")
+    return arr
 
 
 def _patterns(params: RatioDistParams, m: int, law: str) -> None:
@@ -398,7 +418,7 @@ def theorem1_law(n_users, k_factor: float):
     log(log N)-type growth for large K.  K = 0 returns log(N) exactly.
     """
     n = _user_counts(n_users, 2, "theorem1_law")
-    k = _k_factor(k_factor, "theorem1_law")
+    k = _real(k_factor, "k_factor")
     if k == 0.0:
         return _scalar_or_array(np.log(n))
     w = wright_omega(math.log(k) + k - np.log(n))
@@ -409,7 +429,7 @@ def theorem1_law(n_users, k_factor: float):
 def effective_users_moderate_k(n_users, k_factor: float):
     """Equivalent Rayleigh-interference user count N (K+1) exp(-K)."""
     n = _user_counts(n_users, 1, "effective_users_moderate_k")
-    k = _k_factor(k_factor, "effective_users_moderate_k")
+    k = _real(k_factor, "k_factor")
     # (K+1) e^-K first: N (K+1) overflows at huge K (N = 8 from K = 2.2e307),
     # and inf * 0 is nan.
     return _scalar_or_array(n * ((k + 1.0) * math.exp(-k)))
@@ -421,7 +441,7 @@ def effective_users_rab_m2(n_users, k_factor: float):
     Grows with K; undefined at K = 0 where the formula is singular.
     """
     n = _user_counts(n_users, 1, "effective_users_rab_m2")
-    k = _k_factor(k_factor, "effective_users_rab_m2", positive=True)
+    k = _real(k_factor, "k_factor", positive=True)
     # (K+1)/sqrt(K) first: K+1 times N, or 2 pi K, overflows at K = 1e308.
     return _scalar_or_array(n * ((k + 1.0) / math.sqrt(k)) / math.sqrt(2.0 * math.pi))
 
@@ -599,7 +619,7 @@ def rab_m2_tail_cdf(z, params: RatioDistParams):
     The law of two patterns: ``params.m_patterns`` must be 2.
     """
     _patterns(params, 2, "rab_m2_tail_cdf")
-    k = _k_factor(params.k_factor, "rab_m2_tail_cdf", positive=True)
+    k = _real(params.k_factor, "k_factor", positive=True)
     z_arr = _ratios(z, "rab_m2_tail_cdf")
     return _scalar_or_array(1.0 - _rab_m2_prefactor(z_arr, params) / math.sqrt(2.0 * math.pi * k))
 

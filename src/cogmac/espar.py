@@ -24,6 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analytic import _integer, _numbers
+
 __all__ = [
     "DegenerateLoadError",
     "RankDeficientGeometryError",
@@ -70,20 +72,6 @@ def synthetic_admittance(radii, angles) -> np.ndarray:
     return adm
 
 
-def _numbers(value, name: str, kind, what: str) -> np.ndarray:
-    """``value`` as an array of floats (``kind`` numbers.Real) or complex
-    numbers (numbers.Complex), once each entry is a number of ``kind`` in the
-    float range and not a bool; else a ValueError naming ``name``."""
-    entries = np.array(value, dtype=object)
-    for v in entries.flat:
-        if isinstance(v, bool) or not isinstance(v, kind):
-            raise ValueError(f"{name} must be {what}, got {v!r}")
-    try:
-        return entries.astype(float if kind is numbers.Real else complex)
-    except OverflowError:  # an int past the float range
-        raise ValueError(f"{name} must be finite, got a number past the float range") from None
-
-
 def _element_layout(cfg: EsparConfig) -> tuple[np.ndarray, np.ndarray]:
     """Element radii (wavelengths) and angles (radians), the centered active
     element first."""
@@ -95,9 +83,12 @@ def _element_layout(cfg: EsparConfig) -> tuple[np.ndarray, np.ndarray]:
 @dataclass(frozen=True, eq=False)
 class EsparConfig:
     """Antenna description: element count, coupling matrix, feed, geometry.
-    The admittance is a read-only copy of the one given and the angles a
-    tuple of floats, so their checks hold for the config's lifetime;
-    equality and hash are by identity."""
+    ``m_elements`` is an integer >= 1, and the feed, radius, M - 1 angles and
+    M x M admittance finite numbers of those shapes, else ``ValueError``
+    names the field.  The feed is stored as a complex, the radius as a float,
+    the angles as a tuple of floats and the admittance as a read-only copy of
+    the one given, so their checks hold for the config's lifetime; equality
+    and hash are by identity."""
 
     m_elements: int = 4
     admittance: np.ndarray = None            # M x M complex, symmetric
@@ -106,42 +97,24 @@ class EsparConfig:
     element_angles: tuple = None             # M-1 parasitic angles, radians
 
     def __post_init__(self) -> None:
-        if isinstance(self.m_elements, bool) or not isinstance(self.m_elements, (int, np.integer)):
-            raise ValueError(f"m_elements must be an integer, got {self.m_elements!r}")
-        object.__setattr__(self, "m_elements", int(self.m_elements))
-        if self.m_elements < 1:
-            raise ValueError(f"m_elements must be >= 1, got {self.m_elements}")
+        m = _integer(self.m_elements, "m_elements", 1)
+        object.__setattr__(self, "m_elements", m)
         for name, kind in (("feed_voltage", numbers.Complex), ("radius_wavelengths", numbers.Real)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, kind):
-                raise ValueError(f"{name} must be a number, got {value!r}")
-            _numbers(value, name, kind, "a number")  # in the float range
-        if self.m_elements > 1 and not self.radius_wavelengths > 0.0:
+            value = _numbers(getattr(self, name), name, (), "a number", kind).item()
+            object.__setattr__(self, name, value)
+        if m > 1 and not self.radius_wavelengths > 0.0:
             raise ValueError("radius_wavelengths must be > 0 for multi-element arrays")
-        n_par = self.m_elements - 1
         if self.element_angles is None:
-            angles = tuple(2.0 * math.pi * i / n_par for i in range(n_par)) if n_par else ()
+            angles = tuple(2.0 * math.pi * i / (m - 1) for i in range(m - 1))
         else:  # a tuple of floats, which edits to the caller's object do not reach
-            given = _numbers(self.element_angles, "element_angles", numbers.Real, "real numbers")
-            if given.ndim != 1:
-                raise ValueError(f"element_angles must be real numbers, got {self.element_angles!r}")
-            if given.size != n_par:
-                raise ValueError(f"need {n_par} parasitic angles, got {given.size}")
-            angles = tuple(given.tolist())
+            angles = tuple(_numbers(self.element_angles, "element_angles", (m - 1,),
+                                    "real numbers").tolist())
         object.__setattr__(self, "element_angles", angles)
-        if not np.all(np.isfinite([self.feed_voltage, self.radius_wavelengths,
-                                   *self.element_angles])):
-            raise ValueError("feed_voltage, radius_wavelengths and element_angles must be finite")
         if self.admittance is None:
             object.__setattr__(self, "admittance", synthetic_admittance(*_element_layout(self)))
         # A copy, made read-only below.
-        y = _numbers(self.admittance, "admittance", numbers.Complex, "a matrix of numbers")
-        if y.shape != (self.m_elements, self.m_elements):
-            raise ValueError(
-                f"admittance must be {self.m_elements}x{self.m_elements}, got {y.shape}"
-            )
-        if not np.isfinite(y).all():
-            raise ValueError("admittance must be finite")
+        y = _numbers(self.admittance, "admittance", (m, m), "a matrix of numbers",
+                     numbers.Complex)
         if not np.allclose(y, y.T, rtol=1e-10, atol=1e-14):
             raise ValueError("admittance must be symmetric (reciprocity)")
         cond = np.linalg.cond(y)  # inf for a singular matrix
@@ -178,11 +151,7 @@ def element_currents(cfg: EsparConfig, reactances) -> np.ndarray:
     :class:`DegenerateLoadError` when the load network's condition estimate
     exceeds 1e12.
     """
-    x = np.asarray(reactances, dtype=float)
-    if x.shape != (cfg.m_elements - 1,):
-        raise ValueError(f"expected {cfg.m_elements - 1} reactances, got shape {x.shape}")
-    if not np.isfinite(x).all():
-        raise ValueError(f"reactances must be finite, got {x.tolist()}")
+    x = _numbers(reactances, "reactances", (cfg.m_elements - 1,), "real numbers")
     loads = np.concatenate(([complex(_ACTIVE_LOAD_OHMS)], 1j * x))
     system = np.linalg.inv(cfg.admittance) + np.diag(loads)
     cond = np.linalg.cond(system)
@@ -213,10 +182,9 @@ def build_basis(cfg: EsparConfig, grid_size: int) -> BasisSet:
     Gram-Schmidt basis.  |R_ll| is component l's residual norm; below 1e-10
     of its own norm, l depends linearly on the earlier components.  The
     trapezoidal rule on a uniform periodic grid is spectrally accurate for
-    these trigonometric integrands, so grid_size >= 4 M suffices.
+    these trigonometric integrands, so an integer grid_size >= 4 M suffices.
     """
-    if grid_size < 4 * cfg.m_elements:
-        raise ValueError(f"grid_size must be >= 4*M = {4 * cfg.m_elements}, got {grid_size}")
+    grid_size = _integer(grid_size, "grid_size", 4 * cfg.m_elements)
     theta = np.arange(grid_size) * (2.0 * math.pi / grid_size)
     weight = 2.0 * math.pi / grid_size
     scaled = math.sqrt(weight) * steering_vector(cfg, theta).T  # (grid, M)
@@ -233,18 +201,12 @@ def build_basis(cfg: EsparConfig, grid_size: int) -> BasisSet:
 
 def pattern_weights(currents, basis: BasisSet) -> np.ndarray:
     """Basis-pattern weights w_l = i^T q_l from element currents."""
-    i = np.asarray(currents, dtype=complex)
     m = basis.projections.shape[0]
-    if i.shape != (m,):
-        raise ValueError(f"expected {m} currents, got shape {i.shape}")
-    return i @ basis.projections
+    return _numbers(currents, "currents", (m,), "numbers", numbers.Complex) @ basis.projections
 
 
 def pattern_value(currents, cfg: EsparConfig, theta) -> complex:
     """Radiation pattern P(theta) = i^T a(theta) at an arbitrary angle."""
-    i = np.asarray(currents, dtype=complex)
-    a = steering_vector(cfg, theta)
-    if i.shape != (a.shape[0],):
-        raise ValueError(f"expected {a.shape[0]} currents, got shape {i.shape}")
-    out = np.tensordot(i, a, axes=(0, 0))
+    i = _numbers(currents, "currents", (cfg.m_elements,), "numbers", numbers.Complex)
+    out = np.tensordot(i, steering_vector(cfg, theta), axes=(0, 0))
     return complex(out) if out.ndim == 0 else out

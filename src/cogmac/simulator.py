@@ -54,7 +54,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analytic import _ISF_MAX_K, RatioDistParams, _real
+from .analytic import _ISF_MAX_K, RatioDistParams, _integer, _real
 from .channels import draw_gains
 
 __all__ = [
@@ -81,16 +81,19 @@ _BLOCK_ELEMENTS = 1 << 15
 # of the sampler costs about 25 to 33 brute-force elements at K = 10 and 45
 # to 56 at K = 100 (M = 3 and 4, N = 64, medians of 9 runs).
 _TABLE_MIN_ELEMENTS = 48
-# NetworkConfig's real-valued fields, in check order, with their bounds;
-# max_power_cap may also be None, for no cap.
-_REAL_FIELDS = (("k_factor", ">= 0"), ("mean_secondary_power", "> 0"),
-                ("mean_interference_power", "> 0"), ("peak_interference", "> 0"),
-                ("primary_power", ">= 0"), ("max_power_cap", "> 0"))
+# NetworkConfig's real-valued fields, in check order, each finite and > 0
+# (True) or >= 0 (False); max_power_cap may also be None, for no cap.
+_REAL_FIELDS = (("k_factor", False), ("mean_secondary_power", True),
+                ("mean_interference_power", True), ("peak_interference", True),
+                ("primary_power", False), ("max_power_cap", True))
 
 
 @dataclass(frozen=True)
 class NetworkConfig:
-    """Full experiment parameterization."""
+    """Full experiment parameterization.  The counts are integers (``trials``
+    >= 100, ``seed`` below 2^64) and the real-valued fields finite floats,
+    checked by the rules in :mod:`cogmac.analytic`; ``ValueError`` names the
+    field."""
 
     n_users: int = 100
     m_patterns: int = 2
@@ -105,37 +108,23 @@ class NetworkConfig:
     max_power_cap: float | None = None      # optional transmit power clip
 
     def __post_init__(self) -> None:
-        for name in ("n_users", "m_patterns", "trials", "seed"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {v!r}")
-            object.__setattr__(self, name, int(v))
+        for name, least in (("n_users", 1), ("m_patterns", 1), ("trials", 100), ("seed", 0)):
+            object.__setattr__(self, name, _integer(getattr(self, name), name, least))
+        if self.seed >= 2**64:
+            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.n_users < 1:
-            raise ValueError(f"n_users must be >= 1, got {self.n_users}")
-        if self.m_patterns < 1:
-            raise ValueError(f"m_patterns must be >= 1, got {self.m_patterns}")
         if self.mode == "baseline" and self.m_patterns != 1:
             raise ValueError("baseline mode forces m_patterns = 1")
-        for name, least in _REAL_FIELDS:
-            v = getattr(self, name)
-            if v is None and name == "max_power_cap":
-                continue
-            x = _real(v, name)
-            if not math.isfinite(x) or x < 0.0 or (x == 0.0 and least == "> 0"):
-                when = " when set" if name == "max_power_cap" else ""
-                raise ValueError(f"{name} must be finite and {least}{when}, got {v}")
-            object.__setattr__(self, name, x)
+        for name, positive in _REAL_FIELDS:
+            if getattr(self, name) is not None or name != "max_power_cap":
+                object.__setattr__(self, name, _real(getattr(self, name), name, positive))
         # The sampler needs N, rho = gamma_sp/gamma_s, its largest scheduled
         # ratio (K+1)(1/v - 1)/rho (v of about the least tail 2^-53/N) and, with
         # no power cap, Q_p times it in float range.  Above isf's K range
         # the point takes brute force, with no K+1.  N is compared as an integer.
-        rho = self.mean_interference_power / self.mean_secondary_power
-        if not math.isfinite(rho) or rho <= 0.0:
-            raise ValueError(
-                f"mean_interference_power / mean_secondary_power must be finite and > 0, got {rho}"
-            )
+        rho = _real(self.mean_interference_power / self.mean_secondary_power,
+                    "mean_interference_power / mean_secondary_power", positive=True)
         k = self.k_factor if self.k_factor <= _ISF_MAX_K else 0.0
         q_p = self.peak_interference if self.max_power_cap is None else 1.0
         largest = (k + 1.0) * 2.0**53 / rho * max(1.0, q_p)
@@ -148,10 +137,6 @@ class NetworkConfig:
                 f"= {self.peak_interference}, max_power_cap = {self.max_power_cap}, and rho = "
                 f"mean_interference_power / mean_secondary_power = {rho}"
             )
-        if self.trials < 100:
-            raise ValueError(f"need trials >= 100, got {self.trials}")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -291,8 +276,7 @@ def run_experiment(
     any ``threads``.  The estimate carries ``config`` and the call's wall
     seconds, chunk threads included.
     """
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
+    threads = _integer(threads, "threads", 1)
     start = time.perf_counter()
     chunk = _layout(config, method)[1]
     n_chunks = (config.trials + chunk - 1) // chunk

@@ -1,9 +1,9 @@
-"""Named cross-validation checks: Monte-Carlo runs against the closed-form
+"""Cross-validation checks: Monte-Carlo runs against the closed-form
 distributions, normalizing constants, and capacity scaling laws.
 
-Each check is registered under a stable identifier with its name, and
-:func:`run_check` builds its :class:`CheckResult`.  The ``full`` level
-runs every check at its stated sample count and tolerance; ``fast`` trims
+Each check is registered under a stable identifier, and :func:`run_check`
+builds its :class:`CheckResult`.  The ``full`` level runs every check at
+its stated sample count and tolerance; ``fast`` trims
 the Monte-Carlo trial counts (with correspondingly widened capacity
 tolerances) so the whole suite stays interactive.  Seeds are pinned so results are deterministic.
 
@@ -61,7 +61,6 @@ _SEED = 7_1990
 @dataclass
 class CheckResult:
     check_id: str
-    name: str
     passed: bool
     detail: str
     ks_rows: list = field(default_factory=list)  # (case, n, statistic, threshold, passed)
@@ -190,7 +189,7 @@ def check_frechet_normalization(level: str, ks) -> tuple[bool, str]:
     return True, "KS at 1%: " + "; ".join(details)
 
 
-# Rayleigh user count equivalent to N=500 baseline users at K=2; the name
+# Rayleigh user count equivalent to N=500 baseline users at K=2; the detail
 # of the check below shows it.
 _N_EFF_MODERATE = int(round(effective_users_moderate_k(500, 2.0)))
 
@@ -397,26 +396,20 @@ def check_determinism(level: str, ks) -> tuple[bool, str]:
                 f"{'identical' if ok else 'MISMATCH'}")
 
 
-# Check id -> (name, check function), in run order.
+# Check id -> check function, in run order.
 _CHECKS = {
-    "quantile_identity": ("quantile identity F(a_N) = 1 - 1/N", check_quantile_identity),
-    "ratio_distribution_fit": ("ratio CDF vs Monte Carlo", check_ratio_distribution_fit),
-    "frechet_normalization": ("max z / a_N vs exp(-1/x)", check_frechet_normalization),
-    "effective_users_moderate": (
-        f"baseline (K=2, N=500) = (K=0, N={_N_EFF_MODERATE})",
-        check_effective_users_moderate,
-    ),
-    "large_k_growth": ("baseline K=10 growth is loglog-like", check_large_k_growth),
-    "rab_effective_users": ("RAB(M=2) effective-user boost", check_rab_effective_users),
-    "rab_restores_log_growth": (
-        "RAB(M=2) K=10 restores logN growth (5x control margin)",
-        check_rab_restores_log_growth,
-    ),
-    "rab_distribution_facts": ("RAB induced distributions", check_rab_distribution_facts),
-    "rab_m2_closed_form": ("RAB M=2 equivalent-ratio CDF", check_rab_m2_closed_form),
-    "espar_identities": ("ESPAR basis identities (M=1..4)", check_espar_identities),
-    "special_functions": ("Lambert W / Bessel I0 accuracy", check_special_functions),
-    "determinism": ("byte-identical CSV across runs and thread counts", check_determinism),
+    "quantile_identity": check_quantile_identity,
+    "ratio_distribution_fit": check_ratio_distribution_fit,
+    "frechet_normalization": check_frechet_normalization,
+    "effective_users_moderate": check_effective_users_moderate,
+    "large_k_growth": check_large_k_growth,
+    "rab_effective_users": check_rab_effective_users,
+    "rab_restores_log_growth": check_rab_restores_log_growth,
+    "rab_distribution_facts": check_rab_distribution_facts,
+    "rab_m2_closed_form": check_rab_m2_closed_form,
+    "espar_identities": check_espar_identities,
+    "special_functions": check_special_functions,
+    "determinism": check_determinism,
 }
 
 CHECK_IDS = tuple(_CHECKS)
@@ -428,15 +421,14 @@ def run_check(check_id: str, level: str = "full") -> CheckResult:
         raise KeyError(f"unknown check {check_id!r}; known: {CHECK_IDS}")
     if level not in ("fast", "full"):
         raise ValueError(f"level must be 'fast' or 'full', got {level!r}")
-    name, check = _CHECKS[check_id]
     rows = []
 
     def ks(case: str, report: KsReport) -> str:
         rows.append((case, report.n, report.statistic, report.threshold_1pct, report.passed))
         return f"D={report.statistic:.4f}/{report.threshold_1pct:.4f}"
 
-    verdict, detail = check(level, ks)
-    return CheckResult(check_id, name, verdict and all(row[-1] for row in rows), detail, rows)
+    verdict, detail = _CHECKS[check_id](level, ks)
+    return CheckResult(check_id, verdict and all(row[-1] for row in rows), detail, rows)
 
 
 def run_all(level: str = "full", report=None) -> list[CheckResult]:

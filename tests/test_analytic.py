@@ -467,7 +467,7 @@ class TestArrayLaws:
             law(np.array([8, 0]), 2.0)
 
     def test_rab_law_rejects_k0_on_arrays(self):
-        with pytest.raises(ValueError, match="k_factor > 0"):
+        with pytest.raises(ValueError, match="^k_factor must be finite and > 0, got 0.0$"):
             effective_users_rab_m2(np.array([8, 16]), 0.0)
 
     P = RatioDistParams(2.0, 1.0)
@@ -802,6 +802,14 @@ class TestRabLaw:
             with pytest.raises(ValueError, match="k_factor must be a real number"):
                 theorem1_law(8, bad)
         assert RatioDistParams(np.int64(2), 1).isf(0.25) == RatioDistParams(2.0, 1.0).isf(0.25)
+
+    def test_k_and_rho_are_stored_as_floats(self):
+        # A float32 K once made the M = 1 quantile in float32 arithmetic,
+        # although the params compared equal to those of the same float K.
+        k = np.float32(2.3)
+        params = RatioDistParams(k, np.float32(1.5))
+        assert type(params.k_factor) is float and type(params.power_ratio) is float
+        assert params.isf(0.25) == RatioDistParams(float(k), 1.5).isf(0.25)
 
     @pytest.mark.parametrize("args,name", [((10**400, 1.0), "k_factor"),
                                            ((1.0, 10**400), "power_ratio")])

@@ -101,7 +101,8 @@ class TestParseConfig:
 
     def test_type_check(self, tmp_path):
         path = write_cfg(tmp_path, {"network": {"trials": 10.5}})
-        with pytest.raises(ConfigError, match="^network: trials must be an integer, got 10.5$"):
+        with pytest.raises(ConfigError,
+                           match="^network: trials must be an integer >= 100, got 10.5$"):
             parse_config(path)
 
     def test_missing_file(self, tmp_path):
@@ -447,8 +448,8 @@ class TestRunAll:
         cheap = ("quantile_identity", "ratio_distribution_fit", "frechet_normalization",
                  "rab_distribution_facts", "rab_m2_closed_form", "espar_identities",
                  "special_functions")
-        checks = {"slow": ("sleeps first", slow), **{c: validation._CHECKS[c] for c in cheap}}
-        checks = {c: (name, finishing(c, check)) for c, (name, check) in checks.items()}
+        checks = {"slow": slow, **{c: validation._CHECKS[c] for c in cheap}}
+        checks = {c: finishing(c, check) for c, check in checks.items()}
         self.use_checks(monkeypatch, checks, cores=len(checks))
         reported = []
         results = validation.run_all("fast", report=reported.append)
@@ -470,7 +471,7 @@ class TestRunAll:
             finished.append("later")
             return True, ""
 
-        self.use_checks(monkeypatch, {"boom": ("raises", boom), "later": ("queued", later)},
+        self.use_checks(monkeypatch, {"boom": boom, "later": later},
                         cores=1)
         reported = []
         with pytest.raises(RuntimeError, match="check blew up"):
@@ -501,7 +502,7 @@ class TestRunAll:
 
     def test_checks_start_and_report_in_check_order(self, monkeypatch):
         started = []
-        checks = {c: (c, self.recording(started, c)) for c in ("d", "b", "a", "c")}
+        checks = {c: self.recording(started, c) for c in ("d", "b", "a", "c")}
         self.use_checks(monkeypatch, checks, cores=1)
         reported = []
         validation.run_all("fast", report=reported.append)
@@ -512,10 +513,10 @@ class TestRunAll:
         # "late" raises while "b", listed before it, is held on the other
         # core; "a" has ended.  Both report before late's error propagates.
         started, raised = [], threading.Event()
-        checks = {"a": ("a", self.recording(started, "a")),
-                  "b": ("held", self.held_until(raised, started, "b")),
-                  "late": ("raises", self.raising_then(raised, started, "late")),
-                  "c": ("after", self.recording(started, "c"))}
+        checks = {"a": self.recording(started, "a"),
+                  "b": self.held_until(raised, started, "b"),
+                  "late": self.raising_then(raised, started, "late"),
+                  "c": self.recording(started, "c")}
         self.use_checks(monkeypatch, checks, cores=2)
         reported = []
         with pytest.raises(RuntimeError, match="late blew up"):
@@ -527,8 +528,8 @@ class TestRunAll:
         # "early", listed first, is held until "late" has raised on the other
         # core; early reports, then late's error propagates.
         started, raised = [], threading.Event()
-        checks = {"early": ("listed first", self.held_until(raised, started, "early")),
-                  "late": ("raises", self.raising_then(raised, started, "late"))}
+        checks = {"early": self.held_until(raised, started, "early"),
+                  "late": self.raising_then(raised, started, "late")}
         self.use_checks(monkeypatch, checks, cores=2)
         reported = []
         with pytest.raises(RuntimeError, match="late blew up"):
@@ -540,10 +541,10 @@ class TestRunAll:
         # A check that raises is a fault, not a red verdict: exit 3, not 1,
         # with the summary and KS rows of the checks that reported.
         started = []
-        checks = {"a": ("passes", self.recording(started, "a")),
-                  "b": ("fails", self.recording(started, "b", verdict=False)),
-                  "boom": ("raises", self.recording(started, "boom", verdict=None)),
-                  "c": ("after", self.recording(started, "c"))}
+        checks = {"a": self.recording(started, "a"),
+                  "b": self.recording(started, "b", verdict=False),
+                  "boom": self.recording(started, "boom", verdict=None),
+                  "c": self.recording(started, "c")}
         self.use_checks(monkeypatch, checks, cores=1)
         out = tmp_path / "ks.csv"
         assert main(["validate", "--level", "fast", "--out", str(out)]) == 3
@@ -558,7 +559,7 @@ class TestRunAll:
 
     def test_validate_exits_1_on_a_failed_check(self, monkeypatch, capsys):
         started = []
-        checks = {c: (c, self.recording(started, c, verdict=c != "b")) for c in ("a", "b")}
+        checks = {c: self.recording(started, c, verdict=c != "b") for c in ("a", "b")}
         self.use_checks(monkeypatch, checks, cores=1)
         assert main(["validate", "--level", "fast"]) == 1
         lines = capsys.readouterr().out.splitlines()
@@ -566,7 +567,7 @@ class TestRunAll:
 
     def test_validate_total_time_ignores_a_wall_clock_step(self, monkeypatch, capsys):
         step_wall_clock_back(monkeypatch)
-        checks = {c: (c, self.recording([], c)) for c in ("a", "b")}
+        checks = {c: self.recording([], c) for c in ("a", "b")}
         self.use_checks(monkeypatch, checks, cores=1)
         assert main(["validate", "--level", "fast"]) == 0
         total = capsys.readouterr().out.splitlines()[-1]
@@ -574,7 +575,7 @@ class TestRunAll:
 
     def test_an_error_of_report_propagates_and_ends_the_report(self, monkeypatch):
         started = []
-        checks = {c: (c, self.recording(started, c)) for c in ("a", "b", "c")}
+        checks = {c: self.recording(started, c) for c in ("a", "b", "c")}
         self.use_checks(monkeypatch, checks, cores=1)
         reported = []
 
@@ -589,7 +590,7 @@ class TestRunAll:
     def test_an_error_writing_a_report_line_is_no_checks(self, monkeypatch, capsys):
         # The output failed, not check "b": no [ERROR] line and no traceback
         # of it, and the error itself ends the run.
-        checks = {c: (c, self.recording([], c)) for c in ("a", "b")}
+        checks = {c: self.recording([], c) for c in ("a", "b")}
         self.use_checks(monkeypatch, checks, cores=1)
 
         class FullDisk(io.StringIO):
@@ -796,7 +797,7 @@ class TestInputBoundary:
             (["espar"], {"espar": {"element_angles": ["a"]}},
              "espar: element_angles must be real numbers, got 'a'"),
             (["espar"], {"espar": {"m_elements": True}},
-             "espar: m_elements must be an integer, got True"),
+             "espar: m_elements must be an integer >= 1, got True"),
             (["espar"], {"espar": {"m_elements": 2, "admittance": [[0.02, True], [True, 0.02]]}},
              "espar: admittance must be a matrix of numbers, got True"),
             (["espar"], {"espar": {"element_angles": [math.nan, 1.0, 2.0]}}, "espar:"),
@@ -820,7 +821,8 @@ class TestInputBoundary:
             (["analytic", "--law", "ratio-cdf", "--z=nan"], None, "--z"),
             (["analytic", "--law", "ratio-pdf", "--z=inf"], None, "--z"),
             (["analytic", "--law", "rab2-cdf", "--z=inf"], None, "--z"),
-            (["analytic", "--law", "ratio-pdf", "--k", "inf"], None, "finite k_factor"),
+            (["analytic", "--law", "ratio-pdf", "--k", "inf"], None,
+             "k_factor must be finite and >= 0, got inf"),
             (["analytic", "--law", "ratio-cdf", "--rho", "inf"], None, "power_ratio must be"),
             (["analytic", "--law", "normalizer", "--rho", "1e-308", "--n", "2,8"], None,
              "not finite at N = 8"),

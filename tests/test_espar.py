@@ -166,6 +166,14 @@ class TestBasis:
         with pytest.raises(ValueError):
             build_basis(EsparConfig(m_elements=4), 8)
 
+    @pytest.mark.parametrize("grid_size", [256.5, 256.0, True, "256"])
+    def test_grid_size_must_be_an_integer(self, grid_size):
+        # A fractional size would give a grid whose weight 2 pi / size is not
+        # the periodic trapezoid rule's.
+        with pytest.raises(ValueError, match="^grid_size must be an integer >= 8, got "):
+            build_basis(EsparConfig(m_elements=2), grid_size)
+        assert build_basis(EsparConfig(m_elements=2), np.int64(8)).theta_grid.size == 8
+
 
 class TestPatternWeights:
     def test_zero_currents(self):
@@ -224,7 +232,7 @@ class TestPatternValue:
         )
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="expected 3 currents"):
+        with pytest.raises(ValueError, match="currents must have shape \\(3,\\)"):
             pattern_value(np.ones(2, dtype=complex), EsparConfig(m_elements=3), 0.0)
 
 
@@ -293,19 +301,26 @@ class TestConfigValidation:
     def test_numpy_integer_m_elements_is_stored_as_int(self):
         assert type(EsparConfig(m_elements=np.int64(3)).m_elements) is int
 
+    def test_feed_and_radius_are_stored_as_python_numbers(self):
+        cfg = EsparConfig(feed_voltage=np.float32(2.0), radius_wavelengths=np.float32(0.125))
+        assert type(cfg.feed_voltage) is complex and cfg.feed_voltage == 2.0
+        assert type(cfg.radius_wavelengths) is float and cfg.radius_wavelengths == 0.125
+
     @pytest.mark.parametrize("kw,message", [
-        (dict(m_elements=0), "m_elements must be >= 1"),
-        (dict(m_elements=2, admittance=np.eye(3)), "admittance must be 2x2"),
+        (dict(m_elements=0), "m_elements must be an integer >= 1, got 0"),
+        (dict(m_elements=2, admittance=np.eye(3)),
+         "admittance must have shape \\(2, 2\\), got \\(3, 3\\)"),
         (dict(m_elements=2, radius_wavelengths=0.0), "radius_wavelengths must be > 0"),
         (dict(feed_voltage="1"), "feed_voltage must be a number"),
         (dict(feed_voltage=None), "feed_voltage must be a number"),
         (dict(feed_voltage=True), "feed_voltage must be a number"),
         (dict(radius_wavelengths="0.1"), "radius_wavelengths must be a number"),
-        (dict(radius_wavelengths=[0.1]), "radius_wavelengths must be a number"),
+        (dict(radius_wavelengths=[0.1]), "radius_wavelengths must have shape \\(\\), got \\(1,\\)"),
         (dict(radius_wavelengths=1j), "radius_wavelengths must be a number"),
         (dict(m_elements=3, element_angles=[0.0, 1j]), "element_angles must be real numbers"),
         (dict(m_elements=3, element_angles=["0.5", 1.0]), "element_angles must be real numbers"),
-        (dict(m_elements=3, element_angles=[[0.0], [1.0]]), "element_angles must be real numbers"),
+        (dict(m_elements=3, element_angles=[[0.0], [1.0]]),
+         "element_angles must have shape \\(2,\\), got \\(2, 1\\)"),
         (dict(radius_wavelengths=10**400), "radius_wavelengths must be finite, got a number past"),
         (dict(feed_voltage=10**400), "feed_voltage must be finite, got a number past"),
         (dict(feed_voltage=-(10**400)), "feed_voltage must be finite, got a number past"),

@@ -114,7 +114,7 @@ class TestConfigValidation:
          "mean_interference_power must be finite and > 0, got inf"),
         ("peak_interference", -2.5, "peak_interference must be finite and > 0, got -2.5"),
         ("primary_power", math.nan, "primary_power must be finite and >= 0, got nan"),
-        ("max_power_cap", 0, "max_power_cap must be finite and > 0 when set, got 0"),
+        ("max_power_cap", 0, "max_power_cap must be finite and > 0, got 0"),
     ])
     def test_real_field_bounds(self, name, value, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -433,10 +433,11 @@ class TestErgodicCapacity:
         assert est.jensen_bound_nats >= est.mean_nats
 
     def test_trials_guard(self):
-        with pytest.raises(ValueError, match="trials >= 100"):
+        with pytest.raises(ValueError, match="trials must be an integer >= 100, got 99"):
             small_cfg(trials=99)
-        with pytest.raises(ValueError, match="threads"):
-            run_experiment(small_cfg(trials=100), threads=0)
+        for threads in (0, 1.5, True):
+            with pytest.raises(ValueError, match="^threads must be an integer >= 1, got "):
+                run_experiment(small_cfg(trials=100), threads=threads)
 
     def test_power_cap_reduces_capacity(self):
         base = run_experiment(
