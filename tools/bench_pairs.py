@@ -2,17 +2,18 @@
 
 Usage, from the repository root:
 
-    python tools/bench_pairs.py --parent DIR --change DIR --label NAME [--pairs 10]
+    python tools/bench_pairs.py --parent DIR --change DIR --label NAME
 
 ``--parent`` and ``--change`` are two checkouts, each with its own
 ``perfbench/run.py`` and ``BENCHMARK.json``.  Give them paths of equal
-length: the workers' start-up time moves with the path length.  A pair runs
-every workload of ``BENCHMARK.json`` on both sides, each side through its
-own ``perfbench/run.py`` at the benchmark's ``run_seconds``, and alternates
-pair by pair which side runs first.  ``validate-fast`` makes one repetition
-per call, so each side runs it three times per pair, on three seeds.  Both
-sides run with ``PYTHONDONTWRITEBYTECODE=1``, and the script refuses to
-start when one side holds compiled bytecode and the other does not.
+length: the workers' start-up time moves with the path length.  The script
+runs ``PAIRS`` (20) pairs.  A pair runs every workload of ``BENCHMARK.json``
+on both sides, each side through its own ``perfbench/run.py`` at the
+benchmark's ``run_seconds``, and the pairs alternate which side runs
+first.  ``validate-fast`` makes one repetition per call, so each side runs
+it three times per pair, on three seeds.  Both sides run with
+``PYTHONDONTWRITEBYTECODE=1``, and the script refuses to start when one
+side holds compiled bytecode and the other does not.
 
 Per side and workload the file holds, over every call, the median, the
 interquartile range and the count of each end-to-end metric, the calls'
@@ -48,6 +49,7 @@ SIDES = ("parent", "change")
 PROBE_DRAWS = 1 << 22
 PROBE_REPEATS = 5
 FIRST_SEED = 1
+PAIRS = 20
 # validate-fast calls per side and pair: each call makes one repetition.
 VALIDATE_CALLS = 3
 
@@ -154,11 +156,8 @@ def main() -> int:
     parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent")
     parser.add_argument("--change", type=Path, required=True, help="checkout of the change")
     parser.add_argument("--label", required=True, help="writes BENCH_<label>.json")
-    parser.add_argument("--pairs", type=int, default=10)
     args = parser.parse_args()
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    if args.pairs < 1:
-        parser.error("--pairs must be >= 1")
     bench = json.loads((checkouts["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
     workloads = [w["name"] for w in bench["workloads"]]
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
@@ -174,11 +173,11 @@ def main() -> int:
         "sides": {side: {"revision": git_revision(path), "path_length": len(str(path)),
                          "bytecode_dirs_at_start": stale[side]}
                   for side, path in checkouts.items()},
-        "run_seconds": seconds, "pairs_run": args.pairs, "validate_calls": VALIDATE_CALLS,
+        "run_seconds": seconds, "pairs_run": PAIRS, "validate_calls": VALIDATE_CALLS,
         "probe_before": probe(nproc),
     }
     pairs = []
-    for i in range(args.pairs):
+    for i in range(PAIRS):
         order = SIDES if i % 2 == 0 else SIDES[::-1]
         pair = {side: {} for side in SIDES}
         for workload in workloads:
@@ -188,7 +187,7 @@ def main() -> int:
                     run_call(checkouts[side], workload, FIRST_SEED + i * calls + j, seconds)
                     for j in range(calls)]
         pairs.append({"first": order[0], **pair})
-        print(f"pair {i + 1}/{args.pairs} done ({order[0]} first)", file=sys.stderr)
+        print(f"pair {i + 1}/{PAIRS} done ({order[0]} first)", file=sys.stderr)
     record["probe_after"] = probe(nproc)
     record["workloads"] = {
         workload: {**{side: summary([c for p in pairs for c in p[side][workload]], list(better))
