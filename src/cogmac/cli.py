@@ -19,8 +19,8 @@ which check them.  Every bad input, the output path included, is a
 :class:`ConfigError`: it is found before any work starts and exits 2.
 
 Each subcommand imports what it uses when it runs: ``simulate`` loads only
-``analytic``, ``channels`` and ``simulator``; ``validation`` and ``csv``
-load in ``validate``, and ``espar`` and ``json`` wherever a config file is
+``analytic``, ``channels`` and ``simulator``; ``validation``, with ``csv``,
+loads in ``validate``, and ``espar`` and ``json`` wherever a config file is
 read or a pattern built.
 """
 
@@ -204,7 +204,6 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    import csv
     import traceback
 
     from . import validation
@@ -216,8 +215,7 @@ def cmd_validate(args) -> int:
 
     def report(res):
         results.append(res)
-        mark = "PASS" if res.passed else "FAIL"
-        print(f"[{mark}] {res.check_id}: {res.detail}", flush=True)
+        print(res, flush=True)
         printed.append(res)
 
     raised = None
@@ -232,14 +230,7 @@ def cmd_validate(args) -> int:
     failed = [r for r in results if not r.passed]
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["check", "case", "n", "statistic", "threshold_1pct", "passed"])
-            for res in results:
-                for case, n, stat, threshold, passed in res.ks_rows:
-                    writer.writerow(
-                        [res.check_id, case, n, format_number(stat),
-                         format_number(threshold), int(passed)]
-                    )
+            validation.write_ks_csv(results, fh)
     total = len(results)
     print(
         f"{total - len(failed)}/{total} checks passed ({args.level} level, "

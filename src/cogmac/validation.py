@@ -12,7 +12,10 @@ Methods: no check compares a closed form with itself.  The capacity checks
 test, and take the exact order-statistic sampler at the Rayleigh (K = 0)
 reference, a law neither check tests; c06's two references share
 ``_SEED``'s uniforms.  The growth checks (c05, c07) take the sampler at
-every point, and the determinism check (c12) draws every user.
+every point, and the determinism check (c12) draws every user.  c02, c03
+and c09 take their KS samples from ``simulator._brute_block``, the
+per-slot maximum that every capped point runs.  A :class:`CheckResult`
+prints as its report line; :func:`write_ks_csv` writes ``--out``.
 
 Threading: a check is the unit of parallel work.  :func:`run_all` runs
 the checks concurrently on every usable core, each alone on a pool
@@ -25,6 +28,7 @@ before it has reported, and the checks not started by then are cancelled.
 
 from __future__ import annotations
 
+import csv
 import io
 import math
 import os
@@ -47,10 +51,11 @@ from .analytic import (
 )
 from .channels import draw_gains
 from .rab import arcsine_cdf
-from .simulator import NetworkConfig, _block_slots, run_experiment, sweep, write_sweep_csv
+from .simulator import (NetworkConfig, _block_slots, _brute_block, format_number,
+                        run_experiment, sweep, write_sweep_csv)
 from .stats import EmpiricalDist, KsReport, ks_test
 
-__all__ = ["CheckResult", "CHECK_IDS", "run_check", "run_all"]
+__all__ = ["CheckResult", "CHECK_IDS", "run_check", "run_all", "write_ks_csv"]
 
 K_GRID = (0.0, 0.5, 2.0, 10.0)
 RHO_GRID = (0.5, 1.0, 4.0)
@@ -65,18 +70,24 @@ class CheckResult:
     detail: str
     ks_rows: list = field(default_factory=list)  # (case, n, statistic, threshold, passed)
 
+    def __str__(self) -> str:
+        """The check's line in the ``cogmac validate`` report."""
+        return f"[{'PASS' if self.passed else 'FAIL'}] {self.check_id}: {self.detail}"
+
+
+def write_ks_csv(results, stream) -> None:
+    """Write the KS rows of ``results``, in their order, as the CSV of
+    ``cogmac validate --out``: a header, then one row per recorded KS test."""
+    writer = csv.writer(stream)
+    writer.writerow(["check", "case", "n", "statistic", "threshold_1pct", "passed"])
+    for res in results:
+        for case, n, stat, threshold, passed in res.ks_rows:
+            writer.writerow([res.check_id, case, n, format_number(stat),
+                             format_number(threshold), int(passed)])
+
 
 def _trials(level: str) -> int:
     return 100_000 if level == "full" else 20_000
-
-
-def _gain_blocks(reduce, rng, slots, k_factor, m_patterns=1, n_users=1):
-    """``reduce(gain_s, gain_sp)`` of each block of (rows, n_users) draws from
-    the channel kernel at unit mean powers: ``slots`` slots in blocks of
-    ``_block_slots(N M)``, each reduced before the next is drawn."""
-    cfg = NetworkConfig(n_users=n_users, m_patterns=m_patterns, k_factor=k_factor)
-    rows = _block_slots(n_users * m_patterns)
-    return [reduce(*draw_gains(cfg, rng, min(rows, slots - s))) for s in range(0, slots, rows)]
 
 
 def _usable_cores() -> int:
@@ -87,14 +98,8 @@ def _usable_cores() -> int:
 
 def _point(n_users, k_factor, mode, m_patterns, level) -> NetworkConfig:
     """A capacity check's point, at the level's trial count and ``_SEED``."""
-    return NetworkConfig(
-        n_users=n_users,
-        m_patterns=m_patterns,
-        k_factor=k_factor,
-        mode=mode,
-        trials=_trials(level),
-        seed=_SEED,
-    )
+    return NetworkConfig(n_users=n_users, m_patterns=m_patterns, k_factor=k_factor, mode=mode,
+                         trials=_trials(level), seed=_SEED)
 
 
 def _capacity(n_users, k_factor, mode, m_patterns, level) -> float:
@@ -166,7 +171,8 @@ def check_ratio_distribution_fit(level: str, ks) -> tuple[bool, str]:
     rng = np.random.default_rng(_SEED + 2)
     worst = ""
     for k in (0.5, 2.0, 10.0):
-        [z] = _gain_blocks(np.divide, rng, 10_000, k)  # one block: 10^4 <= _block_slots(1)
+        cfg = NetworkConfig(n_users=1, m_patterns=1, k_factor=k)
+        z = _brute_block(cfg, 10_000, rng)  # one block: 10^4 <= _block_slots(1)
         p = RatioDistParams(k, 1.0)
         report = ks_test(EmpiricalDist.from_samples(z), lambda x: ratio_cdf(x, p))
         worst += f" K={k}: " + ks(f"K={k}", report)
@@ -181,9 +187,9 @@ def check_frechet_normalization(level: str, ks) -> tuple[bool, str]:
     for k in (0.0, 2.0):
         p = RatioDistParams(k, 1.0)
         a_n = normalizer_a_n(n_users, p)
-        maxima = np.concatenate(_gain_blocks(
-            lambda g_s, g_sp: np.divide(g_s, g_sp, out=g_s).max(axis=1),
-            rng, n_maxima, k, n_users=n_users))
+        cfg, rows = NetworkConfig(n_users=n_users, m_patterns=1, k_factor=k), _block_slots(n_users)
+        maxima = np.concatenate([_brute_block(cfg, min(rows, n_maxima - s), rng)
+                                 for s in range(0, n_maxima, rows)])
         report = ks_test(EmpiricalDist.from_samples(maxima / a_n), lambda x: np.exp(-1.0 / x))
         details.append(f"K={k}: " + ks(f"K={k},N={n_users}", report))
     return True, "KS at 1%: " + "; ".join(details)
@@ -290,8 +296,9 @@ def check_rab_distribution_facts(level: str, ks) -> tuple[bool, str]:
     # (b) two patterns null the strong-LoS link most often: 10^6 slots per M.
     freq = {}
     for m in (2, 4, 8):
-        nulls = sum(_gain_blocks(lambda _, g_sp: int(np.count_nonzero(g_sp < 0.05)),
-                                 rng, 10**6, 1e6, m_patterns=m))
+        cfg, rows = NetworkConfig(n_users=1, m_patterns=m, k_factor=1e6), _block_slots(m)
+        nulls = sum(int(np.count_nonzero(draw_gains(cfg, rng, min(rows, 10**6 - s))[1] < 0.05))
+                    for s in range(0, 10**6, rows))
         freq[m] = nulls / 10**6
     ordering = freq[2] > freq[4] and freq[2] > freq[8]
     parts.append(f"(b) null freq M=2 {freq[2]:.4f} > M=4 {freq[4]:.4f}, M=8 {freq[8]:.4f}")
@@ -318,7 +325,8 @@ def check_rab_m2_closed_form(level: str, ks) -> tuple[bool, str]:
     """Mixed Bessel CDF of the two-pattern equivalent ratio + its tail form."""
     rng = np.random.default_rng(_SEED + 9)
     p = RatioDistParams(10.0, 1.0, 2)
-    [z] = _gain_blocks(np.divide, rng, 10_000, 10.0, m_patterns=2)  # 10^4 <= _block_slots(2)
+    cfg = NetworkConfig(n_users=1, m_patterns=2, k_factor=10.0)
+    z = _brute_block(cfg, 10_000, rng)  # one block: 10^4 <= _block_slots(2)
     report = ks_test(EmpiricalDist.from_samples(z), lambda x: rab_m2_cdf(x, p))
     fit = ks("z_eq M=2 K=10", report)
     exact = rab_m2_cdf(1e3, p)

@@ -15,13 +15,14 @@ The cases:
 * every ``analytic --law`` table at K in ``ANALYTIC_K`` and rho in
   ``ANALYTIC_RHO``, one file per law;
 * the full-level ``validate`` report lines and KS rows, from one
-  ``validation.run_all("full")`` (in tier-1, the acceptance suite's run).
+  ``validation.run_all("full")`` (in tier-1, the acceptance suite's run),
+  written by the two functions the CLI calls: ``str`` of each
+  ``CheckResult`` and ``validation.write_ks_csv``.
 """
 
 from __future__ import annotations
 
 import contextlib
-import csv
 import io
 import json
 import os
@@ -128,21 +129,15 @@ def analytic_tables(law: str) -> str:
 
 def validate_report(results) -> str:
     """The report lines that ``cogmac validate`` prints for ``results``."""
-    return "".join(f"[{'PASS' if r.passed else 'FAIL'}] {r.check_id}: {r.detail}\n"
-                   for r in results)
+    return "".join(f"{r}\n" for r in results)
 
 
 def validate_ks_csv(results) -> str:
     """The KS CSV that ``cogmac validate --out`` writes for ``results``."""
-    from cogmac.simulator import format_number
+    from cogmac import validation
 
     buf = io.StringIO(newline="")
-    writer = csv.writer(buf)
-    writer.writerow(["check", "case", "n", "statistic", "threshold_1pct", "passed"])
-    for r in results:
-        for case, n, stat, threshold, passed in r.ks_rows:
-            writer.writerow([r.check_id, case, n, format_number(stat),
-                             format_number(threshold), int(passed)])
+    validation.write_ks_csv(results, buf)
     return buf.getvalue()
 
 

@@ -18,8 +18,7 @@ dominated by the four 100k-trial capacity checks: the file takes about
 
 def announce_and_assert(capsys, number, result):
     with capsys.disabled():
-        mark = "PASS" if result.passed else "FAIL"
-        print(f"\nACCEPTANCE {number:02d} [{mark}] {result.check_id}: {result.detail}")
+        print(f"\nACCEPTANCE {number:02d} {result}")
     assert result.passed, f"criterion {number}: {result.detail}"
 
 

@@ -77,7 +77,7 @@ def test_analytic(tmp_path):
 
 def test_validate_loads_validation_and_writes_its_report(tmp_path):
     # Exit 0 or 1: criterion 7 is the known red.  The report is written
-    # with csv, imported in the command.
+    # by validation.write_ks_csv, with csv, both loaded by the command.
     rc, loaded = run_cli(tmp_path, "validate", "--level", "fast", "--out", "ks.csv")
     assert rc in (0, 1)
     assert (tmp_path / "ks.csv").read_text().startswith(
