@@ -232,10 +232,8 @@ def cmd_validate(args) -> int:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             validation.write_ks_csv(results, fh)
     total = len(results)
-    print(
-        f"{total - len(failed)}/{total} checks passed ({args.level} level, "
-        f"{time.perf_counter() - t_start:.1f}s)"
-    )
+    print(f"{total - len(failed)}/{total} checks passed "
+          f"({args.level} level, {time.perf_counter() - t_start:.1f}s)")
     if failed:
         print("failed: " + ", ".join(r.check_id for r in failed))
     return 3 if raised is not None else 1 if failed else 0

@@ -257,11 +257,11 @@ def check_rab_restores_log_growth(level: str, ks) -> tuple[bool, str]:
     The 5x margin is not reachable on this N grid: any capacity curve
     log N + b carries a normalized slope close to -b / log^2 N, and with
     b ~ 0.9 nats (extreme-value mean plus the boost constant) that sits
-    about 3x, not 5x, below the control.  The supplementary ratio against
-    the same data normalized by loglogN demonstrates the restoration and
-    is reported alongside for diagnosis.  As in :func:`check_large_k_growth`,
-    the six points take the order-statistic sampler, certified against brute
-    force by tests/test_simulator.py::TestQuantileSampler.
+    about 3x, not 5x, below the control.  Reported alongside, for diagnosis
+    only: the slope of the data normalized by loglogN, and the raw slope of
+    C against log N beside Rayleigh's exact one (a log N rate reads 1).  As
+    in :func:`check_large_k_growth`, the six points take the order-statistic
+    sampler, certified against brute force by tests/test_simulator.py::TestQuantileSampler.
     """
     caps = _growth_capacities(10.0, "rab", 2, level)
     log_n = np.log(N_GROWTH_GRID)
@@ -272,11 +272,13 @@ def check_rab_restores_log_growth(level: str, ks) -> tuple[bool, str]:
     control = abs(_log_n_slope(N_GROWTH_GRID, (c * ll) / log_n))
     alt_slope = abs(_log_n_slope(N_GROWTH_GRID, caps / ll))
     alt_ratio = alt_slope / data_slope if data_slope > 0 else math.inf
+    raw = _log_n_slope(N_GROWTH_GRID, caps)
+    rayleigh = _log_n_slope(N_GROWTH_GRID, [_rayleigh_capacity(n) for n in N_GROWTH_GRID])
     return 5.0 * data_slope <= control, (
         f"|slope| logN-normalized {data_slope:.4f} vs synthetic loglog control "
         f"{control:.4f} (need <= control/5 = {control / 5.0:.4f}); supplementary: "
-        f"loglogN-normalized slope {alt_slope:.4f}, ratio {alt_ratio:.1f}x "
-        f"(trials {_trials(level)})"
+        f"loglogN-normalized slope {alt_slope:.4f}, ratio {alt_ratio:.1f}x; raw slope "
+        f"of C vs log N {raw:.4f}, Rayleigh H_N {rayleigh:.4f} (trials {_trials(level)})"
     )
 
 
