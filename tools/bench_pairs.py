@@ -25,12 +25,16 @@ It also records the machine (``nproc``, Python, numpy and numpy's SIMD
 dispatch), each side's git revision and path length, every call's values,
 and a speed probe taken before and after the pairs: the time of 2^22
 ``standard_normal`` draws from ``SFC64(0)`` on one thread and on ``nproc``
-threads at once.
+threads at once.  Each side's harness, its ``BENCHMARK.json`` and
+``perfbench/*.py``, is recorded by SHA-256, and ``harness_identical`` says
+whether the two sides ran the same one; the script warns on standard error
+when they did not.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import importlib.util
 import json
 import os
@@ -71,6 +75,18 @@ def git_revision(checkout: Path) -> str:
     if proc.returncode == 0 and Path(top).resolve() == checkout.resolve():
         return commit
     return "unknown"
+
+
+def harness_sha256(checkout: Path) -> str:
+    """SHA-256 of ``checkout``'s harness: ``BENCHMARK.json`` and
+    ``perfbench/*.py``, each file as its relative path, its size and its bytes,
+    in path order."""
+    digest = hashlib.sha256()
+    for path in [checkout / "BENCHMARK.json", *sorted((checkout / "perfbench").glob("*.py"))]:
+        data = path.read_bytes()
+        digest.update(f"{path.relative_to(checkout).as_posix()}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()
 
 
 def bytecode_dirs(checkout: Path) -> int:
@@ -165,14 +181,20 @@ def main() -> int:
     stale = {side: bytecode_dirs(path) for side, path in checkouts.items()}
     if (stale["parent"] == 0) != (stale["change"] == 0):
         parser.error(f"one side holds compiled bytecode and the other not: {stale}")
+    harness = {side: harness_sha256(path) for side, path in checkouts.items()}
+    if harness["parent"] != harness["change"]:
+        print(f"warning: the two sides run different harnesses (BENCHMARK.json and "
+              f"perfbench/*.py): {harness}", file=sys.stderr)
     nproc = len(os.sched_getaffinity(0))
     record = {
         "label": args.label,
         "machine": {"nproc": nproc, "python": platform.python_version(),
                     "numpy": np.__version__, "simd_dispatch": simd_dispatch()},
         "sides": {side: {"revision": git_revision(path), "path_length": len(str(path)),
-                         "bytecode_dirs_at_start": stale[side]}
+                         "bytecode_dirs_at_start": stale[side],
+                         "harness_sha256": harness[side]}
                   for side, path in checkouts.items()},
+        "harness_identical": harness["parent"] == harness["change"],
         "run_seconds": seconds, "pairs_run": PAIRS, "validate_calls": VALIDATE_CALLS,
         "probe_before": probe(nproc),
     }
